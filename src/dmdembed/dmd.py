@@ -232,7 +232,8 @@ def _fit_columns(t: int, tau: int, fit_window: str) -> int:
 
 
 class _FitGeometry:
-    """Gram slices and tall products restricted to the fit columns.
+    """Tall products restricted to the fit columns, plus the Gram blocks
+    on demand.
 
     An optional column-space projector (total-least-squares debiasing)
     applies to ``tall`` only: mode lifting uses the projected snapshots
@@ -244,18 +245,24 @@ class _FitGeometry:
         if t < 3:
             raise ValueError(f"need at least 3 time steps, got {t}")
         self.view = view
+        self.fit_window = fit_window
         self.span = _fit_columns(t, view.tau, fit_window)
         self.projector: np.ndarray | None = None
-        self.gram_full = hk.gram(view)
-        span = self.span
-        if fit_window == "circulant":
-            self.gram = self.gram_full
+
+    def grams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Full T x T Gram, its fit block H^T H and the cross block H^T H'.
+
+        Builds the Gram once per call; only the operator fits need it.
+        """
+        full = hk.gram(self.view)
+        if self.fit_window == "circulant":
             # H^T H' for the circulant shift is a cyclic column rotation
             # of the Gram: (H^T H')[j, k] = G[j, (k+1) mod T].
-            self.cross = np.roll(self.gram_full, -1, axis=1)
-        else:
-            self.gram = np.ascontiguousarray(self.gram_full[:span, :span])
-            self.cross = np.ascontiguousarray(self.gram_full[:span, 1 : span + 1])
+            return full, full, np.roll(full, -1, axis=1)
+        span = self.span
+        gram = np.ascontiguousarray(full[:span, :span])
+        cross = np.ascontiguousarray(full[:span, 1 : span + 1])
+        return full, gram, cross
 
     def tall(self, x: np.ndarray) -> np.ndarray:
         if self.projector is not None:
@@ -324,8 +331,9 @@ def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecompositi
     if cfg.solver == "total":
         return fit_tdmd(view, cfg)
     geo = _FitGeometry(view, cfg.fit_window)
-    sigma_all, vecs = gram_spectrum(geo.gram)
-    return _finish_fit(view, cfg, geo, sigma_all, vecs, geo.cross, "exact")
+    gram, cross = geo.grams()[1:]
+    sigma_all, vecs = gram_spectrum(gram)
+    return _finish_fit(view, cfg, geo, sigma_all, vecs, cross, "exact")
 
 
 def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
@@ -337,17 +345,18 @@ def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposit
     """
     cfg = cfg or DmdConfig()
     geo = _FitGeometry(view, cfg.fit_window)
+    full, gram, cross = geo.grams()
     if cfg.fit_window == "circulant":
-        g_shift = np.roll(np.roll(geo.gram_full, -1, axis=0), -1, axis=1)
+        g_shift = np.roll(np.roll(full, -1, axis=0), -1, axis=1)
     else:
-        g_shift = geo.gram_full[1 : geo.span + 1, 1 : geo.span + 1]
-    stacked = geo.gram + g_shift
+        g_shift = full[1 : geo.span + 1, 1 : geo.span + 1]
+    stacked = gram + g_shift
     sigma_z, vecs_z = gram_spectrum(stacked)
     r_z = resolve_rank(sigma_z, cfg.rank_policy, cfg.svd_tol)
     basis = vecs_z[:, :r_z]
     projector = basis @ basis.T
-    gram_p = projector @ geo.gram @ projector
-    cross_p = projector @ geo.cross @ projector
+    gram_p = projector @ gram @ projector
+    cross_p = projector @ cross @ projector
     gram_p = 0.5 * (gram_p + gram_p.T)
     geo.projector = projector
     sigma_all, vecs = gram_spectrum(gram_p)
@@ -402,7 +411,10 @@ def _finish_fit(
 
 
 def fit_geometry(view: hk.HankelView, fit_span: int) -> _FitGeometry:
-    """Rebuild the fit geometry matching a decomposition's fit span."""
+    """Rebuild the fit geometry matching a decomposition's fit span.
+
+    Cheap: the Gram is built only by the operator fits, not here.
+    """
     t = view.source.n_steps
     if fit_span == t:
         return _FitGeometry(view, "circulant")

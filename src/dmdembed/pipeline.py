@@ -375,11 +375,7 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     lock = out_dir / ".lock"
-    try:
-        lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-    except FileExistsError:
-        raise DataError(f"run directory {out_dir} is locked by another process") from None
-    os.close(lock_fd)
+    _acquire_lock(lock)
     run = _Run(out_dir=out_dir)
     try:
         result = _run_stages(cfg, run, until)
@@ -389,6 +385,42 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
     finally:
         lock.unlink(missing_ok=True)
     return result
+
+
+def _acquire_lock(lock: Path) -> None:
+    """Create the run lock holding this process's PID.
+
+    A lock whose recorded PID is no longer alive is left over from a
+    killed run and is reclaimed; an empty or unreadable lock is not.
+    """
+    for _ in range(2):
+        try:
+            lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
+        except FileExistsError:
+            if not _lock_is_stale(lock):
+                break
+            lock.unlink(missing_ok=True)
+            continue
+        with os.fdopen(lock_fd, "w") as fh:
+            fh.write(str(os.getpid()))
+        return
+    raise DataError(f"run directory {lock.parent} is locked by another process")
+
+
+def _lock_is_stale(lock: Path) -> bool:
+    try:
+        pid = int(lock.read_text(encoding="utf-8").strip())
+    except (OSError, ValueError):
+        return False
+    if pid <= 0:
+        return False
+    try:
+        os.kill(pid, 0)
+    except ProcessLookupError:
+        return True
+    except (OSError, OverflowError):
+        return False
+    return False
 
 
 def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
@@ -442,6 +474,9 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         resolved["selected_pairs"] = sweep.achieved_pairs
         resolved["target_met"] = sweep.target_met
         resolved["spdmd_warnings"] = list(sweep.path.warnings)
+        resolved["spdmd_iterations"] = sum(s.iterations for s in sweep.path.solutions)
+        resolved["spdmd_unconverged"] = sum(not s.converged for s in sweep.path.solutions)
+        resolved["spdmd_rho"] = sweep.path.rho
         resolved["eigenvalues"] = [[float(z.real), float(z.imag)] for z in selected_eigs]
 
     if until == "fit":

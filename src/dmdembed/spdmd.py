@@ -6,6 +6,9 @@ Solves the l1-regularized amplitude fit
 
 by alternating-direction iterations: a closed-form Hermitian solve for
 the quadratic block and group soft-thresholding for the l1 block.
+The penalty rho is scaled to the quadratic form (trace(P) / r, the mean
+diagonal entry) and P is eigendecomposed once per problem, so every
+solve of (P + rho/2 I) x = b is a diagonal scale in that eigenbasis.
 Conjugate eigenvalue pairs are thresholded jointly on their combined
 magnitude so a real-valued embedding never receives half a pair.
 Surviving amplitudes are polished by an unregularized refit restricted
@@ -29,7 +32,6 @@ SUPPORT_EPS = 0.0  # prox produces exact zeros; support is strict nonzero
 class AdmmOptions:
     """Iteration controls for the alternating-direction solver."""
 
-    rho: float = 1.0
     max_iter: int = 10_000
     tol_primal: float = 1e-6
     tol_dual: float = 1e-6
@@ -62,10 +64,14 @@ class SpdmdSolution:
 
 @dataclass
 class SpdmdPath:
-    """Solutions along an ascending gamma grid, warm-started in order."""
+    """Solutions along an ascending gamma grid, warm-started in order.
+
+    ``rho`` is the ADMM penalty used at every grid point.
+    """
 
     gammas: np.ndarray
     solutions: list[SpdmdSolution]
+    rho: float
     warnings: list[str] = field(default_factory=list)
 
 
@@ -87,17 +93,25 @@ class SweepResult:
 
 
 class _AmplitudeProblem:
-    """Cached quadratic form a*Pa - 2Re(q*a) + s plus pair structure."""
+    """Cached quadratic form a*Pa - 2Re(q*a) + s plus pair structure.
+
+    Also holds the ADMM penalty rho = trace(P) / r and the
+    eigendecomposition P = V diag(lam) V* that turns each solve with
+    P + rho/2 I into a diagonal scale.
+    """
 
     def __init__(self, dec: DmdDecomposition, view: HankelView):
         geometry = fit_geometry(view, dec.fit_span)
         self.p, self.q, self.s = amplitude_quadratic(dec.eigenvalues, dec.modes, geometry)
         self.groups = conjugate_groups(dec.eigenvalues)
+        self.group_index = np.empty(len(dec.eigenvalues), dtype=np.intp)
+        for k, g in enumerate(self.groups):
+            self.group_index[g] = k
         # Group-lasso weight sqrt(group size) makes the joint threshold
         # equivalent to the plain l1 penalty on a conjugate-symmetric pair.
-        self.weights = np.empty(len(dec.eigenvalues))
-        for g in self.groups:
-            self.weights[g] = math.sqrt(len(g))
+        self.group_weights = np.sqrt(np.bincount(self.group_index))
+        self.rho = float(np.trace(self.p).real) / self.q.size
+        self.eigvals, self.eigvecs = np.linalg.eigh(self.p)
 
     def loss(self, amplitudes: np.ndarray) -> float:
         quad = np.real(amplitudes.conj() @ (self.p @ amplitudes))
@@ -123,14 +137,22 @@ class _AmplitudeProblem:
             bound = max(bound, 2.0 * norm / math.sqrt(len(g)))
         return bound
 
-    def group_threshold(self, v: np.ndarray, kappa: float) -> np.ndarray:
-        out = np.zeros_like(v)
-        for g in self.groups:
-            w = self.weights[g[0]]
-            norm = float(np.linalg.norm(v[g]))
-            if norm > kappa * w:
-                out[g] = (1.0 - kappa * w / norm) * v[g]
-        return out
+
+def group_threshold(
+    v: np.ndarray, group_index: np.ndarray, group_weights: np.ndarray, kappa: float
+) -> np.ndarray:
+    """Group soft-thresholding: shrink each group's norm by kappa * w_g.
+
+    Entry i belongs to group ``group_index[i]``; groups whose norm does
+    not exceed the threshold become exactly zero.
+    """
+    norms = np.sqrt(np.bincount(group_index, weights=v.real**2 + v.imag**2,
+                                minlength=group_weights.size))
+    limits = kappa * group_weights
+    scale = np.zeros_like(norms)
+    keep = norms > limits
+    scale[keep] = 1.0 - limits[keep] / norms[keep]
+    return scale[group_index] * v
 
 
 def _admm(
@@ -141,17 +163,19 @@ def _admm(
     dual0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
     r = problem.q.size
-    rho = opts.rho
-    system = problem.p + 0.5 * rho * np.eye(r)
+    rho = problem.rho
+    vecs = problem.eigvecs
+    vecs_h = vecs.conj().T
+    shifted = problem.eigvals + 0.5 * rho
     beta = np.zeros(r, dtype=complex) if beta0 is None else beta0.copy()
     dual = np.zeros(r, dtype=complex) if dual0 is None else dual0.copy()
     kappa = gamma / rho
     converged = False
     iterations = opts.max_iter
     for it in range(1, opts.max_iter + 1):
-        alpha = np.linalg.solve(system, problem.q + 0.5 * rho * (beta - dual))
+        alpha = vecs @ ((vecs_h @ (problem.q + 0.5 * rho * (beta - dual))) / shifted)
         beta_prev = beta
-        beta = problem.group_threshold(alpha + dual, kappa)
+        beta = group_threshold(alpha + dual, problem.group_index, problem.group_weights, kappa)
         dual = dual + alpha - beta
         primal = float(np.linalg.norm(alpha - beta))
         dual_res = rho * float(np.linalg.norm(beta - beta_prev))
@@ -265,6 +289,11 @@ def gamma_sweep(
         else:
             amplitudes = np.zeros_like(beta)
         sol = _make_solution(problem, float(gamma), amplitudes, True, converged, iterations)
+        if not converged:
+            warnings.append(
+                f"ADMM stopped at the {opts.max_iter}-iteration cap without converging "
+                f"at gamma={gamma:.6g}"
+            )
         if prev_count is not None and sol.nonzero_count > prev_count + 1:
             warnings.append(
                 f"nonzero count rose from {prev_count} to {sol.nonzero_count} "
@@ -273,7 +302,7 @@ def gamma_sweep(
         prev_count = sol.nonzero_count
         solutions.append(sol)
 
-    path = SpdmdPath(gammas=gammas, solutions=solutions, warnings=warnings)
+    path = SpdmdPath(gammas=gammas, solutions=solutions, rho=problem.rho, warnings=warnings)
     target = min(target_modes, n_groups)
 
     def sort_key(sol: SpdmdSolution):

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
@@ -172,8 +175,13 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
         else:
             assert field.name in manifest["config"]
     for field in ("tau", "rank", "gamma", "selected_pairs", "eigenvalues",
-                  "l2_with", "l2_without", "boundaries"):
+                  "l2_with", "l2_without", "boundaries", "spdmd_iterations",
+                  "spdmd_unconverged", "spdmd_rho"):
         assert field in manifest["resolved"]
+    resolved = manifest["resolved"]
+    assert resolved["spdmd_iterations"] > 0
+    assert 0 <= resolved["spdmd_unconverged"] <= 50
+    assert resolved["spdmd_rho"] > 0
     assert manifest["stage_seconds"]
     assert not (out / ".lock").exists()
 
@@ -208,6 +216,27 @@ def test_run_pipeline_lock(tmp_path):
     out_dir = tmp_path / "run3"
     out_dir.mkdir()
     (out_dir / ".lock").touch()
+    with pytest.raises(DataError, match="locked"):
+        run_pipeline(cfg)
+
+
+def test_run_pipeline_reclaims_lock_of_dead_process(tmp_path):
+    finished = subprocess.Popen([sys.executable, "-c", "pass"])
+    finished.wait()
+    cfg = small_config(tmp_path, seed=3)
+    out_dir = tmp_path / "run3"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text(str(finished.pid))
+    out = run_pipeline(cfg, until="fit")
+    assert (out / "manifest.json").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_run_pipeline_live_lock_holds(tmp_path):
+    cfg = small_config(tmp_path, seed=3)
+    out_dir = tmp_path / "run3"
+    out_dir.mkdir()
+    (out_dir / ".lock").write_text(str(os.getpid()))
     with pytest.raises(DataError, match="locked"):
         run_pipeline(cfg)
 

@@ -1,21 +1,28 @@
 import csv
 import itertools
+import json
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmdembed.dmd import DmdConfig, FixedRank, conjugate_groups, fit_dmd
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
+from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import (
     AdmmOptions,
     GammaGrid,
+    _admm,
     _AmplitudeProblem,
     export_path_csv,
     gamma_sweep,
+    group_threshold,
     polish,
     spdmd_solve,
 )
+from dmdembed.synthetic import two_period_spec
 
 
 def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
@@ -228,3 +235,113 @@ def test_export_path_csv(tmp_path):
     assert len(rows) == 5
     assert set(rows[0]) == {"gamma", "nonzero_count", "fit_loss", "polished", "converged"}
     assert [int(r["nonzero_count"]) for r in rows][-1] == 0
+
+
+def test_sweep_warns_when_a_grid_point_stops_at_the_cap():
+    dec, view = rank4_fixture()
+    res = gamma_sweep(dec, view, target_modes=1, grid=GammaGrid(num=5),
+                      opts=AdmmOptions(max_iter=2))
+    capped = [s for s in res.path.solutions if not s.converged]
+    assert capped
+    cap_warnings = [w for w in res.path.warnings if "iteration cap" in w]
+    assert len(cap_warnings) == len(capped)
+
+
+def test_penalty_is_the_mean_diagonal_of_the_quadratic_form():
+    dec, view = rank4_fixture()
+    problem = _AmplitudeProblem(dec, view)
+    assert problem.rho == pytest.approx(np.trace(problem.p).real / dec.rank)
+    res = gamma_sweep(dec, view, target_modes=1, grid=GammaGrid(num=5))
+    assert res.path.rho == problem.rho
+
+
+def _reference_threshold(v, groups, kappa):
+    out = np.zeros_like(v)
+    for g in groups:
+        w = np.sqrt(len(g))
+        norm = np.linalg.norm(v[g])
+        if norm > kappa * w:
+            out[g] = (1.0 - kappa * w / norm) * v[g]
+    return out
+
+
+@given(
+    st.lists(st.integers(1, 2), min_size=1, max_size=12),
+    st.integers(0, 10_000),
+    st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+)
+@settings(max_examples=60, deadline=None)
+def test_group_threshold_matches_per_group_loop(sizes, seed, kappa):
+    rng = np.random.default_rng(seed)
+    order = rng.permutation(sum(sizes))
+    bounds = np.cumsum([0] + sizes)
+    groups = [list(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    group_index = np.empty(order.size, dtype=np.intp)
+    for k, g in enumerate(groups):
+        group_index[g] = k
+    weights = np.sqrt(np.array(sizes, dtype=float))
+    v = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
+    zeroed = rng.random(len(groups)) < 0.3
+    for g, z in zip(groups, zeroed):
+        if z:
+            v[g] = 0.0
+    out = group_threshold(v, group_index, weights, kappa)
+    expected = _reference_threshold(v, groups, kappa)
+    assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
+    for g, z in zip(groups, zeroed):
+        if z:
+            assert np.all(out[g] == 0)
+
+
+def _dense_reference_admm(problem, gamma, max_iter=200_000):
+    """Plain ADMM: unit penalty and a fresh dense solve every iteration."""
+    rho = 1.0
+    system = problem.p + 0.5 * rho * np.eye(problem.q.size)
+    beta = np.zeros(problem.q.size, dtype=complex)
+    dual = np.zeros_like(beta)
+    for _ in range(max_iter):
+        alpha = np.linalg.solve(system, problem.q + 0.5 * rho * (beta - dual))
+        beta_prev = beta
+        beta = _reference_threshold(alpha + dual, problem.groups, gamma / rho)
+        dual = dual + alpha - beta
+        if (np.linalg.norm(alpha - beta) <= 1e-6
+                and rho * np.linalg.norm(beta - beta_prev) <= 1e-6):
+            return beta, True
+    return beta, False
+
+
+def test_admm_matches_dense_reference():
+    dec, view = rank4_fixture()
+    problem = _AmplitudeProblem(dec, view)
+    gamma_hi = problem.gamma_max()
+    certs = [2.0 * np.linalg.norm(problem.q[g]) / np.sqrt(len(g)) for g in problem.groups]
+    gammas = list(np.geomspace(1e-6 * gamma_hi, gamma_hi, 12)) + [np.sqrt(min(certs) * max(certs))]
+    supports = set()
+    for gamma in gammas:
+        beta, _, converged, _ = _admm(problem, gamma, AdmmOptions())
+        expected, ref_converged = _dense_reference_admm(problem, gamma)
+        assert converged and ref_converged
+        assert np.array_equal(beta != 0, expected != 0), gamma
+        scale = max(float(np.max(np.abs(expected))), 1e-300)
+        assert np.max(np.abs(beta - expected)) <= 1e-6 * scale
+        supports.add(int(np.count_nonzero(beta)))
+    assert supports == {0, 2, 4}
+
+
+def test_many_mode_sweep_converges_everywhere(tmp_path):
+    """A1 signal at rank fixed:24: twelve conjugate groups over 50 gammas."""
+    cfg = PipelineConfig(
+        synthetic=two_period_spec(noise_sigma=0.1, seed=1),
+        rank="fixed:24",
+        output_dir=str(tmp_path / "run"),
+        seed=1,
+    )
+    out = run_pipeline(cfg, until="fit")
+    with open(out / "spdmd_path.csv") as fh:
+        rows = list(csv.DictReader(fh))
+    assert len(rows) == 50
+    assert all(r["converged"] == "1" for r in rows)
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert resolved["rank"] == 24
+    assert resolved["spdmd_unconverged"] == 0
+    assert resolved["spdmd_iterations"] < 10_000
