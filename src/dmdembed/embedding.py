@@ -44,9 +44,6 @@ class TimeEmbedding:
     def length(self) -> int:
         return self.table.shape[0]
 
-    def covers(self, step: int) -> bool:
-        return self.origin_step <= step < self.origin_step + self.length
-
     def rows(self, steps: np.ndarray) -> np.ndarray:
         """Table rows for the given absolute steps (span must cover them)."""
         steps = np.asarray(steps, dtype=int)
@@ -113,51 +110,22 @@ def build_embedding(
     )
 
 
-@dataclass(frozen=True)
-class CovariateAttachment:
-    """Channel-count contract of an attachment: m -> m + 2r.
-
-    ``origin_step`` records the absolute step of embedding row 0; window
-    positions map to table rows through it.
-    """
-
-    base_channels: int
-    embedded_channels: int
-    embedding_modes: int
-    origin_step: int
-
-
 def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "ForecastWindows":
     """Append embedding channels to each window's history block and carry
     the future rows as decoder-side covariates.
 
     The embedding span must cover every absolute step any window touches,
-    including the future target steps; the first uncovered step is
-    reported otherwise.
+    including the future target steps; the first uncovered step, in
+    window order, is reported otherwise.
     """
-    if not windows.windows:
-        return windows
-    base = windows.windows[0].inputs.shape[1]
-    new_windows = []
-    for win in windows.windows:
-        hist_steps = np.arange(win.anchor_step - win.inputs.shape[0] + 1, win.anchor_step + 1)
-        fut_steps = np.arange(win.anchor_step + 1, win.anchor_step + 1 + win.target.shape[0])
-        hist_rows = emb.rows(hist_steps)
-        fut_rows = emb.rows(fut_steps)
-        new_windows.append(
-            replace(
-                win,
-                inputs=np.hstack([win.inputs, hist_rows]),
-                future_covariates=fut_rows,
-            )
-        )
-    attachment = CovariateAttachment(
-        base_channels=base,
-        embedded_channels=base + 2 * emb.n_modes,
-        embedding_modes=emb.n_modes,
-        origin_step=emb.origin_step,
+    p = windows.history.shape[1]
+    offsets = np.arange(1 - p, windows.target.shape[1] + 1)
+    rows = emb.rows(windows.anchor[:, np.newaxis] + offsets)
+    return replace(
+        windows,
+        history=np.concatenate([windows.history, rows[:, :p]], axis=2),
+        future=rows[:, p:],
     )
-    return replace(windows, windows=new_windows, attachment=attachment)
 
 
 def export_embedding(emb: TimeEmbedding, path) -> None:

@@ -6,6 +6,13 @@ pooled into a single regularized least-squares fit with shared weights,
 and future covariate rows enter as extra features. Metrics follow the
 masked MAE/RMSE convention: missing values are excluded, and reporting
 is in original units at horizons 3, 6, and 12.
+
+The W windows of a split are held as arrays, one row per (anchor, node)
+pair, anchor-major and node-minor: ``history (W, P, 1 + 2r)`` holds the
+value channel followed by the embedding's 2r channels, ``future
+(W, Q, 2r)`` the embedding rows at the target steps, and ``target`` and
+``mask`` are ``(W, Q)``. A window's features are its flattened history
+followed by its flattened future rows.
 """
 
 from __future__ import annotations
@@ -15,8 +22,9 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
+from numpy.lib.stride_tricks import sliding_window_view
 
-from .embedding import CovariateAttachment, TimeEmbedding, attach_covariates
+from .embedding import TimeEmbedding, attach_covariates
 from .errors import DataError
 from .hankel import SignalMatrix
 
@@ -24,32 +32,36 @@ STD_FLOOR = 1e-8
 
 
 @dataclass(frozen=True)
-class Window:
-    """One Seq2Seq training example for a single node.
+class ForecastWindows:
+    """All windows of one split, anchor-major and node-minor.
 
-    ``anchor_step`` is the absolute index of the last history step; the
-    targets cover anchor_step+1 .. anchor_step+Q. ``target_mask`` marks
-    target entries that were actually observed (metric exclusion).
+    ``anchor`` is the absolute index of each window's last history step;
+    its targets cover anchor+1 .. anchor+Q. ``mask`` marks target entries
+    that were actually observed (metric exclusion).
     """
 
-    inputs: np.ndarray
-    target: np.ndarray
-    future_covariates: np.ndarray
-    node_index: int
-    anchor_step: int
-    target_mask: np.ndarray
-
-
-@dataclass
-class ForecastWindows:
-    """All windows of one split, plus the channel contract, if attached."""
-
     split: str
-    windows: list[Window]
-    attachment: CovariateAttachment | None = None
+    history: np.ndarray
+    future: np.ndarray
+    target: np.ndarray
+    mask: np.ndarray
+    node: np.ndarray
+    anchor: np.ndarray
 
     def __len__(self) -> int:
-        return len(self.windows)
+        return self.target.shape[0]
+
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """(P, history channels, future channels)."""
+        return (self.history.shape[1], self.history.shape[2], self.future.shape[2])
+
+    def features(self) -> np.ndarray:
+        w, p, c = self.history.shape
+        _, q, f = self.future.shape
+        return np.concatenate(
+            [self.history.reshape(w, p * c), self.future.reshape(w, q * f)], axis=1
+        )
 
 
 @dataclass(frozen=True)
@@ -175,6 +187,11 @@ def zscore_fit_apply(splits: Splits) -> tuple[Splits, ZScore]:
     return normalized, zs
 
 
+def _anchor_major(block: np.ndarray, width: int) -> np.ndarray:
+    """(N, S) -> (windows * N, width) sliding windows, anchor-major."""
+    return sliding_window_view(block, width, axis=1).transpose(1, 0, 2).reshape(-1, width)
+
+
 def make_windows(
     splits: Splits,
     p: int = 12,
@@ -192,34 +209,26 @@ def make_windows(
         raise DataError(f"P and Q must be positive, got P={p}, Q={q}")
     out: dict[str, ForecastWindows] = {}
     for part in splits.parts():
-        sig = part.signal
-        n, t = sig.values.shape
+        values = part.signal.values
+        n, t = values.shape
         if t < p + q:
             raise DataError(
                 f"{part.name} split has {t} steps, needs at least P+Q={p + q}"
             )
-        windows: list[Window] = []
-        empty_cov = np.zeros((q, 0))
-        for local_anchor in range(p - 1, t - q):
-            anchor = part.start + local_anchor
-            for node in range(n):
-                hist = sig.values[node, local_anchor - p + 1 : local_anchor + 1]
-                target = sig.values[node, local_anchor + 1 : local_anchor + q + 1]
-                if exclusion_mask is not None:
-                    tmask = exclusion_mask[node, anchor + 1 : anchor + q + 1].copy()
-                else:
-                    tmask = np.ones(q, dtype=bool)
-                windows.append(
-                    Window(
-                        inputs=hist[:, np.newaxis].copy(),
-                        target=target.copy(),
-                        future_covariates=empty_cov,
-                        node_index=node,
-                        anchor_step=anchor,
-                        target_mask=tmask,
-                    )
-                )
-        collection = ForecastWindows(split=part.name, windows=windows)
+        target = _anchor_major(values[:, p:], q)
+        if exclusion_mask is not None:
+            mask = _anchor_major(exclusion_mask[:, part.start + p : part.start + t], q)
+        else:
+            mask = np.ones(target.shape, dtype=bool)
+        collection = ForecastWindows(
+            split=part.name,
+            history=_anchor_major(values[:, : t - q], p)[:, :, np.newaxis],
+            future=np.zeros((target.shape[0], q, 0)),
+            target=target,
+            mask=mask,
+            node=np.tile(np.arange(n), t - p - q + 1),
+            anchor=np.repeat(np.arange(part.start + p - 1, part.start + t - q), n),
+        )
         if embedding is not None:
             collection = attach_covariates(collection, embedding)
         out[part.name] = collection
@@ -228,55 +237,36 @@ def make_windows(
 
 @dataclass
 class RidgeModel:
-    """Closed-form regularized least squares on flattened window features."""
+    """Closed-form regularized least squares on flattened window features.
+
+    ``feature_layout`` is the (P, history channels, future channels)
+    layout of the windows it was fit on.
+    """
 
     weights: np.ndarray
     l2: float
-    feature_layout: str
-
-
-def _features(fw: ForecastWindows) -> np.ndarray:
-    rows = [
-        np.concatenate([w.inputs.ravel(), w.future_covariates.ravel()])
-        for w in fw.windows
-    ]
-    dims = {row.size for row in rows}
-    if len(dims) > 1:
-        raise DataError(f"feature dimension mismatch across windows: {sorted(dims)}")
-    return np.vstack(rows)
-
-
-def _layout(fw: ForecastWindows) -> str:
-    w = fw.windows[0]
-    return (
-        f"history({w.inputs.shape[0]}x{w.inputs.shape[1]})+"
-        f"future({w.future_covariates.shape[0]}x{w.future_covariates.shape[1]})"
-    )
+    feature_layout: tuple[int, int, int]
 
 
 def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
     """Deterministic ridge fit of the pooled window regression."""
-    if not train.windows:
+    if not len(train):
         raise DataError("no training windows")
     if l2 < 0:
         raise DataError(f"l2 must be nonnegative, got {l2}")
-    x = _features(train)
-    y = np.vstack([w.target for w in train.windows])
+    x = train.features()
     gram = x.T @ x + l2 * np.eye(x.shape[1])
-    weights = np.linalg.solve(gram, x.T @ y)
-    return RidgeModel(weights=weights, l2=l2, feature_layout=_layout(train))
+    weights = np.linalg.solve(gram, x.T @ train.target)
+    return RidgeModel(weights=weights, l2=l2, feature_layout=train.layout)
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
     """Q-step predictions per window, in the fitted (normalized) space."""
-    if not fw.windows:
-        return np.zeros((0, 0))
-    layout = _layout(fw)
-    if layout != model.feature_layout:
+    if fw.layout != model.feature_layout:
         raise DataError(
-            f"window layout {layout} does not match model layout {model.feature_layout}"
+            f"window layout {fw.layout} does not match model layout {model.feature_layout}"
         )
-    return _features(fw) @ model.weights
+    return fw.features() @ model.weights
 
 
 @dataclass
@@ -349,15 +339,3 @@ def evaluate(
         overall_rmse=overall_rmse,
         excluded_count=int((~mask).sum()),
     )
-
-
-def window_targets(fw: ForecastWindows) -> np.ndarray:
-    return np.vstack([w.target for w in fw.windows]) if fw.windows else np.zeros((0, 0))
-
-
-def window_masks(fw: ForecastWindows) -> np.ndarray:
-    return np.vstack([w.target_mask for w in fw.windows]) if fw.windows else np.zeros((0, 0), bool)
-
-
-def window_nodes(fw: ForecastWindows) -> np.ndarray:
-    return np.array([w.node_index for w in fw.windows], dtype=int)

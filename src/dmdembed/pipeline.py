@@ -14,7 +14,7 @@ import csv
 import json
 import os
 import time
-from dataclasses import dataclass, field, fields
+from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
 import numpy as np
@@ -30,9 +30,6 @@ from .forecaster import (
     make_splits,
     make_windows,
     predict,
-    window_masks,
-    window_nodes,
-    window_targets,
     zscore_fit_apply,
 )
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
@@ -318,19 +315,16 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
 
 
 def _choose_l2(cfg: PipelineConfig, train, val, zscore) -> float:
-    if not cfg.l2_auto or val is None or not val.windows:
+    if not cfg.l2_auto or val is None or not len(val):
         return cfg.l2
     best = (float("inf"), cfg.l2)
-    targets = window_targets(val)
-    nodes = window_nodes(val)
-    masks = window_masks(val)
     for candidate in L2_AUTO_GRID:
         model = fit_ridge(train, l2=candidate)
         preds = predict(model, val)
         report = evaluate(
-            zscore.inverse_rows(preds, nodes),
-            zscore.inverse_rows(targets, nodes),
-            masks,
+            zscore.inverse_rows(preds, val.node),
+            zscore.inverse_rows(val.target, val.node),
+            val.mask,
         )
         if report.overall_rmse < best[0]:
             best = (report.overall_rmse, candidate)
@@ -340,11 +334,9 @@ def _choose_l2(cfg: PipelineConfig, train, val, zscore) -> float:
 def _forecast_metrics(cfg: PipelineConfig, train, val, test, zscore):
     l2 = _choose_l2(cfg, train, val, zscore)
     model = fit_ridge(train, l2=l2)
-    preds_norm = predict(model, test)
-    nodes = window_nodes(test)
-    preds = zscore.inverse_rows(preds_norm, nodes)
-    targets = zscore.inverse_rows(window_targets(test), nodes)
-    report = evaluate(preds, targets, window_masks(test))
+    preds = zscore.inverse_rows(predict(model, test), test.node)
+    targets = zscore.inverse_rows(test.target, test.node)
+    report = evaluate(preds, targets, test.mask)
     residuals = preds - targets
     return report, residuals, l2
 
@@ -499,9 +491,11 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         with_windows = make_windows(
             norm_splits, cfg.p, cfg.q, embedding=emb, exclusion_mask=original_mask
         )
-        without_windows = make_windows(
-            norm_splits, cfg.p, cfg.q, embedding=None, exclusion_mask=original_mask
-        )
+        # the value channel alone: the same windows without the embedding
+        without_windows = {
+            name: replace(fw, history=fw.history[:, :, :1], future=fw.future[:, :, :0])
+            for name, fw in with_windows.items()
+        }
         report_with, resid_with, l2_with = _forecast_metrics(
             cfg, with_windows["train"], with_windows.get("val"), with_windows["test"], zscore
         )
@@ -520,8 +514,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
     with _StageTimer(run, "diagnostics"):
         skipped = _write_diagnostics(
             cfg, run, dec,
-            {"with": (with_windows["test"], resid_with),
-             "without": (without_windows["test"], resid_without)},
+            {"with": resid_with, "without": resid_without},
             signal.n_nodes,
             list(signal.node_ids),
         )
@@ -533,7 +526,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
 def _write_diagnostics(cfg, run: _Run, dec, labelled, n_nodes: int, node_ids: list[str]):
     skipped: list[int] = []
-    for label, (_, residuals) in labelled.items():
+    for label, residuals in labelled.items():
         flat, stacked = _anchor_major_residuals(residuals, n_nodes)
         n_anchors = flat.shape[0]
 

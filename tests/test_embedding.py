@@ -11,7 +11,7 @@ from dmdembed.embedding import (
     select_representatives,
 )
 from dmdembed.errors import DataError
-from dmdembed.forecaster import ForecastWindows, Window
+from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
 
 
@@ -101,41 +101,36 @@ def test_select_representatives():
     assert np.sum(np.isreal(reps)) == 2
 
 
-def window_fixture(n_windows=3, p=4, q=2, channels=1, anchor0=3):
-    wins = []
-    for k in range(n_windows):
-        anchor = anchor0 + k
-        wins.append(
-            Window(
-                inputs=np.full((p, channels), float(k)),
-                target=np.zeros(q),
-                future_covariates=np.zeros((q, 0)),
-                node_index=0,
-                anchor_step=anchor,
-                target_mask=np.ones(q, bool),
-            )
-        )
-    return ForecastWindows(split="train", windows=wins)
+def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
+    """Single-node windows; window k holds the value k at every history step."""
+    k = np.arange(n_windows, dtype=float)
+    return ForecastWindows(
+        split="train",
+        history=np.repeat(k[:, None, None], p, axis=1),
+        future=np.zeros((n_windows, q, 0)),
+        target=np.zeros((n_windows, q)),
+        mask=np.ones((n_windows, q), bool),
+        node=np.zeros(n_windows, dtype=int),
+        anchor=anchor0 + np.arange(n_windows),
+    )
 
 
 def test_attach_covariates_empty_embedding_keeps_windows():
     fw = window_fixture()
     emb = build_embedding(np.array([], dtype=complex), span=(0, 20))
     out = attach_covariates(fw, emb)
-    assert out.attachment.base_channels == 1
-    assert out.attachment.embedded_channels == 1
-    for before, after in zip(fw.windows, out.windows):
-        assert after.inputs.shape == before.inputs.shape
-        assert after.future_covariates.shape == (2, 0)
+    assert fw.history.shape[2] == 1
+    assert out.history.shape == fw.history.shape == (3, 4, 1)
+    assert np.array_equal(out.history, fw.history)
+    assert out.future.shape == (3, 2, 0)
 
 
 def test_attach_covariates_constant_mode_channels():
     fw = window_fixture(n_windows=1, p=1, q=1, anchor0=0)
     emb = build_embedding(np.array([1.0 + 0j]), span=(0, 4))
     out = attach_covariates(fw, emb)
-    win = out.windows[0]
-    assert_allclose(win.inputs, [[0.0, 1.0, 0.0]])
-    assert_allclose(win.future_covariates, [[1.0, 0.0]])
+    assert_allclose(out.history[0], [[0.0, 1.0, 0.0]])
+    assert_allclose(out.future[0], [[1.0, 0.0]])
 
 
 def test_attach_covariates_channel_contract():
@@ -143,10 +138,8 @@ def test_attach_covariates_channel_contract():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.05)])
     emb = build_embedding(lams, span=(0, 30))
     out = attach_covariates(fw, emb)
-    assert out.attachment.embedded_channels == 1 + 2 * 2
-    for win in out.windows:
-        assert win.inputs.shape == (4, 5)
-        assert win.future_covariates.shape == (2, 4)
+    assert out.history.shape == (2, 4, 1 + 2 * 2)
+    assert out.future.shape == (2, 2, 4)
 
 
 def test_attach_covariates_reports_first_uncovered_step():

@@ -1,18 +1,21 @@
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmdembed.embedding import build_embedding
 from dmdembed.errors import DataError
 from dmdembed.forecaster import (
+    ForecastWindows,
+    RidgeModel,
     evaluate,
     fit_ridge,
     make_splits,
     make_windows,
     predict,
-    window_masks,
-    window_nodes,
-    window_targets,
     zscore_fit,
     zscore_fit_apply,
 )
@@ -21,6 +24,115 @@ from dmdembed.hankel import SignalMatrix
 
 def signal(values, **kw):
     return SignalMatrix.from_values(np.asarray(values, dtype=float), **kw)
+
+
+def loop_windows(splits, p, q, embedding=None, exclusion_mask=None):
+    """Reference builder: one (anchor, node) window at a time, anchor-major.
+
+    Per split it returns the stacked window fields and the feature matrix
+    made by concatenating each window's flattened history and future rows.
+    """
+    out = {}
+    for part in splits.parts():
+        sig = part.signal
+        n, t = sig.values.shape
+        if t < p + q:
+            raise DataError(f"{part.name} split has {t} steps, needs at least P+Q={p + q}")
+        wins = []
+        for local_anchor in range(p - 1, t - q):
+            anchor = part.start + local_anchor
+            for node in range(n):
+                hist = sig.values[node, local_anchor - p + 1 : local_anchor + 1][:, None]
+                target = sig.values[node, local_anchor + 1 : local_anchor + q + 1]
+                if exclusion_mask is not None:
+                    tmask = exclusion_mask[node, anchor + 1 : anchor + q + 1]
+                else:
+                    tmask = np.ones(q, dtype=bool)
+                fut = np.zeros((q, 0))
+                if embedding is not None:
+                    hist = np.hstack([hist, embedding.rows(np.arange(anchor - p + 1, anchor + 1))])
+                    fut = embedding.rows(np.arange(anchor + 1, anchor + q + 1))
+                wins.append((hist, fut, target, tmask, node, anchor))
+        hist, fut, target, tmask, node, anchor = zip(*wins)
+        out[part.name] = {
+            "history": np.stack(hist),
+            "future": np.stack(fut),
+            "target": np.stack(target),
+            "mask": np.stack(tmask),
+            "node": np.array(node),
+            "anchor": np.array(anchor),
+            "features": np.vstack([np.concatenate([h.ravel(), f.ravel()])
+                                   for h, f in zip(hist, fut)]),
+        }
+    return out
+
+
+def first_window_error(splits, p, q, span):
+    """The DataError message of the first split, in order, that is shorter
+    than P+Q or touches a step outside the embedding span [start, end)."""
+    for part in splits.parts():
+        t = part.signal.n_steps
+        if t < p + q:
+            return f"{part.name} split has {t} steps, needs at least P+Q={p + q}"
+        if span is not None and part.start < span[0]:
+            return f"embedding does not cover absolute step {part.start}"
+        if span is not None and part.start + t > span[1]:
+            return f"embedding does not cover absolute step {span[1]}"
+    return None
+
+
+def outcome(build, *args, **kwargs):
+    try:
+        return build(*args, **kwargs)
+    except DataError as exc:
+        return str(exc)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_make_windows_matches_per_window_loop(data):
+    n = data.draw(st.integers(1, 3), label="N")
+    p = data.draw(st.integers(1, 6), label="P")
+    q = data.draw(st.integers(1, 6), label="Q")
+    # split lengths, each empty or of at least 2 steps; T is their sum
+    sizes = [data.draw(st.integers(2, 60), label="train steps")] + [
+        data.draw(st.one_of(st.just(0), st.integers(2, 30)), label=f"{name} steps")
+        for name in ("val", "test")
+    ]
+    t = sum(sizes)
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    values = rng.normal(size=(n, t))
+    exclusion = rng.random((n, t)) > 0.3 if data.draw(st.booleans(), label="mask") else None
+    splits = make_splits(signal(values), tuple(size / t for size in sizes))
+    assert splits.boundaries == (sizes[0], sizes[0] + sizes[1])
+    n_modes = data.draw(st.one_of(st.none(), st.integers(0, 3)), label="modes")
+    emb = span = None
+    if n_modes is not None:
+        angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=n_modes, max_size=n_modes))
+        if data.draw(st.booleans(), label="random span"):
+            start = data.draw(st.integers(0, 3), label="span start")
+            end = data.draw(st.integers(start + 1, start + t), label="span end")
+        else:
+            start, end = 0, t + data.draw(st.integers(0, 3), label="extra steps")
+        span = (start, end)
+        emb = build_embedding(np.exp(1j * np.array(angles)), span=span)
+
+    expected = outcome(loop_windows, splits, p, q, emb, exclusion)
+    actual = outcome(make_windows, splits, p, q, embedding=emb, exclusion_mask=exclusion)
+    error = first_window_error(splits, p, q, span)
+    if error is not None:
+        assert expected == actual == error
+        return
+    assert list(actual) == list(expected)
+    for name, fw in actual.items():
+        ref = expected[name]
+        assert len(fw) == ref["target"].shape[0]
+        for key in ("history", "future", "target", "mask", "node", "anchor"):
+            got = getattr(fw, key)
+            assert got.shape == ref[key].shape, key
+            assert got.dtype == ref[key].dtype, key
+            assert np.array_equal(got, ref[key]), key
+        assert np.array_equal(fw.features(), ref["features"])
 
 
 def sine_signal(t_steps=200, period=24.0, n_nodes=1):
@@ -100,10 +212,9 @@ def test_window_channel_contract_with_embedding():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.07)])
     emb = build_embedding(lams, span=(0, 60))
     fw = make_windows(splits, p=12, q=12, embedding=emb)["train"]
-    win = fw.windows[0]
-    assert win.inputs.shape == (12, 1 + 4)
-    assert win.future_covariates.shape == (12, 4)
-    assert fw.attachment.embedded_channels == 5
+    assert fw.history.shape == (len(fw), 12, 1 + 4)
+    assert fw.future.shape == (len(fw), 12, 4)
+    assert fw.layout == (12, 5, 4)
 
 
 def test_windows_too_short_split():
@@ -117,7 +228,7 @@ def test_ridge_fits_sinusoid_from_lags():
     fw = make_windows(splits, p=12, q=12)["train"]
     model = fit_ridge(fw, l2=1e-8)
     preds = predict(model, fw)
-    rmse = np.sqrt(np.mean((preds - window_targets(fw)) ** 2))
+    rmse = np.sqrt(np.mean((preds - fw.target) ** 2))
     assert rmse <= 1e-4
 
 
@@ -144,9 +255,9 @@ def test_ridge_determinism_and_normal_equations():
     m1 = fit_ridge(fw, l2=1e-3)
     m2 = fit_ridge(fw, l2=1e-3)
     assert np.array_equal(m1.weights, m2.weights)
-    x = np.vstack([np.concatenate([w.inputs.ravel(), w.future_covariates.ravel()])
-                   for w in fw.windows])
-    y = window_targets(fw)
+    ref = loop_windows(splits, p=8, q=4)["train"]
+    x = ref["features"]
+    y = ref["target"]
     lhs = (x.T @ x + 1e-3 * np.eye(x.shape[1])) @ m1.weights
     rhs = x.T @ y
     assert np.linalg.norm(lhs - rhs) <= 1e-6 * np.linalg.norm(rhs)
@@ -162,9 +273,17 @@ def test_predict_layout_mismatch():
 
 
 def test_predict_empty_windows():
-    from dmdembed.forecaster import ForecastWindows, RidgeModel
-    model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout="x")
-    out = predict(model, ForecastWindows(split="test", windows=[]))
+    model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout=(3, 1, 0))
+    empty = ForecastWindows(
+        split="test",
+        history=np.zeros((0, 3, 1)),
+        future=np.zeros((0, 2, 0)),
+        target=np.zeros((0, 2)),
+        mask=np.ones((0, 2), bool),
+        node=np.zeros(0, int),
+        anchor=np.zeros(0, int),
+    )
+    out = predict(model, empty)
     assert out.size == 0
 
 
@@ -225,18 +344,10 @@ def test_covariate_null_test():
     rng = np.random.default_rng(4)
     splits = make_splits(signal(rng.normal(size=(2, 80))), (1.0, 0.0, 0.0))
     plain = make_windows(splits, p=8, q=4)["train"]
-
-    import dataclasses
     zeroed = dataclasses.replace(
         plain,
-        windows=[
-            dataclasses.replace(
-                w,
-                inputs=np.hstack([w.inputs, np.zeros((8, 2))]),
-                future_covariates=np.zeros((4, 2)),
-            )
-            for w in plain.windows
-        ],
+        history=np.concatenate([plain.history, np.zeros((len(plain), 8, 2))], axis=2),
+        future=np.zeros((len(plain), 4, 2)),
     )
     m_plain = fit_ridge(plain, l2=1e-3)
     m_zero = fit_ridge(zeroed, l2=1e-3)
@@ -252,11 +363,8 @@ def test_window_masks_and_nodes_helpers():
     mask[1, 30] = False
     splits = make_splits(sig, (1.0, 0.0, 0.0))
     fw = make_windows(splits, p=8, q=4, exclusion_mask=mask)["train"]
-    masks = window_masks(fw)
-    nodes = window_nodes(fw)
-    assert masks.shape == (len(fw), 4)
-    assert set(nodes) == {0, 1}
+    assert fw.mask.shape == (len(fw), 4)
+    assert set(fw.node) == {0, 1}
     # the masked step 30 appears in windows of node 1 whose target range covers it
-    hit = [k for k, w in enumerate(fw.windows)
-           if w.node_index == 1 and w.anchor_step + 1 <= 30 <= w.anchor_step + 4]
-    assert hit and not masks[hit].all()
+    hit = (fw.node == 1) & (fw.anchor + 1 <= 30) & (30 <= fw.anchor + 4)
+    assert hit.any() and not fw.mask[hit].all()

@@ -9,10 +9,11 @@ import pytest
 from dmdembed.cli import main as cli_main
 from dmdembed.dmd import DmdConfig, FixedRank, fit_dmd
 from dmdembed.errors import ConfigError, DataError
-from dmdembed.forecaster import make_splits, zscore_fit_apply
-from dmdembed.hankel import build_hankel
+from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
+from dmdembed.hankel import build_hankel, impute_linear
 from dmdembed.pipeline import (
     PipelineConfig,
+    _forecast_metrics,
     config_from_manifest,
     load_csv,
     parse_config_file,
@@ -288,6 +289,28 @@ def test_run_pipeline_masked_input_metrics_exclusion(tmp_path):
     out = run_pipeline(cfg)
     metrics = json.loads((out / "metrics_with.json").read_text())
     assert metrics["excluded_count"] > 0
+
+
+def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_path):
+    # the run builds its windows once and drops the embedding channels for
+    # the comparison fit; that must equal windows built with no embedding
+    sig = generate_synthetic(small_spec(seed=7))
+    sig.mask[1, 300:310] = False
+    csv_path = tmp_path / "masked.csv"
+    write_signal_csv(sig, csv_path)
+    cfg = small_config(tmp_path, seed=7, l2_auto=True)
+    cfg.synthetic = None
+    cfg.input_csv = str(csv_path)
+    out = run_pipeline(cfg)
+
+    loaded = load_csv(csv_path)
+    splits = make_splits(impute_linear(loaded), cfg.split)
+    norm, zscore = zscore_fit_apply(splits)
+    plain = make_windows(norm, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
+    report, _, l2 = _forecast_metrics(cfg, plain["train"], plain["val"], plain["test"], zscore)
+    assert report.excluded_count > 0
+    assert (out / "metrics_without.json").read_text() == report.to_json()
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == l2
 
 
 def test_no_leakage_from_test_split():
