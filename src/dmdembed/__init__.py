@@ -51,9 +51,8 @@ from .hankel import (
     default_tau,
     gram,
     impute_linear,
-    shifted_view,
 )
-from .linalg import ComplexSpectrum, SnapshotSvd, dense_eig, lstsq, snapshot_svd
+from .linalg import ComplexSpectrum, SnapshotSvd, dense_eig, snapshot_svd
 from .pipeline import PipelineConfig, load_csv, run_pipeline
 from .spdmd import (
     AdmmOptions,
@@ -110,7 +109,6 @@ __all__ = [
     "import_embedding",
     "impute_linear",
     "load_csv",
-    "lstsq",
     "make_splits",
     "make_windows",
     "mode_frequency",
@@ -120,7 +118,6 @@ __all__ = [
     "resolve_rank",
     "run_pipeline",
     "select_representatives",
-    "shifted_view",
     "snapshot_svd",
     "spdmd_solve",
     "vandermonde",

@@ -76,14 +76,8 @@ def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
         mapping.update(base.to_mapping())
     if args.config:
         mapping.update(parse_config_file(args.config))
-    for key in (
-        "input_csv", "output_dir", "seed", "tau", "rank", "solver", "target_modes",
-        "p", "q", "split", "l2", "l2_auto", "lags", "acf_max_lag", "step_seconds",
-        "unit_circle", "synth_nodes", "synth_steps", "synth_periods",
-        "synth_amplitudes", "synth_noise", "synth_trend", "synth_seed",
-    ):
-        value = getattr(args, key, None)
-        if value is not None:
+    for key, value in vars(args).items():
+        if key not in ("command", "config", "manifest") and value is not None:
             mapping[key] = value
     return PipelineConfig.from_mapping(mapping)
 

@@ -111,8 +111,8 @@ def residual_correlation(
             excluded_columns=flipped.excluded_columns,
         )
     n = resid.shape[0]
-    if n <= lag:
-        raise DataError(f"time length {n} must exceed lag {lag}")
+    if n - lag < 2:
+        raise DataError(f"time length {n} must exceed lag {lag} by at least 2")
     lead = resid[lag:]
     trail = resid[: n - lag]
 

@@ -11,33 +11,24 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
-from typing import Union
 
 import numpy as np
 
 from . import hankel as hk
-from .errors import EmptySpectrumError, NumericalError
-from .linalg import DEFAULT_SVD_TOL, dense_eig, gram_spectrum, lstsq, numerical_rank
+from .errors import NumericalError
+# The rank policies live in linalg and are re-exported here.
+from .linalg import (  # noqa: F401
+    DEFAULT_SVD_TOL,
+    CepThreshold,
+    FixedRank,
+    RankPolicy,
+    dense_eig,
+    gram_spectrum,
+    resolve_rank,
+    snapshot_svd,
+)
 
 CONJUGATE_TOL = 1e-8
-
-
-@dataclass(frozen=True)
-class FixedRank:
-    """Keep exactly ``rank`` modes (clamped to the numerical rank)."""
-
-    rank: int
-
-
-@dataclass(frozen=True)
-class CepThreshold:
-    """Keep the fewest modes whose cumulative squared singular values
-    reach ``fraction`` of the total."""
-
-    fraction: float = 0.90
-
-
-RankPolicy = Union[FixedRank, CepThreshold]
 
 
 @dataclass
@@ -52,15 +43,12 @@ class DmdConfig:
 
     rank_policy: RankPolicy = field(default_factory=CepThreshold)
     solver: str = "exact"
-    amplitude_method: str = "least_squares"
     fit_window: str = "circulant"
     svd_tol: float = DEFAULT_SVD_TOL
 
     def __post_init__(self):
         if self.solver not in ("exact", "total"):
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.amplitude_method not in ("least_squares", "first_snapshot"):
-            raise ValueError(f"unknown amplitude method {self.amplitude_method!r}")
         if self.fit_window not in ("circulant", "truncated"):
             raise ValueError(f"unknown fit window {self.fit_window!r}")
 
@@ -141,34 +129,6 @@ class ModeFrequency:
     period_steps: float | None
     period_seconds: float | None
     growth_rate: float
-
-
-def resolve_rank(
-    singular_values: np.ndarray,
-    policy: RankPolicy,
-    tol: float = DEFAULT_SVD_TOL,
-) -> int:
-    """Resolve a rank policy against a descending singular-value spectrum."""
-    sigma = np.asarray(singular_values, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        raise EmptySpectrumError("empty singular spectrum")
-    n_rank = numerical_rank(sigma, tol)
-    if n_rank == 0:
-        raise EmptySpectrumError("all singular values below tolerance")
-    if isinstance(policy, FixedRank):
-        if policy.rank < 1:
-            raise ValueError(f"fixed rank must be positive, got {policy.rank}")
-        return min(policy.rank, n_rank)
-    if isinstance(policy, CepThreshold):
-        f = policy.fraction
-        if not 0.0 < f <= 1.0:
-            raise ValueError(f"cep fraction must be in (0, 1], got {f}")
-        energy = sigma**2
-        cum = np.cumsum(energy) / energy.sum()
-        hits = np.nonzero(cum >= f)[0]
-        k = int(hits[0]) + 1 if hits.size else sigma.size
-        return min(k, n_rank)
-    raise TypeError(f"unknown rank policy {policy!r}")
 
 
 def vandermonde(eigenvalues: np.ndarray, length: int) -> VandermondeMatrix:
@@ -332,8 +292,7 @@ def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecompositi
         return fit_tdmd(view, cfg)
     geo = _FitGeometry(view, cfg.fit_window)
     gram, cross = geo.grams()[1:]
-    sigma_all, vecs = gram_spectrum(gram)
-    return _finish_fit(view, cfg, geo, sigma_all, vecs, cross, "exact")
+    return _finish_fit(cfg, geo, gram, cross, "exact")
 
 
 def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
@@ -359,54 +318,43 @@ def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposit
     cross_p = projector @ cross @ projector
     gram_p = 0.5 * (gram_p + gram_p.T)
     geo.projector = projector
-    sigma_all, vecs = gram_spectrum(gram_p)
-    return _finish_fit(view, cfg, geo, sigma_all, vecs, cross_p, "total")
+    return _finish_fit(cfg, geo, gram_p, cross_p, "total")
 
 
 def _finish_fit(
-    view: hk.HankelView,
     cfg: DmdConfig,
     geo: _FitGeometry,
-    sigma_all: np.ndarray,
-    vecs: np.ndarray,
+    gram_fit: np.ndarray,
     cross_fit: np.ndarray,
     solver: str,
 ) -> DmdDecomposition:
-    rank = resolve_rank(sigma_all, cfg.rank_policy, cfg.svd_tol)
-    sigma = sigma_all[:rank]
-    right = vecs[:, :rank]
+    svd = snapshot_svd(gram_fit, geo.tall, cfg.rank_policy, cfg.svd_tol)
+    right = svd.right_vectors
     # Reduced operator U^T H' V 1/sigma with U = H V 1/sigma substituted:
     # diag(1/sigma) V^T (H^T H') V diag(1/sigma).
-    inv_sigma = 1.0 / sigma
+    inv_sigma = 1.0 / svd.singular_values
     reduced = (inv_sigma[:, np.newaxis] * (right.T @ cross_fit @ right)) * inv_sigma
     spectrum = dense_eig(reduced)
-    left = geo.tall(right * inv_sigma)
-    modes = left @ spectrum.eigenvectors
+    modes = svd.left_vectors @ spectrum.eigenvectors
     norms = np.linalg.norm(modes, axis=0)
     if np.any(norms == 0.0):
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
     modes = modes / norms
 
-    if cfg.amplitude_method == "least_squares":
-        p, q, _ = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
-        amplitudes = _solve_hermitian(p, q)
-    else:
-        first_col = np.zeros((view.source.n_steps, 1))
-        first_col[0, 0] = 1.0
-        h0 = hk.apply_tall(view, first_col)[:, 0]
-        amplitudes = lstsq(modes, h0.astype(complex))
+    p, q, _ = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
+    amplitudes = _solve_hermitian(p, q)
 
     order = _energy_order(spectrum.eigenvalues, amplitudes, geo.span)
     return DmdDecomposition(
         eigenvalues=spectrum.eigenvalues[order],
         modes=modes[:, order],
         amplitudes=amplitudes[order],
-        rank=rank,
-        sampling_seconds=view.source.step_seconds,
+        rank=svd.rank,
+        sampling_seconds=geo.view.source.step_seconds,
         fit_span=geo.span,
-        tau=view.tau,
+        tau=geo.view.tau,
         solver=solver,
-        singular_values=sigma_all,
+        singular_values=svd.spectrum,
     )
 
 

@@ -27,11 +27,3 @@ class EmptySpectrumError(NumericalError):
 
 class EigenSolverError(NumericalError):
     """The dense eigensolver did not converge within its iteration cap."""
-
-
-class RankDeficiencyError(NumericalError):
-    """Least-squares system is rank deficient beyond tolerance."""
-
-    def __init__(self, message: str, numerical_rank: int):
-        super().__init__(message)
-        self.numerical_rank = numerical_rank

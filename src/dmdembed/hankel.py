@@ -2,20 +2,20 @@
 
 The lifted matrix H stacks tau cyclically shifted copies of the N x T
 signal into an (N*tau) x T block matrix: block row b, column j holds the
-signal at time (j + b) mod T. H is only formed explicitly on request;
-Gram matrices and tall products are computed blockwise from the source.
+signal at time (j + b) mod T. H is never formed explicitly: Gram
+matrices and tall products are computed blockwise from the source.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
 
-# Upper bound on logical elements (rows * cols) of an explicitly
-# materialized lifting.
+# Upper bound on logical elements (rows * cols) of the lifting that
+# default_tau picks.
 MEMORY_CAP_ELEMENTS = 10**8
 
 
@@ -111,7 +111,6 @@ class HankelView:
 
     source: SignalMatrix
     tau: int
-    materialized: np.ndarray | None = field(default=None, repr=False)
 
     @property
     def shape(self) -> tuple[int, int]:
@@ -130,36 +129,18 @@ def default_tau(signal: SignalMatrix, memory_cap: int = MEMORY_CAP_ELEMENTS) -> 
     return max(1, tau)
 
 
-def build_hankel(
-    signal: SignalMatrix,
-    tau: int,
-    materialize: bool = False,
-    memory_cap: int = MEMORY_CAP_ELEMENTS,
-) -> HankelView:
+def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
     """Construct the circulant Hankel view with ``tau`` stacked block rows.
 
-    Requires an all-true mask (run impute_linear first). With
-    ``materialize`` the full lifted matrix is stored, subject to the
-    memory cap; otherwise only the N x T source is kept.
+    Requires an all-true mask (run impute_linear first). Only the N x T
+    source is kept.
     """
     t = signal.n_steps
     if not (1 <= tau <= t):
         raise ValueError(f"tau must be in [1, {t}], got {tau}")
     if not signal.mask.all():
         raise DataError("signal has unimputed missing values; impute before lifting")
-    mat = None
-    if materialize:
-        if signal.n_nodes * tau * t > memory_cap:
-            raise DataError(
-                f"materialization of {signal.n_nodes * tau} x {t} exceeds memory cap"
-            )
-        mat = materialize_hankel(signal.values, tau)
-    return HankelView(source=signal, tau=tau, materialized=mat)
-
-
-def materialize_hankel(values: np.ndarray, tau: int) -> np.ndarray:
-    """Explicit (N*tau) x T circulant Hankel matrix (small instances only)."""
-    return np.vstack([np.roll(values, -b, axis=1) for b in range(tau)])
+    return HankelView(source=signal, tau=tau)
 
 
 def _wrapped_window_sums(cross: np.ndarray, tau: int, chunk: int | None = None) -> np.ndarray:
@@ -199,29 +180,6 @@ def gram(view: HankelView) -> np.ndarray:
     base = values.T @ values
     g = _wrapped_window_sums(base, view.tau)
     return 0.5 * (g + g.T)
-
-
-def cross_gram(view: HankelView, other: HankelView) -> np.ndarray:
-    """T x T product H^T H' between two liftings of equal shape."""
-    if view.shape != other.shape:
-        raise ValueError(f"shape mismatch: {view.shape} vs {other.shape}")
-    base = view.source.values.T @ other.source.values
-    return _wrapped_window_sums(base, view.tau)
-
-
-def shifted_view(view: HankelView) -> HankelView:
-    """Companion view whose column j is the source view's column (j+1) mod T."""
-    src = view.source
-    rolled = SignalMatrix(
-        values=np.roll(src.values, -1, axis=1),
-        mask=np.ones_like(src.mask),
-        node_ids=list(src.node_ids),
-        step_seconds=src.step_seconds,
-    )
-    mat = None
-    if view.materialized is not None:
-        mat = np.roll(view.materialized, -1, axis=1)
-    return HankelView(source=rolled, tau=view.tau, materialized=mat)
 
 
 def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:

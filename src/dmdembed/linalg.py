@@ -4,16 +4,17 @@ The central routine is a truncated SVD computed by the method of
 snapshots: the factorization of a tall matrix H is recovered from the
 eigendecomposition of the small Gram matrix H^T H, so H itself is only
 touched through an implicit tall-product callback and is never squared.
+The rank policies that decide where that SVD is truncated live here too.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable
+from typing import Callable, Union
 
 import numpy as np
 
-from .errors import EigenSolverError, EmptySpectrumError, RankDeficiencyError
+from .errors import EigenSolverError, EmptySpectrumError
 
 # Relative singular-value cutoff: sigma below DEFAULT_SVD_TOL * sigma_max
 # is treated as numerical zero.
@@ -34,6 +35,55 @@ def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> int:
         return 0
     floor = np.sqrt(sigma.size * np.finfo(float).eps)
     return int(np.count_nonzero(sigma > max(tol, floor) * sigma[0]))
+
+
+@dataclass(frozen=True)
+class FixedRank:
+    """Keep exactly ``rank`` modes (clamped to the numerical rank)."""
+
+    rank: int
+
+    def __post_init__(self):
+        if self.rank < 1:
+            raise ValueError(f"fixed rank must be positive, got {self.rank}")
+
+
+@dataclass(frozen=True)
+class CepThreshold:
+    """Keep the fewest modes whose cumulative squared singular values
+    reach ``fraction`` of the total."""
+
+    fraction: float = 0.90
+
+    def __post_init__(self):
+        if not 0.0 < self.fraction <= 1.0:
+            raise ValueError(f"cep fraction must be in (0, 1], got {self.fraction}")
+
+
+RankPolicy = Union[FixedRank, CepThreshold]
+
+
+def resolve_rank(
+    singular_values: np.ndarray,
+    policy: RankPolicy,
+    tol: float = DEFAULT_SVD_TOL,
+) -> int:
+    """Resolve a rank policy against a descending singular-value spectrum."""
+    sigma = np.asarray(singular_values, dtype=float)
+    if sigma.size == 0 or sigma[0] <= 0.0:
+        raise EmptySpectrumError("empty singular spectrum")
+    n_rank = numerical_rank(sigma, tol)
+    if n_rank == 0:
+        raise EmptySpectrumError("all singular values below tolerance")
+    if isinstance(policy, FixedRank):
+        return min(policy.rank, n_rank)
+    if isinstance(policy, CepThreshold):
+        energy = sigma**2
+        cum = np.cumsum(energy) / energy.sum()
+        hits = np.nonzero(cum >= policy.fraction)[0]
+        k = int(hits[0]) + 1 if hits.size else sigma.size
+        return min(k, n_rank)
+    raise TypeError(f"unknown rank policy {policy!r}")
 
 
 @dataclass(frozen=True)
@@ -99,7 +149,7 @@ TallProduct = Callable[[np.ndarray], np.ndarray]
 def snapshot_svd(
     gram: np.ndarray,
     tall: TallProduct,
-    rank: int,
+    rank: int | RankPolicy,
     tol: float = DEFAULT_SVD_TOL,
 ) -> SnapshotSvd:
     """Truncated SVD of a tall matrix H given its Gram matrix H^T H.
@@ -112,8 +162,8 @@ def snapshot_svd(
     Args:
         gram: (T, T) symmetric positive semidefinite matrix H^T H.
         tall: callback computing H @ X.
-        rank: requested rank; the result is truncated to
-            min(rank, numerical rank).
+        rank: rank policy, or an int meaning FixedRank(rank); the
+            result never exceeds the numerical rank.
         tol: relative cutoff; singular values below tol * sigma_max are
             dropped.
 
@@ -121,16 +171,14 @@ def snapshot_svd(
         ValueError: rank < 1, asymmetric or indefinite gram.
         EmptySpectrumError: every singular value is at or below the cutoff.
     """
-    if rank < 1:
-        raise ValueError(f"rank must be positive, got {rank}")
+    policy = rank if isinstance(rank, (FixedRank, CepThreshold)) else FixedRank(rank)
     sigma_all, vecs = gram_spectrum(gram)
-    n_rank = numerical_rank(sigma_all, tol)
-    if n_rank == 0:
-        raise EmptySpectrumError("all singular values below tolerance")
-    r = min(rank, n_rank)
-    sigma = sigma_all[:r].copy()
-    right = vecs[:, :r].copy()
-    left = np.asarray(tall(right / sigma[np.newaxis, :]), dtype=float)
+    r = resolve_rank(sigma_all, policy, tol)
+    # Slices, not copies, and a multiply by 1/sigma: the operator fit
+    # reuses these factors, and its floating-point results depend on both.
+    sigma = sigma_all[:r]
+    right = vecs[:, :r]
+    left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)
     # Deterministic sign: largest-magnitude entry of each left vector is
     # nonnegative; the paired right vector flips with it so the product
     # U Sigma V^T is unchanged.
@@ -167,25 +215,3 @@ def dense_eig(matrix: np.ndarray) -> ComplexSpectrum:
         raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
     order = np.lexsort((-evals.imag, -np.abs(evals)))
     return ComplexSpectrum(eigenvalues=evals[order], eigenvectors=evecs[:, order])
-
-
-def lstsq(a: np.ndarray, b: np.ndarray, rcond: float | None = None) -> np.ndarray:
-    """Least-squares solve min ||A x - b||_F for full-column-rank A.
-
-    Raises RankDeficiencyError (carrying the numerical rank) when A is
-    rank deficient beyond tolerance instead of returning a minimum-norm
-    answer silently.
-    """
-    a = np.asarray(a)
-    b = np.asarray(b)
-    if a.ndim != 2:
-        raise ValueError(f"A must be 2-D, got shape {a.shape}")
-    if a.shape[0] < a.shape[1]:
-        raise ValueError(f"A must have at least as many rows as columns, got {a.shape}")
-    x, _, rank, _ = np.linalg.lstsq(a, b, rcond=rcond)
-    if rank < a.shape[1]:
-        raise RankDeficiencyError(
-            f"rank-deficient system: numerical rank {rank} < {a.shape[1]} columns",
-            numerical_rank=int(rank),
-        )
-    return x

@@ -49,7 +49,6 @@ class PipelineConfig:
     tau: int | None = None
     rank: str = "cep:0.9"
     solver: str = "exact"
-    amplitude_method: str = "least_squares"
     # The splice-free window keeps recovered frequencies unbiased when
     # the training span is not a multiple of the dominant periods.
     fit_window: str = "truncated"
@@ -139,7 +138,6 @@ def _coerce(key: str, raw):
         "input_csv": str,
         "rank": str,
         "solver": str,
-        "amplitude_method": str,
         "fit_window": str,
         "output_dir": str,
         "step_seconds": float,
@@ -307,8 +305,6 @@ class _StageTimer:
 
 
 def _ingest(cfg: PipelineConfig) -> SignalMatrix:
-    if (cfg.input_csv is None) == (cfg.synthetic is None):
-        raise ConfigError("exactly one of input_csv or a synthetic spec is required")
     if cfg.input_csv is not None:
         return load_csv(cfg.input_csv, step_seconds=cfg.step_seconds)
     return generate_synthetic(cfg.synthetic)
@@ -450,7 +446,6 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         dmd_cfg = dmd.DmdConfig(
             rank_policy=cfg.rank_policy(),
             solver=cfg.solver,
-            amplitude_method=cfg.amplitude_method,
             fit_window=cfg.fit_window,
         )
         dec = dmd.fit_dmd(view, dmd_cfg)
@@ -532,7 +527,8 @@ def _write_diagnostics(cfg, run: _Run, dec, labelled, n_nodes: int, node_ids: li
 
         summaries = []
         for lag in cfg.lags:
-            if n_anchors <= abs(lag):
+            # a correlation needs at least two aligned pairs of rows
+            if n_anchors - abs(lag) < 2:
                 if lag not in skipped:
                     skipped.append(lag)
                 continue
@@ -610,7 +606,7 @@ def diagnose_residuals(
         column_ids = [f"series_{i}" for i in range(d)]
     summaries = []
     for lag in lags:
-        if n <= abs(lag):
+        if n - abs(lag) < 2:
             continue
         summary = dg.residual_correlation(resid, lag, keep_matrix=True)
         summaries.append(summary)

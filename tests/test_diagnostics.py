@@ -105,6 +105,9 @@ def test_residual_correlation_excludes_constant_columns():
 def test_residual_correlation_errors():
     with pytest.raises(DataError):
         residual_correlation(np.zeros((5, 2)), lag=5)
+    # one aligned pair of rows has no variance to correlate
+    with pytest.raises(DataError, match="by at least 2"):
+        residual_correlation(np.random.default_rng(0).normal(size=(5, 2)), lag=4)
     with pytest.raises(DataError):
         residual_correlation(np.full((10, 2), 3.0), lag=1)
 

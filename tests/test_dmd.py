@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed import dmd, linalg
 from dmdembed.dmd import (
     CepThreshold,
     DmdConfig,
@@ -20,7 +21,8 @@ from dmdembed.dmd import (
     vandermonde,
 )
 from dmdembed.errors import EmptySpectrumError
-from dmdembed.hankel import SignalMatrix, build_hankel, materialize_hankel
+from dmdembed.hankel import SignalMatrix, build_hankel
+from hankel_oracle import materialize_hankel
 
 
 def rotation_signal(period=24.0, t_steps=48):
@@ -76,10 +78,21 @@ def test_fit_dmd_unit_norm_modes_and_conjugate_amplitudes():
     assert abs(dec.amplitudes[i] - np.conj(dec.amplitudes[j])) <= 1e-8 * abs(dec.amplitudes[i])
 
 
-def test_fit_dmd_first_snapshot_amplitudes():
-    view = view_of(rotation_signal())
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(2), amplitude_method="first_snapshot"))
-    assert_allclose(reconstruct(dec, 1)[:, 0], view.source.values[:, 0], atol=1e-8)
+@pytest.mark.parametrize("solver", ["exact", "total"])
+def test_fits_take_their_svd_from_snapshot_svd(monkeypatch, solver):
+    calls = []
+
+    def recording(gram, tall, rank, tol):
+        out = linalg.snapshot_svd(gram, tall, rank, tol)
+        calls.append(out)
+        return out
+
+    monkeypatch.setattr(dmd, "snapshot_svd", recording)
+    cfg = DmdConfig(rank_policy=FixedRank(2), solver=solver)
+    dec = fit_dmd(view_of(rotation_signal(), tau=2), cfg)
+    assert len(calls) == 1
+    assert dec.rank == calls[0].rank == 2
+    assert dec.singular_values is calls[0].spectrum
 
 
 def test_resolve_rank_examples():
@@ -290,8 +303,6 @@ def test_fit_dmd_zero_signal_raises():
 def test_dmdconfig_validation():
     with pytest.raises(ValueError):
         DmdConfig(solver="banjo")
-    with pytest.raises(ValueError):
-        DmdConfig(amplitude_method="guess")
     with pytest.raises(ValueError):
         DmdConfig(fit_window="open")
 

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed.dmd import _FitGeometry
 from dmdembed.errors import DataError
 from dmdembed.hankel import (
     SignalMatrix,
@@ -11,13 +12,11 @@ from dmdembed.hankel import (
     apply_tall_transpose,
     build_hankel,
     column_energies,
-    cross_gram,
     default_tau,
     gram,
     impute_linear,
-    materialize_hankel,
-    shifted_view,
 )
+from hankel_oracle import materialize_hankel
 
 
 def signal(values, **kw):
@@ -69,8 +68,6 @@ def test_build_hankel_errors():
     )
     with pytest.raises(DataError):
         build_hankel(masked, tau=1)
-    with pytest.raises(DataError):
-        build_hankel(sig, tau=2, materialize=True, memory_cap=3)
 
 
 def test_gram_identity_and_hand_sum():
@@ -104,30 +101,21 @@ def test_gram_psd_and_oracle(seed, n, t, tau):
     assert evals.min() >= -1e-10 * np.trace(g)
 
 
-def test_shifted_view_examples():
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=1)
-    shifted = shifted_view(view)
-    assert_allclose(shifted.source.values, [[2, 3, 4, 1]])
-
-    const = build_hankel(signal(np.ones((2, 5))), tau=2)
-    assert_allclose(shifted_view(const).source.values, const.source.values)
-
-    view2 = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
-    h = materialize_hankel(view2.source.values, 2)
-    hs = materialize_hankel(shifted_view(view2).source.values, 2)
-    assert_allclose(hs[:, 0], h[:, 1])
-
-
-@given(st.integers(0, 10_000), st.integers(2, 6), st.integers(1, 6))
+@given(st.integers(0, 10_000), st.integers(1, 3), st.integers(2, 6), st.integers(1, 6),
+       st.integers(0, 12))
 @settings(max_examples=25, deadline=None)
-def test_circulant_closure(seed, t, tau):
+def test_circulant_closure(seed, n, t, tau, shift):
+    # Rolling the signal by s rotates the Gram by s along both axes, so
+    # a full turn of T steps gives the Gram back.
     tau = min(tau, t)
     rng = np.random.default_rng(seed)
-    view = build_hankel(signal(rng.normal(size=(2, t))), tau=tau)
-    current = view
-    for _ in range(t):
-        current = shifted_view(current)
-    assert np.array_equal(current.source.values, view.source.values)
+    z = rng.normal(size=(n, t))
+    g = gram(build_hankel(signal(z), tau=tau))
+    rolled = gram(build_hankel(signal(np.roll(z, -shift, axis=1)), tau=tau))
+    expected = np.roll(np.roll(g, -shift, axis=0), -shift, axis=1)
+    assert np.max(np.abs(rolled - expected)) <= 1e-10 * max(1.0, np.max(np.abs(g)))
+    full_turn = gram(build_hankel(signal(np.roll(z, -t, axis=1)), tau=tau))
+    assert np.array_equal(full_turn, g)
 
 
 def test_apply_tall_examples():
@@ -157,14 +145,28 @@ def test_apply_tall_dimension_mismatch():
         apply_tall_transpose(view, np.ones((3, 1)))
 
 
-def test_cross_gram_matches_dense():
-    rng = np.random.default_rng(2)
-    z = rng.normal(size=(2, 6))
-    view = build_hankel(signal(z), tau=3)
-    other = shifted_view(view)
-    h = materialize_hankel(z, 3)
-    hs = materialize_hankel(other.source.values, 3)
-    assert np.max(np.abs(cross_gram(view, other) - h.T @ hs)) <= 1e-10
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(3, 10), st.integers(1, 10),
+       st.sampled_from(["circulant", "truncated"]))
+@settings(max_examples=60, deadline=None)
+def test_cross_gram_matches_dense(seed, n, t, tau, fit_window):
+    # The fit's Gram blocks against dense H^T H and H^T H', where H' is
+    # the lift of the signal shifted one step: the circulant window uses
+    # every column, the truncated one the T - tau wrap-free columns.
+    tau = min(tau, t if fit_window == "circulant" else t - 2)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, t))
+    h = materialize_hankel(z, tau)
+    hs = materialize_hankel(np.roll(z, -1, axis=1), tau)
+    geo = _FitGeometry(build_hankel(signal(z), tau=tau), fit_window)
+    full, fit_gram, cross = geo.grams()
+    span = t if fit_window == "circulant" else t - tau
+    assert geo.span == span
+    scale = max(1.0, float(np.max(np.abs(h.T @ h))))
+    assert np.max(np.abs(full - h.T @ h)) <= 1e-10 * scale
+    assert np.max(np.abs(fit_gram - (h.T @ h)[:span, :span])) <= 1e-10 * scale
+    assert np.max(np.abs(cross - (h.T @ hs)[:span, :span])) <= 1e-10 * scale
+    if fit_window == "circulant":
+        assert np.array_equal(cross, np.roll(full, -1, axis=1))
 
 
 def test_column_energies_match_gram_diagonal():

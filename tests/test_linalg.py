@@ -6,8 +6,15 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.errors import EmptySpectrumError, RankDeficiencyError
-from dmdembed.linalg import dense_eig, gram_spectrum, lstsq, snapshot_svd
+from dmdembed.errors import EmptySpectrumError
+from dmdembed.linalg import (
+    CepThreshold,
+    FixedRank,
+    dense_eig,
+    gram_spectrum,
+    resolve_rank,
+    snapshot_svd,
+)
 
 
 def dense_tall(h):
@@ -95,6 +102,18 @@ def test_snapshot_svd_errors():
         snapshot_svd(zero, dense_tall(np.zeros((5, 3))), rank=2)
 
 
+def test_snapshot_svd_takes_a_rank_policy():
+    rng = np.random.default_rng(17)
+    h = rng.normal(size=(10, 6))
+    by_int = snapshot_svd(h.T @ h, dense_tall(h), rank=3)
+    by_policy = snapshot_svd(h.T @ h, dense_tall(h), FixedRank(3))
+    for name in ("left_vectors", "singular_values", "right_vectors", "spectrum"):
+        assert np.array_equal(getattr(by_int, name), getattr(by_policy, name))
+    cep = snapshot_svd(h.T @ h, dense_tall(h), CepThreshold(0.6))
+    assert cep.rank == resolve_rank(cep.spectrum, CepThreshold(0.6))
+    assert 1 <= cep.rank < 6
+
+
 def test_gram_spectrum_tie_break_stable():
     sigma, _ = gram_spectrum(np.eye(4))
     assert_allclose(sigma, np.ones(4))
@@ -142,37 +161,3 @@ def test_dense_eig_conjugate_closure(seed):
 def test_dense_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         dense_eig(np.array([[1.0, np.nan], [0.0, 1.0]]))
-
-
-def test_lstsq_identity():
-    b = np.array([2.0, -1.0, 3.0])
-    assert_allclose(lstsq(np.eye(3), b), b)
-
-
-def test_lstsq_mean_of_two_points():
-    a = np.array([[1.0], [1.0]])
-    b = np.array([[0.0], [2.0]])
-    assert_allclose(lstsq(a, b), [[1.0]])
-
-
-def test_lstsq_matches_normal_equations():
-    rng = np.random.default_rng(17)
-    a = rng.normal(size=(8, 3))
-    b = rng.normal(size=(8, 2))
-    x = lstsq(a, b)
-    x_ref = np.linalg.solve(a.T @ a, a.T @ b)
-    assert_allclose(x, x_ref, atol=1e-8)
-    # residual orthogonal to the column space
-    assert np.max(np.abs(a.T @ (a @ x - b))) <= 1e-8
-
-
-def test_lstsq_rank_deficiency():
-    a = np.column_stack([np.ones(5), np.ones(5)])
-    with pytest.raises(RankDeficiencyError) as err:
-        lstsq(a, np.ones(5))
-    assert err.value.numerical_rank == 1
-
-
-def test_lstsq_shape_errors():
-    with pytest.raises(ValueError):
-        lstsq(np.ones((2, 3)), np.ones(2))

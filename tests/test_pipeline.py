@@ -15,6 +15,7 @@ from dmdembed.pipeline import (
     PipelineConfig,
     _forecast_metrics,
     config_from_manifest,
+    diagnose_residuals,
     load_csv,
     parse_config_file,
     parse_rank_policy,
@@ -117,6 +118,9 @@ def test_parse_rank_policy():
         parse_rank_policy("magic")
     with pytest.raises(ConfigError):
         parse_rank_policy("fixed:two")
+    for out_of_range in ("fixed:0", "fixed:-2", "cep:0", "cep:1.5"):
+        with pytest.raises(ConfigError):
+            parse_rank_policy(out_of_range)
 
 
 def test_parse_config_file(tmp_path):
@@ -210,6 +214,49 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
     for name in ("metrics_with.json", "metrics_without.json", "embedding.csv",
                  "spdmd_path.csv", "cep.csv"):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+
+
+def test_replaying_manifest_with_removed_amplitude_method_is_config_error(tmp_path):
+    # Manifests written while the config still had `amplitude_method`
+    # carry that key; replaying one names it instead of ignoring it.
+    cfg = small_config(tmp_path, seed=2)
+    manifest = {"config": {**cfg.to_mapping(), "amplitude_method": "least_squares"}}
+    path = tmp_path / "old_manifest.json"
+    path.write_text(json.dumps(manifest))
+    with pytest.raises(ConfigError, match="amplitude_method"):
+        config_from_manifest(path)
+    out = tmp_path / "replay"
+    assert cli_main(["forecast", "--manifest", str(path), "--out", str(out)]) == 2
+    assert not out.exists()
+
+
+def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
+    # 480 steps split 70/10/20 leave 96 test steps, so P=Q=12 gives 73
+    # test anchors: lag 71 still pairs 2 rows, lag 72 only 1.
+    spec = SyntheticSpec(
+        n_nodes=3,
+        n_steps=480,
+        components=(SyntheticComponent(8.0, 1.0), SyntheticComponent(24.0, 1.0)),
+        noise_sigma=0.05,
+        seed=0,
+    )
+    cfg = PipelineConfig(synthetic=spec, output_dir=str(tmp_path / "run"),
+                         lags=(0, 71, 72), acf_max_lag=30, target_modes=2)
+    out = run_pipeline(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["resolved"]["skipped_lags"] == [72]
+    for label in ("with", "without"):
+        lines = (out / f"residual_corr_{label}_test.csv").read_text().splitlines()
+        assert [line.split(",")[0] for line in lines[1:]] == ["0", "71"]
+        assert (out / f"residual_corr_{label}_lag071_test.svg").exists()
+        assert not (out / f"residual_corr_{label}_lag072_test.svg").exists()
+
+
+def test_diagnose_residuals_skips_lag_with_one_aligned_row(tmp_path):
+    resid = np.random.default_rng(0).normal(size=(10, 2))
+    out = diagnose_residuals(resid, (0, 8, 9), 5, tmp_path / "diag")
+    lines = (out / "residual_corr.csv").read_text().splitlines()
+    assert [line.split(",")[0] for line in lines[1:]] == ["0", "8"]
 
 
 def test_run_pipeline_lock(tmp_path):
@@ -410,6 +457,17 @@ def test_cli_exit_codes(tmp_path):
                          "--out", str(tmp_path / "d"), "--lags", "0",
                          "--acf-max-lag", "5"])
     assert code == 4
+
+
+@pytest.mark.parametrize("rank", ["fixed:0", "fixed:-2", "cep:0", "cep:1.5"])
+def test_cli_out_of_range_rank_is_config_error_before_run_dir(tmp_path, capsys, rank):
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
+                     "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert cli_main(["fit", "--input", str(data), "--rank", rank, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
 
 
 def test_cli_config_file_and_flag_precedence(tmp_path):
