@@ -3,7 +3,8 @@
 
 Runs the full pipeline once per seed, with and without spectral
 covariates, and prints a per-seed table of 12-step RMSE plus the
-lag-72 residual structure. Writes a summary JSON next to the runs.
+lag-72 residual structure. Writes a summary JSON next to the runs; a
+lag the run skipped is null there and n/a in the table.
 """
 
 import argparse
@@ -23,10 +24,16 @@ def horizon_rmse(run_dir: Path, which: str, horizon: str = "12") -> float:
     return payload["horizons"][horizon]["rmse"]
 
 
-def corr_at(run_dir: Path, which: str, lag: int) -> float:
+def corr_at(run_dir: Path, which: str, lag: int) -> float | None:
+    """Mean |residual correlation| at ``lag``; None when the run skipped the
+    lag (the test split is too short for it)."""
     with open(run_dir / f"residual_corr_{which}_test.csv") as fh:
         table = {int(r["lag"]): float(r["mean_abs_corr"]) for r in csv.DictReader(fh)}
-    return table.get(lag, float("nan"))
+    return table.get(lag)
+
+
+def cell(value: float | None) -> str:
+    return "n/a" if value is None else f"{value:.4f}"
 
 
 def main() -> int:
@@ -61,7 +68,7 @@ def main() -> int:
         r = rows[-1]
         print(f"seed {seed}: RMSE12 {r['rmse12_with']:.4f} (with) vs "
               f"{r['rmse12_without']:.4f} (without)  "
-              f"corr72 {r['corr72_with']:.4f} vs {r['corr72_without']:.4f}")
+              f"corr72 {cell(r['corr72_with'])} vs {cell(r['corr72_without'])}")
 
     mean_with = float(np.mean([r["rmse12_with"] for r in rows]))
     mean_without = float(np.mean([r["rmse12_without"] for r in rows]))
@@ -78,7 +85,9 @@ def main() -> int:
         "elapsed_seconds": elapsed,
     }
     root.mkdir(parents=True, exist_ok=True)
-    (root / "summary.json").write_text(json.dumps(summary, indent=2, sort_keys=True))
+    (root / "summary.json").write_text(
+        json.dumps(summary, indent=2, sort_keys=True, allow_nan=False)
+    )
     print(f"summary written to {root / 'summary.json'}")
     return 0
 

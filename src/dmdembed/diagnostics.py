@@ -143,17 +143,36 @@ def residual_correlation(
     )
 
 
-def cep_curve(singular_values: np.ndarray) -> CepCurve:
-    """Cumulative eigenvalue percentage cep[k] = sum_{i<=k} s_i^2 / sum s_i^2."""
+def cep_curve(
+    singular_values: np.ndarray,
+    total_energy: float | None = None,
+    order: int | None = None,
+) -> CepCurve:
+    """Cumulative eigenvalue percentage cep[k] = sum_{i<=k} s_i^2 / total.
+
+    For a leading part of a spectrum, ``total_energy`` is the exact sum
+    of all squared singular values and ``order`` the full spectrum's
+    length: the curve then lists the given ranks against that total and
+    closes with one row at rank ``order`` and cep exactly 1. Both
+    default to the values given, which are then the whole spectrum.
+    """
     sigma = np.asarray(singular_values, dtype=float).ravel()
     if sigma.size == 0:
         raise DataError("empty singular spectrum")
     energy = sigma**2
-    total = energy.sum()
+    total = energy.sum() if total_energy is None else total_energy
     if total <= 0.0:
         raise DataError("all-zero singular spectrum")
     cep = np.cumsum(energy) / total
-    return CepCurve(ranks=np.arange(1, sigma.size + 1), cep=cep)
+    ranks = np.arange(1, sigma.size + 1)
+    if total_energy is not None:
+        # against an exact total the running sum may overshoot 1 by round-off
+        cep = np.minimum(cep, 1.0)
+        if order is not None and order > sigma.size:
+            cep, ranks = np.append(cep, 1.0), np.append(ranks, order)
+        else:
+            cep[-1] = 1.0
+    return CepCurve(ranks=ranks, cep=cep)
 
 
 def write_acf_csv(reports: list[AcfReport], path) -> None:

@@ -1,7 +1,8 @@
 """Reduced-operator mode decomposition of a Hankel-lifted signal.
 
 Fits the small transition operator A = U^T H' V diag(1/sigma) from the
-lifted snapshot pair (H, H'), extracts its eigenpairs, lifts eigenvectors
+lifted snapshot pair (H, H'), using only products with H and its Gram
+(no T x T array is formed), extracts its eigenpairs, lifts eigenvectors
 to spatial modes, fits complex amplitudes, and evaluates the temporal
 dynamics through a Vandermonde matrix of eigenvalue powers.
 """
@@ -21,9 +22,11 @@ from .linalg import (  # noqa: F401
     DEFAULT_SVD_TOL,
     CepThreshold,
     FixedRank,
+    GramProduct,
     RankPolicy,
+    SpectrumSolve,
     dense_eig,
-    gram_spectrum,
+    leading_spectrum,
     resolve_rank,
     snapshot_svd,
 )
@@ -72,6 +75,7 @@ class DmdDecomposition:
     tau: int
     solver: str
     singular_values: np.ndarray | None = field(default=None, repr=False)
+    spectrum_solve: SpectrumSolve | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         payload = {
@@ -192,12 +196,14 @@ def _fit_columns(t: int, tau: int, fit_window: str) -> int:
 
 
 class _FitGeometry:
-    """Tall products restricted to the fit columns, plus the Gram blocks
-    on demand.
+    """Tall and Gram products of H restricted to the fit columns, and of
+    the shifted snapshots H'.
 
-    An optional column-space projector (total-least-squares debiasing)
-    applies to ``tall`` only: mode lifting uses the projected snapshots
-    while amplitudes are always fit against the raw data.
+    Column j of H' is column j + 1 of H: cyclically for the circulant
+    window, and within the first span + 1 columns for the truncated one.
+    An optional orthonormal column basis (total-least-squares debiasing)
+    projects the input of ``tall`` only: mode lifting uses the projected
+    snapshots while amplitudes are always fit against the raw data.
     """
 
     def __init__(self, view: hk.HankelView, fit_window: str):
@@ -207,38 +213,57 @@ class _FitGeometry:
         self.view = view
         self.fit_window = fit_window
         self.span = _fit_columns(t, view.tau, fit_window)
-        self.projector: np.ndarray | None = None
+        self.basis: np.ndarray | None = None
 
-    def grams(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """Full T x T Gram, its fit block H^T H and the cross block H^T H'.
-
-        Builds the Gram once per call; only the operator fits need it.
-        """
-        full = hk.gram(self.view)
-        if self.fit_window == "circulant":
-            # H^T H' for the circulant shift is a cyclic column rotation
-            # of the Gram: (H^T H')[j, k] = G[j, (k+1) mod T].
-            return full, full, np.roll(full, -1, axis=1)
-        span = self.span
-        gram = np.ascontiguousarray(full[:span, :span])
-        cross = np.ascontiguousarray(full[:span, 1 : span + 1])
-        return full, gram, cross
-
-    def tall(self, x: np.ndarray) -> np.ndarray:
-        if self.projector is not None:
-            x = self.projector @ x
+    def _lift(self, x: np.ndarray, shift: int) -> np.ndarray:
+        """Coefficients on the fit columns, offset by ``shift``, as
+        coefficients on all T columns of H."""
         t = self.view.source.n_steps
         if self.span == t:
-            return hk.apply_tall(self.view, x)
-        padded = np.zeros((t, x.shape[1]), dtype=x.dtype)
-        padded[: self.span] = x
-        return hk.apply_tall(self.view, padded)
+            return np.roll(x, shift, axis=0) if shift else x
+        out = np.zeros((t,) + x.shape[1:], dtype=x.dtype)
+        out[shift : shift + self.span] = x
+        return out
+
+    def _restrict(self, y: np.ndarray, shift: int) -> np.ndarray:
+        """Adjoint of ``_lift``: the rows of the fit columns, offset by ``shift``."""
+        if self.span == self.view.source.n_steps:
+            return np.roll(y, -shift, axis=0) if shift else y
+        return y[shift : shift + self.span]
+
+    def tall(self, x: np.ndarray) -> np.ndarray:
+        if self.basis is not None:
+            x = self.basis @ (self.basis.T @ x)
+        return hk.apply_tall(self.view, self._lift(x, 0))
+
+    def shifted_tall(self, x: np.ndarray) -> np.ndarray:
+        """H' @ x: H applied to x shifted down one row."""
+        return hk.apply_tall(self.view, self._lift(x, 1))
 
     def tall_transpose(self, y: np.ndarray) -> np.ndarray:
-        return hk.apply_tall_transpose(self.view, y)[: self.span]
+        return self._restrict(hk.apply_tall_transpose(self.view, y), 0)
 
-    def data_energy(self) -> float:
-        return float(np.sum(hk.column_energies(self.view)[: self.span]))
+    def data_energy(self, shift: int = 0) -> float:
+        """Squared Frobenius norm of H (or, at shift 1, of H')."""
+        return float(np.sum(self._restrict(hk.column_energies(self.view), shift)))
+
+    def gram(self) -> GramProduct:
+        """The fit Gram H^T H, as products."""
+
+        def apply(x):
+            return self._restrict(hk.gram(self.view, self._lift(x, 0)), 0)
+
+        return GramProduct(apply, self.span, self.data_energy())
+
+    def stacked_gram(self) -> GramProduct:
+        """The Gram of the stacked pair [H; H'], H^T H + H'^T H', as products."""
+
+        def apply(x):
+            k = x.shape[1]
+            both = hk.gram(self.view, np.concatenate([self._lift(x, 0), self._lift(x, 1)], axis=1))
+            return self._restrict(both[:, :k], 0) + self._restrict(both[:, k:], 1)
+
+        return GramProduct(apply, self.span, self.data_energy() + self.data_energy(1))
 
 
 def amplitude_quadratic(
@@ -291,8 +316,7 @@ def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecompositi
     if cfg.solver == "total":
         return fit_tdmd(view, cfg)
     geo = _FitGeometry(view, cfg.fit_window)
-    gram, cross = geo.grams()[1:]
-    return _finish_fit(cfg, geo, gram, cross, "exact")
+    return _finish_fit(cfg, geo, geo.gram(), "exact")
 
 
 def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
@@ -304,36 +328,29 @@ def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposit
     """
     cfg = cfg or DmdConfig()
     geo = _FitGeometry(view, cfg.fit_window)
-    full, gram, cross = geo.grams()
-    if cfg.fit_window == "circulant":
-        g_shift = np.roll(np.roll(full, -1, axis=0), -1, axis=1)
-    else:
-        g_shift = full[1 : geo.span + 1, 1 : geo.span + 1]
-    stacked = gram + g_shift
-    sigma_z, vecs_z = gram_spectrum(stacked)
-    r_z = resolve_rank(sigma_z, cfg.rank_policy, cfg.svd_tol)
-    basis = vecs_z[:, :r_z]
-    projector = basis @ basis.T
-    gram_p = projector @ gram @ projector
-    cross_p = projector @ cross @ projector
-    gram_p = 0.5 * (gram_p + gram_p.T)
-    geo.projector = projector
-    return _finish_fit(cfg, geo, gram_p, cross_p, "total")
+    basis = leading_spectrum(geo.stacked_gram(), cfg.rank_policy, cfg.svd_tol)[1]
+    # The projected Gram P G P with P = basis basis^T, applied through the
+    # small matrix (H basis)^T (H basis).
+    lifted = geo.tall(basis)
+    small = lifted.T @ lifted
+    geo.basis = basis
+    projected = GramProduct(
+        lambda x: basis @ (small @ (basis.T @ x)), geo.span, float(np.trace(small))
+    )
+    return _finish_fit(cfg, geo, projected, "total")
 
 
 def _finish_fit(
     cfg: DmdConfig,
     geo: _FitGeometry,
-    gram_fit: np.ndarray,
-    cross_fit: np.ndarray,
+    gram: GramProduct,
     solver: str,
 ) -> DmdDecomposition:
-    svd = snapshot_svd(gram_fit, geo.tall, cfg.rank_policy, cfg.svd_tol)
-    right = svd.right_vectors
-    # Reduced operator U^T H' V 1/sigma with U = H V 1/sigma substituted:
-    # diag(1/sigma) V^T (H^T H') V diag(1/sigma).
+    svd = snapshot_svd(gram, geo.tall, cfg.rank_policy, cfg.svd_tol)
+    # Reduced operator U^T H' V diag(1/sigma); with U = H V diag(1/sigma)
+    # this is diag(1/sigma) (H V)^T (H' V) diag(1/sigma).
     inv_sigma = 1.0 / svd.singular_values
-    reduced = (inv_sigma[:, np.newaxis] * (right.T @ cross_fit @ right)) * inv_sigma
+    reduced = (svd.left_vectors.T @ geo.shifted_tall(svd.right_vectors)) * inv_sigma
     spectrum = dense_eig(reduced)
     modes = svd.left_vectors @ spectrum.eigenvectors
     norms = np.linalg.norm(modes, axis=0)
@@ -355,13 +372,14 @@ def _finish_fit(
         tau=geo.view.tau,
         solver=solver,
         singular_values=svd.spectrum,
+        spectrum_solve=svd.solve,
     )
 
 
 def fit_geometry(view: hk.HankelView, fit_span: int) -> _FitGeometry:
     """Rebuild the fit geometry matching a decomposition's fit span.
 
-    Cheap: the Gram is built only by the operator fits, not here.
+    Cheap: no Gram product is applied here.
     """
     t = view.source.n_steps
     if fit_span == t:

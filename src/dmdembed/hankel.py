@@ -2,21 +2,24 @@
 
 The lifted matrix H stacks tau cyclically shifted copies of the N x T
 signal into an (N*tau) x T block matrix: block row b, column j holds the
-signal at time (j + b) mod T. H is never formed explicitly: Gram
-matrices and tall products are computed blockwise from the source.
+signal at time (j + b) mod T. H is never formed explicitly: its tall
+products H x and H^T y are circular cross-correlations of the source
+computed with the FFT, and the Gram H^T H is only ever applied to a
+block of vectors, never built.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
 
-# Upper bound on logical elements (rows * cols) of the lifting that
-# default_tau picks.
-MEMORY_CAP_ELEMENTS = 10**8
+# Upper bound on the elements of one FFT temporary (frequencies x nodes
+# x columns) in the tall products; wider blocks are split into passes.
+FFT_CHUNK_ELEMENTS = 1 << 20
 
 
 @dataclass
@@ -116,17 +119,20 @@ class HankelView:
     def shape(self) -> tuple[int, int]:
         return (self.source.n_nodes * self.tau, self.source.n_steps)
 
+    @cached_property
+    def source_spectrum(self) -> np.ndarray:
+        """Real FFT of the source along time, laid out (frequency, node, 1)."""
+        return np.fft.rfft(self.source.values, axis=1).T[:, :, np.newaxis]
 
-def default_tau(signal: SignalMatrix, memory_cap: int = MEMORY_CAP_ELEMENTS) -> int:
-    """Stacking depth so the lifting has at least 2T rows when affordable.
 
-    tau = ceil(2T / N), capped at T block rows and at ``memory_cap``
-    logical elements for the lifted matrix.
+def default_tau(signal: SignalMatrix) -> int:
+    """Stacking depth so the lifting has at least 2T rows.
+
+    tau = ceil(2T / N), capped at T block rows. H is never formed, so
+    tau sets no memory cost beyond the N*tau-row tall products.
     """
     n, t = signal.values.shape
-    tau = -(-2 * t // n)
-    tau = min(tau, t, max(1, memory_cap // (n * t)))
-    return max(1, tau)
+    return max(1, min(-(-2 * t // n), t))
 
 
 def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
@@ -143,79 +149,78 @@ def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
     return HankelView(source=signal, tau=tau)
 
 
-def _wrapped_window_sums(cross: np.ndarray, tau: int, chunk: int | None = None) -> np.ndarray:
-    """Gram-type sum G[j, k] = sum_{b < tau} cross[(j+b) % T, (k+b) % T].
+def _chunk_columns(view: HankelView) -> int:
+    """Columns per FFT pass so the (F, N, columns) temporary stays bounded."""
+    n, t = view.source.values.shape
+    return max(1, FFT_CHUNK_ELEMENTS // (n * (t // 2 + 1)))
 
-    Works one band of cyclic diagonals at a time: along diagonal
-    d = k - j (mod T) the sum is a circular sliding window of length tau
-    over the diagonal sequence, evaluated with cumulative sums. O(T^2)
-    time regardless of tau.
-    """
-    t = cross.shape[0]
-    if tau == 1:
-        return cross.copy()
-    if chunk is None:
-        chunk = max(1, int(4_000_000 // max(t, 1)))
-    out = np.empty_like(cross)
-    rows = np.arange(t)[:, np.newaxis]
-    for d0 in range(0, t, chunk):
-        dd = np.arange(d0, min(d0 + chunk, t))[np.newaxis, :]
-        cols = (rows + dd) % t
-        diag = cross[rows, cols]
-        stacked = np.concatenate([diag, diag[: tau - 1]], axis=0)
-        csum = np.cumsum(stacked, axis=0)
-        windows = csum[tau - 1 : tau - 1 + t].copy()
-        windows[1:] -= csum[: t - 1]
-        out[rows, cols] = windows
+
+def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
+    """Apply a real linear product to a 1-D, 2-D, real or complex block."""
+    single = x.ndim == 1
+    if single:
+        x = x[:, np.newaxis]
+    if np.iscomplexobj(x):
+        k = x.shape[1]
+        both = op(view, np.concatenate([x.real, x.imag], axis=1))
+        out = both[:, :k] + 1j * both[:, k:]
+    else:
+        out = op(view, np.asarray(x, dtype=float))
+    return out[:, 0] if single else out
+
+
+def _tall(view: HankelView, x: np.ndarray) -> np.ndarray:
+    n, t = view.source.values.shape
+    out = np.empty((view.tau, n, x.shape[1]))
+    step = _chunk_columns(view)
+    for c in range(0, x.shape[1], step):
+        xs = np.conj(np.fft.rfft(x[:, c : c + step], axis=0))[:, np.newaxis, :]
+        corr = np.fft.irfft(view.source_spectrum * xs, n=t, axis=0)  # (T, N, columns)
+        out[:, :, c : c + step] = corr[: view.tau]
+    return out.reshape(n * view.tau, x.shape[1])
+
+
+def _tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
+    n, t = view.source.values.shape
+    blocks = y.reshape(view.tau, n, y.shape[1])
+    out = np.empty((t, y.shape[1]))
+    step = _chunk_columns(view)
+    for c in range(0, y.shape[1], step):
+        ys = np.conj(np.fft.rfft(blocks[:, :, c : c + step], n=t, axis=0))
+        out[:, c : c + step] = np.fft.irfft(np.sum(view.source_spectrum * ys, axis=1), n=t, axis=0)
     return out
-
-
-def gram(view: HankelView) -> np.ndarray:
-    """T x T Gram matrix H^T H computed blockwise from the source.
-
-    Exactly symmetric (symmetrized after the blockwise accumulation to
-    remove summation-order round-off).
-    """
-    values = view.source.values
-    base = values.T @ values
-    g = _wrapped_window_sums(base, view.tau)
-    return 0.5 * (g + g.T)
 
 
 def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
     """Compute H @ x for x of shape (T, k) without forming H.
 
-    Block row b of the product is values @ roll(x, b, axis=0).
+    Block row b of the product is the circular cross-correlation of the
+    signal with x at lag b, so every lag comes from one FFT round trip
+    and the cost does not depend on tau.
     """
     x = np.asarray(x)
-    single = x.ndim == 1
-    if single:
-        x = x[:, np.newaxis]
     t = view.source.n_steps
     if x.shape[0] != t:
         raise ValueError(f"x has {x.shape[0]} rows, view has {t} columns")
-    values = view.source.values
-    n = view.source.n_nodes
-    out = np.empty((n * view.tau, x.shape[1]), dtype=np.result_type(values, x))
-    for b in range(view.tau):
-        out[b * n : (b + 1) * n] = values @ np.roll(x, b, axis=0)
-    return out[:, 0] if single else out
+    return _real_columns(_tall, view, x)
 
 
 def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
-    """Compute H^T @ y for y of shape (N*tau, k) without forming H."""
+    """Compute H^T @ y for y of shape (N*tau, k) without forming H.
+
+    Each node's tau block entries, zero-padded to T, are correlated with
+    the node's signal; the sum over nodes is taken in frequency space.
+    """
     y = np.asarray(y)
-    single = y.ndim == 1
-    if single:
-        y = y[:, np.newaxis]
     n = view.source.n_nodes
     if y.shape[0] != n * view.tau:
         raise ValueError(f"y has {y.shape[0]} rows, view has {n * view.tau}")
-    values = view.source.values
-    out = np.zeros((view.source.n_steps, y.shape[1]), dtype=np.result_type(values, y))
-    for b in range(view.tau):
-        out += np.roll(values.T @ y[b * n : (b + 1) * n], -b, axis=0)
-    return out[:, 0] if single else out
+    return _real_columns(_tall_transpose, view, y)
+
+
+def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
+    """The Gram product H^T (H x) for x of shape (T, k), without the T x T Gram."""
+    return apply_tall_transpose(view, apply_tall(view, x))
 
 
 def column_energies(view: HankelView) -> np.ndarray:

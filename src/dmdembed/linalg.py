@@ -1,14 +1,18 @@
-"""Dense linear-algebra kernels shared by the spectral modules.
+"""Linear-algebra kernels shared by the spectral modules.
 
 The central routine is a truncated SVD computed by the method of
 snapshots: the factorization of a tall matrix H is recovered from the
-eigendecomposition of the small Gram matrix H^T H, so H itself is only
-touched through an implicit tall-product callback and is never squared.
-The rank policies that decide where that SVD is truncated live here too.
+leading eigenpairs of its Gram matrix H^T H. Those come from a block
+Krylov solver with Rayleigh-Ritz that needs only Gram *products*
+G @ X, so neither H nor the T x T Gram has to exist; H is touched
+through an implicit tall-product callback. The rank policies that
+decide where the SVD is truncated live here too, resolved against the
+converged leading values and the exact trace.
 """
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import Callable, Union
 
@@ -22,18 +26,33 @@ DEFAULT_SVD_TOL = 1e-10
 
 GRAM_ASYMMETRY_TOL = 1e-10
 
+# Block Krylov solver: block width, and the seed of its random start
+# block, fixed so that repeated fits are bit-identical.
+KRYLOV_BLOCK = 8
+KRYLOV_SEED = 0
+# A Ritz pair is converged when ||G v - theta v|| <= RITZ_TOL * theta_1.
+RITZ_TOL = 1e-12
+# Rayleigh-Ritz runs again once the basis has grown by this factor.
+RITZ_GROWTH = 1.25
+# A new Krylov direction whose norm after projection is below this share
+# of its block's norm is round-off and is replaced by a random direction.
+DEFLATION_TOL = 1e-12
 
-def numerical_rank(sigma: np.ndarray, tol: float = DEFAULT_SVD_TOL) -> int:
+
+def numerical_rank(
+    sigma: np.ndarray, tol: float = DEFAULT_SVD_TOL, order: int | None = None
+) -> int:
     """Count singular values above the truncation cutoff.
 
     Through a Gram matrix, eigenvalue round-off floors recoverable
-    singular values at about sqrt(T * eps) * sigma_max, so the cutoff
-    never drops below that regardless of ``tol``.
+    singular values at about sqrt(T * eps) * sigma_max, where T is the
+    Gram's ``order`` (default: the number of values given), so the
+    cutoff never drops below that regardless of ``tol``.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    floor = np.sqrt(sigma.size * np.finfo(float).eps)
+    floor = np.sqrt((sigma.size if order is None else order) * np.finfo(float).eps)
     return int(np.count_nonzero(sigma > max(tol, floor) * sigma[0]))
 
 
@@ -63,27 +82,75 @@ class CepThreshold:
 RankPolicy = Union[FixedRank, CepThreshold]
 
 
+def _policy_rank(sigma: np.ndarray, policy: RankPolicy, total: float | None) -> int:
+    """Modes the policy asks for, before the numerical-rank clamp."""
+    if isinstance(policy, FixedRank):
+        return policy.rank
+    if isinstance(policy, CepThreshold):
+        energy = sigma**2
+        cum = np.cumsum(energy) / (energy.sum() if total is None else total)
+        hits = np.nonzero(cum >= policy.fraction)[0]
+        return int(hits[0]) + 1 if hits.size else sigma.size
+    raise TypeError(f"unknown rank policy {policy!r}")
+
+
 def resolve_rank(
     singular_values: np.ndarray,
     policy: RankPolicy,
     tol: float = DEFAULT_SVD_TOL,
+    total: float | None = None,
+    order: int | None = None,
 ) -> int:
-    """Resolve a rank policy against a descending singular-value spectrum."""
+    """Resolve a rank policy against a descending singular-value spectrum.
+
+    The spectrum may be the leading part of a longer one: ``total`` is
+    then the exact sum of all squared singular values, which the cep
+    fraction is measured against, and ``order`` the full length, which
+    sets the numerical-rank floor. Both default to the values given.
+    """
     sigma = np.asarray(singular_values, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise EmptySpectrumError("empty singular spectrum")
-    n_rank = numerical_rank(sigma, tol)
+    n_rank = numerical_rank(sigma, tol, order)
     if n_rank == 0:
         raise EmptySpectrumError("all singular values below tolerance")
-    if isinstance(policy, FixedRank):
-        return min(policy.rank, n_rank)
-    if isinstance(policy, CepThreshold):
-        energy = sigma**2
-        cum = np.cumsum(energy) / energy.sum()
-        hits = np.nonzero(cum >= policy.fraction)[0]
-        k = int(hits[0]) + 1 if hits.size else sigma.size
-        return min(k, n_rank)
-    raise TypeError(f"unknown rank policy {policy!r}")
+    return min(_policy_rank(sigma, policy, total), n_rank)
+
+
+@dataclass(frozen=True)
+class GramProduct:
+    """A symmetric PSD Gram matrix G = H^T H known only through products.
+
+    apply: maps an (order, k) block X to G @ X
+    order: the number of columns of H
+    trace: the exact trace of G, i.e. the total squared singular-value
+           energy, which a partial spectrum cannot supply
+    """
+
+    apply: Callable[[np.ndarray], np.ndarray]
+    order: int
+    trace: float
+
+    def __call__(self, x: np.ndarray) -> np.ndarray:
+        return self.apply(x)
+
+
+@dataclass(frozen=True)
+class SpectrumSolve:
+    """How a leading spectrum was computed, for the run's health record.
+
+    total_energy: exact trace of the Gram operator
+    order:        its order (the number of fit columns)
+    products:     block Gram products applied
+    basis:        final size of the Krylov basis
+    residual:     largest ||G v - theta v|| / theta_1 among the kept pairs
+    """
+
+    total_energy: float
+    order: int
+    products: int
+    basis: int
+    residual: float
 
 
 @dataclass(frozen=True)
@@ -93,14 +160,17 @@ class SnapshotSvd:
     left_vectors:    (n_rows, r) orthonormal columns
     singular_values: (r,) strictly positive, descending
     right_vectors:   (n_cols, r) orthonormal columns
-    spectrum:        every singular value of the Gram input, descending,
-                     including those below the truncation cutoff
+    spectrum:        the converged leading singular values, descending:
+                     at least the r kept, and all n_cols when the
+                     Krylov basis grew to span every column
+    solve:           the solver's health record
     """
 
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
     spectrum: np.ndarray
+    solve: SpectrumSolve
 
     @property
     def rank(self) -> int:
@@ -119,21 +189,28 @@ class ComplexSpectrum:
     eigenvectors: np.ndarray
 
 
-def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """Eigendecompose a symmetric PSD Gram matrix into (sigma, V).
-
-    Returns singular values sigma = sqrt(eigenvalues) in descending
-    order (negative round-off eigenvalues clipped to zero) and the
-    matching eigenvector columns. Ties keep the eigensolver's original
-    column order so repeated runs are deterministic.
-    """
-    gram = np.asarray(gram, dtype=float)
+def _check_symmetric(gram: np.ndarray) -> float:
+    """Raise unless ``gram`` is square and symmetric; return its scale."""
     if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
         raise ValueError(f"gram must be square, got shape {gram.shape}")
     scale = max(1.0, float(np.max(np.abs(gram))))
     asym = float(np.max(np.abs(gram - gram.T)))
     if asym > GRAM_ASYMMETRY_TOL * scale:
         raise ValueError(f"gram asymmetric beyond tolerance: max deviation {asym:.3e}")
+    return scale
+
+
+def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigendecompose a small symmetric PSD matrix into (sigma, V).
+
+    Returns singular values sigma = sqrt(eigenvalues) in descending
+    order (negative round-off eigenvalues clipped to zero) and the
+    matching eigenvector columns. Ties keep the eigensolver's original
+    column order so repeated runs are deterministic. This is the
+    Rayleigh-Ritz step of the Krylov solver.
+    """
+    gram = np.asarray(gram, dtype=float)
+    scale = _check_symmetric(gram)
     sym = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(sym)
     if evals[0] < -GRAM_ASYMMETRY_TOL * max(scale, float(np.trace(sym))):
@@ -143,24 +220,132 @@ def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sigma, evecs[:, order]
 
 
+def _as_gram_product(gram) -> GramProduct:
+    if isinstance(gram, GramProduct):
+        return gram
+    if callable(gram):
+        raise TypeError("a Gram-product callable must be a GramProduct (order and trace)")
+    mat = np.asarray(gram, dtype=float)
+    _check_symmetric(mat)
+    return GramProduct(lambda x: mat @ x, mat.shape[0], float(np.trace(mat)))
+
+
+def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, rng) -> int:
+    """Append the directions of ``block`` outside q[:, :m] to q, in place.
+
+    Two passes of block Gram-Schmidt, each followed by an orthonormal
+    basis of what remains. Directions that were only round-off are
+    replaced with fresh random ones, so every call adds
+    min(block width, order - m) columns. Returns the new basis size.
+    """
+    want = min(block.shape[1], q.shape[0] - m)
+    while want > 0:
+        basis = q[:, :m]
+        cutoff = DEFLATION_TOL * np.linalg.norm(block)
+        for _ in range(2):
+            block = block - basis @ (basis.T @ block)
+            u, s, _ = np.linalg.svd(block, full_matrices=False)
+            block = u[:, s > cutoff][:, :want]
+            cutoff = 0.5
+        q[:, m : m + block.shape[1]] = block
+        m += block.shape[1]
+        want -= block.shape[1]
+        block = rng.standard_normal((q.shape[0], want))
+    return m
+
+
+def _ritz_residuals(q, w, vecs, theta) -> np.ndarray:
+    """||G v - theta v|| for Ritz vectors v = q @ vecs, with w = G @ q."""
+    return np.linalg.norm(w @ vecs - (q @ vecs) * theta, axis=0)
+
+
+def leading_spectrum(
+    gram,
+    policy: RankPolicy,
+    tol: float = DEFAULT_SVD_TOL,
+) -> tuple[np.ndarray, np.ndarray, SpectrumSolve]:
+    """Leading eigenpairs of a Gram matrix by block Krylov with Rayleigh-Ritz.
+
+    ``gram`` is a symmetric matrix or a GramProduct. The Krylov basis
+    grows one block at a time from a fixed-seed random start, each new
+    block being the Gram applied to the last. Rayleigh-Ritz runs on the
+    projected matrix once the basis reaches the requested rank plus a
+    block, and again each time it has grown by RITZ_GROWTH. The rank
+    policy is resolved against the Ritz values and the exact trace; the
+    solve stops when every kept pair has a residual of at most
+    RITZ_TOL * theta_1, or when the basis spans all columns (then the
+    result is exact). A rank clamped by the numerical-rank floor also
+    needs the next pair converged, so no value can still rise above it.
+
+    Returns (spectrum, vectors, solve): the converged leading singular
+    values sqrt(theta) in descending order, the (order, r) Ritz vectors
+    of the r kept pairs, and the solve's health record.
+    """
+    gram = _as_gram_product(gram)
+    n = gram.order
+    rng = np.random.default_rng(KRYLOV_SEED)
+    q = np.empty((n, min(n, 8 * KRYLOV_BLOCK)))
+    w = np.empty_like(q)
+    m = _extend_basis(q, 0, rng.standard_normal((n, KRYLOV_BLOCK)), rng)
+    w[:, :m] = gram(q[:, :m])
+    products, newest = 1, 0
+    check_at = (policy.rank if isinstance(policy, FixedRank) else 1) + KRYLOV_BLOCK
+    while True:
+        if m >= min(check_at, n):
+            sigma, vecs = gram_spectrum(q[:, :m].T @ w[:, :m])
+            theta = sigma**2
+            r = resolve_rank(sigma, policy, tol, gram.trace, n)
+            pairs = min(m, r + 1 if r < _policy_rank(sigma, policy, gram.trace) else r)
+            resid = _ritz_residuals(q[:, :m], w[:, :m], vecs[:, :pairs], theta[:pairs])
+            if m == n or np.all(resid <= RITZ_TOL * theta[0]):
+                break
+            check_at = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
+        if m + KRYLOV_BLOCK > q.shape[1]:
+            wider = min(n, 2 * q.shape[1])
+            q = np.concatenate([q, np.empty((n, wider - q.shape[1]))], axis=1)
+            w = np.concatenate([w, np.empty((n, wider - w.shape[1]))], axis=1)
+        newest, m = m, _extend_basis(q, m, w[:, newest:m], rng)
+        w[:, newest:m] = gram(q[:, newest:m])
+        products += 1
+    # The reported spectrum extends past the kept pairs while the next
+    # pairs are converged too, checked a block at a time.
+    converged = m if m == n else r
+    while converged < m:
+        ahead = slice(converged, min(m, converged + KRYLOV_BLOCK))
+        ok = _ritz_residuals(q[:, :m], w[:, :m], vecs[:, ahead], theta[ahead])
+        ok = ok <= RITZ_TOL * theta[0]
+        converged += int(np.argmin(np.append(ok, False)))
+        if not ok.all():
+            break
+    solve = SpectrumSolve(
+        total_energy=gram.trace,
+        order=n,
+        products=products,
+        basis=m,
+        residual=float(np.max(resid[:r]) / theta[0]),
+    )
+    return sigma[:converged], q[:, :m] @ vecs[:, :r], solve
+
+
 TallProduct = Callable[[np.ndarray], np.ndarray]
 
 
 def snapshot_svd(
-    gram: np.ndarray,
+    gram,
     tall: TallProduct,
     rank: int | RankPolicy,
     tol: float = DEFAULT_SVD_TOL,
 ) -> SnapshotSvd:
     """Truncated SVD of a tall matrix H given its Gram matrix H^T H.
 
-    Right singular vectors and singular values come from the Gram
-    eigendecomposition; left singular vectors are recovered as
-    U = H V diag(1/sigma) through ``tall``, which must compute H @ X
-    for a (n_cols, k) block X without materializing H.
+    Right singular vectors and singular values are the leading Gram
+    eigenpairs (``leading_spectrum``); left singular vectors are
+    recovered as U = H V diag(1/sigma) through ``tall``, which must
+    compute H @ X for a (n_cols, k) block X without materializing H.
 
     Args:
-        gram: (T, T) symmetric positive semidefinite matrix H^T H.
+        gram: (T, T) symmetric positive semidefinite matrix H^T H, or a
+            GramProduct applying it.
         tall: callback computing H @ X.
         rank: rank policy, or an int meaning FixedRank(rank); the
             result never exceeds the numerical rank.
@@ -172,17 +357,13 @@ def snapshot_svd(
         EmptySpectrumError: every singular value is at or below the cutoff.
     """
     policy = rank if isinstance(rank, (FixedRank, CepThreshold)) else FixedRank(rank)
-    sigma_all, vecs = gram_spectrum(gram)
-    r = resolve_rank(sigma_all, policy, tol)
-    # Slices, not copies, and a multiply by 1/sigma: the operator fit
-    # reuses these factors, and its floating-point results depend on both.
-    sigma = sigma_all[:r]
-    right = vecs[:, :r]
+    spectrum, right, solve = leading_spectrum(gram, policy, tol)
+    sigma = spectrum[: right.shape[1]]
     left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)
     # Deterministic sign: largest-magnitude entry of each left vector is
     # nonnegative; the paired right vector flips with it so the product
     # U Sigma V^T is unchanged.
-    for j in range(r):
+    for j in range(sigma.size):
         pivot = int(np.argmax(np.abs(left[:, j])))
         if left[pivot, j] < 0.0:
             left[:, j] = -left[:, j]
@@ -191,7 +372,8 @@ def snapshot_svd(
         left_vectors=left,
         singular_values=sigma,
         right_vectors=right,
-        spectrum=sigma_all,
+        spectrum=spectrum,
+        solve=solve,
     )
 
 

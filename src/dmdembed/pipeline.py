@@ -257,7 +257,9 @@ def load_csv(path, step_seconds: float = 900.0) -> SignalMatrix:
 
 
 def write_signal_csv(signal: SignalMatrix, path) -> None:
-    """Inverse of load_csv; missing entries become blank cells."""
+    """Inverse of load_csv; missing entries become blank cells. Creates
+    the parent directory if needed."""
+    Path(path).parent.mkdir(parents=True, exist_ok=True)
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("step," + ",".join(signal.node_ids) + "\n")
         for t in range(signal.n_steps):
@@ -450,6 +452,9 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         )
         dec = dmd.fit_dmd(view, dmd_cfg)
         resolved["rank"] = dec.rank
+        resolved["svd_products"] = dec.spectrum_solve.products
+        resolved["svd_basis"] = dec.spectrum_solve.basis
+        resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
 
     with _StageTimer(run, "spdmd"):
@@ -556,7 +561,8 @@ def _write_diagnostics(cfg, run: _Run, dec, labelled, n_nodes: int, node_ids: li
             svgplot.write_svg(svg, run.path(f"acf_{label}_test.svg"))
 
     if dec.singular_values is not None:
-        curve = dg.cep_curve(dec.singular_values)
+        solve = dec.spectrum_solve
+        curve = dg.cep_curve(dec.singular_values, solve.total_energy, solve.order)
         dg.write_cep_csv(curve, run.path("cep.csv"))
         svg = svgplot.line_chart(
             curve.ranks, [("cep", curve.cep)], "cumulative eigenvalue percentage"

@@ -134,6 +134,17 @@ def test_cep_monotone(seed, n):
     assert curve.ranks[0] == 1 and curve.ranks[-1] == n
 
 
+def test_cep_of_a_leading_spectrum_closes_at_full_rank():
+    # two of five singular values, against the exact total of all five
+    curve = cep_curve(np.array([3.0, 1.0]), total_energy=20.0, order=5)
+    assert curve.ranks.tolist() == [1, 2, 5]
+    assert_allclose(curve.cep, [0.45, 0.5, 1.0])
+    assert curve.cep[-1] == 1.0
+    # a whole spectrum whose running sum overshoots the total by round-off
+    whole = cep_curve(np.array([1.0, 1.0]), total_energy=2.0 - 1e-15, order=2)
+    assert whole.ranks.tolist() == [1, 2] and whole.cep.tolist()[-1] == 1.0
+
+
 def test_cep_errors():
     with pytest.raises(DataError):
         cep_curve(np.array([]))

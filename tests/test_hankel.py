@@ -1,6 +1,6 @@
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -16,7 +16,7 @@ from dmdembed.hankel import (
     gram,
     impute_linear,
 )
-from hankel_oracle import materialize_hankel
+from hankel_oracle import dense_gram, materialize_hankel
 
 
 def signal(values, **kw):
@@ -70,12 +70,18 @@ def test_build_hankel_errors():
         build_hankel(masked, tau=1)
 
 
+def gram_matrix(view):
+    """The Gram assembled column by column from products with the identity."""
+    return gram(view, np.eye(view.source.n_steps))
+
+
 def test_gram_identity_and_hand_sum():
     eye = build_hankel(signal(np.eye(2)), tau=1)
-    assert_allclose(gram(eye), np.eye(2))
+    assert_allclose(dense_gram(np.eye(2), 1), np.eye(2))
+    assert_allclose(gram_matrix(eye), np.eye(2), atol=1e-15)
     view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
-    g = gram(view)
-    assert g[0, 0] == pytest.approx(5.0)  # 1^2 + 2^2
+    assert dense_gram(view.source.values, 2)[0, 0] == pytest.approx(5.0)  # 1^2 + 2^2
+    assert gram(view, np.eye(4)[:, 0])[0] == pytest.approx(5.0)
 
 
 def test_gram_matches_materialized():
@@ -83,8 +89,11 @@ def test_gram_matches_materialized():
     z = rng.normal(size=(3, 8))
     view = build_hankel(signal(z), tau=4)
     h = materialize_hankel(z, 4)
-    assert np.max(np.abs(gram(view) - h.T @ h)) <= 1e-10
-    assert np.max(np.abs(gram(view) - gram(view).T)) <= 1e-12
+    g = dense_gram(z, 4)
+    assert np.max(np.abs(g - h.T @ h)) <= 1e-10
+    assert np.array_equal(g, g.T)
+    x = rng.normal(size=(8, 3))
+    assert np.max(np.abs(gram(view, x) - g @ x)) <= 1e-10
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 9), st.integers(1, 9))
@@ -93,10 +102,11 @@ def test_gram_psd_and_oracle(seed, n, t, tau):
     tau = min(tau, t)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, t))
-    view = build_hankel(signal(z), tau=tau)
-    g = gram(view)
+    g = dense_gram(z, tau)
     h = materialize_hankel(z, tau)
-    assert np.max(np.abs(g - h.T @ h)) <= 1e-10 * max(1.0, np.max(np.abs(g)))
+    scale = max(1.0, np.max(np.abs(g)))
+    assert np.max(np.abs(g - h.T @ h)) <= 1e-10 * scale
+    assert np.max(np.abs(gram_matrix(build_hankel(signal(z), tau=tau)) - g)) <= 1e-10 * scale
     evals = np.linalg.eigvalsh(g)
     assert evals.min() >= -1e-10 * np.trace(g)
 
@@ -106,16 +116,19 @@ def test_gram_psd_and_oracle(seed, n, t, tau):
 @settings(max_examples=25, deadline=None)
 def test_circulant_closure(seed, n, t, tau, shift):
     # Rolling the signal by s rotates the Gram by s along both axes, so
-    # a full turn of T steps gives the Gram back.
+    # a full turn of T steps gives the Gram back; the Gram products obey
+    # the same rotation.
     tau = min(tau, t)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, t))
-    g = gram(build_hankel(signal(z), tau=tau))
-    rolled = gram(build_hankel(signal(np.roll(z, -shift, axis=1)), tau=tau))
+    g = dense_gram(z, tau)
+    rolled = dense_gram(np.roll(z, -shift, axis=1), tau)
     expected = np.roll(np.roll(g, -shift, axis=0), -shift, axis=1)
     assert np.max(np.abs(rolled - expected)) <= 1e-10 * max(1.0, np.max(np.abs(g)))
-    full_turn = gram(build_hankel(signal(np.roll(z, -t, axis=1)), tau=tau))
-    assert np.array_equal(full_turn, g)
+    assert np.array_equal(dense_gram(np.roll(z, -t, axis=1), tau), g)
+    x = rng.normal(size=(t, 2))
+    product = gram(build_hankel(signal(np.roll(z, -shift, axis=1)), tau=tau), x)
+    assert np.max(np.abs(product - expected @ x)) <= 1e-10 * max(1.0, np.max(np.abs(g)))
 
 
 def test_apply_tall_examples():
@@ -149,40 +162,77 @@ def test_apply_tall_dimension_mismatch():
        st.sampled_from(["circulant", "truncated"]))
 @settings(max_examples=60, deadline=None)
 def test_cross_gram_matches_dense(seed, n, t, tau, fit_window):
-    # The fit's Gram blocks against dense H^T H and H^T H', where H' is
-    # the lift of the signal shifted one step: the circulant window uses
-    # every column, the truncated one the T - tau wrap-free columns.
+    # The fit's products against dense H and H', where H' is the lift of
+    # the signal shifted one step: the circulant window uses every
+    # column, the truncated one the T - tau wrap-free columns.
     tau = min(tau, t if fit_window == "circulant" else t - 2)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, t))
-    h = materialize_hankel(z, tau)
-    hs = materialize_hankel(np.roll(z, -1, axis=1), tau)
-    geo = _FitGeometry(build_hankel(signal(z), tau=tau), fit_window)
-    full, fit_gram, cross = geo.grams()
     span = t if fit_window == "circulant" else t - tau
+    h = materialize_hankel(z, tau)[:, :span]
+    hs = materialize_hankel(np.roll(z, -1, axis=1), tau)[:, :span]
+    geo = _FitGeometry(build_hankel(signal(z), tau=tau), fit_window)
     assert geo.span == span
+    x = rng.normal(size=(span, 3))
     scale = max(1.0, float(np.max(np.abs(h.T @ h))))
-    assert np.max(np.abs(full - h.T @ h)) <= 1e-10 * scale
-    assert np.max(np.abs(fit_gram - (h.T @ h)[:span, :span])) <= 1e-10 * scale
-    assert np.max(np.abs(cross - (h.T @ hs)[:span, :span])) <= 1e-10 * scale
-    if fit_window == "circulant":
-        assert np.array_equal(cross, np.roll(full, -1, axis=1))
+    assert np.max(np.abs(geo.tall(x) - h @ x)) <= 1e-10 * scale
+    assert np.max(np.abs(geo.shifted_tall(x) - hs @ x)) <= 1e-10 * scale
+    fit_gram, stacked = geo.gram(), geo.stacked_gram()
+    assert fit_gram.order == stacked.order == span
+    assert np.max(np.abs(fit_gram(x) - h.T @ (h @ x))) <= 1e-10 * scale
+    both = h.T @ (h @ x) + hs.T @ (hs @ x)
+    assert np.max(np.abs(stacked(x) - both)) <= 1e-10 * scale
+    assert fit_gram.trace == pytest.approx(np.sum(h**2), rel=1e-12)
+    assert stacked.trace == pytest.approx(np.sum(h**2) + np.sum(hs**2), rel=1e-12)
 
 
 def test_column_energies_match_gram_diagonal():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(2, 9))
     view = build_hankel(signal(z), tau=4)
-    assert_allclose(column_energies(view), np.diag(gram(view)), atol=1e-10)
+    assert_allclose(column_energies(view), np.diag(dense_gram(z, 4)), atol=1e-10)
+    assert_allclose(column_energies(view), np.diag(gram_matrix(view)), atol=1e-10)
 
 
 def test_tau_one_reduces_to_plain_matrix_ops():
     rng = np.random.default_rng(13)
     z = rng.normal(size=(4, 6))
     view = build_hankel(signal(z), tau=1)
-    assert_allclose(gram(view), z.T @ z, atol=1e-12)
     x = rng.normal(size=(6, 2))
+    assert_allclose(gram(view, x), z.T @ (z @ x), atol=1e-12)
     assert_allclose(apply_tall(view, x), z @ x, atol=1e-12)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 40), st.integers(1, 40),
+       st.integers(1, 5), st.sampled_from(["circulant", "truncated"]))
+@settings(max_examples=80, deadline=None)
+def test_fft_products_match_oracle(seed, n, t, tau, k, fit_window):
+    # The FFT tall products and the Gram product against the dense H, on
+    # all T columns and on the fit columns of either window.
+    if fit_window == "truncated":
+        assume(t >= 4)
+    tau = min(tau, t if fit_window == "circulant" else t - 2)
+    rng = np.random.default_rng(seed)
+    z = rng.normal(size=(n, t))
+    view = build_hankel(signal(z), tau=tau)
+    h = materialize_hankel(z, tau)
+    x = rng.normal(size=(t, k))
+    y = rng.normal(size=(n * tau, k))
+
+    def close(got, want):
+        return np.linalg.norm(got - want) <= 1e-10 * max(np.linalg.norm(want), 1e-300)
+
+    assert close(apply_tall(view, x), h @ x)
+    assert close(apply_tall_transpose(view, y), h.T @ y)
+    assert close(gram(view, x), h.T @ (h @ x))
+    assert close(apply_tall(view, x + 1j * x[::-1]), h @ (x + 1j * x[::-1]))
+    if t < 3:
+        return  # a fit needs at least 3 steps
+    geo = _FitGeometry(view, fit_window)
+    fit = h[:, : geo.span]
+    assert close(geo.tall(x[: geo.span]), fit @ x[: geo.span])
+    assert close(geo.tall_transpose(y), fit.T @ y)
+    assert close(geo.gram()(x[: geo.span]), fit.T @ (fit @ x[: geo.span]))
 
 
 def test_default_tau_policy():
@@ -191,8 +241,8 @@ def test_default_tau_policy():
     assert default_tau(sig) == 10
     wide = signal(np.ones((8, 4)))
     assert default_tau(wide) == 1
-    capped = default_tau(signal(np.ones((2, 10))), memory_cap=40)
-    assert capped == 2  # 40 // (2*10)
+    # no memory cap: a long series keeps its full depth
+    assert default_tau(signal(np.ones((8, 20_000)))) == 5_000
 
 
 def test_impute_linear():

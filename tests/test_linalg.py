@@ -8,8 +8,11 @@ from numpy.testing import assert_allclose
 
 from dmdembed.errors import EmptySpectrumError
 from dmdembed.linalg import (
+    KRYLOV_BLOCK,
+    RITZ_TOL,
     CepThreshold,
     FixedRank,
+    GramProduct,
     dense_eig,
     gram_spectrum,
     resolve_rank,
@@ -161,3 +164,66 @@ def test_dense_eig_conjugate_closure(seed):
 def test_dense_eig_rejects_nonfinite():
     with pytest.raises(ValueError):
         dense_eig(np.array([[1.0, np.nan], [0.0, 1.0]]))
+
+
+def low_rank_plus_noise(rng):
+    """A tall matrix with a few strong singular values over a noise floor."""
+    rows, cols = int(rng.integers(40, 160)), int(rng.integers(30, 120))
+    k = int(rng.integers(1, 8))
+    u = np.linalg.qr(rng.normal(size=(rows, k)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, k)))[0]
+    signal = (u * np.sort(rng.uniform(1.0, 10.0, k))[::-1]) @ v.T
+    noise = 10 ** rng.uniform(-3, -1) * rng.normal(size=(rows, cols)) / np.sqrt(rows)
+    return signal + noise, k
+
+
+def as_product(h):
+    return GramProduct(lambda x: h.T @ (h @ x), h.shape[1], float(np.sum(h * h)))
+
+
+@given(st.integers(0, 10_000), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_product_snapshot_svd_matches_dense_svd(seed, use_cep):
+    # Through Gram products only, on low-rank-plus-noise matrices: fixed
+    # ranks reach into the noise floor, cep fractions are resolved
+    # against the exact trace. Same rank, singular values and subspaces
+    # as the dense SVD; subspaces are compared through the gap to the
+    # next singular value, which bounds how well they are defined.
+    rng = np.random.default_rng(seed)
+    h, k = low_rank_plus_noise(rng)
+    if use_cep:
+        policy = CepThreshold(float(rng.uniform(0.5, 0.999)))
+    else:
+        policy = FixedRank(int(rng.integers(1, k + 10)))
+    out = snapshot_svd(as_product(h), dense_tall(h), policy)
+    _, s_ref, vt_ref = np.linalg.svd(h, full_matrices=False)
+    assert out.rank == resolve_rank(s_ref, policy, order=h.shape[1])
+    r = out.rank
+    assert np.max(np.abs(out.singular_values - s_ref[:r])) <= 1e-10 * s_ref[0]
+    ref = vt_ref[:r].T
+    distance = np.linalg.norm(out.right_vectors - ref @ (ref.T @ out.right_vectors), 2)
+    gap = (s_ref[r - 1] ** 2 - s_ref[r] ** 2) / s_ref[0] ** 2 if r < s_ref.size else 1.0
+    assert distance * gap <= 1e-11
+
+
+def test_product_snapshot_svd_reports_its_solve():
+    rng = np.random.default_rng(8)
+    h, _ = low_rank_plus_noise(rng)
+    h = np.hstack([h, h])  # 2x the columns, still a few strong values
+    out = snapshot_svd(as_product(h), dense_tall(h), CepThreshold(0.9))
+    solve = out.solve
+    assert solve.order == h.shape[1]
+    assert solve.total_energy == pytest.approx(np.sum(h * h))
+    assert out.rank <= out.spectrum.size <= solve.basis < solve.order
+    assert solve.basis <= solve.products * KRYLOV_BLOCK
+    assert solve.residual <= RITZ_TOL
+    # the kept pairs are Gram eigenpairs to the reported residual
+    g = h.T @ h
+    v, theta = out.right_vectors, out.singular_values**2
+    assert np.max(np.linalg.norm(g @ v - v * theta, axis=0)) <= 2 * RITZ_TOL * theta[0]
+
+
+def test_snapshot_svd_needs_order_and_trace_with_products():
+    h = np.eye(3)
+    with pytest.raises(TypeError):
+        snapshot_svd(lambda x: x, dense_tall(h), rank=1)

@@ -11,6 +11,7 @@ from dmdembed.dmd import DmdConfig, FixedRank, fit_dmd
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
 from dmdembed.hankel import build_hankel, impute_linear
+from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
     PipelineConfig,
     _forecast_metrics,
@@ -181,12 +182,22 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
             assert field.name in manifest["config"]
     for field in ("tau", "rank", "gamma", "selected_pairs", "eigenvalues",
                   "l2_with", "l2_without", "boundaries", "spdmd_iterations",
-                  "spdmd_unconverged", "spdmd_rho"):
+                  "spdmd_unconverged", "spdmd_rho", "svd_products", "svd_basis",
+                  "svd_residual"):
         assert field in manifest["resolved"]
     resolved = manifest["resolved"]
     assert resolved["spdmd_iterations"] > 0
     assert 0 <= resolved["spdmd_unconverged"] <= 50
     assert resolved["spdmd_rho"] > 0
+    # solver health of the fit's spectrum: the truncated window fits
+    # T_train - tau columns; a basis spanning them all is exact
+    span = resolved["boundaries"][0] - resolved["tau"]
+    assert resolved["rank"] <= resolved["svd_basis"] <= span
+    assert resolved["svd_basis"] <= resolved["svd_products"] * KRYLOV_BLOCK
+    assert resolved["svd_residual"] <= RITZ_TOL or resolved["svd_basis"] == span
+    cep = np.loadtxt(out / "cep.csv", delimiter=",", skiprows=1, ndmin=2)
+    assert cep[-1].tolist() == [span, 1.0]
+    assert np.all(np.diff(cep[:, 1]) >= 0.0) and cep.shape[0] >= resolved["rank"] + 1
     assert manifest["stage_seconds"]
     assert not (out / ".lock").exists()
 
@@ -402,6 +413,12 @@ def test_cli_synth_then_forecast(tmp_path, capsys):
     assert code == 0
     assert (replay / "metrics_with.json").read_bytes() == \
         (run_dir / "metrics_with.json").read_bytes()
+
+
+def test_cli_synth_creates_the_output_directory(tmp_path):
+    out = tmp_path / "new" / "dir" / "data.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--out", str(out)]) == 0
+    assert load_csv(out).n_steps == 120
 
 
 def test_cli_fit_and_embed(tmp_path):
