@@ -180,11 +180,13 @@ def write_acf_csv(reports: list[AcfReport], path) -> None:
     if not reports:
         raise ValueError("no reports to write")
     lags = reports[0].lags
+    cells = np.empty((len(lags), 1 + len(reports)), dtype=object)
+    cells[:, 0] = lags
+    cells[:, 1:] = np.column_stack([r.acf for r in reports])
+    row = "%d" + ",%.17g" * len(reports) + "\n"
     with open(path, "w", encoding="utf-8") as fh:
         fh.write("lag," + ",".join(r.node_id or f"series_{i}" for i, r in enumerate(reports)) + "\n")
-        for row, lag in enumerate(lags):
-            cells = [str(int(lag))] + [f"{r.acf[row]:.17g}" for r in reports]
-            fh.write(",".join(cells) + "\n")
+        fh.write(row * len(lags) % tuple(cells.ravel().tolist()))
 
 
 def write_cep_csv(curve: CepCurve, path) -> None:

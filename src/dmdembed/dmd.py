@@ -78,18 +78,27 @@ class DmdDecomposition:
     spectrum_solve: SpectrumSolve | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
+        """The text of json.dumps(payload, sort_keys=True, indent=2).
+
+        The small fields go through json; the two mode matrices are
+        formatted in one pass each and spliced in for their empty
+        placeholders.
+        """
         payload = {
             "eigenvalues": _complex_pairs(self.eigenvalues),
             "amplitudes": _complex_pairs(self.amplitudes),
-            "modes_real": self.modes.real.tolist(),
-            "modes_imag": self.modes.imag.tolist(),
+            "modes_real": [],
+            "modes_imag": [],
             "rank": self.rank,
             "tau": self.tau,
             "sampling_seconds": self.sampling_seconds,
             "fit_span": self.fit_span,
             "solver": self.solver,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        text = json.dumps(payload, sort_keys=True, indent=2)
+        for key, part in (("modes_real", self.modes.real), ("modes_imag", self.modes.imag)):
+            text = text.replace(f'"{key}": []', f'"{key}": {_json_matrix(part)}', 1)
+        return text
 
     @classmethod
     def from_json(cls, text: str) -> "DmdDecomposition":
@@ -107,6 +116,26 @@ class DmdDecomposition:
             tau=int(data["tau"]),
             solver=str(data["solver"]),
         )
+
+
+def _json_matrix(matrix: np.ndarray) -> str:
+    """json.dumps(matrix.tolist(), indent=2) as a value one level deep.
+
+    A float's repr is json's spelling of it, apart from nan and inf, and
+    never contains ", " or "[", so the separators of the list repr can be
+    rewritten in place.
+    """
+    rows = matrix.tolist()
+    if matrix.size == 0:
+        return json.dumps(rows, indent=2).replace("\n", "\n  ")
+    text = (
+        repr(rows)
+        .replace("], [", "\n    ],\n    [\n      ")
+        .replace(", ", ",\n      ")
+        .replace("nan", "NaN")
+        .replace("inf", "Infinity")
+    )
+    return "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
 
 
 def _complex_pairs(z: np.ndarray) -> list[list[float]]:
@@ -303,6 +332,10 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
         else:
             profile[i] = (1.0 - m**span) / (1.0 - m)
     energy = np.abs(amplitudes) * profile
+    # The members of a conjugate pair differ in energy only by round-off;
+    # one shared key lets the imaginary part put the positive member first.
+    for group in conjugate_groups(eigenvalues):
+        energy[group] = energy[group].max()
     return np.lexsort((-eigenvalues.imag, -moduli, -energy))
 
 

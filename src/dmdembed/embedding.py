@@ -136,12 +136,13 @@ def export_embedding(emb: TimeEmbedding, path) -> None:
     """
     r = emb.n_modes
     header = ["step"] + [f"re_{i + 1}" for i in range(r)] + [f"im_{i + 1}" for i in range(r)]
+    cells = np.empty((emb.length, 1 + emb.table.shape[1]), dtype=object)
+    cells[:, 0] = range(emb.origin_step, emb.origin_step + emb.length)
+    cells[:, 1:] = emb.table
+    row = "%d" + ",%.17g" * emb.table.shape[1] + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
-        for k in range(emb.length):
-            cells = [str(emb.origin_step + k)]
-            cells += [f"{v:.17g}" for v in emb.table[k]]
-            fh.write(",".join(cells) + "\n")
+        fh.write(row * emb.length % tuple(cells.ravel().tolist()))
 
 
 def import_embedding(path) -> tuple[np.ndarray, np.ndarray]:

@@ -72,20 +72,20 @@ def line_chart(
     return "\n".join(parts)
 
 
-def _diverging_color(v: float) -> str:
-    # -1 -> blue, 0 -> white, +1 -> red
-    v = max(-1.0, min(1.0, v))
-    if v >= 0:
-        g = b = int(round(255 * (1 - v)))
-        return f"rgb(255,{g},{b})"
-    r = g = int(round(255 * (1 + v)))
-    return f"rgb({r},{g},255)"
+# Diverging fills, -1 -> blue, 0 -> white, +1 -> red, each closing its
+# <rect>: entry k is the level-k red side (v >= 0, level 255 * (1 - v)),
+# entry 256 + k the level-k blue side (v < 0, level 255 * (1 + v)).
+_FILLS = np.array(
+    [f'rgb(255,{k},{k})"/>' for k in range(256)] + [f'rgb({k},{k},255)"/>' for k in range(256)],
+    dtype=object,
+)
 
 
 def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 160) -> str:
     """Diverging heatmap of a matrix with entries in [-1, 1].
 
-    Large matrices are strided down to at most max_dim per side.
+    Large matrices are strided down to at most max_dim per side. Values
+    beyond [-1, 1] take the end colours, and NaN is full red.
     """
     mat = np.asarray(matrix, dtype=float)
     step_r = max(1, -(-mat.shape[0] // max_dim))
@@ -100,12 +100,17 @@ def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 160) -
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13">{title}</text>',
     ]
-    for i in range(rows):
-        for j in range(cols):
-            parts.append(
-                f'<rect x="{margin + j * cell}" y="{margin + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="{_diverging_color(mat[i, j])}"/>'
-            )
+    # fmin/fmax ignore NaN, so NaN clamps to +1; rint rounds half to even
+    v = np.fmax(-1.0, np.fmin(1.0, mat))
+    negative = v < 0
+    level = np.rint(255 * np.where(negative, 1 + v, 1 - v)).astype(np.intp)
+    fills = _FILLS[level + 256 * negative]
+    x = np.array([f'<rect x="{margin + j * cell}" y="' for j in range(cols)], dtype=object)
+    y = np.array(
+        [f'{margin + i * cell}" width="{cell}" height="{cell}" fill="' for i in range(rows)],
+        dtype=object,
+    )
+    parts += (x + y[:, None] + fills).ravel().tolist()
     parts.append("</svg>")
     return "\n".join(parts)
 

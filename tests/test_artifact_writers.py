@@ -1,0 +1,217 @@
+"""The array-at-a-time artifact writers against their per-value forms.
+
+Each reference below is the writer as it was before it formatted whole
+arrays: a per-cell heatmap, the plain json.dumps of a decomposition and
+per-row CSV loops. The writers must give the same bytes for every input.
+"""
+
+import json
+
+import numpy as np
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
+
+from dmdembed.diagnostics import AcfReport, write_acf_csv
+from dmdembed.dmd import DmdDecomposition
+from dmdembed.embedding import TimeEmbedding, export_embedding
+from dmdembed.svgplot import heatmap
+
+# ---------------------------------------------------------------- references
+
+
+def _diverging_color(v: float) -> str:
+    # -1 -> blue, 0 -> white, +1 -> red
+    v = max(-1.0, min(1.0, v))
+    if v >= 0:
+        g = b = int(round(255 * (1 - v)))
+        return f"rgb(255,{g},{b})"
+    r = g = int(round(255 * (1 + v)))
+    return f"rgb({r},{g},255)"
+
+
+def heatmap_per_cell(matrix, title, cell=4, max_dim=160):
+    mat = np.asarray(matrix, dtype=float)
+    step_r = max(1, -(-mat.shape[0] // max_dim))
+    step_c = max(1, -(-mat.shape[1] // max_dim))
+    mat = mat[::step_r, ::step_c]
+    rows, cols = mat.shape
+    margin = 30
+    width = cols * cell + 2 * margin
+    height = rows * cell + 2 * margin
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+    ]
+    for i in range(rows):
+        for j in range(cols):
+            parts.append(
+                f'<rect x="{margin + j * cell}" y="{margin + i * cell}" width="{cell}" '
+                f'height="{cell}" fill="{_diverging_color(mat[i, j])}"/>'
+            )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def decomposition_json_dumps(dec: DmdDecomposition) -> str:
+    payload = {
+        "eigenvalues": [[float(v.real), float(v.imag)] for v in dec.eigenvalues],
+        "amplitudes": [[float(v.real), float(v.imag)] for v in dec.amplitudes],
+        "modes_real": dec.modes.real.tolist(),
+        "modes_imag": dec.modes.imag.tolist(),
+        "rank": dec.rank,
+        "tau": dec.tau,
+        "sampling_seconds": dec.sampling_seconds,
+        "fit_span": dec.fit_span,
+        "solver": dec.solver,
+    }
+    return json.dumps(payload, sort_keys=True, indent=2)
+
+
+def export_embedding_per_row(emb: TimeEmbedding, path) -> None:
+    r = emb.n_modes
+    header = ["step"] + [f"re_{i + 1}" for i in range(r)] + [f"im_{i + 1}" for i in range(r)]
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write(",".join(header) + "\n")
+        for k in range(emb.length):
+            cells = [str(emb.origin_step + k)]
+            cells += [f"{v:.17g}" for v in emb.table[k]]
+            fh.write(",".join(cells) + "\n")
+
+
+def write_acf_csv_per_row(reports, path) -> None:
+    lags = reports[0].lags
+    with open(path, "w", encoding="utf-8") as fh:
+        fh.write("lag," + ",".join(r.node_id or f"series_{i}" for i, r in enumerate(reports)) + "\n")
+        for row, lag in enumerate(lags):
+            cells = [str(int(lag))] + [f"{r.acf[row]:.17g}" for r in reports]
+            fh.write(",".join(cells) + "\n")
+
+
+# ---------------------------------------------------------------- inputs
+
+# Exact half-steps of the 255-level colour scale, and values on and beyond
+# its ends.
+half_steps = st.integers(-600, 600).map(lambda k: k / 510)
+specials = st.sampled_from(
+    [0.0, -0.0, 1.0, -1.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
+)
+any_float = st.floats(allow_nan=True, allow_infinity=True)
+cell_values = st.one_of(half_steps, specials, st.floats(-1.2, 1.2), any_float)
+
+
+def _bytes_of(write, obj, path) -> bytes:
+    write(obj, path)
+    return path.read_bytes()
+
+
+# ---------------------------------------------------------------- heatmap
+
+
+@settings(max_examples=150, deadline=None)
+@given(
+    max_dim=st.integers(1, 8),
+    data=st.data(),
+)
+def test_heatmap_matches_per_cell_reference(max_dim, data):
+    # Shapes run past max_dim on either side, so the stride path runs.
+    shape = data.draw(st.tuples(st.integers(1, 3 * max_dim + 2), st.integers(1, 3 * max_dim + 2)))
+    matrix = data.draw(arrays(float, shape, elements=cell_values))
+    cell = data.draw(st.integers(1, 5))
+    assert heatmap(matrix, "t", cell, max_dim) == heatmap_per_cell(matrix, "t", cell, max_dim)
+
+
+def test_heatmap_matches_reference_at_default_size():
+    # 576 columns, as in a 48-node residual correlation: strided by 4 to 144.
+    rng = np.random.default_rng(0)
+    matrix = rng.uniform(-1.2, 1.2, size=(576, 170))
+    matrix[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.5 / 255, -1.5 / 255]
+    assert heatmap(matrix, "corr") == heatmap_per_cell(matrix, "corr")
+
+
+def test_heatmap_nan_is_full_red():
+    svg = heatmap(np.array([[np.nan, -np.nan]]), "nan")
+    assert svg.count('fill="rgb(255,0,0)"') == 2
+
+
+# ---------------------------------------------------------------- to_json
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_to_json_matches_json_dumps(data):
+    rows = data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(0, 5))
+    elements = st.one_of(specials, any_float)
+    modes = np.empty((rows, r), dtype=complex)
+    modes.real = data.draw(arrays(float, (rows, r), elements=elements))
+    modes.imag = data.draw(arrays(float, (rows, r), elements=elements))
+    dec = DmdDecomposition(
+        eigenvalues=data.draw(arrays(complex, r, elements=st.complex_numbers())),
+        modes=modes,
+        amplitudes=data.draw(arrays(complex, r, elements=st.complex_numbers())),
+        rank=r,
+        sampling_seconds=data.draw(any_float),
+        fit_span=data.draw(st.integers(0, 10**6)),
+        tau=data.draw(st.integers(1, 10**4)),
+        solver=data.draw(st.sampled_from(["exact", "total"])),
+    )
+    assert dec.to_json() == decomposition_json_dumps(dec)
+
+
+def test_to_json_keeps_signs_of_zero_in_modes():
+    modes = np.empty((2, 2), dtype=complex)
+    modes.real = [[0.0, -0.0], [-0.0, 0.0]]
+    modes.imag = [[-0.0, 0.0], [0.0, -0.0]]
+    dec = DmdDecomposition(
+        eigenvalues=np.ones(2, dtype=complex),
+        modes=modes,
+        amplitudes=np.ones(2, dtype=complex),
+        rank=2,
+        sampling_seconds=1.0,
+        fit_span=4,
+        tau=1,
+        solver="exact",
+    )
+    text = dec.to_json()
+    assert text == decomposition_json_dumps(dec)
+    parsed = json.loads(text)
+    assert np.array_equal(np.signbit(parsed["modes_real"]), np.signbit(modes.real))
+    assert np.array_equal(np.signbit(parsed["modes_imag"]), np.signbit(modes.imag))
+
+
+# ---------------------------------------------------------------- CSV writers
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_export_embedding_matches_per_row_reference(tmp_path_factory, data):
+    r = data.draw(st.integers(0, 4))
+    length = data.draw(st.integers(0, 12))
+    emb = TimeEmbedding(
+        eigenvalues=np.ones(r, dtype=complex),
+        origin_step=data.draw(st.integers(-10**6, 10**6)),
+        table=data.draw(arrays(float, (length, 2 * r), elements=cell_values)),
+        unit_circle_projected=False,
+    )
+    path = tmp_path_factory.mktemp("emb") / "emb.csv"
+    assert _bytes_of(export_embedding, emb, path) == _bytes_of(export_embedding_per_row, emb, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_write_acf_csv_matches_per_row_reference(tmp_path_factory, data):
+    max_lag = data.draw(st.integers(0, 12))
+    n_reports = data.draw(st.integers(1, 4))
+    reports = [
+        AcfReport(
+            node_id=data.draw(st.sampled_from(["", "n", "station 7"])),
+            lags=np.arange(max_lag + 1),
+            acf=data.draw(arrays(float, max_lag + 1, elements=cell_values)),
+            peak_lags=np.zeros(0, dtype=int),
+        )
+        for _ in range(n_reports)
+    ]
+    path = tmp_path_factory.mktemp("acf") / "acf.csv"
+    assert _bytes_of(write_acf_csv, reports, path) == _bytes_of(write_acf_csv_per_row, reports, path)

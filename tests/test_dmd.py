@@ -78,6 +78,46 @@ def test_fit_dmd_unit_norm_modes_and_conjugate_amplitudes():
     assert abs(dec.amplitudes[i] - np.conj(dec.amplitudes[j])) <= 1e-8 * abs(dec.amplitudes[i])
 
 
+@settings(max_examples=100, deadline=None)
+@given(
+    seed=st.integers(0, 2**32 - 1),
+    n_pairs=st.integers(1, 4),
+    n_real=st.integers(0, 2),
+    span=st.integers(2, 4000),
+)
+def test_energy_order_puts_positive_member_of_each_pair_first(seed, n_pairs, n_real, span):
+    # The members of a conjugate pair have equal energy up to round-off:
+    # moving one member's amplitude by 1 ulp either way never reorders
+    # the pair, and the positive-imaginary member comes first.
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 1.05, n_pairs) * np.exp(1j * rng.uniform(0.05, 3.0, n_pairs))
+    amp = rng.normal(size=n_pairs) + 1j * rng.normal(size=n_pairs)
+    reals = rng.uniform(-1.05, 1.05, n_real)
+    eigs = np.concatenate([lam, np.conj(lam), reals + 0j])
+    amps = np.concatenate([amp, np.conj(amp), rng.normal(size=n_real) + 0j])
+    perm = rng.permutation(eigs.size)
+    eigs, amps = eigs[perm], amps[perm]
+
+    def pairs_in(order):
+        ranked = eigs[order]
+        return [
+            (int(order[k]), int(order[k + 1]))
+            for k in range(order.size)
+            if ranked[k].imag > 0
+        ]
+
+    base = dmd._energy_order(eigs, amps, span)
+    expected = pairs_in(base)
+    assert len(expected) == n_pairs
+    for first, second in expected:
+        assert eigs[second] == np.conj(eigs[first])
+    for member in np.flatnonzero(eigs.imag != 0):
+        for direction in (np.inf, -np.inf):
+            nudged = amps.copy()
+            nudged[member] = complex(np.nextafter(amps[member].real, direction), amps[member].imag)
+            assert pairs_in(dmd._energy_order(eigs, nudged, span)) == expected
+
+
 @pytest.mark.parametrize("solver", ["exact", "total"])
 def test_fits_take_their_svd_from_snapshot_svd(monkeypatch, solver):
     calls = []

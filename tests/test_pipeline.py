@@ -222,9 +222,11 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
     cfg2 = config_from_manifest(out1 / "manifest.json")
     cfg2.output_dir = str(tmp_path / "rerun")
     out2 = run_pipeline(cfg2)
-    for name in ("metrics_with.json", "metrics_without.json", "embedding.csv",
-                 "spdmd_path.csv", "cep.csv"):
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
+    names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+    assert "decomposition.json" in names and any(name.endswith(".svg") for name in names)
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
 def test_replaying_manifest_with_removed_amplitude_method_is_config_error(tmp_path):
