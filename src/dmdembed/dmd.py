@@ -78,36 +78,32 @@ class DmdDecomposition:
     spectrum_solve: SpectrumSolve | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
-        """The text of json.dumps(payload, sort_keys=True, indent=2).
-
-        The small fields go through json; the two mode matrices are
-        formatted in one pass each and spliced in for their empty
-        placeholders.
-        """
+        """Every field except the modes, which are stored as an array
+        beside it (``modes.npy`` in a run directory)."""
         payload = {
             "eigenvalues": _complex_pairs(self.eigenvalues),
             "amplitudes": _complex_pairs(self.amplitudes),
-            "modes_real": [],
-            "modes_imag": [],
             "rank": self.rank,
             "tau": self.tau,
             "sampling_seconds": self.sampling_seconds,
             "fit_span": self.fit_span,
             "solver": self.solver,
         }
-        text = json.dumps(payload, sort_keys=True, indent=2)
-        for key, part in (("modes_real", self.modes.real), ("modes_imag", self.modes.imag)):
-            text = text.replace(f'"{key}": []', f'"{key}": {_json_matrix(part)}', 1)
-        return text
+        return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
-    def from_json(cls, text: str) -> "DmdDecomposition":
+    def from_json(cls, text: str, modes: np.ndarray) -> "DmdDecomposition":
+        """Rebuild a decomposition from ``to_json`` text and its modes,
+        whose columns follow the order of the eigenvalues."""
         data = json.loads(text)
-        modes = np.asarray(data["modes_real"], dtype=float) + 1j * np.asarray(
-            data["modes_imag"], dtype=float
-        )
+        eigenvalues = _pairs_complex(data["eigenvalues"])
+        modes = np.asarray(modes)
+        if modes.ndim != 2 or modes.shape[1] != eigenvalues.size:
+            raise ValueError(
+                f"modes of shape {modes.shape} do not fit {eigenvalues.size} eigenvalues"
+            )
         return cls(
-            eigenvalues=_pairs_complex(data["eigenvalues"]),
+            eigenvalues=eigenvalues,
             modes=modes,
             amplitudes=_pairs_complex(data["amplitudes"]),
             rank=int(data["rank"]),
@@ -116,26 +112,6 @@ class DmdDecomposition:
             tau=int(data["tau"]),
             solver=str(data["solver"]),
         )
-
-
-def _json_matrix(matrix: np.ndarray) -> str:
-    """json.dumps(matrix.tolist(), indent=2) as a value one level deep.
-
-    A float's repr is json's spelling of it, apart from nan and inf, and
-    never contains ", " or "[", so the separators of the list repr can be
-    rewritten in place.
-    """
-    rows = matrix.tolist()
-    if matrix.size == 0:
-        return json.dumps(rows, indent=2).replace("\n", "\n  ")
-    text = (
-        repr(rows)
-        .replace("], [", "\n    ],\n    [\n      ")
-        .replace(", ", ",\n      ")
-        .replace("nan", "NaN")
-        .replace("inf", "Infinity")
-    )
-    return "[\n    [\n      " + text[2:-2] + "\n    ]\n  ]"
 
 
 def _complex_pairs(z: np.ndarray) -> list[list[float]]:

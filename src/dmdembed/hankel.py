@@ -126,13 +126,16 @@ class HankelView:
 
 
 def default_tau(signal: SignalMatrix) -> int:
-    """Stacking depth so the lifting has at least 2T rows.
+    """Stacking depth: tau = max(ceil(2T / N), ceil(T / 4)), capped at T.
 
-    tau = ceil(2T / N), capped at T block rows. H is never formed, so
-    tau sets no memory cost beyond the N*tau-row tall products.
+    The first term gives the lifting at least 2T rows; the second keeps
+    the delay window at a quarter of the series when many nodes would
+    otherwise shrink it below the slow periods (it wins only for N > 8).
+    H is never formed, so tau sets no memory cost beyond the N*tau-row
+    tall products.
     """
     n, t = signal.values.shape
-    return max(1, min(-(-2 * t // n), t))
+    return max(1, min(max(-(-2 * t // n), -(-t // 4)), t))
 
 
 def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:

@@ -456,6 +456,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         resolved["svd_basis"] = dec.spectrum_solve.basis
         resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
+        np.save(run.path("modes.npy"), dec.modes)
 
     with _StageTimer(run, "spdmd"):
         target = max(1, min(cfg.target_modes, dec.rank))

@@ -1,9 +1,11 @@
+import io
 import math
 
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
 from dmdembed import dmd, linalg
@@ -321,10 +323,18 @@ def test_deep_tau_truncated_window_drops_wrapped_columns():
     assert_allclose(dec.eigenvalues, [0.9], atol=1e-6)
 
 
+def save_and_load(dec: DmdDecomposition) -> DmdDecomposition:
+    """The decomposition through its two run artifacts: the JSON text
+    and the modes saved with np.save."""
+    buffer = io.BytesIO()
+    np.save(buffer, dec.modes)
+    buffer.seek(0)
+    return DmdDecomposition.from_json(dec.to_json(), np.load(buffer))
+
+
 def test_serialization_round_trip():
-    dec = fit_dmd(view_of(rotation_signal()), DmdConfig(rank_policy=FixedRank(2)))
-    text = dec.to_json()
-    back = DmdDecomposition.from_json(text)
+    dec = fit_dmd(view_of(rotation_signal(), tau=3), DmdConfig(rank_policy=FixedRank(2)))
+    back = save_and_load(dec)
     assert np.array_equal(back.eigenvalues, dec.eigenvalues)
     assert np.array_equal(back.amplitudes, dec.amplitudes)
     assert np.array_equal(back.modes, dec.modes)
@@ -333,6 +343,38 @@ def test_serialization_round_trip():
     assert back.fit_span == dec.fit_span
     assert back.sampling_seconds == dec.sampling_seconds
     assert back.solver == dec.solver
+    with pytest.raises(ValueError, match="do not fit 2 eigenvalues"):
+        DmdDecomposition.from_json(dec.to_json(), dec.modes[:, :1])
+
+
+mode_entries = st.one_of(
+    st.sampled_from([0.0, -0.0, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 2.0**-1030]),
+    st.floats(allow_nan=True, allow_infinity=True, allow_subnormal=True),
+)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_round_trip_keeps_every_mode_bit(data):
+    rows = data.draw(st.integers(0, 6))
+    r = data.draw(st.integers(0, 4))
+    modes = np.empty((rows, r), dtype=complex)
+    modes.real = data.draw(arrays(float, (rows, r), elements=mode_entries))
+    modes.imag = data.draw(arrays(float, (rows, r), elements=mode_entries))
+    dec = DmdDecomposition(
+        eigenvalues=np.ones(r, dtype=complex),
+        modes=modes,
+        amplitudes=np.ones(r, dtype=complex),
+        rank=r,
+        sampling_seconds=1.0,
+        fit_span=rows + 1,
+        tau=1,
+        solver="exact",
+    )
+    back = save_and_load(dec).modes
+    assert back.dtype == np.complex128 and back.shape == modes.shape
+    # every bit, so also the sign of each zero and each NaN as NaN
+    assert np.array_equal(back.view(np.uint64), modes.view(np.uint64))
 
 
 def test_fit_dmd_zero_signal_raises():

@@ -237,12 +237,14 @@ def test_fft_products_match_oracle(seed, n, t, tau, k, fit_window):
 
 def test_default_tau_policy():
     sig = signal(np.ones((2, 10)))
-    # ceil(2T/N) = 10, capped at T
+    # max(ceil(2T/N), ceil(T/4)) = 10, capped at T
     assert default_tau(sig) == 10
     wide = signal(np.ones((8, 4)))
     assert default_tau(wide) == 1
     # no memory cap: a long series keeps its full depth
     assert default_tau(signal(np.ones((8, 20_000)))) == 5_000
+    # many nodes: a quarter of the series, not ceil(2T/N) = 59
+    assert default_tau(signal(np.ones((48, 1411)))) == 353
 
 
 def test_impute_linear():

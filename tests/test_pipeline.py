@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from dmdembed.cli import main as cli_main
-from dmdembed.dmd import DmdConfig, FixedRank, fit_dmd
+from dmdembed.dmd import DmdConfig, DmdDecomposition, FixedRank, fit_dmd, reconstruct
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
 from dmdembed.hankel import build_hankel, impute_linear
@@ -162,6 +162,7 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     expected = {
         "manifest.json",
         "decomposition.json",
+        "modes.npy",
         "spdmd_path.csv",
         "embedding.csv",
         "metrics_with.json",
@@ -201,12 +202,27 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     assert manifest["stage_seconds"]
     assert not (out / ".lock").exists()
 
+    # the modes are saved beside the decomposition, not in its JSON
+    text = (out / "decomposition.json").read_text()
+    assert not {"modes_real", "modes_imag"} & json.loads(text).keys()
+    modes = np.load(out / "modes.npy")
+    assert modes.dtype == np.complex128
+    assert modes.shape == (resolved["n_nodes"] * resolved["tau"], resolved["rank"])
+    # the saved fit reproduces the normalized training signal it was fit
+    # to, up to the planted noise (sigma 0.05 against unit-variance
+    # sinusoids)
+    dec = DmdDecomposition.from_json(text, modes)
+    splits, _ = zscore_fit_apply(make_splits(generate_synthetic(cfg.synthetic), cfg.split))
+    train = splits.train.signal.values[:, : dec.fit_span]
+    rec = reconstruct(dec, dec.fit_span)[: resolved["n_nodes"]]
+    assert np.linalg.norm(rec - train) <= 0.1 * np.linalg.norm(train)
+
 
 def test_run_pipeline_fit_and_embed_stop_early(tmp_path):
     cfg = small_config(tmp_path, seed=1, output_dir=str(tmp_path / "fit_run"))
     out = run_pipeline(cfg, until="fit")
     names = {p.name for p in out.iterdir()}
-    assert "decomposition.json" in names
+    assert {"decomposition.json", "modes.npy"} <= names
     assert "metrics_with.json" not in names
 
     cfg2 = small_config(tmp_path, seed=1, output_dir=str(tmp_path / "embed_run"))
