@@ -27,7 +27,6 @@ from .embedding import (
     attach_covariates,
     build_embedding,
     export_embedding,
-    import_embedding,
     select_representatives,
 )
 from .errors import ConfigError, DataError, DmdEmbedError, NumericalError
@@ -60,8 +59,6 @@ from .spdmd import (
     SpdmdPath,
     SpdmdSolution,
     gamma_sweep,
-    polish,
-    spdmd_solve,
 )
 from .synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
 
@@ -106,20 +103,17 @@ __all__ = [
     "gamma_sweep",
     "generate_synthetic",
     "gram",
-    "import_embedding",
     "impute_linear",
     "load_csv",
     "make_splits",
     "make_windows",
     "mode_frequency",
-    "polish",
     "predict",
     "reconstruct",
     "resolve_rank",
     "run_pipeline",
     "select_representatives",
     "snapshot_svd",
-    "spdmd_solve",
     "vandermonde",
     "zscore_fit_apply",
 ]

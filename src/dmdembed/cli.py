@@ -14,22 +14,25 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
+import inspect
 import sys
 import traceback
 
 import numpy as np
 
+from .dmd import FIT_WINDOWS, SOLVERS
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     PipelineConfig,
     config_from_manifest,
+    convert_options,
     diagnose_residuals,
     load_csv,
     parse_config_file,
     run_pipeline,
     write_signal_csv,
 )
-from .synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
+from .synthetic import generate_synthetic, spec_from_options
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -38,35 +41,38 @@ EXIT_NUMERICAL = 4
 
 
 def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
+    # Values stay text here: PipelineConfig.from_mapping converts and
+    # checks them together with config-file and manifest values.
     parser.add_argument("--config", help="key=value config file; flags override it")
     parser.add_argument("--manifest", help="rerun from a previous run's manifest.json")
     parser.add_argument("--input", dest="input_csv", help="input CSV (time-major)")
     parser.add_argument("--out", dest="output_dir", help="run output directory")
-    parser.add_argument("--seed", type=int, help="random seed")
-    parser.add_argument("--tau", type=int, help="Hankel block rows (default: auto)")
+    parser.add_argument("--seed", help="random seed")
+    parser.add_argument("--tau", help="Hankel block rows (default: auto)")
     parser.add_argument("--rank", help="rank policy, 'fixed:R' or 'cep:F'")
-    parser.add_argument("--solver", choices=["exact", "total"], help="decomposition solver")
-    parser.add_argument("--target-modes", type=int, dest="target_modes",
+    parser.add_argument("--solver", metavar=_choices(SOLVERS), help="decomposition solver")
+    parser.add_argument("--fit-window", dest="fit_window", metavar=_choices(FIT_WINDOWS),
+                        help="regress on all columns with wraparound, or on the wrap-free ones")
+    parser.add_argument("--target-modes", dest="target_modes",
                         help="conjugate-pair representatives to keep")
-    parser.add_argument("--p", type=int, help="history window length")
-    parser.add_argument("--q", type=int, help="forecast horizon")
+    parser.add_argument("--p", help="history window length")
+    parser.add_argument("--q", help="forecast horizon")
     parser.add_argument("--split", help="train,val,test ratios, e.g. 0.7,0.1,0.2")
-    parser.add_argument("--l2", type=float, help="ridge penalty")
+    parser.add_argument("--l2", help="ridge penalty")
     parser.add_argument("--l2-auto", action="store_true", dest="l2_auto", default=None,
                         help="pick l2 on the validation split")
     parser.add_argument("--lags", help="diagnostics lags, e.g. 0,72,504")
-    parser.add_argument("--acf-max-lag", type=int, dest="acf_max_lag")
-    parser.add_argument("--step-seconds", type=float, dest="step_seconds")
+    parser.add_argument("--acf-max-lag", dest="acf_max_lag")
+    parser.add_argument("--step-seconds", dest="step_seconds")
     parser.add_argument("--unit-circle", dest="unit_circle", action="store_true", default=None)
     parser.add_argument("--no-unit-circle", dest="unit_circle", action="store_false")
     # inline synthetic source (alternative to --input)
-    parser.add_argument("--synth-nodes", type=int, dest="synth_nodes")
-    parser.add_argument("--synth-steps", type=int, dest="synth_steps")
-    parser.add_argument("--synth-periods", dest="synth_periods")
-    parser.add_argument("--synth-amplitudes", dest="synth_amplitudes")
-    parser.add_argument("--synth-noise", type=float, dest="synth_noise")
-    parser.add_argument("--synth-trend", type=float, dest="synth_trend")
-    parser.add_argument("--synth-seed", type=int, dest="synth_seed")
+    for option in inspect.signature(spec_from_options).parameters:
+        parser.add_argument(f"--synth-{option}", dest=f"synth_{option}")
+
+
+def _choices(values) -> str:
+    return "{" + ",".join(values) + "}"
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -90,14 +96,13 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
-    p_synth.add_argument("--nodes", type=int, default=8)
-    p_synth.add_argument("--steps", type=int, default=2016)
+    p_synth.add_argument("--nodes", default=8)
+    p_synth.add_argument("--steps", default=2016)
     p_synth.add_argument("--periods", default="72,504", help="component periods in steps")
-    p_synth.add_argument("--amplitudes", default=None, help="component amplitudes")
-    p_synth.add_argument("--noise", type=float, default=0.0, help="sigma relative to signal RMS")
-    p_synth.add_argument("--trend", type=float, default=0.0)
-    p_synth.add_argument("--seed", type=int, default=0)
-    p_synth.add_argument("--step-seconds", type=float, default=900.0)
+    p_synth.add_argument("--amplitudes", default="", help="component amplitudes (default 1)")
+    p_synth.add_argument("--noise", default=0.0, help="sigma relative to signal RMS")
+    p_synth.add_argument("--trend", default=0.0)
+    p_synth.add_argument("--seed", default=0)
     p_synth.add_argument("--out", required=True, help="destination CSV")
 
     for name, help_text in (
@@ -112,37 +117,21 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag.add_argument("--predictions", required=True, help="CSV of predictions (time-major)")
     p_diag.add_argument("--actuals", required=True, help="CSV of observed values, same shape")
     p_diag.add_argument("--lags", default="0,72,504")
-    p_diag.add_argument("--acf-max-lag", type=int, default=144, dest="acf_max_lag")
+    p_diag.add_argument("--acf-max-lag", default=144, dest="acf_max_lag")
     p_diag.add_argument("--out", required=True, help="output directory")
     return parser
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    periods = [float(v) for v in args.periods.split(",") if v.strip()]
-    if args.amplitudes:
-        amplitudes = [float(v) for v in args.amplitudes.split(",") if v.strip()]
-    else:
-        amplitudes = [1.0] * len(periods)
-    if len(amplitudes) != len(periods):
-        raise ConfigError("--periods and --amplitudes must have the same length")
-    spec = SyntheticSpec(
-        n_nodes=args.nodes,
-        n_steps=args.steps,
-        components=tuple(
-            SyntheticComponent(period_steps=p, amplitude=a)
-            for p, a in zip(periods, amplitudes)
-        ),
-        noise_sigma=args.noise,
-        trend=args.trend,
-        seed=args.seed,
-        step_seconds=args.step_seconds,
-    )
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    spec = spec_from_options(**convert_options(spec_from_options, options))
     write_signal_csv(generate_synthetic(spec), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
+    options = convert_options(PipelineConfig, {"lags": args.lags, "acf_max_lag": args.acf_max_lag})
     preds = load_csv(args.predictions)
     actual = load_csv(args.actuals)
     if preds.values.shape != actual.values.shape:
@@ -150,9 +139,9 @@ def _cmd_diagnose(args: argparse.Namespace) -> int:
             f"shape mismatch: predictions {preds.values.shape} vs actuals {actual.values.shape}"
         )
     residuals = (actual.values - preds.values).T
-    lags = tuple(int(v) for v in args.lags.split(",") if v.strip())
     out = diagnose_residuals(
-        residuals, lags, args.acf_max_lag, args.out, column_ids=list(actual.node_ids)
+        residuals, options["lags"], options["acf_max_lag"], args.out,
+        column_ids=list(actual.node_ids),
     )
     print(f"diagnostics written to {out}")
     return EXIT_OK

@@ -33,6 +33,9 @@ from .linalg import (  # noqa: F401
 
 CONJUGATE_TOL = 1e-8
 
+SOLVERS = ("exact", "total")
+FIT_WINDOWS = ("circulant", "truncated")
+
 
 @dataclass
 class DmdConfig:
@@ -50,9 +53,9 @@ class DmdConfig:
     svd_tol: float = DEFAULT_SVD_TOL
 
     def __post_init__(self):
-        if self.solver not in ("exact", "total"):
+        if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.fit_window not in ("circulant", "truncated"):
+        if self.fit_window not in FIT_WINDOWS:
             raise ValueError(f"unknown fit window {self.fit_window!r}")
 
 
@@ -186,7 +189,8 @@ def conjugate_groups(eigenvalues: np.ndarray, tol: float = CONJUGATE_TOL) -> lis
     return groups
 
 
-def _fit_columns(t: int, tau: int, fit_window: str) -> int:
+def fit_columns(t: int, tau: int, fit_window: str) -> int:
+    """Columns of a T-column lifting that the fit window regresses on."""
     if fit_window == "circulant":
         return t
     # Truncated window: regression pairs (j -> j+1) restricted to lifted
@@ -217,7 +221,7 @@ class _FitGeometry:
             raise ValueError(f"need at least 3 time steps, got {t}")
         self.view = view
         self.fit_window = fit_window
-        self.span = _fit_columns(t, view.tau, fit_window)
+        self.span = fit_columns(t, view.tau, fit_window)
         self.basis: np.ndarray | None = None
 
     def _lift(self, x: np.ndarray, shift: int) -> np.ndarray:
@@ -290,7 +294,8 @@ def amplitude_quadratic(
     return p, q, geometry.data_energy()
 
 
-def _solve_hermitian(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+def solve_hermitian(p: np.ndarray, q: np.ndarray) -> np.ndarray:
+    """Solve P a = q, falling back to least squares when P is singular."""
     try:
         return np.linalg.solve(p, q)
     except np.linalg.LinAlgError:
@@ -368,7 +373,7 @@ def _finish_fit(
     modes = modes / norms
 
     p, q, _ = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
-    amplitudes = _solve_hermitian(p, q)
+    amplitudes = solve_hermitian(p, q)
 
     order = _energy_order(spectrum.eigenvalues, amplitudes, geo.span)
     return DmdDecomposition(

@@ -9,7 +9,6 @@ validation and test spans receive covariates without refitting.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 from typing import TYPE_CHECKING
 
@@ -131,8 +130,8 @@ def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "Foreca
 def export_embedding(emb: TimeEmbedding, path) -> None:
     """Write the table as CSV: step, re_1..re_r, im_1..im_r.
 
-    Values use 17 significant digits so the importer round-trips them
-    bit-identically.
+    Values use 17 significant digits, so reading the file back (for
+    example with ``np.loadtxt``) gives every entry bit for bit.
     """
     r = emb.n_modes
     header = ["step"] + [f"re_{i + 1}" for i in range(r)] + [f"im_{i + 1}" for i in range(r)]
@@ -143,20 +142,3 @@ def export_embedding(emb: TimeEmbedding, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         fh.write(row * emb.length % tuple(cells.ravel().tolist()))
-
-
-def import_embedding(path) -> tuple[np.ndarray, np.ndarray]:
-    """Read an exported table back as (absolute steps, L x 2r table)."""
-    with open(path, "r", encoding="utf-8", newline="") as fh:
-        reader = csv.reader(fh)
-        header = next(reader, None)
-        if not header or header[0] != "step":
-            raise DataError(f"not an embedding file: {path}")
-        steps = []
-        rows = []
-        for row in reader:
-            steps.append(int(row[0]))
-            rows.append([float(v) for v in row[1:]])
-    if not rows:
-        raise DataError(f"embedding file has no data rows: {path}")
-    return np.asarray(steps, dtype=int), np.asarray(rows, dtype=float)

@@ -14,6 +14,7 @@ import csv
 import json
 import os
 import time
+import typing
 from dataclasses import dataclass, field, fields, replace
 from pathlib import Path
 
@@ -33,7 +34,7 @@ from .forecaster import (
     zscore_fit_apply,
 )
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
-from .synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic, spec_from_options
 
 L2_AUTO_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
 
@@ -64,21 +65,31 @@ class PipelineConfig:
     output_dir: str = "runs/latest"
     seed: int = 0
 
-    def rank_policy(self) -> dmd.RankPolicy:
-        return parse_rank_policy(self.rank)
+    def dmd_config(self) -> dmd.DmdConfig:
+        """The settings the dmd stage fits with; DmdConfig and the rank
+        policies check them."""
+        try:
+            return dmd.DmdConfig(
+                rank_policy=parse_rank_policy(self.rank),
+                solver=self.solver,
+                fit_window=self.fit_window,
+            )
+        except ValueError as exc:
+            raise ConfigError(str(exc)) from exc
 
     def validate(self) -> None:
-        self.rank_policy()
-        if self.solver not in ("exact", "total"):
-            raise ConfigError(f"unknown solver {self.solver!r}")
-        if self.fit_window not in ("circulant", "truncated"):
-            raise ConfigError(f"unknown fit window {self.fit_window!r}")
+        """Check every value that does not depend on the data."""
+        self.dmd_config()
         if len(self.split) != 3:
             raise ConfigError(f"split needs three ratios, got {self.split}")
         if self.p < 1 or self.q < 1:
             raise ConfigError(f"P and Q must be positive, got {self.p}, {self.q}")
         if self.target_modes < 1:
             raise ConfigError(f"target_modes must be positive, got {self.target_modes}")
+        if self.tau is not None and self.tau < 1:
+            raise ConfigError(f"tau must be at least 1, got {self.tau}")
+        if self.l2 < 0:
+            raise ConfigError(f"l2 must be nonnegative, got {self.l2}")
         if (self.input_csv is None) == (self.synthetic is None):
             raise ConfigError("exactly one of input_csv or a synthetic spec is required")
 
@@ -103,77 +114,66 @@ class PipelineConfig:
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
-        cfg = cls()
-        plain = {f.name: f for f in fields(cls) if f.name != "synthetic"}
-        synth: dict = {}
-        for key, raw in mapping.items():
-            if key.startswith("synth_"):
-                synth[key] = raw
-                continue
-            if key not in plain:
-                raise ConfigError(f"unknown config key {key!r}")
-            setattr(cfg, key, _coerce(key, raw))
+        """Build a config from raw values (text, JSON or flags); the
+        ``synth_*`` keys name the options of ``spec_from_options``."""
+        synth = {k: v for k, v in mapping.items() if k.startswith("synth_")}
+        plain = {k: v for k, v in mapping.items() if k not in synth}
+        cfg = cls(**convert_options(cls, plain))
         if synth:
-            periods = _float_list(synth.get("synth_periods", []))
-            amplitudes = _float_list(synth.get("synth_amplitudes", [])) or [1.0] * len(periods)
-            if len(amplitudes) != len(periods):
-                raise ConfigError("synth_periods and synth_amplitudes lengths differ")
-            cfg.synthetic = SyntheticSpec(
-                n_nodes=int(synth.get("synth_nodes", 8)),
-                n_steps=int(synth.get("synth_steps", 2016)),
-                components=tuple(
-                    SyntheticComponent(period_steps=p, amplitude=a)
-                    for p, a in zip(periods, amplitudes)
-                ),
-                noise_sigma=float(synth.get("synth_noise", 0.0)),
-                trend=float(synth.get("synth_trend", 0.0)),
-                seed=int(synth.get("synth_seed", cfg.seed)),
-                step_seconds=cfg.step_seconds,
-            )
+            options = {"seed": cfg.seed, **convert_options(spec_from_options, synth, "synth_")}
+            cfg.synthetic = replace(spec_from_options(**options), step_seconds=cfg.step_seconds)
         return cfg
 
 
-def _coerce(key: str, raw):
-    kind = {
-        "input_csv": str,
-        "rank": str,
-        "solver": str,
-        "fit_window": str,
-        "output_dir": str,
-        "step_seconds": float,
-        "l2": float,
-        "tau": int,
-        "target_modes": int,
-        "p": int,
-        "q": int,
-        "acf_max_lag": int,
-        "seed": int,
-        "unit_circle": bool,
-        "l2_auto": bool,
-        "split": "floats",
-        "lags": "ints",
-    }[key]
-    try:
-        if kind == "floats":
-            return tuple(_float_list(raw))
-        if kind == "ints":
-            return tuple(int(v) for v in _float_list(raw))
-        if kind is bool:
-            if isinstance(raw, bool):
-                return raw
-            return str(raw).strip().lower() in ("1", "true", "yes", "on")
+_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
+             "false": False, "no": False, "off": False, "0": False}
+
+
+def convert_options(target, raw: dict, prefix: str = "") -> dict:
+    """Convert raw values to the types annotated on ``target`` (a
+    dataclass or a function), keyed by name without ``prefix``.
+
+    Text lists are comma- or semicolon-separated; integers must be whole
+    and booleans one of true/false, yes/no, on/off or 1/0.
+    """
+    hints = typing.get_type_hints(target)
+    out = {}
+    for key, value in raw.items():
+        name = key[len(prefix):]
+        if name not in hints or name == "synthetic":
+            raise ConfigError(f"unknown config key {key!r}")
+        try:
+            out[name] = _convert(hints[name], value)
+        except (TypeError, ValueError) as exc:
+            raise ConfigError(f"bad value for {key!r}: {value!r} ({exc})") from exc
+    return out
+
+
+def _convert(hint, raw):
+    args = typing.get_args(hint)
+    if type(None) in args:
         if raw is None:
             return None
-        return kind(raw)
-    except (TypeError, ValueError) as exc:
-        raise ConfigError(f"bad value for {key!r}: {raw!r} ({exc})") from exc
-
-
-def _float_list(raw) -> list[float]:
-    if isinstance(raw, str):
-        items = [s for s in raw.replace(";", ",").split(",") if s.strip()]
-        return [float(s) for s in items]
-    return [float(v) for v in raw]
+        (hint,) = [a for a in args if a is not type(None)]
+        args = typing.get_args(hint)
+    if typing.get_origin(hint) is tuple:
+        items = raw.replace(";", ",").split(",") if isinstance(raw, str) else raw
+        return tuple(_convert(args[0], v) for v in items if not isinstance(v, str) or v.strip())
+    if hint is bool:
+        value = raw if isinstance(raw, bool) else _BOOLEANS.get(str(raw).strip().lower())
+        if value is None:
+            raise ValueError("expected true/false, yes/no, on/off or 1/0")
+        return value
+    if hint is int:
+        if isinstance(raw, str):
+            try:
+                return int(raw)
+            except ValueError:
+                raw = float(raw)
+        if isinstance(raw, float) and not raw.is_integer():
+            raise ValueError("not a whole number")
+        return int(raw)
+    return hint(raw)
 
 
 def parse_rank_policy(text: str) -> dmd.RankPolicy:
@@ -339,16 +339,13 @@ def _forecast_metrics(cfg: PipelineConfig, train, val, test, zscore):
     return report, residuals, l2
 
 
-def _anchor_major_residuals(residuals: np.ndarray, n_nodes: int):
-    """Reshape per-window residuals to (n_anchors, n_nodes * Q).
+def _anchor_major_residuals(residuals: np.ndarray, n_nodes: int) -> np.ndarray:
+    """Reshape per-window residuals to (n_anchors, n_nodes, Q).
 
     make_windows emits windows anchor-major, node-minor, which this
     relies on.
     """
-    q = residuals.shape[1]
-    n_anchors = residuals.shape[0] // n_nodes
-    stacked = residuals.reshape(n_anchors, n_nodes, q)
-    return stacked.reshape(n_anchors, n_nodes * q), stacked
+    return residuals.reshape(-1, n_nodes, residuals.shape[1])
 
 
 def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
@@ -441,16 +438,15 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
             if cfg.fit_window == "truncated":
                 # keep at least half the columns in the splice-free window
                 tau = min(tau, max(1, train_signal.n_steps // 2))
-        view = build_hankel(train_signal, tau)
+        try:
+            view = build_hankel(train_signal, tau)
+            dmd.fit_columns(train_signal.n_steps, tau, cfg.fit_window)
+        except ValueError as exc:
+            raise ConfigError(f"{exc}, for {train_signal.n_steps} training steps") from exc
         resolved["tau"] = tau
 
     with _StageTimer(run, "dmd"):
-        dmd_cfg = dmd.DmdConfig(
-            rank_policy=cfg.rank_policy(),
-            solver=cfg.solver,
-            fit_window=cfg.fit_window,
-        )
-        dec = dmd.fit_dmd(view, dmd_cfg)
+        dec = dmd.fit_dmd(view, cfg.dmd_config())
         resolved["rank"] = dec.rank
         resolved["svd_products"] = dec.spectrum_solve.products
         resolved["svd_basis"] = dec.spectrum_solve.basis
@@ -497,79 +493,27 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
             name: replace(fw, history=fw.history[:, :, :1], future=fw.future[:, :, :0])
             for name, fw in with_windows.items()
         }
-        report_with, resid_with, l2_with = _forecast_metrics(
-            cfg, with_windows["train"], with_windows.get("val"), with_windows["test"], zscore
-        )
-        report_without, resid_without, l2_without = _forecast_metrics(
-            cfg,
-            without_windows["train"],
-            without_windows.get("val"),
-            without_windows["test"],
-            zscore,
-        )
-        resolved["l2_with"] = l2_with
-        resolved["l2_without"] = l2_without
-        run.path("metrics_with.json").write_text(report_with.to_json(), encoding="utf-8")
-        run.path("metrics_without.json").write_text(report_without.to_json(), encoding="utf-8")
+        residuals = {}
+        for label, windows in (("with", with_windows), ("without", without_windows)):
+            report, residuals[label], resolved[f"l2_{label}"] = _forecast_metrics(
+                cfg, windows["train"], windows.get("val"), windows["test"], zscore
+            )
+            run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
 
     with _StageTimer(run, "diagnostics"):
-        skipped = _write_diagnostics(
-            cfg, run, dec,
-            {"with": resid_with, "without": resid_without},
-            signal.n_nodes,
-            list(signal.node_ids),
-        )
-        resolved["skipped_lags"] = skipped
-
-    _write_manifest(cfg, run, resolved)
-    return run.out_dir
-
-
-def _write_diagnostics(cfg, run: _Run, dec, labelled, n_nodes: int, node_ids: list[str]):
-    skipped: list[int] = []
-    for label, residuals in labelled.items():
-        flat, stacked = _anchor_major_residuals(residuals, n_nodes)
-        n_anchors = flat.shape[0]
-
-        summaries = []
-        for lag in cfg.lags:
-            # a correlation needs at least two aligned pairs of rows
-            if n_anchors - abs(lag) < 2:
-                if lag not in skipped:
-                    skipped.append(lag)
-                continue
-            summary = dg.residual_correlation(flat, lag, keep_matrix=True)
-            summaries.append(summary)
-            svg = svgplot.heatmap(
-                np.abs(summary.matrix),
-                f"|residual correlation| lag {lag} ({label}, test)",
+        for label, resid in residuals.items():
+            resolved["skipped_lags"] = _write_residual_diagnostics(
+                _anchor_major_residuals(resid, signal.n_nodes), list(signal.node_ids),
+                cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
             )
-            svgplot.write_svg(svg, run.path(f"residual_corr_{label}_lag{lag:03d}_test.svg"))
-        dg.write_residual_corr_csv(summaries, run.path(f"residual_corr_{label}_test.csv"))
-
-        max_lag = min(cfg.acf_max_lag, n_anchors - 1)
-        if max_lag >= 1:
-            reports = [
-                dg.acf(stacked[:, node, -1], max_lag, node_id=node_ids[node])
-                for node in range(n_nodes)
-            ]
-            dg.write_acf_csv(reports, run.path(f"acf_{label}_test.csv"))
-            svg = svgplot.line_chart(
-                reports[0].lags,
-                [(r.node_id, r.acf) for r in reports[: len(svgplot.PALETTE)]],
-                f"residual ACF at horizon {cfg.q} ({label}, test)",
-            )
-            svgplot.write_svg(svg, run.path(f"acf_{label}_test.svg"))
-
-    if dec.singular_values is not None:
         solve = dec.spectrum_solve
         curve = dg.cep_curve(dec.singular_values, solve.total_energy, solve.order)
         dg.write_cep_csv(curve, run.path("cep.csv"))
-        svg = svgplot.line_chart(
-            curve.ranks, [("cep", curve.cep)], "cumulative eigenvalue percentage"
-        )
+        svg = svgplot.line_chart(curve.ranks, [("cep", curve.cep)], "cumulative eigenvalue percentage")
         svgplot.write_svg(svg, run.path("cep.svg"))
-    return skipped
+
+    _write_manifest(cfg, run, resolved)
+    return run.out_dir
 
 
 def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
@@ -595,6 +539,58 @@ def config_from_manifest(path) -> PipelineConfig:
     return PipelineConfig.from_mapping(manifest["config"])
 
 
+def _write_residual_diagnostics(
+    residuals: np.ndarray,
+    column_ids: list[str],
+    lags,
+    acf_max_lag: int,
+    destination,
+    label: str | None = None,
+    horizon: int | None = None,
+) -> list[int]:
+    """Diagnostics of (rows, columns, horizons) residuals: lagged
+    correlations between whole rows (one CSV, one heatmap per lag) and
+    the ACF of each column at the last horizon (one CSV, one chart of
+    the first few columns).
+
+    ``destination`` maps a file name to its path. A run labels the
+    residuals of its test split, giving names like
+    ``residual_corr_with_lag072_test.svg``; unlabelled ones are named
+    like ``residual_corr_lag072.svg``. Returns the lags skipped because
+    fewer than two pairs of rows align at them.
+    """
+    tag, split, caption = ("", "", "") if label is None else (f"_{label}", "_test", f" ({label}, test)")
+    at_horizon = "" if horizon is None else f" at horizon {horizon}"
+    n_rows, n_columns = residuals.shape[:2]
+    flat = residuals.reshape(n_rows, -1)
+    skipped: list[int] = []
+    summaries = []
+    for lag in lags:
+        if n_rows - abs(lag) < 2:
+            if lag not in skipped:
+                skipped.append(lag)
+            continue
+        summary = dg.residual_correlation(flat, lag, keep_matrix=True)
+        summaries.append(summary)
+        svg = svgplot.heatmap(np.abs(summary.matrix), f"|residual correlation| lag {lag}{caption}")
+        svgplot.write_svg(svg, destination(f"residual_corr{tag}_lag{lag:03d}{split}.svg"))
+    dg.write_residual_corr_csv(summaries, destination(f"residual_corr{tag}{split}.csv"))
+
+    max_lag = min(acf_max_lag, n_rows - 1)
+    if max_lag >= 1:
+        reports = [
+            dg.acf(residuals[:, i, -1], max_lag, node_id=column_ids[i]) for i in range(n_columns)
+        ]
+        dg.write_acf_csv(reports, destination(f"acf{tag}{split}.csv"))
+        svg = svgplot.line_chart(
+            reports[0].lags,
+            [(r.node_id, r.acf) for r in reports[: len(svgplot.PALETTE)]],
+            f"residual ACF{at_horizon}{caption}",
+        )
+        svgplot.write_svg(svg, destination(f"acf{tag}{split}.svg"))
+    return skipped
+
+
 def diagnose_residuals(
     residuals: np.ndarray,
     lags: tuple[int, ...],
@@ -608,30 +604,9 @@ def diagnose_residuals(
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
-    n, d = resid.shape
     if column_ids is None:
-        column_ids = [f"series_{i}" for i in range(d)]
-    summaries = []
-    for lag in lags:
-        if n - abs(lag) < 2:
-            continue
-        summary = dg.residual_correlation(resid, lag, keep_matrix=True)
-        summaries.append(summary)
-        svgplot.write_svg(
-            svgplot.heatmap(np.abs(summary.matrix), f"|residual correlation| lag {lag}"),
-            out_dir / f"residual_corr_lag{lag:03d}.svg",
-        )
-    dg.write_residual_corr_csv(summaries, out_dir / "residual_corr.csv")
-    max_lag = min(acf_max_lag, n - 1)
-    if max_lag >= 1:
-        reports = [dg.acf(resid[:, i], max_lag, node_id=column_ids[i]) for i in range(d)]
-        dg.write_acf_csv(reports, out_dir / "acf.csv")
-        svgplot.write_svg(
-            svgplot.line_chart(
-                reports[0].lags,
-                [(r.node_id, r.acf) for r in reports[: len(svgplot.PALETTE)]],
-                "residual ACF",
-            ),
-            out_dir / "acf.svg",
-        )
+        column_ids = [f"series_{i}" for i in range(resid.shape[1])]
+    _write_residual_diagnostics(
+        resid[:, :, np.newaxis], column_ids, lags, acf_max_lag, lambda name: out_dir / name
+    )
     return out_dir

@@ -22,7 +22,13 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmd import DmdDecomposition, amplitude_quadratic, conjugate_groups, fit_geometry
+from .dmd import (
+    DmdDecomposition,
+    amplitude_quadratic,
+    conjugate_groups,
+    fit_geometry,
+    solve_hermitian,
+)
 from .hankel import HankelView
 
 SUPPORT_EPS = 0.0  # prox produces exact zeros; support is strict nonzero
@@ -119,10 +125,7 @@ class _AmplitudeProblem:
         return max(0.0, self.s + quad - lin)
 
     def least_squares(self) -> np.ndarray:
-        try:
-            return np.linalg.solve(self.p, self.q)
-        except np.linalg.LinAlgError:
-            return np.linalg.lstsq(self.p, self.q, rcond=None)[0]
+        return solve_hermitian(self.p, self.q)
 
     def gamma_max(self) -> float:
         """Smallest gamma whose optimum is the all-zero amplitude vector.
@@ -162,6 +165,8 @@ def _admm(
     beta0: np.ndarray | None = None,
     dual0: np.ndarray | None = None,
 ) -> tuple[np.ndarray, np.ndarray, bool, int]:
+    if gamma <= 0:
+        raise ValueError(f"gamma must be positive, got {gamma}")
     r = problem.q.size
     rho = problem.rho
     vecs = problem.eigvecs
@@ -208,46 +213,15 @@ def _make_solution(
     )
 
 
-def spdmd_solve(
-    dec: DmdDecomposition,
-    view: HankelView,
-    gamma: float,
-    opts: AdmmOptions | None = None,
-) -> SpdmdSolution:
-    """Sparse amplitude solve at one gamma; no polishing applied.
-
-    Non-convergence at the iteration cap returns the best iterate with
-    ``converged`` False rather than raising.
-    """
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    opts = opts or AdmmOptions()
-    problem = _AmplitudeProblem(dec, view)
-    beta, _, converged, iterations = _admm(problem, gamma, opts)
-    return _make_solution(problem, gamma, beta, False, converged, iterations)
-
-
-def polish(dec: DmdDecomposition, view: HankelView, support: np.ndarray) -> np.ndarray:
-    """Unregularized amplitude refit restricted to the support mask.
-
-    Off-support entries are exactly zero; on-support entries solve the
-    restricted normal equations.
-    """
-    problem = _AmplitudeProblem(dec, view)
-    return _polish_on(problem, np.asarray(support, dtype=bool))
-
-
 def _polish_on(problem: _AmplitudeProblem, support: np.ndarray) -> np.ndarray:
+    """Unregularized amplitude refit restricted to the support mask:
+    off-support entries are exactly zero, on-support entries solve the
+    restricted normal equations."""
     if not support.any():
         raise ValueError("polish requires a nonempty support")
     idx = np.nonzero(support)[0]
-    sub = problem.p[np.ix_(idx, idx)]
-    try:
-        solved = np.linalg.solve(sub, problem.q[idx])
-    except np.linalg.LinAlgError:
-        solved = np.linalg.lstsq(sub, problem.q[idx], rcond=None)[0]
     out = np.zeros(support.size, dtype=complex)
-    out[idx] = solved
+    out[idx] = solve_hermitian(problem.p[np.ix_(idx, idx)], problem.q[idx])
     return out
 
 

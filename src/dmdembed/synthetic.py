@@ -50,6 +50,30 @@ class SyntheticSpec:
             raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
 
 
+def spec_from_options(
+    nodes: int = 8,
+    steps: int = 2016,
+    periods: tuple[float, ...] = (),
+    amplitudes: tuple[float, ...] = (),
+    noise: float = 0.0,
+    trend: float = 0.0,
+    seed: int = 0,
+) -> SyntheticSpec:
+    """The spec named by the ``synth`` subcommand's options, which are
+    also the pipeline's ``synth_*`` config keys; amplitudes default to 1."""
+    amplitudes = amplitudes or (1.0,) * len(periods)
+    if len(amplitudes) != len(periods):
+        raise ConfigError("periods and amplitudes must have the same length")
+    return SyntheticSpec(
+        n_nodes=nodes,
+        n_steps=steps,
+        components=tuple(SyntheticComponent(p, a) for p, a in zip(periods, amplitudes)),
+        noise_sigma=noise,
+        trend=trend,
+        seed=seed,
+    )
+
+
 def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
     """Draw the seeded signal: per-component random spatial profile in
     [0.5, 1.5] and random phase, plus optional trend and noise."""
@@ -78,13 +102,4 @@ def two_period_spec(
     seed: int = 0,
 ) -> SyntheticSpec:
     """The daily/weekly benchmark layout: periods 72 and 504 steps."""
-    return SyntheticSpec(
-        n_nodes=n_nodes,
-        n_steps=n_steps,
-        components=(
-            SyntheticComponent(period_steps=72.0, amplitude=1.0),
-            SyntheticComponent(period_steps=504.0, amplitude=1.0),
-        ),
-        noise_sigma=noise_sigma,
-        seed=seed,
-    )
+    return spec_from_options(n_nodes, n_steps, (72.0, 504.0), noise=noise_sigma, seed=seed)

@@ -1,3 +1,4 @@
+import argparse
 import json
 import os
 import subprocess
@@ -6,7 +7,7 @@ import sys
 import numpy as np
 import pytest
 
-from dmdembed.cli import main as cli_main
+from dmdembed.cli import build_parser, main as cli_main
 from dmdembed.dmd import DmdConfig, DmdDecomposition, FixedRank, fit_dmd, reconstruct
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
@@ -144,6 +145,47 @@ def test_parse_config_file(tmp_path):
 def test_from_mapping_rejects_unknown_key():
     with pytest.raises(ConfigError):
         PipelineConfig.from_mapping({"frequency": "high"})
+    with pytest.raises(ConfigError, match="synth_colour"):
+        PipelineConfig.from_mapping({"synth_colour": "red"})
+
+
+def test_from_mapping_value_rules():
+    words = {"true": True, "Yes": True, "on": True, "1": True,
+             "false": False, "NO": False, "off": False, "0": False}
+    for word, value in words.items():
+        assert PipelineConfig.from_mapping({"unit_circle": word}).unit_circle is value
+    cfg = PipelineConfig.from_mapping(
+        {"lags": "0; 72,504.0,", "tau": "12", "seed": 7, "split": [0.6, 0.2, 0.2], "l2": "0.5"}
+    )
+    assert cfg.lags == (0, 72, 504) and all(type(lag) is int for lag in cfg.lags)
+    assert (cfg.tau, cfg.seed, cfg.split, cfg.l2) == (12, 7, (0.6, 0.2, 0.2), 0.5)
+    assert PipelineConfig.from_mapping({"tau": None}).tau is None
+    spec = PipelineConfig.from_mapping(
+        {"synth_nodes": "3", "synth_periods": "8,24", "seed": "5", "step_seconds": "60"}
+    ).synthetic
+    assert (spec.n_nodes, spec.n_steps, spec.seed, spec.step_seconds) == (3, 2016, 5, 60.0)
+    assert [(c.period_steps, c.amplitude) for c in spec.components] == [(8.0, 1.0), (24.0, 1.0)]
+
+
+@pytest.mark.parametrize("key, raw", [
+    ("unit_circle", "flase"), ("l2_auto", "2"), ("lags", "72.5"), ("lags", "0,x"),
+    ("tau", "12.5"), ("seed", "seven"), ("p", 1.5), ("acf_max_lag", "inf"),
+    ("split", "0.7,a,0.2"), ("synth_nodes", "many"), ("synth_steps", "100.5"),
+    ("synth_periods", "72,x"), ("synth_noise", "loud"), ("synth_amplitudes", "1"),
+])
+def test_from_mapping_rejects_bad_values(key, raw):
+    with pytest.raises(ConfigError, match=key.removeprefix("synth_")):
+        PipelineConfig.from_mapping({key: raw})
+
+
+def test_pipeline_flags_are_the_config_keys():
+    # every config key has a flag, and every flag but --config and
+    # --manifest is a config key
+    keys = set(PipelineConfig(synthetic=small_spec()).to_mapping())
+    sub = next(a for a in build_parser()._actions if isinstance(a, argparse._SubParsersAction))
+    for command in ("fit", "embed", "forecast"):
+        dests = {a.dest for a in sub.choices[command]._actions}
+        assert dests - {"help", "config", "manifest"} == keys, command
 
 
 def test_mapping_round_trip():
@@ -492,6 +534,55 @@ def test_cli_exit_codes(tmp_path):
                          "--out", str(tmp_path / "d"), "--lags", "0",
                          "--acf-max-lag", "5"])
     assert code == 4
+    # config errors from values that parse wrongly
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
+                     "--out", str(data)]) == 0
+    typo = tmp_path / "typo.cfg"
+    typo.write_text(f"input_csv = {data}\nunit_circle = flase\n")
+    assert cli_main(["forecast", "--config", str(typo), "--out", str(tmp_path / "e")]) == 2
+    assert cli_main(["forecast", "--input", str(data), "--lags", "72.5",
+                     "--out", str(tmp_path / "f")]) == 2
+    assert cli_main(["forecast", "--input", str(data), "--tau", "0",
+                     "--out", str(tmp_path / "g")]) == 2
+    assert cli_main(["diagnose", "--predictions", str(data), "--actuals", str(data),
+                     "--lags", "72.5", "--out", str(tmp_path / "h")]) == 2
+    assert cli_main(["synth", "--periods", "72,x", "--out", str(tmp_path / "i.csv")]) == 2
+    many = tmp_path / "many.cfg"
+    many.write_text("synth_nodes = many\nsynth_periods = 72\n")
+    assert cli_main(["forecast", "--config", str(many), "--out", str(tmp_path / "j")]) == 2
+    for name in "efghij":
+        assert not (tmp_path / name).exists() and not (tmp_path / "i.csv").exists()
+
+
+@pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau", "-3"], ["--l2", "-1"],
+                                   ["--solver", "banjo"], ["--fit-window", "open"]])
+def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys, flags):
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
+                     "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert cli_main(["forecast", "--input", str(data), *flags, "--out", str(out)]) == 2
+    assert "config error" in capsys.readouterr().err
+    assert not out.exists()
+
+
+@pytest.mark.parametrize("flags", [["--tau", "85"], ["--tau", "83"],
+                                   ["--tau", "85", "--fit-window", "circulant"]])
+def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
+    # 120 steps split 70/10/20 train on 84: the truncated window needs
+    # tau <= 82, the circulant one tau <= 84
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
+                     "--out", str(data)]) == 0
+    out = tmp_path / "run"
+    assert cli_main(["fit", "--input", str(data), *flags, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert "config error: [stage hankel]" in err and "84 training steps" in err
+    assert list(out.iterdir()) == []
+    for ok in (["--tau", "82"], ["--tau", "84", "--fit-window", "circulant"]):
+        assert cli_main(["fit", "--input", str(data), *ok, "--rank", "fixed:2",
+                         "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
 
 
 @pytest.mark.parametrize("rank", ["fixed:0", "fixed:-2", "cep:0", "cep:1.5"])

@@ -16,11 +16,11 @@ from dmdembed.spdmd import (
     GammaGrid,
     _admm,
     _AmplitudeProblem,
+    _make_solution,
     export_path_csv,
     gamma_sweep,
+    _polish_on,
     group_threshold,
-    polish,
-    spdmd_solve,
 )
 from dmdembed.synthetic import two_period_spec
 
@@ -44,6 +44,13 @@ def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
     return dec, view
 
 
+def admm_solution(problem, gamma, opts=None):
+    """One unpolished ADMM solve from zero: the step gamma_sweep takes at
+    each grid point, without its warm start."""
+    beta, _, converged, iterations = _admm(problem, gamma, opts or AdmmOptions())
+    return _make_solution(problem, gamma, beta, False, converged, iterations)
+
+
 def exhaustive_pair_oracle(dec, view, target_pairs):
     """Best support over all 2^r zero patterns, restricted to
     pair-consistent patterns with exactly the target pair count and
@@ -59,7 +66,6 @@ def exhaustive_pair_oracle(dec, view, target_pairs):
             support[g] = k
         amplitudes = problem.least_squares() * 0.0
         if support.any():
-            from dmdembed.spdmd import _polish_on
             amplitudes = _polish_on(problem, support)
         loss = problem.loss(amplitudes)
         if best is None or loss < best[1]:
@@ -71,7 +77,7 @@ def test_vanishing_penalty_limit_matches_least_squares():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
     a_ls = problem.least_squares()
-    sol = spdmd_solve(dec, view, gamma=1e-12 * problem.gamma_max())
+    sol = admm_solution(problem, 1e-12 * problem.gamma_max())
     assert sol.support.all()
     assert np.max(np.abs(sol.amplitudes - a_ls)) <= 1e-6 * np.max(np.abs(a_ls))
     assert sol.converged
@@ -80,7 +86,7 @@ def test_vanishing_penalty_limit_matches_least_squares():
 def test_full_shrinkage_limit():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
-    sol = spdmd_solve(dec, view, gamma=2.0 * problem.gamma_max())
+    sol = admm_solution(problem, 2.0 * problem.gamma_max())
     assert sol.nonzero_count == 0
     assert not sol.support.any()
 
@@ -92,7 +98,7 @@ def test_midpoint_gamma_keeps_the_strong_pair():
     # smallest the point where the weak pair dies
     certs = [2.0 * np.linalg.norm(problem.q[g]) / np.sqrt(len(g)) for g in problem.groups]
     gamma = np.sqrt(min(certs) * max(certs))
-    sol = spdmd_solve(dec, view, gamma=gamma)
+    sol = admm_solution(problem, gamma)
     oracle_support, _ = exhaustive_pair_oracle(dec, view, target_pairs=1)
     assert np.array_equal(sol.support, oracle_support)
 
@@ -100,7 +106,7 @@ def test_midpoint_gamma_keeps_the_strong_pair():
 def test_polish_full_support_is_least_squares():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
-    assert_allclose(polish(dec, view, np.ones(4, bool)), problem.least_squares())
+    assert_allclose(_polish_on(problem, np.ones(4, bool)), problem.least_squares())
 
 
 def test_polish_single_mode_rank_one_signal():
@@ -108,7 +114,7 @@ def test_polish_single_mode_rank_one_signal():
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, tau=1)
     dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
-    amp = polish(dec, view, np.array([True]))
+    amp = _polish_on(_AmplitudeProblem(dec, view), np.array([True]))
     # generator amplitude: ||first column|| since the fitted mode is unit norm
     assert_allclose(np.abs(amp[0]), np.linalg.norm(values[:, 0]), rtol=1e-8)
 
@@ -117,7 +123,7 @@ def test_polish_matches_restricted_normal_equations():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
     support = np.array([True, True, False, False])
-    amp = polish(dec, view, support)
+    amp = _polish_on(problem, support)
     idx = np.nonzero(support)[0]
     expected = np.linalg.solve(problem.p[np.ix_(idx, idx)], problem.q[idx])
     assert_allclose(amp[idx], expected, rtol=1e-8)
@@ -128,16 +134,16 @@ def test_polish_never_increases_loss():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
     gamma = 0.01 * problem.gamma_max()
-    raw = spdmd_solve(dec, view, gamma=gamma)
+    raw = admm_solution(problem, gamma)
     if raw.support.any():
-        polished = polish(dec, view, raw.support)
+        polished = _polish_on(problem, raw.support)
         assert problem.loss(polished) <= raw.fit_loss + 1e-9
 
 
 def test_polish_empty_support_raises():
     dec, view = rank4_fixture()
     with pytest.raises(ValueError):
-        polish(dec, view, np.zeros(4, bool))
+        _polish_on(_AmplitudeProblem(dec, view), np.zeros(4, bool))
 
 
 def test_objective_descent_bounds():
@@ -145,7 +151,7 @@ def test_objective_descent_bounds():
     problem = _AmplitudeProblem(dec, view)
     a_ls = problem.least_squares()
     gamma = 0.05 * problem.gamma_max()
-    sol = spdmd_solve(dec, view, gamma=gamma)
+    sol = admm_solution(problem, gamma)
     j_sol = sol.fit_loss + gamma * np.sum(np.abs(sol.amplitudes))
     assert j_sol <= problem.loss(np.zeros(4, complex)) + 1e-9
     assert j_sol <= problem.loss(a_ls) + gamma * np.sum(np.abs(a_ls)) + 1e-9
@@ -213,14 +219,13 @@ def test_gamma_sweep_validation():
     with pytest.raises(ValueError):
         gamma_sweep(dec, view, target_modes=9)
     with pytest.raises(ValueError):
-        spdmd_solve(dec, view, gamma=-1.0)
+        admm_solution(_AmplitudeProblem(dec, view), -1.0)
 
 
 def test_nonconvergence_flagged_not_raised():
     dec, view = rank4_fixture()
     problem = _AmplitudeProblem(dec, view)
-    sol = spdmd_solve(dec, view, gamma=0.01 * problem.gamma_max(),
-                      opts=AdmmOptions(max_iter=2))
+    sol = admm_solution(problem, 0.01 * problem.gamma_max(), opts=AdmmOptions(max_iter=2))
     assert not sol.converged
     assert sol.iterations == 2
 
