@@ -20,7 +20,7 @@ import traceback
 
 import numpy as np
 
-from .dmd import FIT_WINDOWS, SOLVERS
+from .dmd import SOLVERS
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     PipelineConfig,
@@ -50,9 +50,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", help="random seed")
     parser.add_argument("--tau", help="Hankel block rows (default: auto)")
     parser.add_argument("--rank", help="rank policy, 'fixed:R' or 'cep:F'")
-    parser.add_argument("--solver", metavar=_choices(SOLVERS), help="decomposition solver")
-    parser.add_argument("--fit-window", dest="fit_window", metavar=_choices(FIT_WINDOWS),
-                        help="regress on all columns with wraparound, or on the wrap-free ones")
+    parser.add_argument("--solver", metavar="{" + ",".join(SOLVERS) + "}",
+                        help="decomposition solver")
     parser.add_argument("--target-modes", dest="target_modes",
                         help="conjugate-pair representatives to keep")
     parser.add_argument("--p", help="history window length")
@@ -69,10 +68,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     # inline synthetic source (alternative to --input)
     for option in inspect.signature(spec_from_options).parameters:
         parser.add_argument(f"--synth-{option}", dest=f"synth_{option}")
-
-
-def _choices(values) -> str:
-    return "{" + ",".join(values) + "}"
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:

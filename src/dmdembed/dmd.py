@@ -1,8 +1,9 @@
 """Reduced-operator mode decomposition of a Hankel-lifted signal.
 
 Fits the small transition operator A = U^T H' V diag(1/sigma) from the
-lifted snapshot pair (H, H'), using only products with H and its Gram
-(no T x T array is formed), extracts its eigenpairs, lifts eigenvectors
+lifted snapshot pair (H, H'), the Hankel lifting without its last and
+without its first column, using only products with H and its Gram (no
+T x T array is formed), extracts its eigenpairs, lifts eigenvectors
 to spatial modes, fits complex amplitudes, and evaluates the temporal
 dynamics through a Vandermonde matrix of eigenvalue powers.
 """
@@ -34,29 +35,19 @@ from .linalg import (  # noqa: F401
 CONJUGATE_TOL = 1e-8
 
 SOLVERS = ("exact", "total")
-FIT_WINDOWS = ("circulant", "truncated")
 
 
 @dataclass
 class DmdConfig:
-    """Solver choices for a decomposition fit.
-
-    fit_window "circulant" uses all T columns with wraparound shift;
-    "truncated" restricts the regression to the T - tau wrap-free
-    columns, which is the right choice for decaying dynamics or when
-    the fitted span is not a whole number of the dominant periods.
-    """
+    """Solver choices for a decomposition fit."""
 
     rank_policy: RankPolicy = field(default_factory=CepThreshold)
     solver: str = "exact"
-    fit_window: str = "circulant"
     svd_tol: float = DEFAULT_SVD_TOL
 
     def __post_init__(self):
         if self.solver not in SOLVERS:
             raise ValueError(f"unknown solver {self.solver!r}")
-        if self.fit_window not in FIT_WINDOWS:
-            raise ValueError(f"unknown fit window {self.fit_window!r}")
 
 
 @dataclass
@@ -189,55 +180,41 @@ def conjugate_groups(eigenvalues: np.ndarray, tol: float = CONJUGATE_TOL) -> lis
     return groups
 
 
-def fit_columns(t: int, tau: int, fit_window: str) -> int:
-    """Columns of a T-column lifting that the fit window regresses on."""
-    if fit_window == "circulant":
-        return t
-    # Truncated window: regression pairs (j -> j+1) restricted to lifted
-    # states free of the circulant wrap, i.e. j+1 <= T - tau. At tau = 1
-    # this is the classic drop of the last column of H and first of H'.
+def fit_columns(t: int, tau: int) -> int:
+    """Snapshot pairs (j -> j+1) in the T - tau + 1 columns of a lifting:
+    H is every column but the last and H' every column but the first. At
+    tau = 1 this is the classic drop of the last column of H and first
+    of H'."""
     span = t - tau
     if span < 2:
-        raise ValueError(
-            f"truncated fit window needs tau <= T-2, got tau={tau} with T={t}"
-        )
+        raise ValueError(f"a fit needs tau <= T-2, got tau={tau} with T={t}")
     return span
 
 
 class _FitGeometry:
-    """Tall and Gram products of H restricted to the fit columns, and of
-    the shifted snapshots H'.
+    """Tall and Gram products of the snapshots H, the first ``span``
+    columns of the lifting, and of the shifted snapshots H', its last
+    ``span`` columns.
 
-    Column j of H' is column j + 1 of H: cyclically for the circulant
-    window, and within the first span + 1 columns for the truncated one.
     An optional orthonormal column basis (total-least-squares debiasing)
     projects the input of ``tall`` only: mode lifting uses the projected
     snapshots while amplitudes are always fit against the raw data.
     """
 
-    def __init__(self, view: hk.HankelView, fit_window: str):
-        t = view.source.n_steps
-        if t < 3:
-            raise ValueError(f"need at least 3 time steps, got {t}")
+    def __init__(self, view: hk.HankelView):
         self.view = view
-        self.fit_window = fit_window
-        self.span = fit_columns(t, view.tau, fit_window)
+        self.span = fit_columns(view.source.n_steps, view.tau)
         self.basis: np.ndarray | None = None
 
     def _lift(self, x: np.ndarray, shift: int) -> np.ndarray:
         """Coefficients on the fit columns, offset by ``shift``, as
-        coefficients on all T columns of H."""
-        t = self.view.source.n_steps
-        if self.span == t:
-            return np.roll(x, shift, axis=0) if shift else x
-        out = np.zeros((t,) + x.shape[1:], dtype=x.dtype)
+        coefficients on all columns of the lifting."""
+        out = np.zeros((self.view.columns,) + x.shape[1:], dtype=x.dtype)
         out[shift : shift + self.span] = x
         return out
 
     def _restrict(self, y: np.ndarray, shift: int) -> np.ndarray:
         """Adjoint of ``_lift``: the rows of the fit columns, offset by ``shift``."""
-        if self.span == self.view.source.n_steps:
-            return np.roll(y, -shift, axis=0) if shift else y
         return y[shift : shift + self.span]
 
     def tall(self, x: np.ndarray) -> np.ndarray:
@@ -329,7 +306,7 @@ def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecompositi
     cfg = cfg or DmdConfig()
     if cfg.solver == "total":
         return fit_tdmd(view, cfg)
-    geo = _FitGeometry(view, cfg.fit_window)
+    geo = _FitGeometry(view)
     return _finish_fit(cfg, geo, geo.gram(), "exact")
 
 
@@ -341,7 +318,7 @@ def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposit
     subspace and the result matches the exact solver.
     """
     cfg = cfg or DmdConfig()
-    geo = _FitGeometry(view, cfg.fit_window)
+    geo = _FitGeometry(view)
     basis = leading_spectrum(geo.stacked_gram(), cfg.rank_policy, cfg.svd_tol)[1]
     # The projected Gram P G P with P = basis basis^T, applied through the
     # small matrix (H basis)^T (H basis).
@@ -391,19 +368,17 @@ def _finish_fit(
 
 
 def fit_geometry(view: hk.HankelView, fit_span: int) -> _FitGeometry:
-    """Rebuild the fit geometry matching a decomposition's fit span.
+    """Rebuild the fit geometry of a decomposition with this fit span.
 
     Cheap: no Gram product is applied here.
     """
-    t = view.source.n_steps
-    if fit_span == t:
-        return _FitGeometry(view, "circulant")
-    if fit_span == t - view.tau:
-        return _FitGeometry(view, "truncated")
-    raise ValueError(
-        f"fit span {fit_span} matches neither window of a view with "
-        f"T={t}, tau={view.tau}"
-    )
+    geo = _FitGeometry(view)
+    if geo.span != fit_span:
+        raise ValueError(
+            f"fit span {fit_span} does not match a view with "
+            f"T={view.source.n_steps}, tau={view.tau}"
+        )
+    return geo
 
 
 def reconstruct(dec: DmdDecomposition, length: int) -> np.ndarray:

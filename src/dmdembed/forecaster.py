@@ -29,6 +29,8 @@ from .errors import DataError
 from .hankel import SignalMatrix
 
 STD_FLOOR = 1e-8
+# Split ratios may miss a sum of 1 by this much.
+SPLIT_SUM_TOL = 1e-9
 
 
 @dataclass(frozen=True)
@@ -97,7 +99,7 @@ def make_splits(signal: SignalMatrix, ratios: tuple[float, float, float]) -> Spl
     """
     if len(ratios) != 3 or any(r < 0 for r in ratios):
         raise DataError(f"ratios must be three nonnegative numbers, got {ratios}")
-    if abs(sum(ratios) - 1.0) > 1e-9:
+    if abs(sum(ratios) - 1.0) > SPLIT_SUM_TOL:
         raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
     t = signal.n_steps
     n_train = int(round(t * ratios[0]))
@@ -142,9 +144,6 @@ class ZScore:
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, np.newaxis]) / self.std[:, np.newaxis]
-
-    def inverse(self, values: np.ndarray) -> np.ndarray:
-        return values * self.std[:, np.newaxis] + self.mean[:, np.newaxis]
 
     def inverse_rows(self, rows: np.ndarray, node_indices: np.ndarray) -> np.ndarray:
         """Inverse-transform per-window rows given each row's node index."""

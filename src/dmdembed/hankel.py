@@ -1,11 +1,11 @@
-"""Circulant Hankel lifting of a multivariate signal.
+"""Hankel lifting of a multivariate signal.
 
-The lifted matrix H stacks tau cyclically shifted copies of the N x T
-signal into an (N*tau) x T block matrix: block row b, column j holds the
-signal at time (j + b) mod T. H is never formed explicitly: its tall
-products H x and H^T y are circular cross-correlations of the source
-computed with the FFT, and the Gram H^T H is only ever applied to a
-block of vectors, never built.
+The lifted matrix H stacks tau shifted copies of the N x T signal into
+an (N*tau) x (T - tau + 1) block matrix: block row b, column j holds the
+signal at time j + b. H is never formed explicitly: its tall products
+H x and H^T y are cross-correlations of the source computed with the
+FFT at a fast length L >= T, and the Gram H^T H is only ever applied to
+a block of vectors, never built.
 """
 
 from __future__ import annotations
@@ -104,25 +104,46 @@ def impute_linear(signal: SignalMatrix) -> SignalMatrix:
     )
 
 
+def fast_length(t: int) -> int:
+    """The smallest 2*3*5-smooth length of at least ``t`` (one that
+    divides a power of 30), which numpy's FFT transforms fastest."""
+    n = t
+    while 30 ** n.bit_length() % n:
+        n += 1
+    return n
+
+
 @dataclass
 class HankelView:
-    """Lazy circulant Hankel lifting of a SignalMatrix.
+    """Lazy Hankel lifting of a SignalMatrix.
 
-    Element access contract: H[b*N + i, j] = values[i, (j + b) mod T].
-    Immutable after construction; all operations are read-only.
+    Element access contract: H[b*N + i, j] = values[i, j + b] for
+    0 <= j <= T - tau. Immutable after construction; all operations are
+    read-only.
     """
 
     source: SignalMatrix
     tau: int
 
     @property
+    def columns(self) -> int:
+        return self.source.n_steps - self.tau + 1
+
+    @property
     def shape(self) -> tuple[int, int]:
-        return (self.source.n_nodes * self.tau, self.source.n_steps)
+        return (self.source.n_nodes * self.tau, self.columns)
+
+    @cached_property
+    def fft_length(self) -> int:
+        """Correlation length L >= T: every kept index j + b <= T - 1,
+        so no product wraps around."""
+        return fast_length(self.source.n_steps)
 
     @cached_property
     def source_spectrum(self) -> np.ndarray:
-        """Real FFT of the source along time, laid out (frequency, node, 1)."""
-        return np.fft.rfft(self.source.values, axis=1).T[:, :, np.newaxis]
+        """Real FFT of the source along time at the correlation length,
+        laid out (frequency, node, 1)."""
+        return np.fft.rfft(self.source.values, n=self.fft_length, axis=1).T[:, :, np.newaxis]
 
 
 def default_tau(signal: SignalMatrix) -> int:
@@ -139,7 +160,7 @@ def default_tau(signal: SignalMatrix) -> int:
 
 
 def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
-    """Construct the circulant Hankel view with ``tau`` stacked block rows.
+    """Construct the Hankel view with ``tau`` stacked block rows.
 
     Requires an all-true mask (run impute_linear first). Only the N x T
     source is kept.
@@ -154,8 +175,7 @@ def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
 
 def _chunk_columns(view: HankelView) -> int:
     """Columns per FFT pass so the (F, N, columns) temporary stays bounded."""
-    n, t = view.source.values.shape
-    return max(1, FFT_CHUNK_ELEMENTS // (n * (t // 2 + 1)))
+    return max(1, FFT_CHUNK_ELEMENTS // (view.source.n_nodes * (view.fft_length // 2 + 1)))
 
 
 def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
@@ -173,45 +193,45 @@ def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
 
 
 def _tall(view: HankelView, x: np.ndarray) -> np.ndarray:
-    n, t = view.source.values.shape
+    n, length = view.source.n_nodes, view.fft_length
     out = np.empty((view.tau, n, x.shape[1]))
     step = _chunk_columns(view)
     for c in range(0, x.shape[1], step):
-        xs = np.conj(np.fft.rfft(x[:, c : c + step], axis=0))[:, np.newaxis, :]
-        corr = np.fft.irfft(view.source_spectrum * xs, n=t, axis=0)  # (T, N, columns)
+        xs = np.conj(np.fft.rfft(x[:, c : c + step], n=length, axis=0))[:, np.newaxis, :]
+        corr = np.fft.irfft(view.source_spectrum * xs, n=length, axis=0)  # (L, N, columns)
         out[:, :, c : c + step] = corr[: view.tau]
     return out.reshape(n * view.tau, x.shape[1])
 
 
 def _tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
-    n, t = view.source.values.shape
+    n, length = view.source.n_nodes, view.fft_length
     blocks = y.reshape(view.tau, n, y.shape[1])
-    out = np.empty((t, y.shape[1]))
+    out = np.empty((view.columns, y.shape[1]))
     step = _chunk_columns(view)
     for c in range(0, y.shape[1], step):
-        ys = np.conj(np.fft.rfft(blocks[:, :, c : c + step], n=t, axis=0))
-        out[:, c : c + step] = np.fft.irfft(np.sum(view.source_spectrum * ys, axis=1), n=t, axis=0)
+        ys = np.conj(np.fft.rfft(blocks[:, :, c : c + step], n=length, axis=0))
+        corr = np.fft.irfft(np.sum(view.source_spectrum * ys, axis=1), n=length, axis=0)
+        out[:, c : c + step] = corr[: view.columns]
     return out
 
 
 def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
-    """Compute H @ x for x of shape (T, k) without forming H.
+    """Compute H @ x for x of shape (T - tau + 1, k) without forming H.
 
-    Block row b of the product is the circular cross-correlation of the
-    signal with x at lag b, so every lag comes from one FFT round trip
-    and the cost does not depend on tau.
+    Block row b of the product is the cross-correlation of the signal
+    with x at lag b, so every lag comes from one FFT round trip and the
+    cost does not depend on tau.
     """
     x = np.asarray(x)
-    t = view.source.n_steps
-    if x.shape[0] != t:
-        raise ValueError(f"x has {x.shape[0]} rows, view has {t} columns")
+    if x.shape[0] != view.columns:
+        raise ValueError(f"x has {x.shape[0]} rows, view has {view.columns} columns")
     return _real_columns(_tall, view, x)
 
 
 def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
     """Compute H^T @ y for y of shape (N*tau, k) without forming H.
 
-    Each node's tau block entries, zero-padded to T, are correlated with
+    Each node's tau block entries, zero-padded to L, are correlated with
     the node's signal; the sum over nodes is taken in frequency space.
     """
     y = np.asarray(y)
@@ -222,13 +242,12 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
 
 
 def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
-    """The Gram product H^T (H x) for x of shape (T, k), without the T x T Gram."""
+    """The Gram product H^T (H x) for x of shape (T - tau + 1, k), without
+    forming the Gram."""
     return apply_tall_transpose(view, apply_tall(view, x))
 
 
 def column_energies(view: HankelView) -> np.ndarray:
     """Squared 2-norm of every column of H (the diagonal of the Gram)."""
-    e = np.sum(view.source.values**2, axis=0)
-    stacked = np.concatenate([e, e[: view.tau - 1]]) if view.tau > 1 else e
-    csum = np.concatenate([[0.0], np.cumsum(stacked)])
-    return csum[view.tau : view.tau + e.size] - csum[: e.size]
+    csum = np.concatenate([[0.0], np.cumsum(np.sum(view.source.values**2, axis=0))])
+    return csum[view.tau :] - csum[: view.columns]

@@ -27,8 +27,10 @@ DEFAULT_SVD_TOL = 1e-10
 GRAM_ASYMMETRY_TOL = 1e-10
 
 # Block Krylov solver: block width, and the seed of its random start
-# block, fixed so that repeated fits are bit-identical.
-KRYLOV_BLOCK = 8
+# block, fixed so that repeated fits are bit-identical. Oscillatory
+# spectra come in near-equal pairs, and a block of two holds one pair;
+# wider blocks grow the basis faster than they converge it.
+KRYLOV_BLOCK = 2
 KRYLOV_SEED = 0
 # A Ritz pair is converged when ||G v - theta v|| <= RITZ_TOL * theta_1.
 RITZ_TOL = 1e-12

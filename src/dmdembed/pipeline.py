@@ -26,6 +26,7 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding, select_representatives
 from .errors import ConfigError, DataError
 from .forecaster import (
+    SPLIT_SUM_TOL,
     evaluate,
     fit_ridge,
     make_splits,
@@ -50,9 +51,6 @@ class PipelineConfig:
     tau: int | None = None
     rank: str = "cep:0.9"
     solver: str = "exact"
-    # The splice-free window keeps recovered frequencies unbiased when
-    # the training span is not a multiple of the dominant periods.
-    fit_window: str = "truncated"
     target_modes: int = 4
     unit_circle: bool = True
     p: int = 12
@@ -72,7 +70,6 @@ class PipelineConfig:
             return dmd.DmdConfig(
                 rank_policy=parse_rank_policy(self.rank),
                 solver=self.solver,
-                fit_window=self.fit_window,
             )
         except ValueError as exc:
             raise ConfigError(str(exc)) from exc
@@ -80,8 +77,16 @@ class PipelineConfig:
     def validate(self) -> None:
         """Check every value that does not depend on the data."""
         self.dmd_config()
-        if len(self.split) != 3:
-            raise ConfigError(f"split needs three ratios, got {self.split}")
+        if len(self.split) != 3 or min(self.split) < 0:
+            raise ConfigError(f"split needs three nonnegative ratios, got {self.split}")
+        if abs(sum(self.split) - 1.0) > SPLIT_SUM_TOL:
+            raise ConfigError(f"split ratios must sum to 1, got {sum(self.split)}")
+        if self.split[0] <= 0 or self.split[2] <= 0:
+            raise ConfigError(f"train and test shares must be positive, got {self.split}")
+        if self.step_seconds <= 0:
+            raise ConfigError(f"step_seconds must be positive, got {self.step_seconds}")
+        if self.acf_max_lag < 1:
+            raise ConfigError(f"acf_max_lag must be at least 1, got {self.acf_max_lag}")
         if self.p < 1 or self.q < 1:
             raise ConfigError(f"P and Q must be positive, got {self.p}, {self.q}")
         if self.target_modes < 1:
@@ -434,13 +439,11 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         if cfg.tau is not None:
             tau = cfg.tau
         else:
-            tau = default_tau(train_signal)
-            if cfg.fit_window == "truncated":
-                # keep at least half the columns in the splice-free window
-                tau = min(tau, max(1, train_signal.n_steps // 2))
+            # keep at least half the columns as snapshots
+            tau = min(default_tau(train_signal), max(1, train_signal.n_steps // 2))
         try:
             view = build_hankel(train_signal, tau)
-            dmd.fit_columns(train_signal.n_steps, tau, cfg.fit_window)
+            dmd.fit_columns(train_signal.n_steps, tau)
         except ValueError as exc:
             raise ConfigError(f"{exc}, for {train_signal.n_steps} training steps") from exc
         resolved["tau"] = tau

@@ -15,6 +15,7 @@ from dmdembed.linalg import (
     GramProduct,
     dense_eig,
     gram_spectrum,
+    leading_spectrum,
     resolve_rank,
     snapshot_svd,
 )
@@ -221,6 +222,24 @@ def test_product_snapshot_svd_reports_its_solve():
     g = h.T @ h
     v, theta = out.right_vectors, out.singular_values**2
     assert np.max(np.linalg.norm(g @ v - v * theta, axis=0)) <= 2 * RITZ_TOL * theta[0]
+
+
+@pytest.mark.parametrize("mult", [3, 4, 6])
+def test_repeated_leading_eigenvalue_is_found_in_full(mult):
+    # The leading eigenvalue is repeated more times than a Krylov block
+    # holds, over a fast-decaying tail, so the solve converges early;
+    # every copy must still be found.
+    n = 120
+    rng = np.random.default_rng(mult)
+    q, _ = np.linalg.qr(rng.normal(size=(n, n)))
+    evals = np.concatenate([np.full(mult, 5.0), 4.0 * 0.5 ** np.arange(n - mult)])
+    g = (q * evals) @ q.T
+    g = 0.5 * (g + g.T)
+    product = GramProduct(lambda x: g @ x, n, float(np.sum(evals)))
+    sigma, _, solve = leading_spectrum(product, FixedRank(mult + 2))
+    assert mult > KRYLOV_BLOCK and solve.basis < n
+    want = np.linalg.eigvalsh(g)[::-1][: mult + 2]
+    assert_allclose(sigma[: mult + 2] ** 2, want, rtol=1e-12)
 
 
 def test_snapshot_svd_needs_order_and_trace_with_products():

@@ -287,18 +287,26 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def test_replaying_manifest_with_removed_amplitude_method_is_config_error(tmp_path):
-    # Manifests written while the config still had `amplitude_method`
-    # carry that key; replaying one names it instead of ignoring it.
+def check_removed_key_is_config_error(tmp_path, key, value):
+    # Manifests written while the config still had ``key`` carry it;
+    # replaying one names it instead of ignoring it.
     cfg = small_config(tmp_path, seed=2)
-    manifest = {"config": {**cfg.to_mapping(), "amplitude_method": "least_squares"}}
+    manifest = {"config": {**cfg.to_mapping(), key: value}}
     path = tmp_path / "old_manifest.json"
     path.write_text(json.dumps(manifest))
-    with pytest.raises(ConfigError, match="amplitude_method"):
+    with pytest.raises(ConfigError, match=key):
         config_from_manifest(path)
     out = tmp_path / "replay"
     assert cli_main(["forecast", "--manifest", str(path), "--out", str(out)]) == 2
     assert not out.exists()
+
+
+def test_replaying_manifest_with_removed_amplitude_method_is_config_error(tmp_path):
+    check_removed_key_is_config_error(tmp_path, "amplitude_method", "least_squares")
+
+
+def test_replaying_manifest_with_removed_fit_window_is_config_error(tmp_path):
+    check_removed_key_is_config_error(tmp_path, "fit_window", "truncated")
 
 
 def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
@@ -444,7 +452,7 @@ def test_no_leakage_from_test_split():
         splits = make_splits(sig, (0.7, 0.1, 0.2))
         norm, _ = zscore_fit_apply(splits)
         view = build_hankel(norm.train.signal, 20)
-        return fit_dmd(view, DmdConfig(rank_policy=FixedRank(4), fit_window="truncated")).eigenvalues
+        return fit_dmd(view, DmdConfig(rank_policy=FixedRank(4))).eigenvalues
 
     assert np.array_equal(train_eigs(sig_a), train_eigs(sig_b))
 
@@ -556,7 +564,10 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau", "-3"], ["--l2", "-1"],
-                                   ["--solver", "banjo"], ["--fit-window", "open"]])
+                                   ["--solver", "banjo"], ["--split", "0.7,0.5,0.2"],
+                                   ["--split", "1.1,-0.3,0.2"], ["--split", "0.9,0.1,0"],
+                                   ["--split", "0,0.5,0.5"], ["--step-seconds", "0"],
+                                   ["--acf-max-lag", "-1"], ["--acf-max-lag", "0"]])
 def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys, flags):
     data = tmp_path / "d.csv"
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
@@ -567,11 +578,10 @@ def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys,
     assert not out.exists()
 
 
-@pytest.mark.parametrize("flags", [["--tau", "85"], ["--tau", "83"],
-                                   ["--tau", "85", "--fit-window", "circulant"]])
+@pytest.mark.parametrize("flags", [["--tau", "85"], ["--tau", "83"], ["--tau", "84"]])
 def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
-    # 120 steps split 70/10/20 train on 84: the truncated window needs
-    # tau <= 82, the circulant one tau <= 84
+    # 120 steps split 70/10/20 train on 84: two snapshot pairs need
+    # tau <= 82
     data = tmp_path / "d.csv"
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
                      "--out", str(data)]) == 0
@@ -580,9 +590,8 @@ def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
     err = capsys.readouterr().err
     assert "config error: [stage hankel]" in err and "84 training steps" in err
     assert list(out.iterdir()) == []
-    for ok in (["--tau", "82"], ["--tau", "84", "--fit-window", "circulant"]):
-        assert cli_main(["fit", "--input", str(data), *ok, "--rank", "fixed:2",
-                         "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
+    assert cli_main(["fit", "--input", str(data), "--tau", "82", "--rank", "fixed:2",
+                     "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
 
 
 @pytest.mark.parametrize("rank", ["fixed:0", "fixed:-2", "cep:0", "cep:1.5"])
