@@ -32,7 +32,7 @@ def main() -> int:
     tau = args.tau if args.tau is not None else default_tau(signal)
     view = build_hankel(signal, tau)
     dec = fit_dmd(view, DmdConfig(rank_policy=parse_rank_policy(args.rank)))
-    sweep = gamma_sweep(dec, view, target_modes=min(args.target_modes, dec.rank))
+    sweep = gamma_sweep(dec, target_modes=min(args.target_modes, dec.rank))
     kept = sweep.selected.support
     total = np.sum(np.abs(dec.amplitudes))
 

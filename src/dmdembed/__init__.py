@@ -16,7 +16,6 @@ from .dmd import (
     FixedRank,
     VandermondeMatrix,
     fit_dmd,
-    fit_tdmd,
     mode_frequency,
     reconstruct,
     resolve_rank,
@@ -99,7 +98,6 @@ __all__ = [
     "export_embedding",
     "fit_dmd",
     "fit_ridge",
-    "fit_tdmd",
     "gamma_sweep",
     "generate_synthetic",
     "gram",

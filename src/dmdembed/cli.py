@@ -20,7 +20,6 @@ import traceback
 
 import numpy as np
 
-from .dmd import SOLVERS
 from .errors import ConfigError, DataError, NumericalError
 from .pipeline import (
     PipelineConfig,
@@ -50,8 +49,6 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", help="random seed")
     parser.add_argument("--tau", help="Hankel block rows (default: auto)")
     parser.add_argument("--rank", help="rank policy, 'fixed:R' or 'cep:F'")
-    parser.add_argument("--solver", metavar="{" + ",".join(SOLVERS) + "}",
-                        help="decomposition solver")
     parser.add_argument("--target-modes", dest="target_modes",
                         help="conjugate-pair representatives to keep")
     parser.add_argument("--p", help="history window length")

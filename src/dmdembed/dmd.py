@@ -27,14 +27,11 @@ from .linalg import (  # noqa: F401
     RankPolicy,
     SpectrumSolve,
     dense_eig,
-    leading_spectrum,
     resolve_rank,
     snapshot_svd,
 )
 
 CONJUGATE_TOL = 1e-8
-
-SOLVERS = ("exact", "total")
 
 
 @dataclass
@@ -42,12 +39,7 @@ class DmdConfig:
     """Solver choices for a decomposition fit."""
 
     rank_policy: RankPolicy = field(default_factory=CepThreshold)
-    solver: str = "exact"
     svd_tol: float = DEFAULT_SVD_TOL
-
-    def __post_init__(self):
-        if self.solver not in SOLVERS:
-            raise ValueError(f"unknown solver {self.solver!r}")
 
 
 @dataclass
@@ -58,6 +50,11 @@ class DmdDecomposition:
     modes are their first N rows. Amplitudes carry all scale. Modes are
     ordered by descending energy contribution |a_i| * sum_j |lambda_i|^j
     over the fit span.
+
+    ``amplitude_form`` is the (P, q, s) of ``amplitude_quadratic`` that
+    the fit solved for the amplitudes, in the order of the modes; the
+    sparse sweep takes it from here. Like the singular values and the
+    spectrum solve it is not serialized.
     """
 
     eigenvalues: np.ndarray
@@ -67,9 +64,9 @@ class DmdDecomposition:
     sampling_seconds: float
     fit_span: int
     tau: int
-    solver: str
     singular_values: np.ndarray | None = field(default=None, repr=False)
     spectrum_solve: SpectrumSolve | None = field(default=None, repr=False)
+    amplitude_form: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         """Every field except the modes, which are stored as an array
@@ -81,14 +78,14 @@ class DmdDecomposition:
             "tau": self.tau,
             "sampling_seconds": self.sampling_seconds,
             "fit_span": self.fit_span,
-            "solver": self.solver,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
 
     @classmethod
     def from_json(cls, text: str, modes: np.ndarray) -> "DmdDecomposition":
         """Rebuild a decomposition from ``to_json`` text and its modes,
-        whose columns follow the order of the eigenvalues."""
+        whose columns follow the order of the eigenvalues. It has no
+        amplitude form, so the sparse sweep needs a refit."""
         data = json.loads(text)
         eigenvalues = _pairs_complex(data["eigenvalues"])
         modes = np.asarray(modes)
@@ -104,7 +101,6 @@ class DmdDecomposition:
             sampling_seconds=float(data["sampling_seconds"]),
             fit_span=int(data["fit_span"]),
             tau=int(data["tau"]),
-            solver=str(data["solver"]),
         )
 
 
@@ -194,17 +190,11 @@ def fit_columns(t: int, tau: int) -> int:
 class _FitGeometry:
     """Tall and Gram products of the snapshots H, the first ``span``
     columns of the lifting, and of the shifted snapshots H', its last
-    ``span`` columns.
-
-    An optional orthonormal column basis (total-least-squares debiasing)
-    projects the input of ``tall`` only: mode lifting uses the projected
-    snapshots while amplitudes are always fit against the raw data.
-    """
+    ``span`` columns."""
 
     def __init__(self, view: hk.HankelView):
         self.view = view
         self.span = fit_columns(view.source.n_steps, view.tau)
-        self.basis: np.ndarray | None = None
 
     def _lift(self, x: np.ndarray, shift: int) -> np.ndarray:
         """Coefficients on the fit columns, offset by ``shift``, as
@@ -213,13 +203,11 @@ class _FitGeometry:
         out[shift : shift + self.span] = x
         return out
 
-    def _restrict(self, y: np.ndarray, shift: int) -> np.ndarray:
-        """Adjoint of ``_lift``: the rows of the fit columns, offset by ``shift``."""
-        return y[shift : shift + self.span]
+    def _restrict(self, y: np.ndarray) -> np.ndarray:
+        """Adjoint of ``_lift`` at shift 0: the rows of the fit columns."""
+        return y[: self.span]
 
     def tall(self, x: np.ndarray) -> np.ndarray:
-        if self.basis is not None:
-            x = self.basis @ (self.basis.T @ x)
         return hk.apply_tall(self.view, self._lift(x, 0))
 
     def shifted_tall(self, x: np.ndarray) -> np.ndarray:
@@ -227,29 +215,24 @@ class _FitGeometry:
         return hk.apply_tall(self.view, self._lift(x, 1))
 
     def tall_transpose(self, y: np.ndarray) -> np.ndarray:
-        return self._restrict(hk.apply_tall_transpose(self.view, y), 0)
+        return self._restrict(hk.apply_tall_transpose(self.view, y))
 
-    def data_energy(self, shift: int = 0) -> float:
-        """Squared Frobenius norm of H (or, at shift 1, of H')."""
-        return float(np.sum(self._restrict(hk.column_energies(self.view), shift)))
+    def data_energy(self) -> float:
+        """Squared Frobenius norm of H."""
+        return float(np.sum(self._restrict(hk.column_energies(self.view))))
 
     def gram(self) -> GramProduct:
         """The fit Gram H^T H, as products."""
 
         def apply(x):
-            return self._restrict(hk.gram(self.view, self._lift(x, 0)), 0)
+            return self._restrict(hk.gram(self.view, self._lift(x, 0)))
 
         return GramProduct(apply, self.span, self.data_energy())
 
-    def stacked_gram(self) -> GramProduct:
-        """The Gram of the stacked pair [H; H'], H^T H + H'^T H', as products."""
 
-        def apply(x):
-            k = x.shape[1]
-            both = hk.gram(self.view, np.concatenate([self._lift(x, 0), self._lift(x, 1)], axis=1))
-            return self._restrict(both[:, :k], 0) + self._restrict(both[:, k:], 1)
-
-        return GramProduct(apply, self.span, self.data_energy() + self.data_energy(1))
+def fit_geometry(view: hk.HankelView) -> _FitGeometry:
+    """The products of a view's snapshot pair that a fit uses; applies none."""
+    return _FitGeometry(view)
 
 
 def amplitude_quadratic(
@@ -261,8 +244,8 @@ def amplitude_quadratic(
 
     Returns (P, q, s) with the residual equal to
     a* P a - 2 Re(q* a) + s, where P = (modes* modes) o conj(C C*) and
-    q = conj(diag(C H^T modes)). Shared by the amplitude fit and the
-    sparse mode selection.
+    q = conj(diag(C H^T modes)). The fit solves it for the amplitudes
+    and keeps it for the sparse mode selection.
     """
     vand = vandermonde(eigenvalues, geometry.span).entries
     p = (modes.conj().T @ modes) * np.conj(vand @ vand.conj().T)
@@ -298,46 +281,10 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
 
 
 def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
-    """Fit the reduced transition operator and its mode decomposition.
-
-    Dispatches to the total-least-squares variant when cfg.solver is
-    "total".
-    """
+    """Fit the reduced transition operator and its mode decomposition."""
     cfg = cfg or DmdConfig()
-    if cfg.solver == "total":
-        return fit_tdmd(view, cfg)
-    geo = _FitGeometry(view)
-    return _finish_fit(cfg, geo, geo.gram(), "exact")
-
-
-def fit_tdmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
-    """Debiased variant: project the snapshot pair onto the leading right
-    singular subspace of the vertically stacked pair before regression.
-
-    With noiseless data the projection is the identity on the signal
-    subspace and the result matches the exact solver.
-    """
-    cfg = cfg or DmdConfig()
-    geo = _FitGeometry(view)
-    basis = leading_spectrum(geo.stacked_gram(), cfg.rank_policy, cfg.svd_tol)[1]
-    # The projected Gram P G P with P = basis basis^T, applied through the
-    # small matrix (H basis)^T (H basis).
-    lifted = geo.tall(basis)
-    small = lifted.T @ lifted
-    geo.basis = basis
-    projected = GramProduct(
-        lambda x: basis @ (small @ (basis.T @ x)), geo.span, float(np.trace(small))
-    )
-    return _finish_fit(cfg, geo, projected, "total")
-
-
-def _finish_fit(
-    cfg: DmdConfig,
-    geo: _FitGeometry,
-    gram: GramProduct,
-    solver: str,
-) -> DmdDecomposition:
-    svd = snapshot_svd(gram, geo.tall, cfg.rank_policy, cfg.svd_tol)
+    geo = fit_geometry(view)
+    svd = snapshot_svd(geo.gram(), geo.tall, cfg.rank_policy, cfg.svd_tol)
     # Reduced operator U^T H' V diag(1/sigma); with U = H V diag(1/sigma)
     # this is diag(1/sigma) (H V)^T (H' V) diag(1/sigma).
     inv_sigma = 1.0 / svd.singular_values
@@ -349,7 +296,7 @@ def _finish_fit(
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
     modes = modes / norms
 
-    p, q, _ = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
+    p, q, s = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
     amplitudes = solve_hermitian(p, q)
 
     order = _energy_order(spectrum.eigenvalues, amplitudes, geo.span)
@@ -358,27 +305,13 @@ def _finish_fit(
         modes=modes[:, order],
         amplitudes=amplitudes[order],
         rank=svd.rank,
-        sampling_seconds=geo.view.source.step_seconds,
+        sampling_seconds=view.source.step_seconds,
         fit_span=geo.span,
-        tau=geo.view.tau,
-        solver=solver,
+        tau=view.tau,
         singular_values=svd.spectrum,
         spectrum_solve=svd.solve,
+        amplitude_form=(p[np.ix_(order, order)], q[order], s),
     )
-
-
-def fit_geometry(view: hk.HankelView, fit_span: int) -> _FitGeometry:
-    """Rebuild the fit geometry of a decomposition with this fit span.
-
-    Cheap: no Gram product is applied here.
-    """
-    geo = _FitGeometry(view)
-    if geo.span != fit_span:
-        raise ValueError(
-            f"fit span {fit_span} does not match a view with "
-            f"T={view.source.n_steps}, tau={view.tau}"
-        )
-    return geo
 
 
 def reconstruct(dec: DmdDecomposition, length: int) -> np.ndarray:

@@ -147,16 +147,17 @@ class HankelView:
 
 
 def default_tau(signal: SignalMatrix) -> int:
-    """Stacking depth: tau = max(ceil(2T / N), ceil(T / 4)), capped at T.
+    """Stacking depth: tau = max(ceil(2T / N), ceil(T / 4)), capped at T // 2.
 
     The first term gives the lifting at least 2T rows; the second keeps
     the delay window at a quarter of the series when many nodes would
     otherwise shrink it below the slow periods (it wins only for N > 8).
-    H is never formed, so tau sets no memory cost beyond the N*tau-row
-    tall products.
+    The cap keeps at least half the lifting's columns as snapshots, which
+    few nodes (N < 4) would otherwise use up. H is never formed, so tau
+    sets no memory cost beyond the N*tau-row tall products.
     """
     n, t = signal.values.shape
-    return max(1, min(max(-(-2 * t // n), -(-t // 4)), t))
+    return max(1, min(max(-(-2 * t // n), -(-t // 4)), t // 2))
 
 
 def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:

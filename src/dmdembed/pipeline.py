@@ -50,7 +50,6 @@ class PipelineConfig:
     step_seconds: float = 900.0
     tau: int | None = None
     rank: str = "cep:0.9"
-    solver: str = "exact"
     target_modes: int = 4
     unit_circle: bool = True
     p: int = 12
@@ -64,15 +63,8 @@ class PipelineConfig:
     seed: int = 0
 
     def dmd_config(self) -> dmd.DmdConfig:
-        """The settings the dmd stage fits with; DmdConfig and the rank
-        policies check them."""
-        try:
-            return dmd.DmdConfig(
-                rank_policy=parse_rank_policy(self.rank),
-                solver=self.solver,
-            )
-        except ValueError as exc:
-            raise ConfigError(str(exc)) from exc
+        """The settings the dmd stage fits with; parse_rank_policy checks them."""
+        return dmd.DmdConfig(rank_policy=parse_rank_policy(self.rank))
 
     def validate(self) -> None:
         """Check every value that does not depend on the data."""
@@ -85,8 +77,7 @@ class PipelineConfig:
             raise ConfigError(f"train and test shares must be positive, got {self.split}")
         if self.step_seconds <= 0:
             raise ConfigError(f"step_seconds must be positive, got {self.step_seconds}")
-        if self.acf_max_lag < 1:
-            raise ConfigError(f"acf_max_lag must be at least 1, got {self.acf_max_lag}")
+        check_acf_max_lag(self.acf_max_lag)
         if self.p < 1 or self.q < 1:
             raise ConfigError(f"P and Q must be positive, got {self.p}, {self.q}")
         if self.target_modes < 1:
@@ -128,6 +119,12 @@ class PipelineConfig:
             options = {"seed": cfg.seed, **convert_options(spec_from_options, synth, "synth_")}
             cfg.synthetic = replace(spec_from_options(**options), step_seconds=cfg.step_seconds)
         return cfg
+
+
+def check_acf_max_lag(acf_max_lag: int) -> None:
+    """The ACF needs at least one lag beyond zero."""
+    if acf_max_lag < 1:
+        raise ConfigError(f"acf_max_lag must be at least 1, got {acf_max_lag}")
 
 
 _BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
@@ -436,11 +433,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
     with _StageTimer(run, "hankel"):
         train_signal = norm_splits.train.signal
-        if cfg.tau is not None:
-            tau = cfg.tau
-        else:
-            # keep at least half the columns as snapshots
-            tau = min(default_tau(train_signal), max(1, train_signal.n_steps // 2))
+        tau = cfg.tau if cfg.tau is not None else default_tau(train_signal)
         try:
             view = build_hankel(train_signal, tau)
             dmd.fit_columns(train_signal.n_steps, tau)
@@ -459,7 +452,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
     with _StageTimer(run, "spdmd"):
         target = max(1, min(cfg.target_modes, dec.rank))
-        sweep = spdmd.gamma_sweep(dec, view, target_modes=target)
+        sweep = spdmd.gamma_sweep(dec, target_modes=target)
         spdmd.export_path_csv(sweep.path, run.path("spdmd_path.csv"))
         selected_eigs = dec.eigenvalues[sweep.selected.support]
         resolved["gamma"] = sweep.selected.gamma
@@ -602,6 +595,7 @@ def diagnose_residuals(
     column_ids: list[str] | None = None,
 ) -> Path:
     """Standalone residual diagnostics on a (time, columns) matrix."""
+    check_acf_max_lag(acf_max_lag)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resid = np.asarray(residuals, dtype=float)

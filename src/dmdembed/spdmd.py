@@ -22,14 +22,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .dmd import (
-    DmdDecomposition,
-    amplitude_quadratic,
-    conjugate_groups,
-    fit_geometry,
-    solve_hermitian,
-)
-from .hankel import HankelView
+from .dmd import DmdDecomposition, conjugate_groups, solve_hermitian
 
 SUPPORT_EPS = 0.0  # prox produces exact zeros; support is strict nonzero
 
@@ -99,16 +92,20 @@ class SweepResult:
 
 
 class _AmplitudeProblem:
-    """Cached quadratic form a*Pa - 2Re(q*a) + s plus pair structure.
+    """The fit's quadratic form a*Pa - 2Re(q*a) + s plus pair structure.
 
     Also holds the ADMM penalty rho = trace(P) / r and the
     eigendecomposition P = V diag(lam) V* that turns each solve with
     P + rho/2 I into a diagonal scale.
     """
 
-    def __init__(self, dec: DmdDecomposition, view: HankelView):
-        geometry = fit_geometry(view, dec.fit_span)
-        self.p, self.q, self.s = amplitude_quadratic(dec.eigenvalues, dec.modes, geometry)
+    def __init__(self, dec: DmdDecomposition):
+        if dec.amplitude_form is None:
+            raise ValueError(
+                "the decomposition carries no amplitude form (a decomposition read "
+                "back from JSON has none); refit it with fit_dmd"
+            )
+        self.p, self.q, self.s = dec.amplitude_form
         self.groups = conjugate_groups(dec.eigenvalues)
         self.group_index = np.empty(len(dec.eigenvalues), dtype=np.intp)
         for k, g in enumerate(self.groups):
@@ -123,9 +120,6 @@ class _AmplitudeProblem:
         quad = np.real(amplitudes.conj() @ (self.p @ amplitudes))
         lin = 2.0 * np.real(self.q.conj() @ amplitudes)
         return max(0.0, self.s + quad - lin)
-
-    def least_squares(self) -> np.ndarray:
-        return solve_hermitian(self.p, self.q)
 
     def gamma_max(self) -> float:
         """Smallest gamma whose optimum is the all-zero amplitude vector.
@@ -227,7 +221,6 @@ def _polish_on(problem: _AmplitudeProblem, support: np.ndarray) -> np.ndarray:
 
 def gamma_sweep(
     dec: DmdDecomposition,
-    view: HankelView,
     target_modes: int,
     grid: GammaGrid | None = None,
     opts: AdmmOptions | None = None,
@@ -237,11 +230,12 @@ def gamma_sweep(
     ``target_modes`` counts conjugate-pair representatives: a retained
     pair and a retained real mode each count once. Returns the polished
     solution whose pair count is closest to the target, preferring fewer
-    pairs on ties, then lower fit loss.
+    pairs on ties, then lower fit loss. The sweep starts from the
+    fit's own amplitudes, the unpenalized optimum.
     """
     grid = grid or GammaGrid()
     opts = opts or AdmmOptions()
-    problem = _AmplitudeProblem(dec, view)
+    problem = _AmplitudeProblem(dec)
     n_groups = len(problem.groups)
     if not 1 <= target_modes <= dec.rank:
         raise ValueError(f"target_modes must be in [1, {dec.rank}], got {target_modes}")
@@ -252,7 +246,7 @@ def gamma_sweep(
 
     solutions: list[SpdmdSolution] = []
     warnings: list[str] = []
-    beta = problem.least_squares()
+    beta = dec.amplitudes
     dual = np.zeros_like(beta)
     prev_count: int | None = None
     for gamma in gammas:

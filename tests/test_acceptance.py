@@ -120,7 +120,7 @@ def _rank4_instance(seed):
 
 
 def _oracle_support(dec, view, target_pairs):
-    problem = _AmplitudeProblem(dec, view)
+    problem = _AmplitudeProblem(dec)
     best = None
     for keep in itertools.product([False, True], repeat=len(problem.groups)):
         if sum(keep) != target_pairs:
@@ -143,7 +143,7 @@ def test_a4_spdmd_oracle_equivalence():
         dec, view = _rank4_instance(seed)
         if dec.rank != 4:
             continue
-        result = gamma_sweep(dec, view, target_modes=1)
+        result = gamma_sweep(dec, target_modes=1)
         oracle = _oracle_support(dec, view, target_pairs=1)
         if np.array_equal(result.selected.support, oracle):
             matches += 1

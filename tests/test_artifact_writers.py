@@ -62,7 +62,6 @@ def decomposition_json_dumps(dec: DmdDecomposition) -> str:
         "tau": dec.tau,
         "sampling_seconds": dec.sampling_seconds,
         "fit_span": dec.fit_span,
-        "solver": dec.solver,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
 
@@ -149,7 +148,6 @@ def test_to_json_matches_json_dumps(data):
         sampling_seconds=data.draw(any_float),
         fit_span=data.draw(st.integers(0, 10**6)),
         tau=data.draw(st.integers(1, 10**4)),
-        solver=data.draw(st.sampled_from(["exact", "total"])),
     )
     assert dec.to_json() == decomposition_json_dumps(dec)
 

@@ -158,13 +158,10 @@ def test_cross_gram_matches_dense(seed, n, t, tau):
     scale = max(1.0, float(np.max(np.abs(h.T @ h))))
     assert np.max(np.abs(geo.tall(x) - h @ x)) <= 1e-10 * scale
     assert np.max(np.abs(geo.shifted_tall(x) - hs @ x)) <= 1e-10 * scale
-    fit_gram, stacked = geo.gram(), geo.stacked_gram()
-    assert fit_gram.order == stacked.order == span
+    fit_gram = geo.gram()
+    assert fit_gram.order == span
     assert np.max(np.abs(fit_gram(x) - h.T @ (h @ x))) <= 1e-10 * scale
-    both = h.T @ (h @ x) + hs.T @ (hs @ x)
-    assert np.max(np.abs(stacked(x) - both)) <= 1e-10 * scale
     assert fit_gram.trace == pytest.approx(np.sum(h**2), rel=1e-12)
-    assert stacked.trace == pytest.approx(np.sum(h**2) + np.sum(hs**2), rel=1e-12)
 
 
 def test_column_energies_match_gram_diagonal():
@@ -252,8 +249,11 @@ def prime_factors(m):
 
 def test_default_tau_policy():
     sig = signal(np.ones((2, 10)))
-    # max(ceil(2T/N), ceil(T/4)) = 10, capped at T
-    assert default_tau(sig) == 10
+    # max(ceil(2T/N), ceil(T/4)) = 10, capped at T // 2 to keep half
+    # the columns as snapshots
+    assert default_tau(sig) == 5
+    assert default_tau(signal(np.ones((2, 600)))) == 300
+    assert default_tau(signal(np.ones((1, 3)))) == 1
     wide = signal(np.ones((8, 4)))
     assert default_tau(wide) == 1
     # no memory cap: a long series keeps its full depth

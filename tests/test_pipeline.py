@@ -309,6 +309,10 @@ def test_replaying_manifest_with_removed_fit_window_is_config_error(tmp_path):
     check_removed_key_is_config_error(tmp_path, "fit_window", "truncated")
 
 
+def test_replaying_manifest_with_removed_solver_is_config_error(tmp_path):
+    check_removed_key_is_config_error(tmp_path, "solver", "exact")
+
+
 def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
     # 480 steps split 70/10/20 leave 96 test steps, so P=Q=12 gives 73
     # test anchors: lag 71 still pairs 2 rows, lag 72 only 1.
@@ -389,15 +393,14 @@ def test_run_pipeline_requires_one_source(tmp_path):
 
 def test_run_pipeline_alternative_solvers_and_l2_auto(tmp_path):
     cfg = small_config(tmp_path, seed=6, output_dir=str(tmp_path / "alt"),
-                       solver="total", l2_auto=True, unit_circle=False)
+                       l2_auto=True, unit_circle=False)
     out = run_pipeline(cfg)
     manifest = json.loads((out / "manifest.json").read_text())
     from dmdembed.pipeline import L2_AUTO_GRID
 
     assert manifest["resolved"]["l2_with"] in L2_AUTO_GRID
     assert manifest["resolved"]["l2_without"] in L2_AUTO_GRID
-    dec = json.loads((out / "decomposition.json").read_text())
-    assert dec["solver"] == "total"
+    assert "solver" not in json.loads((out / "decomposition.json").read_text())
     # no projection: first embedding row is still the identity row
     header, first = (out / "embedding.csv").read_text().splitlines()[:2]
     r = (len(header.split(",")) - 1) // 2
@@ -524,6 +527,19 @@ def test_cli_diagnose(tmp_path):
     assert (out / "residual_corr.csv").exists()
 
 
+@pytest.mark.parametrize("max_lag", ["-1", "0"])
+def test_cli_diagnose_refuses_acf_max_lag_below_one(tmp_path, capsys, max_lag):
+    # the rule PipelineConfig.validate applies to a run's acf_max_lag
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--out", str(data)]) == 0
+    out = tmp_path / "diag"
+    code = cli_main(["diagnose", "--predictions", str(data), "--actuals", str(data),
+                     "--acf-max-lag", max_lag, "--out", str(out)])
+    assert code == 2
+    assert "acf_max_lag must be at least 1" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # config error: bad rank policy
     assert cli_main(["forecast", "--input", "x.csv", "--rank", "bogus",
@@ -564,7 +580,7 @@ def test_cli_exit_codes(tmp_path):
 
 
 @pytest.mark.parametrize("flags", [["--tau", "0"], ["--tau", "-3"], ["--l2", "-1"],
-                                   ["--solver", "banjo"], ["--split", "0.7,0.5,0.2"],
+                                   ["--p", "0"], ["--split", "0.7,0.5,0.2"],
                                    ["--split", "1.1,-0.3,0.2"], ["--split", "0.9,0.1,0"],
                                    ["--split", "0,0.5,0.5"], ["--step-seconds", "0"],
                                    ["--acf-max-lag", "-1"], ["--acf-max-lag", "0"]])

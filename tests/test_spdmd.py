@@ -8,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.dmd import DmdConfig, FixedRank, conjugate_groups, fit_dmd
+from dmdembed import hankel
+from dmdembed.dmd import DmdConfig, DmdDecomposition, FixedRank, conjugate_groups, fit_dmd
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import (
@@ -40,8 +41,7 @@ def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
     )
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, tau=default_tau(sig))
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
-    return dec, view
+    return fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
 
 
 def admm_solution(problem, gamma, opts=None):
@@ -51,11 +51,11 @@ def admm_solution(problem, gamma, opts=None):
     return _make_solution(problem, gamma, beta, False, converged, iterations)
 
 
-def exhaustive_pair_oracle(dec, view, target_pairs):
+def exhaustive_pair_oracle(dec, target_pairs):
     """Best support over all 2^r zero patterns, restricted to
     pair-consistent patterns with exactly the target pair count and
     ranked by polished loss."""
-    problem = _AmplitudeProblem(dec, view)
+    problem = _AmplitudeProblem(dec)
     groups = problem.groups
     best = None
     for keep in itertools.product([False, True], repeat=len(groups)):
@@ -64,7 +64,7 @@ def exhaustive_pair_oracle(dec, view, target_pairs):
         support = np.zeros(dec.rank, dtype=bool)
         for g, k in zip(groups, keep):
             support[g] = k
-        amplitudes = problem.least_squares() * 0.0
+        amplitudes = dec.amplitudes * 0.0
         if support.any():
             amplitudes = _polish_on(problem, support)
         loss = problem.loss(amplitudes)
@@ -74,9 +74,9 @@ def exhaustive_pair_oracle(dec, view, target_pairs):
 
 
 def test_vanishing_penalty_limit_matches_least_squares():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
-    a_ls = problem.least_squares()
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
+    a_ls = dec.amplitudes
     sol = admm_solution(problem, 1e-12 * problem.gamma_max())
     assert sol.support.all()
     assert np.max(np.abs(sol.amplitudes - a_ls)) <= 1e-6 * np.max(np.abs(a_ls))
@@ -84,29 +84,29 @@ def test_vanishing_penalty_limit_matches_least_squares():
 
 
 def test_full_shrinkage_limit():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     sol = admm_solution(problem, 2.0 * problem.gamma_max())
     assert sol.nonzero_count == 0
     assert not sol.support.any()
 
 
 def test_midpoint_gamma_keeps_the_strong_pair():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     # per-group shrinkage certificates; the largest is gamma_max, the
     # smallest the point where the weak pair dies
     certs = [2.0 * np.linalg.norm(problem.q[g]) / np.sqrt(len(g)) for g in problem.groups]
     gamma = np.sqrt(min(certs) * max(certs))
     sol = admm_solution(problem, gamma)
-    oracle_support, _ = exhaustive_pair_oracle(dec, view, target_pairs=1)
+    oracle_support, _ = exhaustive_pair_oracle(dec, target_pairs=1)
     assert np.array_equal(sol.support, oracle_support)
 
 
 def test_polish_full_support_is_least_squares():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
-    assert_allclose(_polish_on(problem, np.ones(4, bool)), problem.least_squares())
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
+    assert_allclose(_polish_on(problem, np.ones(4, bool)), dec.amplitudes)
 
 
 def test_polish_single_mode_rank_one_signal():
@@ -114,14 +114,14 @@ def test_polish_single_mode_rank_one_signal():
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, tau=1)
     dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
-    amp = _polish_on(_AmplitudeProblem(dec, view), np.array([True]))
+    amp = _polish_on(_AmplitudeProblem(dec), np.array([True]))
     # generator amplitude: ||first column|| since the fitted mode is unit norm
     assert_allclose(np.abs(amp[0]), np.linalg.norm(values[:, 0]), rtol=1e-8)
 
 
 def test_polish_matches_restricted_normal_equations():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     support = np.array([True, True, False, False])
     amp = _polish_on(problem, support)
     idx = np.nonzero(support)[0]
@@ -131,8 +131,8 @@ def test_polish_matches_restricted_normal_equations():
 
 
 def test_polish_never_increases_loss():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     gamma = 0.01 * problem.gamma_max()
     raw = admm_solution(problem, gamma)
     if raw.support.any():
@@ -141,15 +141,15 @@ def test_polish_never_increases_loss():
 
 
 def test_polish_empty_support_raises():
-    dec, view = rank4_fixture()
+    dec = rank4_fixture()
     with pytest.raises(ValueError):
-        _polish_on(_AmplitudeProblem(dec, view), np.zeros(4, bool))
+        _polish_on(_AmplitudeProblem(dec), np.zeros(4, bool))
 
 
 def test_objective_descent_bounds():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
-    a_ls = problem.least_squares()
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
+    a_ls = dec.amplitudes
     gamma = 0.05 * problem.gamma_max()
     sol = admm_solution(problem, gamma)
     j_sol = sol.fit_loss + gamma * np.sum(np.abs(sol.amplitudes))
@@ -158,14 +158,14 @@ def test_objective_descent_bounds():
 
 
 def test_gamma_sweep_targets():
-    dec, view = rank4_fixture()
-    res_full = gamma_sweep(dec, view, target_modes=2)
+    dec = rank4_fixture()
+    res_full = gamma_sweep(dec, target_modes=2)
     assert res_full.achieved_pairs == 2
     assert res_full.selected.support.all()
 
-    res_one = gamma_sweep(dec, view, target_modes=1)
+    res_one = gamma_sweep(dec, target_modes=1)
     assert res_one.achieved_pairs == 1
-    oracle_support, _ = exhaustive_pair_oracle(dec, view, target_pairs=1)
+    oracle_support, _ = exhaustive_pair_oracle(dec, target_pairs=1)
     assert np.array_equal(res_one.selected.support, oracle_support)
     assert res_one.target_met
 
@@ -174,14 +174,14 @@ def test_gamma_sweep_target_one_on_rank_one_signal():
     values = np.outer([2.0, 1.0], np.ones(16))
     view = build_hankel(SignalMatrix.from_values(values), tau=1)
     dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
-    res = gamma_sweep(dec, view, target_modes=1)
+    res = gamma_sweep(dec, target_modes=1)
     assert res.achieved_pairs == 1
     assert res.selected.support[0]
 
 
 def test_path_monotone_and_pair_symmetric():
-    dec, view = rank4_fixture(seed=11)
-    res = gamma_sweep(dec, view, target_modes=1)
+    dec = rank4_fixture(seed=11)
+    res = gamma_sweep(dec, target_modes=1)
     counts = [s.nonzero_count for s in res.path.solutions]
     assert all(a >= b for a, b in zip(counts, counts[1:]))
     groups = conjugate_groups(dec.eigenvalues)
@@ -193,8 +193,8 @@ def test_path_monotone_and_pair_symmetric():
 
 
 def test_polished_solutions_have_exact_zero_pattern():
-    dec, view = rank4_fixture(seed=3)
-    res = gamma_sweep(dec, view, target_modes=1)
+    dec = rank4_fixture(seed=3)
+    res = gamma_sweep(dec, target_modes=1)
     for sol in res.path.solutions:
         assert sol.polished
         assert np.all(sol.amplitudes[~sol.support] == 0)
@@ -203,9 +203,9 @@ def test_polished_solutions_have_exact_zero_pattern():
 
 
 def test_gamma_grid_spans_limits():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
-    res = gamma_sweep(dec, view, target_modes=2, grid=GammaGrid(num=10))
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
+    res = gamma_sweep(dec, target_modes=2, grid=GammaGrid(num=10))
     assert res.path.gammas.size == 10
     assert res.path.gammas[0] == pytest.approx(1e-6 * problem.gamma_max())
     assert res.path.gammas[-1] == pytest.approx(problem.gamma_max())
@@ -213,26 +213,48 @@ def test_gamma_grid_spans_limits():
 
 
 def test_gamma_sweep_validation():
-    dec, view = rank4_fixture()
+    dec = rank4_fixture()
     with pytest.raises(ValueError):
-        gamma_sweep(dec, view, target_modes=0)
+        gamma_sweep(dec, target_modes=0)
     with pytest.raises(ValueError):
-        gamma_sweep(dec, view, target_modes=9)
+        gamma_sweep(dec, target_modes=9)
     with pytest.raises(ValueError):
-        admm_solution(_AmplitudeProblem(dec, view), -1.0)
+        admm_solution(_AmplitudeProblem(dec), -1.0)
+
+
+def test_sweep_applies_no_hankel_product(monkeypatch):
+    # The sweep takes the fit's amplitude form; it never touches the data.
+    dec = rank4_fixture()
+
+    def refuse(*args, **kwargs):
+        raise AssertionError("the sweep applied a Hankel product")
+
+    for name in ("apply_tall", "apply_tall_transpose", "gram"):
+        monkeypatch.setattr(hankel, name, refuse)
+    res = gamma_sweep(dec, target_modes=1)
+    assert res.target_met
+
+
+def test_decomposition_read_from_json_needs_a_refit():
+    dec = rank4_fixture()
+    back = DmdDecomposition.from_json(dec.to_json(), dec.modes)
+    with pytest.raises(ValueError, match="refit"):
+        _AmplitudeProblem(back)
+    with pytest.raises(ValueError, match="refit"):
+        gamma_sweep(back, target_modes=1)
 
 
 def test_nonconvergence_flagged_not_raised():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     sol = admm_solution(problem, 0.01 * problem.gamma_max(), opts=AdmmOptions(max_iter=2))
     assert not sol.converged
     assert sol.iterations == 2
 
 
 def test_export_path_csv(tmp_path):
-    dec, view = rank4_fixture()
-    res = gamma_sweep(dec, view, target_modes=1, grid=GammaGrid(num=5))
+    dec = rank4_fixture()
+    res = gamma_sweep(dec, target_modes=1, grid=GammaGrid(num=5))
     dest = tmp_path / "path.csv"
     export_path_csv(res.path, dest)
     with open(dest) as fh:
@@ -243,8 +265,8 @@ def test_export_path_csv(tmp_path):
 
 
 def test_sweep_warns_when_a_grid_point_stops_at_the_cap():
-    dec, view = rank4_fixture()
-    res = gamma_sweep(dec, view, target_modes=1, grid=GammaGrid(num=5),
+    dec = rank4_fixture()
+    res = gamma_sweep(dec, target_modes=1, grid=GammaGrid(num=5),
                       opts=AdmmOptions(max_iter=2))
     capped = [s for s in res.path.solutions if not s.converged]
     assert capped
@@ -253,10 +275,10 @@ def test_sweep_warns_when_a_grid_point_stops_at_the_cap():
 
 
 def test_penalty_is_the_mean_diagonal_of_the_quadratic_form():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     assert problem.rho == pytest.approx(np.trace(problem.p).real / dec.rank)
-    res = gamma_sweep(dec, view, target_modes=1, grid=GammaGrid(num=5))
+    res = gamma_sweep(dec, target_modes=1, grid=GammaGrid(num=5))
     assert res.path.rho == problem.rho
 
 
@@ -316,8 +338,8 @@ def _dense_reference_admm(problem, gamma, max_iter=200_000):
 
 
 def test_admm_matches_dense_reference():
-    dec, view = rank4_fixture()
-    problem = _AmplitudeProblem(dec, view)
+    dec = rank4_fixture()
+    problem = _AmplitudeProblem(dec)
     gamma_hi = problem.gamma_max()
     certs = [2.0 * np.linalg.norm(problem.q[g]) / np.sqrt(len(g)) for g in problem.groups]
     gammas = list(np.geomspace(1e-6 * gamma_hi, gamma_hi, 12)) + [np.sqrt(min(certs) * max(certs))]
