@@ -9,7 +9,7 @@ import argparse
 
 import numpy as np
 
-from dmdembed.dmd import DmdConfig, fit_dmd, mode_frequency
+from dmdembed.dmd import fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding, select_representatives
 from dmdembed.hankel import build_hankel, default_tau, impute_linear
 from dmdembed.pipeline import load_csv, parse_rank_policy
@@ -31,7 +31,7 @@ def main() -> int:
     signal = impute_linear(load_csv(args.input, step_seconds=args.step_seconds))
     tau = args.tau if args.tau is not None else default_tau(signal)
     view = build_hankel(signal, tau)
-    dec = fit_dmd(view, DmdConfig(rank_policy=parse_rank_policy(args.rank)))
+    dec = fit_dmd(view, parse_rank_policy(args.rank))
     sweep = gamma_sweep(dec, target_modes=min(args.target_modes, dec.rank))
     kept = sweep.selected.support
     total = np.sum(np.abs(dec.amplitudes))

@@ -11,7 +11,6 @@ __version__ = "0.1.0"
 
 from .dmd import (
     CepThreshold,
-    DmdConfig,
     DmdDecomposition,
     FixedRank,
     VandermondeMatrix,
@@ -68,7 +67,6 @@ __all__ = [
     "ComplexSpectrum",
     "ConfigError",
     "DataError",
-    "DmdConfig",
     "DmdDecomposition",
     "DmdEmbedError",
     "FixedRank",

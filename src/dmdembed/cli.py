@@ -55,13 +55,9 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--q", help="forecast horizon")
     parser.add_argument("--split", help="train,val,test ratios, e.g. 0.7,0.1,0.2")
     parser.add_argument("--l2", help="ridge penalty")
-    parser.add_argument("--l2-auto", action="store_true", dest="l2_auto", default=None,
-                        help="pick l2 on the validation split")
     parser.add_argument("--lags", help="diagnostics lags, e.g. 0,72,504")
     parser.add_argument("--acf-max-lag", dest="acf_max_lag")
     parser.add_argument("--step-seconds", dest="step_seconds")
-    parser.add_argument("--unit-circle", dest="unit_circle", action="store_true", default=None)
-    parser.add_argument("--no-unit-circle", dest="unit_circle", action="store_false")
     # inline synthetic source (alternative to --input)
     for option in inspect.signature(spec_from_options).parameters:
         parser.add_argument(f"--synth-{option}", dest=f"synth_{option}")
@@ -122,10 +118,21 @@ def _cmd_synth(args: argparse.Namespace) -> int:
     return EXIT_OK
 
 
+def _load_complete_csv(path):
+    """load_csv, refusing blank cells: a residual needs both values."""
+    signal = load_csv(path)
+    blank = np.argwhere(~signal.mask.T)
+    if blank.size:
+        t, i = blank[0]
+        raise DataError(f"{path}: row {t + 2}, column {signal.node_ids[i]!r}: blank cell; "
+                        "diagnose needs complete files")
+    return signal
+
+
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     options = convert_options(PipelineConfig, {"lags": args.lags, "acf_max_lag": args.acf_max_lag})
-    preds = load_csv(args.predictions)
-    actual = load_csv(args.actuals)
+    preds = _load_complete_csv(args.predictions)
+    actual = _load_complete_csv(args.actuals)
     if preds.values.shape != actual.values.shape:
         raise DataError(
             f"shape mismatch: predictions {preds.values.shape} vs actuals {actual.values.shape}"

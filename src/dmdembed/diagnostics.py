@@ -35,7 +35,7 @@ class ResidualCorrSummary:
 
     lag: int
     mean_abs_corr: float
-    matrix: np.ndarray | None
+    matrix: np.ndarray
     excluded_columns: int
 
 
@@ -86,11 +86,7 @@ def acf(series: np.ndarray, max_lag: int, node_id: str = "") -> AcfReport:
     )
 
 
-def residual_correlation(
-    residuals: np.ndarray,
-    lag: int,
-    keep_matrix: bool = True,
-) -> ResidualCorrSummary:
+def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary:
     """Correlation between residual vectors at times t and t - lag.
 
     ``residuals`` is (time, d) with d the flattened space-horizon
@@ -103,11 +99,11 @@ def residual_correlation(
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
     if lag < 0:
-        flipped = residual_correlation(resid, -lag, keep_matrix=keep_matrix)
+        flipped = residual_correlation(resid, -lag)
         return ResidualCorrSummary(
             lag=lag,
             mean_abs_corr=flipped.mean_abs_corr,
-            matrix=None if flipped.matrix is None else flipped.matrix.T,
+            matrix=flipped.matrix.T,
             excluded_columns=flipped.excluded_columns,
         )
     n = resid.shape[0]
@@ -138,7 +134,7 @@ def residual_correlation(
     return ResidualCorrSummary(
         lag=lag,
         mean_abs_corr=float(np.mean(np.abs(kept))),
-        matrix=corr if keep_matrix else None,
+        matrix=corr,
         excluded_columns=excluded,
     )
 

@@ -20,7 +20,6 @@ from . import hankel as hk
 from .errors import NumericalError
 # The rank policies live in linalg and are re-exported here.
 from .linalg import (  # noqa: F401
-    DEFAULT_SVD_TOL,
     CepThreshold,
     FixedRank,
     GramProduct,
@@ -31,15 +30,9 @@ from .linalg import (  # noqa: F401
     snapshot_svd,
 )
 
+# Two eigenvalues are a conjugate pair, and one is real, within this
+# share of 1 + |lambda|.
 CONJUGATE_TOL = 1e-8
-
-
-@dataclass
-class DmdConfig:
-    """Solver choices for a decomposition fit."""
-
-    rank_policy: RankPolicy = field(default_factory=CepThreshold)
-    svd_tol: float = DEFAULT_SVD_TOL
 
 
 @dataclass
@@ -146,7 +139,7 @@ def vandermonde(eigenvalues: np.ndarray, length: int) -> VandermondeMatrix:
     return VandermondeMatrix(eigenvalues=eigs, length=length, entries=entries)
 
 
-def conjugate_groups(eigenvalues: np.ndarray, tol: float = CONJUGATE_TOL) -> list[list[int]]:
+def conjugate_groups(eigenvalues: np.ndarray) -> list[list[int]]:
     """Group eigenvalue indices into conjugate pairs and real singletons."""
     eigs = np.asarray(eigenvalues, dtype=complex)
     groups: list[list[int]] = []
@@ -156,11 +149,11 @@ def conjugate_groups(eigenvalues: np.ndarray, tol: float = CONJUGATE_TOL) -> lis
             continue
         used[i] = True
         scale = 1.0 + abs(eigs[i])
-        if abs(eigs[i].imag) <= tol * scale:
+        if abs(eigs[i].imag) <= CONJUGATE_TOL * scale:
             groups.append([i])
             continue
         partner = -1
-        best = tol * scale
+        best = CONJUGATE_TOL * scale
         for j in range(i + 1, eigs.size):
             if used[j]:
                 continue
@@ -280,11 +273,11 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
     return np.lexsort((-eigenvalues.imag, -moduli, -energy))
 
 
-def fit_dmd(view: hk.HankelView, cfg: DmdConfig | None = None) -> DmdDecomposition:
-    """Fit the reduced transition operator and its mode decomposition."""
-    cfg = cfg or DmdConfig()
+def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> DmdDecomposition:
+    """Fit the reduced transition operator and its mode decomposition,
+    truncated by ``rank_policy``."""
     geo = fit_geometry(view)
-    svd = snapshot_svd(geo.gram(), geo.tall, cfg.rank_policy, cfg.svd_tol)
+    svd = snapshot_svd(geo.gram(), geo.tall, rank_policy)
     # Reduced operator U^T H' V diag(1/sigma); with U = H V diag(1/sigma)
     # this is diag(1/sigma) (H V)^T (H' V) diag(1/sigma).
     inv_sigma = 1.0 / svd.singular_values

@@ -1,10 +1,11 @@
 """Per-timestep covariates from selected eigenvalues.
 
 Each retained conjugate-pair representative contributes two real
-channels per step: the real and imaginary parts of its eigenvalue
-raised to the absolute step index. The resulting L x 2r table extends
-past the fitted horizon simply by continuing the power recurrence, so
-validation and test spans receive covariates without refitting.
+channels per step: the real and imaginary parts of its eigenvalue,
+projected to the unit circle, raised to the absolute step index. The
+resulting L x 2r table extends past the fitted horizon simply by
+continuing the power recurrence, so validation and test spans receive
+covariates without refitting.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dmd import conjugate_groups
+from .dmd import CONJUGATE_TOL, conjugate_groups
 from .errors import DataError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -25,6 +26,7 @@ if TYPE_CHECKING:  # pragma: no cover
 class TimeEmbedding:
     """Covariate table with rows [Re(l_1^t)...Re(l_r^t), Im(l_1^t)...Im(l_r^t)].
 
+    ``eigenvalues`` are the unit-modulus l_i that are powered.
     ``origin_step`` is the absolute data step of table row 0; powers are
     anchored at absolute step 0, so a table starting there opens with
     the identity row [1,...,1, 0,...,0].
@@ -33,7 +35,6 @@ class TimeEmbedding:
     eigenvalues: np.ndarray
     origin_step: int
     table: np.ndarray
-    unit_circle_projected: bool
 
     @property
     def n_modes(self) -> int:
@@ -54,7 +55,7 @@ class TimeEmbedding:
         return self.table[idx]
 
 
-def select_representatives(eigenvalues: np.ndarray, tol: float = 1e-8) -> np.ndarray:
+def select_representatives(eigenvalues: np.ndarray) -> np.ndarray:
     """One eigenvalue per conjugate group, with nonnegative imaginary part.
 
     The discarded conjugate carries no new real information: its real
@@ -62,27 +63,22 @@ def select_representatives(eigenvalues: np.ndarray, tol: float = 1e-8) -> np.nda
     """
     eigs = np.asarray(eigenvalues, dtype=complex)
     reps = []
-    for group in conjugate_groups(eigs, tol):
+    for group in conjugate_groups(eigs):
         members = eigs[group]
         pick = members[np.argmax(members.imag)]
-        if abs(pick.imag) <= tol * (1.0 + abs(pick)):
+        if abs(pick.imag) <= CONJUGATE_TOL * (1.0 + abs(pick)):
             pick = complex(pick.real, 0.0)
         reps.append(pick)
     return np.asarray(reps, dtype=complex)
 
 
-def build_embedding(
-    selected: np.ndarray,
-    span: tuple[int, int],
-    project_unit_circle: bool = True,
-    origin_step: int | None = None,
-) -> TimeEmbedding:
+def build_embedding(selected: np.ndarray, span: tuple[int, int]) -> TimeEmbedding:
     """Generate covariate rows for absolute steps [span[0], span[1]).
 
-    Eigenvalues must be pair representatives (imaginary part >= 0). With
-    ``project_unit_circle`` each eigenvalue is replaced by lambda/|lambda|
-    before powering, so extrapolated covariates neither explode nor
-    vanish; growth information stays in the decomposition.
+    Eigenvalues must be pair representatives (imaginary part >= 0). Each
+    is replaced by lambda/|lambda| before powering, so extrapolated
+    covariates neither explode nor vanish; growth information stays in
+    the decomposition.
     """
     start, end = int(span[0]), int(span[1])
     if end <= start:
@@ -92,8 +88,7 @@ def build_embedding(
         raise ValueError("zero eigenvalue cannot be embedded")
     if np.any(eigs.imag < -1e-12 * (1.0 + np.abs(eigs))):
         raise ValueError("eigenvalues must be pair representatives with Im >= 0")
-    if project_unit_circle and eigs.size:
-        eigs = eigs / np.abs(eigs)
+    eigs = eigs / np.abs(eigs)
     length = end - start
     powers = np.empty((length, eigs.size), dtype=complex)
     if eigs.size:
@@ -101,12 +96,7 @@ def build_embedding(
         for k in range(1, length):
             powers[k] = powers[k - 1] * eigs
     table = np.hstack([powers.real, powers.imag])
-    return TimeEmbedding(
-        eigenvalues=eigs,
-        origin_step=start if origin_step is None else int(origin_step),
-        table=table,
-        unit_circle_projected=bool(project_unit_circle),
-    )
+    return TimeEmbedding(eigenvalues=eigs, origin_step=start, table=table)
 
 
 def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "ForecastWindows":

@@ -22,7 +22,7 @@ class NumericalError(DmdEmbedError):
 
 
 class EmptySpectrumError(NumericalError):
-    """Every singular value fell below the truncation tolerance."""
+    """Every singular value fell below the round-off floor."""
 
 
 class EigenSolverError(NumericalError):

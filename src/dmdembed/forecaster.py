@@ -140,7 +140,6 @@ class ZScore:
 
     mean: np.ndarray
     std: np.ndarray
-    source: str
 
     def transform(self, values: np.ndarray) -> np.ndarray:
         return (values - self.mean[:, np.newaxis]) / self.std[:, np.newaxis]
@@ -152,7 +151,7 @@ class ZScore:
         return rows * std + mean
 
 
-def zscore_fit(train: SignalMatrix, source: str = "train") -> ZScore:
+def zscore_fit(train: SignalMatrix) -> ZScore:
     mean = train.values.mean(axis=1)
     std = train.values.std(axis=1)
     floored = std < STD_FLOOR
@@ -160,7 +159,7 @@ def zscore_fit(train: SignalMatrix, source: str = "train") -> ZScore:
         names = [train.node_ids[i] for i in np.nonzero(floored)[0]]
         warnings.warn(f"zero-variance channels floored to {STD_FLOOR}: {names}")
         std = np.where(floored, STD_FLOOR, std)
-    return ZScore(mean=mean, std=std, source=source)
+    return ZScore(mean=mean, std=std)
 
 
 def zscore_fit_apply(splits: Splits) -> tuple[Splits, ZScore]:

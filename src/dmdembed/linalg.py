@@ -20,10 +20,6 @@ import numpy as np
 
 from .errors import EigenSolverError, EmptySpectrumError
 
-# Relative singular-value cutoff: sigma below DEFAULT_SVD_TOL * sigma_max
-# is treated as numerical zero.
-DEFAULT_SVD_TOL = 1e-10
-
 GRAM_ASYMMETRY_TOL = 1e-10
 
 # Block Krylov solver: block width, and the seed of its random start
@@ -41,21 +37,19 @@ RITZ_GROWTH = 1.25
 DEFLATION_TOL = 1e-12
 
 
-def numerical_rank(
-    sigma: np.ndarray, tol: float = DEFAULT_SVD_TOL, order: int | None = None
-) -> int:
-    """Count singular values above the truncation cutoff.
+def numerical_rank(sigma: np.ndarray, order: int | None = None) -> int:
+    """Count singular values above the round-off cutoff.
 
     Through a Gram matrix, eigenvalue round-off floors recoverable
     singular values at about sqrt(T * eps) * sigma_max, where T is the
-    Gram's ``order`` (default: the number of values given), so the
-    cutoff never drops below that regardless of ``tol``.
+    Gram's ``order`` (default: the number of values given); values at or
+    below that are numerical zeros.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
     floor = np.sqrt((sigma.size if order is None else order) * np.finfo(float).eps)
-    return int(np.count_nonzero(sigma > max(tol, floor) * sigma[0]))
+    return int(np.count_nonzero(sigma > floor * sigma[0]))
 
 
 @dataclass(frozen=True)
@@ -99,7 +93,6 @@ def _policy_rank(sigma: np.ndarray, policy: RankPolicy, total: float | None) -> 
 def resolve_rank(
     singular_values: np.ndarray,
     policy: RankPolicy,
-    tol: float = DEFAULT_SVD_TOL,
     total: float | None = None,
     order: int | None = None,
 ) -> int:
@@ -113,9 +106,9 @@ def resolve_rank(
     sigma = np.asarray(singular_values, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise EmptySpectrumError("empty singular spectrum")
-    n_rank = numerical_rank(sigma, tol, order)
+    n_rank = numerical_rank(sigma, order)
     if n_rank == 0:
-        raise EmptySpectrumError("all singular values below tolerance")
+        raise EmptySpectrumError("all singular values below the round-off floor")
     return min(_policy_rank(sigma, policy, total), n_rank)
 
 
@@ -261,11 +254,7 @@ def _ritz_residuals(q, w, vecs, theta) -> np.ndarray:
     return np.linalg.norm(w @ vecs - (q @ vecs) * theta, axis=0)
 
 
-def leading_spectrum(
-    gram,
-    policy: RankPolicy,
-    tol: float = DEFAULT_SVD_TOL,
-) -> tuple[np.ndarray, np.ndarray, SpectrumSolve]:
+def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, SpectrumSolve]:
     """Leading eigenpairs of a Gram matrix by block Krylov with Rayleigh-Ritz.
 
     ``gram`` is a symmetric matrix or a GramProduct. The Krylov basis
@@ -296,7 +285,7 @@ def leading_spectrum(
         if m >= min(check_at, n):
             sigma, vecs = gram_spectrum(q[:, :m].T @ w[:, :m])
             theta = sigma**2
-            r = resolve_rank(sigma, policy, tol, gram.trace, n)
+            r = resolve_rank(sigma, policy, gram.trace, n)
             pairs = min(m, r + 1 if r < _policy_rank(sigma, policy, gram.trace) else r)
             resid = _ritz_residuals(q[:, :m], w[:, :m], vecs[:, :pairs], theta[:pairs])
             if m == n or np.all(resid <= RITZ_TOL * theta[0]):
@@ -332,12 +321,7 @@ def leading_spectrum(
 TallProduct = Callable[[np.ndarray], np.ndarray]
 
 
-def snapshot_svd(
-    gram,
-    tall: TallProduct,
-    rank: int | RankPolicy,
-    tol: float = DEFAULT_SVD_TOL,
-) -> SnapshotSvd:
+def snapshot_svd(gram, tall: TallProduct, rank: int | RankPolicy) -> SnapshotSvd:
     """Truncated SVD of a tall matrix H given its Gram matrix H^T H.
 
     Right singular vectors and singular values are the leading Gram
@@ -351,15 +335,13 @@ def snapshot_svd(
         tall: callback computing H @ X.
         rank: rank policy, or an int meaning FixedRank(rank); the
             result never exceeds the numerical rank.
-        tol: relative cutoff; singular values below tol * sigma_max are
-            dropped.
 
     Raises:
         ValueError: rank < 1, asymmetric or indefinite gram.
-        EmptySpectrumError: every singular value is at or below the cutoff.
+        EmptySpectrumError: every singular value is at or below the round-off floor.
     """
     policy = rank if isinstance(rank, (FixedRank, CepThreshold)) else FixedRank(rank)
-    spectrum, right, solve = leading_spectrum(gram, policy, tol)
+    spectrum, right, solve = leading_spectrum(gram, policy)
     sigma = spectrum[: right.shape[1]]
     left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)
     # Deterministic sign: largest-magnitude entry of each left vector is

@@ -37,8 +37,6 @@ from .forecaster import (
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
 from .synthetic import SyntheticSpec, generate_synthetic, spec_from_options
 
-L2_AUTO_GRID = (1e-5, 1e-4, 1e-3, 1e-2, 1e-1)
-
 
 @dataclass
 class PipelineConfig:
@@ -51,24 +49,18 @@ class PipelineConfig:
     tau: int | None = None
     rank: str = "cep:0.9"
     target_modes: int = 4
-    unit_circle: bool = True
     p: int = 12
     q: int = 12
     split: tuple[float, float, float] = (0.7, 0.1, 0.2)
     l2: float = 1e-3
-    l2_auto: bool = False
     lags: tuple[int, ...] = (0, 72, 504)
     acf_max_lag: int = 144
     output_dir: str = "runs/latest"
     seed: int = 0
 
-    def dmd_config(self) -> dmd.DmdConfig:
-        """The settings the dmd stage fits with; parse_rank_policy checks them."""
-        return dmd.DmdConfig(rank_policy=parse_rank_policy(self.rank))
-
     def validate(self) -> None:
         """Check every value that does not depend on the data."""
-        self.dmd_config()
+        parse_rank_policy(self.rank)
         if len(self.split) != 3 or min(self.split) < 0:
             raise ConfigError(f"split needs three nonnegative ratios, got {self.split}")
         if abs(sum(self.split) - 1.0) > SPLIT_SUM_TOL:
@@ -127,16 +119,11 @@ def check_acf_max_lag(acf_max_lag: int) -> None:
         raise ConfigError(f"acf_max_lag must be at least 1, got {acf_max_lag}")
 
 
-_BOOLEANS = {"true": True, "yes": True, "on": True, "1": True,
-             "false": False, "no": False, "off": False, "0": False}
-
-
 def convert_options(target, raw: dict, prefix: str = "") -> dict:
     """Convert raw values to the types annotated on ``target`` (a
     dataclass or a function), keyed by name without ``prefix``.
 
-    Text lists are comma- or semicolon-separated; integers must be whole
-    and booleans one of true/false, yes/no, on/off or 1/0.
+    Text lists are comma- or semicolon-separated; integers must be whole.
     """
     hints = typing.get_type_hints(target)
     out = {}
@@ -161,11 +148,6 @@ def _convert(hint, raw):
     if typing.get_origin(hint) is tuple:
         items = raw.replace(";", ",").split(",") if isinstance(raw, str) else raw
         return tuple(_convert(args[0], v) for v in items if not isinstance(v, str) or v.strip())
-    if hint is bool:
-        value = raw if isinstance(raw, bool) else _BOOLEANS.get(str(raw).strip().lower())
-        if value is None:
-            raise ValueError("expected true/false, yes/no, on/off or 1/0")
-        return value
     if hint is int:
         if isinstance(raw, str):
             try:
@@ -314,31 +296,12 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     return generate_synthetic(cfg.synthetic)
 
 
-def _choose_l2(cfg: PipelineConfig, train, val, zscore) -> float:
-    if not cfg.l2_auto or val is None or not len(val):
-        return cfg.l2
-    best = (float("inf"), cfg.l2)
-    for candidate in L2_AUTO_GRID:
-        model = fit_ridge(train, l2=candidate)
-        preds = predict(model, val)
-        report = evaluate(
-            zscore.inverse_rows(preds, val.node),
-            zscore.inverse_rows(val.target, val.node),
-            val.mask,
-        )
-        if report.overall_rmse < best[0]:
-            best = (report.overall_rmse, candidate)
-    return best[1]
-
-
-def _forecast_metrics(cfg: PipelineConfig, train, val, test, zscore):
-    l2 = _choose_l2(cfg, train, val, zscore)
+def _forecast_metrics(l2: float, train, test, zscore):
     model = fit_ridge(train, l2=l2)
     preds = zscore.inverse_rows(predict(model, test), test.node)
     targets = zscore.inverse_rows(test.target, test.node)
     report = evaluate(preds, targets, test.mask)
-    residuals = preds - targets
-    return report, residuals, l2
+    return report, preds - targets
 
 
 def _anchor_major_residuals(residuals: np.ndarray, n_nodes: int) -> np.ndarray:
@@ -442,7 +405,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         resolved["tau"] = tau
 
     with _StageTimer(run, "dmd"):
-        dec = dmd.fit_dmd(view, cfg.dmd_config())
+        dec = dmd.fit_dmd(view, parse_rank_policy(cfg.rank))
         resolved["rank"] = dec.rank
         resolved["svd_products"] = dec.spectrum_solve.products
         resolved["svd_basis"] = dec.spectrum_solve.basis
@@ -470,7 +433,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
     with _StageTimer(run, "embedding"):
         reps = select_representatives(selected_eigs)
-        emb = build_embedding(reps, span=(0, signal.n_steps), project_unit_circle=cfg.unit_circle)
+        emb = build_embedding(reps, span=(0, signal.n_steps))
         export_embedding(emb, run.path("embedding.csv"))
         resolved["embedding_modes"] = int(reps.size)
 
@@ -491,9 +454,10 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         }
         residuals = {}
         for label, windows in (("with", with_windows), ("without", without_windows)):
-            report, residuals[label], resolved[f"l2_{label}"] = _forecast_metrics(
-                cfg, windows["train"], windows.get("val"), windows["test"], zscore
+            report, residuals[label] = _forecast_metrics(
+                cfg.l2, windows["train"], windows["test"], zscore
             )
+            resolved[f"l2_{label}"] = cfg.l2
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
 
     with _StageTimer(run, "diagnostics"):
@@ -566,7 +530,7 @@ def _write_residual_diagnostics(
             if lag not in skipped:
                 skipped.append(lag)
             continue
-        summary = dg.residual_correlation(flat, lag, keep_matrix=True)
+        summary = dg.residual_correlation(flat, lag)
         summaries.append(summary)
         svg = svgplot.heatmap(np.abs(summary.matrix), f"|residual correlation| lag {lag}{caption}")
         svgplot.write_svg(svg, destination(f"residual_corr{tag}_lag{lag:03d}{split}.svg"))

@@ -86,7 +86,6 @@ class GammaGrid:
 class SweepResult:
     path: SpdmdPath
     selected: SpdmdSolution
-    target_pairs: int
     achieved_pairs: int
     target_met: bool
 
@@ -282,7 +281,6 @@ def gamma_sweep(
     return SweepResult(
         path=path,
         selected=selected,
-        target_pairs=target,
         achieved_pairs=achieved,
         target_met=achieved == target,
     )

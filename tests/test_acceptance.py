@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from dmdembed.dmd import DmdConfig, FixedRank, fit_dmd, mode_frequency
+from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import evaluate, make_splits, make_windows
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
@@ -68,7 +68,7 @@ def test_a2_frequency_recovery():
     start = time.perf_counter()
     sig = generate_synthetic(two_period_spec(noise_sigma=0.0, seed=0))
     view = build_hankel(sig, default_tau(sig))
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
+    dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start
     periods = sorted(
         mode_frequency(lam, sig.step_seconds).period_steps
@@ -115,7 +115,7 @@ def _rank4_instance(seed):
     )
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, default_tau(sig))
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
+    dec = fit_dmd(view, FixedRank(4))
     return dec, view
 
 
@@ -195,7 +195,7 @@ def test_a6_embedding_contracts():
     }
     span = 4032
     for r, lams in mode_bank.items():
-        emb = build_embedding(np.array(lams), span=(0, span), project_unit_circle=True)
+        emb = build_embedding(np.array(lams), span=(0, span))
         assert np.allclose(emb.table[0], [1.0] * r + [0.0] * r, atol=1e-12)
         norms = emb.table[:, :r] ** 2 + emb.table[:, r:] ** 2
         assert np.max(np.abs(norms - 1.0)) <= 1e-10

@@ -164,7 +164,6 @@ def test_export_embedding_matches_per_row_reference(tmp_path_factory, data):
         eigenvalues=np.ones(r, dtype=complex),
         origin_step=data.draw(st.integers(-10**6, 10**6)),
         table=data.draw(arrays(float, (length, 2 * r), elements=cell_values)),
-        unit_circle_projected=False,
     )
     path = tmp_path_factory.mktemp("emb") / "emb.csv"
     assert _bytes_of(export_embedding, emb, path) == _bytes_of(export_embedding_per_row, emb, path)

@@ -11,7 +11,6 @@ from numpy.testing import assert_allclose
 from dmdembed import dmd, linalg
 from dmdembed.dmd import (
     CepThreshold,
-    DmdConfig,
     DmdDecomposition,
     FixedRank,
     conjugate_groups,
@@ -37,7 +36,7 @@ def view_of(values, tau=1):
 
 def test_fit_dmd_rotation_recovery():
     view = view_of(rotation_signal())
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view, FixedRank(2))
     expected = np.exp(1j * 2 * np.pi / 24)
     assert_allclose(sorted(dec.eigenvalues, key=lambda z: -z.imag),
                     [expected, np.conj(expected)], atol=1e-8)
@@ -49,7 +48,7 @@ def test_fit_dmd_rotation_recovery():
 
 def test_fit_dmd_constant_signal():
     values = np.outer([1.0, 3.0], np.ones(10))
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(1)))
+    dec = fit_dmd(view_of(values), FixedRank(1))
     assert_allclose(dec.eigenvalues, [1.0], atol=1e-8)
     mode = dec.modes[:, 0]
     direction = np.array([1.0, 3.0]) / np.linalg.norm([1.0, 3.0])
@@ -58,7 +57,7 @@ def test_fit_dmd_constant_signal():
 
 def test_fit_dmd_decay_truncated_window():
     values = np.outer([1.0, 2.0], 0.9 ** np.arange(30))
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(1)))
+    dec = fit_dmd(view_of(values), FixedRank(1))
     assert_allclose(dec.eigenvalues, [0.9], atol=1e-6)
     assert dec.fit_span == 29
 
@@ -71,7 +70,7 @@ def test_fit_dmd_unit_norm_modes_and_conjugate_amplitudes():
         np.sin(2 * np.pi * t / 12) * rng.uniform(0.5, 1.5),
         np.cos(2 * np.pi * t / 12 + 1.0),
     ])
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view_of(values), FixedRank(2))
     assert_allclose(np.linalg.norm(dec.modes, axis=0), np.ones(2), atol=1e-10)
     groups = conjugate_groups(dec.eigenvalues)
     assert [len(g) for g in groups] == [2]
@@ -122,13 +121,13 @@ def test_energy_order_puts_positive_member_of_each_pair_first(seed, n_pairs, n_r
 def test_fits_take_their_svd_from_snapshot_svd(monkeypatch):
     calls = []
 
-    def recording(gram, tall, rank, tol):
-        out = linalg.snapshot_svd(gram, tall, rank, tol)
+    def recording(gram, tall, rank):
+        out = linalg.snapshot_svd(gram, tall, rank)
         calls.append(out)
         return out
 
     monkeypatch.setattr(dmd, "snapshot_svd", recording)
-    dec = fit_dmd(view_of(rotation_signal(), tau=2), DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view_of(rotation_signal(), tau=2), FixedRank(2))
     assert len(calls) == 1
     assert dec.rank == calls[0].rank == 2
     assert dec.singular_values is calls[0].spectrum
@@ -183,7 +182,7 @@ def test_vandermonde_recurrence_and_ones_column(seed, length):
 
 def test_reconstruct_examples():
     values = rotation_signal()
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view_of(values), FixedRank(2))
     rec = reconstruct(dec, 48)
     assert np.linalg.norm(rec - values) <= 1e-6 * np.linalg.norm(values)
     # imaginary residue of the complex product is negligible for real fits
@@ -191,7 +190,7 @@ def test_reconstruct_examples():
     full = dec.modes @ (dec.amplitudes[:, None] * vm)
     assert np.linalg.norm(full.imag) <= 1e-6 * np.linalg.norm(full.real)
 
-    const = fit_dmd(view_of(np.outer([2.0, 1.0], np.ones(8))), DmdConfig(rank_policy=FixedRank(1)))
+    const = fit_dmd(view_of(np.outer([2.0, 1.0], np.ones(8))), FixedRank(1))
     rec_c = reconstruct(const, 5)
     for j in range(1, 5):
         assert_allclose(rec_c[:, j], rec_c[:, 0], atol=1e-10)
@@ -215,7 +214,7 @@ def test_reconstruct_random_low_rank():
     rng = np.random.default_rng(33)
     lam = np.exp(1j * 2 * np.pi / 9)
     values = mode_generated_signal(rng, [lam, np.conj(lam), 1.0], n_nodes=5, t_steps=63)
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(3)))
+    dec = fit_dmd(view_of(values), FixedRank(3))
     rec = reconstruct(dec, 63)
     assert np.linalg.norm(rec - values) <= 1e-6 * np.linalg.norm(values)
 
@@ -229,7 +228,7 @@ def test_rank_monotonicity_on_training_error():
     values = mode_generated_signal(rng, lams, n_nodes=8, t_steps=48)
     errors = []
     for r in (2, 4, 6):
-        dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(r)))
+        dec = fit_dmd(view_of(values), FixedRank(r))
         errors.append(np.linalg.norm(reconstruct(dec, 48) - values))
     assert errors[0] >= errors[1] - 1e-9
     assert errors[1] >= errors[2] - 1e-9
@@ -273,7 +272,7 @@ def test_shift_consistency_recovers_generating_eigenvalues(seed, n_pairs, add_re
         modes[:, -1] = modes[:, -1].real
     powers = vandermonde(lams, t_steps).entries
     values = (modes @ powers).real
-    dec = fit_dmd(view_of(values), DmdConfig(rank_policy=FixedRank(r)))
+    dec = fit_dmd(view_of(values), FixedRank(r))
     got = np.sort_complex(dec.eigenvalues)
     want = np.sort_complex(lams)
     assert np.max(np.abs(got - want)) <= 1e-6
@@ -282,7 +281,7 @@ def test_shift_consistency_recovers_generating_eigenvalues(seed, n_pairs, add_re
 def test_deep_tau_truncated_window_drops_wrapped_columns():
     values = np.outer([1.0, 2.0], 0.9 ** np.arange(40))
     view = view_of(values, tau=5)
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
+    dec = fit_dmd(view, FixedRank(1))
     assert dec.fit_span == 35
     assert_allclose(dec.eigenvalues, [0.9], atol=1e-6)
 
@@ -300,7 +299,7 @@ def test_fit_keeps_its_amplitude_form(seed, n, t, data):
                                  st.builds(CepThreshold, st.floats(0.3, 0.99))))
     values = np.random.default_rng(seed).normal(size=(n, t))
     view = view_of(values, tau=tau)
-    dec = fit_dmd(view, DmdConfig(rank_policy=policy))
+    dec = fit_dmd(view, policy)
     p, q, s = dec.amplitude_form
     p_ref, q_ref, s_ref = dmd.amplitude_quadratic(dec.eigenvalues, dec.modes,
                                                   dmd.fit_geometry(view))
@@ -319,7 +318,7 @@ def save_and_load(dec: DmdDecomposition) -> DmdDecomposition:
 
 
 def test_serialization_round_trip():
-    dec = fit_dmd(view_of(rotation_signal(), tau=3), DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view_of(rotation_signal(), tau=3), FixedRank(2))
     back = save_and_load(dec)
     assert np.array_equal(back.eigenvalues, dec.eigenvalues)
     assert np.array_equal(back.amplitudes, dec.amplitudes)
@@ -363,13 +362,13 @@ def test_round_trip_keeps_every_mode_bit(data):
 
 def test_fit_dmd_zero_signal_raises():
     with pytest.raises(EmptySpectrumError):
-        fit_dmd(view_of(np.zeros((2, 8))), DmdConfig(rank_policy=FixedRank(1)))
+        fit_dmd(view_of(np.zeros((2, 8))), FixedRank(1))
 
 
 def test_fit_dmd_modes_match_lifted_space():
     values = rotation_signal()
     view = build_hankel(SignalMatrix.from_values(values), tau=3)
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(2)))
+    dec = fit_dmd(view, FixedRank(2))
     assert dec.modes.shape == (6, 2)
     h = materialize_hankel(values, 3)
     rec = reconstruct(dec, h.shape[1])

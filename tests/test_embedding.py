@@ -15,26 +15,26 @@ from dmdembed.embedding import attach_covariates
 
 
 def test_build_embedding_quarter_turn():
-    emb = build_embedding(np.array([1j]), span=(0, 4), project_unit_circle=False)
+    emb = build_embedding(np.array([1j]), span=(0, 4))
     assert_allclose(emb.table, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
     assert emb.origin_step == 0
 
 
 def test_build_embedding_constant_mode():
-    emb = build_embedding(np.array([1.0 + 0j]), span=(0, 5), project_unit_circle=False)
+    emb = build_embedding(np.array([1.0 + 0j]), span=(0, 5))
     assert_allclose(emb.table, np.tile([1.0, 0.0], (5, 1)))
 
 
 def test_projection_strips_modulus():
     lam = 0.9 * np.exp(1j * 2 * np.pi / 24)
-    emb = build_embedding(np.array([lam]), span=(0, 24), project_unit_circle=True)
+    emb = build_embedding(np.array([lam]), span=(0, 24))
     assert_allclose(emb.table[12], [-1.0, 0.0], atol=1e-8)
-    assert emb.unit_circle_projected
+    assert_allclose(np.abs(emb.eigenvalues), 1.0)
 
 
 def test_row_zero_identity_and_unit_circle_norm():
     lams = np.array([np.exp(1j * 2 * np.pi / 72), np.exp(1j * 2 * np.pi / 504)])
-    emb = build_embedding(lams, span=(0, 600), project_unit_circle=True)
+    emb = build_embedding(lams, span=(0, 600))
     r = lams.size
     assert_allclose(emb.table[0], [1.0] * r + [0.0] * r, atol=1e-15)
     norms = emb.table[:, :r] ** 2 + emb.table[:, r:] ** 2
@@ -43,7 +43,7 @@ def test_row_zero_identity_and_unit_circle_norm():
 
 def test_recurrence_consistency():
     lams = np.array([np.exp(1j * 0.37), np.exp(1j * 0.011)])
-    emb = build_embedding(lams, span=(0, 300), project_unit_circle=True)
+    emb = build_embedding(lams, span=(0, 300))
     r = lams.size
     z = emb.table[:, :r] + 1j * emb.table[:, r:]
     advanced = z[:-1] * lams[None, :]
@@ -55,13 +55,13 @@ def test_recurrence_consistency():
 @settings(max_examples=25, deadline=None)
 def test_periodicity(p):
     lam = np.exp(1j * 2 * np.pi / p)
-    emb = build_embedding(np.array([lam]), span=(0, 3 * p), project_unit_circle=False)
+    emb = build_embedding(np.array([lam]), span=(0, 3 * p))
     assert np.max(np.abs(emb.table[p:] - emb.table[:-p])) <= 1e-8
 
 
 def test_boundedness_under_projection():
     lams = np.array([1.3 * np.exp(1j * 0.5), 0.2 * np.exp(1j * 1.1)])
-    emb = build_embedding(lams, span=(0, 500), project_unit_circle=True)
+    emb = build_embedding(lams, span=(0, 500))
     assert np.max(np.abs(emb.table)) <= 1.0 + 1e-12
 
 
@@ -149,7 +149,7 @@ def test_attach_covariates_reports_first_uncovered_step():
 
 
 def test_export_import_round_trip(tmp_path):
-    emb = build_embedding(np.array([1j]), span=(0, 4), project_unit_circle=False)
+    emb = build_embedding(np.array([1j]), span=(0, 4))
     dest = tmp_path / "emb.csv"
     export_embedding(emb, dest)
     data = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)

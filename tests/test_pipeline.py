@@ -8,7 +8,7 @@ import numpy as np
 import pytest
 
 from dmdembed.cli import build_parser, main as cli_main
-from dmdembed.dmd import DmdConfig, DmdDecomposition, FixedRank, fit_dmd, reconstruct
+from dmdembed.dmd import DmdDecomposition, FixedRank, fit_dmd, reconstruct
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
 from dmdembed.hankel import build_hankel, impute_linear
@@ -131,14 +131,14 @@ def test_parse_config_file(tmp_path):
         "# comment\n"
         "rank = fixed:4\n"
         "split = 0.6,0.2,0.2\n"
-        "unit_circle: false\n"
+        "target_modes: 3\n"
         "seed = 7\n"
     )
     mapping = parse_config_file(cfgfile)
     cfg = PipelineConfig.from_mapping(mapping)
     assert cfg.rank == "fixed:4"
     assert cfg.split == (0.6, 0.2, 0.2)
-    assert cfg.unit_circle is False
+    assert cfg.target_modes == 3
     assert cfg.seed == 7
 
 
@@ -150,10 +150,6 @@ def test_from_mapping_rejects_unknown_key():
 
 
 def test_from_mapping_value_rules():
-    words = {"true": True, "Yes": True, "on": True, "1": True,
-             "false": False, "NO": False, "off": False, "0": False}
-    for word, value in words.items():
-        assert PipelineConfig.from_mapping({"unit_circle": word}).unit_circle is value
     cfg = PipelineConfig.from_mapping(
         {"lags": "0; 72,504.0,", "tau": "12", "seed": 7, "split": [0.6, 0.2, 0.2], "l2": "0.5"}
     )
@@ -168,8 +164,7 @@ def test_from_mapping_value_rules():
 
 
 @pytest.mark.parametrize("key, raw", [
-    ("unit_circle", "flase"), ("l2_auto", "2"), ("lags", "72.5"), ("lags", "0,x"),
-    ("tau", "12.5"), ("seed", "seven"), ("p", 1.5), ("acf_max_lag", "inf"),
+    ("lags", "72.5"), ("lags", "0,x"), ("tau", "12.5"), ("seed", "seven"), ("p", 1.5), ("acf_max_lag", "inf"),
     ("split", "0.7,a,0.2"), ("synth_nodes", "many"), ("synth_steps", "100.5"),
     ("synth_periods", "72,x"), ("synth_noise", "loud"), ("synth_amplitudes", "1"),
 ])
@@ -287,11 +282,17 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
-def check_removed_key_is_config_error(tmp_path, key, value):
+# Config keys that older manifests carry, with a value they were written with.
+REMOVED_KEYS = {"amplitude_method": "least_squares", "fit_window": "truncated",
+                "solver": "exact", "unit_circle": True, "l2_auto": False}
+
+
+@pytest.mark.parametrize("key", REMOVED_KEYS)
+def test_replaying_manifest_with_removed_key_is_config_error(tmp_path, key):
     # Manifests written while the config still had ``key`` carry it;
     # replaying one names it instead of ignoring it.
     cfg = small_config(tmp_path, seed=2)
-    manifest = {"config": {**cfg.to_mapping(), key: value}}
+    manifest = {"config": {**cfg.to_mapping(), key: REMOVED_KEYS[key]}}
     path = tmp_path / "old_manifest.json"
     path.write_text(json.dumps(manifest))
     with pytest.raises(ConfigError, match=key):
@@ -299,18 +300,6 @@ def check_removed_key_is_config_error(tmp_path, key, value):
     out = tmp_path / "replay"
     assert cli_main(["forecast", "--manifest", str(path), "--out", str(out)]) == 2
     assert not out.exists()
-
-
-def test_replaying_manifest_with_removed_amplitude_method_is_config_error(tmp_path):
-    check_removed_key_is_config_error(tmp_path, "amplitude_method", "least_squares")
-
-
-def test_replaying_manifest_with_removed_fit_window_is_config_error(tmp_path):
-    check_removed_key_is_config_error(tmp_path, "fit_window", "truncated")
-
-
-def test_replaying_manifest_with_removed_solver_is_config_error(tmp_path):
-    check_removed_key_is_config_error(tmp_path, "solver", "exact")
 
 
 def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
@@ -391,22 +380,6 @@ def test_run_pipeline_requires_one_source(tmp_path):
         run_pipeline(both)
 
 
-def test_run_pipeline_alternative_solvers_and_l2_auto(tmp_path):
-    cfg = small_config(tmp_path, seed=6, output_dir=str(tmp_path / "alt"),
-                       l2_auto=True, unit_circle=False)
-    out = run_pipeline(cfg)
-    manifest = json.loads((out / "manifest.json").read_text())
-    from dmdembed.pipeline import L2_AUTO_GRID
-
-    assert manifest["resolved"]["l2_with"] in L2_AUTO_GRID
-    assert manifest["resolved"]["l2_without"] in L2_AUTO_GRID
-    assert "solver" not in json.loads((out / "decomposition.json").read_text())
-    # no projection: first embedding row is still the identity row
-    header, first = (out / "embedding.csv").read_text().splitlines()[:2]
-    r = (len(header.split(",")) - 1) // 2
-    assert first.split(",") == ["0"] + ["1"] * r + ["0"] * r
-
-
 def test_run_pipeline_masked_input_metrics_exclusion(tmp_path):
     sig = generate_synthetic(small_spec(seed=4))
     sig.mask[:, 350:] = False  # missing stretch inside the test split
@@ -427,7 +400,7 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     sig.mask[1, 300:310] = False
     csv_path = tmp_path / "masked.csv"
     write_signal_csv(sig, csv_path)
-    cfg = small_config(tmp_path, seed=7, l2_auto=True)
+    cfg = small_config(tmp_path, seed=7)
     cfg.synthetic = None
     cfg.input_csv = str(csv_path)
     out = run_pipeline(cfg)
@@ -436,10 +409,10 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     splits = make_splits(impute_linear(loaded), cfg.split)
     norm, zscore = zscore_fit_apply(splits)
     plain = make_windows(norm, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
-    report, _, l2 = _forecast_metrics(cfg, plain["train"], plain["val"], plain["test"], zscore)
+    report, _ = _forecast_metrics(cfg.l2, plain["train"], plain["test"], zscore)
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
-    assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == l2
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == cfg.l2
 
 
 def test_no_leakage_from_test_split():
@@ -455,7 +428,7 @@ def test_no_leakage_from_test_split():
         splits = make_splits(sig, (0.7, 0.1, 0.2))
         norm, _ = zscore_fit_apply(splits)
         view = build_hankel(norm.train.signal, 20)
-        return fit_dmd(view, DmdConfig(rank_policy=FixedRank(4))).eigenvalues
+        return fit_dmd(view, FixedRank(4)).eigenvalues
 
     assert np.array_equal(train_eigs(sig_a), train_eigs(sig_b))
 
@@ -527,6 +500,29 @@ def test_cli_diagnose(tmp_path):
     assert (out / "residual_corr.csv").exists()
 
 
+@pytest.mark.parametrize("blank_in", ["predictions", "actuals"])
+def test_cli_diagnose_refuses_blank_cells(tmp_path, capsys, blank_in):
+    # load_csv reads a blank cell as a masked zero; a residual against that
+    # zero would pass for a real one
+    rng = np.random.default_rng(0)
+    files = {}
+    for name in ("predictions", "actuals"):
+        rows = [[f"{v:.17g}" for v in row] for row in rng.normal(size=(200, 2))]
+        if name == blank_in:
+            for t in range(40, 50):
+                rows[t][0] = ""
+        files[name] = tmp_path / f"{name}.csv"
+        files[name].write_text("step,a,b\n" + "".join(
+            f"{t},{','.join(row)}\n" for t, row in enumerate(rows)))
+    out = tmp_path / "diag"
+    code = cli_main(["diagnose", "--predictions", str(files["predictions"]),
+                     "--actuals", str(files["actuals"]), "--out", str(out)])
+    assert code == 3
+    err = capsys.readouterr().err
+    assert str(files[blank_in]) in err and "row 42, column 'a'" in err
+    assert not out.exists()
+
+
 @pytest.mark.parametrize("max_lag", ["-1", "0"])
 def test_cli_diagnose_refuses_acf_max_lag_below_one(tmp_path, capsys, max_lag):
     # the rule PipelineConfig.validate applies to a run's acf_max_lag
@@ -563,7 +559,7 @@ def test_cli_exit_codes(tmp_path):
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
                      "--out", str(data)]) == 0
     typo = tmp_path / "typo.cfg"
-    typo.write_text(f"input_csv = {data}\nunit_circle = flase\n")
+    typo.write_text(f"input_csv = {data}\ntarget_modes = fuor\n")
     assert cli_main(["forecast", "--config", str(typo), "--out", str(tmp_path / "e")]) == 2
     assert cli_main(["forecast", "--input", str(data), "--lags", "72.5",
                      "--out", str(tmp_path / "f")]) == 2

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmdembed import hankel
-from dmdembed.dmd import DmdConfig, DmdDecomposition, FixedRank, conjugate_groups, fit_dmd
+from dmdembed.dmd import DmdDecomposition, FixedRank, conjugate_groups, fit_dmd
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import (
@@ -41,7 +41,7 @@ def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
     )
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, tau=default_tau(sig))
-    return fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
+    return fit_dmd(view, FixedRank(4))
 
 
 def admm_solution(problem, gamma, opts=None):
@@ -113,7 +113,7 @@ def test_polish_single_mode_rank_one_signal():
     values = np.outer([2.0, 1.0], np.ones(16))
     sig = SignalMatrix.from_values(values)
     view = build_hankel(sig, tau=1)
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
+    dec = fit_dmd(view, FixedRank(1))
     amp = _polish_on(_AmplitudeProblem(dec), np.array([True]))
     # generator amplitude: ||first column|| since the fitted mode is unit norm
     assert_allclose(np.abs(amp[0]), np.linalg.norm(values[:, 0]), rtol=1e-8)
@@ -173,7 +173,7 @@ def test_gamma_sweep_targets():
 def test_gamma_sweep_target_one_on_rank_one_signal():
     values = np.outer([2.0, 1.0], np.ones(16))
     view = build_hankel(SignalMatrix.from_values(values), tau=1)
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(1)))
+    dec = fit_dmd(view, FixedRank(1))
     res = gamma_sweep(dec, target_modes=1)
     assert res.achieved_pairs == 1
     assert res.selected.support[0]

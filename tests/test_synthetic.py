@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from numpy.testing import assert_allclose
 
-from dmdembed.dmd import DmdConfig, FixedRank, fit_dmd, mode_frequency
+from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.errors import ConfigError
 from dmdembed.hankel import build_hankel, default_tau
 from dmdembed.synthetic import (
@@ -30,7 +30,7 @@ def test_same_seed_same_matrix():
 def test_two_period_recovery_within_tenth_step():
     sig = generate_synthetic(two_period_spec(noise_sigma=0.0, seed=2))
     view = build_hankel(sig, tau=default_tau(sig))
-    dec = fit_dmd(view, DmdConfig(rank_policy=FixedRank(4)))
+    dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
         mode_frequency(lam, sig.step_seconds).period_steps
         for lam in dec.eigenvalues
