@@ -100,21 +100,17 @@ def build_embedding(selected: np.ndarray, span: tuple[int, int]) -> TimeEmbeddin
 
 
 def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "ForecastWindows":
-    """Append embedding channels to each window's history block and carry
-    the future rows as decoder-side covariates.
+    """Append the embedding rows of each anchor's history and target
+    steps to its covariates, once per anchor rather than per window.
 
     The embedding span must cover every absolute step any window touches,
     including the future target steps; the first uncovered step, in
     window order, is reported otherwise.
     """
-    p = windows.history.shape[1]
-    offsets = np.arange(1 - p, windows.target.shape[1] + 1)
-    rows = emb.rows(windows.anchor[:, np.newaxis] + offsets)
-    return replace(
-        windows,
-        history=np.concatenate([windows.history, rows[:, :p]], axis=2),
-        future=rows[:, p:],
-    )
+    anchors = windows.anchor[:: max(1, windows.n_nodes)]
+    p, steps = windows.history.shape[1], windows.covariates.shape[1]
+    rows = emb.rows(anchors[:, np.newaxis] + np.arange(1 - p, steps - p + 1))
+    return replace(windows, covariates=np.concatenate([windows.covariates, rows], axis=2))
 
 
 def export_embedding(emb: TimeEmbedding, path) -> None:

@@ -7,12 +7,14 @@ and future covariate rows enter as extra features. Metrics follow the
 masked MAE/RMSE convention: missing values are excluded, and reporting
 is in original units at horizons 3, 6, and 12.
 
-The W windows of a split are held as arrays, one row per (anchor, node)
-pair, anchor-major and node-minor: ``history (W, P, 1 + 2r)`` holds the
-value channel followed by the embedding's 2r channels, ``future
-(W, Q, 2r)`` the embedding rows at the target steps, and ``target`` and
-``mask`` are ``(W, Q)``. A window's features are its flattened history
-followed by its flattened future rows.
+The W = A·N windows of a split, A anchors times N nodes, are held as
+arrays: ``history (W, P)`` and ``target``/``mask (W, Q)`` hold one row
+per (anchor, node) pair, anchor-major and node-minor. The embedding is a
+time covariate, the same for every node, so ``covariates (A, P+Q, 2r)``
+holds each anchor's rows once: its P history steps, then its Q target
+steps. A window's features are its values followed by its anchor's
+flattened covariate rows, and the fit builds its normal equations from
+these blocks without forming the W x F feature matrix.
 """
 
 from __future__ import annotations
@@ -35,8 +37,11 @@ SPLIT_SUM_TOL = 1e-9
 
 @dataclass(frozen=True)
 class ForecastWindows:
-    """All windows of one split, anchor-major and node-minor.
+    """All windows of one split: A anchors times N nodes, anchor-major and
+    node-minor.
 
+    ``history`` (W, P) holds each window's values and ``covariates``
+    (A, P+Q, c) each anchor's covariate rows, shared by its N windows.
     ``anchor`` is the absolute index of each window's last history step;
     its targets cover anchor+1 .. anchor+Q. ``mask`` marks target entries
     that were actually observed (metric exclusion).
@@ -44,7 +49,7 @@ class ForecastWindows:
 
     split: str
     history: np.ndarray
-    future: np.ndarray
+    covariates: np.ndarray
     target: np.ndarray
     mask: np.ndarray
     node: np.ndarray
@@ -54,16 +59,21 @@ class ForecastWindows:
         return self.target.shape[0]
 
     @property
-    def layout(self) -> tuple[int, int, int]:
-        """(P, history channels, future channels)."""
-        return (self.history.shape[1], self.history.shape[2], self.future.shape[2])
+    def n_nodes(self) -> int:
+        """Windows per anchor."""
+        return len(self) // max(1, self.covariates.shape[0])
 
-    def features(self) -> np.ndarray:
-        w, p, c = self.history.shape
-        _, q, f = self.future.shape
-        return np.concatenate(
-            [self.history.reshape(w, p * c), self.future.reshape(w, q * f)], axis=1
-        )
+    @property
+    def layout(self) -> tuple[int, int, int]:
+        """(P, history channels, future channels): each history step has
+        the value and c covariates, each target step c covariates."""
+        c = self.covariates.shape[2]
+        return (self.history.shape[1], 1 + c, c)
+
+    def covariate_features(self) -> np.ndarray:
+        """(A, (P+Q)·c): each anchor's covariate rows, flattened step-major."""
+        a, steps, c = self.covariates.shape
+        return self.covariates.reshape(a, steps * c)
 
 
 @dataclass(frozen=True)
@@ -220,8 +230,8 @@ def make_windows(
             mask = np.ones(target.shape, dtype=bool)
         collection = ForecastWindows(
             split=part.name,
-            history=_anchor_major(values[:, : t - q], p)[:, :, np.newaxis],
-            future=np.zeros((target.shape[0], q, 0)),
+            history=_anchor_major(values[:, : t - q], p),
+            covariates=np.zeros((t - p - q + 1, p + q, 0)),
             target=target,
             mask=mask,
             node=np.tile(np.arange(n), t - p - q + 1),
@@ -235,8 +245,10 @@ def make_windows(
 
 @dataclass
 class RidgeModel:
-    """Closed-form regularized least squares on flattened window features.
+    """Closed-form regularized least squares on window features.
 
+    ``weights`` are (P + (P+Q)·c, Q): the P value weights, then one per
+    covariate entry in the order of ``covariate_features``.
     ``feature_layout`` is the (P, history channels, future channels)
     layout of the windows it was fit on.
     """
@@ -247,15 +259,22 @@ class RidgeModel:
 
 
 def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
-    """Deterministic ridge fit of the pooled window regression."""
+    """Deterministic ridge fit of the pooled window regression.
+
+    With X = [H, C repeated over the nodes], the normal equations are
+    assembled from blocks: HᵀH, (Σ_nodes H)ᵀC, N·CᵀC and HᵀY, Cᵀ(Σ_nodes Y).
+    """
     if not len(train):
         raise DataError("no training windows")
     if l2 < 0:
         raise DataError(f"l2 must be nonnegative, got {l2}")
-    x = train.features()
-    gram = x.T @ x + l2 * np.eye(x.shape[1])
-    weights = np.linalg.solve(gram, x.T @ train.target)
-    return RidgeModel(weights=weights, l2=l2, feature_layout=train.layout)
+    h, y, c = train.history, train.target, train.covariate_features()
+    n = train.n_nodes
+    cross = h.reshape(len(c), n, h.shape[1]).sum(axis=1).T @ c
+    gram = np.block([[h.T @ h, cross], [cross.T, n * (c.T @ c)]])
+    gram += l2 * np.eye(gram.shape[0])
+    rhs = np.vstack([h.T @ y, c.T @ y.reshape(len(c), n, y.shape[1]).sum(axis=1)])
+    return RidgeModel(weights=np.linalg.solve(gram, rhs), l2=l2, feature_layout=train.layout)
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
@@ -264,7 +283,11 @@ def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
         raise DataError(
             f"window layout {fw.layout} does not match model layout {model.feature_layout}"
         )
-    return fw.features() @ model.weights
+    p, q = fw.history.shape[1], fw.target.shape[1]
+    c = fw.covariate_features()
+    values = (fw.history @ model.weights[:p]).reshape(len(c), fw.n_nodes, q)
+    # each anchor's covariate term, shared by the windows of all its nodes
+    return (values + (c @ model.weights[p:])[:, np.newaxis]).reshape(len(fw), q)
 
 
 @dataclass

@@ -444,12 +444,14 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
     with _StageTimer(run, "forecast"):
         if norm_splits.test is None:
             raise DataError("forecast comparison requires a nonempty test split")
+        # no fit reads validation windows, so none are built
         with_windows = make_windows(
-            norm_splits, cfg.p, cfg.q, embedding=emb, exclusion_mask=original_mask
+            replace(norm_splits, val=None), cfg.p, cfg.q, embedding=emb,
+            exclusion_mask=original_mask,
         )
         # the value channel alone: the same windows without the embedding
         without_windows = {
-            name: replace(fw, history=fw.history[:, :, :1], future=fw.future[:, :, :0])
+            name: replace(fw, covariates=fw.covariates[:, :, :0])
             for name, fw in with_windows.items()
         }
         residuals = {}

@@ -81,17 +81,25 @@ _FILLS = np.array(
 )
 
 
-def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 160) -> str:
+def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 64) -> str:
     """Diverging heatmap of a matrix with entries in [-1, 1].
 
-    Large matrices are strided down to at most max_dim per side. Values
-    beyond [-1, 1] take the end colours, and NaN is full red.
+    Large matrices are pooled to at most max_dim blocks per side, each
+    drawn as its entry of largest magnitude: NaN outranks every number,
+    and ties go to the first entry in row-major order. Values beyond
+    [-1, 1] take the end colours, and NaN is full red.
     """
     mat = np.asarray(matrix, dtype=float)
-    step_r = max(1, -(-mat.shape[0] // max_dim))
-    step_c = max(1, -(-mat.shape[1] // max_dim))
-    mat = mat[::step_r, ::step_c]
-    rows, cols = mat.shape
+    size_r = max(1, -(-mat.shape[0] // max_dim))
+    size_c = max(1, -(-mat.shape[1] // max_dim))
+    rows, cols = -(-mat.shape[0] // size_r), -(-mat.shape[1] // size_c)
+    # zero padding to whole blocks never outranks a block's first entry
+    padded = np.zeros((rows * size_r, cols * size_c))
+    padded[: mat.shape[0], : mat.shape[1]] = mat
+    blocks = padded.reshape(rows, size_r, cols, size_c).swapaxes(1, 2)
+    blocks = blocks.reshape(rows, cols, size_r * size_c)
+    largest = np.argmax(np.where(np.isnan(blocks), np.inf, np.abs(blocks)), axis=2)
+    mat = np.take_along_axis(blocks, largest[:, :, np.newaxis], axis=2)[:, :, 0]
     margin = 30
     width = cols * cell + 2 * margin
     height = rows * cell + 2 * margin

@@ -105,8 +105,8 @@ def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
     k = np.arange(n_windows, dtype=float)
     return ForecastWindows(
         split="train",
-        history=np.repeat(k[:, None, None], p, axis=1),
-        future=np.zeros((n_windows, q, 0)),
+        history=np.repeat(k[:, None], p, axis=1),
+        covariates=np.zeros((n_windows, p + q, 0)),
         target=np.zeros((n_windows, q)),
         mask=np.ones((n_windows, q), bool),
         node=np.zeros(n_windows, dtype=int),
@@ -118,18 +118,19 @@ def test_attach_covariates_empty_embedding_keeps_windows():
     fw = window_fixture()
     emb = build_embedding(np.array([], dtype=complex), span=(0, 20))
     out = attach_covariates(fw, emb)
-    assert fw.history.shape[2] == 1
-    assert out.history.shape == fw.history.shape == (3, 4, 1)
+    assert fw.covariates.shape[2] == 0
+    assert out.history.shape == fw.history.shape == (3, 4)
     assert np.array_equal(out.history, fw.history)
-    assert out.future.shape == (3, 2, 0)
+    assert out.covariates.shape == (3, 4 + 2, 0)
 
 
 def test_attach_covariates_constant_mode_channels():
     fw = window_fixture(n_windows=1, p=1, q=1, anchor0=0)
     emb = build_embedding(np.array([1.0 + 0j]), span=(0, 4))
     out = attach_covariates(fw, emb)
-    assert_allclose(out.history[0], [[0.0, 1.0, 0.0]])
-    assert_allclose(out.future[0], [[1.0, 0.0]])
+    assert_allclose(out.history[0], [0.0])
+    # the history step, then the target step
+    assert_allclose(out.covariates[0], [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_attach_covariates_channel_contract():
@@ -137,8 +138,9 @@ def test_attach_covariates_channel_contract():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.05)])
     emb = build_embedding(lams, span=(0, 30))
     out = attach_covariates(fw, emb)
-    assert out.history.shape == (2, 4, 1 + 2 * 2)
-    assert out.future.shape == (2, 2, 4)
+    assert out.history.shape == (2, 4)
+    assert out.covariates.shape == (2, 4 + 2, 4)
+    assert out.layout == (4, 1 + 2 * 2, 4)
 
 
 def test_attach_covariates_reports_first_uncovered_step():

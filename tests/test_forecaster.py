@@ -67,6 +67,23 @@ def loop_windows(splits, p, q, embedding=None, exclusion_mask=None):
     return out
 
 
+def dense_order(p, q, c):
+    """Where each feature of the per-window layout (each history step's
+    value and c covariates, then each target step's c covariates) sits in
+    the block order of the ridge weights (P values, then the anchor's
+    (P+Q)·c covariates, step-major)."""
+    cov = p + np.arange((p + q) * c).reshape(p + q, c)
+    hist = np.hstack([np.arange(p)[:, None], cov[:p]])
+    return np.concatenate([hist.ravel(), cov[p:].ravel()])
+
+
+def dense_features(fw):
+    """The W x F per-window feature matrix the blocks stand for."""
+    p, q, c = fw.history.shape[1], fw.target.shape[1], fw.covariates.shape[2]
+    blocks = np.hstack([fw.history, np.repeat(fw.covariate_features(), fw.n_nodes, axis=0)])
+    return blocks[:, dense_order(p, q, c)]
+
+
 def first_window_error(splits, p, q, span):
     """The DataError message of the first split, in order, that is shorter
     than P+Q or touches a step outside the embedding span [start, end)."""
@@ -127,12 +144,56 @@ def test_make_windows_matches_per_window_loop(data):
     for name, fw in actual.items():
         ref = expected[name]
         assert len(fw) == ref["target"].shape[0]
-        for key in ("history", "future", "target", "mask", "node", "anchor"):
-            got = getattr(fw, key)
-            assert got.shape == ref[key].shape, key
-            assert got.dtype == ref[key].dtype, key
-            assert np.array_equal(got, ref[key]), key
-        assert np.array_equal(fw.features(), ref["features"])
+        # each window's covariate rows are its anchor's, shared by its nodes
+        per_window_rows = np.repeat(fw.covariates, fw.n_nodes, axis=0)
+        ref_rows = np.concatenate([ref["history"][:, :, 1:], ref["future"]], axis=1)
+        for key, got, want in (
+            ("history", fw.history, ref["history"][:, :, 0]),
+            ("covariates", per_window_rows, ref_rows),
+            *((key, getattr(fw, key), ref[key]) for key in ("target", "mask", "node", "anchor")),
+        ):
+            assert got.shape == want.shape, key
+            assert got.dtype == want.dtype, key
+            assert np.array_equal(got, want), key
+        assert np.array_equal(dense_features(fw), ref["features"])
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_blockwise_ridge_matches_dense_features(data):
+    n = data.draw(st.integers(1, 4), label="N")
+    p = data.draw(st.integers(1, 6), label="P")
+    q = data.draw(st.integers(1, 6), label="Q")
+    n_train = data.draw(st.integers(p + q, 60), label="train steps")
+    n_test = data.draw(st.integers(p + q, 30), label="test steps")
+    t = n_train + n_test
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    values = rng.normal(size=(n, t))
+    blanks = rng.random((n, t)) > 0.3 if data.draw(st.booleans(), label="mask") else None
+    angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=0, max_size=3), label="angles")
+    l2 = 10.0 ** data.draw(st.floats(-8.0, 3.0), label="log10 l2")
+    emb = build_embedding(np.exp(1j * np.array(angles)), span=(0, t))
+    splits = make_splits(signal(values), (n_train / t, 0.0, n_test / t))
+
+    windows = make_windows(splits, p, q, embedding=emb, exclusion_mask=blanks)
+    model = fit_ridge(windows["train"], l2=l2)
+    preds = predict(model, windows["test"])
+
+    ref = loop_windows(splits, p, q, emb, blanks)
+    x, y = ref["train"]["features"], ref["train"]["target"]
+    gram, rhs = x.T @ x + l2 * np.eye(x.shape[1]), x.T @ y
+    dense = np.linalg.solve(gram, rhs)
+    weights = model.weights[dense_order(p, q, 2 * len(angles))]
+    # the blockwise weights solve the dense normal equations to rounding
+    scale = np.linalg.norm(gram, 2) * np.linalg.norm(weights) + np.linalg.norm(rhs)
+    assert np.linalg.norm(gram @ weights - rhs) <= 1e-13 * scale
+    # Two float64 solves can agree only to about cond · eps: over one window
+    # a mode's covariate columns span two directions (the rotation
+    # recurrence), so a small l2 leaves the normal matrix ill-conditioned.
+    rtol = max(1e-9, 1e-14 * np.linalg.cond(gram))
+    assert np.linalg.norm(weights - dense) <= rtol * np.linalg.norm(dense)
+    dense_preds = ref["test"]["features"] @ dense
+    assert np.linalg.norm(preds - dense_preds) <= rtol * np.linalg.norm(dense_preds)
 
 
 def sine_signal(t_steps=200, period=24.0, n_nodes=1):
@@ -213,8 +274,8 @@ def test_window_channel_contract_with_embedding():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.07)])
     emb = build_embedding(lams, span=(0, 60))
     fw = make_windows(splits, p=12, q=12, embedding=emb)["train"]
-    assert fw.history.shape == (len(fw), 12, 1 + 4)
-    assert fw.future.shape == (len(fw), 12, 4)
+    assert fw.history.shape == (len(fw), 12)
+    assert fw.covariates.shape == (len(fw), 12 + 12, 4)  # one node: one window per anchor
     assert fw.layout == (12, 5, 4)
 
 
@@ -277,8 +338,8 @@ def test_predict_empty_windows():
     model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout=(3, 1, 0))
     empty = ForecastWindows(
         split="test",
-        history=np.zeros((0, 3, 1)),
-        future=np.zeros((0, 2, 0)),
+        history=np.zeros((0, 3)),
+        covariates=np.zeros((0, 3 + 2, 0)),
         target=np.zeros((0, 2)),
         mask=np.ones((0, 2), bool),
         node=np.zeros(0, int),
@@ -345,11 +406,7 @@ def test_covariate_null_test():
     rng = np.random.default_rng(4)
     splits = make_splits(signal(rng.normal(size=(2, 80))), (1.0, 0.0, 0.0))
     plain = make_windows(splits, p=8, q=4)["train"]
-    zeroed = dataclasses.replace(
-        plain,
-        history=np.concatenate([plain.history, np.zeros((len(plain), 8, 2))], axis=2),
-        future=np.zeros((len(plain), 4, 2)),
-    )
+    zeroed = dataclasses.replace(plain, covariates=np.zeros((len(plain) // 2, 8 + 4, 2)))
     m_plain = fit_ridge(plain, l2=1e-3)
     m_zero = fit_ridge(zeroed, l2=1e-3)
     p_plain = predict(m_plain, plain)

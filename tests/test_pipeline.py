@@ -415,6 +415,17 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == cfg.l2
 
 
+def test_validation_split_shorter_than_a_window_runs(tmp_path):
+    # 18 validation steps, fewer than P+Q = 24: no fit reads validation
+    # windows, so none are built and the forecast stage runs
+    cfg = small_config(tmp_path, split=(0.7, 0.05, 0.25))
+    out = run_pipeline(cfg)
+    boundaries = json.loads((out / "manifest.json").read_text())["resolved"]["boundaries"]
+    assert boundaries[1] - boundaries[0] == 18 < cfg.p + cfg.q
+    for label in ("with", "without"):
+        assert json.loads((out / f"metrics_{label}.json").read_text())["overall"]["rmse"] > 0
+
+
 def test_no_leakage_from_test_split():
     spec = small_spec(seed=5, noise=0.1)
     sig_a = generate_synthetic(spec)

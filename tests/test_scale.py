@@ -1,10 +1,16 @@
-"""A long two-period run: the fit scales past the dense T x T Gram."""
+"""Scale: a long two-period run whose fit scales past the dense T x T
+Gram, and a wide forecast whose memory stays near its value windows."""
 
 import json
 import tracemalloc
 
+import numpy as np
+
 from dmdembed import dmd
 from dmdembed.dmd import mode_frequency
+from dmdembed.embedding import build_embedding
+from dmdembed.forecaster import fit_ridge, make_splits, make_windows, predict
+from dmdembed.hankel import SignalMatrix
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.synthetic import two_period_spec
 
@@ -41,3 +47,23 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
     assert resolved["tau"] == 3_500
     assert (out / "metrics_with.json").exists()
+
+
+def test_wide_forecast_holds_no_per_window_covariates():
+    # 64 nodes x 1,000 steps with 4 modes. Per-window covariate rows and a
+    # W x F feature matrix would take about 500 doubles a window; the value
+    # windows and targets take P + Q = 24.
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(64, 1_000))
+    observed = rng.random(values.shape) > 0.05
+    splits = make_splits(SignalMatrix.from_values(values), (0.8, 0.0, 0.2))
+    emb = build_embedding(np.exp(2j * np.pi / np.array([72.0, 504.0, 36.0, 24.0])), span=(0, 1_000))
+    tracemalloc.start()
+    try:
+        windows = make_windows(splits, 12, 12, embedding=emb, exclusion_mask=observed)
+        predict(fit_ridge(windows["train"]), windows["test"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    window_mb = sum(len(fw) * (12 + 12) * 8 for fw in windows.values()) / 2**20
+    assert peak / 2**20 <= 2 * window_mb, f"peak {peak / 2**20:.1f} MB, windows {window_mb:.1f} MB"
