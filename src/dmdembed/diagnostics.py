@@ -47,43 +47,48 @@ class CepCurve:
     cep: np.ndarray
 
 
-def acf(series: np.ndarray, max_lag: int, node_id: str = "") -> AcfReport:
-    """Biased (length-normalized) autocorrelation estimator.
+def acf(block: np.ndarray, max_lag: int, node_ids: list[str] | None = None) -> list[AcfReport]:
+    """Biased (length-normalized) autocorrelation of each column of a
+    (rows, columns) block, one report per column.
 
     acf[k] = sum_t (x_t - mean)(x_{t+k} - mean) / sum_t (x_t - mean)^2,
-    which guarantees |acf[k]| <= 1 and acf[0] = 1.
+    which guarantees |acf[k]| <= 1 and acf[0] = 1. All columns are
+    centred at once and each lag is one product over the whole block.
     """
-    x = np.asarray(series, dtype=float).ravel()
-    n = x.size
+    x = np.asarray(block, dtype=float)
+    if x.ndim != 2:
+        raise ValueError(f"block must be 2-D (rows, columns), got shape {x.shape}")
+    n, n_columns = x.shape
     if max_lag < 1:
         raise ValueError(f"max_lag must be >= 1, got {max_lag}")
     if n <= max_lag:
         raise DataError(f"series length {n} must exceed max_lag {max_lag}")
-    if not np.all(np.isfinite(x)):
-        raise DataError("series contains non-finite values")
-    centered = x - x.mean()
-    denom = float(np.dot(centered, centered))
-    if denom <= 0.0:
+    finite = np.isfinite(x).all(axis=0)
+    with np.errstate(invalid="ignore"):  # inf - inf in a non-finite column
+        centered = x - x.mean(axis=0)
+    denom = np.einsum("ij,ij->j", centered, centered)
+    bad = ~finite | ~(denom > 0.0)
+    if bad.any():
+        # the first bad column decides the message, as a per-column loop would
+        first = int(np.argmax(bad))
+        if not finite[first]:
+            raise DataError("series contains non-finite values")
         raise DataError("constant series has no autocorrelation")
-    values = np.empty(max_lag + 1)
-    values[0] = 1.0
+    values = np.empty((n_columns, max_lag + 1))
+    values[:, 0] = 1.0
     for k in range(1, max_lag + 1):
-        values[k] = float(np.dot(centered[:-k], centered[k:])) / denom
-    threshold = 2.0 / np.sqrt(n)
-    peaks = []
-    for k in range(1, max_lag + 1):
-        if values[k] <= threshold:
-            continue
-        left_ok = values[k] > values[k - 1]
-        right_ok = k == max_lag or values[k] >= values[k + 1]
-        if left_ok and right_ok:
-            peaks.append(k)
-    return AcfReport(
-        node_id=node_id,
-        lags=np.arange(max_lag + 1),
-        acf=values,
-        peak_lags=np.asarray(peaks, dtype=int),
-    )
+        values[:, k] = np.einsum("ij,ij->j", centered[:-k], centered[k:]) / denom
+    # a peak is above the noise threshold, above its left neighbour and at
+    # least its right one (the last lag has no right neighbour)
+    inner = values[:, 1:]
+    right = np.append(values[:, 2:], np.full((n_columns, 1), -np.inf), axis=1)
+    peaks = (inner > 2.0 / np.sqrt(n)) & (inner > values[:, :-1]) & (inner >= right)
+    lags = np.arange(max_lag + 1)
+    ids = node_ids if node_ids is not None else [""] * n_columns
+    return [
+        AcfReport(node_id=ids[j], lags=lags, acf=values[j], peak_lags=np.flatnonzero(peaks[j]) + 1)
+        for j in range(n_columns)
+    ]
 
 
 def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary:
@@ -109,8 +114,6 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     n = resid.shape[0]
     if n - lag < 2:
         raise DataError(f"time length {n} must exceed lag {lag} by at least 2")
-    lead = resid[lag:]
-    trail = resid[: n - lag]
 
     def standardize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         centered = block - block.mean(axis=0)
@@ -122,9 +125,14 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
         out[:, keep] = centered[:, keep] / scale[keep]
         return out, keep
 
-    lead_z, keep_lead = standardize(lead)
-    trail_z, keep_trail = standardize(trail)
-    keep = keep_lead & keep_trail
+    lead_z, keep = standardize(resid[lag:])
+    if lag == 0:
+        # lead and trail are one block: standardize it once, and z.T @ z
+        # is a symmetric product
+        trail_z = lead_z
+    else:
+        trail_z, keep_trail = standardize(resid[: n - lag])
+        keep = keep & keep_trail
     excluded = int((~keep).sum())
     if not keep.any():
         raise DataError("every residual column has zero variance")

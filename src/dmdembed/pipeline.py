@@ -220,37 +220,56 @@ def load_csv(path, step_seconds: float = 900.0) -> SignalMatrix:
     if len(data_rows) < 2:
         raise DataError(f"{path}: need at least 2 time steps, got {len(data_rows)}")
     n_nodes = len(node_ids)
-    values = np.zeros((n_nodes, len(data_rows)))
-    mask = np.zeros((n_nodes, len(data_rows)), dtype=bool)
-    for t, row in enumerate(data_rows):
-        if len(row) != n_nodes + 1:
-            raise DataError(
-                f"{path}: row {t + 2} has {len(row)} cells, expected {n_nodes + 1}"
-            )
-        for i, cell in enumerate(row[1:]):
-            cell = cell.strip()
-            if not cell:
-                continue
+
+    def cell_at(k: int) -> str:
+        return f"{path}: row {k // n_nodes + 2}, column {header[k % n_nodes + 1]!r}"
+
+    # a ragged row is reported unless a bad number comes before it
+    ragged = next((t for t, row in enumerate(data_rows) if len(row) != n_nodes + 1), None)
+    cells = [cell.strip() for row in data_rows[:ragged] for cell in row[1:]]
+    observed = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
+    try:
+        # Python's float, so every value is bit for bit the one it parses
+        flat = np.fromiter(map(float, filter(None, cells)), dtype=float, count=int(observed.sum()))
+    except ValueError:
+        for k, cell in enumerate(cells):
             try:
-                values[i, t] = float(cell)
+                float(cell or 0)
             except ValueError as exc:
-                raise DataError(f"{path}: row {t + 2}, column {header[i + 1]!r}: "
-                                f"non-numeric cell {cell!r}") from exc
-            mask[i, t] = True
-    return SignalMatrix(values=values, mask=mask, node_ids=node_ids, step_seconds=step_seconds)
+                raise DataError(f"{cell_at(k)}: non-numeric cell {cell!r}") from exc
+        raise
+    if ragged is not None:
+        raise DataError(
+            f"{path}: row {ragged + 2} has {len(data_rows[ragged])} cells, expected {n_nodes + 1}"
+        )
+    bad = np.flatnonzero(~np.isfinite(flat))
+    if bad.size:
+        k = int(np.flatnonzero(observed)[bad[0]])
+        raise DataError(f"{cell_at(k)}: non-finite cell {cells[k]!r}")
+    values = np.zeros(len(cells))
+    values[observed] = flat
+    return SignalMatrix(
+        values=np.ascontiguousarray(values.reshape(-1, n_nodes).T),
+        mask=np.ascontiguousarray(observed.reshape(-1, n_nodes).T),
+        node_ids=node_ids,
+        step_seconds=step_seconds,
+    )
 
 
 def write_signal_csv(signal: SignalMatrix, path) -> None:
     """Inverse of load_csv; missing entries become blank cells. Creates
     the parent directory if needed."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
+    by_step = signal.values.T
+    # %.17g writes no whitespace, so one split recovers the cells
+    formatted = ("%.17g " * by_step.size % tuple(by_step.ravel().tolist())).split()
+    cells = np.empty((signal.n_steps, signal.n_nodes + 1), dtype=object)
+    cells[:, 0] = range(signal.n_steps)
+    cells[:, 1:] = np.where(signal.mask.T, np.array(formatted, dtype=object).reshape(by_step.shape), "")
+    row = "%d" + ",%s" * signal.n_nodes + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write("step," + ",".join(signal.node_ids) + "\n")
-        for t in range(signal.n_steps):
-            cells = [str(t)]
-            for i in range(signal.n_nodes):
-                cells.append(f"{signal.values[i, t]:.17g}" if signal.mask[i, t] else "")
-            fh.write(",".join(cells) + "\n")
+        fh.write(row * signal.n_steps % tuple(cells.ravel().tolist()))
 
 
 @dataclass
@@ -523,7 +542,7 @@ def _write_residual_diagnostics(
     """
     tag, split, caption = ("", "", "") if label is None else (f"_{label}", "_test", f" ({label}, test)")
     at_horizon = "" if horizon is None else f" at horizon {horizon}"
-    n_rows, n_columns = residuals.shape[:2]
+    n_rows = residuals.shape[0]
     flat = residuals.reshape(n_rows, -1)
     skipped: list[int] = []
     summaries = []
@@ -540,9 +559,7 @@ def _write_residual_diagnostics(
 
     max_lag = min(acf_max_lag, n_rows - 1)
     if max_lag >= 1:
-        reports = [
-            dg.acf(residuals[:, i, -1], max_lag, node_id=column_ids[i]) for i in range(n_columns)
-        ]
+        reports = dg.acf(residuals[:, :, -1], max_lag, node_ids=column_ids)
         dg.write_acf_csv(reports, destination(f"acf{tag}{split}.csv"))
         svg = svgplot.line_chart(
             reports[0].lags,

@@ -60,9 +60,12 @@ def line_chart(
             f'<text x="{margin - 6}" y="{sy(yv):.1f}" text-anchor="end" '
             f'font-size="11">{_fmt(yv)}</text>'
         )
+    # sx and sy on whole arrays make the same operations as on each point
+    px = sx(x)
     for i, (label, y) in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
-        pts = " ".join(f"{sx(xi):.1f},{sy(yi):.1f}" for xi, yi in zip(x, np.asarray(y, float)))
+        xy = np.column_stack([px, sy(np.asarray(y, float))])
+        pts = " ".join(["%.1f,%.1f"] * len(xy)) % tuple(xy.ravel().tolist())
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{width - margin}" y="{margin + 14 * (i + 1)}" text-anchor="end" '

@@ -1,8 +1,8 @@
 """The array-at-a-time artifact writers against their per-value forms.
 
 Each reference below is the writer in its plain per-value form: a
-per-cell heatmap, the plain json.dumps of a decomposition's fields and
-per-row CSV loops. The writers must give the same bytes for every input.
+per-cell heatmap, a per-point line chart, the plain json.dumps of a
+decomposition's fields and per-row CSV loops. The writers must give the same bytes for every input.
 """
 
 import json
@@ -15,7 +15,7 @@ from hypothesis.extra.numpy import arrays
 from dmdembed.diagnostics import AcfReport, write_acf_csv
 from dmdembed.dmd import DmdDecomposition
 from dmdembed.embedding import TimeEmbedding, export_embedding
-from dmdembed.svgplot import heatmap
+from dmdembed.svgplot import PALETTE, heatmap, line_chart
 
 # ---------------------------------------------------------------- references
 
@@ -66,6 +66,50 @@ def heatmap_per_cell(matrix, title, cell=4, max_dim=64):
                 f'<rect x="{margin + j * cell}" y="{margin + i * cell}" width="{cell}" '
                 f'height="{cell}" fill="{_diverging_color(mat[i, j])}"/>'
             )
+    parts.append("</svg>")
+    return "\n".join(parts)
+
+
+def line_chart_per_point(x, series, title, width=640, height=360):
+    x = np.asarray(x, dtype=float)
+    margin = 50
+    plot_w = width - 2 * margin
+    plot_h = height - 2 * margin
+    ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
+    y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    if y_hi == y_lo:
+        y_hi = y_lo + 1.0
+    x_lo, x_hi = float(x.min()), float(x.max())
+    if x_hi == x_lo:
+        x_hi = x_lo + 1.0
+
+    def sx(v):
+        return margin + (v - x_lo) / (x_hi - x_lo) * plot_w
+
+    def sy(v):
+        return height - margin - (v - y_lo) / (y_hi - y_lo) * plot_h
+
+    parts = [
+        f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
+        f'<rect width="{width}" height="{height}" fill="white"/>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
+        f'y2="{height - margin}" stroke="black"/>',
+        f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
+    ]
+    for frac in (0.0, 0.5, 1.0):
+        xv = x_lo + frac * (x_hi - x_lo)
+        yv = y_lo + frac * (y_hi - y_lo)
+        parts.append(f'<text x="{sx(xv):.1f}" y="{height - margin + 18}" text-anchor="middle" '
+                     f'font-size="11">{xv:.2f}</text>')
+        parts.append(f'<text x="{margin - 6}" y="{sy(yv):.1f}" text-anchor="end" '
+                     f'font-size="11">{yv:.2f}</text>')
+    for i, (label, y) in enumerate(series):
+        color = PALETTE[i % len(PALETTE)]
+        pts = " ".join(f"{sx(xi):.1f},{sy(yi):.1f}" for xi, yi in zip(x, np.asarray(y, float)))
+        parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
+        parts.append(f'<text x="{width - margin}" y="{margin + 14 * (i + 1)}" text-anchor="end" '
+                     f'font-size="11" fill="{color}">{label}</text>')
     parts.append("</svg>")
     return "\n".join(parts)
 
@@ -147,6 +191,29 @@ def test_heatmap_matches_reference_at_default_size():
 def test_heatmap_nan_is_full_red():
     svg = heatmap(np.array([[np.nan, -np.nan]]), "nan")
     assert svg.count('fill="rgb(255,0,0)"') == 2
+
+
+# ---------------------------------------------------------------- line chart
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_line_chart_matches_per_point_reference(data):
+    n = data.draw(st.integers(1, 40))
+    x = data.draw(st.one_of(st.just(np.arange(n)), arrays(float, n, elements=st.floats(-1e6, 1e6))))
+    points = st.one_of(half_steps, specials.filter(np.isfinite), st.floats(-1e6, 1e6))
+    series = [
+        (f"s{i}", data.draw(arrays(float, n, elements=points)))
+        for i in range(data.draw(st.integers(1, 7)))
+    ]
+    assert line_chart(x, series, "t") == line_chart_per_point(x, series, "t")
+
+
+def test_line_chart_matches_reference_at_acf_size():
+    # six series over lags 0..144, as in a run's residual ACF chart
+    rng = np.random.default_rng(0)
+    series = [(f"n{i}", rng.uniform(-1, 1, size=145)) for i in range(6)]
+    assert line_chart(np.arange(145), series, "acf") == line_chart_per_point(np.arange(145), series, "acf")
 
 
 # ---------------------------------------------------------------- to_json

@@ -11,7 +11,7 @@ from dmdembed.errors import DataError
 def test_acf_white_noise_bound():
     rng = np.random.default_rng(1234)
     x = rng.normal(size=10_000)
-    report = acf(x, max_lag=100)
+    (report,) = acf(x[:, np.newaxis], max_lag=100)
     inside = np.sum(np.abs(report.acf[1:]) <= 3.0 / np.sqrt(x.size))
     assert inside >= 99
     assert report.acf[0] == 1.0
@@ -19,14 +19,15 @@ def test_acf_white_noise_bound():
 
 def test_acf_cosine_peaks_at_period_multiples():
     t = np.arange(1000)
-    report = acf(np.cos(2 * np.pi * t / 72), max_lag=144)
-    assert 72 in report.peak_lags
-    assert 144 in report.peak_lags
+    block = np.column_stack([np.cos(2 * np.pi * t / 72), np.sin(2 * np.pi * t / 72)])
+    for report in acf(block, max_lag=144):
+        assert 72 in report.peak_lags
+        assert 144 in report.peak_lags
 
 
 def test_acf_alternating_series():
     x = np.array([1.0, -1.0] * 50)
-    report = acf(x, max_lag=4)
+    (report,) = acf(x[:, np.newaxis], max_lag=4)
     # biased estimator scales lag k by (n-k)/n
     assert report.acf[1] == pytest.approx(-0.99, abs=1e-12)
     assert report.acf[2] == pytest.approx(0.98, abs=1e-12)
@@ -35,7 +36,7 @@ def test_acf_alternating_series():
 def test_acf_bounded_by_one():
     rng = np.random.default_rng(7)
     x = np.cumsum(rng.normal(size=500))
-    report = acf(x, max_lag=50)
+    (report,) = acf(x[:, np.newaxis], max_lag=50)
     assert np.max(np.abs(report.acf)) <= 1.0 + 1e-12
 
 
@@ -43,19 +44,121 @@ def test_acf_bounded_by_one():
 @settings(max_examples=30, deadline=None)
 def test_acf_affine_invariance(seed, shift, scale):
     rng = np.random.default_rng(seed)
-    x = rng.normal(size=300)
-    base = acf(x, max_lag=20).acf
-    moved = acf(scale * x + shift, max_lag=20).acf
-    assert np.max(np.abs(base - moved)) <= 1e-10
+    x = rng.normal(size=(300, 1))
+    (base,) = acf(x, max_lag=20)
+    (moved,) = acf(scale * x + shift, max_lag=20)
+    assert np.max(np.abs(base.acf - moved.acf)) <= 1e-10
 
 
 def test_acf_errors():
     with pytest.raises(DataError):
-        acf(np.ones(50), max_lag=5)
+        acf(np.ones((50, 1)), max_lag=5)
     with pytest.raises(DataError):
-        acf(np.arange(5.0), max_lag=10)
+        acf(np.arange(5.0)[:, np.newaxis], max_lag=10)
     with pytest.raises(ValueError):
-        acf(np.arange(10.0), max_lag=0)
+        acf(np.arange(10.0)[:, np.newaxis], max_lag=0)
+
+
+def acf_per_column(series, max_lag):
+    """One series at a time with np.dot per lag: the per-column reference."""
+    x = np.asarray(series, dtype=float)
+    centered = x - x.mean()
+    denom = float(np.dot(centered, centered))
+    values = np.empty(max_lag + 1)
+    values[0] = 1.0
+    for k in range(1, max_lag + 1):
+        values[k] = float(np.dot(centered[:-k], centered[k:])) / denom
+    threshold = 2.0 / np.sqrt(x.size)
+    peaks = []
+    for k in range(1, max_lag + 1):
+        if values[k] <= threshold:
+            continue
+        if values[k] > values[k - 1] and (k == max_lag or values[k] >= values[k + 1]):
+            peaks.append(k)
+    return values, np.asarray(peaks, dtype=int)
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(2, 300), st.data())
+@settings(max_examples=60, deadline=None)
+def test_acf_block_matches_per_column_reference(seed, n_columns, n_rows, data):
+    max_lag = data.draw(st.integers(1, min(n_rows - 1, 150)))
+    rng = np.random.default_rng(seed)
+    t = np.arange(n_rows)[:, np.newaxis]
+    periods = rng.uniform(2.0, 80.0, size=n_columns)
+    wave = np.cos(2 * np.pi * t / periods) + rng.uniform(0, 2) * rng.normal(size=(n_rows, n_columns))
+    block = rng.uniform(-50, 50, size=n_columns) + rng.uniform(0.1, 10, size=n_columns) * wave
+    ids = [f"c{j}" for j in range(n_columns)]
+    reports = acf(block, max_lag, node_ids=ids)
+    assert [r.node_id for r in reports] == ids
+    threshold = 2.0 / np.sqrt(n_rows)
+    for j, report in enumerate(reports):
+        values, peaks = acf_per_column(block[:, j], max_lag)
+        assert report.acf[0] == 1.0
+        assert np.array_equal(report.lags, np.arange(max_lag + 1))
+        assert np.max(np.abs(report.acf - values)) <= 1e-13
+        # a lag whose compared neighbours (or the threshold) lie within
+        # 1e-12 of it may go either way; every other lag must agree
+        v = values
+        near = np.abs(v[1:] - threshold) <= 1e-12
+        near |= np.abs(v[1:] - v[:-1]) <= 1e-12
+        near[:-1] |= np.abs(v[1:-1] - v[2:]) <= 1e-12
+        lags = np.arange(1, max_lag + 1)[~near]
+        assert np.array_equal(np.isin(lags, report.peak_lags), np.isin(lags, peaks))
+
+
+def test_acf_block_errors():
+    rng = np.random.default_rng(4)
+    block = rng.normal(size=(40, 3))
+    with pytest.raises(ValueError, match="2-D"):
+        acf(block[:, 0], max_lag=5)
+    with pytest.raises(DataError, match="must exceed max_lag"):
+        acf(block, max_lag=40)
+    # the first bad column decides the message, as one call per column would
+    nonfinite, constant = block.copy(), block.copy()
+    nonfinite[7, 1] = np.inf
+    nonfinite[:, 2] = 3.0
+    constant[:, 1] = 3.0
+    constant[7, 2] = np.nan
+    with pytest.raises(DataError, match="non-finite"):
+        acf(nonfinite, max_lag=5)
+    with pytest.raises(DataError, match="constant series"):
+        acf(constant, max_lag=5)
+
+
+def residual_correlation_lag_zero_reference(resid):
+    """Lag 0 with the lead and trail blocks standardized apart."""
+    def standardize(block):
+        centered = block - block.mean(axis=0)
+        scale = np.sqrt(np.mean(centered**2, axis=0))
+        floor = 1e-12 * np.maximum(1.0, np.max(np.abs(block), axis=0))
+        keep = scale > floor
+        out = np.zeros_like(centered)
+        out[:, keep] = centered[:, keep] / scale[keep]
+        return out, keep
+
+    lead_z, keep_lead = standardize(resid)
+    trail_z, keep_trail = standardize(resid.copy())
+    keep = keep_lead & keep_trail
+    corr = np.clip((lead_z.T @ trail_z) / resid.shape[0], -1.0, 1.0)
+    return corr, float(np.mean(np.abs(corr[np.ix_(keep, keep)]))), int((~keep).sum())
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 80), st.data())
+@settings(max_examples=60, deadline=None)
+def test_residual_correlation_lag_zero_matches_two_standardizations(seed, n_rows, n_columns, data):
+    rng = np.random.default_rng(seed)
+    resid = rng.normal(size=(n_rows, n_columns)) @ rng.normal(size=(n_columns, n_columns))
+    resid += rng.uniform(-100, 100, size=n_columns)
+    constant = data.draw(st.lists(st.integers(0, n_columns - 1), max_size=3))
+    resid[:, constant] = 2.5
+    if len(set(constant)) == n_columns:
+        resid[:, 0] = rng.normal(size=n_rows)
+    corr, mean_abs, excluded = residual_correlation_lag_zero_reference(resid)
+    summary = residual_correlation(resid, lag=0)
+    assert np.array_equal(summary.matrix, summary.matrix.T)
+    assert np.max(np.abs(summary.matrix - corr)) <= 1e-13
+    assert abs(summary.mean_abs_corr - mean_abs) <= 1e-13
+    assert summary.excluded_columns == excluded
 
 
 def test_residual_correlation_lag_zero():
@@ -156,7 +259,7 @@ def test_csv_writers(tmp_path):
     from dmdembed.diagnostics import write_acf_csv, write_cep_csv, write_residual_corr_csv
 
     rng = np.random.default_rng(2)
-    reports = [acf(rng.normal(size=200), max_lag=10, node_id=f"n{i}") for i in range(2)]
+    reports = acf(rng.normal(size=(200, 2)), max_lag=10, node_ids=["n0", "n1"])
     write_acf_csv(reports, tmp_path / "acf.csv")
     lines = (tmp_path / "acf.csv").read_text().splitlines()
     assert lines[0] == "lag,n0,n1"

@@ -1,4 +1,5 @@
 import argparse
+import csv
 import json
 import os
 import subprocess
@@ -6,12 +7,15 @@ import sys
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from hypothesis.extra.numpy import arrays
 
 from dmdembed.cli import build_parser, main as cli_main
 from dmdembed.dmd import DmdDecomposition, FixedRank, fit_dmd, reconstruct
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
-from dmdembed.hankel import build_hankel, impute_linear
+from dmdembed.hankel import SignalMatrix, build_hankel, impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
     PipelineConfig,
@@ -105,6 +109,120 @@ def test_signal_csv_round_trip(tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.mask, sig.mask)
     assert np.array_equal(back.values[back.mask], sig.values[sig.mask])
+
+
+def test_load_csv_names_the_non_finite_cell(tmp_path):
+    path = tmp_path / "nan.csv"
+    path.write_text("step,a,b\n0,1.0,2.0\n1,3.0, nan\n2,inf,5.0\n")
+    with pytest.raises(DataError) as got:
+        load_csv(path)
+    assert str(got.value) == f"{path}: row 3, column 'b': non-finite cell 'nan'"
+    out = tmp_path / "run"
+    assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 3
+
+
+def load_csv_per_cell(path):
+    """The per-cell parse behind load_csv: (values, mask, node_ids), or
+    the DataError that load_csv raises."""
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        rows = list(csv.reader(fh))
+    header = rows[0]
+    node_ids = [h.strip() for h in header[1:]]
+    values = np.zeros((len(node_ids), len(rows) - 1))
+    mask = np.zeros(values.shape, dtype=bool)
+    non_finite = None
+    for t, row in enumerate(rows[1:]):
+        if len(row) != len(header):
+            raise DataError(f"{path}: row {t + 2} has {len(row)} cells, expected {len(header)}")
+        for i, cell in enumerate(row[1:]):
+            cell = cell.strip()
+            if not cell:
+                continue
+            where = f"{path}: row {t + 2}, column {header[i + 1]!r}"
+            try:
+                values[i, t] = float(cell)
+            except ValueError as exc:
+                raise DataError(f"{where}: non-numeric cell {cell!r}") from exc
+            if non_finite is None and not np.isfinite(values[i, t]):
+                non_finite = f"{where}: non-finite cell {cell!r}"
+            mask[i, t] = True
+    if non_finite is not None:
+        raise DataError(non_finite)
+    return values, mask, node_ids
+
+
+number_text = st.floats(allow_nan=False, allow_infinity=False).flatmap(
+    lambda v: st.sampled_from([repr(v), "%.17g" % v, "%g" % v, "%.3e" % v])
+)
+good_cell = st.one_of(
+    number_text,
+    st.sampled_from(["", "   ", "-0", "1e3", ".5", "7.", "1_000"]),
+    number_text.map(lambda text: f"  {text} "),
+    number_text.map(lambda text: f'"{text}"'),
+    number_text.map(lambda text: f'" {text}"'),
+)
+bad_cell = st.sampled_from(
+    ["nan", "inf", "-inf", " NaN ", '"Infinity"', "apple", '"1,5"', "1.2.3", "--1"]
+)
+
+
+@settings(max_examples=150, deadline=None)
+@given(data=st.data())
+def test_load_csv_matches_per_cell_reference(tmp_path_factory, data):
+    n_nodes = data.draw(st.integers(1, 5))
+    n_steps = data.draw(st.integers(2, 8))
+    names = st.sampled_from(["a", " b ", "node 3", '"q,r"'])
+    header = ["step"] + data.draw(st.lists(names, min_size=n_nodes, max_size=n_nodes))
+    grid = data.draw(st.lists(st.lists(good_cell, min_size=n_nodes, max_size=n_nodes),
+                              min_size=n_steps, max_size=n_steps))
+    for _ in range(data.draw(st.integers(0, 2))):
+        t, i = data.draw(st.integers(0, n_steps - 1)), data.draw(st.integers(0, n_nodes - 1))
+        grid[t][i] = data.draw(bad_cell)
+    rows = [[str(t)] + row for t, row in enumerate(grid)]
+    if data.draw(st.integers(0, 3)) == 0:
+        t = data.draw(st.integers(0, n_steps - 1))
+        rows[t] = rows[t][:-1] if data.draw(st.booleans()) else rows[t] + ["1"]
+    path = tmp_path_factory.mktemp("grid") / "grid.csv"
+    path.write_text("".join(",".join(row) + "\n" for row in [header] + rows), encoding="utf-8")
+    try:
+        values, mask, node_ids = load_csv_per_cell(path)
+    except DataError as exc:
+        with pytest.raises(DataError) as got:
+            load_csv(path)
+        assert str(got.value) == str(exc)
+        return
+    sig = load_csv(path)
+    assert sig.values.shape == values.shape and sig.values.tobytes() == values.tobytes()
+    assert np.array_equal(sig.mask, mask)
+    assert sig.node_ids == node_ids
+
+
+def write_signal_csv_per_cell(signal, path) -> None:
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        fh.write("step," + ",".join(signal.node_ids) + "\n")
+        for t in range(signal.n_steps):
+            cells = [str(t)]
+            for i in range(signal.n_nodes):
+                cells.append(f"{signal.values[i, t]:.17g}" if signal.mask[i, t] else "")
+            fh.write(",".join(cells) + "\n")
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_write_signal_csv_matches_per_cell_reference(tmp_path_factory, data):
+    shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(2, 10)))
+    values = data.draw(arrays(float, shape, elements=st.floats()))
+    # masked cells may hold anything; observed ones must be finite
+    mask = data.draw(arrays(bool, shape)) & np.isfinite(values)
+    signal = SignalMatrix(values=values, mask=mask,
+                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+    folder = tmp_path_factory.mktemp("signal")
+    write_signal_csv(signal, folder / "fast.csv")
+    write_signal_csv_per_cell(signal, folder / "reference.csv")
+    assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
+    back = load_csv(folder / "fast.csv")
+    assert np.array_equal(back.mask, mask)
+    assert back.values[mask].tobytes() == values[mask].tobytes()
 
 
 # ------------------------------------------------------------ config layer
