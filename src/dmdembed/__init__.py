@@ -13,7 +13,6 @@ from .dmd import (
     CepThreshold,
     DmdDecomposition,
     FixedRank,
-    VandermondeMatrix,
     fit_dmd,
     mode_frequency,
     reconstruct,
@@ -84,7 +83,6 @@ __all__ = [
     "SyntheticComponent",
     "SyntheticSpec",
     "TimeEmbedding",
-    "VandermondeMatrix",
     "ZScore",
     "apply_tall",
     "attach_covariates",

@@ -106,15 +106,6 @@ def _pairs_complex(pairs: list[list[float]]) -> np.ndarray:
 
 
 @dataclass(frozen=True)
-class VandermondeMatrix:
-    """Row i holds successive powers 1, lambda_i, lambda_i^2, ..."""
-
-    eigenvalues: np.ndarray
-    length: int
-    entries: np.ndarray
-
-
-@dataclass(frozen=True)
 class ModeFrequency:
     """Oscillation period (None for non-oscillatory) and growth rate ln|lambda|."""
 
@@ -123,8 +114,8 @@ class ModeFrequency:
     growth_rate: float
 
 
-def vandermonde(eigenvalues: np.ndarray, length: int) -> VandermondeMatrix:
-    """Temporal dynamics matrix with entries[i, j] = lambda_i ** j.
+def vandermonde(eigenvalues: np.ndarray, length: int) -> np.ndarray:
+    """Temporal dynamics matrix, (r, length), with entries[i, j] = lambda_i ** j.
 
     Columns are generated by the multiplicative recurrence so that the
     relation entries[:, j+1] = lambda * entries[:, j] holds exactly.
@@ -136,7 +127,7 @@ def vandermonde(eigenvalues: np.ndarray, length: int) -> VandermondeMatrix:
     entries[:, 0] = 1.0
     for j in range(1, length):
         entries[:, j] = entries[:, j - 1] * eigs
-    return VandermondeMatrix(eigenvalues=eigs, length=length, entries=entries)
+    return entries
 
 
 def conjugate_groups(eigenvalues: np.ndarray) -> list[list[int]]:
@@ -240,7 +231,7 @@ def amplitude_quadratic(
     q = conj(diag(C H^T modes)). The fit solves it for the amplitudes
     and keeps it for the sparse mode selection.
     """
-    vand = vandermonde(eigenvalues, geometry.span).entries
+    vand = vandermonde(eigenvalues, geometry.span)
     p = (modes.conj().T @ modes) * np.conj(vand @ vand.conj().T)
     ht_modes = geometry.tall_transpose(modes)
     q = np.conj(np.einsum("ij,ji->i", vand, ht_modes))
@@ -309,7 +300,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
 
 def reconstruct(dec: DmdDecomposition, length: int) -> np.ndarray:
     """Real part of modes @ diag(amplitudes) @ Vandermonde over ``length`` steps."""
-    vand = vandermonde(dec.eigenvalues, length).entries
+    vand = vandermonde(dec.eigenvalues, length)
     full = dec.modes @ (dec.amplitudes[:, np.newaxis] * vand)
     return full.real
 

@@ -69,7 +69,7 @@ class PipelineConfig:
             raise ConfigError(f"train and test shares must be positive, got {self.split}")
         if self.step_seconds <= 0:
             raise ConfigError(f"step_seconds must be positive, got {self.step_seconds}")
-        check_acf_max_lag(self.acf_max_lag)
+        check_diagnostics(self.lags, self.acf_max_lag)
         if self.p < 1 or self.q < 1:
             raise ConfigError(f"P and Q must be positive, got {self.p}, {self.q}")
         if self.target_modes < 1:
@@ -113,8 +113,11 @@ class PipelineConfig:
         return cfg
 
 
-def check_acf_max_lag(acf_max_lag: int) -> None:
-    """The ACF needs at least one lag beyond zero."""
+def check_diagnostics(lags: tuple[int, ...], acf_max_lag: int) -> None:
+    """Each correlation lag is named once, and the ACF needs at least one
+    lag beyond zero."""
+    if len(set(lags)) < len(lags):
+        raise ConfigError(f"each lag may be named once, got {list(lags)}")
     if acf_max_lag < 1:
         raise ConfigError(f"acf_max_lag must be at least 1, got {acf_max_lag}")
 
@@ -548,8 +551,7 @@ def _write_residual_diagnostics(
     summaries = []
     for lag in lags:
         if n_rows - abs(lag) < 2:
-            if lag not in skipped:
-                skipped.append(lag)
+            skipped.append(lag)
             continue
         summary = dg.residual_correlation(flat, lag)
         summaries.append(summary)
@@ -578,7 +580,7 @@ def diagnose_residuals(
     column_ids: list[str] | None = None,
 ) -> Path:
     """Standalone residual diagnostics on a (time, columns) matrix."""
-    check_acf_max_lag(acf_max_lag)
+    check_diagnostics(lags, acf_max_lag)
     out_dir = Path(out_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
     resid = np.asarray(residuals, dtype=float)

@@ -11,8 +11,9 @@ diagonal entry) and P is eigendecomposed once per problem, so every
 solve of (P + rho/2 I) x = b is a diagonal scale in that eigenbasis.
 Conjugate eigenvalue pairs are thresholded jointly on their combined
 magnitude so a real-valued embedding never receives half a pair.
-Surviving amplitudes are polished by an unregularized refit restricted
-to the support.
+A sweep solves all its grid points together, one row per gamma, each
+stopping at its own convergence. Surviving amplitudes are polished by
+an unregularized refit restricted to the support, once per support.
 """
 
 from __future__ import annotations
@@ -63,7 +64,8 @@ class SpdmdSolution:
 
 @dataclass
 class SpdmdPath:
-    """Solutions along an ascending gamma grid, warm-started in order.
+    """Solutions along an ascending gamma grid, all solved together from
+    the fit's amplitudes, each stopping at its own convergence.
 
     ``rho`` is the ADMM penalty used at every grid point.
     """
@@ -93,7 +95,8 @@ class SweepResult:
 class _AmplitudeProblem:
     """The fit's quadratic form a*Pa - 2Re(q*a) + s plus pair structure.
 
-    Also holds the ADMM penalty rho = trace(P) / r and the
+    Also holds the fit's amplitudes (where each ADMM solve starts), the
+    group membership, the ADMM penalty rho = trace(P) / r and the
     eigendecomposition P = V diag(lam) V* that turns each solve with
     P + rho/2 I into a diagonal scale.
     """
@@ -105,13 +108,14 @@ class _AmplitudeProblem:
                 "back from JSON has none); refit it with fit_dmd"
             )
         self.p, self.q, self.s = dec.amplitude_form
+        self.start = dec.amplitudes
         self.groups = conjugate_groups(dec.eigenvalues)
-        self.group_index = np.empty(len(dec.eigenvalues), dtype=np.intp)
+        self.membership = np.zeros((self.q.size, len(self.groups)))
         for k, g in enumerate(self.groups):
-            self.group_index[g] = k
+            self.membership[g, k] = 1.0
         # Group-lasso weight sqrt(group size) makes the joint threshold
         # equivalent to the plain l1 penalty on a conjugate-symmetric pair.
-        self.group_weights = np.sqrt(np.bincount(self.group_index))
+        self.group_weights = np.sqrt(self.membership.sum(axis=0))
         self.rho = float(np.trace(self.p).real) / self.q.size
         self.eigvals, self.eigvecs = np.linalg.eigh(self.p)
 
@@ -134,54 +138,52 @@ class _AmplitudeProblem:
         return bound
 
 
-def group_threshold(
-    v: np.ndarray, group_index: np.ndarray, group_weights: np.ndarray, kappa: float
-) -> np.ndarray:
-    """Group soft-thresholding: shrink each group's norm by kappa * w_g.
-
-    Entry i belongs to group ``group_index[i]``; groups whose norm does
-    not exceed the threshold become exactly zero.
-    """
-    norms = np.sqrt(np.bincount(group_index, weights=v.real**2 + v.imag**2,
-                                minlength=group_weights.size))
-    limits = kappa * group_weights
-    scale = np.zeros_like(norms)
+def group_threshold(v: np.ndarray, membership: np.ndarray, limits: np.ndarray) -> np.ndarray:
+    """Group soft-thresholding of each row of a (K, r) block: row k shrinks
+    the norm of group g (column g of the (r, groups) 0/1 ``membership``)
+    by ``limits[k, g]``; a group not above its limit becomes exactly zero."""
+    norms = np.sqrt((v.real**2 + v.imag**2) @ membership)
     keep = norms > limits
-    scale[keep] = 1.0 - limits[keep] / norms[keep]
-    return scale[group_index] * v
+    scale = np.where(keep, 1.0 - limits / np.where(keep, norms, 1.0), 0.0)
+    return (scale @ membership.T) * v
 
 
 def _admm(
-    problem: _AmplitudeProblem,
-    gamma: float,
-    opts: AdmmOptions,
-    beta0: np.ndarray | None = None,
-    dual0: np.ndarray | None = None,
-) -> tuple[np.ndarray, np.ndarray, bool, int]:
-    if gamma <= 0:
-        raise ValueError(f"gamma must be positive, got {gamma}")
-    r = problem.q.size
+    problem: _AmplitudeProblem, gammas: np.ndarray, opts: AdmmOptions
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """ADMM at every gamma at once: row k of the (K, r) block solves at
+    ``gammas[k]`` from the fit's amplitudes with a zero dual. The rows
+    iterate in lockstep and each retires at its own convergence or at
+    ``opts.max_iter``. Returns the amplitudes and each row's converged
+    flag and iteration count."""
+    gammas = np.asarray(gammas, dtype=float)
+    if np.any(gammas <= 0):
+        raise ValueError(f"gammas must be positive, got {gammas}")
     rho = problem.rho
-    vecs = problem.eigvecs
-    vecs_h = vecs.conj().T
+    # Row form of V diag(1 / (lam + rho/2)) V* b: (b conj(V) / shifted) V^T.
+    vecs_conj, vecs_t = problem.eigvecs.conj(), problem.eigvecs.T.copy()
     shifted = problem.eigvals + 0.5 * rho
-    beta = np.zeros(r, dtype=complex) if beta0 is None else beta0.copy()
-    dual = np.zeros(r, dtype=complex) if dual0 is None else dual0.copy()
-    kappa = gamma / rho
-    converged = False
-    iterations = opts.max_iter
+    result = np.tile(problem.start, (gammas.size, 1))
+    iterations = np.full(gammas.size, opts.max_iter)
+    rows = np.arange(gammas.size)
+    limits = np.outer(gammas / rho, problem.group_weights)
+    beta, dual = result.copy(), np.zeros_like(result)
     for it in range(1, opts.max_iter + 1):
-        alpha = vecs @ ((vecs_h @ (problem.q + 0.5 * rho * (beta - dual))) / shifted)
+        alpha = ((problem.q + 0.5 * rho * (beta - dual)) @ vecs_conj / shifted) @ vecs_t
         beta_prev = beta
-        beta = group_threshold(alpha + dual, problem.group_index, problem.group_weights, kappa)
+        beta = group_threshold(alpha + dual, problem.membership, limits)
         dual = dual + alpha - beta
-        primal = float(np.linalg.norm(alpha - beta))
-        dual_res = rho * float(np.linalg.norm(beta - beta_prev))
-        if primal <= opts.tol_primal and dual_res <= opts.tol_dual:
-            converged = True
-            iterations = it
-            break
-    return beta, dual, converged, iterations
+        primal = np.linalg.norm(alpha - beta, axis=1)
+        dual_res = rho * np.linalg.norm(beta - beta_prev, axis=1)
+        done = (primal <= opts.tol_primal) & (dual_res <= opts.tol_dual)
+        if done.any():
+            result[rows[done]] = beta[done]
+            iterations[rows[done]] = it
+            rows, beta, dual, limits = rows[~done], beta[~done], dual[~done], limits[~done]
+            if not rows.size:
+                break
+    result[rows] = beta
+    return result, ~np.isin(np.arange(gammas.size), rows), iterations
 
 
 def _make_solution(
@@ -224,13 +226,13 @@ def gamma_sweep(
     grid: GammaGrid | None = None,
     opts: AdmmOptions | None = None,
 ) -> SweepResult:
-    """Warm-started sweep over an ascending gamma grid.
+    """Sweep over an ascending gamma grid, all grid points together.
 
     ``target_modes`` counts conjugate-pair representatives: a retained
     pair and a retained real mode each count once. Returns the polished
     solution whose pair count is closest to the target, preferring fewer
-    pairs on ties, then lower fit loss. The sweep starts from the
-    fit's own amplitudes, the unpenalized optimum.
+    pairs on ties, then lower fit loss. Every grid point starts from the
+    fit's own amplitudes and stops at its own convergence.
     """
     grid = grid or GammaGrid()
     opts = opts or AdmmOptions()
@@ -243,19 +245,14 @@ def gamma_sweep(
         raise ValueError("degenerate problem: zero data certificate")
     gammas = np.geomspace(grid.lo_ratio * gamma_hi, gamma_hi, grid.num)
 
+    betas, converged_rows, iteration_rows = _admm(problem, gammas, opts)
+    supports, which = np.unique(np.abs(betas) > SUPPORT_EPS, axis=0, return_inverse=True)
+    refits = [_polish_on(problem, s) if s.any() else np.zeros(s.size, complex) for s in supports]
     solutions: list[SpdmdSolution] = []
     warnings: list[str] = []
-    beta = dec.amplitudes
-    dual = np.zeros_like(beta)
     prev_count: int | None = None
-    for gamma in gammas:
-        beta, dual, converged, iterations = _admm(problem, float(gamma), opts, beta, dual)
-        support = np.abs(beta) > SUPPORT_EPS
-        if support.any():
-            amplitudes = _polish_on(problem, support)
-        else:
-            amplitudes = np.zeros_like(beta)
-        sol = _make_solution(problem, float(gamma), amplitudes, True, converged, iterations)
+    for gamma, k, converged, iterations in zip(gammas, which, converged_rows, iteration_rows):
+        sol = _make_solution(problem, float(gamma), refits[k], True, bool(converged), int(iterations))
         if not converged:
             warnings.append(
                 f"ADMM stopped at the {opts.max_iter}-iteration cap without converging "

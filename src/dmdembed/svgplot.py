@@ -29,11 +29,12 @@ def line_chart(
     plot_h = height - 2 * margin
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
     y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    # a flat series spans 1, or one step of float spacing where 1 is lost
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, float(np.nextafter(y_lo, np.inf)))
     x_lo, x_hi = float(x.min()), float(x.max())
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, float(np.nextafter(x_lo, np.inf)))
 
     def sx(v: float) -> float:
         return margin + (v - x_lo) / (x_hi - x_lo) * plot_w

@@ -77,11 +77,12 @@ def line_chart_per_point(x, series, title, width=640, height=360):
     plot_h = height - 2 * margin
     ys = np.concatenate([np.asarray(y, dtype=float) for _, y in series])
     y_lo, y_hi = float(np.min(ys)), float(np.max(ys))
+    # a flat series spans 1, or one step of float spacing where 1 is lost
     if y_hi == y_lo:
-        y_hi = y_lo + 1.0
+        y_hi = max(y_lo + 1.0, float(np.nextafter(y_lo, np.inf)))
     x_lo, x_hi = float(x.min()), float(x.max())
     if x_hi == x_lo:
-        x_hi = x_lo + 1.0
+        x_hi = max(x_lo + 1.0, float(np.nextafter(x_lo, np.inf)))
 
     def sx(v):
         return margin + (v - x_lo) / (x_hi - x_lo) * plot_w
@@ -207,6 +208,15 @@ def test_line_chart_matches_per_point_reference(data):
         for i in range(data.draw(st.integers(1, 7)))
     ]
     assert line_chart(x, series, "t") == line_chart_per_point(x, series, "t")
+
+
+def test_line_chart_of_a_flat_series_too_large_to_shift_by_one():
+    # 1e300 + 1.0 == 1e300: the flat series' span is one float step instead
+    for y, x in (([1e300], [0.0]), ([-1e300, -1e300], [3.0, 3.0]), ([1.0], [1e17])):
+        series = [("s0", np.array(y))]
+        svg = line_chart(np.array(x), series, "t")
+        assert svg == line_chart_per_point(np.array(x), series, "t")
+        assert "nan" not in svg and "inf" not in svg
 
 
 def test_line_chart_matches_reference_at_acf_size():

@@ -157,13 +157,14 @@ def test_resolve_rank_nondecreasing_in_fraction(seed, f1, f2):
 
 def test_vandermonde_examples():
     vm = vandermonde(np.array([1.0, -1.0]), 4)
-    assert_allclose(vm.entries, [[1, 1, 1, 1], [1, -1, 1, -1]])
+    assert vm.shape == (2, 4) and vm.dtype == complex
+    assert_allclose(vm, [[1, 1, 1, 1], [1, -1, 1, -1]])
     vm_i = vandermonde(np.array([1j]), 4)
-    assert_allclose(vm_i.entries[0], [1, 1j, -1, -1j])
+    assert_allclose(vm_i[0], [1, 1j, -1, -1j])
     lam = np.exp(1j * 2 * np.pi / 24)
     vm24 = vandermonde(np.array([lam]), 25)
-    assert_allclose(vm24.entries[0, 12], -1.0, atol=1e-12)
-    assert_allclose(vm24.entries[0, 24], 1.0, atol=1e-12)
+    assert_allclose(vm24[0, 12], -1.0, atol=1e-12)
+    assert_allclose(vm24[0, 24], 1.0, atol=1e-12)
     with pytest.raises(ValueError):
         vandermonde(np.array([1.0]), 0)
 
@@ -174,10 +175,11 @@ def test_vandermonde_recurrence_and_ones_column(seed, length):
     rng = np.random.default_rng(seed)
     lam = rng.normal(size=3) + 1j * rng.normal(size=3)
     vm = vandermonde(lam, length)
-    assert_allclose(vm.entries[:, 0], np.ones(3))
-    expected = vm.entries[:, :-1] * lam[:, None]
-    scale = np.maximum(np.abs(vm.entries[:, 1:]), 1e-300)
-    assert np.max(np.abs(vm.entries[:, 1:] - expected) / scale) <= 1e-10
+    assert vm.shape == (3, length)
+    assert_allclose(vm[:, 0], np.ones(3))
+    expected = vm[:, :-1] * lam[:, None]
+    scale = np.maximum(np.abs(vm[:, 1:]), 1e-300)
+    assert np.max(np.abs(vm[:, 1:] - expected) / scale) <= 1e-10
 
 
 def test_reconstruct_examples():
@@ -186,7 +188,7 @@ def test_reconstruct_examples():
     rec = reconstruct(dec, 48)
     assert np.linalg.norm(rec - values) <= 1e-6 * np.linalg.norm(values)
     # imaginary residue of the complex product is negligible for real fits
-    vm = vandermonde(dec.eigenvalues, 48).entries
+    vm = vandermonde(dec.eigenvalues, 48)
     full = dec.modes @ (dec.amplitudes[:, None] * vm)
     assert np.linalg.norm(full.imag) <= 1e-6 * np.linalg.norm(full.real)
 
@@ -206,7 +208,7 @@ def mode_generated_signal(rng, eigenvalues, n_nodes, t_steps):
             modes[:, k] = modes[:, k].real
         elif k > 0 and abs(lams[k - 1] - np.conj(lam)) < 1e-12:
             modes[:, k] = np.conj(modes[:, k - 1])
-    powers = vandermonde(lams, t_steps).entries
+    powers = vandermonde(lams, t_steps)
     return (modes @ powers).real
 
 
@@ -270,7 +272,7 @@ def test_shift_consistency_recovers_generating_eigenvalues(seed, n_pairs, add_re
         modes[:, k + 1] = np.conj(modes[:, k])
     if add_real:
         modes[:, -1] = modes[:, -1].real
-    powers = vandermonde(lams, t_steps).entries
+    powers = vandermonde(lams, t_steps)
     values = (modes @ powers).real
     dec = fit_dmd(view_of(values), FixedRank(r))
     got = np.sort_complex(dec.eigenvalues)

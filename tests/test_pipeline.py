@@ -665,6 +665,19 @@ def test_cli_diagnose_refuses_acf_max_lag_below_one(tmp_path, capsys, max_lag):
     assert not out.exists()
 
 
+def test_cli_diagnose_refuses_repeated_lag(tmp_path, capsys):
+    # the rule PipelineConfig.validate applies to a run's lags: a repeated
+    # lag would write its correlation row and heatmap twice
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--out", str(data)]) == 0
+    out = tmp_path / "diag"
+    code = cli_main(["diagnose", "--predictions", str(data), "--actuals", str(data),
+                     "--lags", "0,0", "--out", str(out)])
+    assert code == 2
+    assert "each lag may be named once, got [0, 0]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # config error: bad rank policy
     assert cli_main(["forecast", "--input", "x.csv", "--rank", "bogus",
@@ -708,7 +721,8 @@ def test_cli_exit_codes(tmp_path):
                                    ["--p", "0"], ["--split", "0.7,0.5,0.2"],
                                    ["--split", "1.1,-0.3,0.2"], ["--split", "0.9,0.1,0"],
                                    ["--split", "0,0.5,0.5"], ["--step-seconds", "0"],
-                                   ["--acf-max-lag", "-1"], ["--acf-max-lag", "0"]])
+                                   ["--acf-max-lag", "-1"], ["--acf-max-lag", "0"],
+                                   ["--lags", "0,0"], ["--lags", "0,72,504,72"]])
 def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys, flags):
     data = tmp_path / "d.csv"
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",

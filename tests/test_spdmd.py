@@ -23,7 +23,7 @@ from dmdembed.spdmd import (
     _polish_on,
     group_threshold,
 )
-from dmdembed.synthetic import two_period_spec
+from dmdembed.synthetic import generate_synthetic, two_period_spec
 
 
 def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
@@ -45,10 +45,11 @@ def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
 
 
 def admm_solution(problem, gamma, opts=None):
-    """One unpolished ADMM solve from zero: the step gamma_sweep takes at
-    each grid point, without its warm start."""
-    beta, _, converged, iterations = _admm(problem, gamma, opts or AdmmOptions())
-    return _make_solution(problem, gamma, beta, False, converged, iterations)
+    """One unpolished ADMM solve at a single gamma, a batch of one row:
+    the step gamma_sweep takes at each grid point, from the fit's
+    amplitudes."""
+    betas, converged, iterations = _admm(problem, np.array([gamma]), opts or AdmmOptions())
+    return _make_solution(problem, gamma, betas[0], False, bool(converged[0]), int(iterations[0]))
 
 
 def exhaustive_pair_oracle(dec, target_pairs):
@@ -295,33 +296,37 @@ def _reference_threshold(v, groups, kappa):
 @given(
     st.lists(st.integers(1, 2), min_size=1, max_size=12),
     st.integers(0, 10_000),
-    st.one_of(st.just(0.0), st.floats(1e-3, 3.0)),
+    st.lists(st.one_of(st.just(0.0), st.floats(1e-3, 3.0)), min_size=1, max_size=6),
 )
 @settings(max_examples=60, deadline=None)
-def test_group_threshold_matches_per_group_loop(sizes, seed, kappa):
+def test_group_threshold_matches_per_group_loop(sizes, seed, kappas):
+    # one row per kappa, each thresholded at its own limits kappa * w_g
     rng = np.random.default_rng(seed)
     order = rng.permutation(sum(sizes))
     bounds = np.cumsum([0] + sizes)
     groups = [list(order[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    group_index = np.empty(order.size, dtype=np.intp)
+    membership = np.zeros((order.size, len(groups)))
     for k, g in enumerate(groups):
-        group_index[g] = k
+        membership[g, k] = 1.0
     weights = np.sqrt(np.array(sizes, dtype=float))
-    v = rng.normal(size=order.size) + 1j * rng.normal(size=order.size)
-    zeroed = rng.random(len(groups)) < 0.3
-    for g, z in zip(groups, zeroed):
-        if z:
-            v[g] = 0.0
-    out = group_threshold(v, group_index, weights, kappa)
-    expected = _reference_threshold(v, groups, kappa)
-    assert_allclose(out, expected, rtol=1e-12, atol=1e-12)
-    for g, z in zip(groups, zeroed):
-        if z:
-            assert np.all(out[g] == 0)
+    v = rng.normal(size=(len(kappas), order.size)) + 1j * rng.normal(size=(len(kappas), order.size))
+    zeroed = rng.random((len(kappas), len(groups))) < 0.3
+    for row, z_row in zip(v, zeroed):
+        for g, z in zip(groups, z_row):
+            if z:
+                row[g] = 0.0
+    out = group_threshold(v, membership, np.outer(kappas, weights))
+    for row, out_row, kappa, z_row in zip(v, out, kappas, zeroed):
+        expected = _reference_threshold(row, groups, kappa)
+        assert_allclose(out_row, expected, rtol=1e-12, atol=1e-12)
+        for g, z in zip(groups, z_row):
+            if z:
+                assert np.all(out_row[g] == 0)
 
 
-def _dense_reference_admm(problem, gamma, max_iter=200_000):
-    """Plain ADMM: unit penalty and a fresh dense solve every iteration."""
+def _dense_reference_admm(problem, gamma, max_iter=200_000, tol=1e-6):
+    """Plain ADMM from zero at one gamma: unit penalty and a fresh dense
+    solve every iteration. Also returns the last input of the threshold."""
     rho = 1.0
     system = problem.p + 0.5 * rho * np.eye(problem.q.size)
     beta = np.zeros(problem.q.size, dtype=complex)
@@ -329,12 +334,13 @@ def _dense_reference_admm(problem, gamma, max_iter=200_000):
     for _ in range(max_iter):
         alpha = np.linalg.solve(system, problem.q + 0.5 * rho * (beta - dual))
         beta_prev = beta
-        beta = _reference_threshold(alpha + dual, problem.groups, gamma / rho)
+        v = alpha + dual
+        beta = _reference_threshold(v, problem.groups, gamma / rho)
         dual = dual + alpha - beta
-        if (np.linalg.norm(alpha - beta) <= 1e-6
-                and rho * np.linalg.norm(beta - beta_prev) <= 1e-6):
-            return beta, True
-    return beta, False
+        if (np.linalg.norm(alpha - beta) <= tol
+                and rho * np.linalg.norm(beta - beta_prev) <= tol):
+            return beta, True, v
+    return beta, False, v
 
 
 def test_admm_matches_dense_reference():
@@ -343,16 +349,89 @@ def test_admm_matches_dense_reference():
     gamma_hi = problem.gamma_max()
     certs = [2.0 * np.linalg.norm(problem.q[g]) / np.sqrt(len(g)) for g in problem.groups]
     gammas = list(np.geomspace(1e-6 * gamma_hi, gamma_hi, 12)) + [np.sqrt(min(certs) * max(certs))]
+    betas, converged, _ = _admm(problem, np.array(gammas), AdmmOptions())
     supports = set()
-    for gamma in gammas:
-        beta, _, converged, _ = _admm(problem, gamma, AdmmOptions())
-        expected, ref_converged = _dense_reference_admm(problem, gamma)
-        assert converged and ref_converged
+    for gamma, beta, row_converged in zip(gammas, betas, converged):
+        expected, ref_converged, _ = _dense_reference_admm(problem, gamma)
+        assert row_converged and ref_converged
         assert np.array_equal(beta != 0, expected != 0), gamma
         scale = max(float(np.max(np.abs(expected))), 1e-300)
         assert np.max(np.abs(beta - expected)) <= 1e-6 * scale
         supports.add(int(np.count_nonzero(beta)))
     assert supports == {0, 2, 4}
+
+
+def random_decomposition(seed, rank):
+    """Fit of a small random signal: one to three sinusoids of random
+    period, phase per node, plus noise, at a random tau."""
+    rng = np.random.default_rng(seed)
+    n_nodes, t_steps = int(rng.integers(1, 5)), int(rng.integers(24, 72))
+    steps = np.arange(t_steps)
+    values = rng.normal(scale=0.3, size=(n_nodes, t_steps))
+    for _ in range(int(rng.integers(1, 4))):
+        phases = rng.uniform(0, 2 * np.pi, size=(n_nodes, 1))
+        values += rng.uniform(0.2, 2.0) * np.cos(2 * np.pi * steps / rng.uniform(3, 30) + phases)
+    tau = int(rng.integers(1, t_steps // 3))
+    view = build_hankel(SignalMatrix.from_values(values), tau=tau)
+    return fit_dmd(view, FixedRank(min(rank, n_nodes * tau, t_steps - tau - 1)))
+
+
+@given(st.integers(0, 10_000), st.integers(1, 6))
+@settings(max_examples=30, deadline=None)
+def test_every_grid_row_matches_dense_reference_at_its_gamma(seed, rank):
+    # Both solvers stop at 1e-9 within the same iteration budget, so their
+    # stopping error stays far below 1e-6 of the amplitude scale (the fit's
+    # largest amplitude) even where every amplitude is small.
+    tol = 1e-9
+    problem = _AmplitudeProblem(random_decomposition(seed, rank))
+    scale = float(np.max(np.abs(problem.start)))
+    gamma_hi = problem.gamma_max()
+    gammas = np.geomspace(1e-6 * gamma_hi, gamma_hi, 8)
+    opts = AdmmOptions(max_iter=200_000, tol_primal=tol, tol_dual=tol)
+    betas, converged, _ = _admm(problem, gammas, opts)
+    assert converged.all()
+    weights = np.sqrt([len(g) for g in problem.groups])
+    for gamma, beta in zip(gammas, betas):
+        expected, ref_converged, prox_input = _dense_reference_admm(problem, gamma, tol=tol)
+        assert ref_converged
+        # a group on its threshold may fall either way
+        limits = gamma * weights
+        norms = np.array([np.linalg.norm(prox_input[g]) for g in problem.groups])
+        for g, on_edge in zip(problem.groups, np.abs(norms - limits) <= 1e-6 * limits):
+            if not on_edge:
+                assert np.array_equal(beta[g] != 0, expected[g] != 0), gamma
+        assert np.max(np.abs(beta - expected)) <= 1e-6 * scale
+
+
+def test_grid_row_does_not_depend_on_its_batch():
+    sig = generate_synthetic(two_period_spec(n_steps=360, noise_sigma=0.1, seed=1))
+    wide = fit_dmd(build_hankel(sig, tau=default_tau(sig)), FixedRank(24))
+    for dec in (rank4_fixture(), wide):
+        problem = _AmplitudeProblem(dec)
+        gamma_hi = problem.gamma_max()
+        gammas = np.geomspace(1e-6 * gamma_hi, gamma_hi, 50)
+        betas, converged, iterations = _admm(problem, gammas, AdmmOptions())
+        assert converged.all()
+        for k, gamma in enumerate(gammas):
+            alone, alone_converged, alone_iterations = _admm(problem, gammas[k:k + 1], AdmmOptions())
+            assert np.array_equal(alone[0] != 0, betas[k] != 0)
+            scale = max(float(np.max(np.abs(betas[k]))), 1e-300)
+            assert np.max(np.abs(alone[0] - betas[k])) <= 1e-9 * scale
+            assert alone_converged[0] and alone_iterations[0] == iterations[k]
+        # a cap that half the rows reach: those stop there with their last
+        # iterate, and the rest converge as they do uncapped
+        cap = int(np.median(iterations))
+        capped, capped_converged, capped_iterations = _admm(
+            problem, gammas, AdmmOptions(max_iter=cap))
+        assert 0 < np.count_nonzero(~capped_converged) < gammas.size
+        assert np.array_equal(capped_converged, iterations <= cap)
+        assert np.array_equal(capped_iterations, np.minimum(iterations, cap))
+        for k, row_converged in enumerate(capped_converged):
+            gap = np.max(np.abs(capped[k] - betas[k]))
+            if row_converged:
+                assert gap <= 1e-9 * np.max(np.abs(betas[k]))
+            else:
+                assert gap < np.max(np.abs(problem.start - betas[k]))
 
 
 def test_many_mode_sweep_converges_everywhere(tmp_path):
