@@ -1,8 +1,13 @@
 #!/usr/bin/env python3
 """Fit a decomposition on a CSV and print the dominant-mode table.
 
-Shows, per retained mode: period in steps and hours, growth rate, and
-amplitude share. Optionally renders the covariate channels as an SVG.
+The fit is the one ``dmdembed fit`` makes: on the training steps of the
+default split, z-scored per node with their own statistics, at the
+default tau unless ``--tau`` is given. The rows marked kept are the
+modes whose eigenvalues that run records in its manifest.
+
+Shows, per mode: period in steps and hours, growth rate, and amplitude
+share. Optionally renders the covariate channels as an SVG.
 """
 
 import argparse
@@ -11,8 +16,9 @@ import numpy as np
 
 from dmdembed.dmd import fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding, select_representatives
-from dmdembed.hankel import build_hankel, default_tau, impute_linear
-from dmdembed.pipeline import load_csv, parse_rank_policy
+from dmdembed.forecaster import split_boundaries, zscore_fit
+from dmdembed.hankel import SignalMatrix, build_hankel, default_tau, impute_linear
+from dmdembed.pipeline import PipelineConfig, load_csv, parse_rank_policy
 from dmdembed.spdmd import gamma_sweep
 from dmdembed.svgplot import line_chart, write_svg
 
@@ -29,15 +35,19 @@ def main() -> int:
     args = parser.parse_args()
 
     signal = impute_linear(load_csv(args.input, step_seconds=args.step_seconds))
-    tau = args.tau if args.tau is not None else default_tau(signal)
-    view = build_hankel(signal, tau)
+    b_train, _ = split_boundaries(signal.n_steps, PipelineConfig.split)
+    columns = signal.values[:, :b_train]
+    normalized = zscore_fit(columns, signal.node_ids).transform(columns)
+    train = SignalMatrix.from_values(normalized, signal.node_ids, signal.step_seconds)
+    tau = args.tau if args.tau is not None else default_tau(train)
+    view = build_hankel(train, tau)
     dec = fit_dmd(view, parse_rank_policy(args.rank))
     sweep = gamma_sweep(dec, target_modes=min(args.target_modes, dec.rank))
     kept = sweep.selected.support
     total = np.sum(np.abs(dec.amplitudes))
 
-    print(f"rank {dec.rank}, tau {tau}, kept {sweep.achieved_pairs} pair(s) "
-          f"at gamma {sweep.selected.gamma:.4g}")
+    print(f"training steps {b_train} of {signal.n_steps}, rank {dec.rank}, tau {tau}, "
+          f"kept {sweep.achieved_pairs} pair(s) at gamma {sweep.selected.gamma:.4g}")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
     for i, lam in enumerate(dec.eigenvalues):
         freq = mode_frequency(lam, signal.step_seconds)

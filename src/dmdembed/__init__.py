@@ -34,10 +34,10 @@ from .forecaster import (
     ZScore,
     evaluate,
     fit_ridge,
-    make_splits,
     make_windows,
     predict,
-    zscore_fit_apply,
+    split_boundaries,
+    zscore_fit,
 )
 from .hankel import (
     HankelView,
@@ -99,7 +99,6 @@ __all__ = [
     "gram",
     "impute_linear",
     "load_csv",
-    "make_splits",
     "make_windows",
     "mode_frequency",
     "predict",
@@ -108,6 +107,7 @@ __all__ = [
     "run_pipeline",
     "select_representatives",
     "snapshot_svd",
+    "split_boundaries",
     "vandermonde",
-    "zscore_fit_apply",
+    "zscore_fit",
 ]

@@ -46,7 +46,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--manifest", help="rerun from a previous run's manifest.json")
     parser.add_argument("--input", dest="input_csv", help="input CSV (time-major)")
     parser.add_argument("--out", dest="output_dir", help="run output directory")
-    parser.add_argument("--seed", help="random seed")
+    parser.add_argument("--seed", help="default synth_seed; with --input, no result depends on it")
     parser.add_argument("--tau", help="Hankel block rows (default: auto)")
     parser.add_argument("--rank", help="rank policy, 'fixed:R' or 'cep:F'")
     parser.add_argument("--target-modes", dest="target_modes",
@@ -104,8 +104,9 @@ def build_parser() -> argparse.ArgumentParser:
     p_diag = sub.add_parser("diagnose", help="residual analysis on supplied predictions")
     p_diag.add_argument("--predictions", required=True, help="CSV of predictions (time-major)")
     p_diag.add_argument("--actuals", required=True, help="CSV of observed values, same shape")
-    p_diag.add_argument("--lags", default="0,72,504")
-    p_diag.add_argument("--acf-max-lag", default=144, dest="acf_max_lag")
+    # the pipeline's own defaults, which its test-split diagnostics use
+    p_diag.add_argument("--lags", default=PipelineConfig.lags)
+    p_diag.add_argument("--acf-max-lag", default=PipelineConfig.acf_max_lag, dest="acf_max_lag")
     p_diag.add_argument("--out", required=True, help="output directory")
     return parser
 

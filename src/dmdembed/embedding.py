@@ -107,9 +107,8 @@ def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "Foreca
     including the future target steps; the first uncovered step, in
     window order, is reported otherwise.
     """
-    anchors = windows.anchor[:: max(1, windows.n_nodes)]
     p, steps = windows.history.shape[1], windows.covariates.shape[1]
-    rows = emb.rows(anchors[:, np.newaxis] + np.arange(1 - p, steps - p + 1))
+    rows = emb.rows(windows.anchors[:, np.newaxis] + np.arange(1 - p, steps - p + 1))
     return replace(windows, covariates=np.concatenate([windows.covariates, rows], axis=2))
 
 

@@ -7,14 +7,18 @@ and future covariate rows enter as extra features. Metrics follow the
 masked MAE/RMSE convention: missing values are excluded, and reporting
 is in original units at horizons 3, 6, and 12.
 
-The W = A·N windows of a split, A anchors times N nodes, are held as
-arrays: ``history (W, P)`` and ``target``/``mask (W, Q)`` hold one row
-per (anchor, node) pair, anchor-major and node-minor. The embedding is a
-time covariate, the same for every node, so ``covariates (A, P+Q, 2r)``
-holds each anchor's rows once: its P history steps, then its Q target
-steps. A window's features are its values followed by its anchor's
-flattened covariate rows, and the fit builds its normal equations from
-these blocks without forming the W x F feature matrix.
+The series is held once, as one normalized (N, T) array. Each split is
+a ``[start, stop)`` step range over it, from ``split_boundaries``, and
+windows are built straight from those ranges. The W = A·N windows of a
+split, A anchors times N nodes, are arrays: ``history (W, P)`` and
+``target``/``mask (W, Q)`` hold one row per (anchor, node) pair,
+anchor-major and node-minor, and ``anchors (A,)`` the absolute step of
+each anchor's last history step. The embedding is a time covariate, the
+same for every node, so ``covariates (A, P+Q, 2r)`` holds each anchor's
+rows once: its P history steps, then its Q target steps. A window's
+features are its values followed by its anchor's flattened covariate
+rows, and the fit builds its normal equations from these blocks without
+forming the W x F feature matrix.
 """
 
 from __future__ import annotations
@@ -27,8 +31,7 @@ import numpy as np
 from numpy.lib.stride_tricks import sliding_window_view
 
 from .embedding import TimeEmbedding, attach_covariates
-from .errors import DataError
-from .hankel import SignalMatrix
+from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-8
 # Split ratios may miss a sum of 1 by this much.
@@ -42,18 +45,16 @@ class ForecastWindows:
 
     ``history`` (W, P) holds each window's values and ``covariates``
     (A, P+Q, c) each anchor's covariate rows, shared by its N windows.
-    ``anchor`` is the absolute index of each window's last history step;
-    its targets cover anchor+1 .. anchor+Q. ``mask`` marks target entries
-    that were actually observed (metric exclusion).
+    ``anchors`` (A,) holds the absolute step of each anchor's last
+    history step; its targets cover anchor+1 .. anchor+Q. ``mask``
+    marks target entries that were actually observed (metric exclusion).
     """
 
-    split: str
     history: np.ndarray
     covariates: np.ndarray
     target: np.ndarray
     mask: np.ndarray
-    node: np.ndarray
-    anchor: np.ndarray
+    anchors: np.ndarray
 
     def __len__(self) -> int:
         return self.target.shape[0]
@@ -61,7 +62,7 @@ class ForecastWindows:
     @property
     def n_nodes(self) -> int:
         """Windows per anchor."""
-        return len(self) // max(1, self.covariates.shape[0])
+        return len(self) // max(1, self.anchors.size)
 
     @property
     def layout(self) -> tuple[int, int, int]:
@@ -76,72 +77,31 @@ class ForecastWindows:
         return self.covariates.reshape(a, steps * c)
 
 
-@dataclass(frozen=True)
-class SplitPart:
-    """A contiguous chronological slice of the signal."""
-
-    name: str
-    signal: SignalMatrix
-    start: int
-
-
-@dataclass(frozen=True)
-class Splits:
-    train: SplitPart
-    val: SplitPart | None
-    test: SplitPart | None
-
-    @property
-    def boundaries(self) -> tuple[int, int]:
-        t_train = self.train.signal.n_steps
-        t_val = self.val.signal.n_steps if self.val else 0
-        return (t_train, t_train + t_val)
-
-    def parts(self) -> list[SplitPart]:
-        return [p for p in (self.train, self.val, self.test) if p is not None]
-
-
-def make_splits(signal: SignalMatrix, ratios: tuple[float, float, float]) -> Splits:
-    """Contiguous chronological train/val/test split of the signal.
-
-    Boundary steps are rounded from the ratios; zero ratios yield empty
-    (absent) splits, which is convenient for unit tests.
-    """
-    if len(ratios) != 3 or any(r < 0 for r in ratios):
-        raise DataError(f"ratios must be three nonnegative numbers, got {ratios}")
+def check_split_ratios(ratios: tuple[float, ...]) -> None:
+    """Split ratios are three nonnegative numbers that sum to 1."""
+    if len(ratios) != 3 or min(ratios) < 0:
+        raise ConfigError(f"split needs three nonnegative ratios, got {ratios}")
     if abs(sum(ratios) - 1.0) > SPLIT_SUM_TOL:
-        raise DataError(f"ratios must sum to 1, got {sum(ratios)}")
-    t = signal.n_steps
-    n_train = int(round(t * ratios[0]))
-    n_val = int(round(t * ratios[1]))
-    n_test = t - n_train - n_val
+        raise ConfigError(f"split ratios must sum to 1, got {sum(ratios)}")
+
+
+def split_boundaries(n_steps: int, ratios: tuple[float, float, float]) -> tuple[int, int]:
+    """Boundaries (b_train, b_val) of the contiguous chronological split:
+    train is steps [0, b_train), val [b_train, b_val), test [b_val, n_steps).
+
+    Boundary steps are rounded from the ratios; a zero ratio gives an
+    empty split, which is convenient for unit tests.
+    """
+    check_split_ratios(ratios)
+    n_train = int(round(n_steps * ratios[0]))
+    n_val = int(round(n_steps * ratios[1]))
+    n_test = n_steps - n_train - n_val
     for name, ratio, size in (("train", ratios[0], n_train), ("val", ratios[1], n_val), ("test", ratios[2], n_test)):
         if ratio > 0 and size <= 0:
-            raise DataError(f"{name} split is empty at T={t} with ratios {ratios}")
+            raise DataError(f"{name} split is empty at T={n_steps} with ratios {ratios}")
     if n_train <= 0:
         raise DataError("training split may not be empty")
-
-    def part(name: str, start: int, stop: int) -> SplitPart | None:
-        if stop <= start:
-            return None
-        return SplitPart(
-            name=name,
-            signal=SignalMatrix(
-                values=signal.values[:, start:stop].copy(),
-                mask=signal.mask[:, start:stop].copy(),
-                node_ids=list(signal.node_ids),
-                step_seconds=signal.step_seconds,
-            ),
-            start=start,
-        )
-
-    train = part("train", 0, n_train)
-    assert train is not None
-    return Splits(
-        train=train,
-        val=part("val", n_train, n_train + n_val),
-        test=part("test", n_train + n_val, t),
-    )
+    return n_train, min(n_train + n_val, n_steps)
 
 
 @dataclass(frozen=True)
@@ -152,47 +112,25 @@ class ZScore:
     std: np.ndarray
 
     def transform(self, values: np.ndarray) -> np.ndarray:
+        """(N, T) values to normalized units."""
         return (values - self.mean[:, np.newaxis]) / self.std[:, np.newaxis]
 
-    def inverse_rows(self, rows: np.ndarray, node_indices: np.ndarray) -> np.ndarray:
-        """Inverse-transform per-window rows given each row's node index."""
-        std = self.std[node_indices][:, np.newaxis]
-        mean = self.mean[node_indices][:, np.newaxis]
-        return rows * std + mean
+    def inverse(self, blocks: np.ndarray) -> np.ndarray:
+        """(A, N, Q) normalized blocks, one row per node, to original units."""
+        return blocks * self.std[:, np.newaxis] + self.mean[:, np.newaxis]
 
 
-def zscore_fit(train: SignalMatrix) -> ZScore:
-    mean = train.values.mean(axis=1)
-    std = train.values.std(axis=1)
+def zscore_fit(train: np.ndarray, node_ids: list[str]) -> ZScore:
+    """Per-node statistics of the (N, T_train) training columns; a
+    zero-variance node is floored and named in a warning."""
+    mean = train.mean(axis=1)
+    std = train.std(axis=1)
     floored = std < STD_FLOOR
     if floored.any():
-        names = [train.node_ids[i] for i in np.nonzero(floored)[0]]
+        names = [node_ids[i] for i in np.nonzero(floored)[0]]
         warnings.warn(f"zero-variance channels floored to {STD_FLOOR}: {names}")
         std = np.where(floored, STD_FLOOR, std)
     return ZScore(mean=mean, std=std)
-
-
-def zscore_fit_apply(splits: Splits) -> tuple[Splits, ZScore]:
-    """Normalize every split with statistics from the training split."""
-    zs = zscore_fit(splits.train.signal)
-
-    def apply(part: SplitPart | None) -> SplitPart | None:
-        if part is None:
-            return None
-        sig = part.signal
-        return SplitPart(
-            name=part.name,
-            signal=SignalMatrix(
-                values=zs.transform(sig.values),
-                mask=sig.mask.copy(),
-                node_ids=list(sig.node_ids),
-                step_seconds=sig.step_seconds,
-            ),
-            start=part.start,
-        )
-
-    normalized = Splits(train=apply(splits.train), val=apply(splits.val), test=apply(splits.test))
-    return normalized, zs
 
 
 def _anchor_major(block: np.ndarray, width: int) -> np.ndarray:
@@ -201,45 +139,43 @@ def _anchor_major(block: np.ndarray, width: int) -> np.ndarray:
 
 
 def make_windows(
-    splits: Splits,
+    values: np.ndarray,
+    spans: dict[str, tuple[int, int]],
     p: int = 12,
     q: int = 12,
     embedding: TimeEmbedding | None = None,
     exclusion_mask: np.ndarray | None = None,
 ) -> dict[str, ForecastWindows]:
-    """One window per valid anchor per node for every nonempty split.
+    """One window per valid anchor per node for each named step range
+    ``[start, stop)`` of the (N, T) ``values``.
 
-    Windows never straddle split boundaries. ``exclusion_mask`` is the
+    Windows never straddle a range's ends. ``exclusion_mask`` is the
     pre-imputation observation mask over the full signal, indexed by
     absolute step; it rides along for metric exclusion.
     """
     if p < 1 or q < 1:
         raise DataError(f"P and Q must be positive, got P={p}, Q={q}")
     out: dict[str, ForecastWindows] = {}
-    for part in splits.parts():
-        values = part.signal.values
-        n, t = values.shape
+    for name, (start, stop) in spans.items():
+        part = values[:, start:stop]
+        t = part.shape[1]
         if t < p + q:
-            raise DataError(
-                f"{part.name} split has {t} steps, needs at least P+Q={p + q}"
-            )
-        target = _anchor_major(values[:, p:], q)
+            raise DataError(f"{name} split has {t} steps, needs at least P+Q={p + q}")
+        target = _anchor_major(part[:, p:], q)
         if exclusion_mask is not None:
-            mask = _anchor_major(exclusion_mask[:, part.start + p : part.start + t], q)
+            mask = _anchor_major(exclusion_mask[:, start + p : start + t], q)
         else:
             mask = np.ones(target.shape, dtype=bool)
         collection = ForecastWindows(
-            split=part.name,
-            history=_anchor_major(values[:, : t - q], p),
+            history=_anchor_major(part[:, : t - q], p),
             covariates=np.zeros((t - p - q + 1, p + q, 0)),
             target=target,
             mask=mask,
-            node=np.tile(np.arange(n), t - p - q + 1),
-            anchor=np.repeat(np.arange(part.start + p - 1, part.start + t - q), n),
+            anchors=np.arange(start + p - 1, start + t - q),
         )
         if embedding is not None:
             collection = attach_covariates(collection, embedding)
-        out[part.name] = collection
+        out[name] = collection
     return out
 
 

@@ -26,13 +26,13 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding, select_representatives
 from .errors import ConfigError, DataError
 from .forecaster import (
-    SPLIT_SUM_TOL,
+    check_split_ratios,
     evaluate,
     fit_ridge,
-    make_splits,
     make_windows,
     predict,
-    zscore_fit_apply,
+    split_boundaries,
+    zscore_fit,
 )
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
 from .synthetic import SyntheticSpec, generate_synthetic, spec_from_options
@@ -61,10 +61,7 @@ class PipelineConfig:
     def validate(self) -> None:
         """Check every value that does not depend on the data."""
         parse_rank_policy(self.rank)
-        if len(self.split) != 3 or min(self.split) < 0:
-            raise ConfigError(f"split needs three nonnegative ratios, got {self.split}")
-        if abs(sum(self.split) - 1.0) > SPLIT_SUM_TOL:
-            raise ConfigError(f"split ratios must sum to 1, got {sum(self.split)}")
+        check_split_ratios(self.split)
         if self.split[0] <= 0 or self.split[2] <= 0:
             raise ConfigError(f"train and test shares must be positive, got {self.split}")
         if self.step_seconds <= 0:
@@ -319,20 +316,15 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
 
 
 def _forecast_metrics(l2: float, train, test, zscore):
+    """The test metrics of a ridge fit on ``train``, and its test
+    residuals in original units as (anchors, nodes, Q) blocks."""
     model = fit_ridge(train, l2=l2)
-    preds = zscore.inverse_rows(predict(model, test), test.node)
-    targets = zscore.inverse_rows(test.target, test.node)
-    report = evaluate(preds, targets, test.mask)
+    blocks = (test.anchors.size, test.n_nodes, test.target.shape[1])
+    preds = zscore.inverse(predict(model, test).reshape(blocks))
+    targets = zscore.inverse(test.target.reshape(blocks))
+    shape = test.target.shape
+    report = evaluate(preds.reshape(shape), targets.reshape(shape), test.mask)
     return report, preds - targets
-
-
-def _anchor_major_residuals(residuals: np.ndarray, n_nodes: int) -> np.ndarray:
-    """Reshape per-window residuals to (n_anchors, n_nodes, Q).
-
-    make_windows emits windows anchor-major, node-minor, which this
-    relies on.
-    """
-    return residuals.reshape(-1, n_nodes, residuals.shape[1])
 
 
 def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
@@ -410,14 +402,18 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         signal = impute_linear(signal)
 
     with _StageTimer(run, "split"):
-        splits = make_splits(signal, cfg.split)
-        resolved["boundaries"] = list(splits.boundaries)
+        b_train, b_val = split_boundaries(signal.n_steps, cfg.split)
+        resolved["boundaries"] = [b_train, b_val]
 
     with _StageTimer(run, "normalize"):
-        norm_splits, zscore = zscore_fit_apply(splits)
+        zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
+        normalized = zscore.transform(signal.values)
 
     with _StageTimer(run, "hankel"):
-        train_signal = norm_splits.train.signal
+        # imputed, so every step counts as observed
+        train_signal = SignalMatrix.from_values(
+            normalized[:, :b_train], signal.node_ids, signal.step_seconds
+        )
         tau = cfg.tau if cfg.tau is not None else default_tau(train_signal)
         try:
             view = build_hankel(train_signal, tau)
@@ -464,12 +460,10 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         return run.out_dir
 
     with _StageTimer(run, "forecast"):
-        if norm_splits.test is None:
-            raise DataError("forecast comparison requires a nonempty test split")
         # no fit reads validation windows, so none are built
         with_windows = make_windows(
-            replace(norm_splits, val=None), cfg.p, cfg.q, embedding=emb,
-            exclusion_mask=original_mask,
+            normalized, {"train": (0, b_train), "test": (b_val, signal.n_steps)}, cfg.p, cfg.q,
+            embedding=emb, exclusion_mask=original_mask,
         )
         # the value channel alone: the same windows without the embedding
         without_windows = {
@@ -486,9 +480,8 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
     with _StageTimer(run, "diagnostics"):
         for label, resid in residuals.items():
-            resolved["skipped_lags"] = _write_residual_diagnostics(
-                _anchor_major_residuals(resid, signal.n_nodes), list(signal.node_ids),
-                cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
+            resolved["skipped_lags"], resolved["acf_lag_reached"] = _write_residual_diagnostics(
+                resid, list(signal.node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
             )
         solve = dec.spectrum_solve
         curve = dg.cep_curve(dec.singular_values, solve.total_energy, solve.order)
@@ -531,7 +524,7 @@ def _write_residual_diagnostics(
     destination,
     label: str | None = None,
     horizon: int | None = None,
-) -> list[int]:
+) -> tuple[list[int], int]:
     """Diagnostics of (rows, columns, horizons) residuals: lagged
     correlations between whole rows (one CSV, one heatmap per lag) and
     the ACF of each column at the last horizon (one CSV, one chart of
@@ -541,7 +534,9 @@ def _write_residual_diagnostics(
     residuals of its test split, giving names like
     ``residual_corr_with_lag072_test.svg``; unlabelled ones are named
     like ``residual_corr_lag072.svg``. Returns the lags skipped because
-    fewer than two pairs of rows align at them.
+    fewer than two pairs of rows align at them, and the largest ACF lag
+    computed: ``acf_max_lag`` clamped to one less than the number of
+    rows (0 when no ACF is written).
     """
     tag, split, caption = ("", "", "") if label is None else (f"_{label}", "_test", f" ({label}, test)")
     at_horizon = "" if horizon is None else f" at horizon {horizon}"
@@ -569,7 +564,7 @@ def _write_residual_diagnostics(
             f"residual ACF{at_horizon}{caption}",
         )
         svgplot.write_svg(svg, destination(f"acf{tag}{split}.svg"))
-    return skipped
+    return skipped, max_lag
 
 
 def diagnose_residuals(

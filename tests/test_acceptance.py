@@ -15,7 +15,7 @@ import pytest
 
 from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding
-from dmdembed.forecaster import evaluate, make_splits, make_windows
+from dmdembed.forecaster import evaluate, make_windows
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.linalg import snapshot_svd
 from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
@@ -205,10 +205,9 @@ def test_a6_embedding_contracts():
         assert np.max(rel) <= 1e-8
 
         rng = np.random.default_rng(r)
-        sig = SignalMatrix.from_values(rng.normal(size=(2, 64)))
-        splits = make_splits(sig, (1.0, 0.0, 0.0))
+        values = rng.normal(size=(2, 64))
         emb_small = build_embedding(np.array(lams), span=(0, 80))
-        fw = make_windows(splits, p=12, q=12, embedding=emb_small)["train"]
+        fw = make_windows(values, {"train": (0, 64)}, p=12, q=12, embedding=emb_small)["train"]
         assert fw.layout == (12, 1 + 2 * r, 2 * r)
         assert fw.history.shape == (len(fw), 12)
         assert fw.covariates.shape == (len(fw) // 2, 12 + 12, 2 * r)

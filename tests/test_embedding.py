@@ -104,13 +104,11 @@ def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
     """Single-node windows; window k holds the value k at every history step."""
     k = np.arange(n_windows, dtype=float)
     return ForecastWindows(
-        split="train",
         history=np.repeat(k[:, None], p, axis=1),
         covariates=np.zeros((n_windows, p + q, 0)),
         target=np.zeros((n_windows, q)),
         mask=np.ones((n_windows, q), bool),
-        node=np.zeros(n_windows, dtype=int),
-        anchor=anchor0 + np.arange(n_windows),
+        anchors=anchor0 + np.arange(n_windows),
     )
 
 

@@ -7,43 +7,42 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmdembed.embedding import build_embedding
-from dmdembed.errors import DataError
+from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import (
     ForecastWindows,
     RidgeModel,
     evaluate,
     fit_ridge,
-    make_splits,
     make_windows,
     predict,
+    split_boundaries,
     zscore_fit,
-    zscore_fit_apply,
 )
-from dmdembed.hankel import SignalMatrix
 
 
-def signal(values, **kw):
-    return SignalMatrix.from_values(np.asarray(values, dtype=float), **kw)
+def train_windows(values, p, q, **kw):
+    """The windows of one range covering every step of ``values``."""
+    values = np.asarray(values, dtype=float)
+    return make_windows(values, {"train": (0, values.shape[1])}, p, q, **kw)["train"]
 
 
-def loop_windows(splits, p, q, embedding=None, exclusion_mask=None):
+def loop_windows(values, spans, p, q, embedding=None, exclusion_mask=None):
     """Reference builder: one (anchor, node) window at a time, anchor-major.
 
-    Per split it returns the stacked window fields and the feature matrix
-    made by concatenating each window's flattened history and future rows.
+    Per named step range it returns the stacked window fields, each
+    window's node and anchor, and the feature matrix made by
+    concatenating each window's flattened history and future rows.
     """
     out = {}
-    for part in splits.parts():
-        sig = part.signal
-        n, t = sig.values.shape
-        if t < p + q:
-            raise DataError(f"{part.name} split has {t} steps, needs at least P+Q={p + q}")
+    n = values.shape[0]
+    for name, (start, stop) in spans.items():
+        if stop - start < p + q:
+            raise DataError(f"{name} split has {stop - start} steps, needs at least P+Q={p + q}")
         wins = []
-        for local_anchor in range(p - 1, t - q):
-            anchor = part.start + local_anchor
+        for anchor in range(start + p - 1, stop - q):
             for node in range(n):
-                hist = sig.values[node, local_anchor - p + 1 : local_anchor + 1][:, None]
-                target = sig.values[node, local_anchor + 1 : local_anchor + q + 1]
+                hist = values[node, anchor - p + 1 : anchor + 1][:, None]
+                target = values[node, anchor + 1 : anchor + q + 1]
                 if exclusion_mask is not None:
                     tmask = exclusion_mask[node, anchor + 1 : anchor + q + 1]
                 else:
@@ -54,7 +53,7 @@ def loop_windows(splits, p, q, embedding=None, exclusion_mask=None):
                     fut = embedding.rows(np.arange(anchor + 1, anchor + q + 1))
                 wins.append((hist, fut, target, tmask, node, anchor))
         hist, fut, target, tmask, node, anchor = zip(*wins)
-        out[part.name] = {
+        out[name] = {
             "history": np.stack(hist),
             "future": np.stack(fut),
             "target": np.stack(target),
@@ -84,16 +83,15 @@ def dense_features(fw):
     return blocks[:, dense_order(p, q, c)]
 
 
-def first_window_error(splits, p, q, span):
-    """The DataError message of the first split, in order, that is shorter
+def first_window_error(spans, p, q, span):
+    """The DataError message of the first range, in order, that is shorter
     than P+Q or touches a step outside the embedding span [start, end)."""
-    for part in splits.parts():
-        t = part.signal.n_steps
-        if t < p + q:
-            return f"{part.name} split has {t} steps, needs at least P+Q={p + q}"
-        if span is not None and part.start < span[0]:
-            return f"embedding does not cover absolute step {part.start}"
-        if span is not None and part.start + t > span[1]:
+    for name, (start, stop) in spans.items():
+        if stop - start < p + q:
+            return f"{name} split has {stop - start} steps, needs at least P+Q={p + q}"
+        if span is not None and start < span[0]:
+            return f"embedding does not cover absolute step {start}"
+        if span is not None and stop > span[1]:
             return f"embedding does not cover absolute step {span[1]}"
     return None
 
@@ -120,8 +118,10 @@ def test_make_windows_matches_per_window_loop(data):
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
     values = rng.normal(size=(n, t))
     exclusion = rng.random((n, t)) > 0.3 if data.draw(st.booleans(), label="mask") else None
-    splits = make_splits(signal(values), tuple(size / t for size in sizes))
-    assert splits.boundaries == (sizes[0], sizes[0] + sizes[1])
+    b_train, b_val = split_boundaries(t, tuple(size / t for size in sizes))
+    assert (b_train, b_val) == (sizes[0], sizes[0] + sizes[1])
+    ranges = {"train": (0, b_train), "val": (b_train, b_val), "test": (b_val, t)}
+    spans = {name: r for name, r in ranges.items() if r[1] > r[0]}
     n_modes = data.draw(st.one_of(st.none(), st.integers(0, 3)), label="modes")
     emb = span = None
     if n_modes is not None:
@@ -134,9 +134,9 @@ def test_make_windows_matches_per_window_loop(data):
         span = (start, end)
         emb = build_embedding(np.exp(1j * np.array(angles)), span=span)
 
-    expected = outcome(loop_windows, splits, p, q, emb, exclusion)
-    actual = outcome(make_windows, splits, p, q, embedding=emb, exclusion_mask=exclusion)
-    error = first_window_error(splits, p, q, span)
+    expected = outcome(loop_windows, values, spans, p, q, emb, exclusion)
+    actual = outcome(make_windows, values, spans, p, q, embedding=emb, exclusion_mask=exclusion)
+    error = first_window_error(spans, p, q, span)
     if error is not None:
         assert expected == actual == error
         return
@@ -144,13 +144,18 @@ def test_make_windows_matches_per_window_loop(data):
     for name, fw in actual.items():
         ref = expected[name]
         assert len(fw) == ref["target"].shape[0]
+        assert fw.n_nodes == n
         # each window's covariate rows are its anchor's, shared by its nodes
         per_window_rows = np.repeat(fw.covariates, fw.n_nodes, axis=0)
         ref_rows = np.concatenate([ref["history"][:, :, 1:], ref["future"]], axis=1)
         for key, got, want in (
             ("history", fw.history, ref["history"][:, :, 0]),
             ("covariates", per_window_rows, ref_rows),
-            *((key, getattr(fw, key), ref[key]) for key in ("target", "mask", "node", "anchor")),
+            ("target", fw.target, ref["target"]),
+            ("mask", fw.mask, ref["mask"]),
+            # anchor-major, node-minor: the layout fixes each window's node and anchor
+            ("node", np.tile(np.arange(n), fw.anchors.size), ref["node"]),
+            ("anchor", np.repeat(fw.anchors, n), ref["anchor"]),
         ):
             assert got.shape == want.shape, key
             assert got.dtype == want.dtype, key
@@ -173,13 +178,13 @@ def test_blockwise_ridge_matches_dense_features(data):
     angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=0, max_size=3), label="angles")
     l2 = 10.0 ** data.draw(st.floats(-8.0, 3.0), label="log10 l2")
     emb = build_embedding(np.exp(1j * np.array(angles)), span=(0, t))
-    splits = make_splits(signal(values), (n_train / t, 0.0, n_test / t))
+    spans = {"train": (0, n_train), "test": (n_train, t)}
 
-    windows = make_windows(splits, p, q, embedding=emb, exclusion_mask=blanks)
+    windows = make_windows(values, spans, p, q, embedding=emb, exclusion_mask=blanks)
     model = fit_ridge(windows["train"], l2=l2)
     preds = predict(model, windows["test"])
 
-    ref = loop_windows(splits, p, q, emb, blanks)
+    ref = loop_windows(values, spans, p, q, emb, blanks)
     x, y = ref["train"]["features"], ref["train"]["target"]
     gram, rhs = x.T @ x + l2 * np.eye(x.shape[1]), x.T @ y
     dense = np.linalg.solve(gram, rhs)
@@ -198,47 +203,42 @@ def test_blockwise_ridge_matches_dense_features(data):
 
 def sine_signal(t_steps=200, period=24.0, n_nodes=1):
     t = np.arange(t_steps)
-    return signal(np.tile(np.sin(2 * np.pi * t / period), (n_nodes, 1)))
+    return np.tile(np.sin(2 * np.pi * t / period), (n_nodes, 1))
 
 
 def test_make_splits_default_ratios():
-    splits = make_splits(signal(np.random.default_rng(0).normal(size=(2, 100))), (0.7, 0.1, 0.2))
-    assert splits.boundaries == (70, 80)
-    assert splits.train.signal.n_steps == 70
-    assert splits.val.start == 70
-    assert splits.test.start == 80
-    assert splits.test.signal.n_steps == 20
+    assert split_boundaries(100, (0.7, 0.1, 0.2)) == (70, 80)
 
 
 def test_make_splits_train_only():
-    splits = make_splits(signal(np.ones((1, 30)) * np.arange(30)), (1.0, 0.0, 0.0))
-    assert splits.val is None and splits.test is None
-    assert splits.train.signal.n_steps == 30
+    assert split_boundaries(30, (1.0, 0.0, 0.0)) == (30, 30)
 
 
 def test_make_splits_pems_protocol():
-    splits = make_splits(signal(np.random.default_rng(1).normal(size=(1, 240))), (0.6, 0.2, 0.2))
-    assert splits.boundaries == (144, 192)
+    assert split_boundaries(240, (0.6, 0.2, 0.2)) == (144, 192)
 
 
 def test_make_splits_validation():
-    sig = signal(np.ones((1, 10)) * np.arange(10))
-    with pytest.raises(DataError):
-        make_splits(sig, (0.5, 0.2, 0.2))
-    with pytest.raises(DataError):
-        make_splits(sig, (0.99, 0.005, 0.005))  # nonzero ratios with empty splits
+    # the ratio rules, which PipelineConfig.validate applies too
+    for ratios in ((0.5, 0.2, 0.2), (1.1, -0.3, 0.2), (0.5, 0.5)):
+        with pytest.raises(ConfigError):
+            split_boundaries(10, ratios)
+    with pytest.raises(DataError, match="val split is empty"):
+        split_boundaries(10, (0.99, 0.005, 0.005))  # nonzero ratios with empty splits
+    with pytest.raises(DataError, match="training split may not be empty"):
+        split_boundaries(10, (0.0, 0.5, 0.5))
 
 
 def test_zscore_basic():
-    zs = zscore_fit(signal([[0.0, 2.0]]))
+    zs = zscore_fit(np.array([[0.0, 2.0]]), ["n0"])
     assert_allclose(zs.mean, [1.0])
     assert_allclose(zs.std, [1.0])
     assert_allclose(zs.transform(np.array([[0.0, 2.0]])), [[-1.0, 1.0]])
 
 
 def test_zscore_constant_channel_floored():
-    with pytest.warns(UserWarning):
-        zs = zscore_fit(signal([[3.0, 3.0, 3.0]]))
+    with pytest.warns(UserWarning, match="'flat'"):
+        zs = zscore_fit(np.full((1, 3), 3.0), ["flat"])
     transformed = zs.transform(np.full((1, 3), 3.0))
     assert_allclose(transformed, np.zeros((1, 3)))
 
@@ -246,48 +246,46 @@ def test_zscore_constant_channel_floored():
 def test_zscore_round_trip():
     rng = np.random.default_rng(5)
     values = rng.normal(size=(3, 40)) * 7 + 2
-    splits = make_splits(signal(values), (0.7, 0.1, 0.2))
-    normalized, zs = zscore_fit_apply(splits)
-    # one row per node, as windows carry their node index
-    back = zs.inverse_rows(normalized.test.signal.values, np.arange(3))
-    assert np.max(np.abs(back - splits.test.signal.values)) <= 1e-10
+    b_train, b_val = split_boundaries(40, (0.7, 0.1, 0.2))
+    zs = zscore_fit(values[:, :b_train], ["a", "b", "c"])
+    spans = {"test": (b_val, 40)}
+    normalized = make_windows(zs.transform(values), spans, p=2, q=3)["test"]
+    raw = make_windows(values, spans, p=2, q=3)["test"]
+    # (anchors, nodes, Q) blocks, as a run inverts its test targets
+    blocks = (normalized.anchors.size, 3, 3)
+    back = zs.inverse(normalized.target.reshape(blocks))
+    assert np.max(np.abs(back - raw.target.reshape(blocks))) <= 1e-10
 
 
 def test_window_counts():
-    sig = signal(np.arange(24, dtype=float)[None, :])
-    splits = make_splits(sig, (1.0, 0.0, 0.0))
-    fw = make_windows(splits, p=12, q=12)["train"]
+    fw = train_windows(np.arange(24, dtype=float)[None, :], p=12, q=12)
     assert len(fw) == 1
 
-    sig2 = signal(np.arange(25, dtype=float)[None, :])
-    fw2 = make_windows(make_splits(sig2, (1.0, 0.0, 0.0)), p=12, q=12)["train"]
+    fw2 = train_windows(np.arange(25, dtype=float)[None, :], p=12, q=12)
     assert len(fw2) == 2
 
-    multi = signal(np.random.default_rng(0).normal(size=(3, 30)))
-    fw3 = make_windows(make_splits(multi, (1.0, 0.0, 0.0)), p=12, q=12)["train"]
+    fw3 = train_windows(np.random.default_rng(0).normal(size=(3, 30)), p=12, q=12)
     assert len(fw3) == (30 - 24 + 1) * 3
+    assert np.array_equal(fw3.anchors, np.arange(11, 30 - 12))
 
 
 def test_window_channel_contract_with_embedding():
-    sig = signal(np.random.default_rng(2).normal(size=(1, 40)))
-    splits = make_splits(sig, (1.0, 0.0, 0.0))
+    values = np.random.default_rng(2).normal(size=(1, 40))
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.07)])
     emb = build_embedding(lams, span=(0, 60))
-    fw = make_windows(splits, p=12, q=12, embedding=emb)["train"]
+    fw = train_windows(values, p=12, q=12, embedding=emb)
     assert fw.history.shape == (len(fw), 12)
     assert fw.covariates.shape == (len(fw), 12 + 12, 4)  # one node: one window per anchor
     assert fw.layout == (12, 5, 4)
 
 
 def test_windows_too_short_split():
-    sig = signal(np.arange(20, dtype=float)[None, :])
     with pytest.raises(DataError):
-        make_windows(make_splits(sig, (1.0, 0.0, 0.0)), p=12, q=12)
+        train_windows(np.arange(20, dtype=float)[None, :], p=12, q=12)
 
 
 def test_ridge_fits_sinusoid_from_lags():
-    splits = make_splits(sine_signal(), (1.0, 0.0, 0.0))
-    fw = make_windows(splits, p=12, q=12)["train"]
+    fw = train_windows(sine_signal(), p=12, q=12)
     model = fit_ridge(fw, l2=1e-8)
     preds = predict(model, fw)
     rmse = np.sqrt(np.mean((preds - fw.target) ** 2))
@@ -295,16 +293,14 @@ def test_ridge_fits_sinusoid_from_lags():
 
 
 def test_ridge_zero_targets_zero_weights():
-    splits = make_splits(signal(np.zeros((1, 40)) + 0 * np.arange(40)), (1.0, 0.0, 0.0))
     # zero signal would break z-scoring; build windows directly on zeros
-    fw = make_windows(splits, p=6, q=4)["train"]
+    fw = train_windows(np.zeros((1, 40)), p=6, q=4)
     model = fit_ridge(fw, l2=0.5)
     assert np.max(np.abs(model.weights)) == 0.0
 
 
 def test_ridge_large_l2_shrinks_predictions():
-    splits = make_splits(sine_signal(120), (1.0, 0.0, 0.0))
-    fw = make_windows(splits, p=12, q=12)["train"]
+    fw = train_windows(sine_signal(120), p=12, q=12)
     model = fit_ridge(fw, l2=1e9)
     preds = predict(model, fw)
     assert np.max(np.abs(preds)) <= 1e-6
@@ -312,12 +308,12 @@ def test_ridge_large_l2_shrinks_predictions():
 
 def test_ridge_determinism_and_normal_equations():
     rng = np.random.default_rng(9)
-    splits = make_splits(signal(rng.normal(size=(2, 60))), (1.0, 0.0, 0.0))
-    fw = make_windows(splits, p=8, q=4)["train"]
+    values = rng.normal(size=(2, 60))
+    fw = train_windows(values, p=8, q=4)
     m1 = fit_ridge(fw, l2=1e-3)
     m2 = fit_ridge(fw, l2=1e-3)
     assert np.array_equal(m1.weights, m2.weights)
-    ref = loop_windows(splits, p=8, q=4)["train"]
+    ref = loop_windows(values, {"train": (0, 60)}, p=8, q=4)["train"]
     x = ref["features"]
     y = ref["target"]
     lhs = (x.T @ x + 1e-3 * np.eye(x.shape[1])) @ m1.weights
@@ -326,9 +322,8 @@ def test_ridge_determinism_and_normal_equations():
 
 
 def test_predict_layout_mismatch():
-    splits = make_splits(sine_signal(100), (1.0, 0.0, 0.0))
-    fw_a = make_windows(splits, p=12, q=12)["train"]
-    fw_b = make_windows(splits, p=6, q=12)["train"]
+    fw_a = train_windows(sine_signal(100), p=12, q=12)
+    fw_b = train_windows(sine_signal(100), p=6, q=12)
     model = fit_ridge(fw_a, l2=1e-3)
     with pytest.raises(DataError):
         predict(model, fw_b)
@@ -337,13 +332,11 @@ def test_predict_layout_mismatch():
 def test_predict_empty_windows():
     model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout=(3, 1, 0))
     empty = ForecastWindows(
-        split="test",
         history=np.zeros((0, 3)),
         covariates=np.zeros((0, 3 + 2, 0)),
         target=np.zeros((0, 2)),
         mask=np.ones((0, 2), bool),
-        node=np.zeros(0, int),
-        anchor=np.zeros(0, int),
+        anchors=np.zeros(0, int),
     )
     out = predict(model, empty)
     assert out.size == 0
@@ -404,8 +397,7 @@ def test_metrics_json_keys():
 def test_covariate_null_test():
     # an all-zeros embedding block changes nothing under l2 > 0
     rng = np.random.default_rng(4)
-    splits = make_splits(signal(rng.normal(size=(2, 80))), (1.0, 0.0, 0.0))
-    plain = make_windows(splits, p=8, q=4)["train"]
+    plain = train_windows(rng.normal(size=(2, 80)), p=8, q=4)
     zeroed = dataclasses.replace(plain, covariates=np.zeros((len(plain) // 2, 8 + 4, 2)))
     m_plain = fit_ridge(plain, l2=1e-3)
     m_zero = fit_ridge(zeroed, l2=1e-3)
@@ -416,13 +408,14 @@ def test_covariate_null_test():
 
 def test_window_masks_and_nodes_helpers():
     rng = np.random.default_rng(6)
-    sig = signal(rng.normal(size=(2, 40)))
     mask = np.ones((2, 40), bool)
     mask[1, 30] = False
-    splits = make_splits(sig, (1.0, 0.0, 0.0))
-    fw = make_windows(splits, p=8, q=4, exclusion_mask=mask)["train"]
+    fw = train_windows(rng.normal(size=(2, 40)), p=8, q=4, exclusion_mask=mask)
     assert fw.mask.shape == (len(fw), 4)
-    assert set(fw.node) == {0, 1}
+    assert fw.n_nodes == 2
+    # windows are anchor-major and node-minor
+    node = np.tile(np.arange(2), fw.anchors.size)
+    anchor = np.repeat(fw.anchors, 2)
     # the masked step 30 appears in windows of node 1 whose target range covers it
-    hit = (fw.node == 1) & (fw.anchor + 1 <= 30) & (30 <= fw.anchor + 4)
+    hit = (node == 1) & (anchor + 1 <= 30) & (30 <= anchor + 4)
     assert hit.any() and not fw.mask[hit].all()

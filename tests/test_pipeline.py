@@ -1,5 +1,6 @@
 import argparse
 import csv
+import dataclasses
 import json
 import os
 import subprocess
@@ -12,15 +13,16 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dmdembed.cli import build_parser, main as cli_main
-from dmdembed.dmd import DmdDecomposition, FixedRank, fit_dmd, reconstruct
+from dmdembed.dmd import DmdDecomposition, mode_frequency, reconstruct
 from dmdembed.errors import ConfigError, DataError
-from dmdembed.forecaster import make_splits, make_windows, zscore_fit_apply
-from dmdembed.hankel import SignalMatrix, build_hankel, impute_linear
+from dmdembed.forecaster import make_windows, split_boundaries, zscore_fit
+from dmdembed.hankel import SignalMatrix, impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
     PipelineConfig,
     _forecast_metrics,
     config_from_manifest,
+    convert_options,
     diagnose_residuals,
     load_csv,
     parse_config_file,
@@ -41,6 +43,14 @@ def small_spec(seed=0, noise=0.05):
         noise_sigma=noise,
         seed=seed,
     )
+
+
+def normalized_series(signal, ratios):
+    """A run's split and normalization: the split boundaries, the z-score
+    fit on the training columns, and the whole series normalized by it."""
+    b_train, b_val = split_boundaries(signal.n_steps, ratios)
+    zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
+    return (b_train, b_val), zscore, zscore.transform(signal.values)
 
 
 def small_config(tmp_path, seed=0, **overrides):
@@ -329,8 +339,6 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     assert expected <= names
     manifest = json.loads((out / "manifest.json").read_text())
     # every config field is recorded explicitly (synthetic as synth_* keys)
-    import dataclasses
-
     for field in dataclasses.fields(PipelineConfig):
         if field.name == "synthetic":
             assert "synth_periods" in manifest["config"]
@@ -339,9 +347,11 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     for field in ("tau", "rank", "gamma", "selected_pairs", "eigenvalues",
                   "l2_with", "l2_without", "boundaries", "spdmd_iterations",
                   "spdmd_unconverged", "spdmd_rho", "svd_products", "svd_basis",
-                  "svd_residual"):
+                  "svd_residual", "acf_lag_reached"):
         assert field in manifest["resolved"]
     resolved = manifest["resolved"]
+    # 72 test steps leave 49 anchors, enough for every requested ACF lag
+    assert resolved["acf_lag_reached"] == cfg.acf_max_lag
     assert resolved["spdmd_iterations"] > 0
     assert 0 <= resolved["spdmd_unconverged"] <= 50
     assert resolved["spdmd_rho"] > 0
@@ -367,8 +377,8 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     # to, up to the planted noise (sigma 0.05 against unit-variance
     # sinusoids)
     dec = DmdDecomposition.from_json(text, modes)
-    splits, _ = zscore_fit_apply(make_splits(generate_synthetic(cfg.synthetic), cfg.split))
-    train = splits.train.signal.values[:, : dec.fit_span]
+    _, _, values = normalized_series(generate_synthetic(cfg.synthetic), cfg.split)
+    train = values[:, : dec.fit_span]
     rec = reconstruct(dec, dec.fit_span)[: resolved["n_nodes"]]
     assert np.linalg.norm(rec - train) <= 0.1 * np.linalg.norm(train)
 
@@ -440,6 +450,25 @@ def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
         assert [line.split(",")[0] for line in lines[1:]] == ["0", "71"]
         assert (out / f"residual_corr_{label}_lag071_test.svg").exists()
         assert not (out / f"residual_corr_{label}_lag072_test.svg").exists()
+
+
+def test_run_pipeline_records_acf_lag_clamped_to_test_anchors(tmp_path):
+    # 480 steps split 70/10/20 leave 73 test anchors: the residual ACF
+    # reaches lag 72 however far it is asked to go
+    spec = SyntheticSpec(
+        n_nodes=3,
+        n_steps=480,
+        components=(SyntheticComponent(8.0, 1.0), SyntheticComponent(24.0, 1.0)),
+        noise_sigma=0.05,
+        seed=0,
+    )
+    cfg = PipelineConfig(synthetic=spec, output_dir=str(tmp_path / "run"),
+                         lags=(0, 8), acf_max_lag=500, target_modes=2)
+    out = run_pipeline(cfg)
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["acf_lag_reached"] == 72
+    for label in ("with", "without"):
+        acf = np.loadtxt(out / f"acf_{label}_test.csv", delimiter=",", skiprows=1, ndmin=2)
+        assert acf[:, 0].tolist() == list(range(73))
 
 
 def test_diagnose_residuals_skips_lag_with_one_aligned_row(tmp_path):
@@ -524,9 +553,9 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     out = run_pipeline(cfg)
 
     loaded = load_csv(csv_path)
-    splits = make_splits(impute_linear(loaded), cfg.split)
-    norm, zscore = zscore_fit_apply(splits)
-    plain = make_windows(norm, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
+    (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), cfg.split)
+    spans = {"train": (0, b_train), "test": (b_val, loaded.n_steps)}
+    plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
     report, _ = _forecast_metrics(cfg.l2, plain["train"], plain["test"], zscore)
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
@@ -544,25 +573,50 @@ def test_validation_split_shorter_than_a_window_runs(tmp_path):
         assert json.loads((out / f"metrics_{label}.json").read_text())["overall"]["rmse"] > 0
 
 
-def test_no_leakage_from_test_split():
-    spec = small_spec(seed=5, noise=0.1)
-    sig_a = generate_synthetic(spec)
+def test_no_leakage_from_test_split(tmp_path):
+    # the run normalizes the whole series at once, with statistics of the
+    # training columns alone: later steps cannot move the fit
+    sig_a = generate_synthetic(small_spec(seed=5, noise=0.1))
     values = sig_a.values.copy()
     values[:, 300:] += 77.0  # clobber val/test region only
-    from dmdembed.hankel import SignalMatrix
-
-    sig_b = SignalMatrix.from_values(values)
-
-    def train_eigs(sig):
-        splits = make_splits(sig, (0.7, 0.1, 0.2))
-        norm, _ = zscore_fit_apply(splits)
-        view = build_hankel(norm.train.signal, 20)
-        return fit_dmd(view, FixedRank(4)).eigenvalues
-
-    assert np.array_equal(train_eigs(sig_a), train_eigs(sig_b))
+    fits = []
+    for name, sig in (("a", sig_a), ("b", dataclasses.replace(sig_a, values=values))):
+        write_signal_csv(sig, tmp_path / f"{name}.csv")
+        cfg = PipelineConfig(input_csv=str(tmp_path / f"{name}.csv"), output_dir=str(tmp_path / name),
+                             tau=20, rank="fixed:4", target_modes=2)
+        fits.append((run_pipeline(cfg, until="fit") / "decomposition.json").read_text())
+    assert fits[0] == fits[1]
 
 
 # -------------------------------------------------------------------- CLI
+
+
+def test_inspect_modes_marks_the_modes_a_fit_run_keeps(tmp_path):
+    # the script fits what a run fits: the normalized training steps at
+    # the run's tau, so its kept rows are the run's selected eigenvalues
+    data = tmp_path / "data.csv"
+    assert cli_main(["synth", "--nodes", "4", "--steps", "360", "--periods", "8,24",
+                     "--noise", "0.1", "--seed", "1", "--out", str(data)]) == 0
+    flags = ["--rank", "fixed:8", "--target-modes", "2"]
+    run_dir = tmp_path / "fit_run"
+    assert cli_main(["fit", "--input", str(data), "--out", str(run_dir), *flags]) == 0
+    resolved = json.loads((run_dir / "manifest.json").read_text())["resolved"]
+    root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join(
+        [os.path.join(root, "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
+    done = subprocess.run(
+        [sys.executable, os.path.join(root, "scripts", "inspect_modes.py"), str(data), *flags],
+        capture_output=True, text=True, env=env, check=True,
+    )
+    header, _, *rows = done.stdout.splitlines()
+    assert f"rank {resolved['rank']}, tau {resolved['tau']}," in header
+    kept = [row.split()[1:4:2] for row in rows if row.split()[-1] == "True"]
+    expected = []
+    for re, im in resolved["eigenvalues"]:
+        freq = mode_frequency(complex(re, im), 900.0)
+        period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
+        expected.append([period, f"{freq.growth_rate:.2e}"])
+    assert kept == expected
 
 
 def test_cli_synth_then_forecast(tmp_path, capsys):
@@ -627,6 +681,13 @@ def test_cli_diagnose(tmp_path):
     assert code == 0
     assert (out / "acf.csv").exists()
     assert (out / "residual_corr.csv").exists()
+
+
+def test_cli_diagnose_defaults_are_the_pipeline_defaults():
+    args = build_parser().parse_args(["diagnose", "--predictions", "p.csv", "--actuals", "a.csv",
+                                      "--out", "diag"])
+    options = convert_options(PipelineConfig, {"lags": args.lags, "acf_max_lag": args.acf_max_lag})
+    assert options == {"lags": PipelineConfig().lags, "acf_max_lag": PipelineConfig().acf_max_lag}
 
 
 @pytest.mark.parametrize("blank_in", ["predictions", "actuals"])

@@ -9,8 +9,7 @@ import numpy as np
 from dmdembed import dmd
 from dmdembed.dmd import mode_frequency
 from dmdembed.embedding import build_embedding
-from dmdembed.forecaster import fit_ridge, make_splits, make_windows, predict
-from dmdembed.hankel import SignalMatrix
+from dmdembed.forecaster import fit_ridge, make_windows, predict
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.synthetic import two_period_spec
 
@@ -56,11 +55,11 @@ def test_wide_forecast_holds_no_per_window_covariates():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(64, 1_000))
     observed = rng.random(values.shape) > 0.05
-    splits = make_splits(SignalMatrix.from_values(values), (0.8, 0.0, 0.2))
     emb = build_embedding(np.exp(2j * np.pi / np.array([72.0, 504.0, 36.0, 24.0])), span=(0, 1_000))
     tracemalloc.start()
     try:
-        windows = make_windows(splits, 12, 12, embedding=emb, exclusion_mask=observed)
+        windows = make_windows(values, {"train": (0, 800), "test": (800, 1_000)}, 12, 12,
+                               embedding=emb, exclusion_mask=observed)
         predict(fit_ridge(windows["train"]), windows["test"])
         peak = tracemalloc.get_traced_memory()[1]
     finally:
