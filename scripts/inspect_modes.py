@@ -7,7 +7,9 @@ default tau unless ``--tau`` is given. The rows marked kept are the
 modes whose eigenvalues that run records in its manifest.
 
 Shows, per mode: period in steps and hours, growth rate, and amplitude
-share. Optionally renders the covariate channels as an SVG.
+share; then the selection path: the period of the group each step added
+and the fit loss after it. Optionally renders the covariate channels as
+an SVG.
 """
 
 import argparse
@@ -47,7 +49,7 @@ def main() -> int:
     total = np.sum(np.abs(dec.amplitudes))
 
     print(f"training steps {b_train} of {signal.n_steps}, rank {dec.rank}, tau {tau}, "
-          f"kept {sweep.achieved_pairs} pair(s) at gamma {sweep.selected.gamma:.4g}")
+          f"kept {sweep.achieved_pairs} pair(s)")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
     for i, lam in enumerate(dec.eigenvalues):
         freq = mode_frequency(lam, signal.step_seconds)
@@ -56,6 +58,12 @@ def main() -> int:
         share = np.abs(dec.amplitudes[i]) / total
         print(f"{i:>4} {period:>14} {hours:>10} {freq.growth_rate:>9.2e} "
               f"{share:>10.3f} {str(bool(kept[i])):>5}")
+    print("selection path: the group each step added and the fit loss after it")
+    print(f"{'step':>4} {'period[steps]':>14} {'fit loss':>12}")
+    for sol in sweep.path.solutions:
+        freq = mode_frequency(dec.eigenvalues[sol.group[0]], signal.step_seconds)
+        period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
+        print(f"{sol.pair_count:>4} {period:>14} {sol.fit_loss:>12.6g}")
 
     if args.svg:
         reps = select_representatives(dec.eigenvalues[kept])

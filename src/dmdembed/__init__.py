@@ -1,10 +1,10 @@
 """Spectral time embeddings for multivariate forecasting.
 
 Extracts dominant oscillatory modes from a signal matrix via a
-Hankel-lifted mode decomposition, prunes them with a sparsity-promoting
-amplitude fit, and turns the surviving eigenvalues into per-timestep
-covariates that any forecaster can consume. Ships with a windowed ridge
-baseline and residual diagnostics to measure the benefit.
+Hankel-lifted mode decomposition, keeps the few that a forward
+selection on the amplitude fit picks, and turns their eigenvalues into
+per-timestep covariates that any forecaster can consume. Ships with a
+windowed ridge baseline and residual diagnostics to measure the benefit.
 """
 
 __version__ = "0.1.0"
@@ -50,18 +50,11 @@ from .hankel import (
 )
 from .linalg import ComplexSpectrum, SnapshotSvd, dense_eig, snapshot_svd
 from .pipeline import PipelineConfig, load_csv, run_pipeline
-from .spdmd import (
-    AdmmOptions,
-    GammaGrid,
-    SpdmdPath,
-    SpdmdSolution,
-    gamma_sweep,
-)
+from .spdmd import SpdmdPath, SpdmdSolution, gamma_sweep
 from .synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
 
 __all__ = [
     "__version__",
-    "AdmmOptions",
     "CepThreshold",
     "ComplexSpectrum",
     "ConfigError",
@@ -70,7 +63,6 @@ __all__ = [
     "DmdEmbedError",
     "FixedRank",
     "ForecastWindows",
-    "GammaGrid",
     "HankelView",
     "MetricsReport",
     "NumericalError",

@@ -46,7 +46,7 @@ class DmdDecomposition:
 
     ``amplitude_form`` is the (P, q, s) of ``amplitude_quadratic`` that
     the fit solved for the amplitudes, in the order of the modes; the
-    sparse sweep takes it from here. Like the singular values and the
+    mode selection takes it from here. Like the singular values and the
     spectrum solve it is not serialized.
     """
 
@@ -78,7 +78,7 @@ class DmdDecomposition:
     def from_json(cls, text: str, modes: np.ndarray) -> "DmdDecomposition":
         """Rebuild a decomposition from ``to_json`` text and its modes,
         whose columns follow the order of the eigenvalues. It has no
-        amplitude form, so the sparse sweep needs a refit."""
+        amplitude form, so mode selection needs a refit."""
         data = json.loads(text)
         eigenvalues = _pairs_complex(data["eigenvalues"])
         modes = np.asarray(modes)

@@ -434,15 +434,10 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
     with _StageTimer(run, "spdmd"):
         target = max(1, min(cfg.target_modes, dec.rank))
         sweep = spdmd.gamma_sweep(dec, target_modes=target)
-        spdmd.export_path_csv(sweep.path, run.path("spdmd_path.csv"))
+        spdmd.export_path_csv(sweep.path, dec.eigenvalues, run.path("spdmd_path.csv"))
         selected_eigs = dec.eigenvalues[sweep.selected.support]
-        resolved["gamma"] = sweep.selected.gamma
         resolved["selected_pairs"] = sweep.achieved_pairs
         resolved["target_met"] = sweep.target_met
-        resolved["spdmd_warnings"] = list(sweep.path.warnings)
-        resolved["spdmd_iterations"] = sum(s.iterations for s in sweep.path.solutions)
-        resolved["spdmd_unconverged"] = sum(not s.converged for s in sweep.path.solutions)
-        resolved["spdmd_rho"] = sweep.path.rho
         resolved["eigenvalues"] = [[float(z.real), float(z.imag)] for z in selected_eigs]
 
     if until == "fit":

@@ -206,19 +206,19 @@ def sine_signal(t_steps=200, period=24.0, n_nodes=1):
     return np.tile(np.sin(2 * np.pi * t / period), (n_nodes, 1))
 
 
-def test_make_splits_default_ratios():
+def test_split_boundaries_default_ratios():
     assert split_boundaries(100, (0.7, 0.1, 0.2)) == (70, 80)
 
 
-def test_make_splits_train_only():
+def test_split_boundaries_train_only():
     assert split_boundaries(30, (1.0, 0.0, 0.0)) == (30, 30)
 
 
-def test_make_splits_pems_protocol():
+def test_split_boundaries_pems_protocol():
     assert split_boundaries(240, (0.6, 0.2, 0.2)) == (144, 192)
 
 
-def test_make_splits_validation():
+def test_split_boundaries_validation():
     # the ratio rules, which PipelineConfig.validate applies too
     for ratios in ((0.5, 0.2, 0.2), (1.1, -0.3, 0.2), (0.5, 0.5)):
         with pytest.raises(ConfigError):
