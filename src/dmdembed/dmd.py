@@ -40,9 +40,10 @@ class DmdDecomposition:
     """Eigenvalues, unit-norm lifted modes, and amplitudes of one fit.
 
     Modes live in the lifted (N*tau)-dimensional space; the data-space
-    modes are their first N rows. Amplitudes carry all scale. Modes are
-    ordered by descending energy contribution |a_i| * sum_j |lambda_i|^j
-    over the fit span.
+    modes are their first N rows. Amplitudes carry all scale and are real
+    and nonnegative: each mode carries its phase. Modes are ordered by
+    descending energy contribution |a_i| * sum_j |lambda_i|^j over the
+    fit span.
 
     ``amplitude_form`` is the (P, q, s) of ``amplitude_quadratic`` that
     the fit solved for the amplitudes, in the order of the modes; the
@@ -282,6 +283,17 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
 
     p, q, s = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
     amplitudes = solve_hermitian(p, q)
+    # The eigensolver fixes each eigenvector's phase by its largest entry,
+    # which round-off picks among near-equal ones. Each mode takes its
+    # amplitude's phase instead, so that every amplitude is real and >= 0;
+    # the quadratic form turns with the modes.
+    phase = np.ones_like(amplitudes)
+    moving = amplitudes != 0
+    phase[moving] = amplitudes[moving] / np.abs(amplitudes[moving])
+    modes = modes * phase
+    p = phase.conj()[:, np.newaxis] * p * phase
+    q = phase.conj() * q
+    amplitudes = np.abs(amplitudes).astype(complex)
 
     order = _energy_order(spectrum.eigenvalues, amplitudes, geo.span)
     return DmdDecomposition(

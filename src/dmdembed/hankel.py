@@ -6,6 +6,12 @@ signal at time j + b. H is never formed explicitly: its tall products
 H x and H^T y are cross-correlations of the source computed with the
 FFT at a fast length L >= T, and the Gram H^T H is only ever applied to
 a block of vectors, never built.
+
+Every transform runs along the last, contiguous axis: the source
+spectrum is laid out (node, frequency), and a block of k columns is
+transformed as k rows. The Gram product is one kernel made of the two
+tall products: H x stays in a (k, N, tau) array, time last, which the
+H^T half reads as it is, so the (N*tau, k) tall block is never built.
 """
 
 from __future__ import annotations
@@ -17,8 +23,9 @@ import numpy as np
 
 from .errors import DataError
 
-# Upper bound on the elements of one FFT temporary (frequencies x nodes
-# x columns) in the tall products; wider blocks are split into passes.
+# Upper bound on the elements of one FFT temporary (columns x nodes x
+# frequencies) in the tall and Gram products; wider blocks are split
+# into passes.
 FFT_CHUNK_ELEMENTS = 1 << 20
 
 
@@ -142,8 +149,8 @@ class HankelView:
     @cached_property
     def source_spectrum(self) -> np.ndarray:
         """Real FFT of the source along time at the correlation length,
-        laid out (frequency, node, 1)."""
-        return np.fft.rfft(self.source.values, n=self.fft_length, axis=1).T[:, :, np.newaxis]
+        laid out (node, frequency)."""
+        return np.fft.rfft(self.source.values, n=self.fft_length, axis=1)
 
 
 def default_tau(signal: SignalMatrix) -> int:
@@ -174,9 +181,46 @@ def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
     return HankelView(source=signal, tau=tau)
 
 
-def _chunk_columns(view: HankelView) -> int:
-    """Columns per FFT pass so the (F, N, columns) temporary stays bounded."""
+def _chunk_rows(view: HankelView) -> int:
+    """Rows per FFT pass so the (rows, N, F) temporary stays bounded."""
     return max(1, FFT_CHUNK_ELEMENTS // (view.source.n_nodes * (view.fft_length // 2 + 1)))
+
+
+# Both halves correlate the signal with a block: sum_j s[j + b] x[j] is
+# the convolution of s with x reversed in time, read at step
+# b + len(x) - 1. The kept steps end at T - 1 < L, and the entries that
+# wrap around at L land below len(x) - 1, where nothing is kept.
+
+
+def _first_half(view: HankelView, rows: np.ndarray) -> np.ndarray:
+    """H x for each row x of ``rows`` (k, T - tau + 1), laid out (k, N, tau)
+    with entry [c, i, b] = sum_j values[i, j + b] x_c[j]."""
+    length = view.fft_length
+    spectra = view.source_spectrum * np.fft.rfft(rows[:, ::-1], n=length)[:, np.newaxis, :]
+    return np.fft.irfft(spectra, n=length)[..., view.columns - 1 : view.source.n_steps]
+
+
+def _second_half(view: HankelView, blocks: np.ndarray) -> np.ndarray:
+    """H^T y for each y of ``blocks`` (k, N, tau), laid out like
+    ``_first_half``'s product, as rows (k, T - tau + 1). The sum over
+    nodes is taken in frequency space."""
+    length = view.fft_length
+    spectra = np.fft.rfft(blocks[..., ::-1], n=length)
+    spectra *= view.source_spectrum
+    return np.fft.irfft(spectra.sum(axis=1), n=length)[:, view.tau - 1 : view.source.n_steps]
+
+
+def _gram_rows(view: HankelView, rows: np.ndarray) -> np.ndarray:
+    return _second_half(view, _first_half(view, rows))
+
+
+def _by_chunks(kernel, view: HankelView, rows: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
+    """Apply a row kernel to ``rows``, at most ``_chunk_rows`` rows per pass."""
+    out = np.empty((rows.shape[0],) + tail)
+    step = _chunk_rows(view)
+    for c in range(0, rows.shape[0], step):
+        out[c : c + step] = kernel(view, rows[c : c + step])
+    return out
 
 
 def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
@@ -193,27 +237,29 @@ def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
     return out[:, 0] if single else out
 
 
+def _column_block(view: HankelView, x) -> np.ndarray:
+    """``x`` as an array with one row per column of H."""
+    x = np.asarray(x)
+    if x.shape[0] != view.columns:
+        raise ValueError(f"x has {x.shape[0]} rows, view has {view.columns} columns")
+    return x
+
+
 def _tall(view: HankelView, x: np.ndarray) -> np.ndarray:
-    n, length = view.source.n_nodes, view.fft_length
-    out = np.empty((view.tau, n, x.shape[1]))
-    step = _chunk_columns(view)
-    for c in range(0, x.shape[1], step):
-        xs = np.conj(np.fft.rfft(x[:, c : c + step], n=length, axis=0))[:, np.newaxis, :]
-        corr = np.fft.irfft(view.source_spectrum * xs, n=length, axis=0)  # (L, N, columns)
-        out[:, :, c : c + step] = corr[: view.tau]
-    return out.reshape(n * view.tau, x.shape[1])
+    n = view.source.n_nodes
+    blocks = _by_chunks(_first_half, view, x.T, (n, view.tau))
+    return blocks.transpose(2, 1, 0).reshape(n * view.tau, x.shape[1])
 
 
 def _tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
-    n, length = view.source.n_nodes, view.fft_length
-    blocks = y.reshape(view.tau, n, y.shape[1])
-    out = np.empty((view.columns, y.shape[1]))
-    step = _chunk_columns(view)
-    for c in range(0, y.shape[1], step):
-        ys = np.conj(np.fft.rfft(blocks[:, :, c : c + step], n=length, axis=0))
-        corr = np.fft.irfft(np.sum(view.source_spectrum * ys, axis=1), n=length, axis=0)
-        out[:, c : c + step] = corr[: view.columns]
-    return out
+    # Time-contiguous rows: FFT outputs follow their input's memory order.
+    blocks = y.reshape(view.tau, view.source.n_nodes, -1).transpose(2, 1, 0)
+    blocks = np.ascontiguousarray(blocks)
+    return _by_chunks(_second_half, view, blocks, (view.columns,)).T
+
+
+def _gram(view: HankelView, x: np.ndarray) -> np.ndarray:
+    return _by_chunks(_gram_rows, view, x.T, (view.columns,)).T
 
 
 def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
@@ -221,12 +267,9 @@ def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
 
     Block row b of the product is the cross-correlation of the signal
     with x at lag b, so every lag comes from one FFT round trip and the
-    cost does not depend on tau.
+    cost does not depend on tau. This is the first half of ``gram``.
     """
-    x = np.asarray(x)
-    if x.shape[0] != view.columns:
-        raise ValueError(f"x has {x.shape[0]} rows, view has {view.columns} columns")
-    return _real_columns(_tall, view, x)
+    return _real_columns(_tall, view, _column_block(view, x))
 
 
 def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
@@ -234,6 +277,7 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
 
     Each node's tau block entries, zero-padded to L, are correlated with
     the node's signal; the sum over nodes is taken in frequency space.
+    This is the second half of ``gram``.
     """
     y = np.asarray(y)
     n = view.source.n_nodes
@@ -244,8 +288,12 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
 
 def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
     """The Gram product H^T (H x) for x of shape (T - tau + 1, k), without
-    forming the Gram."""
-    return apply_tall_transpose(view, apply_tall(view, x))
+    forming the Gram.
+
+    Both halves run in one pass per chunk of columns, with no tall
+    (N*tau, k) block between them.
+    """
+    return _real_columns(_gram, view, _column_block(view, x))
 
 
 def column_energies(view: HankelView) -> np.ndarray:

@@ -5,9 +5,11 @@ snapshots: the factorization of a tall matrix H is recovered from the
 leading eigenpairs of its Gram matrix H^T H. Those come from a block
 Krylov solver with Rayleigh-Ritz that needs only Gram *products*
 G @ X, so neither H nor the T x T Gram has to exist; H is touched
-through an implicit tall-product callback. The rank policies that
-decide where the SVD is truncated live here too, resolved against the
-converged leading values and the exact trace.
+through an implicit tall-product callback. The solver holds its basis
+as rows, while the products keep the column contract of GramProduct.
+The rank policies that decide where the SVD is truncated live here
+too, resolved against the converged leading values and the exact
+trace.
 """
 
 from __future__ import annotations
@@ -226,32 +228,43 @@ def _as_gram_product(gram) -> GramProduct:
 
 
 def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, rng) -> int:
-    """Append the directions of ``block`` outside q[:, :m] to q, in place.
+    """Append the directions of the rows of ``block`` outside the rows
+    q[:m] to q, in place.
 
     Two passes of block Gram-Schmidt, each followed by an orthonormal
     basis of what remains. Directions that were only round-off are
     replaced with fresh random ones, so every call adds
-    min(block width, order - m) columns. Returns the new basis size.
+    min(block rows, order - m) rows. Returns the new basis size.
     """
-    want = min(block.shape[1], q.shape[0] - m)
+    want = min(block.shape[0], q.shape[1] - m)
     while want > 0:
-        basis = q[:, :m]
+        basis = q[:m]
         cutoff = DEFLATION_TOL * np.linalg.norm(block)
         for _ in range(2):
-            block = block - basis @ (basis.T @ block)
-            u, s, _ = np.linalg.svd(block, full_matrices=False)
-            block = u[:, s > cutoff][:, :want]
+            block = block - (block @ basis.T) @ basis
+            # LAPACK factors the tall (order, k) form faster than the wide one.
+            u, s, _ = np.linalg.svd(block.T, full_matrices=False)
+            block = u[:, s > cutoff][:, :want].T
             cutoff = 0.5
-        q[:, m : m + block.shape[1]] = block
-        m += block.shape[1]
-        want -= block.shape[1]
-        block = rng.standard_normal((q.shape[0], want))
+        q[m : m + block.shape[0]] = block
+        m += block.shape[0]
+        want -= block.shape[0]
+        block = rng.standard_normal((q.shape[1], want)).T  # drawn as an (order, k) block
     return m
 
 
 def _ritz_residuals(q, w, vecs, theta) -> np.ndarray:
-    """||G v - theta v|| for Ritz vectors v = q @ vecs, with w = G @ q."""
-    return np.linalg.norm(w @ vecs - (q @ vecs) * theta, axis=0)
+    """||G v - theta v|| for Ritz vectors v = q.T @ vecs, where the rows
+    of w are the Gram images of the rows of q."""
+    return np.linalg.norm(vecs.T @ w - theta[:, np.newaxis] * (vecs.T @ q), axis=1)
+
+
+def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
+    """An array of ``shape`` with ``a`` in its leading corner; the rest is
+    left unwritten until the basis reaches it."""
+    out = np.empty(shape)
+    out[: a.shape[0], : a.shape[1]] = a
+    return out
 
 
 def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, SpectrumSolve]:
@@ -268,6 +281,10 @@ def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, 
     result is exact). A rank clamped by the numerical-rank floor also
     needs the next pair converged, so no value can still rise above it.
 
+    The basis and its Gram images are held as rows, so that Gram-Schmidt
+    and the projections read contiguous memory, and the projected matrix
+    grows by the new rows and columns of each block only.
+
     Returns (spectrum, vectors, solve): the converged leading singular
     values sqrt(theta) in descending order, the (order, r) Ritz vectors
     of the r kept pairs, and the solve's health record.
@@ -275,35 +292,38 @@ def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, 
     gram = _as_gram_product(gram)
     n = gram.order
     rng = np.random.default_rng(KRYLOV_SEED)
-    q = np.empty((n, min(n, 8 * KRYLOV_BLOCK)))
+    q = np.empty((min(n, 8 * KRYLOV_BLOCK), n))
     w = np.empty_like(q)
-    m = _extend_basis(q, 0, rng.standard_normal((n, KRYLOV_BLOCK)), rng)
-    w[:, :m] = gram(q[:, :m])
-    products, newest = 1, 0
+    projected = np.empty((q.shape[0], q.shape[0]))  # q[:m] @ w[:m].T
+    m, products = 0, 0
+    block = rng.standard_normal((n, KRYLOV_BLOCK)).T  # drawn as an (order, k) block
     check_at = (policy.rank if isinstance(policy, FixedRank) else 1) + KRYLOV_BLOCK
     while True:
+        if m + KRYLOV_BLOCK > q.shape[0]:
+            size = min(n, 2 * q.shape[0])
+            q, w = _grown(q[:m], (size, n)), _grown(w[:m], (size, n))
+            projected = _grown(projected[:m, :m], (size, size))
+        newest, m = m, _extend_basis(q, m, block, rng)
+        w[newest:m] = gram(q[newest:m].T).T
+        projected[:m, newest:m] = q[:m] @ w[newest:m].T
+        projected[newest:m, :newest] = q[newest:m] @ w[:newest].T
+        products += 1
         if m >= min(check_at, n):
-            sigma, vecs = gram_spectrum(q[:, :m].T @ w[:, :m])
+            sigma, vecs = gram_spectrum(projected[:m, :m])
             theta = sigma**2
             r = resolve_rank(sigma, policy, gram.trace, n)
             pairs = min(m, r + 1 if r < _policy_rank(sigma, policy, gram.trace) else r)
-            resid = _ritz_residuals(q[:, :m], w[:, :m], vecs[:, :pairs], theta[:pairs])
+            resid = _ritz_residuals(q[:m], w[:m], vecs[:, :pairs], theta[:pairs])
             if m == n or np.all(resid <= RITZ_TOL * theta[0]):
                 break
             check_at = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
-        if m + KRYLOV_BLOCK > q.shape[1]:
-            wider = min(n, 2 * q.shape[1])
-            q = np.concatenate([q, np.empty((n, wider - q.shape[1]))], axis=1)
-            w = np.concatenate([w, np.empty((n, wider - w.shape[1]))], axis=1)
-        newest, m = m, _extend_basis(q, m, w[:, newest:m], rng)
-        w[:, newest:m] = gram(q[:, newest:m])
-        products += 1
+        block = w[newest:m]
     # The reported spectrum extends past the kept pairs while the next
     # pairs are converged too, checked a block at a time.
     converged = m if m == n else r
     while converged < m:
         ahead = slice(converged, min(m, converged + KRYLOV_BLOCK))
-        ok = _ritz_residuals(q[:, :m], w[:, :m], vecs[:, ahead], theta[ahead])
+        ok = _ritz_residuals(q[:m], w[:m], vecs[:, ahead], theta[ahead])
         ok = ok <= RITZ_TOL * theta[0]
         converged += int(np.argmin(np.append(ok, False)))
         if not ok.all():
@@ -315,7 +335,7 @@ def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, 
         basis=m,
         residual=float(np.max(resid[:r]) / theta[0]),
     )
-    return sigma[:converged], q[:, :m] @ vecs[:, :r], solve
+    return sigma[:converged], q[:m].T @ vecs[:, :r], solve
 
 
 TallProduct = Callable[[np.ndarray], np.ndarray]

@@ -78,6 +78,32 @@ def test_fit_dmd_unit_norm_modes_and_conjugate_amplitudes():
     assert abs(dec.amplitudes[i] - np.conj(dec.amplitudes[j])) <= 1e-8 * abs(dec.amplitudes[i])
 
 
+def test_mode_phase_does_not_depend_on_the_eigensolver(monkeypatch):
+    # The eigensolver fixes each eigenvector's phase by its largest entry,
+    # which round-off picks among near-equal ones. Turning every
+    # eigenvector by another phase moves no mode, amplitude or quadratic
+    # form entry, and every amplitude is real and nonnegative.
+    rng = np.random.default_rng(3)
+    t = np.arange(120)
+    values = np.vstack([np.cos(2 * np.pi * t / 17 + 0.3), np.sin(2 * np.pi * t / 40)])
+    view = view_of(values + 0.05 * rng.normal(size=values.shape), tau=4)
+    base = fit_dmd(view, FixedRank(4))
+    assert np.all(base.amplitudes.imag == 0.0) and np.all(base.amplitudes.real >= 0.0)
+
+    def turned(matrix):
+        spectrum = linalg.dense_eig(matrix)
+        phases = np.exp(1j * np.linspace(0.4, 2.9, spectrum.eigenvalues.size))
+        return linalg.ComplexSpectrum(spectrum.eigenvalues, spectrum.eigenvectors * phases)
+
+    monkeypatch.setattr(dmd, "dense_eig", turned)
+    moved = fit_dmd(view, FixedRank(4))
+    assert np.array_equal(moved.eigenvalues, base.eigenvalues)
+    assert_allclose(moved.modes, base.modes, rtol=0, atol=1e-12)
+    assert_allclose(moved.amplitudes, base.amplitudes, rtol=1e-12)
+    for got, want in zip(moved.amplitude_form[:2], base.amplitude_form[:2]):
+        assert_allclose(got, want, rtol=0, atol=1e-12 * np.max(np.abs(want)))
+
+
 @settings(max_examples=100, deadline=None)
 @given(
     seed=st.integers(0, 2**32 - 1),

@@ -4,6 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed import hankel
 from dmdembed.dmd import _FitGeometry
 from dmdembed.errors import DataError
 from dmdembed.hankel import (
@@ -227,6 +228,30 @@ def test_fft_products_match_oracle_at_slow_lengths(seed, t, n, depth, few_column
     tau = t + 1 - depth if few_columns else depth
     rng = np.random.default_rng(seed)
     check_products(rng.normal(size=(n, t)), tau, 2, rng)
+
+
+@pytest.mark.parametrize("complex_block", [False, True])
+def test_chunked_passes_match_the_dense_lifting(monkeypatch, complex_block):
+    # A block wider than FFT_CHUNK_ELEMENTS allows is taken in passes of
+    # three rows; a complex block of 7 columns is 14 real rows. Either way
+    # there are at least three passes and the last one is partial.
+    rng = np.random.default_rng(5)
+    n, t, tau, k = 3, 40, 6, 7
+    z = rng.normal(size=(n, t))
+    view = build_hankel(signal(z), tau=tau)
+    monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", 3 * n * (view.fft_length // 2 + 1) + 1)
+    rows = 2 * k if complex_block else k
+    step = hankel._chunk_rows(view)
+    assert step == 3 and rows > 2 * step and rows % step
+    h = materialize_hankel(z, tau)
+    x = rng.normal(size=(view.columns, k))
+    y = rng.normal(size=(n * tau, k))
+    if complex_block:
+        x = x + 1j * rng.normal(size=x.shape)
+        y = y + 1j * rng.normal(size=y.shape)
+    assert close(apply_tall(view, x), h @ x)
+    assert close(apply_tall_transpose(view, y), h.T @ y)
+    assert close(gram(view, x), h.T @ (h @ x))
 
 
 def test_fast_length_is_the_next_smooth_length():
