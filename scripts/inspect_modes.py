@@ -17,7 +17,7 @@ import argparse
 import numpy as np
 
 from dmdembed.dmd import fit_dmd, mode_frequency
-from dmdembed.embedding import build_embedding, select_representatives
+from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import split_boundaries, zscore_fit
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau, impute_linear
 from dmdembed.pipeline import PipelineConfig, load_csv, parse_rank_policy
@@ -66,7 +66,7 @@ def main() -> int:
         print(f"{sol.pair_count:>4} {period:>14} {sol.fit_loss:>12.6g}")
 
     if args.svg:
-        reps = select_representatives(dec.eigenvalues[kept])
+        reps = dec.representatives(kept)
         span = args.span or min(signal.n_steps, 1024)
         emb = build_embedding(reps, span=(0, span))
         series = []

@@ -24,7 +24,6 @@ from .embedding import (
     attach_covariates,
     build_embedding,
     export_embedding,
-    select_representatives,
 )
 from .errors import ConfigError, DataError, DmdEmbedError, NumericalError
 from .forecaster import (
@@ -97,7 +96,6 @@ __all__ = [
     "reconstruct",
     "resolve_rank",
     "run_pipeline",
-    "select_representatives",
     "snapshot_svd",
     "split_boundaries",
     "vandermonde",

@@ -18,15 +18,11 @@ from .errors import DataError
 
 @dataclass(frozen=True)
 class AcfReport:
-    """Autocorrelation of one series up to max_lag, plus detected peaks.
-
-    peak_lags are local maxima above the 2/sqrt(n) noise threshold.
-    """
+    """Autocorrelation of one series up to max_lag."""
 
     node_id: str
     lags: np.ndarray
     acf: np.ndarray
-    peak_lags: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -78,17 +74,9 @@ def acf(block: np.ndarray, max_lag: int, node_ids: list[str] | None = None) -> l
     values[:, 0] = 1.0
     for k in range(1, max_lag + 1):
         values[:, k] = np.einsum("ij,ij->j", centered[:-k], centered[k:]) / denom
-    # a peak is above the noise threshold, above its left neighbour and at
-    # least its right one (the last lag has no right neighbour)
-    inner = values[:, 1:]
-    right = np.append(values[:, 2:], np.full((n_columns, 1), -np.inf), axis=1)
-    peaks = (inner > 2.0 / np.sqrt(n)) & (inner > values[:, :-1]) & (inner >= right)
     lags = np.arange(max_lag + 1)
     ids = node_ids if node_ids is not None else [""] * n_columns
-    return [
-        AcfReport(node_id=ids[j], lags=lags, acf=values[j], peak_lags=np.flatnonzero(peaks[j]) + 1)
-        for j in range(n_columns)
-    ]
+    return [AcfReport(node_id=ids[j], lags=lags, acf=values[j]) for j in range(n_columns)]
 
 
 def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary:

@@ -13,6 +13,7 @@ from __future__ import annotations
 import json
 import math
 from dataclasses import dataclass, field
+from functools import cached_property
 
 import numpy as np
 
@@ -45,10 +46,14 @@ class DmdDecomposition:
     descending energy contribution |a_i| * sum_j |lambda_i|^j over the
     fit span.
 
-    ``amplitude_form`` is the (P, q, s) of ``amplitude_quadratic`` that
-    the fit solved for the amplitudes, in the order of the modes; the
-    mode selection takes it from here. Like the singular values and the
-    spectrum solve it is not serialized.
+    ``groups`` holds the conjugate groups in energy order, as the mode
+    indices of each pair and each real mode; the positive-imaginary
+    member of a pair comes first.
+
+    ``amplitude_form`` is the (P, q, s) of the fit's quadratic form (see
+    ``amplitude_quadratic``) that it solved for the amplitudes, in the
+    order of the modes; the mode selection takes it from here. Like the
+    singular values and the spectrum solve it is not serialized.
     """
 
     eigenvalues: np.ndarray
@@ -74,6 +79,35 @@ class DmdDecomposition:
             "fit_span": self.fit_span,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
+
+    @cached_property
+    def groups(self) -> list[list[int]]:
+        return conjugate_groups(self.eigenvalues)
+
+    def representatives(self, support: np.ndarray) -> np.ndarray:
+        """One eigenvalue per conjugate group of the boolean mode mask
+        ``support``, in group order: the member of larger imaginary part,
+        with the imaginary part of a real group set to exactly 0.
+
+        The discarded conjugate carries no new real information: its real
+        and imaginary channels duplicate the representative's up to sign.
+        A support that holds part of a group is refused.
+        """
+        support = np.asarray(support, dtype=bool)
+        if support.shape != self.eigenvalues.shape:
+            raise ValueError(f"support of shape {support.shape} for {self.eigenvalues.size} modes")
+        reps = []
+        for group in self.groups:
+            if not support[group].any():
+                continue
+            if not support[group].all():
+                raise ValueError(f"support holds part of the conjugate group {group}")
+            members = self.eigenvalues[group]
+            pick = members[np.argmax(members.imag)]
+            if abs(pick.imag) <= CONJUGATE_TOL * (1.0 + abs(pick)):
+                pick = complex(pick.real, 0.0)
+            reps.append(pick)
+        return np.asarray(reps, dtype=complex)
 
     @classmethod
     def from_json(cls, text: str, modes: np.ndarray) -> "DmdDecomposition":
@@ -199,9 +233,6 @@ class _FitGeometry:
         """H' @ x: H applied to x shifted down one row."""
         return hk.apply_tall(self.view, self._lift(x, 1))
 
-    def tall_transpose(self, y: np.ndarray) -> np.ndarray:
-        return self._restrict(hk.apply_tall_transpose(self.view, y))
-
     def data_energy(self) -> float:
         """Squared Frobenius norm of H."""
         return float(np.sum(self._restrict(hk.column_energies(self.view))))
@@ -223,20 +254,20 @@ def fit_geometry(view: hk.HankelView) -> _FitGeometry:
 def amplitude_quadratic(
     eigenvalues: np.ndarray,
     modes: np.ndarray,
-    geometry: _FitGeometry,
-) -> tuple[np.ndarray, np.ndarray, float]:
-    """Quadratic form of the amplitude fit ||H - modes diag(a) C||_F^2.
+    ht_modes: np.ndarray,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Quadratic form of the amplitude fit ||H - modes diag(a) C||_F^2,
+    given H^T modes, one row per fit column.
 
-    Returns (P, q, s) with the residual equal to
-    a* P a - 2 Re(q* a) + s, where P = (modes* modes) o conj(C C*) and
-    q = conj(diag(C H^T modes)). The fit solves it for the amplitudes
-    and keeps it for the sparse mode selection.
+    Returns (P, q) with the residual equal to a* P a - 2 Re(q* a) + s,
+    where P = (modes* modes) o conj(C C*), q = conj(diag(C H^T modes))
+    and s = ||H||_F^2. The fit solves it for the amplitudes and keeps it
+    for the sparse mode selection.
     """
-    vand = vandermonde(eigenvalues, geometry.span)
+    vand = vandermonde(eigenvalues, ht_modes.shape[0])
     p = (modes.conj().T @ modes) * np.conj(vand @ vand.conj().T)
-    ht_modes = geometry.tall_transpose(modes)
     q = np.conj(np.einsum("ij,ji->i", vand, ht_modes))
-    return p, q, geometry.data_energy()
+    return p, q
 
 
 def solve_hermitian(p: np.ndarray, q: np.ndarray) -> np.ndarray:
@@ -280,8 +311,9 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     if np.any(norms == 0.0):
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
     modes = modes / norms
+    ht_modes = (svd.ht_left @ spectrum.eigenvectors) / norms
 
-    p, q, s = amplitude_quadratic(spectrum.eigenvalues, modes, geo)
+    p, q = amplitude_quadratic(spectrum.eigenvalues, modes, ht_modes)
     amplitudes = solve_hermitian(p, q)
     # The eigensolver fixes each eigenvector's phase by its largest entry,
     # which round-off picks among near-equal ones. Each mode takes its
@@ -306,7 +338,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         tau=view.tau,
         singular_values=svd.spectrum,
         spectrum_solve=svd.solve,
-        amplitude_form=(p[np.ix_(order, order)], q[order], s),
+        amplitude_form=(p[np.ix_(order, order)], q[order], svd.solve.total_energy),
     )
 
 

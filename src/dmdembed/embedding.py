@@ -15,7 +15,6 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
-from .dmd import CONJUGATE_TOL, conjugate_groups
 from .errors import DataError
 
 if TYPE_CHECKING:  # pragma: no cover
@@ -55,30 +54,13 @@ class TimeEmbedding:
         return self.table[idx]
 
 
-def select_representatives(eigenvalues: np.ndarray) -> np.ndarray:
-    """One eigenvalue per conjugate group, with nonnegative imaginary part.
-
-    The discarded conjugate carries no new real information: its real
-    and imaginary channels duplicate the representative's up to sign.
-    """
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    reps = []
-    for group in conjugate_groups(eigs):
-        members = eigs[group]
-        pick = members[np.argmax(members.imag)]
-        if abs(pick.imag) <= CONJUGATE_TOL * (1.0 + abs(pick)):
-            pick = complex(pick.real, 0.0)
-        reps.append(pick)
-    return np.asarray(reps, dtype=complex)
-
-
 def build_embedding(selected: np.ndarray, span: tuple[int, int]) -> TimeEmbedding:
     """Generate covariate rows for absolute steps [span[0], span[1]).
 
-    Eigenvalues must be pair representatives (imaginary part >= 0). Each
-    is replaced by lambda/|lambda| before powering, so extrapolated
-    covariates neither explode nor vanish; growth information stays in
-    the decomposition.
+    Eigenvalues must be pair representatives (imaginary part >= 0), as
+    ``DmdDecomposition.representatives`` gives them. Each is replaced by
+    lambda/|lambda| before powering, so extrapolated covariates neither
+    explode nor vanish; growth information stays in the decomposition.
     """
     start, end = int(span[0]), int(span[1])
     if end <= start:

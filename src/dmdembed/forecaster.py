@@ -34,6 +34,8 @@ from .embedding import TimeEmbedding, attach_covariates
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-8
+# Forecast horizons, in steps, that the metrics report on their own.
+HORIZONS = (3, 6, 12)
 # Split ratios may miss a sum of 1 by this much.
 SPLIT_SUM_TOL = 1e-9
 
@@ -252,9 +254,9 @@ def evaluate(
     predictions: np.ndarray,
     targets: np.ndarray,
     mask: np.ndarray | None = None,
-    horizons: tuple[int, ...] = (3, 6, 12),
 ) -> MetricsReport:
-    """Masked MAE/RMSE of aligned (n_windows, Q) arrays.
+    """Masked MAE/RMSE of aligned (n_windows, Q) arrays, overall and at
+    each of ``HORIZONS`` up to Q.
 
     Horizon k uses only the k-th output column; masked-out entries are
     excluded everywhere and counted.
@@ -279,7 +281,7 @@ def evaluate(
 
     horizon_mae: dict[int, float] = {}
     horizon_rmse: dict[int, float] = {}
-    for h in horizons:
+    for h in HORIZONS:
         if not 1 <= h <= q:
             continue
         col_keep = mask[:, h - 1]

@@ -223,77 +223,52 @@ def _by_chunks(kernel, view: HankelView, rows: np.ndarray, tail: tuple[int, ...]
     return out
 
 
-def _real_columns(op, view: HankelView, x: np.ndarray) -> np.ndarray:
-    """Apply a real linear product to a 1-D, 2-D, real or complex block."""
-    single = x.ndim == 1
-    if single:
-        x = x[:, np.newaxis]
-    if np.iscomplexobj(x):
-        k = x.shape[1]
-        both = op(view, np.concatenate([x.real, x.imag], axis=1))
-        out = both[:, :k] + 1j * both[:, k:]
-    else:
-        out = op(view, np.asarray(x, dtype=float))
-    return out[:, 0] if single else out
-
-
-def _column_block(view: HankelView, x) -> np.ndarray:
-    """``x`` as an array with one row per column of H."""
+def _real_block(x, rows: int) -> np.ndarray:
+    """``x`` as a real 2-D block of ``rows`` rows; a complex or 1-D one is refused."""
     x = np.asarray(x)
-    if x.shape[0] != view.columns:
-        raise ValueError(f"x has {x.shape[0]} rows, view has {view.columns} columns")
-    return x
+    if x.ndim != 2 or np.iscomplexobj(x):
+        raise ValueError(f"expected a real 2-D block, got {x.dtype} of shape {x.shape}")
+    if x.shape[0] != rows:
+        raise ValueError(f"block has {x.shape[0]} rows, the view needs {rows}")
+    return np.asarray(x, dtype=float)
 
 
-def _tall(view: HankelView, x: np.ndarray) -> np.ndarray:
+def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
+    """Compute H @ x for a real x of shape (T - tau + 1, k) without forming H.
+
+    Block row b of the product is the cross-correlation of the signal
+    with x at lag b, so every lag comes from one FFT round trip and the
+    cost does not depend on tau. This is the first half of ``gram``.
+    """
+    x = _real_block(x, view.columns)
     n = view.source.n_nodes
     blocks = _by_chunks(_first_half, view, x.T, (n, view.tau))
     return blocks.transpose(2, 1, 0).reshape(n * view.tau, x.shape[1])
 
 
-def _tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
+def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
+    """Compute H^T @ y for a real y of shape (N*tau, k) without forming H.
+
+    Each node's tau block entries, zero-padded to L, are correlated with
+    the node's signal; the sum over nodes is taken in frequency space.
+    This is the second half of ``gram``.
+    """
+    y = _real_block(y, view.shape[0])
     # Time-contiguous rows: FFT outputs follow their input's memory order.
     blocks = y.reshape(view.tau, view.source.n_nodes, -1).transpose(2, 1, 0)
     blocks = np.ascontiguousarray(blocks)
     return _by_chunks(_second_half, view, blocks, (view.columns,)).T
 
 
-def _gram(view: HankelView, x: np.ndarray) -> np.ndarray:
-    return _by_chunks(_gram_rows, view, x.T, (view.columns,)).T
-
-
-def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
-    """Compute H @ x for x of shape (T - tau + 1, k) without forming H.
-
-    Block row b of the product is the cross-correlation of the signal
-    with x at lag b, so every lag comes from one FFT round trip and the
-    cost does not depend on tau. This is the first half of ``gram``.
-    """
-    return _real_columns(_tall, view, _column_block(view, x))
-
-
-def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
-    """Compute H^T @ y for y of shape (N*tau, k) without forming H.
-
-    Each node's tau block entries, zero-padded to L, are correlated with
-    the node's signal; the sum over nodes is taken in frequency space.
-    This is the second half of ``gram``.
-    """
-    y = np.asarray(y)
-    n = view.source.n_nodes
-    if y.shape[0] != n * view.tau:
-        raise ValueError(f"y has {y.shape[0]} rows, view has {n * view.tau}")
-    return _real_columns(_tall_transpose, view, y)
-
-
 def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
-    """The Gram product H^T (H x) for x of shape (T - tau + 1, k), without
-    forming the Gram.
+    """The Gram product H^T (H x) for a real x of shape (T - tau + 1, k),
+    without forming the Gram.
 
     Both halves run in one pass per chunk of columns, with no tall
     (N*tau, k) block between them.
     """
-    return _real_columns(_gram, view, _column_block(view, x))
+    x = _real_block(x, view.columns)
+    return _by_chunks(_gram_rows, view, x.T, (view.columns,)).T
 
 
 def column_energies(view: HankelView) -> np.ndarray:

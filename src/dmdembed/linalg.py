@@ -157,6 +157,8 @@ class SnapshotSvd:
     left_vectors:    (n_rows, r) orthonormal columns
     singular_values: (r,) strictly positive, descending
     right_vectors:   (n_cols, r) orthonormal columns
+    ht_left:         (n_cols, r) H^T @ left_vectors, which is
+                     G @ right_vectors @ diag(1/singular_values)
     spectrum:        the converged leading singular values, descending:
                      at least the r kept, and all n_cols when the
                      Krylov basis grew to span every column
@@ -166,6 +168,7 @@ class SnapshotSvd:
     left_vectors: np.ndarray
     singular_values: np.ndarray
     right_vectors: np.ndarray
+    ht_left: np.ndarray
     spectrum: np.ndarray
     solve: SpectrumSolve
 
@@ -267,7 +270,9 @@ def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
     return out
 
 
-def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, SpectrumSolve]:
+def leading_spectrum(
+    gram, policy: RankPolicy
+) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumSolve]:
     """Leading eigenpairs of a Gram matrix by block Krylov with Rayleigh-Ritz.
 
     ``gram`` is a symmetric matrix or a GramProduct. The Krylov basis
@@ -285,9 +290,11 @@ def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, 
     and the projections read contiguous memory, and the projected matrix
     grows by the new rows and columns of each block only.
 
-    Returns (spectrum, vectors, solve): the converged leading singular
-    values sqrt(theta) in descending order, the (order, r) Ritz vectors
-    of the r kept pairs, and the solve's health record.
+    Returns (spectrum, vectors, images, solve): the converged leading
+    singular values sqrt(theta) in descending order, the (order, r) Ritz
+    vectors V of the r kept pairs, their Gram images G V, and the solve's
+    health record. The images are combined from the rows of w, so they
+    are G V to round-off whether or not the pairs converged.
     """
     gram = _as_gram_product(gram)
     n = gram.order
@@ -335,7 +342,7 @@ def leading_spectrum(gram, policy: RankPolicy) -> tuple[np.ndarray, np.ndarray, 
         basis=m,
         residual=float(np.max(resid[:r]) / theta[0]),
     )
-    return sigma[:converged], q[:m].T @ vecs[:, :r], solve
+    return sigma[:converged], q[:m].T @ vecs[:, :r], w[:m].T @ vecs[:, :r], solve
 
 
 TallProduct = Callable[[np.ndarray], np.ndarray]
@@ -348,6 +355,8 @@ def snapshot_svd(gram, tall: TallProduct, rank: int | RankPolicy) -> SnapshotSvd
     eigenpairs (``leading_spectrum``); left singular vectors are
     recovered as U = H V diag(1/sigma) through ``tall``, which must
     compute H @ X for a (n_cols, k) block X without materializing H.
+    H^T U = G V diag(1/sigma) is read off the solver's Gram images, so
+    no product with H^T is applied.
 
     Args:
         gram: (T, T) symmetric positive semidefinite matrix H^T H, or a
@@ -361,21 +370,19 @@ def snapshot_svd(gram, tall: TallProduct, rank: int | RankPolicy) -> SnapshotSvd
         EmptySpectrumError: every singular value is at or below the round-off floor.
     """
     policy = rank if isinstance(rank, (FixedRank, CepThreshold)) else FixedRank(rank)
-    spectrum, right, solve = leading_spectrum(gram, policy)
+    spectrum, right, images, solve = leading_spectrum(gram, policy)
     sigma = spectrum[: right.shape[1]]
     left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)
     # Deterministic sign: largest-magnitude entry of each left vector is
-    # nonnegative; the paired right vector flips with it so the product
-    # U Sigma V^T is unchanged.
-    for j in range(sigma.size):
-        pivot = int(np.argmax(np.abs(left[:, j])))
-        if left[pivot, j] < 0.0:
-            left[:, j] = -left[:, j]
-            right[:, j] = -right[:, j]
+    # nonnegative; the paired right vector and H^T U flip with it so the
+    # product U Sigma V^T is unchanged.
+    pivots = np.argmax(np.abs(left), axis=0)
+    signs = np.where(left[pivots, np.arange(sigma.size)] < 0.0, -1.0, 1.0)
     return SnapshotSvd(
-        left_vectors=left,
+        left_vectors=left * signs,
         singular_values=sigma,
-        right_vectors=right,
+        right_vectors=right * signs,
+        ht_left=images * (signs / sigma),
         spectrum=spectrum,
         solve=solve,
     )

@@ -23,7 +23,7 @@ import numpy as np
 from . import __version__
 from . import diagnostics as dg
 from . import dmd, spdmd, svgplot
-from .embedding import build_embedding, export_embedding, select_representatives
+from .embedding import build_embedding, export_embedding
 from .errors import ConfigError, DataError
 from .forecaster import (
     check_split_ratios,
@@ -315,16 +315,22 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     return generate_synthetic(cfg.synthetic)
 
 
-def _forecast_metrics(l2: float, train, test, zscore):
-    """The test metrics of a ridge fit on ``train``, and its test
-    residuals in original units as (anchors, nodes, Q) blocks."""
-    model = fit_ridge(train, l2=l2)
-    blocks = (test.anchors.size, test.n_nodes, test.target.shape[1])
-    preds = zscore.inverse(predict(model, test).reshape(blocks))
-    targets = zscore.inverse(test.target.reshape(blocks))
+def _forecast_metrics(l2: float, labelled: dict, zscore) -> dict:
+    """For each label's train and test windows, the test metrics of a
+    ridge fit on the train windows and its test residuals in original
+    units as (anchors, nodes, Q) blocks. The labels share their test
+    targets, which are converted to original units once."""
+    test = next(iter(labelled.values()))["test"]
     shape = test.target.shape
-    report = evaluate(preds.reshape(shape), targets.reshape(shape), test.mask)
-    return report, preds - targets
+    targets = zscore.inverse(test.target.reshape(test.anchors.size, test.n_nodes, shape[1]))
+    out = {}
+    for label, windows in labelled.items():
+        model = fit_ridge(windows["train"], l2=l2)
+        preds = zscore.inverse(predict(model, windows["test"]).reshape(targets.shape))
+        report = evaluate(preds.reshape(shape), targets.reshape(shape), test.mask)
+        preds -= targets  # the predictions become the residuals in place
+        out[label] = report, preds
+    return out
 
 
 def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
@@ -445,7 +451,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         return run.out_dir
 
     with _StageTimer(run, "embedding"):
-        reps = select_representatives(selected_eigs)
+        reps = dec.representatives(sweep.selected.support)
         emb = build_embedding(reps, span=(0, signal.n_steps))
         export_embedding(emb, run.path("embedding.csv"))
         resolved["embedding_modes"] = int(reps.size)
@@ -465,16 +471,15 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
             name: replace(fw, covariates=fw.covariates[:, :, :0])
             for name, fw in with_windows.items()
         }
-        residuals = {}
-        for label, windows in (("with", with_windows), ("without", without_windows)):
-            report, residuals[label] = _forecast_metrics(
-                cfg.l2, windows["train"], windows["test"], zscore
-            )
+        forecasts = _forecast_metrics(
+            cfg.l2, {"with": with_windows, "without": without_windows}, zscore
+        )
+        for label, (report, _) in forecasts.items():
             resolved[f"l2_{label}"] = cfg.l2
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
 
     with _StageTimer(run, "diagnostics"):
-        for label, resid in residuals.items():
+        for label, (_, resid) in forecasts.items():
             resolved["skipped_lags"], resolved["acf_lag_reached"] = _write_residual_diagnostics(
                 resid, list(signal.node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
             )

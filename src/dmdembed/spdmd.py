@@ -19,7 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .dmd import DmdDecomposition, conjugate_groups, mode_frequency, solve_hermitian
+from .dmd import DmdDecomposition, mode_frequency, solve_hermitian
 
 
 @dataclass
@@ -66,7 +66,7 @@ class _AmplitudeProblem:
                 "back from JSON has none); refit it with fit_dmd"
             )
         self.p, self.q, self.s = dec.amplitude_form
-        self.groups = conjugate_groups(dec.eigenvalues)
+        self.groups = dec.groups
 
     def loss(self, amplitudes: np.ndarray) -> float:
         quad = np.real(amplitudes.conj() @ (self.p @ amplitudes))

@@ -273,7 +273,6 @@ def test_write_acf_csv_matches_per_row_reference(tmp_path_factory, data):
             node_id=data.draw(st.sampled_from(["", "n", "station 7"])),
             lags=np.arange(max_lag + 1),
             acf=data.draw(arrays(float, max_lag + 1, elements=cell_values)),
-            peak_lags=np.zeros(0, dtype=int),
         )
         for _ in range(n_reports)
     ]

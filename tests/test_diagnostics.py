@@ -18,11 +18,14 @@ def test_acf_white_noise_bound():
 
 
 def test_acf_cosine_peaks_at_period_multiples():
+    # A cosine's ACF has local maxima at multiples of its period, where the
+    # biased estimate is about (n - lag) / n.
     t = np.arange(1000)
     block = np.column_stack([np.cos(2 * np.pi * t / 72), np.sin(2 * np.pi * t / 72)])
-    for report in acf(block, max_lag=144):
-        assert 72 in report.peak_lags
-        assert 144 in report.peak_lags
+    for report in acf(block, max_lag=150):
+        for lag in (72, 144):
+            assert report.acf[lag] == np.max(report.acf[lag - 5 : lag + 6])
+            assert report.acf[lag] == pytest.approx((t.size - lag) / t.size, abs=0.01)
 
 
 def test_acf_alternating_series():
@@ -68,14 +71,7 @@ def acf_per_column(series, max_lag):
     values[0] = 1.0
     for k in range(1, max_lag + 1):
         values[k] = float(np.dot(centered[:-k], centered[k:])) / denom
-    threshold = 2.0 / np.sqrt(x.size)
-    peaks = []
-    for k in range(1, max_lag + 1):
-        if values[k] <= threshold:
-            continue
-        if values[k] > values[k - 1] and (k == max_lag or values[k] >= values[k + 1]):
-            peaks.append(k)
-    return values, np.asarray(peaks, dtype=int)
+    return values
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(1, 64), st.integers(2, 300), st.data())
@@ -90,20 +86,11 @@ def test_acf_block_matches_per_column_reference(seed, n_columns, n_rows, data):
     ids = [f"c{j}" for j in range(n_columns)]
     reports = acf(block, max_lag, node_ids=ids)
     assert [r.node_id for r in reports] == ids
-    threshold = 2.0 / np.sqrt(n_rows)
     for j, report in enumerate(reports):
-        values, peaks = acf_per_column(block[:, j], max_lag)
+        values = acf_per_column(block[:, j], max_lag)
         assert report.acf[0] == 1.0
         assert np.array_equal(report.lags, np.arange(max_lag + 1))
         assert np.max(np.abs(report.acf - values)) <= 1e-13
-        # a lag whose compared neighbours (or the threshold) lie within
-        # 1e-12 of it may go either way; every other lag must agree
-        v = values
-        near = np.abs(v[1:] - threshold) <= 1e-12
-        near |= np.abs(v[1:] - v[:-1]) <= 1e-12
-        near[:-1] |= np.abs(v[1:-1] - v[2:]) <= 1e-12
-        lags = np.arange(1, max_lag + 1)[~near]
-        assert np.array_equal(np.isin(lags, report.peak_lags), np.isin(lags, peaks))
 
 
 def test_acf_block_errors():

@@ -21,7 +21,7 @@ from dmdembed.dmd import (
     vandermonde,
 )
 from dmdembed.errors import EmptySpectrumError
-from dmdembed.hankel import SignalMatrix, build_hankel
+from dmdembed.hankel import SignalMatrix, apply_tall_transpose, build_hankel
 from hankel_oracle import materialize_hankel
 
 
@@ -157,6 +157,70 @@ def test_fits_take_their_svd_from_snapshot_svd(monkeypatch):
     assert len(calls) == 1
     assert dec.rank == calls[0].rank == 2
     assert dec.singular_values is calls[0].spectrum
+
+
+def representatives_reference(eigenvalues):
+    """The rule the embedding applied to the selected eigenvalues before
+    the decomposition carried its groups: group the selected ones, keep
+    the member of larger imaginary part, zero a real group's imaginary part."""
+    eigs = np.asarray(eigenvalues, dtype=complex)
+    reps = []
+    for group in conjugate_groups(eigs):
+        members = eigs[group]
+        pick = members[np.argmax(members.imag)]
+        if abs(pick.imag) <= dmd.CONJUGATE_TOL * (1.0 + abs(pick)):
+            pick = complex(pick.real, 0.0)
+        reps.append(pick)
+    return np.asarray(reps, dtype=complex)
+
+
+def decomposition_of(eigenvalues):
+    eigs = np.asarray(eigenvalues, dtype=complex)
+    r = eigs.size
+    return DmdDecomposition(eigenvalues=eigs, modes=np.eye(r, dtype=complex),
+                            amplitudes=np.ones(r, dtype=complex), rank=r,
+                            sampling_seconds=1.0, fit_span=r, tau=1)
+
+
+def test_representatives():
+    lam = 0.95 * np.exp(1j * 0.8)
+    dec = decomposition_of([lam, np.conj(lam), 0.7, np.conj(0.7 + 0j)])
+    assert dec.groups == [[0, 1], [2], [3]]
+    reps = dec.representatives(np.ones(4, bool))
+    assert reps.size == 3
+    assert np.all(reps.imag >= 0)
+    assert np.sum(np.isreal(reps)) == 2
+    assert np.array_equal(dec.representatives([False, False, False, True]), [0.7])
+    assert dec.representatives(np.zeros(4, bool)).size == 0
+    with pytest.raises(ValueError, match="part of the conjugate group"):
+        dec.representatives([False, True, False, False])
+    with pytest.raises(ValueError):
+        dec.representatives(np.ones(3, bool))
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 3), st.data())
+@settings(max_examples=100, deadline=None)
+def test_representatives_match_the_reference_rule(seed, n_pairs, n_real, data):
+    # Pairs in either member order, real modes that repeat, and real
+    # modes whose imaginary part is round-off: for any support made of
+    # whole groups, the decomposition's representatives are the ones the
+    # reference rule picks among the selected eigenvalues, bit for bit.
+    rng = np.random.default_rng(seed)
+    lam = rng.uniform(0.5, 1.1, n_pairs) * np.exp(1j * rng.uniform(0.05, 3.0, n_pairs))
+    pairs = [[z, np.conj(z)][:: rng.choice([1, -1])] for z in lam]
+    reals = np.repeat(rng.uniform(-1.1, 1.1, n_real), rng.integers(1, 3, n_real))
+    fuzz = rng.choice([0.0, 1e-12, -1e-12], reals.size)
+    groups = pairs + [[complex(x, y)] for x, y in zip(reals, fuzz)]
+    groups = [groups[k] for k in rng.permutation(len(groups))]
+    eigs = np.array([z for g in groups for z in g], dtype=complex)
+    dec = decomposition_of(eigs)
+    assert [len(g) for g in dec.groups] == [len(g) for g in groups]
+    chosen = data.draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups)))
+    support = np.repeat(chosen, [len(g) for g in groups]).astype(bool)
+    got = dec.representatives(support)
+    want = representatives_reference(eigs[support])
+    assert np.array_equal(got, want)
+    assert np.all(got.imag >= 0) and np.all((got.imag == 0) | (np.abs(got.imag) > 1e-6))
 
 
 def test_resolve_rank_examples():
@@ -318,10 +382,12 @@ def test_deep_tau_truncated_window_drops_wrapped_columns():
 @settings(max_examples=40, deadline=None)
 def test_fit_keeps_its_amplitude_form(seed, n, t, data):
     # The (P, q, s) the fit solved, in the energy order, is the form that
-    # amplitude_quadratic builds from the ordered eigenvalues and modes.
-    # Only to rounding: BLAS rounds an entry of P by its column position
-    # (the diagonal's imaginary part comes out 0 or 2e-16), so a reordered
-    # P is not always bit-equal to one built in that order.
+    # amplitude_quadratic builds from the ordered eigenvalues and modes,
+    # with H^T modes taken by apply_tall_transpose over the fit columns
+    # where the fit reads it off the Krylov images. Only to rounding: BLAS
+    # also rounds an entry of P by its column position (the diagonal's
+    # imaginary part comes out 0 or 2e-16), so a reordered P is not always
+    # bit-equal to one built in that order.
     tau = data.draw(st.integers(1, t - 2))
     policy = data.draw(st.one_of(st.builds(FixedRank, st.integers(1, 6)),
                                  st.builds(CepThreshold, st.floats(0.3, 0.99))))
@@ -329,11 +395,12 @@ def test_fit_keeps_its_amplitude_form(seed, n, t, data):
     view = view_of(values, tau=tau)
     dec = fit_dmd(view, policy)
     p, q, s = dec.amplitude_form
-    p_ref, q_ref, s_ref = dmd.amplitude_quadratic(dec.eigenvalues, dec.modes,
-                                                  dmd.fit_geometry(view))
+    ht_modes = apply_tall_transpose(view, dec.modes.real) \
+        + 1j * apply_tall_transpose(view, dec.modes.imag)
+    p_ref, q_ref = dmd.amplitude_quadratic(dec.eigenvalues, dec.modes, ht_modes[: dec.fit_span])
     assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
     assert np.max(np.abs(q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
-    assert s == s_ref
+    assert s == dmd.fit_geometry(view).data_energy()
 
 
 def save_and_load(dec: DmdDecomposition) -> DmdDecomposition:

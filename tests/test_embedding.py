@@ -4,11 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.embedding import (
-    build_embedding,
-    export_embedding,
-    select_representatives,
-)
+from dmdembed.embedding import build_embedding, export_embedding
 from dmdembed.errors import DataError
 from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
@@ -89,15 +85,6 @@ def test_empty_embedding_allowed():
     emb = build_embedding(np.array([], dtype=complex), span=(0, 6))
     assert emb.table.shape == (6, 0)
     assert emb.n_modes == 0
-
-
-def test_select_representatives():
-    lam = 0.95 * np.exp(1j * 0.8)
-    eigs = np.array([lam, np.conj(lam), 0.7, np.conj(0.7 + 0j)])
-    reps = select_representatives(eigs)
-    assert reps.size == 3
-    assert np.all(reps.imag >= 0)
-    assert np.sum(np.isreal(reps)) == 2
 
 
 def window_fixture(n_windows=3, p=4, q=2, anchor0=3):

@@ -207,6 +207,28 @@ def test_product_snapshot_svd_matches_dense_svd(seed, use_cep):
     assert distance * gap <= 1e-11
 
 
+@given(st.integers(0, 10_000), st.booleans(), st.booleans())
+@settings(max_examples=40, deadline=None)
+def test_snapshot_svd_takes_ht_left_from_the_gram_images(seed, use_product, use_cep):
+    # H^T U = G V diag(1/sigma) for any V, converged or not: the solver's
+    # Gram images give the dense H^T @ U, with U's sign flips, through a
+    # dense Gram and through Gram products alike. A column's round-off
+    # is that of G V, about eps * sigma_1^2, scaled by 1 / sigma_j.
+    rng = np.random.default_rng(seed)
+    h, k = low_rank_plus_noise(rng)
+    if use_cep:
+        policy = CepThreshold(float(rng.uniform(0.5, 0.999)))
+    else:
+        policy = FixedRank(int(rng.integers(1, k + 10)))
+    gram = as_product(h) if use_product else h.T @ h
+    out = snapshot_svd(gram, dense_tall(h), policy)
+    want = h.T @ out.left_vectors
+    assert out.ht_left.shape == want.shape == (h.shape[1], out.rank)
+    sigma = out.singular_values
+    err = np.max(np.abs(out.ht_left - want), axis=0)
+    assert np.all(err <= 1e-13 * sigma[0] ** 2 / sigma)
+
+
 def test_product_snapshot_svd_reports_its_solve():
     rng = np.random.default_rng(8)
     h, _ = low_rank_plus_noise(rng)
@@ -236,7 +258,7 @@ def test_repeated_leading_eigenvalue_is_found_in_full(mult):
     g = (q * evals) @ q.T
     g = 0.5 * (g + g.T)
     product = GramProduct(lambda x: g @ x, n, float(np.sum(evals)))
-    sigma, _, solve = leading_spectrum(product, FixedRank(mult + 2))
+    sigma, _, _, solve = leading_spectrum(product, FixedRank(mult + 2))
     assert mult > KRYLOV_BLOCK and solve.basis < n
     want = np.linalg.eigvalsh(g)[::-1][: mult + 2]
     assert_allclose(sigma[: mult + 2] ** 2, want, rtol=1e-12)

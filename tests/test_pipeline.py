@@ -556,7 +556,7 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), cfg.split)
     spans = {"train": (0, b_train), "test": (b_val, loaded.n_steps)}
     plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
-    report, _ = _forecast_metrics(cfg.l2, plain["train"], plain["test"], zscore)
+    report, _ = _forecast_metrics(cfg.l2, {"without": plain}, zscore)["without"]
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
     assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == cfg.l2
