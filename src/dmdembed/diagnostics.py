@@ -27,11 +27,13 @@ class AcfReport:
 
 @dataclass(frozen=True)
 class ResidualCorrSummary:
-    """Mean absolute Pearson correlation between residual vectors at lag S."""
+    """Mean absolute Pearson correlation between residual vectors at lag S.
+
+    ``matrix`` is None in a summary that keeps only the scalars."""
 
     lag: int
     mean_abs_corr: float
-    matrix: np.ndarray
+    matrix: np.ndarray | None
     excluded_columns: int
 
 
@@ -87,6 +89,10 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     column i at time t with column j at time t - lag, over the aligned
     range. Zero-variance columns are excluded and counted. A negative
     lag returns the transpose relation.
+
+    Each lag's lead rows ``[lag, n)`` and trail rows ``[0, n - lag)``
+    are standardized apart, in two passes; at lag 0 they are one block.
+    The product of the two is then divided and clipped in place.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
@@ -102,37 +108,39 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     n = resid.shape[0]
     if n - lag < 2:
         raise DataError(f"time length {n} must exceed lag {lag} by at least 2")
-
-    def standardize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        centered = block - block.mean(axis=0)
-        scale = np.sqrt(np.mean(centered**2, axis=0))
-        # relative floor so numerically constant columns are excluded too
-        floor = 1e-12 * np.maximum(1.0, np.max(np.abs(block), axis=0))
-        keep = scale > floor
-        out = np.zeros_like(centered)
-        out[:, keep] = centered[:, keep] / scale[keep]
-        return out, keep
-
-    lead_z, keep = standardize(resid[lag:])
+    lead, keep = _standardize(resid[lag:])
     if lag == 0:
-        # lead and trail are one block: standardize it once, and z.T @ z
-        # is a symmetric product
-        trail_z = lead_z
+        # lead and trail are one block, and lead.T @ lead is a symmetric product
+        trail = lead
     else:
-        trail_z, keep_trail = standardize(resid[: n - lag])
-        keep = keep & keep_trail
+        trail, keep_trail = _standardize(resid[: n - lag])
+        keep &= keep_trail
     excluded = int((~keep).sum())
     if not keep.any():
         raise DataError("every residual column has zero variance")
-    corr = (lead_z.T @ trail_z) / (n - lag)
-    corr = np.clip(corr, -1.0, 1.0)
-    kept = corr[np.ix_(keep, keep)]
+    corr = lead.T @ trail
+    corr /= n - lag
+    np.clip(corr, -1.0, 1.0, out=corr)
+    kept = corr if keep.all() else corr[np.ix_(keep, keep)]
     return ResidualCorrSummary(
         lag=lag,
         mean_abs_corr=float(np.mean(np.abs(kept))),
         matrix=corr,
         excluded_columns=excluded,
     )
+
+
+def _standardize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``block`` centred and scaled to unit variance per column, in one
+    new array (zero in the columns it excludes), and which are kept."""
+    out = block - block.mean(axis=0)
+    scale = np.sqrt(np.mean(out**2, axis=0))
+    # relative floor so numerically constant columns are excluded too
+    floor = 1e-12 * np.maximum(1.0, np.max(np.abs(block), axis=0))
+    keep = scale > floor
+    np.divide(out, scale, out=out, where=keep)
+    out[:, ~keep] = 0.0
+    return out, keep
 
 
 def cep_curve(

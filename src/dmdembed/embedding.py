@@ -89,7 +89,7 @@ def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "Foreca
     including the future target steps; the first uncovered step, in
     window order, is reported otherwise.
     """
-    p, steps = windows.history.shape[1], windows.covariates.shape[1]
+    p, steps = windows.p, windows.covariates.shape[1]
     rows = emb.rows(windows.anchors[:, np.newaxis] + np.arange(1 - p, steps - p + 1))
     return replace(windows, covariates=np.concatenate([windows.covariates, rows], axis=2))
 

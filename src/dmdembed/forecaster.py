@@ -9,16 +9,20 @@ is in original units at horizons 3, 6, and 12.
 
 The series is held once, as one normalized (N, T) array. Each split is
 a ``[start, stop)`` step range over it, from ``split_boundaries``, and
-windows are built straight from those ranges. The W = A·N windows of a
-split, A anchors times N nodes, are arrays: ``history (W, P)`` and
-``target``/``mask (W, Q)`` hold one row per (anchor, node) pair,
-anchor-major and node-minor, and ``anchors (A,)`` the absolute step of
-each anchor's last history step. The embedding is a time covariate, the
-same for every node, so ``covariates (A, P+Q, 2r)`` holds each anchor's
-rows once: its P history steps, then its Q target steps. A window's
-features are its values followed by its anchor's flattened covariate
-rows, and the fit builds its normal equations from these blocks without
-forming the W x F feature matrix.
+its windows are read as zero-copy views of that range: no window is
+copied. The W = A·N windows of a split, A anchors times N nodes, are
+anchor-major and node-minor; window (a, n) holds steps a .. a+P+Q-1 of
+node n, its first P steps the history and the rest the target. The
+embedding is a time covariate, the same for every node, so
+``covariates (A, P+Q, 2r)`` holds each anchor's rows once.
+
+The fit never forms a window. Each entry of the value part of its
+normal equations is a sum over nodes and anchors of x[n, s+i]·x[n, s+j],
+a range sum over one node-summed lagged product
+z_d[t] = Σ_n x[n, t]·x[n, t+d], d = |j - i| < P+Q. The covariate
+cross-blocks need only the node-summed series Σ_n x[n, t]. A prediction
+multiplies each anchor's (N, P) history view by the value weights,
+straight into one (A, N, Q) block, and adds its anchor's covariate term.
 """
 
 from __future__ import annotations
@@ -43,35 +47,47 @@ SPLIT_SUM_TOL = 1e-9
 @dataclass(frozen=True)
 class ForecastWindows:
     """All windows of one split: A anchors times N nodes, anchor-major and
-    node-minor.
+    node-minor, read from the split's S = A+P+Q-1 steps.
 
-    ``history`` (W, P) holds each window's values and ``covariates``
-    (A, P+Q, c) each anchor's covariate rows, shared by its N windows.
-    ``anchors`` (A,) holds the absolute step of each anchor's last
-    history step; its targets cover anchor+1 .. anchor+Q. ``mask``
-    marks target entries that were actually observed (metric exclusion).
+    ``values`` (N, S) and ``observed`` (N, S) are views of the split's
+    steps of the normalized series and of its observation mask (metric
+    exclusion). ``p`` is the history length P. ``covariates`` (A, P+Q, c)
+    holds each anchor's covariate rows, shared by its N windows, and
+    ``anchors`` (A,) the absolute step of each anchor's last history
+    step; its targets cover anchor+1 .. anchor+Q.
     """
 
-    history: np.ndarray
+    values: np.ndarray
+    observed: np.ndarray
+    p: int
     covariates: np.ndarray
-    target: np.ndarray
-    mask: np.ndarray
     anchors: np.ndarray
 
     def __len__(self) -> int:
-        return self.target.shape[0]
+        return self.anchors.size * self.n_nodes
 
     @property
     def n_nodes(self) -> int:
         """Windows per anchor."""
-        return len(self) // max(1, self.anchors.size)
+        return self.values.shape[0]
+
+    @property
+    def q(self) -> int:
+        return self.covariates.shape[1] - self.p
 
     @property
     def layout(self) -> tuple[int, int, int]:
         """(P, history channels, future channels): each history step has
         the value and c covariates, each target step c covariates."""
         c = self.covariates.shape[2]
-        return (self.history.shape[1], 1 + c, c)
+        return (self.p, 1 + c, c)
+
+    def blocks(self, first: int, width: int, series: np.ndarray | None = None) -> np.ndarray:
+        """(A, N, width) view of ``series`` (by default ``values``): row
+        (a, n) holds steps a+first .. a+first+width-1 of node n."""
+        series = self.values if series is None else series
+        view = sliding_window_view(series[:, first:], width, axis=1)
+        return view[:, : self.anchors.size].transpose(1, 0, 2)
 
     def covariate_features(self) -> np.ndarray:
         """(A, (P+Q)·c): each anchor's covariate rows, flattened step-major."""
@@ -117,9 +133,12 @@ class ZScore:
         """(N, T) values to normalized units."""
         return (values - self.mean[:, np.newaxis]) / self.std[:, np.newaxis]
 
-    def inverse(self, blocks: np.ndarray) -> np.ndarray:
-        """(A, N, Q) normalized blocks, one row per node, to original units."""
-        return blocks * self.std[:, np.newaxis] + self.mean[:, np.newaxis]
+    def inverse(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
+        """(A, N, Q) normalized blocks, one row per node, to original
+        units; ``out`` may be ``blocks`` itself."""
+        out = np.multiply(blocks, self.std[:, np.newaxis], out=out)
+        out += self.mean[:, np.newaxis]
+        return out
 
 
 def zscore_fit(train: np.ndarray, node_ids: list[str]) -> ZScore:
@@ -135,11 +154,6 @@ def zscore_fit(train: np.ndarray, node_ids: list[str]) -> ZScore:
     return ZScore(mean=mean, std=std)
 
 
-def _anchor_major(block: np.ndarray, width: int) -> np.ndarray:
-    """(N, S) -> (windows * N, width) sliding windows, anchor-major."""
-    return sliding_window_view(block, width, axis=1).transpose(1, 0, 2).reshape(-1, width)
-
-
 def make_windows(
     values: np.ndarray,
     spans: dict[str, tuple[int, int]],
@@ -149,7 +163,7 @@ def make_windows(
     exclusion_mask: np.ndarray | None = None,
 ) -> dict[str, ForecastWindows]:
     """One window per valid anchor per node for each named step range
-    ``[start, stop)`` of the (N, T) ``values``.
+    ``[start, stop)`` of the (N, T) ``values``, as views of that range.
 
     Windows never straddle a range's ends. ``exclusion_mask`` is the
     pre-imputation observation mask over the full signal, indexed by
@@ -163,16 +177,15 @@ def make_windows(
         t = part.shape[1]
         if t < p + q:
             raise DataError(f"{name} split has {t} steps, needs at least P+Q={p + q}")
-        target = _anchor_major(part[:, p:], q)
         if exclusion_mask is not None:
-            mask = _anchor_major(exclusion_mask[:, start + p : start + t], q)
+            observed = exclusion_mask[:, start:stop]
         else:
-            mask = np.ones(target.shape, dtype=bool)
+            observed = np.broadcast_to(True, part.shape)
         collection = ForecastWindows(
-            history=_anchor_major(part[:, : t - q], p),
+            values=part,
+            observed=observed,
+            p=p,
             covariates=np.zeros((t - p - q + 1, p + q, 0)),
-            target=target,
-            mask=mask,
             anchors=np.arange(start + p - 1, start + t - q),
         )
         if embedding is not None:
@@ -199,33 +212,47 @@ class RidgeModel:
 def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
     """Deterministic ridge fit of the pooled window regression.
 
-    With X = [H, C repeated over the nodes], the normal equations are
-    assembled from blocks: HᵀH, (Σ_nodes H)ᵀC, N·CᵀC and HᵀY, Cᵀ(Σ_nodes Y).
+    With H the history, Y the targets and C the covariate rows repeated
+    over the nodes, the normal equations are assembled from blocks: HᵀH
+    and HᵀY from range sums of the lagged products z_d, (Σ_nodes H)ᵀC and
+    Cᵀ(Σ_nodes Y) from the node-summed series, and N·CᵀC.
     """
     if not len(train):
         raise DataError("no training windows")
     if l2 < 0:
         raise DataError(f"l2 must be nonnegative, got {l2}")
-    h, y, c = train.history, train.target, train.covariate_features()
-    n = train.n_nodes
-    cross = h.reshape(len(c), n, h.shape[1]).sum(axis=1).T @ c
-    gram = np.block([[h.T @ h, cross], [cross.T, n * (c.T @ c)]])
+    x, p, q = train.values, train.p, train.q
+    n_anchors, steps = train.anchors.size, x.shape[1]
+    # moments[i, j]: the sum over windows of steps i and j, for i, j < P+Q
+    moments = np.empty((p + q, p + q))
+    for lag in range(p + q):
+        lagged = np.einsum("nt,nt->t", x[:, : steps - lag], x[:, lag:])
+        sums = sliding_window_view(lagged, n_anchors).sum(axis=1)
+        first = np.arange(p + q - lag)
+        moments[first, first + lag] = moments[first + lag, first] = sums
+    summed = x.sum(axis=0)
+    c = train.covariate_features()
+    cross = sliding_window_view(summed, p)[:n_anchors].T @ c
+    gram = np.block([[moments[:p, :p], cross], [cross.T, train.n_nodes * (c.T @ c)]])
     gram += l2 * np.eye(gram.shape[0])
-    rhs = np.vstack([h.T @ y, c.T @ y.reshape(len(c), n, y.shape[1]).sum(axis=1)])
+    rhs = np.vstack([moments[:p, p:], c.T @ sliding_window_view(summed[p:], q)])
     return RidgeModel(weights=np.linalg.solve(gram, rhs), l2=l2, feature_layout=train.layout)
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
-    """Q-step predictions per window, in the fitted (normalized) space."""
+    """Q-step predictions per window, in the fitted (normalized) space.
+
+    The (W, Q) result is a view of one (A, N, Q) block, anchor-major."""
     if fw.layout != model.feature_layout:
         raise DataError(
             f"window layout {fw.layout} does not match model layout {model.feature_layout}"
         )
-    p, q = fw.history.shape[1], fw.target.shape[1]
-    c = fw.covariate_features()
-    values = (fw.history @ model.weights[:p]).reshape(len(c), fw.n_nodes, q)
+    p = fw.p
+    # one product per anchor, of its (N, P) history view
+    out = np.matmul(fw.blocks(0, p), model.weights[:p])
     # each anchor's covariate term, shared by the windows of all its nodes
-    return (values + (c @ model.weights[p:])[:, np.newaxis]).reshape(len(fw), q)
+    out += (fw.covariate_features() @ model.weights[p:])[:, np.newaxis]
+    return out.reshape(len(fw), fw.q)
 
 
 @dataclass
@@ -255,8 +282,9 @@ def evaluate(
     targets: np.ndarray,
     mask: np.ndarray | None = None,
 ) -> MetricsReport:
-    """Masked MAE/RMSE of aligned (n_windows, Q) arrays, overall and at
-    each of ``HORIZONS`` up to Q.
+    """Masked MAE/RMSE of aligned (..., Q) arrays, such as (n_windows, Q)
+    rows or (anchors, nodes, Q) blocks, overall and at each of
+    ``HORIZONS`` up to Q.
 
     Horizon k uses only the k-th output column; masked-out entries are
     excluded everywhere and counted.
@@ -273,7 +301,7 @@ def evaluate(
     if not mask.any():
         raise DataError("all entries masked; no metric can be computed")
     err = predictions - targets
-    q = targets.shape[1]
+    q = targets.shape[-1]
 
     def pair(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
         kept = values[keep]
@@ -284,12 +312,12 @@ def evaluate(
     for h in HORIZONS:
         if not 1 <= h <= q:
             continue
-        col_keep = mask[:, h - 1]
+        col_keep = mask[..., h - 1]
         if not col_keep.any():
             horizon_mae[h] = float("nan")
             horizon_rmse[h] = float("nan")
             continue
-        horizon_mae[h], horizon_rmse[h] = pair(err[:, h - 1], col_keep)
+        horizon_mae[h], horizon_rmse[h] = pair(err[..., h - 1], col_keep)
     overall_mae, overall_rmse = pair(err, mask)
     return MetricsReport(
         horizon_mae=horizon_mae,

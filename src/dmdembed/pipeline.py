@@ -321,13 +321,15 @@ def _forecast_metrics(l2: float, labelled: dict, zscore) -> dict:
     units as (anchors, nodes, Q) blocks. The labels share their test
     targets, which are converted to original units once."""
     test = next(iter(labelled.values()))["test"]
-    shape = test.target.shape
-    targets = zscore.inverse(test.target.reshape(test.anchors.size, test.n_nodes, shape[1]))
+    targets = zscore.inverse(test.blocks(test.p, test.q))
+    mask = test.blocks(test.p, test.q, test.observed)
     out = {}
     for label, windows in labelled.items():
         model = fit_ridge(windows["train"], l2=l2)
-        preds = zscore.inverse(predict(model, windows["test"]).reshape(targets.shape))
-        report = evaluate(preds.reshape(shape), targets.reshape(shape), test.mask)
+        # one (A, N, Q) block per label, taken to original units in place
+        preds = predict(model, windows["test"]).reshape(targets.shape)
+        zscore.inverse(preds, out=preds)
+        report = evaluate(preds, targets, mask)
         preds -= targets  # the predictions become the residuals in place
         out[label] = report, preds
     return out
@@ -474,6 +476,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         forecasts = _forecast_metrics(
             cfg.l2, {"with": with_windows, "without": without_windows}, zscore
         )
+        del with_windows, without_windows  # the diagnostics read only the residuals
         for label, (report, _) in forecasts.items():
             resolved[f"l2_{label}"] = cfg.l2
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
@@ -549,8 +552,12 @@ def _write_residual_diagnostics(
             skipped.append(lag)
             continue
         summary = dg.residual_correlation(flat, lag)
+        svg = svgplot.heatmap(
+            np.abs(summary.matrix, out=summary.matrix), f"|residual correlation| lag {lag}{caption}"
+        )
+        # the CSV reads only the scalars: no matrix outlives its heatmap
+        summary = replace(summary, matrix=None)
         summaries.append(summary)
-        svg = svgplot.heatmap(np.abs(summary.matrix), f"|residual correlation| lag {lag}{caption}")
         svgplot.write_svg(svg, destination(f"residual_corr{tag}_lag{lag:03d}{split}.svg"))
     dg.write_residual_corr_csv(summaries, destination(f"residual_corr{tag}{split}.csv"))
 

@@ -85,6 +85,13 @@ _FILLS = np.array(
 )
 
 
+def _magnitude(values: np.ndarray) -> np.ndarray:
+    """|values|, with NaN ranked above every number as +inf."""
+    out = np.abs(values)
+    out[np.isnan(values)] = np.inf
+    return out
+
+
 def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 64) -> str:
     """Diverging heatmap of a matrix with entries in [-1, 1].
 
@@ -96,14 +103,22 @@ def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 64) ->
     mat = np.asarray(matrix, dtype=float)
     size_r = max(1, -(-mat.shape[0] // max_dim))
     size_c = max(1, -(-mat.shape[1] // max_dim))
-    rows, cols = -(-mat.shape[0] // size_r), -(-mat.shape[1] // size_c)
-    # zero padding to whole blocks never outranks a block's first entry
-    padded = np.zeros((rows * size_r, cols * size_c))
-    padded[: mat.shape[0], : mat.shape[1]] = mat
-    blocks = padded.reshape(rows, size_r, cols, size_c).swapaxes(1, 2)
-    blocks = blocks.reshape(rows, cols, size_r * size_c)
-    largest = np.argmax(np.where(np.isnan(blocks), np.inf, np.abs(blocks)), axis=2)
-    mat = np.take_along_axis(blocks, largest[:, :, np.newaxis], axis=2)[:, :, 0]
+    # offset (0, 0) of every block first, then each later offset in
+    # row-major order: a strided view holds that offset of every block
+    # that has it, and an entry replaces the block's best only if it is
+    # strictly larger, so ties keep the first
+    pooled = mat[::size_r, ::size_c].copy()
+    rows, cols = pooled.shape
+    best = _magnitude(pooled)
+    for offset in range(1, size_r * size_c):
+        di, dj = divmod(offset, size_c)
+        entries = mat[di::size_r, dj::size_c]
+        r, c = entries.shape
+        magnitude = _magnitude(entries)
+        larger = magnitude > best[:r, :c]
+        pooled[:r, :c][larger] = entries[larger]
+        best[:r, :c][larger] = magnitude[larger]
+    mat = pooled
     margin = 30
     width = cols * cell + 2 * margin
     height = rows * cell + 2 * margin

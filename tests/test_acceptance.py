@@ -22,6 +22,8 @@ from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
 from dmdembed.spdmd import _AmplitudeProblem, _polish_on, gamma_sweep
 from dmdembed.synthetic import generate_synthetic, two_period_spec
 
+import window_rows
+
 SEEDS = (1, 2, 3, 4, 5)
 
 
@@ -209,7 +211,7 @@ def test_a6_embedding_contracts():
         emb_small = build_embedding(np.array(lams), span=(0, 80))
         fw = make_windows(values, {"train": (0, 64)}, p=12, q=12, embedding=emb_small)["train"]
         assert fw.layout == (12, 1 + 2 * r, 2 * r)
-        assert fw.history.shape == (len(fw), 12)
+        assert window_rows.history(fw).shape == (len(fw), 12)
         assert fw.covariates.shape == (len(fw) // 2, 12 + 12, 2 * r)
     report("A6", "row-0 identity, unit-circle norms (1e-10), recurrence (1e-8), "
                  "and m+2r channels hold for r in {1,2,4} over 4032 steps")

@@ -189,6 +189,38 @@ def test_heatmap_matches_reference_at_default_size():
     assert heatmap(matrix, "corr") == heatmap_per_cell(matrix, "corr")
 
 
+def argmax_pooled(matrix, max_dim):
+    """Pooling by one argmax over zero-padded blocks of |entry|, NaN
+    ranked as +inf: each block's entry of largest magnitude, the first
+    in row-major order on ties."""
+    mat = np.asarray(matrix, dtype=float)
+    size_r = max(1, -(-mat.shape[0] // max_dim))
+    size_c = max(1, -(-mat.shape[1] // max_dim))
+    rows, cols = -(-mat.shape[0] // size_r), -(-mat.shape[1] // size_c)
+    padded = np.zeros((rows * size_r, cols * size_c))
+    padded[: mat.shape[0], : mat.shape[1]] = mat
+    blocks = padded.reshape(rows, size_r, cols, size_c).swapaxes(1, 2)
+    blocks = blocks.reshape(rows, cols, size_r * size_c)
+    largest = np.argmax(np.where(np.isnan(blocks), np.inf, np.abs(blocks)), axis=2)
+    return np.take_along_axis(blocks, largest[:, :, np.newaxis], axis=2)[:, :, 0]
+
+
+# equal magnitudes of either sign, so blocks tie
+tied_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
+
+
+@settings(max_examples=150, deadline=None)
+@given(max_dim=st.integers(1, 8), data=st.data())
+def test_heatmap_pooling_matches_argmax_pooling(max_dim, data):
+    # shapes that do not divide into whole blocks, NaN and ties of +/- entries
+    shape = data.draw(st.tuples(st.integers(1, 3 * max_dim + 2), st.integers(1, 3 * max_dim + 2)))
+    elements = data.draw(st.sampled_from([tied_values, cell_values]), label="values")
+    matrix = data.draw(arrays(float, shape, elements=elements))
+    pooled = argmax_pooled(matrix, max_dim)
+    # the pooled matrix fits in max_dim blocks, so the heatmap draws it as is
+    assert heatmap(matrix, "t", 3, max_dim) == heatmap(pooled, "t", 3, max_dim)
+
+
 def test_heatmap_nan_is_full_red():
     svg = heatmap(np.array([[np.nan, -np.nan]]), "nan")
     assert svg.count('fill="rgb(255,0,0)"') == 2

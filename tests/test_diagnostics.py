@@ -148,6 +148,75 @@ def test_residual_correlation_lag_zero_matches_two_standardizations(seed, n_rows
     assert summary.excluded_columns == excluded
 
 
+def residual_correlation_reference(resid, lag):
+    """Each lag's lead and trail rows standardized apart, in two passes;
+    a negative lag is the transpose relation."""
+    if lag < 0:
+        corr, mean_abs, excluded = residual_correlation_reference(resid, -lag)
+        return corr.T, mean_abs, excluded
+
+    def standardize(block):
+        centered = block - block.mean(axis=0)
+        scale = np.sqrt(np.mean(centered**2, axis=0))
+        floor = 1e-12 * np.maximum(1.0, np.max(np.abs(block), axis=0))
+        keep = scale > floor
+        out = np.zeros_like(centered)
+        out[:, keep] = centered[:, keep] / scale[keep]
+        return out, keep
+
+    n = resid.shape[0]
+    lead_z, keep_lead = standardize(resid[lag:])
+    trail_z, keep_trail = standardize(resid[: n - lag])
+    keep = keep_lead & keep_trail
+    corr = np.clip((lead_z.T @ trail_z) / (n - lag), -1.0, 1.0)
+    mean_abs = float(np.mean(np.abs(corr[np.ix_(keep, keep)]))) if keep.any() else None
+    return corr, mean_abs, int((~keep).sum())
+
+
+# How a column departs from plain noise: none; exactly constant; constant
+# up to noise 1e-14 or 1e-6 times its level (clear of the 1e-12 floor on
+# either side); constant but for its first rows; or with a level shift a
+# million times its noise, so that a lead or trail mean lies far from the
+# whole column's.
+COLUMN_KINDS = ("noise", "constant", "near 1e-14", "near 1e-6", "spiked head", "level shift")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(2, 120), st.integers(1, 12), st.data())
+@settings(max_examples=150, deadline=None)
+def test_residual_correlation_matches_per_lag_standardization(seed, n_rows, n_columns, data):
+    rng = np.random.default_rng(seed)
+    resid = rng.normal(size=(n_rows, n_columns)) @ rng.normal(size=(n_columns, n_columns))
+    resid += rng.uniform(-100, 100, size=n_columns)
+    kinds = data.draw(st.lists(st.sampled_from(COLUMN_KINDS), min_size=n_columns, max_size=n_columns))
+    for j, kind in enumerate(kinds):
+        level = rng.uniform(-100, 100)
+        noise = rng.normal(size=n_rows) * max(1.0, abs(level))
+        head = rng.integers(1, n_rows) if n_rows > 1 else 1
+        if kind == "constant":
+            resid[:, j] = level
+        elif kind.startswith("near"):
+            resid[:, j] = level + float(kind.split()[1]) * noise
+        elif kind == "spiked head":
+            resid[:, j] = level
+            resid[:head, j] = level + noise[:head]
+        elif kind == "level shift":
+            resid[:, j] = level + 1e-3 * noise
+            resid[head:, j] += 1e3 * max(1.0, abs(level))
+    lag = data.draw(st.integers(-(n_rows - 2), n_rows - 2), label="lag")
+    corr, mean_abs, excluded = residual_correlation_reference(resid, lag)
+    if excluded == n_columns:
+        with pytest.raises(DataError, match="zero variance"):
+            residual_correlation(resid, lag)
+        return
+    summary = residual_correlation(resid, lag)
+    assert summary.lag == lag
+    assert summary.excluded_columns == excluded
+    assert np.max(np.abs(summary.matrix - corr)) <= 1e-12
+    assert abs(summary.mean_abs_corr - mean_abs) <= 1e-12
+    if lag == 0:
+        assert np.array_equal(summary.matrix, summary.matrix.T)
+
+
 def test_residual_correlation_lag_zero():
     rng = np.random.default_rng(0)
     resid = rng.normal(size=(200, 4))

@@ -9,6 +9,8 @@ from dmdembed.errors import DataError
 from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
 
+import window_rows
+
 
 def test_build_embedding_quarter_turn():
     emb = build_embedding(np.array([1j]), span=(0, 4))
@@ -88,13 +90,14 @@ def test_empty_embedding_allowed():
 
 
 def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
-    """Single-node windows; window k holds the value k at every history step."""
-    k = np.arange(n_windows, dtype=float)
+    """Single-node windows over a series that counts up from 0; window k
+    has anchor anchor0 + k and holds the values k .. k+p-1 as history."""
+    steps = n_windows + p + q - 1
     return ForecastWindows(
-        history=np.repeat(k[:, None], p, axis=1),
+        values=np.arange(steps, dtype=float)[np.newaxis, :],
+        observed=np.ones((1, steps), bool),
+        p=p,
         covariates=np.zeros((n_windows, p + q, 0)),
-        target=np.zeros((n_windows, q)),
-        mask=np.ones((n_windows, q), bool),
         anchors=anchor0 + np.arange(n_windows),
     )
 
@@ -104,8 +107,8 @@ def test_attach_covariates_empty_embedding_keeps_windows():
     emb = build_embedding(np.array([], dtype=complex), span=(0, 20))
     out = attach_covariates(fw, emb)
     assert fw.covariates.shape[2] == 0
-    assert out.history.shape == fw.history.shape == (3, 4)
-    assert np.array_equal(out.history, fw.history)
+    assert window_rows.history(out).shape == window_rows.history(fw).shape == (3, 4)
+    assert np.array_equal(window_rows.history(out), window_rows.history(fw))
     assert out.covariates.shape == (3, 4 + 2, 0)
 
 
@@ -113,7 +116,7 @@ def test_attach_covariates_constant_mode_channels():
     fw = window_fixture(n_windows=1, p=1, q=1, anchor0=0)
     emb = build_embedding(np.array([1.0 + 0j]), span=(0, 4))
     out = attach_covariates(fw, emb)
-    assert_allclose(out.history[0], [0.0])
+    assert_allclose(window_rows.history(out)[0], [0.0])
     # the history step, then the target step
     assert_allclose(out.covariates[0], [[1.0, 0.0], [1.0, 0.0]])
 
@@ -123,7 +126,7 @@ def test_attach_covariates_channel_contract():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.05)])
     emb = build_embedding(lams, span=(0, 30))
     out = attach_covariates(fw, emb)
-    assert out.history.shape == (2, 4)
+    assert window_rows.history(out).shape == (2, 4)
     assert out.covariates.shape == (2, 4 + 2, 4)
     assert out.layout == (4, 1 + 2 * 2, 4)
 

@@ -19,6 +19,8 @@ from dmdembed.forecaster import (
     zscore_fit,
 )
 
+import window_rows
+
 
 def train_windows(values, p, q, **kw):
     """The windows of one range covering every step of ``values``."""
@@ -78,8 +80,9 @@ def dense_order(p, q, c):
 
 def dense_features(fw):
     """The W x F per-window feature matrix the blocks stand for."""
-    p, q, c = fw.history.shape[1], fw.target.shape[1], fw.covariates.shape[2]
-    blocks = np.hstack([fw.history, np.repeat(fw.covariate_features(), fw.n_nodes, axis=0)])
+    p, q, c = fw.p, fw.q, fw.covariates.shape[2]
+    per_window = np.repeat(fw.covariate_features(), fw.n_nodes, axis=0)
+    blocks = np.hstack([window_rows.history(fw), per_window])
     return blocks[:, dense_order(p, q, c)]
 
 
@@ -149,10 +152,10 @@ def test_make_windows_matches_per_window_loop(data):
         per_window_rows = np.repeat(fw.covariates, fw.n_nodes, axis=0)
         ref_rows = np.concatenate([ref["history"][:, :, 1:], ref["future"]], axis=1)
         for key, got, want in (
-            ("history", fw.history, ref["history"][:, :, 0]),
+            ("history", window_rows.history(fw), ref["history"][:, :, 0]),
             ("covariates", per_window_rows, ref_rows),
-            ("target", fw.target, ref["target"]),
-            ("mask", fw.mask, ref["mask"]),
+            ("target", window_rows.target(fw), ref["target"]),
+            ("mask", window_rows.mask(fw), ref["mask"]),
             # anchor-major, node-minor: the layout fixes each window's node and anchor
             ("node", np.tile(np.arange(n), fw.anchors.size), ref["node"]),
             ("anchor", np.repeat(fw.anchors, n), ref["anchor"]),
@@ -171,14 +174,17 @@ def test_blockwise_ridge_matches_dense_features(data):
     q = data.draw(st.integers(1, 6), label="Q")
     n_train = data.draw(st.integers(p + q, 60), label="train steps")
     n_test = data.draw(st.integers(p + q, 30), label="test steps")
-    t = n_train + n_test
+    # the training range need not start at step 0
+    offset = data.draw(st.integers(0, 5), label="steps before train")
+    t = offset + n_train + n_test
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
     values = rng.normal(size=(n, t))
     blanks = rng.random((n, t)) > 0.3 if data.draw(st.booleans(), label="mask") else None
+    # no angles: c = 0, the fit without covariates
     angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=0, max_size=3), label="angles")
     l2 = 10.0 ** data.draw(st.floats(-8.0, 3.0), label="log10 l2")
     emb = build_embedding(np.exp(1j * np.array(angles)), span=(0, t))
-    spans = {"train": (0, n_train), "test": (n_train, t)}
+    spans = {"train": (offset, offset + n_train), "test": (offset + n_train, t)}
 
     windows = make_windows(values, spans, p, q, embedding=emb, exclusion_mask=blanks)
     model = fit_ridge(windows["train"], l2=l2)
@@ -199,6 +205,27 @@ def test_blockwise_ridge_matches_dense_features(data):
     assert np.linalg.norm(weights - dense) <= rtol * np.linalg.norm(dense)
     dense_preds = ref["test"]["features"] @ dense
     assert np.linalg.norm(preds - dense_preds) <= rtol * np.linalg.norm(dense_preds)
+
+
+def test_windows_are_views_of_the_series():
+    rng = np.random.default_rng(8)
+    values = rng.normal(size=(3, 50))
+    observed = rng.random(values.shape) > 0.2
+    emb = build_embedding(np.exp(2j * np.pi / np.array([7.0, 12.0])), span=(0, 50))
+    windows = make_windows(values, {"train": (2, 30), "test": (30, 50)}, 4, 3,
+                           embedding=emb, exclusion_mask=observed)
+    for (start, stop), fw in zip(((2, 30), (30, 50)), windows.values()):
+        assert np.shares_memory(fw.values, values) and np.shares_memory(fw.observed, observed)
+        for block, source in ((fw.blocks(0, fw.p), values), (fw.blocks(fw.p, fw.q), values),
+                              (fw.blocks(fw.p, fw.q, fw.observed), observed)):
+            assert np.shares_memory(block, source)
+        # block (a, n) holds steps a .. a+P-1 of node n, from the range start
+        assert np.array_equal(fw.blocks(0, fw.p)[1, 2], values[2, start + 1 : start + 1 + fw.p])
+        assert len(fw) == 3 * (stop - start - fw.p - fw.q + 1)
+    # the prediction is one (A, N, Q) block, anchor-major
+    test = windows["test"]
+    preds = predict(fit_ridge(windows["train"]), test)
+    assert preds.shape == (len(test), test.q) and preds.base.shape == (test.anchors.size, 3, test.q)
 
 
 def sine_signal(t_steps=200, period=24.0, n_nodes=1):
@@ -253,8 +280,8 @@ def test_zscore_round_trip():
     raw = make_windows(values, spans, p=2, q=3)["test"]
     # (anchors, nodes, Q) blocks, as a run inverts its test targets
     blocks = (normalized.anchors.size, 3, 3)
-    back = zs.inverse(normalized.target.reshape(blocks))
-    assert np.max(np.abs(back - raw.target.reshape(blocks))) <= 1e-10
+    back = zs.inverse(window_rows.target(normalized).reshape(blocks))
+    assert np.max(np.abs(back - window_rows.target(raw).reshape(blocks))) <= 1e-10
 
 
 def test_window_counts():
@@ -274,7 +301,7 @@ def test_window_channel_contract_with_embedding():
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.07)])
     emb = build_embedding(lams, span=(0, 60))
     fw = train_windows(values, p=12, q=12, embedding=emb)
-    assert fw.history.shape == (len(fw), 12)
+    assert window_rows.history(fw).shape == (len(fw), 12)
     assert fw.covariates.shape == (len(fw), 12 + 12, 4)  # one node: one window per anchor
     assert fw.layout == (12, 5, 4)
 
@@ -288,7 +315,7 @@ def test_ridge_fits_sinusoid_from_lags():
     fw = train_windows(sine_signal(), p=12, q=12)
     model = fit_ridge(fw, l2=1e-8)
     preds = predict(model, fw)
-    rmse = np.sqrt(np.mean((preds - fw.target) ** 2))
+    rmse = np.sqrt(np.mean((preds - window_rows.target(fw)) ** 2))
     assert rmse <= 1e-4
 
 
@@ -331,13 +358,9 @@ def test_predict_layout_mismatch():
 
 def test_predict_empty_windows():
     model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout=(3, 1, 0))
-    empty = ForecastWindows(
-        history=np.zeros((0, 3)),
-        covariates=np.zeros((0, 3 + 2, 0)),
-        target=np.zeros((0, 2)),
-        mask=np.ones((0, 2), bool),
-        anchors=np.zeros(0, int),
-    )
+    # a split of no nodes: one anchor, no windows
+    empty = make_windows(np.zeros((0, 5)), {"test": (0, 5)}, p=3, q=2)["test"]
+    assert isinstance(empty, ForecastWindows) and len(empty) == 0
     out = predict(model, empty)
     assert out.size == 0
 
@@ -411,11 +434,11 @@ def test_window_masks_and_nodes_helpers():
     mask = np.ones((2, 40), bool)
     mask[1, 30] = False
     fw = train_windows(rng.normal(size=(2, 40)), p=8, q=4, exclusion_mask=mask)
-    assert fw.mask.shape == (len(fw), 4)
+    assert window_rows.mask(fw).shape == (len(fw), 4)
     assert fw.n_nodes == 2
     # windows are anchor-major and node-minor
     node = np.tile(np.arange(2), fw.anchors.size)
     anchor = np.repeat(fw.anchors, 2)
     # the masked step 30 appears in windows of node 1 whose target range covers it
     hit = (node == 1) & (anchor + 1 <= 30) & (30 <= anchor + 4)
-    assert hit.any() and not fw.mask[hit].all()
+    assert hit.any() and not window_rows.mask(fw)[hit].all()

@@ -1,5 +1,5 @@
 """Scale: a long two-period run whose fit scales past the dense T x T
-Gram, and a wide forecast whose memory stays near its value windows."""
+Gram, and a wide forecast whose memory stays well below its value windows."""
 
 import json
 import tracemalloc
@@ -50,8 +50,11 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
 
 def test_wide_forecast_holds_no_per_window_covariates():
     # 64 nodes x 1,000 steps with 4 modes. Per-window covariate rows and a
-    # W x F feature matrix would take about 500 doubles a window; the value
-    # windows and targets take P + Q = 24.
+    # W x F feature matrix would take about 500 doubles a window; copied
+    # value windows and targets would take P + Q = 24. The windows are
+    # views of the series, so what is allocated is each anchor's covariate
+    # rows and the test prediction block: 2.5 MB measured, 0.23 times the
+    # 11.2 MB of copied windows. The bound leaves 30% over that.
     rng = np.random.default_rng(0)
     values = rng.normal(size=(64, 1_000))
     observed = rng.random(values.shape) > 0.05
@@ -65,4 +68,4 @@ def test_wide_forecast_holds_no_per_window_covariates():
     finally:
         tracemalloc.stop()
     window_mb = sum(len(fw) * (12 + 12) * 8 for fw in windows.values()) / 2**20
-    assert peak / 2**20 <= 2 * window_mb, f"peak {peak / 2**20:.1f} MB, windows {window_mb:.1f} MB"
+    assert peak / 2**20 <= 0.3 * window_mb, f"peak {peak / 2**20:.1f} MB, windows {window_mb:.1f} MB"
