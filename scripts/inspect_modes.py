@@ -49,7 +49,7 @@ def main() -> int:
     total = np.sum(np.abs(dec.amplitudes))
 
     print(f"training steps {b_train} of {signal.n_steps}, rank {dec.rank}, tau {tau}, "
-          f"kept {sweep.achieved_pairs} pair(s)")
+          f"kept {len(sweep.path.solutions)} pair(s)")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
     for i, lam in enumerate(dec.eigenvalues):
         freq = mode_frequency(lam, signal.step_seconds)
@@ -68,7 +68,7 @@ def main() -> int:
     if args.svg:
         reps = dec.representatives(kept)
         span = args.span or min(signal.n_steps, 1024)
-        emb = build_embedding(reps, span=(0, span))
+        emb = build_embedding(reps, span)
         series = []
         for j in range(emb.n_modes):
             series.append((f"re_{j + 1}", emb.table[:, j]))

@@ -50,10 +50,7 @@ def main() -> int:
     start = time.perf_counter()
     for seed in range(1, args.seeds + 1):
         cfg = PipelineConfig(
-            synthetic=two_period_spec(
-                n_nodes=args.nodes, n_steps=args.steps,
-                noise_sigma=args.noise, seed=seed,
-            ),
+            synthetic=two_period_spec(args.nodes, args.steps, args.noise, seed),
             output_dir=str(root / f"seed{seed}"),
             seed=seed,
         )

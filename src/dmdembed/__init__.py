@@ -50,7 +50,7 @@ from .hankel import (
 from .linalg import ComplexSpectrum, SnapshotSvd, dense_eig, snapshot_svd
 from .pipeline import PipelineConfig, load_csv, run_pipeline
 from .spdmd import SpdmdPath, SpdmdSolution, gamma_sweep
-from .synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
+from .synthetic import SyntheticSpec, generate_synthetic
 
 __all__ = [
     "__version__",
@@ -71,7 +71,6 @@ __all__ = [
     "SnapshotSvd",
     "SpdmdPath",
     "SpdmdSolution",
-    "SyntheticComponent",
     "SyntheticSpec",
     "TimeEmbedding",
     "ZScore",

@@ -14,9 +14,9 @@ Exit codes: 0 success, 2 configuration error, 3 data error,
 from __future__ import annotations
 
 import argparse
-import inspect
 import sys
 import traceback
+from dataclasses import fields
 
 import numpy as np
 
@@ -31,7 +31,7 @@ from .pipeline import (
     run_pipeline,
     write_signal_csv,
 )
-from .synthetic import generate_synthetic, spec_from_options
+from .synthetic import SyntheticSpec, generate_synthetic
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -59,8 +59,8 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--acf-max-lag", dest="acf_max_lag")
     parser.add_argument("--step-seconds", dest="step_seconds")
     # inline synthetic source (alternative to --input)
-    for option in inspect.signature(spec_from_options).parameters:
-        parser.add_argument(f"--synth-{option}", dest=f"synth_{option}")
+    for f in fields(SyntheticSpec):
+        parser.add_argument(f"--synth-{f.name}", dest=f"synth_{f.name}")
 
 
 def _pipeline_config(args: argparse.Namespace) -> PipelineConfig:
@@ -113,7 +113,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _cmd_synth(args: argparse.Namespace) -> int:
     options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
-    spec = spec_from_options(**convert_options(spec_from_options, options))
+    spec = SyntheticSpec(**convert_options(SyntheticSpec, options))
     write_signal_csv(generate_synthetic(spec), args.out)
     print(f"wrote {args.out}")
     return EXIT_OK

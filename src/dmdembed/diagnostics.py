@@ -143,35 +143,27 @@ def _standardize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return out, keep
 
 
-def cep_curve(
-    singular_values: np.ndarray,
-    total_energy: float | None = None,
-    order: int | None = None,
-) -> CepCurve:
+def cep_curve(singular_values: np.ndarray, total_energy: float, order: int) -> CepCurve:
     """Cumulative eigenvalue percentage cep[k] = sum_{i<=k} s_i^2 / total.
 
-    For a leading part of a spectrum, ``total_energy`` is the exact sum
-    of all squared singular values and ``order`` the full spectrum's
-    length: the curve then lists the given ranks against that total and
-    closes with one row at rank ``order`` and cep exactly 1. Both
-    default to the values given, which are then the whole spectrum.
+    The singular values are the leading part of a spectrum of length
+    ``order`` whose squares sum to ``total_energy``. The curve lists the
+    given ranks against that total and closes at cep exactly 1: at the
+    last given rank when they are the whole spectrum, and otherwise with
+    one more row at rank ``order``.
     """
     sigma = np.asarray(singular_values, dtype=float).ravel()
     if sigma.size == 0:
         raise DataError("empty singular spectrum")
-    energy = sigma**2
-    total = energy.sum() if total_energy is None else total_energy
-    if total <= 0.0:
+    if total_energy <= 0.0:
         raise DataError("all-zero singular spectrum")
-    cep = np.cumsum(energy) / total
+    # against an exact total the running sum may overshoot 1 by round-off
+    cep = np.minimum(np.cumsum(sigma**2) / total_energy, 1.0)
     ranks = np.arange(1, sigma.size + 1)
-    if total_energy is not None:
-        # against an exact total the running sum may overshoot 1 by round-off
-        cep = np.minimum(cep, 1.0)
-        if order is not None and order > sigma.size:
-            cep, ranks = np.append(cep, 1.0), np.append(ranks, order)
-        else:
-            cep[-1] = 1.0
+    if order > sigma.size:
+        cep, ranks = np.append(cep, 1.0), np.append(ranks, order)
+    else:
+        cep[-1] = 1.0
     return CepCurve(ranks=ranks, cep=cep)
 
 

@@ -108,7 +108,8 @@ def split_boundaries(n_steps: int, ratios: tuple[float, float, float]) -> tuple[
     train is steps [0, b_train), val [b_train, b_val), test [b_val, n_steps).
 
     Boundary steps are rounded from the ratios; a zero ratio gives an
-    empty split, which is convenient for unit tests.
+    empty split. The pipeline refuses an empty train or test split, but
+    ``--split`` may set the validation ratio to zero.
     """
     check_split_ratios(ratios)
     n_train = int(round(n_steps * ratios[0]))
@@ -205,7 +206,6 @@ class RidgeModel:
     """
 
     weights: np.ndarray
-    l2: float
     feature_layout: tuple[int, int, int]
 
 
@@ -236,7 +236,7 @@ def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
     gram = np.block([[moments[:p, :p], cross], [cross.T, train.n_nodes * (c.T @ c)]])
     gram += l2 * np.eye(gram.shape[0])
     rhs = np.vstack([moments[:p, p:], c.T @ sliding_window_view(summed[p:], q)])
-    return RidgeModel(weights=np.linalg.solve(gram, rhs), l2=l2, feature_layout=train.layout)
+    return RidgeModel(weights=np.linalg.solve(gram, rhs), feature_layout=train.layout)
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
@@ -304,8 +304,9 @@ def evaluate(
     q = targets.shape[-1]
 
     def pair(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
-        kept = values[keep]
-        return float(np.mean(np.abs(kept))), float(np.sqrt(np.mean(kept**2)))
+        kept = values[keep]  # a copy, which the absolute value and square overwrite
+        mae = float(np.mean(np.abs(kept, out=kept)))
+        return mae, float(np.sqrt(np.mean(np.square(kept, out=kept))))
 
     horizon_mae: dict[int, float] = {}
     horizon_rmse: dict[int, float] = {}

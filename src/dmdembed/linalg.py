@@ -39,18 +39,17 @@ RITZ_GROWTH = 1.25
 DEFLATION_TOL = 1e-12
 
 
-def numerical_rank(sigma: np.ndarray, order: int | None = None) -> int:
+def numerical_rank(sigma: np.ndarray, order: int) -> int:
     """Count singular values above the round-off cutoff.
 
     Through a Gram matrix, eigenvalue round-off floors recoverable
     singular values at about sqrt(T * eps) * sigma_max, where T is the
-    Gram's ``order`` (default: the number of values given); values at or
-    below that are numerical zeros.
+    Gram's ``order``; values at or below that are numerical zeros.
     """
     sigma = np.asarray(sigma, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         return 0
-    floor = np.sqrt((sigma.size if order is None else order) * np.finfo(float).eps)
+    floor = np.sqrt(order * np.finfo(float).eps)
     return int(np.count_nonzero(sigma > floor * sigma[0]))
 
 
@@ -80,30 +79,24 @@ class CepThreshold:
 RankPolicy = Union[FixedRank, CepThreshold]
 
 
-def _policy_rank(sigma: np.ndarray, policy: RankPolicy, total: float | None) -> int:
+def _policy_rank(sigma: np.ndarray, policy: RankPolicy, total: float) -> int:
     """Modes the policy asks for, before the numerical-rank clamp."""
     if isinstance(policy, FixedRank):
         return policy.rank
     if isinstance(policy, CepThreshold):
-        energy = sigma**2
-        cum = np.cumsum(energy) / (energy.sum() if total is None else total)
+        cum = np.cumsum(sigma**2) / total
         hits = np.nonzero(cum >= policy.fraction)[0]
         return int(hits[0]) + 1 if hits.size else sigma.size
     raise TypeError(f"unknown rank policy {policy!r}")
 
 
-def resolve_rank(
-    singular_values: np.ndarray,
-    policy: RankPolicy,
-    total: float | None = None,
-    order: int | None = None,
-) -> int:
+def resolve_rank(singular_values: np.ndarray, policy: RankPolicy, total: float, order: int) -> int:
     """Resolve a rank policy against a descending singular-value spectrum.
 
     The spectrum may be the leading part of a longer one: ``total`` is
-    then the exact sum of all squared singular values, which the cep
-    fraction is measured against, and ``order`` the full length, which
-    sets the numerical-rank floor. Both default to the values given.
+    the exact sum of all squared singular values, which the cep fraction
+    is measured against, and ``order`` the full length, which sets the
+    numerical-rank floor.
     """
     sigma = np.asarray(singular_values, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
@@ -189,17 +182,6 @@ class ComplexSpectrum:
     eigenvectors: np.ndarray
 
 
-def _check_symmetric(gram: np.ndarray) -> float:
-    """Raise unless ``gram`` is square and symmetric; return its scale."""
-    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
-        raise ValueError(f"gram must be square, got shape {gram.shape}")
-    scale = max(1.0, float(np.max(np.abs(gram))))
-    asym = float(np.max(np.abs(gram - gram.T)))
-    if asym > GRAM_ASYMMETRY_TOL * scale:
-        raise ValueError(f"gram asymmetric beyond tolerance: max deviation {asym:.3e}")
-    return scale
-
-
 def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a small symmetric PSD matrix into (sigma, V).
 
@@ -210,7 +192,12 @@ def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     Rayleigh-Ritz step of the Krylov solver.
     """
     gram = np.asarray(gram, dtype=float)
-    scale = _check_symmetric(gram)
+    if gram.ndim != 2 or gram.shape[0] != gram.shape[1]:
+        raise ValueError(f"gram must be square, got shape {gram.shape}")
+    scale = max(1.0, float(np.max(np.abs(gram))))
+    asym = float(np.max(np.abs(gram - gram.T)))
+    if asym > GRAM_ASYMMETRY_TOL * scale:
+        raise ValueError(f"gram asymmetric beyond tolerance: max deviation {asym:.3e}")
     sym = 0.5 * (gram + gram.T)
     evals, evecs = np.linalg.eigh(sym)
     if evals[0] < -GRAM_ASYMMETRY_TOL * max(scale, float(np.trace(sym))):
@@ -218,16 +205,6 @@ def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     order = np.argsort(-evals, kind="stable")
     sigma = np.sqrt(np.clip(evals[order], 0.0, None))
     return sigma, evecs[:, order]
-
-
-def _as_gram_product(gram) -> GramProduct:
-    if isinstance(gram, GramProduct):
-        return gram
-    if callable(gram):
-        raise TypeError("a Gram-product callable must be a GramProduct (order and trace)")
-    mat = np.asarray(gram, dtype=float)
-    _check_symmetric(mat)
-    return GramProduct(lambda x: mat @ x, mat.shape[0], float(np.trace(mat)))
 
 
 def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, rng) -> int:
@@ -271,15 +248,15 @@ def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 
 
 def leading_spectrum(
-    gram, policy: RankPolicy
+    gram: GramProduct, policy: RankPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumSolve]:
     """Leading eigenpairs of a Gram matrix by block Krylov with Rayleigh-Ritz.
 
-    ``gram`` is a symmetric matrix or a GramProduct. The Krylov basis
-    grows one block at a time from a fixed-seed random start, each new
-    block being the Gram applied to the last. Rayleigh-Ritz runs on the
-    projected matrix once the basis reaches the requested rank plus a
-    block, and again each time it has grown by RITZ_GROWTH. The rank
+    The Krylov basis grows one block at a time from a fixed-seed random
+    start, each new block being the Gram applied to the last.
+    Rayleigh-Ritz runs on the projected matrix once the basis reaches
+    the requested rank plus a block, and again each time it has grown
+    by RITZ_GROWTH. The rank
     policy is resolved against the Ritz values and the exact trace; the
     solve stops when every kept pair has a residual of at most
     RITZ_TOL * theta_1, or when the basis spans all columns (then the
@@ -296,7 +273,6 @@ def leading_spectrum(
     health record. The images are combined from the rows of w, so they
     are G V to round-off whether or not the pairs converged.
     """
-    gram = _as_gram_product(gram)
     n = gram.order
     rng = np.random.default_rng(KRYLOV_SEED)
     q = np.empty((min(n, 8 * KRYLOV_BLOCK), n))
@@ -348,7 +324,7 @@ def leading_spectrum(
 TallProduct = Callable[[np.ndarray], np.ndarray]
 
 
-def snapshot_svd(gram, tall: TallProduct, rank: int | RankPolicy) -> SnapshotSvd:
+def snapshot_svd(gram: GramProduct, tall: TallProduct, policy: RankPolicy) -> SnapshotSvd:
     """Truncated SVD of a tall matrix H given its Gram matrix H^T H.
 
     Right singular vectors and singular values are the leading Gram
@@ -359,17 +335,14 @@ def snapshot_svd(gram, tall: TallProduct, rank: int | RankPolicy) -> SnapshotSvd
     no product with H^T is applied.
 
     Args:
-        gram: (T, T) symmetric positive semidefinite matrix H^T H, or a
-            GramProduct applying it.
+        gram: the products of the Gram matrix H^T H.
         tall: callback computing H @ X.
-        rank: rank policy, or an int meaning FixedRank(rank); the
-            result never exceeds the numerical rank.
+        policy: rank policy; the result never exceeds the numerical rank.
 
     Raises:
-        ValueError: rank < 1, asymmetric or indefinite gram.
+        ValueError: an asymmetric or indefinite projected Gram.
         EmptySpectrumError: every singular value is at or below the round-off floor.
     """
-    policy = rank if isinstance(rank, (FixedRank, CepThreshold)) else FixedRank(rank)
     spectrum, right, images, solve = leading_spectrum(gram, policy)
     sigma = spectrum[: right.shape[1]]
     left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)

@@ -35,7 +35,7 @@ from .forecaster import (
     zscore_fit,
 )
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
-from .synthetic import SyntheticSpec, generate_synthetic, spec_from_options
+from .synthetic import SyntheticSpec, generate_synthetic
 
 
 @dataclass
@@ -79,34 +79,25 @@ class PipelineConfig:
             raise ConfigError("exactly one of input_csv or a synthetic spec is required")
 
     def to_mapping(self) -> dict:
-        out: dict = {}
-        for f in fields(self):
-            if f.name == "synthetic":
-                continue
-            value = getattr(self, f.name)
-            if isinstance(value, tuple):
-                value = list(value)
-            out[f.name] = value
+        """Every field by name, and each field of the synthetic spec as
+        ``synth_<field>``; tuples become lists."""
+        items = [(f.name, getattr(self, f.name)) for f in fields(self) if f.name != "synthetic"]
         if self.synthetic is not None:
-            out["synth_nodes"] = self.synthetic.n_nodes
-            out["synth_steps"] = self.synthetic.n_steps
-            out["synth_periods"] = [c.period_steps for c in self.synthetic.components]
-            out["synth_amplitudes"] = [c.amplitude for c in self.synthetic.components]
-            out["synth_noise"] = self.synthetic.noise_sigma
-            out["synth_trend"] = self.synthetic.trend
-            out["synth_seed"] = self.synthetic.seed
-        return out
+            items += [(f"synth_{f.name}", getattr(self.synthetic, f.name))
+                      for f in fields(SyntheticSpec)]
+        return {k: list(v) if isinstance(v, tuple) else v for k, v in items}
 
     @classmethod
     def from_mapping(cls, mapping: dict) -> "PipelineConfig":
         """Build a config from raw values (text, JSON or flags); the
-        ``synth_*`` keys name the options of ``spec_from_options``."""
+        ``synth_*`` keys name the fields of ``SyntheticSpec``."""
         synth = {k: v for k, v in mapping.items() if k.startswith("synth_")}
         plain = {k: v for k, v in mapping.items() if k not in synth}
         cfg = cls(**convert_options(cls, plain))
         if synth:
-            options = {"seed": cfg.seed, **convert_options(spec_from_options, synth, "synth_")}
-            cfg.synthetic = replace(spec_from_options(**options), step_seconds=cfg.step_seconds)
+            cfg.synthetic = SyntheticSpec(
+                **{"seed": cfg.seed, **convert_options(SyntheticSpec, synth, "synth_")}
+            )
         return cfg
 
 
@@ -312,7 +303,7 @@ class _StageTimer:
 def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     if cfg.input_csv is not None:
         return load_csv(cfg.input_csv, step_seconds=cfg.step_seconds)
-    return generate_synthetic(cfg.synthetic)
+    return generate_synthetic(cfg.synthetic, cfg.step_seconds)
 
 
 def _forecast_metrics(l2: float, labelled: dict, zscore) -> dict:
@@ -444,7 +435,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         sweep = spdmd.gamma_sweep(dec, target_modes=target)
         spdmd.export_path_csv(sweep.path, dec.eigenvalues, run.path("spdmd_path.csv"))
         selected_eigs = dec.eigenvalues[sweep.selected.support]
-        resolved["selected_pairs"] = sweep.achieved_pairs
+        resolved["selected_pairs"] = len(sweep.path.solutions)
         resolved["target_met"] = sweep.target_met
         resolved["eigenvalues"] = [[float(z.real), float(z.imag)] for z in selected_eigs]
 
@@ -454,7 +445,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
 
     with _StageTimer(run, "embedding"):
         reps = dec.representatives(sweep.selected.support)
-        emb = build_embedding(reps, span=(0, signal.n_steps))
+        emb = build_embedding(reps, signal.n_steps)
         export_embedding(emb, run.path("embedding.csv"))
         resolved["embedding_modes"] = int(reps.size)
 

@@ -52,7 +52,6 @@ class SpdmdPath:
 class SweepResult:
     path: SpdmdPath
     selected: SpdmdSolution
-    achieved_pairs: int
     target_met: bool
 
 
@@ -116,12 +115,10 @@ def gamma_sweep(dec: DmdDecomposition, target_modes: int) -> SweepResult:
         remaining.remove(best.group)
         support = best.support
         solutions.append(best)
-    selected = solutions[-1]
     return SweepResult(
         path=SpdmdPath(solutions),
-        selected=selected,
-        achieved_pairs=selected.pair_count,
-        target_met=selected.pair_count == target,
+        selected=solutions[-1],
+        target_met=len(solutions) == target,
     )
 
 

@@ -8,7 +8,7 @@ RMS, which makes noise levels comparable across specs.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,89 +17,66 @@ from .hankel import SignalMatrix
 
 
 @dataclass(frozen=True)
-class SyntheticComponent:
-    period_steps: float
-    amplitude: float = 1.0
-
-
-@dataclass(frozen=True)
 class SyntheticSpec:
-    """Recipe for a reproducible N x T signal.
+    """Recipe for a reproducible nodes x steps signal.
 
-    noise_sigma is relative to the noiseless signal RMS; trend is an
-    additive slope per step shared by all nodes.
+    The fields are the ``synth`` subcommand's options and the pipeline's
+    ``synth_*`` config keys. Component k has period ``periods[k]`` in
+    steps and amplitude ``amplitudes[k]``; empty amplitudes resolve to
+    ones. ``noise`` is a sigma relative to the noiseless signal RMS;
+    ``trend`` is an additive slope per step shared by all nodes.
     """
 
-    n_nodes: int
-    n_steps: int
-    components: tuple[SyntheticComponent, ...] = field(default_factory=tuple)
-    noise_sigma: float = 0.0
+    nodes: int = 8
+    steps: int = 2016
+    periods: tuple[float, ...] = ()
+    amplitudes: tuple[float, ...] = ()
+    noise: float = 0.0
     trend: float = 0.0
     seed: int = 0
-    step_seconds: float = 900.0
 
     def __post_init__(self):
-        if self.n_nodes < 1 or self.n_steps < 2:
-            raise ConfigError(f"need n_nodes >= 1 and n_steps >= 2, got {self.n_nodes} x {self.n_steps}")
-        for comp in self.components:
-            if comp.period_steps < 2:
-                raise ConfigError(f"component period must be >= 2 steps, got {comp.period_steps}")
-            if comp.amplitude <= 0:
-                raise ConfigError(f"component amplitude must be positive, got {comp.amplitude}")
-        if self.noise_sigma < 0:
-            raise ConfigError(f"noise_sigma must be nonnegative, got {self.noise_sigma}")
+        if self.nodes < 1 or self.steps < 2:
+            raise ConfigError(f"need nodes >= 1 and steps >= 2, got {self.nodes} x {self.steps}")
+        amplitudes = self.amplitudes or (1.0,) * len(self.periods)
+        if len(amplitudes) != len(self.periods):
+            raise ConfigError("periods and amplitudes must have the same length")
+        if any(p < 2 for p in self.periods):
+            raise ConfigError(f"component periods must be >= 2 steps, got {list(self.periods)}")
+        if any(a <= 0 for a in amplitudes):
+            raise ConfigError(f"component amplitudes must be positive, got {list(amplitudes)}")
+        if self.noise < 0:
+            raise ConfigError(f"noise must be nonnegative, got {self.noise}")
+        object.__setattr__(self, "periods", tuple(map(float, self.periods)))
+        object.__setattr__(self, "amplitudes", tuple(map(float, amplitudes)))
 
 
-def spec_from_options(
-    nodes: int = 8,
-    steps: int = 2016,
-    periods: tuple[float, ...] = (),
-    amplitudes: tuple[float, ...] = (),
-    noise: float = 0.0,
-    trend: float = 0.0,
-    seed: int = 0,
-) -> SyntheticSpec:
-    """The spec named by the ``synth`` subcommand's options, which are
-    also the pipeline's ``synth_*`` config keys; amplitudes default to 1."""
-    amplitudes = amplitudes or (1.0,) * len(periods)
-    if len(amplitudes) != len(periods):
-        raise ConfigError("periods and amplitudes must have the same length")
-    return SyntheticSpec(
-        n_nodes=nodes,
-        n_steps=steps,
-        components=tuple(SyntheticComponent(p, a) for p, a in zip(periods, amplitudes)),
-        noise_sigma=noise,
-        trend=trend,
-        seed=seed,
-    )
-
-
-def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
+def generate_synthetic(spec: SyntheticSpec, step_seconds: float = 900.0) -> SignalMatrix:
     """Draw the seeded signal: per-component random spatial profile in
     [0.5, 1.5] and random phase, plus optional trend and noise."""
     rng = np.random.default_rng(spec.seed)
-    t = np.arange(spec.n_steps)
-    values = np.zeros((spec.n_nodes, spec.n_steps))
-    for comp in spec.components:
-        profile = rng.uniform(0.5, 1.5, spec.n_nodes)
+    t = np.arange(spec.steps)
+    values = np.zeros((spec.nodes, spec.steps))
+    for period, amplitude in zip(spec.periods, spec.amplitudes):
+        profile = rng.uniform(0.5, 1.5, spec.nodes)
         phase = rng.uniform(0.0, 2.0 * np.pi)
-        values += comp.amplitude * profile[:, np.newaxis] * np.cos(
-            2.0 * np.pi * t[np.newaxis, :] / comp.period_steps + phase
+        values += amplitude * profile[:, np.newaxis] * np.cos(
+            2.0 * np.pi * t[np.newaxis, :] / period + phase
         )
     if spec.trend != 0.0:
         values += spec.trend * t[np.newaxis, :]
-    if spec.noise_sigma > 0.0:
+    if spec.noise > 0.0:
         rms = float(np.sqrt(np.mean(values**2)))
-        scale = spec.noise_sigma * (rms if rms > 0 else 1.0)
+        scale = spec.noise * (rms if rms > 0 else 1.0)
         values += rng.normal(0.0, scale, size=values.shape)
-    return SignalMatrix.from_values(values, step_seconds=spec.step_seconds)
+    return SignalMatrix.from_values(values, step_seconds=step_seconds)
 
 
 def two_period_spec(
-    n_nodes: int = 8,
-    n_steps: int = 2016,
-    noise_sigma: float = 0.0,
+    nodes: int = 8,
+    steps: int = 2016,
+    noise: float = 0.0,
     seed: int = 0,
 ) -> SyntheticSpec:
     """The daily/weekly benchmark layout: periods 72 and 504 steps."""
-    return spec_from_options(n_nodes, n_steps, (72.0, 504.0), noise=noise_sigma, seed=seed)
+    return SyntheticSpec(nodes, steps, (72.0, 504.0), noise=noise, seed=seed)

@@ -1,6 +1,9 @@
-"""Dense reference for the lazy Hankel lifting, for small test instances."""
+"""Dense references for the lazy Hankel lifting and its Gram products,
+for small test instances."""
 
 import numpy as np
+
+from dmdembed.linalg import GramProduct
 
 
 def materialize_hankel(values: np.ndarray, tau: int) -> np.ndarray:
@@ -18,3 +21,8 @@ def dense_gram(values: np.ndarray, tau: int) -> np.ndarray:
     columns = values.shape[1] - tau + 1
     g = sum(cross[b : b + columns, b : b + columns] for b in range(tau))
     return 0.5 * (g + g.T)
+
+
+def gram_product(g: np.ndarray) -> GramProduct:
+    """The products of a formed Gram matrix ``g``, with its trace."""
+    return GramProduct(lambda x: g @ x, g.shape[0], float(np.trace(g)))

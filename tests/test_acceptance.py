@@ -23,6 +23,7 @@ from dmdembed.spdmd import _AmplitudeProblem, _polish_on, gamma_sweep
 from dmdembed.synthetic import generate_synthetic, two_period_spec
 
 import window_rows
+from hankel_oracle import gram_product
 
 SEEDS = (1, 2, 3, 4, 5)
 
@@ -39,7 +40,7 @@ def benchmark_runs(tmp_path_factory):
     start = time.perf_counter()
     for seed in SEEDS:
         cfg = PipelineConfig(
-            synthetic=two_period_spec(noise_sigma=0.1, seed=seed),
+            synthetic=two_period_spec(noise=0.1, seed=seed),
             output_dir=str(base / f"seed{seed}"),
             seed=seed,
         )
@@ -68,7 +69,7 @@ def test_a1_covariate_benefit(benchmark_runs):
 
 def test_a2_frequency_recovery():
     start = time.perf_counter()
-    sig = generate_synthetic(two_period_spec(noise_sigma=0.0, seed=0))
+    sig = generate_synthetic(two_period_spec(noise=0.0, seed=0))
     view = build_hankel(sig, default_tau(sig))
     dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start
@@ -92,7 +93,7 @@ def test_a3_snapshot_svd_equivalence():
         rows = int(rng.integers(4, 65))
         cols = int(rng.integers(3, 49))
         h = rng.normal(size=(rows, cols))
-        out = snapshot_svd(h.T @ h, lambda x: h @ x, rank=min(rows, cols))
+        out = snapshot_svd(gram_product(h.T @ h), lambda x: h @ x, FixedRank(min(rows, cols)))
         s_ref = np.linalg.svd(h, compute_uv=False)[: out.rank]
         worst_sigma = max(worst_sigma, float(np.max(np.abs(out.singular_values / s_ref - 1.0))))
         rebuilt = out.left_vectors @ (out.singular_values[:, None] * out.right_vectors.T)
@@ -197,7 +198,7 @@ def test_a6_embedding_contracts():
     }
     span = 4032
     for r, lams in mode_bank.items():
-        emb = build_embedding(np.array(lams), span=(0, span))
+        emb = build_embedding(np.array(lams), span)
         assert np.allclose(emb.table[0], [1.0] * r + [0.0] * r, atol=1e-12)
         norms = emb.table[:, :r] ** 2 + emb.table[:, r:] ** 2
         assert np.max(np.abs(norms - 1.0)) <= 1e-10
@@ -208,7 +209,7 @@ def test_a6_embedding_contracts():
 
         rng = np.random.default_rng(r)
         values = rng.normal(size=(2, 64))
-        emb_small = build_embedding(np.array(lams), span=(0, 80))
+        emb_small = build_embedding(np.array(lams), 80)
         fw = make_windows(values, {"train": (0, 64)}, p=12, q=12, embedding=emb_small)["train"]
         assert fw.layout == (12, 1 + 2 * r, 2 * r)
         assert window_rows.history(fw).shape == (len(fw), 12)

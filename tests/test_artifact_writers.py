@@ -133,7 +133,7 @@ def export_embedding_per_row(emb: TimeEmbedding, path) -> None:
     with open(path, "w", encoding="utf-8", newline="") as fh:
         fh.write(",".join(header) + "\n")
         for k in range(emb.length):
-            cells = [str(emb.origin_step + k)]
+            cells = [str(k)]
             cells += [f"{v:.17g}" for v in emb.table[k]]
             fh.write(",".join(cells) + "\n")
 
@@ -288,7 +288,6 @@ def test_export_embedding_matches_per_row_reference(tmp_path_factory, data):
     length = data.draw(st.integers(0, 12))
     emb = TimeEmbedding(
         eigenvalues=np.ones(r, dtype=complex),
-        origin_step=data.draw(st.integers(-10**6, 10**6)),
         table=data.draw(arrays(float, (length, 2 * r), elements=cell_values)),
     )
     path = tmp_path_factory.mktemp("emb") / "emb.csv"

@@ -272,10 +272,10 @@ def test_residual_correlation_errors():
 
 
 def test_cep_examples():
-    assert_allclose(cep_curve(np.array([1.0])).cep, [1.0])
-    curve = cep_curve(np.array([3.0, 1.0]))
+    assert_allclose(cep_curve(np.array([1.0]), 1.0, 1).cep, [1.0])
+    curve = cep_curve(np.array([3.0, 1.0]), 10.0, 2)
     assert_allclose(curve.cep, [0.9, 1.0])
-    padded = cep_curve(np.array([2.0, 1.0, 1e-17, 0.0]))
+    padded = cep_curve(np.array([2.0, 1.0, 1e-17, 0.0]), 5.0, 4)
     assert padded.cep[1] == pytest.approx(1.0, abs=1e-10)
     assert padded.cep[-1] == pytest.approx(1.0, abs=1e-10)
 
@@ -287,7 +287,7 @@ def test_cep_monotone(seed, n):
     sigma = np.sort(rng.uniform(0.0, 4.0, size=n))[::-1]
     if sigma[0] == 0.0:
         sigma[0] = 1.0
-    curve = cep_curve(sigma)
+    curve = cep_curve(sigma, float(np.sum(sigma**2)), n)
     assert np.all(np.diff(curve.cep) >= -1e-15)
     assert curve.cep[-1] == pytest.approx(1.0, abs=1e-10)
     assert curve.ranks[0] == 1 and curve.ranks[-1] == n
@@ -306,9 +306,9 @@ def test_cep_of_a_leading_spectrum_closes_at_full_rank():
 
 def test_cep_errors():
     with pytest.raises(DataError):
-        cep_curve(np.array([]))
+        cep_curve(np.array([]), 0.0, 0)
     with pytest.raises(DataError):
-        cep_curve(np.zeros(3))
+        cep_curve(np.zeros(3), 0.0, 3)
 
 
 def test_csv_writers(tmp_path):
@@ -321,7 +321,7 @@ def test_csv_writers(tmp_path):
     assert lines[0] == "lag,n0,n1"
     assert len(lines) == 12
 
-    write_cep_csv(cep_curve(np.array([3.0, 1.0])), tmp_path / "cep.csv")
+    write_cep_csv(cep_curve(np.array([3.0, 1.0]), 10.0, 2), tmp_path / "cep.csv")
     assert (tmp_path / "cep.csv").read_text().splitlines()[1] == "1,0.90000000000000002"
 
     summary = residual_correlation(rng.normal(size=(50, 2)), lag=1)

@@ -147,8 +147,8 @@ def test_energy_order_puts_positive_member_of_each_pair_first(seed, n_pairs, n_r
 def test_fits_take_their_svd_from_snapshot_svd(monkeypatch):
     calls = []
 
-    def recording(gram, tall, rank):
-        out = linalg.snapshot_svd(gram, tall, rank)
+    def recording(gram, tall, policy):
+        out = linalg.snapshot_svd(gram, tall, policy)
         calls.append(out)
         return out
 
@@ -224,16 +224,16 @@ def test_representatives_match_the_reference_rule(seed, n_pairs, n_real, data):
 
 
 def test_resolve_rank_examples():
-    assert resolve_rank(np.array([3.0, 1.0]), CepThreshold(0.90)) == 1  # 9/10 >= 0.9
-    assert resolve_rank(np.array([1.0, 1.0, 1.0, 1.0]), CepThreshold(0.75)) == 3
+    assert resolve_rank(np.array([3.0, 1.0]), CepThreshold(0.90), 10.0, 2) == 1  # 9/10 >= 0.9
+    assert resolve_rank(np.array([1.0, 1.0, 1.0, 1.0]), CepThreshold(0.75), 4.0, 4) == 3
     sigma = np.array([5.0, 3.0, 2.0, 1.0, 1e-14, 1e-15])
-    assert resolve_rank(sigma, FixedRank(10)) == 4
+    assert resolve_rank(sigma, FixedRank(10), float(np.sum(sigma**2)), 6) == 4
     with pytest.raises(EmptySpectrumError):
-        resolve_rank(np.array([0.0, 0.0]), FixedRank(1))
+        resolve_rank(np.array([0.0, 0.0]), FixedRank(1), 0.0, 2)
     with pytest.raises(ValueError):
-        resolve_rank(np.array([1.0]), FixedRank(0))
+        resolve_rank(np.array([1.0]), FixedRank(0), 1.0, 1)
     with pytest.raises(ValueError):
-        resolve_rank(np.array([1.0]), CepThreshold(1.5))
+        resolve_rank(np.array([1.0]), CepThreshold(1.5), 1.0, 1)
 
 
 @given(st.integers(0, 10_000), st.floats(0.05, 1.0), st.floats(0.05, 1.0))
@@ -242,7 +242,8 @@ def test_resolve_rank_nondecreasing_in_fraction(seed, f1, f2):
     rng = np.random.default_rng(seed)
     sigma = np.sort(rng.uniform(0.1, 5.0, size=6))[::-1]
     lo, hi = sorted([f1, f2])
-    assert resolve_rank(sigma, CepThreshold(lo)) <= resolve_rank(sigma, CepThreshold(hi))
+    total = float(np.sum(sigma**2))
+    assert resolve_rank(sigma, CepThreshold(lo), total, 6) <= resolve_rank(sigma, CepThreshold(hi), total, 6)
 
 
 def test_vandermonde_examples():

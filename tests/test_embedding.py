@@ -13,26 +13,25 @@ import window_rows
 
 
 def test_build_embedding_quarter_turn():
-    emb = build_embedding(np.array([1j]), span=(0, 4))
+    emb = build_embedding(np.array([1j]), 4)
     assert_allclose(emb.table, [[1, 0], [0, 1], [-1, 0], [0, -1]], atol=1e-15)
-    assert emb.origin_step == 0
 
 
 def test_build_embedding_constant_mode():
-    emb = build_embedding(np.array([1.0 + 0j]), span=(0, 5))
+    emb = build_embedding(np.array([1.0 + 0j]), 5)
     assert_allclose(emb.table, np.tile([1.0, 0.0], (5, 1)))
 
 
 def test_projection_strips_modulus():
     lam = 0.9 * np.exp(1j * 2 * np.pi / 24)
-    emb = build_embedding(np.array([lam]), span=(0, 24))
+    emb = build_embedding(np.array([lam]), 24)
     assert_allclose(emb.table[12], [-1.0, 0.0], atol=1e-8)
     assert_allclose(np.abs(emb.eigenvalues), 1.0)
 
 
 def test_row_zero_identity_and_unit_circle_norm():
     lams = np.array([np.exp(1j * 2 * np.pi / 72), np.exp(1j * 2 * np.pi / 504)])
-    emb = build_embedding(lams, span=(0, 600))
+    emb = build_embedding(lams, 600)
     r = lams.size
     assert_allclose(emb.table[0], [1.0] * r + [0.0] * r, atol=1e-15)
     norms = emb.table[:, :r] ** 2 + emb.table[:, r:] ** 2
@@ -41,7 +40,7 @@ def test_row_zero_identity_and_unit_circle_norm():
 
 def test_recurrence_consistency():
     lams = np.array([np.exp(1j * 0.37), np.exp(1j * 0.011)])
-    emb = build_embedding(lams, span=(0, 300))
+    emb = build_embedding(lams, 300)
     r = lams.size
     z = emb.table[:, :r] + 1j * emb.table[:, r:]
     advanced = z[:-1] * lams[None, :]
@@ -53,38 +52,38 @@ def test_recurrence_consistency():
 @settings(max_examples=25, deadline=None)
 def test_periodicity(p):
     lam = np.exp(1j * 2 * np.pi / p)
-    emb = build_embedding(np.array([lam]), span=(0, 3 * p))
+    emb = build_embedding(np.array([lam]), 3 * p)
     assert np.max(np.abs(emb.table[p:] - emb.table[:-p])) <= 1e-8
 
 
 def test_boundedness_under_projection():
     lams = np.array([1.3 * np.exp(1j * 0.5), 0.2 * np.exp(1j * 1.1)])
-    emb = build_embedding(lams, span=(0, 500))
+    emb = build_embedding(lams, 500)
     assert np.max(np.abs(emb.table)) <= 1.0 + 1e-12
 
 
 def test_extrapolation_consistency():
     lams = np.array([np.exp(1j * 2 * np.pi / 72), np.exp(1j * 2 * np.pi / 504)])
     length = 512
-    first = build_embedding(lams, span=(0, length))
-    second = build_embedding(lams, span=(length, 2 * length))
-    joined = np.vstack([first.table, second.table])
-    direct = build_embedding(lams, span=(0, 2 * length))
+    first = build_embedding(lams, length)
+    # the steps past the first table, each power taken directly
+    powers = lams ** np.arange(length, 2 * length)[:, np.newaxis]
+    joined = np.vstack([first.table, np.hstack([powers.real, powers.imag])])
+    direct = build_embedding(lams, 2 * length)
     assert np.max(np.abs(joined - direct.table)) <= 1e-8
-    assert second.origin_step == length
 
 
 def test_build_embedding_errors():
     with pytest.raises(ValueError):
-        build_embedding(np.array([1.0 + 0j]), span=(3, 3))
+        build_embedding(np.array([1.0 + 0j]), 0)
     with pytest.raises(ValueError):
-        build_embedding(np.array([0.0 + 0j]), span=(0, 2))
+        build_embedding(np.array([0.0 + 0j]), 2)
     with pytest.raises(ValueError):
-        build_embedding(np.array([1.0 - 0.5j]), span=(0, 2))
+        build_embedding(np.array([1.0 - 0.5j]), 2)
 
 
 def test_empty_embedding_allowed():
-    emb = build_embedding(np.array([], dtype=complex), span=(0, 6))
+    emb = build_embedding(np.array([], dtype=complex), 6)
     assert emb.table.shape == (6, 0)
     assert emb.n_modes == 0
 
@@ -104,7 +103,7 @@ def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
 
 def test_attach_covariates_empty_embedding_keeps_windows():
     fw = window_fixture()
-    emb = build_embedding(np.array([], dtype=complex), span=(0, 20))
+    emb = build_embedding(np.array([], dtype=complex), 20)
     out = attach_covariates(fw, emb)
     assert fw.covariates.shape[2] == 0
     assert window_rows.history(out).shape == window_rows.history(fw).shape == (3, 4)
@@ -114,7 +113,7 @@ def test_attach_covariates_empty_embedding_keeps_windows():
 
 def test_attach_covariates_constant_mode_channels():
     fw = window_fixture(n_windows=1, p=1, q=1, anchor0=0)
-    emb = build_embedding(np.array([1.0 + 0j]), span=(0, 4))
+    emb = build_embedding(np.array([1.0 + 0j]), 4)
     out = attach_covariates(fw, emb)
     assert_allclose(window_rows.history(out)[0], [0.0])
     # the history step, then the target step
@@ -124,7 +123,7 @@ def test_attach_covariates_constant_mode_channels():
 def test_attach_covariates_channel_contract():
     fw = window_fixture(n_windows=2, p=4, q=2)
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.05)])
-    emb = build_embedding(lams, span=(0, 30))
+    emb = build_embedding(lams, 30)
     out = attach_covariates(fw, emb)
     assert window_rows.history(out).shape == (2, 4)
     assert out.covariates.shape == (2, 4 + 2, 4)
@@ -133,13 +132,13 @@ def test_attach_covariates_channel_contract():
 
 def test_attach_covariates_reports_first_uncovered_step():
     fw = window_fixture(n_windows=1, p=2, q=2, anchor0=5)
-    emb = build_embedding(np.array([1j]), span=(0, 6))  # covers 0..5, needs 6,7
+    emb = build_embedding(np.array([1j]), 6)  # covers 0..5, needs 6,7
     with pytest.raises(DataError, match="step 6"):
         attach_covariates(fw, emb)
 
 
 def test_export_import_round_trip(tmp_path):
-    emb = build_embedding(np.array([1j]), span=(0, 4))
+    emb = build_embedding(np.array([1j]), 4)
     dest = tmp_path / "emb.csv"
     export_embedding(emb, dest)
     data = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
@@ -149,7 +148,7 @@ def test_export_import_round_trip(tmp_path):
 
 
 def test_export_constant_mode_rows(tmp_path):
-    emb = build_embedding(np.array([1.0 + 0j]), span=(0, 2))
+    emb = build_embedding(np.array([1.0 + 0j]), 2)
     dest = tmp_path / "emb.csv"
     export_embedding(emb, dest)
     lines = dest.read_text().strip().splitlines()

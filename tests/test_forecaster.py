@@ -1,4 +1,5 @@
 import dataclasses
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -88,12 +89,10 @@ def dense_features(fw):
 
 def first_window_error(spans, p, q, span):
     """The DataError message of the first range, in order, that is shorter
-    than P+Q or touches a step outside the embedding span [start, end)."""
+    than P+Q or touches a step outside the embedding span [0, end)."""
     for name, (start, stop) in spans.items():
         if stop - start < p + q:
             return f"{name} split has {stop - start} steps, needs at least P+Q={p + q}"
-        if span is not None and start < span[0]:
-            return f"embedding does not cover absolute step {start}"
         if span is not None and stop > span[1]:
             return f"embedding does not cover absolute step {span[1]}"
     return None
@@ -130,12 +129,11 @@ def test_make_windows_matches_per_window_loop(data):
     if n_modes is not None:
         angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=n_modes, max_size=n_modes))
         if data.draw(st.booleans(), label="random span"):
-            start = data.draw(st.integers(0, 3), label="span start")
-            end = data.draw(st.integers(start + 1, start + t), label="span end")
+            end = data.draw(st.integers(1, t), label="span end")
         else:
-            start, end = 0, t + data.draw(st.integers(0, 3), label="extra steps")
-        span = (start, end)
-        emb = build_embedding(np.exp(1j * np.array(angles)), span=span)
+            end = t + data.draw(st.integers(0, 3), label="extra steps")
+        span = (0, end)
+        emb = build_embedding(np.exp(1j * np.array(angles)), end)
 
     expected = outcome(loop_windows, values, spans, p, q, emb, exclusion)
     actual = outcome(make_windows, values, spans, p, q, embedding=emb, exclusion_mask=exclusion)
@@ -183,7 +181,7 @@ def test_blockwise_ridge_matches_dense_features(data):
     # no angles: c = 0, the fit without covariates
     angles = data.draw(st.lists(st.floats(0.0, np.pi), min_size=0, max_size=3), label="angles")
     l2 = 10.0 ** data.draw(st.floats(-8.0, 3.0), label="log10 l2")
-    emb = build_embedding(np.exp(1j * np.array(angles)), span=(0, t))
+    emb = build_embedding(np.exp(1j * np.array(angles)), t)
     spans = {"train": (offset, offset + n_train), "test": (offset + n_train, t)}
 
     windows = make_windows(values, spans, p, q, embedding=emb, exclusion_mask=blanks)
@@ -211,7 +209,7 @@ def test_windows_are_views_of_the_series():
     rng = np.random.default_rng(8)
     values = rng.normal(size=(3, 50))
     observed = rng.random(values.shape) > 0.2
-    emb = build_embedding(np.exp(2j * np.pi / np.array([7.0, 12.0])), span=(0, 50))
+    emb = build_embedding(np.exp(2j * np.pi / np.array([7.0, 12.0])), 50)
     windows = make_windows(values, {"train": (2, 30), "test": (30, 50)}, 4, 3,
                            embedding=emb, exclusion_mask=observed)
     for (start, stop), fw in zip(((2, 30), (30, 50)), windows.values()):
@@ -299,7 +297,7 @@ def test_window_counts():
 def test_window_channel_contract_with_embedding():
     values = np.random.default_rng(2).normal(size=(1, 40))
     lams = np.array([np.exp(1j * 0.3), np.exp(1j * 0.07)])
-    emb = build_embedding(lams, span=(0, 60))
+    emb = build_embedding(lams, 60)
     fw = train_windows(values, p=12, q=12, embedding=emb)
     assert window_rows.history(fw).shape == (len(fw), 12)
     assert fw.covariates.shape == (len(fw), 12 + 12, 4)  # one node: one window per anchor
@@ -357,7 +355,7 @@ def test_predict_layout_mismatch():
 
 
 def test_predict_empty_windows():
-    model = RidgeModel(weights=np.zeros((3, 2)), l2=0.0, feature_layout=(3, 1, 0))
+    model = RidgeModel(weights=np.zeros((3, 2)), feature_layout=(3, 1, 0))
     # a split of no nodes: one anchor, no windows
     empty = make_windows(np.zeros((0, 5)), {"test": (0, 5)}, p=3, q=2)["test"]
     assert isinstance(empty, ForecastWindows) and len(empty) == 0
@@ -402,6 +400,23 @@ def test_evaluate_rmse_dominates_mae():
     for h in report.horizon_mae:
         assert report.horizon_rmse[h] >= report.horizon_mae[h]
     assert report.overall_rmse >= report.overall_mae
+
+
+def test_evaluate_peak_memory_is_about_two_blocks():
+    # the error block and the copy of its kept entries, whose absolute
+    # value and square are taken in place: 1.95 blocks, where a new array
+    # for each took 2.90
+    rng = np.random.default_rng(0)
+    shape = (2000, 64, 12)
+    preds, targets = rng.normal(size=shape), rng.normal(size=shape)
+    mask = rng.random(shape) > 0.05
+    tracemalloc.start()
+    try:
+        evaluate(preds, targets, mask)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2.2 * preds.nbytes
 
 
 def test_evaluate_all_masked_raises():

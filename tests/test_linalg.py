@@ -20,6 +20,8 @@ from dmdembed.linalg import (
     snapshot_svd,
 )
 
+from hankel_oracle import gram_product
+
 
 def dense_tall(h):
     return lambda x: h @ x
@@ -27,7 +29,7 @@ def dense_tall(h):
 
 def test_snapshot_svd_identity_gram():
     h = np.eye(3)
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=3)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(3))
     assert_allclose(out.singular_values, [1.0, 1.0, 1.0])
     assert out.left_vectors.shape == (3, 3)
     assert out.right_vectors.shape == (3, 3)
@@ -35,14 +37,14 @@ def test_snapshot_svd_identity_gram():
 
 def test_snapshot_svd_diagonal():
     h = np.diag([3.0, 2.0])
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=2)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(2))
     assert_allclose(out.singular_values, [3.0, 2.0])
 
 
 def test_snapshot_svd_matches_dense_svd():
     rng = np.random.default_rng(42)
     h = rng.normal(size=(6, 4))
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=4)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(4))
     rebuilt = out.left_vectors @ np.diag(out.singular_values) @ out.right_vectors.T
     assert np.linalg.norm(rebuilt - h) <= 1e-8 * np.linalg.norm(h)
     u_ref, s_ref, vt_ref = np.linalg.svd(h, full_matrices=False)
@@ -57,7 +59,7 @@ def test_snapshot_svd_matches_dense_svd():
 def test_snapshot_svd_orthonormal_columns():
     rng = np.random.default_rng(3)
     h = rng.normal(size=(20, 12))
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=12)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(12))
     for g in (out.left_vectors, out.right_vectors):
         assert np.linalg.norm(g.T @ g - np.eye(g.shape[1])) <= 1e-8
 
@@ -65,8 +67,8 @@ def test_snapshot_svd_orthonormal_columns():
 def test_snapshot_svd_sign_convention_deterministic():
     rng = np.random.default_rng(11)
     h = rng.normal(size=(9, 5))
-    a = snapshot_svd(h.T @ h, dense_tall(h), rank=5)
-    b = snapshot_svd(h.T @ h, dense_tall(h), rank=5)
+    a = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(5))
+    b = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(5))
     assert np.array_equal(a.left_vectors, b.left_vectors)
     for j in range(5):
         pivot = np.argmax(np.abs(a.left_vectors[:, j]))
@@ -80,7 +82,7 @@ def test_snapshot_svd_subspace_agreement(seed):
     rows = int(rng.integers(5, 24))
     cols = int(rng.integers(3, min(rows, 16) + 1))
     h = rng.normal(size=(rows, cols))
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=cols)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(cols))
     _, s_ref, vt_ref = np.linalg.svd(h, full_matrices=False)
     assert_allclose(out.singular_values, s_ref[: out.rank], rtol=1e-8)
     # principal angles between right subspaces
@@ -90,7 +92,7 @@ def test_snapshot_svd_subspace_agreement(seed):
 
 def test_snapshot_svd_truncates_numerical_rank():
     h = np.outer(np.arange(1.0, 5.0), np.ones(3))
-    out = snapshot_svd(h.T @ h, dense_tall(h), rank=3)
+    out = snapshot_svd(gram_product(h.T @ h), dense_tall(h), FixedRank(3))
     assert out.rank == 1
     assert out.spectrum.size == 3
 
@@ -98,23 +100,20 @@ def test_snapshot_svd_truncates_numerical_rank():
 def test_snapshot_svd_errors():
     h = np.eye(2)
     with pytest.raises(ValueError):
-        snapshot_svd(h, dense_tall(h), rank=0)
+        snapshot_svd(gram_product(h), dense_tall(h), FixedRank(0))
     with pytest.raises(ValueError):
-        snapshot_svd(np.array([[1.0, 2.0], [0.0, 1.0]]), dense_tall(h), rank=1)
+        snapshot_svd(gram_product(np.array([[1.0, 2.0], [0.0, 1.0]])), dense_tall(h), FixedRank(1))
     zero = np.zeros((3, 3))
     with pytest.raises(EmptySpectrumError):
-        snapshot_svd(zero, dense_tall(np.zeros((5, 3))), rank=2)
+        snapshot_svd(gram_product(zero), dense_tall(np.zeros((5, 3))), FixedRank(2))
 
 
 def test_snapshot_svd_takes_a_rank_policy():
     rng = np.random.default_rng(17)
     h = rng.normal(size=(10, 6))
-    by_int = snapshot_svd(h.T @ h, dense_tall(h), rank=3)
-    by_policy = snapshot_svd(h.T @ h, dense_tall(h), FixedRank(3))
-    for name in ("left_vectors", "singular_values", "right_vectors", "spectrum"):
-        assert np.array_equal(getattr(by_int, name), getattr(by_policy, name))
-    cep = snapshot_svd(h.T @ h, dense_tall(h), CepThreshold(0.6))
-    assert cep.rank == resolve_rank(cep.spectrum, CepThreshold(0.6))
+    cep = snapshot_svd(gram_product(h.T @ h), dense_tall(h), CepThreshold(0.6))
+    whole = (float(np.sum(cep.spectrum**2)), cep.spectrum.size)
+    assert cep.rank == resolve_rank(cep.spectrum, CepThreshold(0.6), *whole)
     assert 1 <= cep.rank < 6
 
 
@@ -198,7 +197,7 @@ def test_product_snapshot_svd_matches_dense_svd(seed, use_cep):
         policy = FixedRank(int(rng.integers(1, k + 10)))
     out = snapshot_svd(as_product(h), dense_tall(h), policy)
     _, s_ref, vt_ref = np.linalg.svd(h, full_matrices=False)
-    assert out.rank == resolve_rank(s_ref, policy, order=h.shape[1])
+    assert out.rank == resolve_rank(s_ref, policy, float(np.sum(s_ref**2)), h.shape[1])
     r = out.rank
     assert np.max(np.abs(out.singular_values - s_ref[:r])) <= 1e-10 * s_ref[0]
     ref = vt_ref[:r].T
@@ -220,7 +219,7 @@ def test_snapshot_svd_takes_ht_left_from_the_gram_images(seed, use_product, use_
         policy = CepThreshold(float(rng.uniform(0.5, 0.999)))
     else:
         policy = FixedRank(int(rng.integers(1, k + 10)))
-    gram = as_product(h) if use_product else h.T @ h
+    gram = as_product(h) if use_product else gram_product(h.T @ h)
     out = snapshot_svd(gram, dense_tall(h), policy)
     want = h.T @ out.left_vectors
     assert out.ht_left.shape == want.shape == (h.shape[1], out.rank)
@@ -262,9 +261,3 @@ def test_repeated_leading_eigenvalue_is_found_in_full(mult):
     assert mult > KRYLOV_BLOCK and solve.basis < n
     want = np.linalg.eigvalsh(g)[::-1][: mult + 2]
     assert_allclose(sigma[: mult + 2] ** 2, want, rtol=1e-12)
-
-
-def test_snapshot_svd_needs_order_and_trace_with_products():
-    h = np.eye(3)
-    with pytest.raises(TypeError):
-        snapshot_svd(lambda x: x, dense_tall(h), rank=1)

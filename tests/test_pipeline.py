@@ -30,19 +30,13 @@ from dmdembed.pipeline import (
     run_pipeline,
     write_signal_csv,
 )
-from dmdembed.synthetic import SyntheticComponent, SyntheticSpec, generate_synthetic
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic, two_period_spec
 
 
 def small_spec(seed=0, noise=0.05):
     # periods 8 and 24 over 360 steps: quick but structurally like the
     # daily/weekly benchmark
-    return SyntheticSpec(
-        n_nodes=4,
-        n_steps=360,
-        components=(SyntheticComponent(8.0, 1.0), SyntheticComponent(24.0, 1.0)),
-        noise_sigma=noise,
-        seed=seed,
-    )
+    return SyntheticSpec(nodes=4, steps=360, periods=(8.0, 24.0), noise=noise, seed=seed)
 
 
 def normalized_series(signal, ratios):
@@ -284,11 +278,12 @@ def test_from_mapping_value_rules():
     assert cfg.lags == (0, 72, 504) and all(type(lag) is int for lag in cfg.lags)
     assert (cfg.tau, cfg.seed, cfg.split, cfg.l2) == (12, 7, (0.6, 0.2, 0.2), 0.5)
     assert PipelineConfig.from_mapping({"tau": None}).tau is None
-    spec = PipelineConfig.from_mapping(
+    cfg = PipelineConfig.from_mapping(
         {"synth_nodes": "3", "synth_periods": "8,24", "seed": "5", "step_seconds": "60"}
-    ).synthetic
-    assert (spec.n_nodes, spec.n_steps, spec.seed, spec.step_seconds) == (3, 2016, 5, 60.0)
-    assert [(c.period_steps, c.amplitude) for c in spec.components] == [(8.0, 1.0), (24.0, 1.0)]
+    )
+    spec = cfg.synthetic
+    assert (spec.nodes, spec.steps, spec.seed, cfg.step_seconds) == (3, 2016, 5, 60.0)
+    assert list(zip(spec.periods, spec.amplitudes)) == [(8.0, 1.0), (24.0, 1.0)]
 
 
 @pytest.mark.parametrize("key, raw", [
@@ -410,6 +405,22 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_synthetic_run_fits_and_replays_at_the_config_step_length(tmp_path):
+    # the step length is the config's alone: a spec given in code fits at
+    # the step_seconds its manifest records, so the replay matches it
+    cfg = PipelineConfig(synthetic=two_period_spec(3, 480, 0.1, 1), step_seconds=60.0,
+                         output_dir=str(tmp_path / "run"))
+    out1 = run_pipeline(cfg)
+    assert json.loads((out1 / "decomposition.json").read_text())["sampling_seconds"] == 60.0
+    cfg2 = config_from_manifest(out1 / "manifest.json")
+    cfg2.output_dir = str(tmp_path / "rerun")
+    out2 = run_pipeline(cfg2)
+    names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
+    assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
+    for name in names:
+        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
 # Config keys that older manifests carry, with a value they were written with.
 REMOVED_KEYS = {"amplitude_method": "least_squares", "fit_window": "truncated",
                 "solver": "exact", "unit_circle": True, "l2_auto": False}
@@ -433,13 +444,7 @@ def test_replaying_manifest_with_removed_key_is_config_error(tmp_path, key):
 def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
     # 480 steps split 70/10/20 leave 96 test steps, so P=Q=12 gives 73
     # test anchors: lag 71 still pairs 2 rows, lag 72 only 1.
-    spec = SyntheticSpec(
-        n_nodes=3,
-        n_steps=480,
-        components=(SyntheticComponent(8.0, 1.0), SyntheticComponent(24.0, 1.0)),
-        noise_sigma=0.05,
-        seed=0,
-    )
+    spec = SyntheticSpec(nodes=3, steps=480, periods=(8.0, 24.0), noise=0.05, seed=0)
     cfg = PipelineConfig(synthetic=spec, output_dir=str(tmp_path / "run"),
                          lags=(0, 71, 72), acf_max_lag=30, target_modes=2)
     out = run_pipeline(cfg)
@@ -455,13 +460,7 @@ def test_run_pipeline_skips_lag_with_one_aligned_row(tmp_path):
 def test_run_pipeline_records_acf_lag_clamped_to_test_anchors(tmp_path):
     # 480 steps split 70/10/20 leave 73 test anchors: the residual ACF
     # reaches lag 72 however far it is asked to go
-    spec = SyntheticSpec(
-        n_nodes=3,
-        n_steps=480,
-        components=(SyntheticComponent(8.0, 1.0), SyntheticComponent(24.0, 1.0)),
-        noise_sigma=0.05,
-        seed=0,
-    )
+    spec = SyntheticSpec(nodes=3, steps=480, periods=(8.0, 24.0), noise=0.05, seed=0)
     cfg = PipelineConfig(synthetic=spec, output_dir=str(tmp_path / "run"),
                          lags=(0, 8), acf_max_lag=500, target_modes=2)
     out = run_pipeline(cfg)

@@ -32,7 +32,7 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
     fit = dmd.fit_dmd
     monkeypatch.setattr(dmd, "fit_dmd", measured)
     cfg = PipelineConfig(
-        synthetic=two_period_spec(n_nodes=8, n_steps=20_000, noise_sigma=0.1, seed=1),
+        synthetic=two_period_spec(nodes=8, steps=20_000, noise=0.1, seed=1),
         output_dir=str(tmp_path / "run"),
         seed=1,
     )
@@ -58,7 +58,7 @@ def test_wide_forecast_holds_no_per_window_covariates():
     rng = np.random.default_rng(0)
     values = rng.normal(size=(64, 1_000))
     observed = rng.random(values.shape) > 0.05
-    emb = build_embedding(np.exp(2j * np.pi / np.array([72.0, 504.0, 36.0, 24.0])), span=(0, 1_000))
+    emb = build_embedding(np.exp(2j * np.pi / np.array([72.0, 504.0, 36.0, 24.0])), 1_000)
     tracemalloc.start()
     try:
         windows = make_windows(values, {"train": (0, 800), "test": (800, 1_000)}, 12, 12,

@@ -112,11 +112,11 @@ def test_objective_descent_bounds():
 def test_gamma_sweep_targets():
     dec = rank4_fixture()
     res_full = gamma_sweep(dec, target_modes=2)
-    assert res_full.achieved_pairs == 2
+    assert res_full.selected.pair_count == 2
     assert res_full.selected.support.all()
 
     res_one = gamma_sweep(dec, target_modes=1)
-    assert res_one.achieved_pairs == 1
+    assert res_one.selected.pair_count == 1
     oracle_support, _ = exhaustive_pair_oracle(dec, target_pairs=1)
     assert np.array_equal(res_one.selected.support, oracle_support)
     assert res_one.target_met
@@ -127,7 +127,7 @@ def test_gamma_sweep_target_one_on_rank_one_signal():
     view = build_hankel(SignalMatrix.from_values(values), tau=1)
     dec = fit_dmd(view, FixedRank(1))
     res = gamma_sweep(dec, target_modes=1)
-    assert res.achieved_pairs == 1
+    assert res.selected.pair_count == 1
     assert res.selected.support[0]
 
 
@@ -253,7 +253,7 @@ def test_forward_selection_matches_oracle_and_polish(seed, rank):
         res = gamma_sweep(dec, target_modes=target)
         assert len(res.path.solutions) == min(target, n_groups)
         assert res.selected is res.path.solutions[-1]
-        assert res.achieved_pairs == min(target, n_groups) and res.target_met
+        assert res.selected.pair_count == min(target, n_groups) and res.target_met
         for sol in res.path.solutions:
             assert np.array_equal(sol.amplitudes, _polish_on(problem, sol.support))
             assert sol.fit_loss == problem.loss(sol.amplitudes)
@@ -267,7 +267,7 @@ def test_forward_selection_matches_oracle_and_polish(seed, rank):
 def test_many_mode_selection_meets_its_target(tmp_path):
     """A1 signal at rank fixed:24: twelve conjugate groups, target 4."""
     cfg = PipelineConfig(
-        synthetic=two_period_spec(noise_sigma=0.1, seed=1),
+        synthetic=two_period_spec(noise=0.1, seed=1),
         rank="fixed:24",
         target_modes=4,
         output_dir=str(tmp_path / "run"),

@@ -5,30 +5,25 @@ from numpy.testing import assert_allclose
 from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.errors import ConfigError
 from dmdembed.hankel import build_hankel, default_tau
-from dmdembed.synthetic import (
-    SyntheticComponent,
-    SyntheticSpec,
-    generate_synthetic,
-    two_period_spec,
-)
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic, two_period_spec
 
 
 def test_single_component_exact_periodicity():
-    spec = SyntheticSpec(n_nodes=3, n_steps=60, components=(SyntheticComponent(12.0, 2.0),))
+    spec = SyntheticSpec(nodes=3, steps=60, periods=(12.0,), amplitudes=(2.0,))
     sig = generate_synthetic(spec)
     assert_allclose(sig.values[:, 12:], sig.values[:, :-12], atol=1e-12)
 
 
 def test_same_seed_same_matrix():
-    a = generate_synthetic(two_period_spec(noise_sigma=0.3, seed=5))
-    b = generate_synthetic(two_period_spec(noise_sigma=0.3, seed=5))
+    a = generate_synthetic(two_period_spec(noise=0.3, seed=5))
+    b = generate_synthetic(two_period_spec(noise=0.3, seed=5))
     assert np.array_equal(a.values, b.values)
-    c = generate_synthetic(two_period_spec(noise_sigma=0.3, seed=6))
+    c = generate_synthetic(two_period_spec(noise=0.3, seed=6))
     assert not np.array_equal(a.values, c.values)
 
 
 def test_two_period_recovery_within_tenth_step():
-    sig = generate_synthetic(two_period_spec(noise_sigma=0.0, seed=2))
+    sig = generate_synthetic(two_period_spec(noise=0.0, seed=2))
     view = build_hankel(sig, tau=default_tau(sig))
     dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
@@ -41,8 +36,8 @@ def test_two_period_recovery_within_tenth_step():
 
 
 def test_noise_scales_with_signal_rms():
-    quiet = generate_synthetic(two_period_spec(noise_sigma=0.0, seed=9, n_steps=504))
-    loud = generate_synthetic(two_period_spec(noise_sigma=0.5, seed=9, n_steps=504))
+    quiet = generate_synthetic(two_period_spec(noise=0.0, seed=9, steps=504))
+    loud = generate_synthetic(two_period_spec(noise=0.5, seed=9, steps=504))
     resid = loud.values - quiet.values
     rms = np.sqrt(np.mean(quiet.values**2))
     ratio = np.sqrt(np.mean(resid**2)) / rms
@@ -50,17 +45,17 @@ def test_noise_scales_with_signal_rms():
 
 
 def test_trend_component():
-    spec = SyntheticSpec(n_nodes=2, n_steps=50, components=(), trend=0.5)
+    spec = SyntheticSpec(nodes=2, steps=50, periods=(), trend=0.5)
     sig = generate_synthetic(spec)
     assert_allclose(sig.values[0], 0.5 * np.arange(50))
 
 
 def test_spec_validation():
     with pytest.raises(ConfigError):
-        SyntheticSpec(n_nodes=0, n_steps=10)
+        SyntheticSpec(nodes=0, steps=10)
     with pytest.raises(ConfigError):
-        SyntheticSpec(n_nodes=1, n_steps=10, components=(SyntheticComponent(1.0, 1.0),))
+        SyntheticSpec(nodes=1, steps=10, periods=(1.0,), amplitudes=(1.0,))
     with pytest.raises(ConfigError):
-        SyntheticSpec(n_nodes=1, n_steps=10, components=(SyntheticComponent(4.0, -1.0),))
+        SyntheticSpec(nodes=1, steps=10, periods=(4.0,), amplitudes=(-1.0,))
     with pytest.raises(ConfigError):
-        SyntheticSpec(n_nodes=1, n_steps=10, noise_sigma=-0.1)
+        SyntheticSpec(nodes=1, steps=10, noise=-0.1)
