@@ -1,10 +1,10 @@
 #!/usr/bin/env python3
 """Fit a decomposition on a CSV and print the dominant-mode table.
 
-The fit is the one ``dmdembed fit`` makes: on the training steps of the
-default split, z-scored per node with their own statistics, at the
-default tau unless ``--tau`` is given. The rows marked kept are the
-modes whose eigenvalues that run records in its manifest.
+The fit is a ``dmdembed fit`` run into a temporary directory, and
+everything printed is read from that run's files: the manifest, the
+decomposition and the selection path. The rows marked kept are the
+modes whose eigenvalues the manifest records as selected.
 
 Shows, per mode: period in steps and hours, growth rate, and amplitude
 share; then the selection path: the period of the group each step added
@@ -13,46 +13,49 @@ an SVG.
 """
 
 import argparse
+import csv
+import json
+import tempfile
 
 import numpy as np
 
-from dmdembed.dmd import fit_dmd, mode_frequency
+from dmdembed.dmd import DmdDecomposition, mode_frequency
 from dmdembed.embedding import build_embedding
-from dmdembed.forecaster import split_boundaries, zscore_fit
-from dmdembed.hankel import SignalMatrix, build_hankel, default_tau, impute_linear
-from dmdembed.pipeline import PipelineConfig, load_csv, parse_rank_policy
-from dmdembed.spdmd import gamma_sweep
+from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.svgplot import line_chart, write_svg
+
+# the run's options; values and defaults are PipelineConfig's
+FIT_OPTIONS = ("rank", "target_modes", "tau", "step_seconds")
 
 
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("input", help="time-major CSV")
-    parser.add_argument("--rank", default="cep:0.9")
-    parser.add_argument("--target-modes", type=int, default=4)
-    parser.add_argument("--tau", type=int, default=None)
-    parser.add_argument("--step-seconds", type=float, default=900.0)
+    for name in FIT_OPTIONS:
+        parser.add_argument("--" + name.replace("_", "-"), dest=name)
     parser.add_argument("--svg", default=None, help="optional covariate-channel SVG")
     parser.add_argument("--span", type=int, default=None, help="steps to render in the SVG")
     args = parser.parse_args()
 
-    signal = impute_linear(load_csv(args.input, step_seconds=args.step_seconds))
-    b_train, _ = split_boundaries(signal.n_steps, PipelineConfig.split)
-    columns = signal.values[:, :b_train]
-    normalized = zscore_fit(columns, signal.node_ids).transform(columns)
-    train = SignalMatrix.from_values(normalized, signal.node_ids, signal.step_seconds)
-    tau = args.tau if args.tau is not None else default_tau(train)
-    view = build_hankel(train, tau)
-    dec = fit_dmd(view, parse_rank_policy(args.rank))
-    sweep = gamma_sweep(dec, target_modes=min(args.target_modes, dec.rank))
-    kept = sweep.selected.support
-    total = np.sum(np.abs(dec.amplitudes))
+    options = {name: getattr(args, name) for name in FIT_OPTIONS if getattr(args, name) is not None}
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = PipelineConfig.from_mapping({**options, "input_csv": args.input, "output_dir": tmp})
+        run_dir = run_pipeline(cfg, until="fit")
+        resolved = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["resolved"]
+        dec = DmdDecomposition.from_json(
+            (run_dir / "decomposition.json").read_text(encoding="utf-8"),
+            np.load(run_dir / "modes.npy"),
+        )
+        with open(run_dir / "spdmd_path.csv", encoding="utf-8", newline="") as fh:
+            path = list(csv.DictReader(fh))
 
-    print(f"training steps {b_train} of {signal.n_steps}, rank {dec.rank}, tau {tau}, "
-          f"kept {len(sweep.path.solutions)} pair(s)")
+    kept = np.array([[z.real, z.imag] in resolved["eigenvalues"] for z in dec.eigenvalues])
+    total = np.sum(np.abs(dec.amplitudes))
+    print(f"training steps {resolved['boundaries'][0]} of {resolved['n_steps']}, rank {dec.rank}, "
+          f"tau {dec.tau}, kept {resolved['selected_pairs']} pair(s)")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
     for i, lam in enumerate(dec.eigenvalues):
-        freq = mode_frequency(lam, signal.step_seconds)
+        freq = mode_frequency(lam, dec.sampling_seconds)
         period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
         hours = f"{freq.period_seconds / 3600:.2f}" if freq.period_seconds else "-"
         share = np.abs(dec.amplitudes[i]) / total
@@ -60,14 +63,14 @@ def main() -> int:
               f"{share:>10.3f} {str(bool(kept[i])):>5}")
     print("selection path: the group each step added and the fit loss after it")
     print(f"{'step':>4} {'period[steps]':>14} {'fit loss':>12}")
-    for sol in sweep.path.solutions:
-        freq = mode_frequency(dec.eigenvalues[sol.group[0]], signal.step_seconds)
-        period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
-        print(f"{sol.pair_count:>4} {period:>14} {sol.fit_loss:>12.6g}")
+    for row in path:
+        period_steps = float(row["period_steps"])
+        period = f"{period_steps:.2f}" if np.isfinite(period_steps) else "-"
+        print(f"{int(row['step']):>4} {period:>14} {float(row['fit_loss']):>12.6g}")
 
     if args.svg:
         reps = dec.representatives(kept)
-        span = args.span or min(signal.n_steps, 1024)
+        span = args.span or min(resolved["n_steps"], 1024)
         emb = build_embedding(reps, span)
         series = []
         for j in range(emb.n_modes):

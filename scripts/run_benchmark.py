@@ -16,7 +16,7 @@ from pathlib import Path
 import numpy as np
 
 from dmdembed.pipeline import PipelineConfig, run_pipeline
-from dmdembed.synthetic import two_period_spec
+from dmdembed.synthetic import SyntheticSpec
 
 
 def horizon_rmse(run_dir: Path, which: str, horizon: str = "12") -> float:
@@ -39,8 +39,8 @@ def cell(value: float | None) -> str:
 def main() -> int:
     parser = argparse.ArgumentParser(description=__doc__)
     parser.add_argument("--seeds", type=int, default=5, help="number of seeded repetitions")
-    parser.add_argument("--nodes", type=int, default=8)
-    parser.add_argument("--steps", type=int, default=2016)
+    parser.add_argument("--nodes", type=int, default=SyntheticSpec.nodes)
+    parser.add_argument("--steps", type=int, default=SyntheticSpec.steps)
     parser.add_argument("--noise", type=float, default=0.1)
     parser.add_argument("--out", default="runs/benchmark", help="output root directory")
     args = parser.parse_args()
@@ -50,7 +50,7 @@ def main() -> int:
     start = time.perf_counter()
     for seed in range(1, args.seeds + 1):
         cfg = PipelineConfig(
-            synthetic=two_period_spec(args.nodes, args.steps, args.noise, seed),
+            synthetic=SyntheticSpec(args.nodes, args.steps, noise=args.noise, seed=seed),
             output_dir=str(root / f"seed{seed}"),
             seed=seed,
         )

@@ -84,13 +84,8 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     p_synth = sub.add_parser("synth", help="generate a synthetic CSV dataset")
-    p_synth.add_argument("--nodes", default=8)
-    p_synth.add_argument("--steps", default=2016)
-    p_synth.add_argument("--periods", default="72,504", help="component periods in steps")
-    p_synth.add_argument("--amplitudes", default="", help="component amplitudes (default 1)")
-    p_synth.add_argument("--noise", default=0.0, help="sigma relative to signal RMS")
-    p_synth.add_argument("--trend", default=0.0)
-    p_synth.add_argument("--seed", default=0)
+    for f in fields(SyntheticSpec):
+        p_synth.add_argument(f"--{f.name}", help=f"default {f.default}")
     p_synth.add_argument("--out", required=True, help="destination CSV")
 
     for name, help_text in (
@@ -112,7 +107,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _cmd_synth(args: argparse.Namespace) -> int:
-    options = {k: v for k, v in vars(args).items() if k not in ("command", "out")}
+    options = {k: v for k, v in vars(args).items() if k not in ("command", "out") and v is not None}
     spec = SyntheticSpec(**convert_options(SyntheticSpec, options))
     write_signal_csv(generate_synthetic(spec), args.out)
     print(f"wrote {args.out}")

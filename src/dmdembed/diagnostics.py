@@ -9,20 +9,12 @@ spectrum retains.
 
 from __future__ import annotations
 
+import csv
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import DataError
-
-
-@dataclass(frozen=True)
-class AcfReport:
-    """Autocorrelation of one series up to max_lag."""
-
-    node_id: str
-    lags: np.ndarray
-    acf: np.ndarray
 
 
 @dataclass(frozen=True)
@@ -45,9 +37,10 @@ class CepCurve:
     cep: np.ndarray
 
 
-def acf(block: np.ndarray, max_lag: int, node_ids: list[str] | None = None) -> list[AcfReport]:
+def acf(block: np.ndarray, max_lag: int) -> np.ndarray:
     """Biased (length-normalized) autocorrelation of each column of a
-    (rows, columns) block, one report per column.
+    (rows, columns) block, as a (columns, max_lag + 1) array: row j
+    holds column j's ACF at lags 0 .. max_lag.
 
     acf[k] = sum_t (x_t - mean)(x_{t+k} - mean) / sum_t (x_t - mean)^2,
     which guarantees |acf[k]| <= 1 and acf[0] = 1. All columns are
@@ -76,9 +69,7 @@ def acf(block: np.ndarray, max_lag: int, node_ids: list[str] | None = None) -> l
     values[:, 0] = 1.0
     for k in range(1, max_lag + 1):
         values[:, k] = np.einsum("ij,ij->j", centered[:-k], centered[k:]) / denom
-    lags = np.arange(max_lag + 1)
-    ids = node_ids if node_ids is not None else [""] * n_columns
-    return [AcfReport(node_id=ids[j], lags=lags, acf=values[j]) for j in range(n_columns)]
+    return values
 
 
 def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary:
@@ -167,29 +158,30 @@ def cep_curve(singular_values: np.ndarray, total_energy: float, order: int) -> C
     return CepCurve(ranks=ranks, cep=cep)
 
 
-def write_acf_csv(reports: list[AcfReport], path) -> None:
-    """One lag column plus one ACF column per node."""
-    if not reports:
-        raise ValueError("no reports to write")
-    lags = reports[0].lags
-    cells = np.empty((len(lags), 1 + len(reports)), dtype=object)
-    cells[:, 0] = lags
-    cells[:, 1:] = np.column_stack([r.acf for r in reports])
-    row = "%d" + ",%.17g" * len(reports) + "\n"
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lag," + ",".join(r.node_id or f"series_{i}" for i, r in enumerate(reports)) + "\n")
-        fh.write(row * len(lags) % tuple(cells.ravel().tolist()))
+def write_table(path, header: list[str], columns) -> None:
+    """Write equal-length columns of numbers as CSV under ``header``.
+
+    Every cell is %.17g: a whole number prints as %d does, and any value
+    reads back bit for bit. Only a header cell that needs quotes has them.
+    """
+    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
+    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    with open(path, "w", encoding="utf-8", newline="") as fh:
+        csv.writer(fh, lineterminator="\n").writerow(header)
+        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+
+
+def write_acf_csv(values: np.ndarray, node_ids: list[str], path) -> None:
+    """One lag column plus one ACF column per row of ``values``, headed
+    by its id (``series_<i>`` for an empty one)."""
+    header = ["lag"] + [name or f"series_{i}" for i, name in enumerate(node_ids)]
+    write_table(path, header, [np.arange(values.shape[1]), *values])
 
 
 def write_cep_csv(curve: CepCurve, path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("rank,cep\n")
-        for rank, value in zip(curve.ranks, curve.cep):
-            fh.write(f"{int(rank)},{value:.17g}\n")
+    write_table(path, ["rank", "cep"], [curve.ranks, curve.cep])
 
 
 def write_residual_corr_csv(summaries: list[ResidualCorrSummary], path) -> None:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lag,mean_abs_corr,excluded_columns\n")
-        for s in summaries:
-            fh.write(f"{s.lag},{s.mean_abs_corr:.17g},{s.excluded_columns}\n")
+    names = ["lag", "mean_abs_corr", "excluded_columns"]
+    write_table(path, names, [[getattr(s, name) for s in summaries] for name in names])

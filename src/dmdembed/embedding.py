@@ -15,6 +15,7 @@ from typing import TYPE_CHECKING
 
 import numpy as np
 
+from .diagnostics import write_table
 from .dmd import vandermonde
 from .errors import DataError
 
@@ -90,12 +91,5 @@ def export_embedding(emb: TimeEmbedding, path) -> None:
     Values use 17 significant digits, so reading the file back (for
     example with ``np.loadtxt``) gives every entry bit for bit.
     """
-    r = emb.n_modes
-    header = ["step"] + [f"re_{i + 1}" for i in range(r)] + [f"im_{i + 1}" for i in range(r)]
-    cells = np.empty((emb.length, 1 + emb.table.shape[1]), dtype=object)
-    cells[:, 0] = range(emb.length)
-    cells[:, 1:] = emb.table
-    row = "%d" + ",%.17g" * emb.table.shape[1] + "\n"
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write(",".join(header) + "\n")
-        fh.write(row * emb.length % tuple(cells.ravel().tolist()))
+    header = ["step"] + [f"{part}_{i + 1}" for part in ("re", "im") for i in range(emb.n_modes)]
+    write_table(path, header, [np.arange(emb.length), *emb.table.T])

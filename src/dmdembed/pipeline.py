@@ -259,7 +259,7 @@ def write_signal_csv(signal: SignalMatrix, path) -> None:
     cells[:, 1:] = np.where(signal.mask.T, np.array(formatted, dtype=object).reshape(by_step.shape), "")
     row = "%d" + ",%s" * signal.n_nodes + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step," + ",".join(signal.node_ids) + "\n")
+        csv.writer(fh, lineterminator="\n").writerow(["step", *signal.node_ids])
         fh.write(row * signal.n_steps % tuple(cells.ravel().tolist()))
 
 
@@ -554,11 +554,11 @@ def _write_residual_diagnostics(
 
     max_lag = min(acf_max_lag, n_rows - 1)
     if max_lag >= 1:
-        reports = dg.acf(residuals[:, :, -1], max_lag, node_ids=column_ids)
-        dg.write_acf_csv(reports, destination(f"acf{tag}{split}.csv"))
+        values = dg.acf(residuals[:, :, -1], max_lag)
+        dg.write_acf_csv(values, column_ids, destination(f"acf{tag}{split}.csv"))
         svg = svgplot.line_chart(
-            reports[0].lags,
-            [(r.node_id, r.acf) for r in reports[: len(svgplot.PALETTE)]],
+            np.arange(max_lag + 1),
+            list(zip(column_ids, values[: len(svgplot.PALETTE)])),
             f"residual ACF{at_horizon}{caption}",
         )
         svgplot.write_svg(svg, destination(f"acf{tag}{split}.svg"))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .diagnostics import write_table
 from .dmd import DmdDecomposition, mode_frequency, solve_hermitian
 
 
@@ -126,10 +127,10 @@ def export_path_csv(path: SpdmdPath, eigenvalues: np.ndarray, destination) -> No
     """Write the selection path as CSV, one row per added group: its
     period in steps (inf for a real mode) and growth rate, and the fit
     loss once it is added."""
-    with open(destination, "w", encoding="utf-8") as fh:
-        fh.write("step,period_steps,growth_rate,fit_loss\n")
-        for sol in path.solutions:
-            freq = mode_frequency(eigenvalues[sol.group[0]], 1.0)
-            period = freq.period_steps if freq.period_steps is not None else float("inf")
-            fh.write(f"{sol.pair_count},{period:.17g},{freq.growth_rate:.17g},"
-                     f"{sol.fit_loss:.17g}\n")
+    freqs = [mode_frequency(eigenvalues[sol.group[0]], 1.0) for sol in path.solutions]
+    write_table(destination, ["step", "period_steps", "growth_rate", "fit_loss"], [
+        [sol.pair_count for sol in path.solutions],
+        [np.inf if f.period_steps is None else f.period_steps for f in freqs],
+        [f.growth_rate for f in freqs],
+        [sol.fit_loss for sol in path.solutions],
+    ])

@@ -20,16 +20,16 @@ from .hankel import SignalMatrix
 class SyntheticSpec:
     """Recipe for a reproducible nodes x steps signal.
 
-    The fields are the ``synth`` subcommand's options and the pipeline's
-    ``synth_*`` config keys. Component k has period ``periods[k]`` in
-    steps and amplitude ``amplitudes[k]``; empty amplitudes resolve to
-    ones. ``noise`` is a sigma relative to the noiseless signal RMS;
+    The fields, defaults included, are the ``synth`` subcommand's options
+    and the pipeline's ``synth_*`` config keys. Component k has period
+    ``periods[k]`` in steps and amplitude ``amplitudes[k]``; empty
+    amplitudes resolve to ones. ``noise`` is a sigma relative to the noiseless signal RMS;
     ``trend`` is an additive slope per step shared by all nodes.
     """
 
     nodes: int = 8
     steps: int = 2016
-    periods: tuple[float, ...] = ()
+    periods: tuple[float, ...] = (72.0, 504.0)
     amplitudes: tuple[float, ...] = ()
     noise: float = 0.0
     trend: float = 0.0
@@ -71,12 +71,3 @@ def generate_synthetic(spec: SyntheticSpec, step_seconds: float = 900.0) -> Sign
         values += rng.normal(0.0, scale, size=values.shape)
     return SignalMatrix.from_values(values, step_seconds=step_seconds)
 
-
-def two_period_spec(
-    nodes: int = 8,
-    steps: int = 2016,
-    noise: float = 0.0,
-    seed: int = 0,
-) -> SyntheticSpec:
-    """The daily/weekly benchmark layout: periods 72 and 504 steps."""
-    return SyntheticSpec(nodes, steps, (72.0, 504.0), noise=noise, seed=seed)

@@ -20,7 +20,7 @@ from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.linalg import snapshot_svd
 from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
 from dmdembed.spdmd import _AmplitudeProblem, _polish_on, gamma_sweep
-from dmdembed.synthetic import generate_synthetic, two_period_spec
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 import window_rows
 from hankel_oracle import gram_product
@@ -40,7 +40,7 @@ def benchmark_runs(tmp_path_factory):
     start = time.perf_counter()
     for seed in SEEDS:
         cfg = PipelineConfig(
-            synthetic=two_period_spec(noise=0.1, seed=seed),
+            synthetic=SyntheticSpec(noise=0.1, seed=seed),
             output_dir=str(base / f"seed{seed}"),
             seed=seed,
         )
@@ -69,7 +69,7 @@ def test_a1_covariate_benefit(benchmark_runs):
 
 def test_a2_frequency_recovery():
     start = time.perf_counter()
-    sig = generate_synthetic(two_period_spec(noise=0.0, seed=0))
+    sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=0))
     view = build_hankel(sig, default_tau(sig))
     dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start

@@ -12,7 +12,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from dmdembed.diagnostics import AcfReport, write_acf_csv
+from dmdembed.diagnostics import write_acf_csv
 from dmdembed.dmd import DmdDecomposition
 from dmdembed.embedding import TimeEmbedding, export_embedding
 from dmdembed.svgplot import PALETTE, heatmap, line_chart
@@ -138,12 +138,12 @@ def export_embedding_per_row(emb: TimeEmbedding, path) -> None:
             fh.write(",".join(cells) + "\n")
 
 
-def write_acf_csv_per_row(reports, path) -> None:
-    lags = reports[0].lags
+def write_acf_csv_per_row(values, node_ids, path) -> None:
+    lags = np.arange(values.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lag," + ",".join(r.node_id or f"series_{i}" for i, r in enumerate(reports)) + "\n")
+        fh.write("lag," + ",".join(name or f"series_{i}" for i, name in enumerate(node_ids)) + "\n")
         for row, lag in enumerate(lags):
-            cells = [str(int(lag))] + [f"{r.acf[row]:.17g}" for r in reports]
+            cells = [str(int(lag))] + [f"{acf[row]:.17g}" for acf in values]
             fh.write(",".join(cells) + "\n")
 
 
@@ -299,13 +299,10 @@ def test_export_embedding_matches_per_row_reference(tmp_path_factory, data):
 def test_write_acf_csv_matches_per_row_reference(tmp_path_factory, data):
     max_lag = data.draw(st.integers(0, 12))
     n_reports = data.draw(st.integers(1, 4))
-    reports = [
-        AcfReport(
-            node_id=data.draw(st.sampled_from(["", "n", "station 7"])),
-            lags=np.arange(max_lag + 1),
-            acf=data.draw(arrays(float, max_lag + 1, elements=cell_values)),
-        )
-        for _ in range(n_reports)
-    ]
+    node_ids = [data.draw(st.sampled_from(["", "n", "station 7"])) for _ in range(n_reports)]
+    reports = data.draw(arrays(float, (n_reports, max_lag + 1), elements=cell_values))
     path = tmp_path_factory.mktemp("acf") / "acf.csv"
-    assert _bytes_of(write_acf_csv, reports, path) == _bytes_of(write_acf_csv_per_row, reports, path)
+    write_acf_csv(reports, node_ids, path)
+    written = path.read_bytes()
+    write_acf_csv_per_row(reports, node_ids, path)
+    assert written == path.read_bytes()

@@ -12,9 +12,9 @@ def test_acf_white_noise_bound():
     rng = np.random.default_rng(1234)
     x = rng.normal(size=10_000)
     (report,) = acf(x[:, np.newaxis], max_lag=100)
-    inside = np.sum(np.abs(report.acf[1:]) <= 3.0 / np.sqrt(x.size))
+    inside = np.sum(np.abs(report[1:]) <= 3.0 / np.sqrt(x.size))
     assert inside >= 99
-    assert report.acf[0] == 1.0
+    assert report[0] == 1.0
 
 
 def test_acf_cosine_peaks_at_period_multiples():
@@ -24,23 +24,23 @@ def test_acf_cosine_peaks_at_period_multiples():
     block = np.column_stack([np.cos(2 * np.pi * t / 72), np.sin(2 * np.pi * t / 72)])
     for report in acf(block, max_lag=150):
         for lag in (72, 144):
-            assert report.acf[lag] == np.max(report.acf[lag - 5 : lag + 6])
-            assert report.acf[lag] == pytest.approx((t.size - lag) / t.size, abs=0.01)
+            assert report[lag] == np.max(report[lag - 5 : lag + 6])
+            assert report[lag] == pytest.approx((t.size - lag) / t.size, abs=0.01)
 
 
 def test_acf_alternating_series():
     x = np.array([1.0, -1.0] * 50)
     (report,) = acf(x[:, np.newaxis], max_lag=4)
     # biased estimator scales lag k by (n-k)/n
-    assert report.acf[1] == pytest.approx(-0.99, abs=1e-12)
-    assert report.acf[2] == pytest.approx(0.98, abs=1e-12)
+    assert report[1] == pytest.approx(-0.99, abs=1e-12)
+    assert report[2] == pytest.approx(0.98, abs=1e-12)
 
 
 def test_acf_bounded_by_one():
     rng = np.random.default_rng(7)
     x = np.cumsum(rng.normal(size=500))
     (report,) = acf(x[:, np.newaxis], max_lag=50)
-    assert np.max(np.abs(report.acf)) <= 1.0 + 1e-12
+    assert np.max(np.abs(report)) <= 1.0 + 1e-12
 
 
 @given(st.integers(0, 10_000), st.floats(-5, 5), st.floats(0.1, 10))
@@ -50,7 +50,7 @@ def test_acf_affine_invariance(seed, shift, scale):
     x = rng.normal(size=(300, 1))
     (base,) = acf(x, max_lag=20)
     (moved,) = acf(scale * x + shift, max_lag=20)
-    assert np.max(np.abs(base.acf - moved.acf)) <= 1e-10
+    assert np.max(np.abs(base - moved)) <= 1e-10
 
 
 def test_acf_errors():
@@ -83,14 +83,12 @@ def test_acf_block_matches_per_column_reference(seed, n_columns, n_rows, data):
     periods = rng.uniform(2.0, 80.0, size=n_columns)
     wave = np.cos(2 * np.pi * t / periods) + rng.uniform(0, 2) * rng.normal(size=(n_rows, n_columns))
     block = rng.uniform(-50, 50, size=n_columns) + rng.uniform(0.1, 10, size=n_columns) * wave
-    ids = [f"c{j}" for j in range(n_columns)]
-    reports = acf(block, max_lag, node_ids=ids)
-    assert [r.node_id for r in reports] == ids
+    reports = acf(block, max_lag)
+    assert reports.shape == (n_columns, max_lag + 1)
     for j, report in enumerate(reports):
         values = acf_per_column(block[:, j], max_lag)
-        assert report.acf[0] == 1.0
-        assert np.array_equal(report.lags, np.arange(max_lag + 1))
-        assert np.max(np.abs(report.acf - values)) <= 1e-13
+        assert report[0] == 1.0
+        assert np.max(np.abs(report - values)) <= 1e-13
 
 
 def test_acf_block_errors():
@@ -315,8 +313,8 @@ def test_csv_writers(tmp_path):
     from dmdembed.diagnostics import write_acf_csv, write_cep_csv, write_residual_corr_csv
 
     rng = np.random.default_rng(2)
-    reports = acf(rng.normal(size=(200, 2)), max_lag=10, node_ids=["n0", "n1"])
-    write_acf_csv(reports, tmp_path / "acf.csv")
+    reports = acf(rng.normal(size=(200, 2)), max_lag=10)
+    write_acf_csv(reports, ["n0", "n1"], tmp_path / "acf.csv")
     lines = (tmp_path / "acf.csv").read_text().splitlines()
     assert lines[0] == "lag,n0,n1"
     assert len(lines) == 12

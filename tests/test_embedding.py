@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.embedding import build_embedding, export_embedding
+from dmdembed.embedding import TimeEmbedding, build_embedding, export_embedding
 from dmdembed.errors import DataError
 from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
@@ -138,13 +138,15 @@ def test_attach_covariates_reports_first_uncovered_step():
 
 
 def test_export_import_round_trip(tmp_path):
-    emb = build_embedding(np.array([1j]), 4)
-    dest = tmp_path / "emb.csv"
-    export_embedding(emb, dest)
-    data = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
-    steps, table = data[:, 0], data[:, 1:]
-    assert np.array_equal(steps, np.arange(4))
-    assert np.array_equal(table, emb.table)  # bit-identical at 17 digits
+    # a built table, and one of non-finite, negative and whole-number cells
+    special = np.array([[np.inf, -np.inf], [np.nan, -2.5], [3.0, -7.0], [-1e300, 5e-324]])
+    for emb in (build_embedding(np.array([1j]), 4), TimeEmbedding(np.array([1j]), special)):
+        dest = tmp_path / "emb.csv"
+        export_embedding(emb, dest)
+        data = np.loadtxt(dest, delimiter=",", skiprows=1, ndmin=2)
+        steps, table = data[:, 0], data[:, 1:]
+        assert np.array_equal(steps, np.arange(4))
+        assert np.array_equal(table, emb.table, equal_nan=True)  # bit-identical at 17 digits
 
 
 def test_export_constant_mode_rows(tmp_path):

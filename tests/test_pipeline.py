@@ -30,7 +30,7 @@ from dmdembed.pipeline import (
     run_pipeline,
     write_signal_csv,
 )
-from dmdembed.synthetic import SyntheticSpec, generate_synthetic, two_period_spec
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 
 def small_spec(seed=0, noise=0.05):
@@ -113,6 +113,23 @@ def test_signal_csv_round_trip(tmp_path):
     back = load_csv(path)
     assert np.array_equal(back.mask, sig.mask)
     assert np.array_equal(back.values[back.mask], sig.values[sig.mask])
+
+
+def test_a_node_id_with_a_comma_keeps_every_table_rectangular(tmp_path):
+    # a header cell that needs quotes is quoted, so each CSV of a run
+    # reads back with as many header cells as row cells
+    sig = generate_synthetic(small_spec())
+    sig.node_ids[0] = "station 7, north"
+    path = tmp_path / "sig.csv"
+    write_signal_csv(sig, path)
+    assert load_csv(path).node_ids == sig.node_ids
+    out = run_pipeline(small_config(tmp_path, synthetic=None, input_csv=str(path)))
+    tables = sorted(out.glob("*.csv"))
+    assert out / "acf_with_test.csv" in tables
+    for table in tables:
+        with open(table, encoding="utf-8", newline="") as fh:
+            header, *rows = csv.reader(fh)
+        assert rows and {len(row) for row in rows} == {len(header)}, table.name
 
 
 def test_load_csv_names_the_non_finite_cell(tmp_path):
@@ -408,7 +425,7 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
 def test_synthetic_run_fits_and_replays_at_the_config_step_length(tmp_path):
     # the step length is the config's alone: a spec given in code fits at
     # the step_seconds its manifest records, so the replay matches it
-    cfg = PipelineConfig(synthetic=two_period_spec(3, 480, 0.1, 1), step_seconds=60.0,
+    cfg = PipelineConfig(synthetic=SyntheticSpec(3, 480, noise=0.1, seed=1), step_seconds=60.0,
                          output_dir=str(tmp_path / "run"))
     out1 = run_pipeline(cfg)
     assert json.loads((out1 / "decomposition.json").read_text())["sampling_seconds"] == 60.0
@@ -419,6 +436,20 @@ def test_synthetic_run_fits_and_replays_at_the_config_step_length(tmp_path):
     assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
     for name in names:
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+
+
+def test_synthetic_defaults_are_the_spec_defaults(tmp_path):
+    # an inline source names only its size: the spec's periods fill in,
+    # as they do for the synth subcommand, rather than an empty signal
+    cfg = PipelineConfig.from_mapping({"synth_nodes": "3", "synth_steps": "480",
+                                       "output_dir": str(tmp_path / "run")})
+    out = run_pipeline(cfg)
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["config"]["synth_periods"] == [72.0, 504.0]
+    assert (out / "metrics_with.json").exists()
+    assert cli_main(["synth", "--out", str(tmp_path / "cli.csv")]) == 0
+    write_signal_csv(generate_synthetic(SyntheticSpec()), tmp_path / "spec.csv")
+    assert (tmp_path / "cli.csv").read_bytes() == (tmp_path / "spec.csv").read_bytes()
 
 
 # Config keys that older manifests carry, with a value they were written with.

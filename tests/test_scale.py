@@ -11,7 +11,7 @@ from dmdembed.dmd import mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import fit_ridge, make_windows, predict
 from dmdembed.pipeline import PipelineConfig, run_pipeline
-from dmdembed.synthetic import two_period_spec
+from dmdembed.synthetic import SyntheticSpec
 
 
 def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
@@ -32,7 +32,7 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
     fit = dmd.fit_dmd
     monkeypatch.setattr(dmd, "fit_dmd", measured)
     cfg = PipelineConfig(
-        synthetic=two_period_spec(nodes=8, steps=20_000, noise=0.1, seed=1),
+        synthetic=SyntheticSpec(nodes=8, steps=20_000, noise=0.1, seed=1),
         output_dir=str(tmp_path / "run"),
         seed=1,
     )

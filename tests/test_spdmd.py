@@ -13,7 +13,7 @@ from dmdembed.dmd import DmdDecomposition, FixedRank, conjugate_groups, fit_dmd
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import _AmplitudeProblem, _polish_on, export_path_csv, gamma_sweep
-from dmdembed.synthetic import two_period_spec
+from dmdembed.synthetic import SyntheticSpec
 
 
 def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
@@ -267,7 +267,7 @@ def test_forward_selection_matches_oracle_and_polish(seed, rank):
 def test_many_mode_selection_meets_its_target(tmp_path):
     """A1 signal at rank fixed:24: twelve conjugate groups, target 4."""
     cfg = PipelineConfig(
-        synthetic=two_period_spec(noise=0.1, seed=1),
+        synthetic=SyntheticSpec(noise=0.1, seed=1),
         rank="fixed:24",
         target_modes=4,
         output_dir=str(tmp_path / "run"),

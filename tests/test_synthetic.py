@@ -5,7 +5,7 @@ from numpy.testing import assert_allclose
 from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.errors import ConfigError
 from dmdembed.hankel import build_hankel, default_tau
-from dmdembed.synthetic import SyntheticSpec, generate_synthetic, two_period_spec
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 
 def test_single_component_exact_periodicity():
@@ -15,15 +15,15 @@ def test_single_component_exact_periodicity():
 
 
 def test_same_seed_same_matrix():
-    a = generate_synthetic(two_period_spec(noise=0.3, seed=5))
-    b = generate_synthetic(two_period_spec(noise=0.3, seed=5))
+    a = generate_synthetic(SyntheticSpec(noise=0.3, seed=5))
+    b = generate_synthetic(SyntheticSpec(noise=0.3, seed=5))
     assert np.array_equal(a.values, b.values)
-    c = generate_synthetic(two_period_spec(noise=0.3, seed=6))
+    c = generate_synthetic(SyntheticSpec(noise=0.3, seed=6))
     assert not np.array_equal(a.values, c.values)
 
 
 def test_two_period_recovery_within_tenth_step():
-    sig = generate_synthetic(two_period_spec(noise=0.0, seed=2))
+    sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=2))
     view = build_hankel(sig, tau=default_tau(sig))
     dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
@@ -36,8 +36,8 @@ def test_two_period_recovery_within_tenth_step():
 
 
 def test_noise_scales_with_signal_rms():
-    quiet = generate_synthetic(two_period_spec(noise=0.0, seed=9, steps=504))
-    loud = generate_synthetic(two_period_spec(noise=0.5, seed=9, steps=504))
+    quiet = generate_synthetic(SyntheticSpec(noise=0.0, seed=9, steps=504))
+    loud = generate_synthetic(SyntheticSpec(noise=0.5, seed=9, steps=504))
     resid = loud.values - quiet.values
     rms = np.sqrt(np.mean(quiet.values**2))
     ratio = np.sqrt(np.mean(resid**2)) / rms
