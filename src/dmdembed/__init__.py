@@ -47,7 +47,7 @@ from .hankel import (
     gram,
     impute_linear,
 )
-from .linalg import ComplexSpectrum, SnapshotSvd, dense_eig, snapshot_svd
+from .linalg import SnapshotSvd, dense_eig, snapshot_svd
 from .pipeline import PipelineConfig, load_csv, run_pipeline
 from .spdmd import SpdmdPath, SpdmdSolution, gamma_sweep
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -55,7 +55,6 @@ from .synthetic import SyntheticSpec, generate_synthetic
 __all__ = [
     "__version__",
     "CepThreshold",
-    "ComplexSpectrum",
     "ConfigError",
     "DataError",
     "DmdDecomposition",

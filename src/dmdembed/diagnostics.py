@@ -173,9 +173,8 @@ def write_table(path, header: list[str], columns) -> None:
 
 def write_acf_csv(values: np.ndarray, node_ids: list[str], path) -> None:
     """One lag column plus one ACF column per row of ``values``, headed
-    by its id (``series_<i>`` for an empty one)."""
-    header = ["lag"] + [name or f"series_{i}" for i, name in enumerate(node_ids)]
-    write_table(path, header, [np.arange(values.shape[1]), *values])
+    by its id."""
+    write_table(path, ["lag", *node_ids], [np.arange(values.shape[1]), *values])
 
 
 def write_cep_csv(curve: CepCurve, path) -> None:

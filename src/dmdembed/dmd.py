@@ -305,15 +305,15 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     # this is diag(1/sigma) (H V)^T (H' V) diag(1/sigma).
     inv_sigma = 1.0 / svd.singular_values
     reduced = (svd.left_vectors.T @ geo.shifted_tall(svd.right_vectors)) * inv_sigma
-    spectrum = dense_eig(reduced)
-    modes = svd.left_vectors @ spectrum.eigenvectors
+    eigenvalues, eigenvectors = dense_eig(reduced)
+    modes = svd.left_vectors @ eigenvectors
     norms = np.linalg.norm(modes, axis=0)
     if np.any(norms == 0.0):
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
     modes = modes / norms
-    ht_modes = (svd.ht_left @ spectrum.eigenvectors) / norms
+    ht_modes = (svd.ht_left @ eigenvectors) / norms
 
-    p, q = amplitude_quadratic(spectrum.eigenvalues, modes, ht_modes)
+    p, q = amplitude_quadratic(eigenvalues, modes, ht_modes)
     amplitudes = solve_hermitian(p, q)
     # The eigensolver fixes each eigenvector's phase by its largest entry,
     # which round-off picks among near-equal ones. Each mode takes its
@@ -327,9 +327,9 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     q = phase.conj() * q
     amplitudes = np.abs(amplitudes).astype(complex)
 
-    order = _energy_order(spectrum.eigenvalues, amplitudes, geo.span)
+    order = _energy_order(eigenvalues, amplitudes, geo.span)
     return DmdDecomposition(
-        eigenvalues=spectrum.eigenvalues[order],
+        eigenvalues=eigenvalues[order],
         modes=modes[:, order],
         amplitudes=amplitudes[order],
         rank=svd.rank,

@@ -23,7 +23,3 @@ class NumericalError(DmdEmbedError):
 
 class EmptySpectrumError(NumericalError):
     """Every singular value fell below the round-off floor."""
-
-
-class EigenSolverError(NumericalError):
-    """The dense eigensolver did not converge within its iteration cap."""

@@ -20,7 +20,7 @@ from typing import Callable, Union
 
 import numpy as np
 
-from .errors import EigenSolverError, EmptySpectrumError
+from .errors import EmptySpectrumError
 
 GRAM_ASYMMETRY_TOL = 1e-10
 
@@ -168,18 +168,6 @@ class SnapshotSvd:
     @property
     def rank(self) -> int:
         return self.singular_values.size
-
-
-@dataclass(frozen=True)
-class ComplexSpectrum:
-    """Eigenpairs of a small dense operator, column-aligned.
-
-    Eigenvalues are sorted by descending modulus, ties broken by
-    descending imaginary part.
-    """
-
-    eigenvalues: np.ndarray
-    eigenvectors: np.ndarray
 
 
 def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -361,23 +349,15 @@ def snapshot_svd(gram: GramProduct, tall: TallProduct, policy: RankPolicy) -> Sn
     )
 
 
-def dense_eig(matrix: np.ndarray) -> ComplexSpectrum:
-    """Full eigendecomposition of a small dense real or complex matrix.
+def dense_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Eigenvalues and eigenvector columns of a small dense matrix.
 
-    For real input the eigenvalue multiset is exactly closed under
-    conjugation (LAPACK pairs them). Non-convergence is reported, never
-    silently truncated.
+    Eigenvalues are sorted by descending modulus, ties broken by
+    descending imaginary part. For real input the eigenvalue multiset is
+    exactly closed under conjugation (LAPACK pairs them). A matrix that
+    is not square, is not finite or whose solve does not converge raises
+    numpy's ``LinAlgError``.
     """
-    mat = np.asarray(matrix)
-    if mat.ndim != 2 or mat.shape[0] != mat.shape[1] or mat.shape[0] < 1:
-        raise ValueError(f"matrix must be square and nonempty, got shape {mat.shape}")
-    if not np.all(np.isfinite(mat.real)) or (
-        np.iscomplexobj(mat) and not np.all(np.isfinite(mat.imag))
-    ):
-        raise ValueError("matrix contains non-finite entries")
-    try:
-        evals, evecs = np.linalg.eig(mat)
-    except np.linalg.LinAlgError as exc:
-        raise EigenSolverError(f"eigensolver did not converge: {exc}") from exc
+    evals, evecs = np.linalg.eig(matrix)
     order = np.lexsort((-evals.imag, -np.abs(evals)))
-    return ComplexSpectrum(eigenvalues=evals[order], eigenvectors=evecs[:, order])
+    return evals[order], evecs[:, order]

@@ -11,8 +11,10 @@ embedding files byte for byte.
 from __future__ import annotations
 
 import csv
+import fcntl
 import json
 import os
+import shutil
 import time
 import typing
 from dataclasses import dataclass, field, fields, replace
@@ -36,6 +38,9 @@ from .forecaster import (
 )
 from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
 from .synthetic import SyntheticSpec, generate_synthetic
+
+# A run writes its files here, inside the run directory, until every stage is done.
+STAGING_DIR = ".dmdembed-partial"
 
 
 @dataclass
@@ -265,23 +270,15 @@ def write_signal_csv(signal: SignalMatrix, path) -> None:
 
 @dataclass
 class _Run:
-    """Bookkeeping for one run directory: lock, written files, timings."""
+    """Bookkeeping for one run: staging directory, names written, timings."""
 
-    out_dir: Path
-    files: list[Path] = field(default_factory=list)
+    staging: Path
+    files: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
 
     def path(self, name: str) -> Path:
-        p = self.out_dir / name
-        self.files.append(p)
-        return p
-
-    def cleanup(self) -> None:
-        for p in self.files:
-            try:
-                p.unlink(missing_ok=True)
-            except OSError:
-                pass
+        self.files.append(name)
+        return self.staging / name
 
 
 class _StageTimer:
@@ -332,63 +329,59 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
     ``until`` takes "fit" (stop after sparse mode selection), "embed"
     (also export covariates), or "forecast" (everything, including the
     with/without comparison and diagnostics). Any stage error aborts
-    with the stage name attached and partial outputs removed.
+    with the stage name attached. Files are staged and moved in, the
+    manifest last, only once every stage is done, so a failed run
+    leaves the directory as it found it.
     """
     if until not in ("fit", "embed", "forecast"):
         raise ConfigError(f"unknown pipeline target {until!r}")
     cfg.validate()
     out_dir = Path(cfg.output_dir)
     out_dir.mkdir(parents=True, exist_ok=True)
-    lock = out_dir / ".lock"
-    _acquire_lock(lock)
-    run = _Run(out_dir=out_dir)
+    lock = _lock(out_dir)
+    staging = out_dir / STAGING_DIR
     try:
-        result = _run_stages(cfg, run, until)
-    except Exception:
-        run.cleanup()
-        raise
+        # a killed run may have left one behind
+        shutil.rmtree(staging, ignore_errors=True)
+        staging.mkdir()
+        run = _Run(staging)
+        _write_manifest(cfg, run, _run_stages(cfg, run, until))
+        # in the order written, so the manifest comes last
+        for name in run.files:
+            os.replace(staging / name, out_dir / name)
     finally:
-        lock.unlink(missing_ok=True)
-    return result
+        shutil.rmtree(staging, ignore_errors=True)
+        # removed while still locked: a run that opened it will see it gone
+        (out_dir / ".lock").unlink(missing_ok=True)
+        os.close(lock)
+    return out_dir
 
 
-def _acquire_lock(lock: Path) -> None:
-    """Create the run lock holding this process's PID.
+def _lock(out_dir: Path) -> int:
+    """Take an exclusive flock on ``out_dir/.lock`` and return its descriptor.
 
-    A lock whose recorded PID is no longer alive is left over from a
-    killed run and is reclaimed; an empty or unreadable lock is not.
+    The kernel drops the flock when its holder exits, however it dies.
+    A held lock refuses the run, and so does a ``.lock`` that is no
+    longer the file locked: a run that just ended removed it.
     """
-    for _ in range(2):
-        try:
-            lock_fd = os.open(lock, os.O_CREAT | os.O_EXCL | os.O_WRONLY)
-        except FileExistsError:
-            if not _lock_is_stale(lock):
-                break
-            lock.unlink(missing_ok=True)
-            continue
-        with os.fdopen(lock_fd, "w") as fh:
-            fh.write(str(os.getpid()))
-        return
-    raise DataError(f"run directory {lock.parent} is locked by another process")
-
-
-def _lock_is_stale(lock: Path) -> bool:
+    path = out_dir / ".lock"
+    # opened for writing: NFS emulates an exclusive flock with a write lock
+    fd = os.open(path, os.O_RDWR | os.O_CREAT)
+    held = False
     try:
-        pid = int(lock.read_text(encoding="utf-8").strip())
-    except (OSError, ValueError):
-        return False
-    if pid <= 0:
-        return False
-    try:
-        os.kill(pid, 0)
-    except ProcessLookupError:
-        return True
-    except (OSError, OverflowError):
-        return False
-    return False
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        held = os.fstat(fd).st_ino == os.stat(path).st_ino
+    except (BlockingIOError, FileNotFoundError):
+        pass
+    finally:
+        if not held:
+            os.close(fd)
+    if not held:
+        raise DataError(f"run directory {out_dir} is locked by another process")
+    return fd
 
 
-def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
+def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
     resolved: dict = {}
 
     with _StageTimer(run, "ingest"):
@@ -440,8 +433,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         resolved["eigenvalues"] = [[float(z.real), float(z.imag)] for z in selected_eigs]
 
     if until == "fit":
-        _write_manifest(cfg, run, resolved)
-        return run.out_dir
+        return resolved
 
     with _StageTimer(run, "embedding"):
         reps = dec.representatives(sweep.selected.support)
@@ -450,8 +442,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         resolved["embedding_modes"] = int(reps.size)
 
     if until == "embed":
-        _write_manifest(cfg, run, resolved)
-        return run.out_dir
+        return resolved
 
     with _StageTimer(run, "forecast"):
         # no fit reads validation windows, so none are built
@@ -483,8 +474,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> Path:
         svg = svgplot.line_chart(curve.ranks, [("cep", curve.cep)], "cumulative eigenvalue percentage")
         svgplot.write_svg(svg, run.path("cep.svg"))
 
-    _write_manifest(cfg, run, resolved)
-    return run.out_dir
+    return resolved
 
 
 def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
@@ -493,6 +483,7 @@ def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
         "config": cfg.to_mapping(),
         "resolved": resolved,
         "stage_seconds": run.timings,
+        "files": sorted(run.files),
     }
     run.path("manifest.json").write_text(
         json.dumps(manifest, sort_keys=True, indent=2), encoding="utf-8"
@@ -512,7 +503,7 @@ def config_from_manifest(path) -> PipelineConfig:
 
 def _write_residual_diagnostics(
     residuals: np.ndarray,
-    column_ids: list[str],
+    column_ids: list[str] | None,
     lags,
     acf_max_lag: int,
     destination,
@@ -555,10 +546,12 @@ def _write_residual_diagnostics(
     max_lag = min(acf_max_lag, n_rows - 1)
     if max_lag >= 1:
         values = dg.acf(residuals[:, :, -1], max_lag)
-        dg.write_acf_csv(values, column_ids, destination(f"acf{tag}{split}.csv"))
+        # a missing or empty id is named by its column, in the CSV and the chart
+        names = [name or f"series_{i}" for i, name in enumerate(column_ids or [""] * len(values))]
+        dg.write_acf_csv(values, names, destination(f"acf{tag}{split}.csv"))
         svg = svgplot.line_chart(
             np.arange(max_lag + 1),
-            list(zip(column_ids, values[: len(svgplot.PALETTE)])),
+            list(zip(names, values[: len(svgplot.PALETTE)])),
             f"residual ACF{at_horizon}{caption}",
         )
         svgplot.write_svg(svg, destination(f"acf{tag}{split}.svg"))
@@ -579,8 +572,6 @@ def diagnose_residuals(
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
-    if column_ids is None:
-        column_ids = [f"series_{i}" for i in range(resid.shape[1])]
     _write_residual_diagnostics(
         resid[:, :, np.newaxis], column_ids, lags, acf_max_lag, lambda name: out_dir / name
     )

@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+_ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
 def _fmt(v: float) -> str:
@@ -45,7 +46,8 @@ def line_chart(
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">{title}</text>',
+        f'<text x="{width / 2}" y="20" text-anchor="middle" font-size="14">'
+        f'{title.translate(_ESCAPES)}</text>',
         f'<line x1="{margin}" y1="{height - margin}" x2="{width - margin}" '
         f'y2="{height - margin}" stroke="black"/>',
         f'<line x1="{margin}" y1="{margin}" x2="{margin}" y2="{height - margin}" stroke="black"/>',
@@ -70,7 +72,7 @@ def line_chart(
         parts.append(f'<polyline points="{pts}" fill="none" stroke="{color}" stroke-width="1.5"/>')
         parts.append(
             f'<text x="{width - margin}" y="{margin + 14 * (i + 1)}" text-anchor="end" '
-            f'font-size="11" fill="{color}">{label}</text>'
+            f'font-size="11" fill="{color}">{label.translate(_ESCAPES)}</text>'
         )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -125,7 +127,8 @@ def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 64) ->
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
-        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13">{title}</text>',
+        f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13">'
+        f'{title.translate(_ESCAPES)}</text>',
     ]
     # fmin/fmax ignore NaN, so NaN clamps to +1; rint rounds half to even
     v = np.fmax(-1.0, np.fmin(1.0, mat))

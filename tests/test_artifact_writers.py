@@ -141,7 +141,7 @@ def export_embedding_per_row(emb: TimeEmbedding, path) -> None:
 def write_acf_csv_per_row(values, node_ids, path) -> None:
     lags = np.arange(values.shape[1])
     with open(path, "w", encoding="utf-8") as fh:
-        fh.write("lag," + ",".join(name or f"series_{i}" for i, name in enumerate(node_ids)) + "\n")
+        fh.write("lag," + ",".join(node_ids) + "\n")
         for row, lag in enumerate(lags):
             cells = [str(int(lag))] + [f"{acf[row]:.17g}" for acf in values]
             fh.write(",".join(cells) + "\n")

@@ -91,9 +91,9 @@ def test_mode_phase_does_not_depend_on_the_eigensolver(monkeypatch):
     assert np.all(base.amplitudes.imag == 0.0) and np.all(base.amplitudes.real >= 0.0)
 
     def turned(matrix):
-        spectrum = linalg.dense_eig(matrix)
-        phases = np.exp(1j * np.linspace(0.4, 2.9, spectrum.eigenvalues.size))
-        return linalg.ComplexSpectrum(spectrum.eigenvalues, spectrum.eigenvectors * phases)
+        eigenvalues, eigenvectors = linalg.dense_eig(matrix)
+        phases = np.exp(1j * np.linspace(0.4, 2.9, eigenvalues.size))
+        return eigenvalues, eigenvectors * phases
 
     monkeypatch.setattr(dmd, "dense_eig", turned)
     moved = fit_dmd(view, FixedRank(4))

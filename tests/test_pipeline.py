@@ -1,10 +1,13 @@
 import argparse
 import csv
 import dataclasses
+import fcntl
 import json
 import os
 import subprocess
 import sys
+import xml.etree.ElementTree as ET
+from signal import SIGKILL
 
 import numpy as np
 import pytest
@@ -19,6 +22,7 @@ from dmdembed.forecaster import make_windows, split_boundaries, zscore_fit
 from dmdembed.hankel import SignalMatrix, impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
+    STAGING_DIR,
     PipelineConfig,
     _forecast_metrics,
     config_from_manifest,
@@ -130,6 +134,27 @@ def test_a_node_id_with_a_comma_keeps_every_table_rectangular(tmp_path):
         with open(table, encoding="utf-8", newline="") as fh:
             header, *rows = csv.reader(fh)
         assert rows and {len(row) for row in rows} == {len(header)}, table.name
+
+
+def test_node_ids_in_svg_text_are_escaped(tmp_path):
+    # each chart stays well-formed XML, and an empty id is labelled by
+    # its column, in the ACF chart as in the ACF table
+    sig = generate_synthetic(small_spec())
+    sig.node_ids[:3] = ["north & south", "", "<b>"]
+    path = tmp_path / "sig.csv"
+    write_signal_csv(sig, path)
+    out = run_pipeline(small_config(tmp_path, synthetic=None, input_csv=str(path)))
+    charts = sorted(out.glob("*.svg"))
+    assert out / "acf_with_test.svg" in charts
+    for chart in charts:
+        ET.parse(chart)
+    labels = ["north & south", "series_1", "<b>", sig.node_ids[3]]
+    for label in ("with", "without"):
+        root = ET.parse(out / f"acf_{label}_test.svg").getroot()
+        texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
+        assert texts[-len(labels):] == labels
+        with open(out / f"acf_{label}_test.csv", encoding="utf-8", newline="") as fh:
+            assert next(csv.reader(fh)) == ["lag", *labels]
 
 
 def test_load_csv_names_the_non_finite_cell(tmp_path):
@@ -509,12 +534,18 @@ def test_diagnose_residuals_skips_lag_with_one_aligned_row(tmp_path):
 
 
 def test_run_pipeline_lock(tmp_path):
+    # a second descriptor holding the flock refuses the run, which writes nothing
     cfg = small_config(tmp_path, seed=3)
     out_dir = tmp_path / "run3"
     out_dir.mkdir()
-    (out_dir / ".lock").touch()
-    with pytest.raises(DataError, match="locked"):
-        run_pipeline(cfg)
+    fd = os.open(out_dir / ".lock", os.O_RDWR | os.O_CREAT)
+    try:
+        fcntl.flock(fd, fcntl.LOCK_EX | fcntl.LOCK_NB)
+        with pytest.raises(DataError, match="locked by another process"):
+            run_pipeline(cfg)
+        assert sorted(p.name for p in out_dir.iterdir()) == [".lock"]
+    finally:
+        os.close(fd)
 
 
 def test_run_pipeline_reclaims_lock_of_dead_process(tmp_path):
@@ -529,13 +560,100 @@ def test_run_pipeline_reclaims_lock_of_dead_process(tmp_path):
     assert not (out / ".lock").exists()
 
 
-def test_run_pipeline_live_lock_holds(tmp_path):
+def test_run_pipeline_lock_naming_this_process_does_not_block(tmp_path):
+    # a killed run and its rerun may share a PID: a lock's content is not read
     cfg = small_config(tmp_path, seed=3)
     out_dir = tmp_path / "run3"
     out_dir.mkdir()
     (out_dir / ".lock").write_text(str(os.getpid()))
-    with pytest.raises(DataError, match="locked"):
-        run_pipeline(cfg)
+    out = run_pipeline(cfg, until="fit")
+    assert (out / "manifest.json").exists()
+    assert not (out / ".lock").exists()
+
+
+HOLD_LOCK = """
+import fcntl, os, sys, time
+fd = os.open(sys.argv[1], os.O_RDWR | os.O_CREAT)
+fcntl.flock(fd, fcntl.LOCK_EX)
+print("locked", flush=True)
+time.sleep(600)
+"""
+
+
+def test_run_pipeline_lock_of_killed_holder_is_released(tmp_path):
+    cfg = small_config(tmp_path, seed=3)
+    out_dir = tmp_path / "run3"
+    out_dir.mkdir()
+    holder = subprocess.Popen([sys.executable, "-c", HOLD_LOCK, str(out_dir / ".lock")],
+                              stdout=subprocess.PIPE, text=True)
+    try:
+        assert holder.stdout.readline().strip() == "locked"
+        with pytest.raises(DataError, match="locked by another process"):
+            run_pipeline(cfg, until="fit")
+    finally:
+        holder.kill()
+        holder.wait()
+        holder.stdout.close()
+    assert holder.returncode == -SIGKILL
+    out = run_pipeline(cfg, until="fit")
+    assert (out / "manifest.json").exists()
+    assert not (out / ".lock").exists()
+
+
+def test_run_pipeline_refuses_a_lock_replaced_before_its_flock(tmp_path, monkeypatch):
+    # a run that ends between this run's open and its flock removes the
+    # file this run opened; a new .lock may already stand in its place
+    cfg = small_config(tmp_path, seed=3)
+    out_dir = tmp_path / "run3"
+    out_dir.mkdir()
+    flock = fcntl.flock
+
+    def replaced_first(fd, operation):
+        (out_dir / ".lock").unlink()
+        (out_dir / ".lock").touch()
+        return flock(fd, operation)
+
+    monkeypatch.setattr(fcntl, "flock", replaced_first)
+    with pytest.raises(DataError, match="locked by another process"):
+        run_pipeline(cfg, until="fit")
+    assert sorted(p.name for p in out_dir.iterdir()) == [".lock"]
+
+
+def _directory_bytes(path):
+    return {p.name: p.read_bytes() for p in sorted(path.iterdir())}
+
+
+def test_failed_rerun_leaves_the_earlier_run_unchanged(tmp_path):
+    # Q=90 leaves no test window: the rerun fails after its fit stages
+    cfg = small_config(tmp_path, seed=3)
+    out = run_pipeline(cfg)
+    before = _directory_bytes(out)
+    with pytest.raises(DataError, match=r"\[stage forecast\]"):
+        run_pipeline(dataclasses.replace(cfg, q=90))
+    assert _directory_bytes(out) == before
+
+
+def test_leftover_staging_directory_is_removed_unread(tmp_path):
+    cfg = small_config(tmp_path, seed=3)
+    out_dir = tmp_path / "run3"
+    (out_dir / STAGING_DIR / "nested").mkdir(parents=True)
+    (out_dir / STAGING_DIR / "metrics_stale.json").write_text("{}")
+    (out_dir / STAGING_DIR / "nested" / "cep.csv").write_text("rank,cep\n")
+    out = run_pipeline(cfg, until="fit")
+    names = sorted(p.name for p in out.iterdir())
+    assert names == ["decomposition.json", "manifest.json", "modes.npy", "spdmd_path.csv"]
+
+
+def test_manifest_lists_the_files_of_its_own_run(tmp_path):
+    cfg = small_config(tmp_path, seed=3)
+    out = run_pipeline(cfg)
+    files = json.loads((out / "manifest.json").read_text())["files"]
+    assert files == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
+    run_pipeline(cfg, until="fit")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["files"] == ["decomposition.json", "modes.npy", "spdmd_path.csv"]
+    # a file of the earlier run stays, but is not the fit's
+    assert (out / "metrics_with.json").exists()
 
 
 def test_run_pipeline_stage_error_cleans_partial_outputs(tmp_path):
