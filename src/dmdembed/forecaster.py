@@ -277,31 +277,23 @@ class MetricsReport:
         return json.dumps(payload, sort_keys=True, indent=2)
 
 
-def evaluate(
-    predictions: np.ndarray,
-    targets: np.ndarray,
-    mask: np.ndarray | None = None,
-) -> MetricsReport:
-    """Masked MAE/RMSE of aligned (..., Q) arrays, such as (n_windows, Q)
-    rows or (anchors, nodes, Q) blocks, overall and at each of
-    ``HORIZONS`` up to Q.
+def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsReport:
+    """Masked MAE/RMSE of (..., Q) residuals, predictions minus targets,
+    such as (n_windows, Q) rows or (anchors, nodes, Q) blocks, overall
+    and at each of ``HORIZONS`` up to Q.
 
     Horizon k uses only the k-th output column; masked-out entries are
-    excluded everywhere and counted.
+    excluded everywhere and counted. ``residuals`` is only read.
     """
-    predictions = np.asarray(predictions, dtype=float)
-    targets = np.asarray(targets, dtype=float)
-    if predictions.shape != targets.shape:
-        raise DataError(f"shape mismatch: {predictions.shape} vs {targets.shape}")
+    residuals = np.asarray(residuals, dtype=float)
     if mask is None:
-        mask = np.ones(targets.shape, dtype=bool)
+        mask = np.ones(residuals.shape, dtype=bool)
     mask = np.asarray(mask, dtype=bool)
-    if mask.shape != targets.shape:
-        raise DataError(f"mask shape {mask.shape} does not match {targets.shape}")
+    if mask.shape != residuals.shape:
+        raise DataError(f"mask shape {mask.shape} does not match {residuals.shape}")
     if not mask.any():
         raise DataError("all entries masked; no metric can be computed")
-    err = predictions - targets
-    q = targets.shape[-1]
+    q = residuals.shape[-1]
 
     def pair(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
         kept = values[keep]  # a copy, which the absolute value and square overwrite
@@ -318,8 +310,8 @@ def evaluate(
             horizon_mae[h] = float("nan")
             horizon_rmse[h] = float("nan")
             continue
-        horizon_mae[h], horizon_rmse[h] = pair(err[..., h - 1], col_keep)
-    overall_mae, overall_rmse = pair(err, mask)
+        horizon_mae[h], horizon_rmse[h] = pair(residuals[..., h - 1], col_keep)
+    overall_mae, overall_rmse = pair(residuals, mask)
     return MetricsReport(
         horizon_mae=horizon_mae,
         horizon_rmse=horizon_rmse,

@@ -12,8 +12,11 @@ from __future__ import annotations
 
 import csv
 import fcntl
+import itertools
 import json
+import math
 import os
+import re
 import shutil
 import time
 import typing
@@ -197,59 +200,118 @@ def load_csv(path, step_seconds: float = 900.0) -> SignalMatrix:
     """Read a time-major CSV into node-major storage.
 
     First row: header with node ids (first cell names the step column).
-    Following rows: step label then one value per node; blank cells are
-    missing observations.
+    Following rows: step label then one value per node. A cell may be
+    quoted, and a blank (empty or whitespace-only) cell is a missing
+    observation; the step label is never parsed. Every value is the one
+    Python's ``float`` reads from the stripped cell.
+
+    The data rows stream through numpy's C reader, which writes each
+    value straight into the array, so no cell becomes a Python object.
     """
-    rows: list[list[str]] = []
     try:
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            rows = [row for row in csv.reader(fh)]
+            header = next(csv.reader(fh), None)
+            if header is None:
+                raise DataError(f"{path} is empty")
+            if len(header) < 2:
+                raise DataError(f"{path}: header must name at least one node column")
+            try:
+                by_step = _read_rows(fh, len(header) - 1)
+            except ValueError:
+                _raise_first_fault(path, header)
+                raise
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    if not rows:
-        raise DataError(f"{path} is empty")
-    header = rows[0]
-    if len(header) < 2:
-        raise DataError(f"{path}: header must name at least one node column")
-    node_ids = [h.strip() for h in header[1:]]
-    data_rows = rows[1:]
-    if len(data_rows) < 2:
-        raise DataError(f"{path}: need at least 2 time steps, got {len(data_rows)}")
-    n_nodes = len(node_ids)
-
-    def cell_at(k: int) -> str:
-        return f"{path}: row {k // n_nodes + 2}, column {header[k % n_nodes + 1]!r}"
-
-    # a ragged row is reported unless a bad number comes before it
-    ragged = next((t for t, row in enumerate(data_rows) if len(row) != n_nodes + 1), None)
-    cells = [cell.strip() for row in data_rows[:ragged] for cell in row[1:]]
-    observed = np.fromiter(map(bool, cells), dtype=bool, count=len(cells))
-    try:
-        # Python's float, so every value is bit for bit the one it parses
-        flat = np.fromiter(map(float, filter(None, cells)), dtype=float, count=int(observed.sum()))
-    except ValueError:
-        for k, cell in enumerate(cells):
-            try:
-                float(cell or 0)
-            except ValueError as exc:
-                raise DataError(f"{cell_at(k)}: non-numeric cell {cell!r}") from exc
-        raise
-    if ragged is not None:
-        raise DataError(
-            f"{path}: row {ragged + 2} has {len(data_rows[ragged])} cells, expected {n_nodes + 1}"
-        )
-    bad = np.flatnonzero(~np.isfinite(flat))
-    if bad.size:
-        k = int(np.flatnonzero(observed)[bad[0]])
-        raise DataError(f"{cell_at(k)}: non-finite cell {cells[k]!r}")
-    values = np.zeros(len(cells))
-    values[observed] = flat
+    values = np.ascontiguousarray(by_step.T)
+    del by_step
+    blank = np.isnan(values)
+    values[blank] = 0.0
     return SignalMatrix(
-        values=np.ascontiguousarray(values.reshape(-1, n_nodes).T),
-        mask=np.ascontiguousarray(observed.reshape(-1, n_nodes).T),
-        node_ids=node_ids,
+        values=values,
+        mask=np.logical_not(blank, out=blank),
+        node_ids=[h.strip() for h in header[1:]],
         step_seconds=step_seconds,
     )
+
+
+# A data line the C reader takes as written: a label with no comma or
+# quote, then plain number characters; group 1 holds the values.
+_PLAIN_LINE = re.compile(r'[^,"]*,([-+.0-9eE,]*)\r?\n?')
+# Written into each blank cell; no cell the reader accepts reads as NaN.
+_BLANK = "nan"
+
+
+def _read_rows(lines, n_nodes: int) -> np.ndarray:
+    """(T, N) values of the data rows that follow the header in
+    ``lines``, NaN where blank. Raises ValueError at the first row or
+    cell that the per-cell rule refuses, and when fewer than 2 rows."""
+    rows = _value_rows(lines, n_nodes)
+    head = list(itertools.islice(rows, 2))
+    if len(head) < 2:
+        raise ValueError("fewer than 2 data rows")
+    by_step = np.loadtxt(itertools.chain(head, rows), delimiter=",", comments=None, ndmin=2)
+    if np.isinf(by_step).any():
+        raise ValueError("non-finite cell")
+    return by_step
+
+
+def _value_rows(lines, n_nodes: int):
+    """Each data row's N values as one line for the C reader. A line of
+    the plain form goes as written, its blank cells filled; any other
+    row is parsed by ``csv`` and each cell rewritten by the per-cell
+    rule, ending the stream with a ValueError at a ragged row or a
+    non-numeric or non-finite cell."""
+    for line in lines:
+        plain = _PLAIN_LINE.fullmatch(line)
+        if plain and plain[1].count(",") == n_nodes - 1:
+            padded = f",{plain[1]},"
+            if ",," in padded:  # twice: one pass leaves every other blank of a run
+                padded = padded.replace(",,", f",{_BLANK},").replace(",,", f",{_BLANK},")
+            yield padded[1:-1]
+            continue
+        # a quoted cell may hold a line break, so csv reads on from here
+        row = next(csv.reader(itertools.chain([line], lines)))
+        if len(row) != n_nodes + 1:
+            raise ValueError("ragged row")
+        yield ",".join(map(_rewrite_cell, row[1:]))
+
+
+def _rewrite_cell(cell: str) -> str:
+    text = cell.strip()
+    if not text:
+        return _BLANK
+    value = float(text)
+    if not math.isfinite(value):
+        raise ValueError("non-finite cell")
+    return repr(value)  # the shortest text that reads back as the same float
+
+
+def _raise_first_fault(path, header: list[str]) -> None:
+    """Raise the DataError that names the first fault of the file's data
+    rows: fewer than 2 rows, then, row by row, a ragged row or a
+    non-numeric cell; a non-finite cell only when neither occurs."""
+    n_cells = len(header)
+    with open(path, "r", encoding="utf-8", newline="") as fh:
+        records = csv.reader(fh)
+        next(records)
+        rows = list(itertools.islice(records, 2))
+        if len(rows) < 2:
+            raise DataError(f"{path}: need at least 2 time steps, got {len(rows)}")
+        non_finite = None
+        for number, row in enumerate(itertools.chain(rows, records), start=2):
+            if len(row) != n_cells:
+                raise DataError(f"{path}: row {number} has {len(row)} cells, expected {n_cells}")
+            for name, cell in zip(header[1:], row[1:]):
+                text = cell.strip()
+                where = f"{path}: row {number}, column {name!r}"
+                try:
+                    value = float(text or 0)
+                except ValueError as exc:
+                    raise DataError(f"{where}: non-numeric cell {text!r}") from exc
+                if non_finite is None and not math.isfinite(value):
+                    non_finite = DataError(f"{where}: non-finite cell {text!r}")
+    if non_finite is not None:
+        raise non_finite
 
 
 def write_signal_csv(signal: SignalMatrix, path) -> None:
@@ -317,9 +379,8 @@ def _forecast_metrics(l2: float, labelled: dict, zscore) -> dict:
         # one (A, N, Q) block per label, taken to original units in place
         preds = predict(model, windows["test"]).reshape(targets.shape)
         zscore.inverse(preds, out=preds)
-        report = evaluate(preds, targets, mask)
         preds -= targets  # the predictions become the residuals in place
-        out[label] = report, preds
+        out[label] = evaluate(preds, mask), preds
     return out
 
 
@@ -331,7 +392,9 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
     with/without comparison and diagnostics). Any stage error aborts
     with the stage name attached. Files are staged and moved in, the
     manifest last, only once every stage is done, so a failed run
-    leaves the directory as it found it.
+    leaves the directory as it found it. A run that succeeds then
+    removes the files that the directory's previous manifest lists and
+    that it did not write; other files stay.
     """
     if until not in ("fit", "embed", "forecast"):
         raise ConfigError(f"unknown pipeline target {until!r}")
@@ -346,15 +409,30 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
         staging.mkdir()
         run = _Run(staging)
         _write_manifest(cfg, run, _run_stages(cfg, run, until))
+        earlier = _listed_files(out_dir / "manifest.json")
         # in the order written, so the manifest comes last
         for name in run.files:
             os.replace(staging / name, out_dir / name)
+        # then the earlier run's own files that this run did not replace
+        for name in earlier.difference(run.files):
+            if (out_dir / name).is_file():
+                (out_dir / name).unlink()
     finally:
         shutil.rmtree(staging, ignore_errors=True)
         # removed while still locked: a run that opened it will see it gone
         (out_dir / ".lock").unlink(missing_ok=True)
         os.close(lock)
     return out_dir
+
+
+def _listed_files(manifest: Path) -> set[str]:
+    """The plain file names a run's manifest lists as the run's own;
+    none when there is no readable manifest."""
+    try:
+        files = json.loads(manifest.read_text(encoding="utf-8"))["files"]
+        return {name for name in files if isinstance(name, str) and Path(name).name == name}
+    except (OSError, ValueError, KeyError, TypeError):
+        return set()
 
 
 def _lock(out_dir: Path) -> int:

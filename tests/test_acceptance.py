@@ -219,11 +219,11 @@ def test_a6_embedding_contracts():
 
 
 def test_a7_metric_exclusion_rule():
-    perfect = evaluate(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
+    perfect = evaluate(np.array([[1.0, 2.0]]) - np.array([[1.0, 2.0]]))
     assert perfect.overall_mae == 0.0 and perfect.overall_rmse == 0.0
-    off = evaluate(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
+    off = evaluate(np.array([[1.0, 1.0]]) - np.array([[0.0, 0.0]]))
     assert off.overall_mae == 1.0 and off.overall_rmse == 1.0
-    masked = evaluate(np.array([[0.0, 0.0]]), np.array([[0.0, 4.0]]),
+    masked = evaluate(np.array([[0.0, 0.0]]) - np.array([[0.0, 4.0]]),
                       mask=np.array([[True, False]]))
     assert masked.overall_mae == 0.0 and masked.overall_rmse == 0.0
     assert masked.excluded_count == 1

@@ -364,15 +364,14 @@ def test_predict_empty_windows():
 
 
 def test_evaluate_exact_examples():
-    perfect = evaluate(np.array([[1.0, 2.0]]), np.array([[1.0, 2.0]]))
+    perfect = evaluate(np.array([[1.0, 2.0]]) - np.array([[1.0, 2.0]]))
     assert perfect.overall_mae == 0.0 and perfect.overall_rmse == 0.0
 
-    off = evaluate(np.array([[1.0, 1.0]]), np.array([[0.0, 0.0]]))
+    off = evaluate(np.array([[1.0, 1.0]]) - np.array([[0.0, 0.0]]))
     assert off.overall_mae == 1.0 and off.overall_rmse == 1.0
 
     masked = evaluate(
-        np.array([[0.0, 0.0]]),
-        np.array([[0.0, 4.0]]),
+        np.array([[0.0, 0.0]]) - np.array([[0.0, 4.0]]),
         mask=np.array([[True, False]]),
     )
     assert masked.overall_mae == 0.0
@@ -385,7 +384,7 @@ def test_evaluate_horizon_isolation():
     preds = np.zeros((5, q))
     targets = np.zeros((5, q))
     targets[:, 2] = 2.0
-    report = evaluate(preds, targets)
+    report = evaluate(preds - targets)
     assert report.horizon_mae[3] == 2.0
     assert report.horizon_mae[6] == 0.0
     assert report.horizon_mae[12] == 0.0
@@ -396,14 +395,14 @@ def test_evaluate_rmse_dominates_mae():
     rng = np.random.default_rng(3)
     preds = rng.normal(size=(20, 12))
     targets = rng.normal(size=(20, 12))
-    report = evaluate(preds, targets)
+    report = evaluate(preds - targets)
     for h in report.horizon_mae:
         assert report.horizon_rmse[h] >= report.horizon_mae[h]
     assert report.overall_rmse >= report.overall_mae
 
 
 def test_evaluate_peak_memory_is_about_two_blocks():
-    # the error block and the copy of its kept entries, whose absolute
+    # the residual block and the copy of its kept entries, whose absolute
     # value and square are taken in place: 1.95 blocks, where a new array
     # for each took 2.90
     rng = np.random.default_rng(0)
@@ -412,7 +411,7 @@ def test_evaluate_peak_memory_is_about_two_blocks():
     mask = rng.random(shape) > 0.05
     tracemalloc.start()
     try:
-        evaluate(preds, targets, mask)
+        evaluate(preds - targets, mask)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
@@ -421,12 +420,12 @@ def test_evaluate_peak_memory_is_about_two_blocks():
 
 def test_evaluate_all_masked_raises():
     with pytest.raises(DataError):
-        evaluate(np.zeros((1, 2)), np.zeros((1, 2)), mask=np.zeros((1, 2), bool))
+        evaluate(np.zeros((1, 2)) - np.zeros((1, 2)), mask=np.zeros((1, 2), bool))
 
 
 def test_metrics_json_keys():
     import json
-    report = evaluate(np.zeros((2, 12)), np.ones((2, 12)))
+    report = evaluate(np.zeros((2, 12)) - np.ones((2, 12)))
     payload = json.loads(report.to_json())
     assert set(payload["horizons"]) == {"3", "6", "12"}
     assert payload["excluded_count"] == 0

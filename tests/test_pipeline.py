@@ -6,6 +6,8 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
+import warnings
 import xml.etree.ElementTree as ET
 from signal import SIGKILL
 
@@ -90,10 +92,15 @@ def test_load_csv_wide_station_file(tmp_path):
 
 
 def test_load_csv_errors(tmp_path):
-    header_only = tmp_path / "h.csv"
-    header_only.write_text("step,a\n")
-    with pytest.raises(DataError):
-        load_csv(header_only)
+    # too few rows is found before numpy reads any: no warning of empty input
+    short = tmp_path / "h.csv"
+    for text, count in (("step,a\n", 0), ("step,a\n0,1\n", 1), ("step,a\n0,1,2\n", 1)):
+        short.write_text(text)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error")
+            with pytest.raises(DataError) as got:
+                load_csv(short)
+        assert str(got.value) == f"{short}: need at least 2 time steps, got {count}"
 
     ragged = tmp_path / "r.csv"
     ragged.write_text("step,a,b\n0,1,2\n1,3\n")
@@ -167,6 +174,26 @@ def test_load_csv_names_the_non_finite_cell(tmp_path):
     assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 3
 
 
+def test_load_csv_memory_is_bounded(tmp_path):
+    # no cell becomes a Python object: 16 x 20,000 values with 5% blank
+    # cells peak at about twice the arrays returned, where a str per cell
+    # took 14 times
+    rng = np.random.default_rng(0)
+    shape = (16, 20_000)
+    signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
+                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+    path = tmp_path / "long.csv"
+    write_signal_csv(signal, path)
+    tracemalloc.start()
+    try:
+        back = load_csv(path)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert np.array_equal(back.mask, signal.mask)
+    assert peak <= 4 * (back.values.nbytes + back.mask.nbytes)
+
+
 def load_csv_per_cell(path):
     """The per-cell parse behind load_csv: (values, mask, node_ids), or
     the DataError that load_csv raises."""
@@ -202,7 +229,7 @@ number_text = st.floats(allow_nan=False, allow_infinity=False).flatmap(
 )
 good_cell = st.one_of(
     number_text,
-    st.sampled_from(["", "   ", "-0", "1e3", ".5", "7.", "1_000"]),
+    st.sampled_from(["", "   ", '""', "-0", "1e3", ".5", "7.", "1_000"]),
     number_text.map(lambda text: f"  {text} "),
     number_text.map(lambda text: f'"{text}"'),
     number_text.map(lambda text: f'" {text}"'),
@@ -224,12 +251,26 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, data):
     for _ in range(data.draw(st.integers(0, 2))):
         t, i = data.draw(st.integers(0, n_steps - 1)), data.draw(st.integers(0, n_nodes - 1))
         grid[t][i] = data.draw(bad_cell)
-    rows = [[str(t)] + row for t, row in enumerate(grid)]
-    if data.draw(st.integers(0, 3)) == 0:
-        t = data.draw(st.integers(0, n_steps - 1))
+    # the step label is never parsed: a count or an ISO timestamp
+    iso = data.draw(st.booleans())
+    rows = [[f"2024-03-{1 + t // 24:02d}T{t % 24:02d}:15:00" if iso else str(t)] + row
+            for t, row in enumerate(grid)]
+    shape_fault = data.draw(st.sampled_from(
+        ["none", "none", "none", "one row", "first row long", "every row long", "blank line"]))
+    t = data.draw(st.integers(0, n_steps - 1))
+    if shape_fault == "one row":
         rows[t] = rows[t][:-1] if data.draw(st.booleans()) else rows[t] + ["1"]
+    elif shape_fault == "first row long":
+        rows[0] = rows[0] + ["1"]
+    elif shape_fault == "every row long":
+        rows = [row + ["1"] for row in rows]
+    elif shape_fault == "blank line":
+        rows.insert(t, [])
+    end = data.draw(st.sampled_from(["\n", "\r\n"]))
+    text = end.join(",".join(row) for row in [header] + rows)
     path = tmp_path_factory.mktemp("grid") / "grid.csv"
-    path.write_text("".join(",".join(row) + "\n" for row in [header] + rows), encoding="utf-8")
+    # the last row may end the file without a line break
+    path.write_bytes((text + end * data.draw(st.booleans())).encode("utf-8"))
     try:
         values, mask, node_ids = load_csv_per_cell(path)
     except DataError as exc:
@@ -652,8 +693,30 @@ def test_manifest_lists_the_files_of_its_own_run(tmp_path):
     run_pipeline(cfg, until="fit")
     manifest = json.loads((out / "manifest.json").read_text())
     assert manifest["files"] == ["decomposition.json", "modes.npy", "spdmd_path.csv"]
-    # a file of the earlier run stays, but is not the fit's
-    assert (out / "metrics_with.json").exists()
+    # the earlier run's files that the fit does not write are gone
+    assert not (out / "metrics_with.json").exists()
+    assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["files"]])
+
+
+def test_a_run_removes_only_the_files_the_earlier_manifest_lists(tmp_path):
+    cfg = small_config(tmp_path, seed=3)
+    out = run_pipeline(cfg)
+    forecast_files = json.loads((out / "manifest.json").read_text())["files"]
+    # not the earlier run's: a file of the user and one an older run left unlisted
+    (out / "notes.txt").write_text("kept")
+    (out / "metrics_old.json").write_text("{}")
+    # a failed fit leaves every file where it was
+    before = _directory_bytes(out)
+    with pytest.raises(ConfigError, match=r"\[stage hankel\]"):
+        run_pipeline(dataclasses.replace(cfg, tau=10_000), until="fit")
+    assert _directory_bytes(out) == before
+    # a fit that succeeds removes the forecast's files it does not write
+    run_pipeline(cfg, until="fit")
+    fit_files = json.loads((out / "manifest.json").read_text())["files"]
+    assert set(fit_files) < set(forecast_files)
+    assert sorted(p.name for p in out.iterdir()) == sorted(
+        ["manifest.json", "metrics_old.json", "notes.txt", *fit_files])
+    assert (out / "notes.txt").read_text() == "kept"
 
 
 def test_run_pipeline_stage_error_cleans_partial_outputs(tmp_path):
