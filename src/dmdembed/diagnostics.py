@@ -17,15 +17,20 @@ import numpy as np
 from .errors import DataError
 
 
+# blocks per side of a pooled |correlation| matrix
+POOL_DIM = 64
+
+
 @dataclass(frozen=True)
 class ResidualCorrSummary:
     """Mean absolute Pearson correlation between residual vectors at lag S.
 
-    ``matrix`` is None in a summary that keeps only the scalars."""
+    ``pooled`` is the |correlation| matrix in at most POOL_DIM blocks per
+    side, each block its largest entry."""
 
     lag: int
     mean_abs_corr: float
-    matrix: np.ndarray | None
+    pooled: np.ndarray
     excluded_columns: int
 
 
@@ -76,14 +81,17 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     """Correlation between residual vectors at times t and t - lag.
 
     ``residuals`` is (time, d) with d the flattened space-horizon
-    dimension. Entry (i, j) of the matrix is the Pearson correlation of
-    column i at time t with column j at time t - lag, over the aligned
-    range. Zero-variance columns are excluded and counted. A negative
-    lag returns the transpose relation.
+    dimension. Entry (i, j) of the |correlation| matrix is the absolute
+    Pearson correlation of column i at time t with column j at time
+    t - lag, over the aligned range, capped at 1. Zero-variance columns
+    are excluded from the mean and counted. The matrix is pooled to at
+    most POOL_DIM blocks per side, each block its largest entry. A
+    negative lag returns the transpose relation.
 
     Each lag's lead rows ``[lag, n)`` and trail rows ``[0, n - lag)``
     are standardized apart, in two passes; at lag 0 they are one block.
-    The product of the two is then divided and clipped in place.
+    The product of the two is then divided, made absolute and capped in
+    place.
     """
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
@@ -93,7 +101,7 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
         return ResidualCorrSummary(
             lag=lag,
             mean_abs_corr=flipped.mean_abs_corr,
-            matrix=flipped.matrix.T,
+            pooled=flipped.pooled.T,
             excluded_columns=flipped.excluded_columns,
         )
     n = resid.shape[0]
@@ -111,12 +119,15 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
         raise DataError("every residual column has zero variance")
     corr = lead.T @ trail
     corr /= n - lag
-    np.clip(corr, -1.0, 1.0, out=corr)
+    np.abs(corr, out=corr)
+    np.minimum(corr, 1.0, out=corr)
     kept = corr if keep.all() else corr[np.ix_(keep, keep)]
+    # the blocks of each side start every ceil(side / POOL_DIM) entries
+    starts = [np.arange(0, side, -(-side // POOL_DIM)) for side in corr.shape]
     return ResidualCorrSummary(
         lag=lag,
-        mean_abs_corr=float(np.mean(np.abs(kept))),
-        matrix=corr,
+        mean_abs_corr=float(np.mean(kept)),
+        pooled=np.maximum.reduceat(np.maximum.reduceat(corr, starts[0], axis=0), starts[1], axis=1),
         excluded_columns=excluded,
     )
 

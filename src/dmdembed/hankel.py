@@ -57,7 +57,7 @@ class SignalMatrix:
             raise DataError(f"{len(self.node_ids)} node ids for {n} nodes")
         if self.step_seconds <= 0:
             raise DataError(f"step_seconds must be positive, got {self.step_seconds}")
-        if not np.all(np.isfinite(self.values[self.mask])):
+        if not np.all(np.isfinite(self.values), where=self.mask):
             raise DataError("observed values must be finite")
 
     @classmethod

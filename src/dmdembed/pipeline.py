@@ -464,7 +464,8 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
 
     with _StageTimer(run, "ingest"):
         signal = _ingest(cfg)
-        original_mask = signal.mask.copy()
+        # nothing writes a signal's mask, and imputing never changes its input
+        original_mask = signal.mask
         resolved["n_nodes"] = signal.n_nodes
         resolved["n_steps"] = signal.n_steps
 
@@ -542,10 +543,12 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
 
     with _StageTimer(run, "diagnostics"):
+        # the labels share their test rows, so they skip the same lags
         for label, (_, resid) in forecasts.items():
-            resolved["skipped_lags"], resolved["acf_lag_reached"] = _write_residual_diagnostics(
+            skipped, reached = _write_residual_diagnostics(
                 resid, list(signal.node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
             )
+        resolved["skipped_lags"], resolved["acf_lag_reached"] = skipped, reached
         solve = dec.spectrum_solve
         curve = dg.cep_curve(dec.singular_values, solve.total_energy, solve.order)
         dg.write_cep_csv(curve, run.path("cep.csv"))
@@ -612,11 +615,7 @@ def _write_residual_diagnostics(
             skipped.append(lag)
             continue
         summary = dg.residual_correlation(flat, lag)
-        svg = svgplot.heatmap(
-            np.abs(summary.matrix, out=summary.matrix), f"|residual correlation| lag {lag}{caption}"
-        )
-        # the CSV reads only the scalars: no matrix outlives its heatmap
-        summary = replace(summary, matrix=None)
+        svg = svgplot.heatmap(summary.pooled, f"|residual correlation| lag {lag}{caption}")
         summaries.append(summary)
         svgplot.write_svg(svg, destination(f"residual_corr{tag}_lag{lag:03d}{split}.svg"))
     dg.write_residual_corr_csv(summaries, destination(f"residual_corr{tag}{split}.csv"))

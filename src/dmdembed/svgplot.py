@@ -9,6 +9,8 @@ from __future__ import annotations
 import numpy as np
 
 PALETTE = ["#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b"]
+# side of one heatmap cell
+_CELL = 4
 _ESCAPES = str.maketrans({"&": "&amp;", "<": "&lt;", ">": "&gt;"})
 
 
@@ -16,15 +18,10 @@ def _fmt(v: float) -> str:
     return f"{v:.2f}"
 
 
-def line_chart(
-    x: np.ndarray,
-    series: list[tuple[str, np.ndarray]],
-    title: str,
-    width: int = 640,
-    height: int = 360,
-) -> str:
+def line_chart(x: np.ndarray, series: list[tuple[str, np.ndarray]], title: str) -> str:
     """Polyline chart of one or more named series over a shared x axis."""
     x = np.asarray(x, dtype=float)
+    width, height = 640, 360
     margin = 50
     plot_w = width - 2 * margin
     plot_h = height - 2 * margin
@@ -78,66 +75,30 @@ def line_chart(
     return "\n".join(parts)
 
 
-# Diverging fills, -1 -> blue, 0 -> white, +1 -> red, each closing its
-# <rect>: entry k is the level-k red side (v >= 0, level 255 * (1 - v)),
-# entry 256 + k the level-k blue side (v < 0, level 255 * (1 + v)).
-_FILLS = np.array(
-    [f'rgb(255,{k},{k})"/>' for k in range(256)] + [f'rgb({k},{k},255)"/>' for k in range(256)],
-    dtype=object,
-)
+# White to red, each closing its <rect>: entry k is level k, the fill of
+# a value v at level 255 * (1 - v).
+_FILLS = np.array([f'rgb(255,{k},{k})"/>' for k in range(256)], dtype=object)
 
 
-def _magnitude(values: np.ndarray) -> np.ndarray:
-    """|values|, with NaN ranked above every number as +inf."""
-    out = np.abs(values)
-    out[np.isnan(values)] = np.inf
-    return out
-
-
-def heatmap(matrix: np.ndarray, title: str, cell: int = 4, max_dim: int = 64) -> str:
-    """Diverging heatmap of a matrix with entries in [-1, 1].
-
-    Large matrices are pooled to at most max_dim blocks per side, each
-    drawn as its entry of largest magnitude: NaN outranks every number,
-    and ties go to the first entry in row-major order. Values beyond
-    [-1, 1] take the end colours, and NaN is full red.
-    """
+def heatmap(matrix: np.ndarray, title: str) -> str:
+    """Heatmap of a matrix with entries in [0, 1], one cell per entry:
+    0 is white and 1 full red."""
     mat = np.asarray(matrix, dtype=float)
-    size_r = max(1, -(-mat.shape[0] // max_dim))
-    size_c = max(1, -(-mat.shape[1] // max_dim))
-    # offset (0, 0) of every block first, then each later offset in
-    # row-major order: a strided view holds that offset of every block
-    # that has it, and an entry replaces the block's best only if it is
-    # strictly larger, so ties keep the first
-    pooled = mat[::size_r, ::size_c].copy()
-    rows, cols = pooled.shape
-    best = _magnitude(pooled)
-    for offset in range(1, size_r * size_c):
-        di, dj = divmod(offset, size_c)
-        entries = mat[di::size_r, dj::size_c]
-        r, c = entries.shape
-        magnitude = _magnitude(entries)
-        larger = magnitude > best[:r, :c]
-        pooled[:r, :c][larger] = entries[larger]
-        best[:r, :c][larger] = magnitude[larger]
-    mat = pooled
+    rows, cols = mat.shape
     margin = 30
-    width = cols * cell + 2 * margin
-    height = rows * cell + 2 * margin
+    width = cols * _CELL + 2 * margin
+    height = rows * _CELL + 2 * margin
     parts = [
         f'<svg xmlns="http://www.w3.org/2000/svg" width="{width}" height="{height}">',
         f'<rect width="{width}" height="{height}" fill="white"/>',
         f'<text x="{width / 2}" y="18" text-anchor="middle" font-size="13">'
         f'{title.translate(_ESCAPES)}</text>',
     ]
-    # fmin/fmax ignore NaN, so NaN clamps to +1; rint rounds half to even
-    v = np.fmax(-1.0, np.fmin(1.0, mat))
-    negative = v < 0
-    level = np.rint(255 * np.where(negative, 1 + v, 1 - v)).astype(np.intp)
-    fills = _FILLS[level + 256 * negative]
-    x = np.array([f'<rect x="{margin + j * cell}" y="' for j in range(cols)], dtype=object)
+    # rint rounds half to even
+    fills = _FILLS[np.rint(255 * (1 - mat)).astype(np.intp)]
+    x = np.array([f'<rect x="{margin + j * _CELL}" y="' for j in range(cols)], dtype=object)
     y = np.array(
-        [f'{margin + i * cell}" width="{cell}" height="{cell}" fill="' for i in range(rows)],
+        [f'{margin + i * _CELL}" width="{_CELL}" height="{_CELL}" fill="' for i in range(rows)],
         dtype=object,
     )
     parts += (x + y[:, None] + fills).ravel().tolist()

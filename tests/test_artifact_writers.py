@@ -20,37 +20,15 @@ from dmdembed.svgplot import PALETTE, heatmap, line_chart
 # ---------------------------------------------------------------- references
 
 
-def _diverging_color(v: float) -> str:
-    # -1 -> blue, 0 -> white, +1 -> red
-    v = max(-1.0, min(1.0, v))
-    if v >= 0:
-        g = b = int(round(255 * (1 - v)))
-        return f"rgb(255,{g},{b})"
-    r = g = int(round(255 * (1 + v)))
-    return f"rgb({r},{g},255)"
+def _red_scale(v: float) -> str:
+    # 0 -> white, 1 -> red
+    g = b = int(round(255 * (1 - v)))
+    return f"rgb(255,{g},{b})"
 
 
-def _largest_magnitude(block):
-    # NaN outranks every number; the first entry wins ties
-    def rank(v):
-        return np.inf if np.isnan(v) else abs(v)
-
-    best = block[0]
-    for v in block[1:]:
-        if rank(v) > rank(best):
-            best = v
-    return best
-
-
-def heatmap_per_cell(matrix, title, cell=4, max_dim=64):
+def heatmap_per_cell(matrix, title):
     mat = np.asarray(matrix, dtype=float)
-    size_r = max(1, -(-mat.shape[0] // max_dim))
-    size_c = max(1, -(-mat.shape[1] // max_dim))
-    mat = np.array([
-        [_largest_magnitude(mat[i : i + size_r, j : j + size_c].ravel())
-         for j in range(0, mat.shape[1], size_c)]
-        for i in range(0, mat.shape[0], size_r)
-    ])
+    cell = 4
     rows, cols = mat.shape
     margin = 30
     width = cols * cell + 2 * margin
@@ -64,7 +42,7 @@ def heatmap_per_cell(matrix, title, cell=4, max_dim=64):
         for j in range(cols):
             parts.append(
                 f'<rect x="{margin + j * cell}" y="{margin + i * cell}" width="{cell}" '
-                f'height="{cell}" fill="{_diverging_color(mat[i, j])}"/>'
+                f'height="{cell}" fill="{_red_scale(mat[i, j])}"/>'
             )
     parts.append("</svg>")
     return "\n".join(parts)
@@ -149,14 +127,20 @@ def write_acf_csv_per_row(values, node_ids, path) -> None:
 
 # ---------------------------------------------------------------- inputs
 
-# Exact half-steps of the 255-level colour scale, and values on and beyond
-# its ends.
+# Multiples of 1/510, and values on and beyond the ends of [-1, 1].
 half_steps = st.integers(-600, 600).map(lambda k: k / 510)
 specials = st.sampled_from(
     [0.0, -0.0, 1.0, -1.0, 1.5, -1.5, np.inf, -np.inf, np.nan, 5e-324, -5e-324, 1e300, -1e300]
 )
 any_float = st.floats(allow_nan=True, allow_infinity=True)
 cell_values = st.one_of(half_steps, specials, st.floats(-1.2, 1.2), any_float)
+# What a heatmap draws, |correlation| in [0, 1]: exact half-steps of the
+# 255-level colour scale among them.
+corr_values = st.one_of(
+    st.integers(0, 510).map(lambda k: k / 510),
+    st.sampled_from([0.0, 1.0, 5e-324, 1.0 - 2**-53]),
+    st.floats(0.0, 1.0),
+)
 
 
 def _bytes_of(write, obj, path) -> bytes:
@@ -168,62 +152,19 @@ def _bytes_of(write, obj, path) -> bytes:
 
 
 @settings(max_examples=150, deadline=None)
-@given(
-    max_dim=st.integers(1, 8),
-    data=st.data(),
-)
-def test_heatmap_matches_per_cell_reference(max_dim, data):
-    # Shapes run past max_dim on either side, so the pooling path runs.
-    shape = data.draw(st.tuples(st.integers(1, 3 * max_dim + 2), st.integers(1, 3 * max_dim + 2)))
-    matrix = data.draw(arrays(float, shape, elements=cell_values))
-    cell = data.draw(st.integers(1, 5))
-    assert heatmap(matrix, "t", cell, max_dim) == heatmap_per_cell(matrix, "t", cell, max_dim)
+@given(data=st.data())
+def test_heatmap_matches_per_cell_reference(data):
+    shape = data.draw(st.tuples(st.integers(1, 20), st.integers(1, 20)))
+    matrix = data.draw(arrays(float, shape, elements=corr_values))
+    assert heatmap(matrix, "t") == heatmap_per_cell(matrix, "t")
 
 
 def test_heatmap_matches_reference_at_default_size():
-    # 576 columns, as in a 48-node residual correlation: pooled in blocks
-    # of 9 to 64 columns, and the 170 rows in blocks of 3 to 57.
+    # 64 x 64, the most blocks a pooled residual correlation has
     rng = np.random.default_rng(0)
-    matrix = rng.uniform(-1.2, 1.2, size=(576, 170))
-    matrix[0, :6] = [np.nan, np.inf, -np.inf, -0.0, 0.5 / 255, -1.5 / 255]
+    matrix = rng.uniform(0.0, 1.0, size=(64, 64))
+    matrix[0, :5] = [0.0, 1.0, 0.5 / 255, 1.5 / 255, 5e-324]
     assert heatmap(matrix, "corr") == heatmap_per_cell(matrix, "corr")
-
-
-def argmax_pooled(matrix, max_dim):
-    """Pooling by one argmax over zero-padded blocks of |entry|, NaN
-    ranked as +inf: each block's entry of largest magnitude, the first
-    in row-major order on ties."""
-    mat = np.asarray(matrix, dtype=float)
-    size_r = max(1, -(-mat.shape[0] // max_dim))
-    size_c = max(1, -(-mat.shape[1] // max_dim))
-    rows, cols = -(-mat.shape[0] // size_r), -(-mat.shape[1] // size_c)
-    padded = np.zeros((rows * size_r, cols * size_c))
-    padded[: mat.shape[0], : mat.shape[1]] = mat
-    blocks = padded.reshape(rows, size_r, cols, size_c).swapaxes(1, 2)
-    blocks = blocks.reshape(rows, cols, size_r * size_c)
-    largest = np.argmax(np.where(np.isnan(blocks), np.inf, np.abs(blocks)), axis=2)
-    return np.take_along_axis(blocks, largest[:, :, np.newaxis], axis=2)[:, :, 0]
-
-
-# equal magnitudes of either sign, so blocks tie
-tied_values = st.sampled_from([0.0, -0.0, 0.5, -0.5, 1.0, -1.0, np.inf, -np.inf, np.nan])
-
-
-@settings(max_examples=150, deadline=None)
-@given(max_dim=st.integers(1, 8), data=st.data())
-def test_heatmap_pooling_matches_argmax_pooling(max_dim, data):
-    # shapes that do not divide into whole blocks, NaN and ties of +/- entries
-    shape = data.draw(st.tuples(st.integers(1, 3 * max_dim + 2), st.integers(1, 3 * max_dim + 2)))
-    elements = data.draw(st.sampled_from([tied_values, cell_values]), label="values")
-    matrix = data.draw(arrays(float, shape, elements=elements))
-    pooled = argmax_pooled(matrix, max_dim)
-    # the pooled matrix fits in max_dim blocks, so the heatmap draws it as is
-    assert heatmap(matrix, "t", 3, max_dim) == heatmap(pooled, "t", 3, max_dim)
-
-
-def test_heatmap_nan_is_full_red():
-    svg = heatmap(np.array([[np.nan, -np.nan]]), "nan")
-    assert svg.count('fill="rgb(255,0,0)"') == 2
 
 
 # ---------------------------------------------------------------- line chart

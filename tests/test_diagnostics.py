@@ -4,7 +4,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.diagnostics import acf, cep_curve, residual_correlation
+from dmdembed.diagnostics import POOL_DIM, acf, cep_curve, residual_correlation
 from dmdembed.errors import DataError
 
 
@@ -110,6 +110,17 @@ def test_acf_block_errors():
         acf(constant, max_lag=5)
 
 
+def pooled_reference(corr):
+    """Each block's largest |entry|, in blocks of ceil(side / POOL_DIM)
+    rows and columns; the last block of a side may be short."""
+    size_r, size_c = (-(-side // POOL_DIM) for side in corr.shape)
+    magnitude = np.abs(corr)
+    return np.array([
+        [magnitude[i : i + size_r, j : j + size_c].max() for j in range(0, corr.shape[1], size_c)]
+        for i in range(0, corr.shape[0], size_r)
+    ])
+
+
 def residual_correlation_lag_zero_reference(resid):
     """Lag 0 with the lead and trail blocks standardized apart."""
     def standardize(block):
@@ -128,7 +139,9 @@ def residual_correlation_lag_zero_reference(resid):
     return corr, float(np.mean(np.abs(corr[np.ix_(keep, keep)]))), int((~keep).sum())
 
 
-@given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 80), st.data())
+# past 2 * POOL_DIM columns, so blocks of up to 4 columns pool, the last
+# of them often short
+@given(st.integers(0, 2**32 - 1), st.integers(2, 200), st.integers(1, 200), st.data())
 @settings(max_examples=60, deadline=None)
 def test_residual_correlation_lag_zero_matches_two_standardizations(seed, n_rows, n_columns, data):
     rng = np.random.default_rng(seed)
@@ -140,8 +153,8 @@ def test_residual_correlation_lag_zero_matches_two_standardizations(seed, n_rows
         resid[:, 0] = rng.normal(size=n_rows)
     corr, mean_abs, excluded = residual_correlation_lag_zero_reference(resid)
     summary = residual_correlation(resid, lag=0)
-    assert np.array_equal(summary.matrix, summary.matrix.T)
-    assert np.max(np.abs(summary.matrix - corr)) <= 1e-13
+    assert np.array_equal(summary.pooled, summary.pooled.T)
+    assert np.max(np.abs(summary.pooled - pooled_reference(corr))) <= 1e-13
     assert abs(summary.mean_abs_corr - mean_abs) <= 1e-13
     assert summary.excluded_columns == excluded
 
@@ -209,17 +222,19 @@ def test_residual_correlation_matches_per_lag_standardization(seed, n_rows, n_co
     summary = residual_correlation(resid, lag)
     assert summary.lag == lag
     assert summary.excluded_columns == excluded
-    assert np.max(np.abs(summary.matrix - corr)) <= 1e-12
+    assert np.max(np.abs(summary.pooled - pooled_reference(corr))) <= 1e-12
     assert abs(summary.mean_abs_corr - mean_abs) <= 1e-12
     if lag == 0:
-        assert np.array_equal(summary.matrix, summary.matrix.T)
+        assert np.array_equal(summary.pooled, summary.pooled.T)
 
 
 def test_residual_correlation_lag_zero():
     rng = np.random.default_rng(0)
     resid = rng.normal(size=(200, 4))
     summary = residual_correlation(resid, lag=0)
-    assert_allclose(np.diag(summary.matrix), np.ones(4), atol=1e-12)
+    # four columns pool in blocks of one: the |correlation| matrix itself
+    assert summary.pooled.shape == (4, 4)
+    assert_allclose(np.diag(summary.pooled), np.ones(4), atol=1e-12)
     single = residual_correlation(rng.normal(size=(100, 1)), lag=0)
     assert single.mean_abs_corr == pytest.approx(1.0)
 
@@ -243,11 +258,25 @@ def test_residual_correlation_detects_planted_period():
 
 def test_residual_correlation_transpose_at_negative_lag():
     rng = np.random.default_rng(3)
-    resid = rng.normal(size=(300, 3))
-    fwd = residual_correlation(resid, lag=7)
-    bwd = residual_correlation(resid, lag=-7)
-    assert_allclose(bwd.matrix, fwd.matrix.T, atol=1e-12)
-    assert bwd.mean_abs_corr == pytest.approx(fwd.mean_abs_corr)
+    for n_columns in (3, 130):
+        resid = rng.normal(size=(300, n_columns))
+        fwd = residual_correlation(resid, lag=7)
+        bwd = residual_correlation(resid, lag=-7)
+        assert np.array_equal(bwd.pooled, fwd.pooled.T)
+        assert bwd.mean_abs_corr == fwd.mean_abs_corr
+
+
+def test_residual_correlation_pools_ragged_blocks():
+    # 130 columns pool in blocks of 3: 43 whole blocks and one of a
+    # single column
+    rng = np.random.default_rng(4)
+    resid = rng.normal(size=(400, 130)) @ rng.normal(size=(130, 130))
+    for lag in (0, 5):
+        corr, _, _ = residual_correlation_reference(resid, lag)
+        pooled = residual_correlation(resid, lag).pooled
+        assert pooled.shape == (44, 44)
+        assert np.max(np.abs(pooled - pooled_reference(corr))) <= 1e-12
+        assert pooled.min() >= 0.0 and pooled.max() <= 1.0
 
 
 def test_residual_correlation_excludes_constant_columns():
@@ -256,7 +285,9 @@ def test_residual_correlation_excludes_constant_columns():
     resid[:, 1] = 4.2
     summary = residual_correlation(resid, lag=2)
     assert summary.excluded_columns == 1
-    assert summary.matrix.shape == (3, 3)
+    assert summary.pooled.shape == (3, 3)
+    # the excluded column correlates with nothing
+    assert not summary.pooled[1].any() and not summary.pooled[:, 1].any()
 
 
 def test_residual_correlation_errors():
@@ -333,5 +364,8 @@ def test_svg_renderers():
     svg = line_chart(np.arange(10), [("a", np.sin(np.arange(10)))], "demo")
     assert svg.startswith("<svg") and svg.endswith("</svg>")
     assert "polyline" in svg
-    hm = heatmap(np.array([[1.0, -1.0], [0.0, 0.5]]), "corr")
-    assert hm.count("<rect") >= 4
+    hm = heatmap(np.array([[1.0, 0.0], [0.25, 0.5]]), "corr")
+    assert hm.startswith("<svg") and hm.endswith("</svg>")
+    # the background and one cell per entry
+    assert hm.count("<rect") == 5
+    assert 'fill="rgb(255,0,0)"' in hm and 'fill="rgb(255,255,255)"' in hm

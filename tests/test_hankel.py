@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -329,3 +331,24 @@ def test_signal_matrix_validation():
     with pytest.raises(DataError):
         SignalMatrix(values=np.full((1, 3), np.nan), mask=np.ones((1, 3), bool),
                      node_ids=["a"], step_seconds=1.0)
+
+
+def test_signal_matrix_checks_only_observed_cells_without_copying_them():
+    # 64 x 20,000 with 5% unobserved NaN cells: the finiteness check peaks
+    # at one boolean array, where a copy of the observed values took 8.6
+    # times the mask
+    rng = np.random.default_rng(0)
+    shape = (64, 20_000)
+    mask = rng.random(shape) >= 0.05
+    values = np.where(mask, rng.normal(size=shape), np.nan)
+    ids = [f"n{i}" for i in range(shape[0])]
+    tracemalloc.start()
+    try:
+        SignalMatrix(values=values, mask=mask, node_ids=ids, step_seconds=900.0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 2 * mask.nbytes
+    values[3, np.argmax(mask[3])] = np.inf
+    with pytest.raises(DataError, match="finite"):
+        SignalMatrix(values=values, mask=mask, node_ids=ids, step_seconds=900.0)
