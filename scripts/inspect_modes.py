@@ -1,15 +1,15 @@
 #!/usr/bin/env python3
 """Fit a decomposition on a CSV and print the dominant-mode table.
 
-The fit is a ``dmdembed fit`` run into a temporary directory, and
+The fit is a ``dmdembed embed`` run into a temporary directory, and
 everything printed is read from that run's files: the manifest, the
 decomposition and the selection path. The rows marked kept are the
 modes whose eigenvalues the manifest records as selected.
 
 Shows, per mode: period in steps and hours, growth rate, and amplitude
 share; then the selection path: the period of the group each step added
-and the fit loss after it. Optionally renders the covariate channels as
-an SVG.
+and the fit loss after it. Optionally renders the real covariate
+channels of the run's embedding as an SVG.
 """
 
 import argparse
@@ -19,8 +19,7 @@ import tempfile
 
 import numpy as np
 
-from dmdembed.dmd import DmdDecomposition, mode_frequency
-from dmdembed.embedding import build_embedding
+from dmdembed.dmd import mode_frequency
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.svgplot import line_chart, write_svg
 
@@ -34,33 +33,40 @@ def main() -> int:
     for name in FIT_OPTIONS:
         parser.add_argument("--" + name.replace("_", "-"), dest=name)
     parser.add_argument("--svg", default=None, help="optional covariate-channel SVG")
-    parser.add_argument("--span", type=int, default=None, help="steps to render in the SVG")
+    parser.add_argument("--span", type=int, default=1024,
+                        help="steps to render in the SVG (at most the series length)")
     args = parser.parse_args()
+    if args.span < 1:
+        parser.error(f"--span must be at least 1, got {args.span}")
 
     options = {name: getattr(args, name) for name in FIT_OPTIONS if getattr(args, name) is not None}
     with tempfile.TemporaryDirectory() as tmp:
         cfg = PipelineConfig.from_mapping({**options, "input_csv": args.input, "output_dir": tmp})
-        run_dir = run_pipeline(cfg, until="fit")
+        run_dir = run_pipeline(cfg, until="embed")
         resolved = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["resolved"]
-        dec = DmdDecomposition.from_json(
-            (run_dir / "decomposition.json").read_text(encoding="utf-8"),
-            np.load(run_dir / "modes.npy"),
-        )
+        fit = json.loads((run_dir / "decomposition.json").read_text(encoding="utf-8"))
         with open(run_dir / "spdmd_path.csv", encoding="utf-8", newline="") as fh:
             path = list(csv.DictReader(fh))
+        span = min(args.span, resolved["n_steps"])
+        kept_groups = resolved["selected_pairs"]
+        # columns re_1 .. re_r follow the step column
+        channels = np.loadtxt(run_dir / "embedding.csv", delimiter=",", skiprows=1, ndmin=2,
+                              max_rows=span, usecols=range(1, kept_groups + 1))
 
-    kept = np.array([[z.real, z.imag] in resolved["eigenvalues"] for z in dec.eigenvalues])
-    total = np.sum(np.abs(dec.amplitudes))
-    print(f"training steps {resolved['boundaries'][0]} of {resolved['n_steps']}, rank {dec.rank}, "
-          f"tau {dec.tau}, kept {resolved['selected_pairs']} pair(s)")
+    eigenvalues = np.array([complex(re, im) for re, im in fit["eigenvalues"]])
+    amplitudes = np.array([complex(re, im) for re, im in fit["amplitudes"]])
+    kept = [pair in resolved["eigenvalues"] for pair in fit["eigenvalues"]]
+    total = np.sum(np.abs(amplitudes))
+    print(f"training steps {resolved['boundaries'][0]} of {resolved['n_steps']}, "
+          f"rank {fit['rank']}, tau {fit['tau']}, kept {kept_groups} pair(s)")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
-    for i, lam in enumerate(dec.eigenvalues):
-        freq = mode_frequency(lam, dec.sampling_seconds)
+    for i, lam in enumerate(eigenvalues):
+        freq = mode_frequency(lam, fit["sampling_seconds"])
         period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
         hours = f"{freq.period_seconds / 3600:.2f}" if freq.period_seconds else "-"
-        share = np.abs(dec.amplitudes[i]) / total
+        share = np.abs(amplitudes[i]) / total
         print(f"{i:>4} {period:>14} {hours:>10} {freq.growth_rate:>9.2e} "
-              f"{share:>10.3f} {str(bool(kept[i])):>5}")
+              f"{share:>10.3f} {str(kept[i]):>5}")
     print("selection path: the group each step added and the fit loss after it")
     print(f"{'step':>4} {'period[steps]':>14} {'fit loss':>12}")
     for row in path:
@@ -69,14 +75,8 @@ def main() -> int:
         print(f"{int(row['step']):>4} {period:>14} {float(row['fit_loss']):>12.6g}")
 
     if args.svg:
-        reps = dec.representatives(kept)
-        span = args.span or min(resolved["n_steps"], 1024)
-        emb = build_embedding(reps, span)
-        series = []
-        for j in range(emb.n_modes):
-            series.append((f"re_{j + 1}", emb.table[:, j]))
-        write_svg(line_chart(np.arange(span), series, "covariate channels (real parts)"),
-                  args.svg)
+        series = [(f"re_{j + 1}", channels[:, j]) for j in range(kept_groups)]
+        write_svg(line_chart(np.arange(span), series, "covariate channels (real parts)"), args.svg)
         print(f"wrote {args.svg}")
     return 0
 

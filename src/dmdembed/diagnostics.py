@@ -85,25 +85,20 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     Pearson correlation of column i at time t with column j at time
     t - lag, over the aligned range, capped at 1. Zero-variance columns
     are excluded from the mean and counted. The matrix is pooled to at
-    most POOL_DIM blocks per side, each block its largest entry. A
-    negative lag returns the transpose relation.
+    most POOL_DIM blocks per side, each block its largest entry. The lag
+    is nonnegative.
 
     Each lag's lead rows ``[lag, n)`` and trail rows ``[0, n - lag)``
     are standardized apart, in two passes; at lag 0 they are one block.
     The product of the two is then divided, made absolute and capped in
-    place.
+    place; after pooling, the excluded rows and columns are zeroed in
+    place too, so the mean is a sum over the whole matrix.
     """
+    if lag < 0:
+        raise ValueError(f"lag must be nonnegative, got {lag}")
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
-    if lag < 0:
-        flipped = residual_correlation(resid, -lag)
-        return ResidualCorrSummary(
-            lag=lag,
-            mean_abs_corr=flipped.mean_abs_corr,
-            pooled=flipped.pooled.T,
-            excluded_columns=flipped.excluded_columns,
-        )
     n = resid.shape[0]
     if n - lag < 2:
         raise DataError(f"time length {n} must exceed lag {lag} by at least 2")
@@ -114,21 +109,25 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     else:
         trail, keep_trail = _standardize(resid[: n - lag])
         keep &= keep_trail
-    excluded = int((~keep).sum())
-    if not keep.any():
+    kept = int(keep.sum())
+    if not kept:
         raise DataError("every residual column has zero variance")
     corr = lead.T @ trail
     corr /= n - lag
     np.abs(corr, out=corr)
     np.minimum(corr, 1.0, out=corr)
-    kept = corr if keep.all() else corr[np.ix_(keep, keep)]
     # the blocks of each side start every ceil(side / POOL_DIM) entries
     starts = [np.arange(0, side, -(-side // POOL_DIM)) for side in corr.shape]
+    pooled = np.maximum.reduceat(np.maximum.reduceat(corr, starts[0], axis=0), starts[1], axis=1)
+    # a column constant in only the lead or the trail rows still has a
+    # nonzero column or row, which the heatmap draws but the mean leaves out
+    corr[~keep] = 0.0
+    corr[:, ~keep] = 0.0
     return ResidualCorrSummary(
         lag=lag,
-        mean_abs_corr=float(np.mean(kept)),
-        pooled=np.maximum.reduceat(np.maximum.reduceat(corr, starts[0], axis=0), starts[1], axis=1),
-        excluded_columns=excluded,
+        mean_abs_corr=float(corr.sum() / kept**2),
+        pooled=pooled,
+        excluded_columns=keep.size - kept,
     )
 
 

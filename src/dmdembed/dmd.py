@@ -109,35 +109,9 @@ class DmdDecomposition:
             reps.append(pick)
         return np.asarray(reps, dtype=complex)
 
-    @classmethod
-    def from_json(cls, text: str, modes: np.ndarray) -> "DmdDecomposition":
-        """Rebuild a decomposition from ``to_json`` text and its modes,
-        whose columns follow the order of the eigenvalues. It has no
-        amplitude form, so mode selection needs a refit."""
-        data = json.loads(text)
-        eigenvalues = _pairs_complex(data["eigenvalues"])
-        modes = np.asarray(modes)
-        if modes.ndim != 2 or modes.shape[1] != eigenvalues.size:
-            raise ValueError(
-                f"modes of shape {modes.shape} do not fit {eigenvalues.size} eigenvalues"
-            )
-        return cls(
-            eigenvalues=eigenvalues,
-            modes=modes,
-            amplitudes=_pairs_complex(data["amplitudes"]),
-            rank=int(data["rank"]),
-            sampling_seconds=float(data["sampling_seconds"]),
-            fit_span=int(data["fit_span"]),
-            tau=int(data["tau"]),
-        )
-
 
 def _complex_pairs(z: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in z]
-
-
-def _pairs_complex(pairs: list[list[float]]) -> np.ndarray:
-    return np.array([complex(re, im) for re, im in pairs], dtype=complex)
 
 
 @dataclass(frozen=True)

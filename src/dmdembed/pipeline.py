@@ -110,8 +110,10 @@ class PipelineConfig:
 
 
 def check_diagnostics(lags: tuple[int, ...], acf_max_lag: int) -> None:
-    """Each correlation lag is named once, and the ACF needs at least one
-    lag beyond zero."""
+    """Each correlation lag is nonnegative and named once, and the ACF
+    needs at least one lag beyond zero."""
+    if any(lag < 0 for lag in lags):
+        raise ConfigError(f"lags must be nonnegative, got {list(lags)}")
     if len(set(lags)) < len(lags):
         raise ConfigError(f"each lag may be named once, got {list(lags)}")
     if acf_max_lag < 1:
@@ -503,8 +505,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         np.save(run.path("modes.npy"), dec.modes)
 
     with _StageTimer(run, "spdmd"):
-        target = max(1, min(cfg.target_modes, dec.rank))
-        sweep = spdmd.gamma_sweep(dec, target_modes=target)
+        sweep = spdmd.gamma_sweep(dec, target_modes=cfg.target_modes)
         spdmd.export_path_csv(sweep.path, dec.eigenvalues, run.path("spdmd_path.csv"))
         selected_eigs = dec.eigenvalues[sweep.selected.support]
         resolved["selected_pairs"] = len(sweep.path.solutions)
@@ -515,10 +516,8 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         return resolved
 
     with _StageTimer(run, "embedding"):
-        reps = dec.representatives(sweep.selected.support)
-        emb = build_embedding(reps, signal.n_steps)
+        emb = build_embedding(dec.representatives(sweep.selected.support), signal.n_steps)
         export_embedding(emb, run.path("embedding.csv"))
-        resolved["embedding_modes"] = int(reps.size)
 
     if until == "embed":
         return resolved
@@ -611,7 +610,7 @@ def _write_residual_diagnostics(
     skipped: list[int] = []
     summaries = []
     for lag in lags:
-        if n_rows - abs(lag) < 2:
+        if n_rows - lag < 2:
             skipped.append(lag)
             continue
         summary = dg.residual_correlation(flat, lag)

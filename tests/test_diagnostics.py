@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -160,12 +162,7 @@ def test_residual_correlation_lag_zero_matches_two_standardizations(seed, n_rows
 
 
 def residual_correlation_reference(resid, lag):
-    """Each lag's lead and trail rows standardized apart, in two passes;
-    a negative lag is the transpose relation."""
-    if lag < 0:
-        corr, mean_abs, excluded = residual_correlation_reference(resid, -lag)
-        return corr.T, mean_abs, excluded
-
+    """Each lag's lead and trail rows standardized apart, in two passes."""
     def standardize(block):
         centered = block - block.mean(axis=0)
         scale = np.sqrt(np.mean(centered**2, axis=0))
@@ -213,7 +210,9 @@ def test_residual_correlation_matches_per_lag_standardization(seed, n_rows, n_co
         elif kind == "level shift":
             resid[:, j] = level + 1e-3 * noise
             resid[head:, j] += 1e3 * max(1.0, abs(level))
-    lag = data.draw(st.integers(-(n_rows - 2), n_rows - 2), label="lag")
+    with pytest.raises(ValueError, match="nonnegative"):
+        residual_correlation(resid, data.draw(st.integers(-n_rows, -1), label="negative lag"))
+    lag = data.draw(st.integers(0, n_rows - 2), label="lag")
     corr, mean_abs, excluded = residual_correlation_reference(resid, lag)
     if excluded == n_columns:
         with pytest.raises(DataError, match="zero variance"):
@@ -256,14 +255,12 @@ def test_residual_correlation_detects_planted_period():
     assert with_comp.mean_abs_corr > without_comp.mean_abs_corr
 
 
-def test_residual_correlation_transpose_at_negative_lag():
-    rng = np.random.default_rng(3)
-    for n_columns in (3, 130):
-        resid = rng.normal(size=(300, n_columns))
-        fwd = residual_correlation(resid, lag=7)
-        bwd = residual_correlation(resid, lag=-7)
-        assert np.array_equal(bwd.pooled, fwd.pooled.T)
-        assert bwd.mean_abs_corr == fwd.mean_abs_corr
+def test_residual_correlation_refuses_a_negative_lag():
+    # a negative lag would only give its positive twin's matrix transposed
+    resid = np.random.default_rng(3).normal(size=(300, 3))
+    for lag in (-1, -7, -298, -400):
+        with pytest.raises(ValueError, match=f"lag must be nonnegative, got {lag}"):
+            residual_correlation(resid, lag)
 
 
 def test_residual_correlation_pools_ragged_blocks():
@@ -288,6 +285,23 @@ def test_residual_correlation_excludes_constant_columns():
     assert summary.pooled.shape == (3, 3)
     # the excluded column correlates with nothing
     assert not summary.pooled[1].any() and not summary.pooled[:, 1].any()
+
+
+def test_residual_correlation_with_a_constant_column_copies_no_matrix():
+    # the excluded column's row and column are zeroed in place, so the
+    # mean takes no copy of the kept block: the peak is the |corr| matrix
+    # and the two standardized blocks, about 1.36 times the matrix
+    rng = np.random.default_rng(6)
+    resid = rng.normal(size=(400, 2000))
+    resid[:, 17] = 3.0
+    tracemalloc.start()
+    try:
+        summary = residual_correlation(resid, lag=72)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert summary.excluded_columns == 1
+    assert peak <= 1.5 * 2000 * 2000 * 8
 
 
 def test_residual_correlation_errors():

@@ -18,7 +18,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from dmdembed.cli import build_parser, main as cli_main
-from dmdembed.dmd import DmdDecomposition, mode_frequency, reconstruct
+from dmdembed.dmd import mode_frequency, vandermonde
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import make_windows, split_boundaries, zscore_fit
 from dmdembed.hankel import SignalMatrix, impute_linear
@@ -454,11 +454,16 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     # the saved fit reproduces the normalized training signal it was fit
     # to, up to the planted noise (sigma 0.05 against unit-variance
     # sinusoids)
-    dec = DmdDecomposition.from_json(text, modes)
+    fit = json.loads(text)
+    eigenvalues, amplitudes = (np.array([complex(re, im) for re, im in fit[name]])
+                               for name in ("eigenvalues", "amplitudes"))
     _, _, values = normalized_series(generate_synthetic(cfg.synthetic), cfg.split)
-    train = values[:, : dec.fit_span]
-    rec = reconstruct(dec, dec.fit_span)[: resolved["n_nodes"]]
+    train = values[:, : fit["fit_span"]]
+    dynamics = amplitudes[:, np.newaxis] * vandermonde(eigenvalues, fit["fit_span"])
+    rec = (modes[: resolved["n_nodes"]] @ dynamics).real
     assert np.linalg.norm(rec - train) <= 0.1 * np.linalg.norm(train)
+    # each kept group has one representative, so selected_pairs counts the channels
+    assert "embedding_modes" not in resolved
 
 
 def test_run_pipeline_fit_and_embed_stop_early(tmp_path):
@@ -815,11 +820,18 @@ def test_inspect_modes_marks_the_modes_a_fit_run_keeps(tmp_path):
     root = os.path.dirname(os.path.dirname(os.path.abspath(__file__)))
     env = {**os.environ, "PYTHONPATH": os.pathsep.join(
         [os.path.join(root, "src"), *filter(None, [os.environ.get("PYTHONPATH")])])}
-    done = subprocess.run(
-        [sys.executable, os.path.join(root, "scripts", "inspect_modes.py"), str(data), *flags],
-        capture_output=True, text=True, env=env, check=True,
-    )
+    script = [sys.executable, os.path.join(root, "scripts", "inspect_modes.py"), str(data)]
+    svg = tmp_path / "modes.svg"
+    done = subprocess.run([*script, *flags, "--svg", str(svg), "--span", "5000"],
+                          capture_output=True, text=True, env=env, check=True)
     header, _, *rows = done.stdout.splitlines()
+    # one real covariate channel per kept group, over the 360 steps of the series
+    polylines = list(ET.parse(svg).getroot().iter("{http://www.w3.org/2000/svg}polyline"))
+    assert len(polylines) == resolved["selected_pairs"]
+    assert all(len(line.get("points").split()) == 360 for line in polylines)
+    assert rows.pop() == f"wrote {svg}"
+    refused = subprocess.run([*script, "--span", "0"], capture_output=True, text=True, env=env)
+    assert refused.returncode == 2 and "--span must be at least 1, got 0" in refused.stderr
     assert f"rank {resolved['rank']}, tau {resolved['tau']}," in header
     kept = [row.split()[1:4:2] for row in rows if row.split()[-1] == "True"]
     expected = []
@@ -950,6 +962,18 @@ def test_cli_diagnose_refuses_repeated_lag(tmp_path, capsys):
     assert not out.exists()
 
 
+def test_cli_diagnose_refuses_negative_lag(tmp_path, capsys):
+    # a negative lag would only draw its positive twin's heatmap transposed
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--out", str(data)]) == 0
+    out = tmp_path / "diag"
+    code = cli_main(["diagnose", "--predictions", str(data), "--actuals", str(data),
+                     "--lags", "-72", "--out", str(out)])
+    assert code == 2
+    assert "lags must be nonnegative, got [-72]" in capsys.readouterr().err
+    assert not out.exists()
+
+
 def test_cli_exit_codes(tmp_path):
     # config error: bad rank policy
     assert cli_main(["forecast", "--input", "x.csv", "--rank", "bogus",
@@ -994,7 +1018,8 @@ def test_cli_exit_codes(tmp_path):
                                    ["--split", "1.1,-0.3,0.2"], ["--split", "0.9,0.1,0"],
                                    ["--split", "0,0.5,0.5"], ["--step-seconds", "0"],
                                    ["--acf-max-lag", "-1"], ["--acf-max-lag", "0"],
-                                   ["--lags", "0,0"], ["--lags", "0,72,504,72"]])
+                                   ["--lags", "0,0"], ["--lags", "0,72,504,72"],
+                                   ["--lags", "0,-72"]])
 def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys, flags):
     data = tmp_path / "d.csv"
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",

@@ -178,10 +178,17 @@ def test_ties_go_to_the_earlier_group():
 
 def test_gamma_sweep_validation():
     dec = rank4_fixture()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="at least 1"):
         gamma_sweep(dec, target_modes=0)
-    with pytest.raises(ValueError):
-        gamma_sweep(dec, target_modes=9)
+
+
+def test_target_above_the_rank_selects_every_group():
+    # rank 4 holds two conjugate pairs; a target of 9 stops at both
+    dec = rank4_fixture()
+    res = gamma_sweep(dec, target_modes=9)
+    added = sorted(sorted(sol.group) for sol in res.path.solutions)
+    assert added == sorted(map(sorted, dec.groups))
+    assert res.selected.support.all() and res.selected.pair_count == 2 and res.target_met
 
 
 def test_sweep_applies_no_hankel_product(monkeypatch):
@@ -197,13 +204,18 @@ def test_sweep_applies_no_hankel_product(monkeypatch):
     assert res.target_met
 
 
-def test_decomposition_read_from_json_needs_a_refit():
+def test_decomposition_without_amplitude_form_needs_a_refit():
+    # built from a fit's fields, as a reader of its run files would, it
+    # has no amplitude form to select from
     dec = rank4_fixture()
-    back = DmdDecomposition.from_json(dec.to_json(), dec.modes)
-    with pytest.raises(ValueError, match="refit"):
-        _AmplitudeProblem(back)
-    with pytest.raises(ValueError, match="refit"):
-        gamma_sweep(back, target_modes=1)
+    hand_built = DmdDecomposition(
+        eigenvalues=dec.eigenvalues, modes=dec.modes, amplitudes=dec.amplitudes, rank=dec.rank,
+        sampling_seconds=dec.sampling_seconds, fit_span=dec.fit_span, tau=dec.tau,
+    )
+    with pytest.raises(ValueError, match="no amplitude form; refit"):
+        _AmplitudeProblem(hand_built)
+    with pytest.raises(ValueError, match="no amplitude form; refit"):
+        gamma_sweep(hand_built, target_modes=1)
 
 
 def test_export_path_csv(tmp_path):
