@@ -19,6 +19,10 @@ from .errors import DataError
 
 # blocks per side of a pooled |correlation| matrix
 POOL_DIM = 64
+# Upper bound on the entries of one tile of residual_correlation: its
+# (tile columns, d) slice of the |correlation| matrix and its standardized
+# (rows, tile columns) lead columns. A tile holds at least one pool block.
+CORR_TILE_ELEMENTS = 1 << 20
 
 
 @dataclass(frozen=True)
@@ -89,59 +93,99 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     is nonnegative.
 
     Each lag's lead rows ``[lag, n)`` and trail rows ``[0, n - lag)``
-    are standardized apart, in two passes; at lag 0 they are one block.
-    The product of the two is then divided, made absolute and capped in
-    place; after pooling, the excluded rows and columns are zeroed in
-    place too, so the mean is a sum over the whole matrix.
+    are standardized apart; at lag 0 they are one block. The matrix is
+    held one tile at a time: its rows come in tiles of whole pool blocks,
+    each the product of a standardized tile of lead columns with the
+    standardized trail block, divided, made absolute and capped, then pooled into its
+    band of ``pooled``, its excluded rows and columns zeroed, and summed.
+    At lag 0 the matrix is symmetric, so each tile covers only the
+    diagonal and what lies right of it, and the rest is its mirror.
     """
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
     resid = np.asarray(residuals, dtype=float)
     if resid.ndim == 1:
         resid = resid[:, np.newaxis]
-    n = resid.shape[0]
+    n, d = resid.shape
     if n - lag < 2:
         raise DataError(f"time length {n} must exceed lag {lag} by at least 2")
-    lead, keep = _standardize(resid[lag:])
-    if lag == 0:
-        # lead and trail are one block, and lead.T @ lead is a symmetric product
-        trail = lead
-    else:
-        trail, keep_trail = _standardize(resid[: n - lag])
-        keep &= keep_trail
+    # the blocks of each side start every ceil(d / POOL_DIM) entries
+    size = -(-d // POOL_DIM)
+    # whole pool blocks per tile, so that each tile pools into its own band
+    width = size * max(1, CORR_TILE_ELEMENTS // (max(n, d) * size))
+    lead_rows, trail_rows = resid[lag:], resid[: n - lag]
+    lead_stats = _column_stats(lead_rows, width)
+    trail_stats = lead_stats if lag == 0 else _column_stats(trail_rows, width)
+    # a column constant in only the lead or the trail rows still has a
+    # nonzero column or row, which the heatmap draws but the mean leaves out
+    keep = lead_stats[2] & trail_stats[2]
     kept = int(keep.sum())
     if not kept:
         raise DataError("every residual column has zero variance")
-    corr = lead.T @ trail
-    corr /= n - lag
-    np.abs(corr, out=corr)
-    np.minimum(corr, 1.0, out=corr)
-    # the blocks of each side start every ceil(side / POOL_DIM) entries
-    starts = [np.arange(0, side, -(-side // POOL_DIM)) for side in corr.shape]
-    pooled = np.maximum.reduceat(np.maximum.reduceat(corr, starts[0], axis=0), starts[1], axis=1)
-    # a column constant in only the lead or the trail rows still has a
-    # nonzero column or row, which the heatmap draws but the mean leaves out
-    corr[~keep] = 0.0
-    corr[:, ~keep] = 0.0
+    trail = _standardize(trail_rows, *trail_stats)
+    pooled = np.empty((-(-d // size),) * 2)
+    total = 0.0
+    for start in range(0, d, width):
+        stop = min(start + width, d)
+        if lag == 0:
+            lead = trail[:, start:stop]
+            # the diagonal square is a symmetric product: half the flops
+            corr = np.empty((stop - start, d - start))
+            np.matmul(lead.T, lead, out=corr[:, : stop - start])
+            np.matmul(lead.T, trail[:, stop:], out=corr[:, stop - start :])
+            first = start
+        else:
+            lead = _standardize(lead_rows[:, start:stop], *(s[start:stop] for s in lead_stats))
+            corr = lead.T @ trail
+            first = 0
+        del lead
+        corr /= n - lag
+        np.abs(corr, out=corr)
+        np.minimum(corr, 1.0, out=corr)
+        band = np.maximum.reduceat(
+            np.maximum.reduceat(corr, np.arange(0, stop - start, size), axis=0),
+            np.arange(0, d - first, size), axis=1,
+        )
+        pooled[start // size : -(-stop // size), first // size :] = band
+        corr[~keep[start:stop]] = 0.0
+        corr[:, ~keep[first:]] = 0.0
+        if lag == 0:
+            pooled[start // size :, start // size : -(-stop // size)] = band.T
+            # each entry right of the diagonal square stands for its mirror too
+            total += corr[:, : stop - start].sum() + 2.0 * corr[:, stop - start :].sum()
+        else:
+            total += corr.sum()
+        del corr  # before the next tile's product is made
     return ResidualCorrSummary(
         lag=lag,
-        mean_abs_corr=float(corr.sum() / kept**2),
+        mean_abs_corr=float(total / kept**2),
         pooled=pooled,
         excluded_columns=keep.size - kept,
     )
 
 
-def _standardize(block: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-    """``block`` centred and scaled to unit variance per column, in one
-    new array (zero in the columns it excludes), and which are kept."""
-    out = block - block.mean(axis=0)
-    scale = np.sqrt(np.mean(out**2, axis=0))
+def _column_stats(block: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Each column's mean and scale (root mean square about the mean),
+    and whether it is kept, taken ``width`` columns at a time."""
+    mean = block.mean(axis=0)
+    scale, peak = np.empty_like(mean), np.empty_like(mean)
+    for start in range(0, block.shape[1], width):
+        cols = slice(start, start + width)
+        # one buffer per tile, for the squares and then the magnitudes
+        work = block[:, cols] - mean[cols]
+        scale[cols] = np.sqrt(np.mean(np.square(work, out=work), axis=0))
+        peak[cols] = np.max(np.abs(block[:, cols], out=work), axis=0)
     # relative floor so numerically constant columns are excluded too
-    floor = 1e-12 * np.maximum(1.0, np.max(np.abs(block), axis=0))
-    keep = scale > floor
+    return mean, scale, scale > 1e-12 * np.maximum(1.0, peak)
+
+
+def _standardize(block: np.ndarray, mean: np.ndarray, scale: np.ndarray, keep: np.ndarray) -> np.ndarray:
+    """``block`` centred and scaled to unit variance per column, in one
+    new array, zero in the columns it excludes."""
+    out = block - mean
     np.divide(out, scale, out=out, where=keep)
     out[:, ~keep] = 0.0
-    return out, keep
+    return out
 
 
 def cep_curve(singular_values: np.ndarray, total_energy: float, order: int) -> CepCurve:

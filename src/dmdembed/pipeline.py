@@ -17,6 +17,7 @@ import json
 import math
 import os
 import re
+import resource
 import shutil
 import time
 import typing
@@ -31,6 +32,9 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding
 from .errors import ConfigError, DataError
 from .forecaster import (
+    ForecastWindows,
+    MetricsReport,
+    RidgeModel,
     check_split_ratios,
     evaluate,
     fit_ridge,
@@ -44,6 +48,8 @@ from .synthetic import SyntheticSpec, generate_synthetic
 
 # A run writes its files here, inside the run directory, until every stage is done.
 STAGING_DIR = ".dmdembed-partial"
+# Target entries taken to original units at a time, as residuals are formed.
+TARGET_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -334,11 +340,13 @@ def write_signal_csv(signal: SignalMatrix, path) -> None:
 
 @dataclass
 class _Run:
-    """Bookkeeping for one run: staging directory, names written, timings."""
+    """Bookkeeping for one run: staging directory, names written, timings
+    and the process's peak memory as each stage ends."""
 
     staging: Path
     files: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
+    max_rss_mb: dict = field(default_factory=dict)
 
     def path(self, name: str) -> Path:
         self.files.append(name)
@@ -346,6 +354,10 @@ class _Run:
 
 
 class _StageTimer:
+    """Adds the time spent inside to the stage's time, so a stage entered
+    again, such as the per-label forecast and diagnostics, reports its
+    total, and records ``ru_maxrss`` as the stage last ended."""
+
     def __init__(self, run: _Run, name: str):
         self.run = run
         self.name = name
@@ -355,7 +367,10 @@ class _StageTimer:
         return self
 
     def __exit__(self, exc_type, exc, tb):
-        self.run.timings[self.name] = time.perf_counter() - self.start
+        elapsed = time.perf_counter() - self.start
+        self.run.timings[self.name] = self.run.timings.get(self.name, 0.0) + elapsed
+        # kilobytes on Linux
+        self.run.max_rss_mb[self.name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
         if exc is not None and isinstance(exc, Exception):
             exc.args = (f"[stage {self.name}] {exc}",) + exc.args[1:]
         return False
@@ -367,23 +382,20 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     return generate_synthetic(cfg.synthetic, cfg.step_seconds)
 
 
-def _forecast_metrics(l2: float, labelled: dict, zscore) -> dict:
-    """For each label's train and test windows, the test metrics of a
-    ridge fit on the train windows and its test residuals in original
-    units as (anchors, nodes, Q) blocks. The labels share their test
-    targets, which are converted to original units once."""
-    test = next(iter(labelled.values()))["test"]
-    targets = zscore.inverse(test.blocks(test.p, test.q))
-    mask = test.blocks(test.p, test.q, test.observed)
-    out = {}
-    for label, windows in labelled.items():
-        model = fit_ridge(windows["train"], l2=l2)
-        # one (A, N, Q) block per label, taken to original units in place
-        preds = predict(model, windows["test"]).reshape(targets.shape)
-        zscore.inverse(preds, out=preds)
-        preds -= targets  # the predictions become the residuals in place
-        out[label] = evaluate(preds, mask), preds
-    return out
+def _test_forecast(model: RidgeModel, test: ForecastWindows, zscore) -> tuple[MetricsReport, np.ndarray]:
+    """The test metrics of ``model`` and its test residuals, predictions
+    minus targets in original units, as one (A, N, Q) block.
+
+    The prediction block becomes the residuals in place; the targets are
+    taken to original units a few anchors at a time, so no second block
+    is held."""
+    resid = predict(model, test).reshape(test.anchors.size, test.n_nodes, test.q)
+    zscore.inverse(resid, out=resid)
+    targets = test.blocks(test.p, test.q)
+    step = max(1, TARGET_CHUNK_ELEMENTS // targets[0].size)
+    for first in range(0, len(targets), step):
+        resid[first : first + step] -= zscore.inverse(targets[first : first + step])
+    return evaluate(resid, test.blocks(test.p, test.q, test.observed)), resid
 
 
 def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
@@ -481,11 +493,14 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
     with _StageTimer(run, "normalize"):
         zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
         normalized = zscore.transform(signal.values)
+        # from here on the series is read in normalized units only
+        node_ids, n_steps = signal.node_ids, signal.n_steps
+        del signal
 
     with _StageTimer(run, "hankel"):
         # imputed, so every step counts as observed
         train_signal = SignalMatrix.from_values(
-            normalized[:, :b_train], signal.node_ids, signal.step_seconds
+            normalized[:, :b_train], node_ids, cfg.step_seconds
         )
         tau = cfg.tau if cfg.tau is not None else default_tau(train_signal)
         try:
@@ -503,6 +518,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
         np.save(run.path("modes.npy"), dec.modes)
+        del view, train_signal  # and with them the view's cached spectrum
 
     with _StageTimer(run, "spdmd"):
         sweep = spdmd.gamma_sweep(dec, target_modes=cfg.target_modes)
@@ -516,40 +532,47 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         return resolved
 
     with _StageTimer(run, "embedding"):
-        emb = build_embedding(dec.representatives(sweep.selected.support), signal.n_steps)
+        emb = build_embedding(dec.representatives(sweep.selected.support), n_steps)
         export_embedding(emb, run.path("embedding.csv"))
 
     if until == "embed":
         return resolved
 
+    # what is left of the fit is its spectrum, for the CEP curve; the modes go
+    singular_values, solve = dec.singular_values, dec.spectrum_solve
+    del dec, sweep
+
     with _StageTimer(run, "forecast"):
         # no fit reads validation windows, so none are built
-        with_windows = make_windows(
-            normalized, {"train": (0, b_train), "test": (b_val, signal.n_steps)}, cfg.p, cfg.q,
+        windows = make_windows(
+            normalized, {"train": (0, b_train), "test": (b_val, n_steps)}, cfg.p, cfg.q,
             embedding=emb, exclusion_mask=original_mask,
         )
-        # the value channel alone: the same windows without the embedding
-        without_windows = {
-            name: replace(fw, covariates=fw.covariates[:, :, :0])
-            for name, fw in with_windows.items()
+        # "without" reads the value channel alone: the same windows without the embedding
+        labelled = {
+            "with": windows,
+            "without": {name: replace(fw, covariates=fw.covariates[:, :, :0])
+                        for name, fw in windows.items()},
         }
-        forecasts = _forecast_metrics(
-            cfg.l2, {"with": with_windows, "without": without_windows}, zscore
-        )
-        del with_windows, without_windows  # the diagnostics read only the residuals
-        for label, (report, _) in forecasts.items():
+        models = {label: fit_ridge(split["train"], l2=cfg.l2) for label, split in labelled.items()}
+        tests = {label: split["test"] for label, split in labelled.items()}
+        del windows, labelled  # the training windows and their covariate rows
+
+    # one label's residual block at a time: formed, scored, diagnosed, dropped
+    for label, model in models.items():
+        with _StageTimer(run, "forecast"):
+            report, resid = _test_forecast(model, tests.pop(label), zscore)
             resolved[f"l2_{label}"] = cfg.l2
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
+        with _StageTimer(run, "diagnostics"):
+            # the labels share their test rows, so they skip the same lags
+            resolved["skipped_lags"], resolved["acf_lag_reached"] = _write_residual_diagnostics(
+                resid, list(node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
+            )
+            del resid
 
     with _StageTimer(run, "diagnostics"):
-        # the labels share their test rows, so they skip the same lags
-        for label, (_, resid) in forecasts.items():
-            skipped, reached = _write_residual_diagnostics(
-                resid, list(signal.node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
-            )
-        resolved["skipped_lags"], resolved["acf_lag_reached"] = skipped, reached
-        solve = dec.spectrum_solve
-        curve = dg.cep_curve(dec.singular_values, solve.total_energy, solve.order)
+        curve = dg.cep_curve(singular_values, solve.total_energy, solve.order)
         dg.write_cep_csv(curve, run.path("cep.csv"))
         svg = svgplot.line_chart(curve.ranks, [("cep", curve.cep)], "cumulative eigenvalue percentage")
         svgplot.write_svg(svg, run.path("cep.svg"))
@@ -563,6 +586,7 @@ def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
         "config": cfg.to_mapping(),
         "resolved": resolved,
         "stage_seconds": run.timings,
+        "stage_max_rss_mb": run.max_rss_mb,
         "files": sorted(run.files),
     }
     run.path("manifest.json").write_text(

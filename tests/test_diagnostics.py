@@ -6,6 +6,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed import diagnostics
 from dmdembed.diagnostics import POOL_DIM, acf, cep_curve, residual_correlation
 from dmdembed.errors import DataError
 
@@ -288,20 +289,50 @@ def test_residual_correlation_excludes_constant_columns():
 
 
 def test_residual_correlation_with_a_constant_column_copies_no_matrix():
-    # the excluded column's row and column are zeroed in place, so the
-    # mean takes no copy of the kept block: the peak is the |corr| matrix
-    # and the two standardized blocks, about 1.36 times the matrix
+    # the 2000 x 2000 |corr| matrix, 5 residual blocks, is never held: the
+    # peak is the standardized trail rows and one tile of lead columns and
+    # of the matrix, about 2.3 times the residual block; the excluded
+    # column's row and column are zeroed in place in each tile
     rng = np.random.default_rng(6)
     resid = rng.normal(size=(400, 2000))
     resid[:, 17] = 3.0
-    tracemalloc.start()
-    try:
-        summary = residual_correlation(resid, lag=72)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert summary.excluded_columns == 1
-    assert peak <= 1.5 * 2000 * 2000 * 8
+    for lag in (72, 0):
+        tracemalloc.start()
+        try:
+            summary = residual_correlation(resid, lag=lag)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert summary.excluded_columns == 1
+        assert peak <= 2.5 * resid.nbytes, f"lag {lag}: peak {peak / resid.nbytes:.2f} blocks"
+
+
+# 130 to 191 columns pool in blocks of 3, the last one short, and each tile
+# holds 1 to 14 of the 44 to 64 blocks: at least 4 tiles
+@given(st.integers(0, 2**32 - 1), st.integers(4, 60),
+       st.integers(130, 191).filter(lambda d: d % 3), st.integers(1, 14), st.data())
+@settings(max_examples=80, deadline=None)
+def test_residual_correlation_tiles_match_the_whole_matrix(seed, n_rows, n_columns, blocks, data):
+    rng = np.random.default_rng(seed)
+    resid = rng.normal(size=(n_rows, n_columns)) @ rng.normal(size=(n_columns, n_columns))
+    resid += rng.uniform(-100, 100, size=n_columns)
+    lag = data.draw(st.one_of(st.just(0), st.integers(1, n_rows - 2)), label="lag")
+    lead_only, trail_only = data.draw(
+        st.lists(st.integers(0, n_columns - 1), min_size=2, max_size=2, unique=True), label="constant")
+    # constant in the lead rows [lag, n) alone, and in the trail rows [0, n - lag) alone
+    resid[lag:, lead_only] = 2.5
+    resid[: n_rows - lag, trail_only] = -7.0
+    n_blocks = -(-n_columns // 3)
+    assert -(-n_blocks // blocks) >= 3
+    corr, mean_abs, excluded = residual_correlation_reference(resid, lag)
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(diagnostics, "CORR_TILE_ELEMENTS", 3 * blocks * max(n_rows, n_columns))
+        summary = residual_correlation(resid, lag)
+    assert summary.excluded_columns == excluded
+    assert np.max(np.abs(summary.pooled - pooled_reference(corr))) <= 1e-12
+    assert abs(summary.mean_abs_corr - mean_abs) <= 1e-12 * mean_abs
+    if lag == 0:
+        assert np.array_equal(summary.pooled, summary.pooled.T)
 
 
 def test_residual_correlation_errors():

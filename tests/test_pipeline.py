@@ -20,13 +20,13 @@ from hypothesis.extra.numpy import arrays
 from dmdembed.cli import build_parser, main as cli_main
 from dmdembed.dmd import mode_frequency, vandermonde
 from dmdembed.errors import ConfigError, DataError
-from dmdembed.forecaster import make_windows, split_boundaries, zscore_fit
+from dmdembed.forecaster import fit_ridge, make_windows, split_boundaries, zscore_fit
 from dmdembed.hankel import SignalMatrix, impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
     STAGING_DIR,
     PipelineConfig,
-    _forecast_metrics,
+    _test_forecast,
     config_from_manifest,
     convert_options,
     diagnose_residuals,
@@ -442,7 +442,13 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     cep = np.loadtxt(out / "cep.csv", delimiter=",", skiprows=1, ndmin=2)
     assert cep[-1].tolist() == [span, 1.0]
     assert np.all(np.diff(cep[:, 1]) >= 0.0) and cep.shape[0] >= resolved["rank"] + 1
-    assert manifest["stage_seconds"]
+    # the process's peak memory as each stage ends, which never falls
+    stages = ["ingest", "impute", "split", "normalize", "hankel", "dmd", "spdmd", "embedding",
+              "forecast", "diagnostics"]
+    assert sorted(manifest["stage_seconds"]) == sorted(stages)
+    assert manifest["stage_max_rss_mb"].keys() == manifest["stage_seconds"].keys()
+    rss = [manifest["stage_max_rss_mb"][stage] for stage in stages]
+    assert rss[0] > 0 and rss == sorted(rss)
     assert not (out / ".lock").exists()
 
     # the modes are saved beside the decomposition, not in its JSON
@@ -772,7 +778,7 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), cfg.split)
     spans = {"train": (0, b_train), "test": (b_val, loaded.n_steps)}
     plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
-    report, _ = _forecast_metrics(cfg.l2, {"without": plain}, zscore)["without"]
+    report, _ = _test_forecast(fit_ridge(plain["train"], l2=cfg.l2), plain["test"], zscore)
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
     assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == cfg.l2

@@ -1,12 +1,13 @@
 """Scale: a long two-period run whose fit scales past the dense T x T
-Gram, and a wide forecast whose memory stays well below its value windows."""
+Gram, a wide forecast whose memory stays well below its value windows,
+and a wide run whose diagnostics hold one residual block at a time."""
 
 import json
 import tracemalloc
 
 import numpy as np
 
-from dmdembed import dmd
+from dmdembed import dmd, pipeline
 from dmdembed.dmd import mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import fit_ridge, make_windows, predict
@@ -69,3 +70,32 @@ def test_wide_forecast_holds_no_per_window_covariates():
         tracemalloc.stop()
     window_mb = sum(len(fw) * (12 + 12) * 8 for fw in windows.values()) / 2**20
     assert peak / 2**20 <= 0.3 * window_mb, f"peak {peak / 2**20:.1f} MB, windows {window_mb:.1f} MB"
+
+
+def test_wide_run_diagnoses_one_residual_block_at_a_time(tmp_path, monkeypatch):
+    # 160 nodes x 12 horizons: 1,920 residual columns over 380 test anchors,
+    # so one label's (A, N, Q) residual block is 5.6 MB and the 1,920^2
+    # |corr| matrix would be 5 blocks. Each label's residuals are scored
+    # and diagnosed before the next label's are formed, in tiles of the
+    # matrix, so the forecast and diagnostics stages allocate the block,
+    # its standardized trail rows and one tile: 3.6 blocks measured.
+    # Holding the targets, both labels' blocks and the whole matrix took 8.9.
+    def traced(*args, **kwargs):
+        tracemalloc.start()
+        return make(*args, **kwargs)
+
+    make = pipeline.make_windows
+    monkeypatch.setattr(pipeline, "make_windows", traced)
+    cfg = PipelineConfig(
+        synthetic=SyntheticSpec(nodes=160, steps=2_016, noise=0.1, seed=1),
+        output_dir=str(tmp_path / "run"),
+        seed=1,
+    )
+    try:
+        out = run_pipeline(cfg)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    _, b_val = json.loads((out / "manifest.json").read_text())["resolved"]["boundaries"]
+    block = (2_016 - b_val - cfg.p - cfg.q + 1) * 160 * cfg.q * 8
+    assert peak <= 5 * block, f"peak {peak / block:.1f} residual blocks"
