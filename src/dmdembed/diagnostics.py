@@ -23,6 +23,8 @@ POOL_DIM = 64
 # (tile columns, d) slice of the |correlation| matrix and its standardized
 # (rows, tile columns) lead columns. A tile holds at least one pool block.
 CORR_TILE_ELEMENTS = 1 << 20
+# Rows of a CSV table that write_table formats at a time.
+WRITE_CHUNK_ROWS = 1 << 12
 
 
 @dataclass(frozen=True)
@@ -217,12 +219,15 @@ def write_table(path, header: list[str], columns) -> None:
 
     Every cell is %.17g: a whole number prints as %d does, and any value
     reads back bit for bit. Only a header cell that needs quotes has them.
+    ``WRITE_CHUNK_ROWS`` rows are formatted at a time.
     """
-    table = np.column_stack([np.asarray(c, dtype=float) for c in columns])
-    row = ",".join(["%.17g"] * table.shape[1]) + "\n"
+    columns = [np.asarray(c, dtype=float) for c in columns]
+    row = ",".join(["%.17g"] * len(columns)) + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(header)
-        fh.write(row * table.shape[0] % tuple(table.ravel().tolist()))
+        for first in range(0, len(columns[0]), WRITE_CHUNK_ROWS):
+            chunk = np.column_stack([c[first : first + WRITE_CHUNK_ROWS] for c in columns])
+            fh.write(row * chunk.shape[0] % tuple(chunk.ravel().tolist()))
 
 
 def write_acf_csv(values: np.ndarray, node_ids: list[str], path) -> None:

@@ -34,6 +34,8 @@ from .linalg import (  # noqa: F401
 # Two eigenvalues are a conjugate pair, and one is real, within this
 # share of 1 + |lambda|.
 CONJUGATE_TOL = 1e-8
+# Columns per block of vandermonde's blocked power recurrence.
+VANDERMONDE_BLOCK = 256
 
 
 @dataclass
@@ -126,16 +128,32 @@ class ModeFrequency:
 def vandermonde(eigenvalues: np.ndarray, length: int) -> np.ndarray:
     """Temporal dynamics matrix, (r, length), with entries[i, j] = lambda_i ** j.
 
-    Columns are generated by the multiplicative recurrence so that the
-    relation entries[:, j+1] = lambda * entries[:, j] holds exactly.
+    Columns come from a blocked multiplicative recurrence, with B =
+    ``VANDERMONDE_BLOCK``: the first B columns step by lambda, each
+    block's first column steps by lambda^B from the last, and column
+    kB + j is block k's first column times column j. So the first B
+    columns are exactly those of the step-by-step recurrence, and
+    entries[:, j+1] = lambda * entries[:, j] holds to rounding that grows
+    with B plus the number of blocks, not with j.
     """
     if length < 1:
         raise ValueError(f"length must be positive, got {length}")
     eigs = np.asarray(eigenvalues, dtype=complex)
+    width = min(length, VANDERMONDE_BLOCK)
+    head = np.empty((eigs.size, width), dtype=complex)
+    head[:, 0] = 1.0
+    for j in range(1, width):
+        head[:, j] = head[:, j - 1] * eigs
+    n_full, tail = divmod(length, width)
+    starts = np.empty((eigs.size, n_full + 1), dtype=complex)
+    starts[:, 0] = 1.0
+    stride = head[:, -1] * eigs
+    for k in range(1, n_full + 1):
+        starts[:, k] = starts[:, k - 1] * stride
     entries = np.empty((eigs.size, length), dtype=complex)
-    entries[:, 0] = 1.0
-    for j in range(1, length):
-        entries[:, j] = entries[:, j - 1] * eigs
+    full = entries[:, : n_full * width].reshape(eigs.size, n_full, width)
+    np.multiply(starts[:, :n_full, np.newaxis], head[:, np.newaxis, :], out=full)
+    entries[:, n_full * width :] = starts[:, n_full : n_full + 1] * head[:, :tail]
     return entries
 
 

@@ -42,14 +42,13 @@ class TimeEmbedding:
     def length(self) -> int:
         return self.table.shape[0]
 
-    def rows(self, steps: np.ndarray) -> np.ndarray:
-        """Table rows for the given steps (the table must cover them)."""
-        steps = np.asarray(steps, dtype=int)
-        bad = (steps < 0) | (steps >= self.length)
-        if bad.any():
-            first = int(steps.ravel()[int(np.argmax(bad.ravel()))])
+    def rows(self, start: int, stop: int) -> np.ndarray:
+        """A view of the table rows of steps start .. stop-1. The table
+        must cover them; otherwise the first step it misses is named."""
+        if start < 0 or stop > self.length:
+            first = self.length if 0 <= start < self.length else start
             raise DataError(f"embedding does not cover absolute step {first}")
-        return self.table[steps]
+        return self.table[start:stop]
 
 
 def build_embedding(selected: np.ndarray, length: int) -> TimeEmbedding:
@@ -67,22 +66,23 @@ def build_embedding(selected: np.ndarray, length: int) -> TimeEmbedding:
         raise ValueError("eigenvalues must be pair representatives with Im >= 0")
     eigs = eigs / np.abs(eigs)
     powers = vandermonde(eigs, length)
-    table = np.ascontiguousarray(np.vstack([powers.real, powers.imag]).T)
+    table = np.empty((length, 2 * eigs.size))
+    table[:, : eigs.size] = powers.real.T
+    table[:, eigs.size :] = powers.imag.T
     return TimeEmbedding(eigenvalues=eigs, table=table)
 
 
 def attach_covariates(windows: "ForecastWindows", emb: TimeEmbedding) -> "ForecastWindows":
-    """Set each anchor's covariates to the embedding rows of its history
-    and target steps, once per anchor rather than per window; any
-    covariates the windows held are replaced.
+    """Set the windows' covariates to a view of the embedding rows of
+    their split's steps, which hold every anchor's history and target
+    rows; any covariates the windows held are replaced. Nothing is
+    copied.
 
     The embedding span must cover every absolute step any window touches,
     including the future target steps; the first uncovered step, in
     window order, is reported otherwise.
     """
-    p, steps = windows.p, windows.covariates.shape[1]
-    rows = emb.rows(windows.anchors[:, np.newaxis] + np.arange(1 - p, steps - p + 1))
-    return replace(windows, covariates=rows)
+    return replace(windows, covariates=emb.rows(*windows.span))
 
 
 def export_embedding(emb: TimeEmbedding, path) -> None:

@@ -7,22 +7,27 @@ and future covariate rows enter as extra features. Metrics follow the
 masked MAE/RMSE convention: missing values are excluded, and reporting
 is in original units at horizons 3, 6, and 12.
 
-The series is held once, as one normalized (N, T) array. Each split is
-a ``[start, stop)`` step range over it, from ``split_boundaries``, and
-its windows are read as zero-copy views of that range: no window is
-copied. The W = A·N windows of a split, A anchors times N nodes, are
-anchor-major and node-minor; window (a, n) holds steps a .. a+P+Q-1 of
-node n, its first P steps the history and the rest the target. The
-embedding is a time covariate, the same for every node, so
-``covariates (A, P+Q, 2r)`` holds each anchor's rows once.
+The series is held once, as one normalized (N, T) array, and the
+embedding once, as its (T, c) table. Each split is a ``[start, stop)``
+step range over both, from ``split_boundaries``, and its windows are
+read as zero-copy views of that range: no window, and no window's
+covariate rows, is copied. The W = A·N windows of a split, A anchors
+times N nodes, are anchor-major and node-minor; window (a, n) holds
+steps a .. a+P+Q-1 of node n, its first P steps the history and the
+rest the target. The embedding is a time covariate, the same for every
+node, so its rows a .. a+P+Q-1 are anchor a's covariate rows.
 
 The fit never forms a window. Each entry of the value part of its
 normal equations is a sum over nodes and anchors of x[n, s+i]·x[n, s+j],
 a range sum over one node-summed lagged product
-z_d[t] = Σ_n x[n, t]·x[n, t+d], d = |j - i| < P+Q. The covariate
-cross-blocks need only the node-summed series Σ_n x[n, t]. A prediction
+z_d[t] = Σ_n x[n, t]·x[n, t+d], d = |j - i| < P+Q. The covariate blocks
+are range sums too, of products of the table's rows with each other and
+with the node-summed series Σ_n x[n, t]: one matrix product per step
+offset, the other pairs of that offset reached by adding the rows that
+enter the range and taking away those that leave it. A prediction
 multiplies each anchor's (N, P) history view by the value weights,
-straight into one (A, N, Q) block, and adds its anchor's covariate term.
+straight into one (A, N, Q) block, and adds its anchor's covariate
+term, the sum of P+Q shifted (A, c) @ (c, Q) products of the table.
 """
 
 from __future__ import annotations
@@ -42,6 +47,9 @@ STD_FLOOR = 1e-8
 HORIZONS = (3, 6, 12)
 # Split ratios may miss a sum of 1 by this much.
 SPLIT_SUM_TOL = 1e-9
+# Entries of an (A, N, Q) block of residuals or targets read at a time,
+# so that no second block is made.
+CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass(frozen=True)
@@ -51,8 +59,9 @@ class ForecastWindows:
 
     ``values`` (N, S) and ``observed`` (N, S) are views of the split's
     steps of the normalized series and of its observation mask (metric
-    exclusion). ``p`` is the history length P. ``covariates`` (A, P+Q, c)
-    holds each anchor's covariate rows, shared by its N windows, and
+    exclusion), and ``covariates`` (S, c) of the embedding table rows of
+    the same steps: anchor a's covariate rows are covariates[a : a+P+Q],
+    shared by its N windows. ``p`` is the history length P, and
     ``anchors`` (A,) the absolute step of each anchor's last history
     step; its targets cover anchor+1 .. anchor+Q.
     """
@@ -73,13 +82,19 @@ class ForecastWindows:
 
     @property
     def q(self) -> int:
-        return self.covariates.shape[1] - self.p
+        return self.values.shape[1] - self.anchors.size - self.p + 1
+
+    @property
+    def span(self) -> tuple[int, int]:
+        """The split's absolute step range [start, stop)."""
+        start = int(self.anchors[0]) - self.p + 1
+        return start, start + self.values.shape[1]
 
     @property
     def layout(self) -> tuple[int, int, int]:
         """(P, history channels, future channels): each history step has
         the value and c covariates, each target step c covariates."""
-        c = self.covariates.shape[2]
+        c = self.covariates.shape[1]
         return (self.p, 1 + c, c)
 
     def blocks(self, first: int, width: int, series: np.ndarray | None = None) -> np.ndarray:
@@ -88,11 +103,6 @@ class ForecastWindows:
         series = self.values if series is None else series
         view = sliding_window_view(series[:, first:], width, axis=1)
         return view[:, : self.anchors.size].transpose(1, 0, 2)
-
-    def covariate_features(self) -> np.ndarray:
-        """(A, (P+Q)·c): each anchor's covariate rows, flattened step-major."""
-        a, steps, c = self.covariates.shape
-        return self.covariates.reshape(a, steps * c)
 
 
 def check_split_ratios(ratios: tuple[float, ...]) -> None:
@@ -186,7 +196,7 @@ def make_windows(
             values=part,
             observed=observed,
             p=p,
-            covariates=np.zeros((t - p - q + 1, p + q, 0)),
+            covariates=np.empty((t, 0)),
             anchors=np.arange(start + p - 1, start + t - q),
         )
         if embedding is not None:
@@ -200,9 +210,9 @@ class RidgeModel:
     """Closed-form regularized least squares on window features.
 
     ``weights`` are (P + (P+Q)·c, Q): the P value weights, then one per
-    covariate entry in the order of ``covariate_features``.
-    ``feature_layout`` is the (P, history channels, future channels)
-    layout of the windows it was fit on.
+    covariate entry, step-major: window step i's channel k is row
+    P + i·c + k. ``feature_layout`` is the (P, history channels, future
+    channels) layout of the windows it was fit on.
     """
 
     weights: np.ndarray
@@ -214,8 +224,9 @@ def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
 
     With H the history, Y the targets and C the covariate rows repeated
     over the nodes, the normal equations are assembled from blocks: HᵀH
-    and HᵀY from range sums of the lagged products z_d, (Σ_nodes H)ᵀC and
-    Cᵀ(Σ_nodes Y) from the node-summed series, and N·CᵀC.
+    and HᵀY from range sums of the lagged products z_d, and N·CᵀC,
+    (Σ_nodes H)ᵀC and Cᵀ(Σ_nodes Y) from range sums of products of the
+    table rows and the node-summed series.
     """
     if not len(train):
         raise DataError("no training windows")
@@ -230,13 +241,48 @@ def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
         sums = sliding_window_view(lagged, n_anchors).sum(axis=1)
         first = np.arange(p + q - lag)
         moments[first, first + lag] = moments[first + lag, first] = sums
-    summed = x.sum(axis=0)
-    c = train.covariate_features()
-    cross = sliding_window_view(summed, p)[:n_anchors].T @ c
-    gram = np.block([[moments[:p, :p], cross], [cross.T, train.n_nodes * (c.T @ c)]])
+    summed = x.sum(axis=0)[:, np.newaxis]
+    table = train.covariates
+    n_cov = (p + q) * table.shape[1]
+    # the covariate blocks, step-major: row P + i·c + k is window step i's channel k
+    cross = _range_products(summed, table, n_anchors, p, p + q).reshape(p, n_cov)
+    cov = _range_products(table, table, n_anchors, p + q, p + q, symmetric=True)
+    cov = cov.transpose(0, 2, 1, 3).reshape(n_cov, n_cov)
+    future = _range_products(table, summed[p:], n_anchors, p + q, q)
+    future = future.transpose(0, 2, 1, 3).reshape(n_cov, q)
+    gram = np.block([[moments[:p, :p], cross], [cross.T, train.n_nodes * cov]])
     gram += l2 * np.eye(gram.shape[0])
-    rhs = np.vstack([moments[:p, p:], c.T @ sliding_window_view(summed[p:], q)])
+    rhs = np.vstack([moments[:p, p:], future])
     return RidgeModel(weights=np.linalg.solve(gram, rhs), feature_layout=train.layout)
+
+
+def _range_products(
+    left: np.ndarray, right: np.ndarray, n: int, rows: int, cols: int, symmetric: bool = False,
+) -> np.ndarray:
+    """(rows, cols, a, b) array whose [i, j] is left[i : i+n]ᵀ right[j : j+n],
+    for (S, a) ``left`` and (S, b) ``right`` series of steps.
+
+    One matrix product per offset d = j - i gives its first pair; each
+    later pair of that offset adds the outer product of the two rows that
+    enter the range and takes away that of the two that leave it. With
+    ``symmetric`` (``left`` is ``right``) only d >= 0 is computed and
+    the rest is mirrored.
+    """
+    out = np.empty((rows, cols, left.shape[1], right.shape[1]))
+    if not out.size:
+        return out
+    for d in range(0 if symmetric else 1 - rows, cols):
+        i = np.arange(max(0, -d), min(rows, cols - d))
+        sums = np.empty((i.size,) + out.shape[2:])
+        sums[0] = left[i[0] : i[0] + n].T @ right[i[0] + d : i[0] + d + n]
+        enter = np.einsum("tk,tl->tkl", left[i[1:] + n - 1], right[i[1:] + d + n - 1])
+        enter -= np.einsum("tk,tl->tkl", left[i[:-1]], right[i[:-1] + d])
+        np.cumsum(enter, axis=0, out=sums[1:])
+        sums[1:] += sums[0]
+        out[i, i + d] = sums
+        if symmetric and d:
+            out[i + d, i] = sums.transpose(0, 2, 1)
+    return out
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
@@ -247,12 +293,18 @@ def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
         raise DataError(
             f"window layout {fw.layout} does not match model layout {model.feature_layout}"
         )
-    p = fw.p
+    p, q, table = fw.p, fw.q, fw.covariates
+    n_anchors = fw.anchors.size
     # one product per anchor, of its (N, P) history view
     out = np.matmul(fw.blocks(0, p), model.weights[:p])
-    # each anchor's covariate term, shared by the windows of all its nodes
-    out += (fw.covariate_features() @ model.weights[p:])[:, np.newaxis]
-    return out.reshape(len(fw), fw.q)
+    # each anchor's covariate term, shared by the windows of all its nodes:
+    # one shifted product of the table per window step
+    weights = model.weights[p:].reshape(p + q, table.shape[1], q)
+    term = np.zeros((n_anchors, q))
+    for i in range(p + q):
+        term += table[i : i + n_anchors] @ weights[i]
+    out += term[:, np.newaxis]
+    return out.reshape(len(fw), q)
 
 
 @dataclass
@@ -283,7 +335,8 @@ def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsRe
     and at each of ``HORIZONS`` up to Q.
 
     Horizon k uses only the k-th output column; masked-out entries are
-    excluded everywhere and counted. ``residuals`` is only read.
+    excluded everywhere and counted. ``residuals`` is only read, at most
+    ``CHUNK_ELEMENTS`` entries of it (or one leading row) at a time.
     """
     residuals = np.asarray(residuals, dtype=float)
     if mask is None:
@@ -296,9 +349,15 @@ def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsRe
     q = residuals.shape[-1]
 
     def pair(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
-        kept = values[keep]  # a copy, which the absolute value and square overwrite
-        mae = float(np.mean(np.abs(kept, out=kept)))
-        return mae, float(np.sqrt(np.mean(np.square(kept, out=kept))))
+        # a few leading rows at a time, so no copy of every kept entry is held
+        step = max(1, CHUNK_ELEMENTS // max(1, values[:1].size))
+        count, total_abs, total_sq = 0, 0.0, 0.0
+        for first in range(0, len(values), step):
+            kept = values[first : first + step][keep[first : first + step]]
+            count += kept.size
+            total_abs += float(np.abs(kept, out=kept).sum())
+            total_sq += float(np.square(kept, out=kept).sum())
+        return total_abs / count, float(np.sqrt(total_sq / count))
 
     horizon_mae: dict[int, float] = {}
     horizon_rmse: dict[int, float] = {}
@@ -317,5 +376,5 @@ def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsRe
         horizon_rmse=horizon_rmse,
         overall_mae=overall_mae,
         overall_rmse=overall_rmse,
-        excluded_count=int((~mask).sum()),
+        excluded_count=mask.size - int(np.count_nonzero(mask)),
     )

@@ -32,6 +32,7 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding
 from .errors import ConfigError, DataError
 from .forecaster import (
+    CHUNK_ELEMENTS,
     ForecastWindows,
     MetricsReport,
     RidgeModel,
@@ -48,8 +49,6 @@ from .synthetic import SyntheticSpec, generate_synthetic
 
 # A run writes its files here, inside the run directory, until every stage is done.
 STAGING_DIR = ".dmdembed-partial"
-# Target entries taken to original units at a time, as residuals are formed.
-TARGET_CHUNK_ELEMENTS = 1 << 16
 
 
 @dataclass
@@ -340,23 +339,33 @@ def write_signal_csv(signal: SignalMatrix, path) -> None:
 
 @dataclass
 class _Run:
-    """Bookkeeping for one run: staging directory, names written, timings
-    and the process's peak memory as each stage ends."""
+    """Bookkeeping for one run: staging directory, names written, timings,
+    the process's peak memory as each stage ends and each stage's rise
+    in it."""
 
     staging: Path
     files: list[str] = field(default_factory=list)
     timings: dict = field(default_factory=dict)
     max_rss_mb: dict = field(default_factory=dict)
+    rss_rise_mb: dict = field(default_factory=dict)
 
     def path(self, name: str) -> Path:
         self.files.append(name)
         return self.staging / name
 
 
+def _max_rss_mb() -> float:
+    """The process's peak resident memory so far, in MB (``ru_maxrss``
+    is in kilobytes on Linux)."""
+    return resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+
+
 class _StageTimer:
     """Adds the time spent inside to the stage's time, so a stage entered
     again, such as the per-label forecast and diagnostics, reports its
-    total, and records ``ru_maxrss`` as the stage last ended."""
+    total. Records ``ru_maxrss`` as the stage last ended, and adds the
+    rise in it over this turn to the stage's rise, so a turn's rise is
+    credited to its own stage."""
 
     def __init__(self, run: _Run, name: str):
         self.run = run
@@ -364,13 +373,16 @@ class _StageTimer:
 
     def __enter__(self):
         self.start = time.perf_counter()
+        self.start_rss_mb = _max_rss_mb()
         return self
 
     def __exit__(self, exc_type, exc, tb):
         elapsed = time.perf_counter() - self.start
         self.run.timings[self.name] = self.run.timings.get(self.name, 0.0) + elapsed
-        # kilobytes on Linux
-        self.run.max_rss_mb[self.name] = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss / 1024.0
+        rss_mb = _max_rss_mb()
+        self.run.max_rss_mb[self.name] = rss_mb
+        rise = rss_mb - self.start_rss_mb
+        self.run.rss_rise_mb[self.name] = self.run.rss_rise_mb.get(self.name, 0.0) + rise
         if exc is not None and isinstance(exc, Exception):
             exc.args = (f"[stage {self.name}] {exc}",) + exc.args[1:]
         return False
@@ -392,7 +404,7 @@ def _test_forecast(model: RidgeModel, test: ForecastWindows, zscore) -> tuple[Me
     resid = predict(model, test).reshape(test.anchors.size, test.n_nodes, test.q)
     zscore.inverse(resid, out=resid)
     targets = test.blocks(test.p, test.q)
-    step = max(1, TARGET_CHUNK_ELEMENTS // targets[0].size)
+    step = max(1, CHUNK_ELEMENTS // targets[0].size)
     for first in range(0, len(targets), step):
         resid[first : first + step] -= zscore.inverse(targets[first : first + step])
     return evaluate(resid, test.blocks(test.p, test.q, test.observed)), resid
@@ -551,12 +563,12 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         # "without" reads the value channel alone: the same windows without the embedding
         labelled = {
             "with": windows,
-            "without": {name: replace(fw, covariates=fw.covariates[:, :, :0])
+            "without": {name: replace(fw, covariates=fw.covariates[:, :0])
                         for name, fw in windows.items()},
         }
         models = {label: fit_ridge(split["train"], l2=cfg.l2) for label, split in labelled.items()}
         tests = {label: split["test"] for label, split in labelled.items()}
-        del windows, labelled  # the training windows and their covariate rows
+        del windows, labelled  # the training windows
 
     # one label's residual block at a time: formed, scored, diagnosed, dropped
     for label, model in models.items():
@@ -587,6 +599,7 @@ def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
         "resolved": resolved,
         "stage_seconds": run.timings,
         "stage_max_rss_mb": run.max_rss_mb,
+        "stage_rss_rise_mb": run.rss_rise_mb,
         "files": sorted(run.files),
     }
     run.path("manifest.json").write_text(

@@ -213,7 +213,7 @@ def test_a6_embedding_contracts():
         fw = make_windows(values, {"train": (0, 64)}, p=12, q=12, embedding=emb_small)["train"]
         assert fw.layout == (12, 1 + 2 * r, 2 * r)
         assert window_rows.history(fw).shape == (len(fw), 12)
-        assert fw.covariates.shape == (len(fw) // 2, 12 + 12, 2 * r)
+        assert fw.covariates.shape == (64, 2 * r)
     report("A6", "row-0 identity, unit-circle norms (1e-10), recurrence (1e-8), "
                  "and m+2r channels hold for r in {1,2,4} over 4032 steps")
 

@@ -6,12 +6,14 @@ decomposition's fields and per-row CSV loops. The writers must give the same byt
 """
 
 import json
+from unittest import mock
 
 import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dmdembed import diagnostics
 from dmdembed.diagnostics import write_acf_csv
 from dmdembed.dmd import DmdDecomposition
 from dmdembed.embedding import TimeEmbedding, export_embedding
@@ -233,6 +235,21 @@ def test_export_embedding_matches_per_row_reference(tmp_path_factory, data):
     )
     path = tmp_path_factory.mktemp("emb") / "emb.csv"
     assert _bytes_of(export_embedding, emb, path) == _bytes_of(export_embedding_per_row, emb, path)
+
+
+@settings(max_examples=100, deadline=None)
+@given(data=st.data())
+def test_export_embedding_in_row_chunks_matches_per_row_reference(tmp_path_factory, data):
+    # the rows are formatted a bounded chunk at a time, and the file is the same
+    length = data.draw(st.integers(0, 30))
+    emb = TimeEmbedding(
+        eigenvalues=np.ones(2, dtype=complex),
+        table=data.draw(arrays(float, (length, 4), elements=cell_values)),
+    )
+    path = tmp_path_factory.mktemp("emb") / "emb.csv"
+    with mock.patch.object(diagnostics, "WRITE_CHUNK_ROWS", data.draw(st.integers(1, 8))):
+        written = _bytes_of(export_embedding, emb, path)
+    assert written == _bytes_of(export_embedding_per_row, emb, path)
 
 
 @settings(max_examples=100, deadline=None)

@@ -11,6 +11,7 @@ from numpy.testing import assert_allclose
 
 from dmdembed import dmd, linalg
 from dmdembed.dmd import (
+    VANDERMONDE_BLOCK,
     CepThreshold,
     DmdDecomposition,
     FixedRank,
@@ -272,6 +273,23 @@ def test_vandermonde_recurrence_and_ones_column(seed, length):
     expected = vm[:, :-1] * lam[:, None]
     scale = np.maximum(np.abs(vm[:, 1:]), 1e-300)
     assert np.max(np.abs(vm[:, 1:] - expected) / scale) <= 1e-10
+
+
+def test_vandermonde_blocks_match_the_step_by_step_recurrence():
+    # three whole blocks and part of a fourth. The first block is the
+    # step-by-step recurrence bit for bit; each later block is its first
+    # column times the first block, within rounding of the recurrence.
+    rng = np.random.default_rng(3)
+    lam = np.exp(1j * rng.uniform(0.0, np.pi, 4)) * (1.0 + 1e-3 * rng.normal(size=4))
+    length = 3 * VANDERMONDE_BLOCK + 17
+    vm = vandermonde(lam, length)
+    steps = np.empty_like(vm)
+    steps[:, 0] = 1.0
+    for j in range(1, length):
+        steps[:, j] = steps[:, j - 1] * lam
+    assert np.array_equal(vm[:, :VANDERMONDE_BLOCK], steps[:, :VANDERMONDE_BLOCK])
+    assert np.max(np.abs(vm - steps) / np.abs(steps)) <= 1e-12
+    assert np.max(np.abs(vm[:, 1:] - vm[:, :-1] * lam[:, None]) / np.abs(vm[:, 1:])) <= 1e-10
 
 
 def test_reconstruct_examples():

@@ -96,7 +96,7 @@ def window_fixture(n_windows=3, p=4, q=2, anchor0=3):
         values=np.arange(steps, dtype=float)[np.newaxis, :],
         observed=np.ones((1, steps), bool),
         p=p,
-        covariates=np.zeros((n_windows, p + q, 0)),
+        covariates=np.empty((steps, 0)),
         anchors=anchor0 + np.arange(n_windows),
     )
 
@@ -105,10 +105,10 @@ def test_attach_covariates_empty_embedding_keeps_windows():
     fw = window_fixture()
     emb = build_embedding(np.array([], dtype=complex), 20)
     out = attach_covariates(fw, emb)
-    assert fw.covariates.shape[2] == 0
+    assert fw.covariates.shape[1] == 0
     assert window_rows.history(out).shape == window_rows.history(fw).shape == (3, 4)
     assert np.array_equal(window_rows.history(out), window_rows.history(fw))
-    assert out.covariates.shape == (3, 4 + 2, 0)
+    assert out.covariates.shape == (3 + 4 + 2 - 1, 0)
 
 
 def test_attach_covariates_constant_mode_channels():
@@ -117,7 +117,7 @@ def test_attach_covariates_constant_mode_channels():
     out = attach_covariates(fw, emb)
     assert_allclose(window_rows.history(out)[0], [0.0])
     # the history step, then the target step
-    assert_allclose(out.covariates[0], [[1.0, 0.0], [1.0, 0.0]])
+    assert_allclose(out.covariates, [[1.0, 0.0], [1.0, 0.0]])
 
 
 def test_attach_covariates_channel_contract():
@@ -126,7 +126,8 @@ def test_attach_covariates_channel_contract():
     emb = build_embedding(lams, 30)
     out = attach_covariates(fw, emb)
     assert window_rows.history(out).shape == (2, 4)
-    assert out.covariates.shape == (2, 4 + 2, 4)
+    assert out.covariates.shape == (2 + 4 + 2 - 1, 4)
+    assert np.shares_memory(out.covariates, emb.table)
     assert out.layout == (4, 1 + 2 * 2, 4)
 
 

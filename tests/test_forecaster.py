@@ -1,5 +1,6 @@
 import dataclasses
 import tracemalloc
+from unittest import mock
 
 import numpy as np
 import pytest
@@ -7,7 +8,8 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed.embedding import build_embedding
+from dmdembed import forecaster
+from dmdembed.embedding import TimeEmbedding, build_embedding
 from dmdembed.errors import ConfigError, DataError
 from dmdembed.forecaster import (
     ForecastWindows,
@@ -21,52 +23,13 @@ from dmdembed.forecaster import (
 )
 
 import window_rows
+from window_rows import loop_windows
 
 
 def train_windows(values, p, q, **kw):
     """The windows of one range covering every step of ``values``."""
     values = np.asarray(values, dtype=float)
     return make_windows(values, {"train": (0, values.shape[1])}, p, q, **kw)["train"]
-
-
-def loop_windows(values, spans, p, q, embedding=None, exclusion_mask=None):
-    """Reference builder: one (anchor, node) window at a time, anchor-major.
-
-    Per named step range it returns the stacked window fields, each
-    window's node and anchor, and the feature matrix made by
-    concatenating each window's flattened history and future rows.
-    """
-    out = {}
-    n = values.shape[0]
-    for name, (start, stop) in spans.items():
-        if stop - start < p + q:
-            raise DataError(f"{name} split has {stop - start} steps, needs at least P+Q={p + q}")
-        wins = []
-        for anchor in range(start + p - 1, stop - q):
-            for node in range(n):
-                hist = values[node, anchor - p + 1 : anchor + 1][:, None]
-                target = values[node, anchor + 1 : anchor + q + 1]
-                if exclusion_mask is not None:
-                    tmask = exclusion_mask[node, anchor + 1 : anchor + q + 1]
-                else:
-                    tmask = np.ones(q, dtype=bool)
-                fut = np.zeros((q, 0))
-                if embedding is not None:
-                    hist = np.hstack([hist, embedding.rows(np.arange(anchor - p + 1, anchor + 1))])
-                    fut = embedding.rows(np.arange(anchor + 1, anchor + q + 1))
-                wins.append((hist, fut, target, tmask, node, anchor))
-        hist, fut, target, tmask, node, anchor = zip(*wins)
-        out[name] = {
-            "history": np.stack(hist),
-            "future": np.stack(fut),
-            "target": np.stack(target),
-            "mask": np.stack(tmask),
-            "node": np.array(node),
-            "anchor": np.array(anchor),
-            "features": np.vstack([np.concatenate([h.ravel(), f.ravel()])
-                                   for h, f in zip(hist, fut)]),
-        }
-    return out
 
 
 def dense_order(p, q, c):
@@ -81,8 +44,8 @@ def dense_order(p, q, c):
 
 def dense_features(fw):
     """The W x F per-window feature matrix the blocks stand for."""
-    p, q, c = fw.p, fw.q, fw.covariates.shape[2]
-    per_window = np.repeat(fw.covariate_features(), fw.n_nodes, axis=0)
+    p, q, c = fw.p, fw.q, fw.covariates.shape[1]
+    per_window = window_rows.covariates(fw).reshape(len(fw), (p + q) * c)
     blocks = np.hstack([window_rows.history(fw), per_window])
     return blocks[:, dense_order(p, q, c)]
 
@@ -147,11 +110,10 @@ def test_make_windows_matches_per_window_loop(data):
         assert len(fw) == ref["target"].shape[0]
         assert fw.n_nodes == n
         # each window's covariate rows are its anchor's, shared by its nodes
-        per_window_rows = np.repeat(fw.covariates, fw.n_nodes, axis=0)
         ref_rows = np.concatenate([ref["history"][:, :, 1:], ref["future"]], axis=1)
         for key, got, want in (
             ("history", window_rows.history(fw), ref["history"][:, :, 0]),
-            ("covariates", per_window_rows, ref_rows),
+            ("covariates", window_rows.covariates(fw), ref_rows),
             ("target", window_rows.target(fw), ref["target"]),
             ("mask", window_rows.mask(fw), ref["mask"]),
             # anchor-major, node-minor: the layout fixes each window's node and anchor
@@ -203,6 +165,45 @@ def test_blockwise_ridge_matches_dense_features(data):
     assert np.linalg.norm(weights - dense) <= rtol * np.linalg.norm(dense)
     dense_preds = ref["test"]["features"] @ dense
     assert np.linalg.norm(preds - dense_preds) <= rtol * np.linalg.norm(dense_preds)
+
+
+@given(data=st.data())
+@settings(max_examples=100, deadline=None)
+def test_ridge_from_the_table_matches_per_window_reference(data):
+    # fit_ridge sums the covariate blocks from the (T, c) table, one product
+    # per step offset, and predict adds each anchor's covariate term as P+Q
+    # shifted products. The reference flattens every window's rows into one
+    # dense feature matrix. Any table serves, so c may be odd, and its
+    # random columns with l2 >= 0.1 keep the normal matrix well conditioned.
+    n = data.draw(st.integers(1, 3), label="N")
+    p = data.draw(st.integers(1, 6), label="P")
+    q = data.draw(st.integers(1, 6), label="Q")
+    c = data.draw(st.integers(0, 6), label="channels")
+    # each split down to a single anchor
+    n_train = p + q - 1 + data.draw(st.integers(1, 40), label="train anchors")
+    n_test = p + q - 1 + data.draw(st.integers(1, 20), label="test anchors")
+    offset = data.draw(st.integers(0, 3), label="steps before train")
+    t = offset + n_train + n_test
+    # the table may end exactly at the last target step
+    length = t + data.draw(st.integers(0, 2), label="rows past the series")
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    values = rng.normal(size=(n, t))
+    emb = TimeEmbedding(np.zeros(0, dtype=complex), rng.normal(size=(length, c)))
+    l2 = 10.0 ** data.draw(st.floats(-1.0, 2.0), label="log10 l2")
+    spans = {"train": (offset, offset + n_train), "test": (offset + n_train, t)}
+
+    windows = make_windows(values, spans, p, q, embedding=emb)
+    model = fit_ridge(windows["train"], l2=l2)
+    preds = predict(model, windows["test"])
+
+    ref = loop_windows(values, spans, p, q, emb)
+    x, y = ref["train"]["features"], ref["train"]["target"]
+    dense = np.linalg.solve(x.T @ x + l2 * np.eye(x.shape[1]), x.T @ y)
+    weights = model.weights[dense_order(p, q, c)]
+    assert np.linalg.norm(weights - dense) <= 1e-10 * np.linalg.norm(dense)
+    dense_preds = ref["test"]["features"] @ dense
+    assert preds.base.shape == (n_test - p - q + 1, n, q)
+    assert np.linalg.norm(preds - dense_preds) <= 1e-10 * np.linalg.norm(dense_preds)
 
 
 def test_windows_are_views_of_the_series():
@@ -300,7 +301,8 @@ def test_window_channel_contract_with_embedding():
     emb = build_embedding(lams, 60)
     fw = train_windows(values, p=12, q=12, embedding=emb)
     assert window_rows.history(fw).shape == (len(fw), 12)
-    assert fw.covariates.shape == (len(fw), 12 + 12, 4)  # one node: one window per anchor
+    # a view of the table rows of the split's 40 steps
+    assert fw.covariates.shape == (40, 4) and np.shares_memory(fw.covariates, emb.table)
     assert fw.layout == (12, 5, 4)
 
 
@@ -401,10 +403,10 @@ def test_evaluate_rmse_dominates_mae():
     assert report.overall_rmse >= report.overall_mae
 
 
-def test_evaluate_peak_memory_is_about_two_blocks():
-    # the residual block and the copy of its kept entries, whose absolute
-    # value and square are taken in place: 1.95 blocks, where a new array
-    # for each took 2.90
+def test_evaluate_peak_memory_is_about_one_block():
+    # the residual block, and the kept entries of a bounded chunk of it,
+    # whose absolute value and square are taken in place: 1.08 blocks,
+    # where a copy of every kept entry took 1.95
     rng = np.random.default_rng(0)
     shape = (2000, 64, 12)
     preds, targets = rng.normal(size=shape), rng.normal(size=shape)
@@ -415,7 +417,28 @@ def test_evaluate_peak_memory_is_about_two_blocks():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert peak <= 2.2 * preds.nbytes
+    assert peak <= 1.2 * preds.nbytes
+
+
+@given(data=st.data())
+@settings(max_examples=50, deadline=None)
+def test_evaluate_in_chunks_matches_whole_block_means(data):
+    # a chunk of a few leading rows at a time, against one mean over the
+    # kept entries of the whole block; the sums differ only in order
+    rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
+    shape = (data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12)))
+    resid = rng.normal(size=shape)
+    mask = rng.random(shape) > 0.2
+    mask.flat[0] = True
+    with mock.patch.object(forecaster, "CHUNK_ELEMENTS", data.draw(st.integers(1, 50))):
+        report = evaluate(resid, mask)
+    columns = [(report.overall_mae, report.overall_rmse, resid, mask)]
+    columns += [(report.horizon_mae[h], report.horizon_rmse[h], resid[..., h - 1], mask[..., h - 1])
+                for h in report.horizon_mae if mask[..., h - 1].any()]
+    for mae, rmse, values, keep in columns:
+        assert mae == pytest.approx(np.mean(np.abs(values[keep])), rel=1e-12)
+        assert rmse == pytest.approx(np.sqrt(np.mean(values[keep] ** 2)), rel=1e-12)
+    assert report.excluded_count == int((~mask).sum())
 
 
 def test_evaluate_all_masked_raises():
@@ -435,7 +458,7 @@ def test_covariate_null_test():
     # an all-zeros embedding block changes nothing under l2 > 0
     rng = np.random.default_rng(4)
     plain = train_windows(rng.normal(size=(2, 80)), p=8, q=4)
-    zeroed = dataclasses.replace(plain, covariates=np.zeros((len(plain) // 2, 8 + 4, 2)))
+    zeroed = dataclasses.replace(plain, covariates=np.zeros((80, 2)))
     m_plain = fit_ridge(plain, l2=1e-3)
     m_zero = fit_ridge(zeroed, l2=1e-3)
     p_plain = predict(m_plain, plain)

@@ -17,6 +17,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from dmdembed import pipeline
 from dmdembed.cli import build_parser, main as cli_main
 from dmdembed.dmd import mode_frequency, vandermonde
 from dmdembed.errors import ConfigError, DataError
@@ -449,6 +450,11 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     assert manifest["stage_max_rss_mb"].keys() == manifest["stage_seconds"].keys()
     rss = [manifest["stage_max_rss_mb"][stage] for stage in stages]
     assert rss[0] > 0 and rss == sorted(rss)
+    # each stage's rise in it, summed over its turns: together the run's
+    # rise from the value it started at
+    rises = manifest["stage_rss_rise_mb"]
+    assert rises.keys() == manifest["stage_seconds"].keys() and min(rises.values()) >= 0.0
+    assert sum(rises.values()) == rss[-1] - (rss[0] - rises["ingest"])
     assert not (out / ".lock").exists()
 
     # the modes are saved beside the decomposition, not in its JSON
@@ -470,6 +476,33 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     assert np.linalg.norm(rec - train) <= 0.1 * np.linalg.norm(train)
     # each kept group has one representative, so selected_pairs counts the channels
     assert "embedding_modes" not in resolved
+
+
+def test_stage_rss_rise_is_credited_to_the_turn_that_made_it(tmp_path, monkeypatch):
+    # ru_maxrss as a counter that the ridge fits raise by 3 MB each and the
+    # first label's residual correlation by 10 MB. The forecast's last turn
+    # ends after that diagnostics turn, so its peak figure cannot tell the
+    # two apart; the rises can.
+    peak = [100.0]
+
+    def raising(fn, mb, calls):
+        def wrapped(*args, **kwargs):
+            if calls:
+                calls.pop()
+                peak[0] += mb
+            return fn(*args, **kwargs)
+        return wrapped
+
+    monkeypatch.setattr(pipeline, "_max_rss_mb", lambda: peak[0])
+    monkeypatch.setattr(pipeline, "fit_ridge", raising(pipeline.fit_ridge, 3.0, [1, 1]))
+    monkeypatch.setattr(pipeline.dg, "residual_correlation",
+                        raising(pipeline.dg.residual_correlation, 10.0, [1]))
+    out = run_pipeline(small_config(tmp_path))
+    manifest = json.loads((out / "manifest.json").read_text())
+    rises = manifest["stage_rss_rise_mb"]
+    assert rises.pop("forecast") == 6.0 and rises.pop("diagnostics") == 10.0
+    assert set(rises.values()) == {0.0}
+    assert manifest["stage_max_rss_mb"]["forecast"] == manifest["stage_max_rss_mb"]["diagnostics"] == 116.0
 
 
 def test_run_pipeline_fit_and_embed_stop_early(tmp_path):

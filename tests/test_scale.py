@@ -1,9 +1,11 @@
 """Scale: a long two-period run whose fit scales past the dense T x T
-Gram, a wide forecast whose memory stays well below its value windows,
-and a wide run whose diagnostics hold one residual block at a time."""
+Gram, a wide forecast whose memory stays near its prediction block, a
+long forecast that copies no covariate rows, and a wide run whose
+diagnostics hold one residual block at a time."""
 
 import json
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 
@@ -50,12 +52,11 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
 
 
 def test_wide_forecast_holds_no_per_window_covariates():
-    # 64 nodes x 1,000 steps with 4 modes. Per-window covariate rows and a
-    # W x F feature matrix would take about 500 doubles a window; copied
-    # value windows and targets would take P + Q = 24. The windows are
-    # views of the series, so what is allocated is each anchor's covariate
-    # rows and the test prediction block: 2.5 MB measured, 0.23 times the
-    # 11.2 MB of copied windows. The bound leaves 30% over that.
+    # 64 nodes x 1,000 steps with 4 modes. The windows are views of the
+    # series and their covariates views of the embedding table, so what is
+    # allocated is the test prediction block and small sums: 1.22 blocks
+    # measured. Each anchor's covariate rows took it to 2.46 blocks, and
+    # copied value windows and targets would take 10.8.
     rng = np.random.default_rng(0)
     values = rng.normal(size=(64, 1_000))
     observed = rng.random(values.shape) > 0.05
@@ -68,8 +69,31 @@ def test_wide_forecast_holds_no_per_window_covariates():
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    window_mb = sum(len(fw) * (12 + 12) * 8 for fw in windows.values()) / 2**20
-    assert peak / 2**20 <= 0.3 * window_mb, f"peak {peak / 2**20:.1f} MB, windows {window_mb:.1f} MB"
+    block = len(windows["test"]) * 12 * 8
+    assert peak <= 1.5 * block, f"peak {peak / block:.2f} prediction blocks"
+
+
+def test_long_forecast_copies_no_covariate_rows():
+    # 2 nodes x 40,000 steps with 2 modes: 27,977 training anchors, whose
+    # covariate rows, A·(P+Q)·2r doubles, would take 20.5 MB. Both labels'
+    # windows, fits and test predictions, as a run makes them, allocate
+    # 0.14 times that: the prediction block and each anchor's covariate
+    # term. Gathering each anchor's rows took 1.41 times it.
+    rng = np.random.default_rng(0)
+    values = rng.normal(size=(2, 40_000))
+    emb = build_embedding(np.exp(2j * np.pi / np.array([72.0, 504.0])), 40_000)
+    tracemalloc.start()
+    try:
+        windows = make_windows(values, {"train": (0, 28_000), "test": (32_000, 40_000)}, 12, 12,
+                               embedding=emb)
+        plain = {name: replace(fw, covariates=fw.covariates[:, :0]) for name, fw in windows.items()}
+        for split in (windows, plain):
+            predict(fit_ridge(split["train"]), split["test"])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    rows = windows["train"].anchors.size * (12 + 12) * 4 * 8
+    assert peak <= 0.25 * rows, f"peak {peak / rows:.2f} times the covariate rows"
 
 
 def test_wide_run_diagnoses_one_residual_block_at_a_time(tmp_path, monkeypatch):
