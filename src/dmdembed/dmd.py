@@ -3,16 +3,18 @@
 Fits the small transition operator A = U^T H' V diag(1/sigma) from the
 lifted snapshot pair (H, H'), the Hankel lifting without its last and
 without its first column, using only products with H and its Gram (no
-T x T array is formed), extracts its eigenpairs, lifts eigenvectors
-to spatial modes, fits complex amplitudes, and evaluates the temporal
-dynamics through a Vandermonde matrix of eigenvalue powers.
+T x T array is formed; H' enters only as H'^T U, which is H^T U moved
+up one row over the last lifted column), extracts its eigenpairs,
+lifts eigenvectors to spatial modes, fits complex amplitudes, and
+evaluates the temporal dynamics through a Vandermonde matrix of
+eigenvalue powers.
 """
 
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from functools import cached_property
 
 import numpy as np
@@ -198,58 +200,24 @@ def fit_columns(t: int, tau: int) -> int:
     return span
 
 
-class _FitGeometry:
-    """Tall and Gram products of the snapshots H, the first ``span``
-    columns of the lifting, and of the shifted snapshots H', its last
-    ``span`` columns."""
-
-    def __init__(self, view: hk.HankelView):
-        self.view = view
-        self.span = fit_columns(view.source.n_steps, view.tau)
-
-    def _lift(self, x: np.ndarray, shift: int) -> np.ndarray:
-        """Coefficients on the fit columns, offset by ``shift``, as
-        coefficients on all columns of the lifting."""
-        out = np.zeros((self.view.columns,) + x.shape[1:], dtype=x.dtype)
-        out[shift : shift + self.span] = x
-        return out
-
-    def _restrict(self, y: np.ndarray) -> np.ndarray:
-        """Adjoint of ``_lift`` at shift 0: the rows of the fit columns."""
-        return y[: self.span]
-
-    def tall(self, x: np.ndarray) -> np.ndarray:
-        return hk.apply_tall(self.view, self._lift(x, 0))
-
-    def shifted_tall(self, x: np.ndarray) -> np.ndarray:
-        """H' @ x: H applied to x shifted down one row."""
-        return hk.apply_tall(self.view, self._lift(x, 1))
-
-    def data_energy(self) -> float:
-        """Squared Frobenius norm of H."""
-        return float(np.sum(self._restrict(hk.column_energies(self.view))))
-
-    def gram(self) -> GramProduct:
-        """The fit Gram H^T H, as products."""
-
-        def apply(x):
-            return self._restrict(hk.gram(self.view, self._lift(x, 0)))
-
-        return GramProduct(apply, self.span, self.data_energy())
-
-
-def fit_geometry(view: hk.HankelView) -> _FitGeometry:
-    """The products of a view's snapshot pair that a fit uses; applies none."""
-    return _FitGeometry(view)
+def fit_geometry(view: hk.HankelView) -> hk.HankelView:
+    """The snapshots H of a fit: the lifting of the view's signal without
+    its last step, whose T - tau columns are every column of the view's
+    lifting but the last. Applies no product."""
+    source = view.source
+    fit_columns(source.n_steps, view.tau)
+    head = replace(source, values=source.values[:, :-1], mask=source.mask[:, :-1])
+    return hk.HankelView(head, view.tau)
 
 
 def amplitude_quadratic(
     eigenvalues: np.ndarray,
-    modes: np.ndarray,
+    mode_gram: np.ndarray,
     ht_modes: np.ndarray,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Quadratic form of the amplitude fit ||H - modes diag(a) C||_F^2,
-    given H^T modes, one row per fit column.
+    given the modes' Gram modes* modes and H^T modes, one row per fit
+    column.
 
     Returns (P, q) with the residual equal to a* P a - 2 Re(q* a) + s,
     where P = (modes* modes) o conj(C C*), q = conj(diag(C H^T modes))
@@ -257,7 +225,7 @@ def amplitude_quadratic(
     for the sparse mode selection.
     """
     vand = vandermonde(eigenvalues, ht_modes.shape[0])
-    p = (modes.conj().T @ modes) * np.conj(vand @ vand.conj().T)
+    p = mode_gram * np.conj(vand @ vand.conj().T)
     q = np.conj(np.einsum("ij,ji->i", vand, ht_modes))
     return p, q
 
@@ -291,21 +259,32 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
 def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> DmdDecomposition:
     """Fit the reduced transition operator and its mode decomposition,
     truncated by ``rank_policy``."""
-    geo = fit_geometry(view)
-    svd = snapshot_svd(geo.gram(), geo.tall, rank_policy)
-    # Reduced operator U^T H' V diag(1/sigma); with U = H V diag(1/sigma)
-    # this is diag(1/sigma) (H V)^T (H' V) diag(1/sigma).
-    inv_sigma = 1.0 / svd.singular_values
-    reduced = (svd.left_vectors.T @ geo.shifted_tall(svd.right_vectors)) * inv_sigma
+    snapshots = fit_geometry(view)
+    span = snapshots.columns
+    gram = GramProduct(
+        lambda x: hk.gram(snapshots, x), span, float(np.sum(hk.column_energies(snapshots)))
+    )
+    svd = snapshot_svd(gram, lambda x: hk.apply_tall(snapshots, x), rank_policy)
+    # Reduced operator (H'^T U)^T V diag(1/sigma). Column j of H' is
+    # column j + 1 of H, so H'^T U is H^T U from its second row on, over
+    # the last lifted column (the last tau steps, block-row-major) times U.
+    last_row = view.source.values[:, span:].T.reshape(-1) @ svd.left_vectors
+    reduced = (
+        svd.ht_left[1:].T @ svd.right_vectors[:-1]
+        + np.outer(last_row, svd.right_vectors[-1])
+    ) / svd.singular_values
     eigenvalues, eigenvectors = dense_eig(reduced)
-    modes = svd.left_vectors @ eigenvectors
-    norms = np.linalg.norm(modes, axis=0)
+    # The modes U @ coords are formed once, last: until then they are
+    # their coordinates on U, and their Gram is coords* (U^T U) coords.
+    mode_gram = eigenvectors.conj().T @ (svd.left_vectors.T @ svd.left_vectors) @ eigenvectors
+    norms = np.sqrt(np.diag(mode_gram).real)
     if np.any(norms == 0.0):
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
-    modes = modes / norms
-    ht_modes = (svd.ht_left @ eigenvectors) / norms
+    coords = eigenvectors / norms
+    mode_gram = mode_gram / np.outer(norms, norms)
+    ht_modes = svd.ht_left @ coords
 
-    p, q = amplitude_quadratic(eigenvalues, modes, ht_modes)
+    p, q = amplitude_quadratic(eigenvalues, mode_gram, ht_modes)
     amplitudes = solve_hermitian(p, q)
     # The eigensolver fixes each eigenvector's phase by its largest entry,
     # which round-off picks among near-equal ones. Each mode takes its
@@ -314,19 +293,23 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     phase = np.ones_like(amplitudes)
     moving = amplitudes != 0
     phase[moving] = amplitudes[moving] / np.abs(amplitudes[moving])
-    modes = modes * phase
+    coords = coords * phase
     p = phase.conj()[:, np.newaxis] * p * phase
     q = phase.conj() * q
     amplitudes = np.abs(amplitudes).astype(complex)
 
-    order = _energy_order(eigenvalues, amplitudes, geo.span)
+    order = _energy_order(eigenvalues, amplitudes, span)
+    # U is real: its product with the coordinates' real and imaginary
+    # parts, interleaved, is laid out as the complex modes.
+    coords = np.ascontiguousarray(coords[:, order])
+    modes = (svd.left_vectors @ coords.view(float)).view(complex)
     return DmdDecomposition(
         eigenvalues=eigenvalues[order],
-        modes=modes[:, order],
+        modes=modes,
         amplitudes=amplitudes[order],
         rank=svd.rank,
         sampling_seconds=view.source.step_seconds,
-        fit_span=geo.span,
+        fit_span=span,
         tau=view.tau,
         singular_values=svd.spectrum,
         spectrum_solve=svd.solve,

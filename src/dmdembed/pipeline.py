@@ -530,7 +530,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
         np.save(run.path("modes.npy"), dec.modes)
-        del view, train_signal  # and with them the view's cached spectrum
+        del view, train_signal
 
     with _StageTimer(run, "spdmd"):
         sweep = spdmd.gamma_sweep(dec, target_modes=cfg.target_modes)

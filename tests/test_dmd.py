@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 from numpy.testing import assert_allclose
 
-from dmdembed import dmd, linalg
+from dmdembed import dmd, hankel, linalg
 from dmdembed.dmd import (
     VANDERMONDE_BLOCK,
     CepThreshold,
@@ -23,7 +23,7 @@ from dmdembed.dmd import (
     vandermonde,
 )
 from dmdembed.errors import EmptySpectrumError
-from dmdembed.hankel import SignalMatrix, apply_tall_transpose, build_hankel
+from dmdembed.hankel import SignalMatrix, apply_tall_transpose, build_hankel, column_energies
 from hankel_oracle import materialize_hankel
 
 
@@ -159,6 +159,58 @@ def test_fits_take_their_svd_from_snapshot_svd(monkeypatch):
     assert len(calls) == 1
     assert dec.rank == calls[0].rank == 2
     assert dec.singular_values is calls[0].spectrum
+
+
+def test_a_fit_applies_its_snapshots_once(monkeypatch):
+    # One geometry, one tall product, no transposed one, and every Gram
+    # block on the T - tau columns of the snapshots H alone.
+    rows = {"apply_tall": [], "apply_tall_transpose": [], "gram": []}
+    for name in rows:
+        def recording(view, x, name=name, original=getattr(hankel, name)):
+            rows[name].append(x.shape[0])
+            return original(view, x)
+
+        monkeypatch.setattr(hankel, name, recording)
+    geometries = []
+
+    def recording_geometry(view, original=dmd.fit_geometry):
+        geometries.append(view)
+        return original(view)
+
+    monkeypatch.setattr(dmd, "fit_geometry", recording_geometry)
+    t, tau = 30, 4
+    values = np.random.default_rng(3).normal(size=(3, t))
+    dec = fit_dmd(view_of(values, tau=tau), FixedRank(4))
+    assert dec.rank == 4 and len(geometries) == 1
+    assert rows["apply_tall"] == [t - tau] and rows["apply_tall_transpose"] == []
+    assert rows["gram"] and set(rows["gram"]) == {t - tau}
+
+
+def dense_reduced_eigenvalues(values, tau, rank):
+    """Eigenvalues of U^T H' V diag(1/sigma) at ``rank``, from the dense
+    SVD of the snapshots H and the shifted snapshots H', and the
+    condition number sigma_1 / sigma_rank."""
+    lifted = materialize_hankel(values, tau)
+    u, sigma, vt = np.linalg.svd(lifted[:, :-1], full_matrices=False)
+    reduced = (u[:, :rank].T @ lifted[:, 1:] @ vt[:rank].T) / sigma[:rank]
+    return np.linalg.eigvals(reduced), sigma[0] / sigma[rank - 1]
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(3, 40), st.data())
+@settings(max_examples=200, deadline=None)
+def test_reduced_operator_matches_the_dense_reference(seed, n, t, data):
+    # H'^T U is read off the Krylov images and the last lifted column;
+    # its eigenvalues are those of the dense reduced operator at the same
+    # rank, for every tau down to two snapshot pairs. Distances are
+    # relative to (1 + max |lambda|) sigma_1 / sigma_rank; over 20,000
+    # draws the largest was 9.8e-13.
+    tau = data.draw(st.integers(1, t - 2))
+    values = np.random.default_rng(seed).normal(size=(n, t))
+    dec = fit_dmd(view_of(values, tau=tau), FixedRank(data.draw(st.integers(1, 6))))
+    want, condition = dense_reduced_eigenvalues(values, tau, dec.rank)
+    apart = np.abs(dec.eigenvalues[:, np.newaxis] - want[np.newaxis, :])
+    distance = max(apart.min(axis=0).max(), apart.min(axis=1).max())
+    assert distance <= 1e-10 * condition * (1.0 + np.max(np.abs(want)))
 
 
 def representatives_reference(eigenvalues):
@@ -417,10 +469,11 @@ def test_fit_keeps_its_amplitude_form(seed, n, t, data):
     p, q, s = dec.amplitude_form
     ht_modes = apply_tall_transpose(view, dec.modes.real) \
         + 1j * apply_tall_transpose(view, dec.modes.imag)
-    p_ref, q_ref = dmd.amplitude_quadratic(dec.eigenvalues, dec.modes, ht_modes[: dec.fit_span])
+    p_ref, q_ref = dmd.amplitude_quadratic(dec.eigenvalues, dec.modes.conj().T @ dec.modes,
+                                           ht_modes[: dec.fit_span])
     assert np.max(np.abs(p - p_ref)) <= 1e-13 * np.max(np.abs(p_ref))
     assert np.max(np.abs(q - q_ref)) <= 1e-12 * np.max(np.abs(q_ref))
-    assert s == dmd.fit_geometry(view).data_energy()
+    assert s == column_energies(dmd.fit_geometry(view)).sum()
 
 
 def saved_modes(modes: np.ndarray) -> np.ndarray:

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
 from dmdembed import hankel
-from dmdembed.dmd import _FitGeometry
+from dmdembed.dmd import fit_geometry
 from dmdembed.errors import DataError
 from dmdembed.hankel import (
     SignalMatrix,
@@ -160,24 +160,20 @@ def test_products_refuse_complex_and_one_dimensional_blocks(product):
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(3, 10), st.integers(1, 10))
 @settings(max_examples=60, deadline=None)
 def test_cross_gram_matches_dense(seed, n, t, tau):
-    # The fit's products against dense H and H': the first and the last
-    # T - tau columns of the lifting.
+    # The fit's snapshots against the dense H, the first T - tau columns
+    # of the lifting: the tall product, the Gram product and the trace.
     tau = min(tau, t - 2)
     rng = np.random.default_rng(seed)
     z = rng.normal(size=(n, t))
     span = t - tau
-    lifted = materialize_hankel(z, tau)
-    h, hs = lifted[:, :span], lifted[:, 1:]
-    geo = _FitGeometry(build_hankel(signal(z), tau=tau))
-    assert geo.span == span
+    h = materialize_hankel(z, tau)[:, :span]
+    snapshots = fit_geometry(build_hankel(signal(z), tau=tau))
+    assert snapshots.shape == h.shape
     x = rng.normal(size=(span, 3))
     scale = max(1.0, float(np.max(np.abs(h.T @ h))))
-    assert np.max(np.abs(geo.tall(x) - h @ x)) <= 1e-10 * scale
-    assert np.max(np.abs(geo.shifted_tall(x) - hs @ x)) <= 1e-10 * scale
-    fit_gram = geo.gram()
-    assert fit_gram.order == span
-    assert np.max(np.abs(fit_gram(x) - h.T @ (h @ x))) <= 1e-10 * scale
-    assert fit_gram.trace == pytest.approx(np.sum(h**2), rel=1e-12)
+    assert np.max(np.abs(apply_tall(snapshots, x) - h @ x)) <= 1e-10 * scale
+    assert np.max(np.abs(gram(snapshots, x) - h.T @ (h @ x))) <= 1e-10 * scale
+    assert column_energies(snapshots).sum() == pytest.approx(np.sum(h**2), rel=1e-12)
 
 
 def test_column_energies_match_gram_diagonal():
@@ -203,7 +199,8 @@ def close(got, want):
 
 def check_products(z, tau, k, rng):
     """The FFT tall products and the Gram product against the dense H,
-    on all columns of the lifting and on the fit columns."""
+    on all columns of the lifting and on the fit's snapshots, its first
+    T - tau columns."""
     n, t = z.shape
     view = build_hankel(signal(z), tau=tau)
     h = materialize_hankel(z, tau)
@@ -216,10 +213,12 @@ def check_products(z, tau, k, rng):
     assert_allclose(column_energies(view), np.sum(h**2, axis=0), rtol=0, atol=1e-12 * np.sum(h**2))
     if t - tau < 2:
         return  # a fit needs two snapshot pairs
-    geo = _FitGeometry(view)
-    fit, xs = h[:, : geo.span], x[: geo.span]
-    assert close(geo.tall(xs), fit @ xs)
-    assert close(geo.gram()(xs), fit.T @ (fit @ xs))
+    snapshots = fit_geometry(view)
+    fit, xs = h[:, : snapshots.columns], x[: snapshots.columns]
+    assert close(apply_tall(snapshots, xs), fit @ xs)
+    assert close(gram(snapshots, xs), fit.T @ (fit @ xs))
+    assert_allclose(column_energies(snapshots), np.sum(fit**2, axis=0), rtol=0,
+                    atol=1e-12 * np.sum(fit**2))
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(2, 40), st.integers(1, 40),
