@@ -1,8 +1,8 @@
 """Spectral time embeddings for multivariate forecasting.
 
 Extracts dominant oscillatory modes from a signal matrix via a
-Hankel-lifted mode decomposition, keeps the few that a forward
-selection on the amplitude fit picks, and turns their eigenvalues into
+Hankel-lifted mode decomposition, keeps the few leading conjugate
+groups of the fit's energy order, and turns their eigenvalues into
 per-timestep covariates that any forecaster can consume. Ships with a
 windowed ridge baseline and residual diagnostics to measure the benefit.
 """

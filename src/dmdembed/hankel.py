@@ -273,5 +273,7 @@ def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
 
 def column_energies(view: HankelView) -> np.ndarray:
     """Squared 2-norm of every column of H (the diagonal of the Gram)."""
-    csum = np.concatenate([[0.0], np.cumsum(np.sum(view.source.values**2, axis=0))])
+    v = view.source.values
+    # per-step sums of squares, without a squared copy of the signal
+    csum = np.concatenate([[0.0], np.cumsum(np.einsum("nt,nt->t", v, v))])
     return csum[view.tau :] - csum[: view.columns]

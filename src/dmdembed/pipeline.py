@@ -600,6 +600,9 @@ def _write_manifest(cfg: PipelineConfig, run: _Run, resolved: dict) -> None:
         "stage_seconds": run.timings,
         "stage_max_rss_mb": run.max_rss_mb,
         "stage_rss_rise_mb": run.rss_rise_mb,
+        # a byte-identical replay needs these; outside config, so a replay does not set them
+        "blas_threads": {name: os.environ.get(name) for name in
+                         ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")},
         "files": sorted(run.files),
     }
     run.path("manifest.json").write_text(

@@ -1,16 +1,14 @@
-"""Forward selection of the dominant modes of a fitted decomposition.
+"""Selection of the dominant modes of a fitted decomposition.
 
 The fit's amplitudes minimize the reconstruction loss
 
     ||H - modes diag(a) Vandermonde||_F^2 = a*Pa - 2Re(q*a) + s
 
-over all r modes. A smaller support is chosen greedily, by group
-orthogonal matching pursuit: start from no modes and, one step at a
-time, add the conjugate group whose polished refit (the unregularized
-fit restricted to the support) gives the lowest loss. A conjugate pair
-and a real mode each form one group, so a real-valued embedding never
-receives half a pair. Ties go to the group that comes first in the
-fit's energy order.
+over all r modes. A smaller support keeps the leading conjugate groups
+of the fit's energy order (``dec.groups``): step k keeps the first k
+groups, with their polished refit (the unregularized fit restricted to
+the support) and its loss. A conjugate pair and a real mode each form
+one group, so a real-valued embedding never receives half a pair.
 """
 
 from __future__ import annotations
@@ -83,41 +81,26 @@ def _polish_on(problem: _AmplitudeProblem, support: np.ndarray) -> np.ndarray:
     return out
 
 
-def _add_group(problem: _AmplitudeProblem, support: np.ndarray, group: list[int],
-               pair_count: int) -> SpdmdSolution:
-    support = support.copy()
-    support[group] = True
-    amplitudes = _polish_on(problem, support)
-    return SpdmdSolution(amplitudes, support, pair_count, problem.loss(amplitudes), group)
-
-
 def gamma_sweep(dec: DmdDecomposition, target_modes: int) -> SweepResult:
-    """Select ``min(target_modes, groups)`` conjugate groups by forward selection.
+    """Keep the first ``min(target_modes, groups)`` conjugate groups in energy order.
 
     ``target_modes`` counts conjugate-pair representatives: a retained
-    pair and a retained real mode each count once. Every step adds the
-    group whose polished refit has the lowest fit loss; the selected
+    pair and a retained real mode each count once. Step k polishes the
+    amplitudes on the first k groups of ``dec.groups``; the selected
     solution is the last step. The name is the one perfbench traces.
     """
     problem = _AmplitudeProblem(dec)
     if target_modes < 1:
         raise ValueError(f"target_modes must be at least 1, got {target_modes}")
-    target = min(target_modes, len(problem.groups))
-    remaining = list(problem.groups)
     support = np.zeros(dec.rank, dtype=bool)
     solutions: list[SpdmdSolution] = []
-    for step in range(1, target + 1):
-        # min keeps the first of equal losses: the earlier group in energy order
-        best = min((_add_group(problem, support, g, step) for g in remaining),
-                   key=lambda sol: sol.fit_loss)
-        remaining.remove(best.group)
-        support = best.support
-        solutions.append(best)
-    return SweepResult(
-        path=SpdmdPath(solutions),
-        selected=solutions[-1],
-        target_met=len(solutions) == target,
-    )
+    for step, group in enumerate(problem.groups[:target_modes], start=1):
+        support = support.copy()
+        support[group] = True
+        amplitudes = _polish_on(problem, support)
+        solutions.append(SpdmdSolution(amplitudes, support, step, problem.loss(amplitudes), group))
+    # every group up to the target is there to take, so the target is always met
+    return SweepResult(SpdmdPath(solutions), selected=solutions[-1], target_met=True)
 
 
 def export_path_csv(path: SpdmdPath, eigenvalues: np.ndarray, destination) -> None:

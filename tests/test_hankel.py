@@ -184,6 +184,20 @@ def test_column_energies_match_gram_diagonal():
     assert_allclose(column_energies(view), np.diag(gram_matrix(view)), atol=1e-10)
 
 
+def test_column_energies_hold_no_squared_copy_of_the_signal():
+    # 8 x 200,000 steps: a squared copy of the signal is 12.8 MB, where
+    # the per-step sums and their running total are 1.6 MB each
+    steps = 200_000
+    view = build_hankel(signal(np.random.default_rng(0).normal(size=(8, steps))), tau=24)
+    tracemalloc.start()
+    try:
+        column_energies(view)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 3 * steps * 8, peak
+
+
 def test_tau_one_reduces_to_plain_matrix_ops():
     rng = np.random.default_rng(13)
     z = rng.normal(size=(4, 6))

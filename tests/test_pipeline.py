@@ -532,6 +532,23 @@ def test_run_pipeline_manifest_rerun_byte_identical(tmp_path):
         assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
 
 
+def test_manifest_records_the_blas_thread_setting_outside_config(tmp_path, monkeypatch):
+    # a byte-identical replay needs the original run's thread count: the
+    # manifest records it, null where a variable is unset, and a replay
+    # reads its config alone, so it does not apply the setting
+    monkeypatch.setenv("OPENBLAS_NUM_THREADS", "1")
+    monkeypatch.delenv("OMP_NUM_THREADS", raising=False)
+    monkeypatch.setenv("MKL_NUM_THREADS", "2")
+    cfg = small_config(tmp_path)
+    out = run_pipeline(cfg, until="fit")
+    manifest = json.loads((out / "manifest.json").read_text())
+    assert manifest["blas_threads"] == {
+        "OPENBLAS_NUM_THREADS": "1", "OMP_NUM_THREADS": None, "MKL_NUM_THREADS": "2",
+    }
+    assert not {"blas_threads", *manifest["blas_threads"]} & manifest["config"].keys()
+    assert config_from_manifest(out / "manifest.json") == cfg
+
+
 def test_synthetic_run_fits_and_replays_at_the_config_step_length(tmp_path):
     # the step length is the config's alone: a spec given in code fits at
     # the step_seconds its manifest records, so the replay matches it

@@ -1,4 +1,5 @@
 import csv
+import functools
 import itertools
 import json
 
@@ -8,12 +9,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
-from dmdembed import hankel
-from dmdembed.dmd import DmdDecomposition, FixedRank, conjugate_groups, fit_dmd
+from dmdembed import hankel, spdmd
+from dmdembed.dmd import DmdDecomposition, FixedRank, conjugate_groups, fit_dmd, solve_hermitian
+from dmdembed.forecaster import split_boundaries, zscore_fit
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import _AmplitudeProblem, _polish_on, export_path_csv, gamma_sweep
-from dmdembed.synthetic import SyntheticSpec
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 
 def rank4_fixture(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
@@ -154,8 +156,9 @@ def test_polished_solutions_have_exact_zero_pattern():
         assert np.all(np.abs(sol.amplitudes[sol.support]) > 0)
 
 
-def test_ties_go_to_the_earlier_group():
-    # two real modes whose single-group refits have equal loss
+def test_groups_are_taken_in_energy_order_whatever_their_losses():
+    # two real modes: the second alone would leave the lower loss (6.0
+    # against 9.0), but the first comes first in the fit's energy order
     def decomposition(q):
         eigenvalues = np.array([0.9, 0.5], dtype=complex)
         return DmdDecomposition(
@@ -164,12 +167,12 @@ def test_ties_go_to_the_earlier_group():
             amplitude_form=(np.eye(2, dtype=complex), q, 10.0),
         )
 
-    tied = gamma_sweep(decomposition(np.array([1.0, 1.0], complex)), target_modes=1)
-    assert tied.selected.support.tolist() == [True, False]
-    assert tied.selected.fit_loss == 9.0
-    larger = gamma_sweep(decomposition(np.array([1.0, 2.0], complex)), target_modes=1)
-    assert larger.selected.support.tolist() == [False, True]
-    assert larger.selected.fit_loss == 6.0
+    first = gamma_sweep(decomposition(np.array([1.0, 2.0], complex)), target_modes=1)
+    assert first.selected.support.tolist() == [True, False]
+    assert first.selected.fit_loss == 9.0
+    both = gamma_sweep(decomposition(np.array([1.0, 2.0], complex)), target_modes=2)
+    assert [sol.group for sol in both.path.solutions] == [[0], [1]]
+    assert [sol.fit_loss for sol in both.path.solutions] == [9.0, 5.0]
     # a group that lowers the loss by nothing still counts toward the target
     idle = gamma_sweep(decomposition(np.array([1.0, 0.0], complex)), target_modes=2)
     assert [sol.group for sol in idle.path.solutions] == [[0], [1]]
@@ -250,34 +253,87 @@ def random_decomposition(seed, rank):
 
 @given(st.integers(0, 10_000), st.integers(1, 6))
 @settings(max_examples=40, deadline=None)
-def test_forward_selection_matches_oracle_and_polish(seed, rank):
+def test_selection_is_the_energy_order_prefix_with_polish(seed, rank):
     dec = random_decomposition(seed, rank)
     problem = _AmplitudeProblem(dec)
-    n_groups = len(problem.groups)
-
-    # at target 1 the selection is the exhaustive oracle (an exact tie
-    # may fall either way)
-    first = gamma_sweep(dec, target_modes=1).selected
-    oracle_support, oracle_loss = exhaustive_pair_oracle(dec, target_pairs=1)
-    assert np.array_equal(first.support, oracle_support) or first.fit_loss == oracle_loss
+    groups = dec.groups
 
     for target in range(1, dec.rank + 1):
         res = gamma_sweep(dec, target_modes=target)
-        assert len(res.path.solutions) == min(target, n_groups)
+        kept = min(target, len(groups))
+        assert [sol.group for sol in res.path.solutions] == groups[:kept]
         assert res.selected is res.path.solutions[-1]
-        assert res.selected.pair_count == min(target, n_groups) and res.target_met
+        assert res.selected.pair_count == kept and res.target_met
+        previous = np.zeros(dec.rank, dtype=bool)
         for sol in res.path.solutions:
+            # each support is the last one plus this step's whole group
+            grown = previous.copy()
+            grown[sol.group] = True
+            assert np.array_equal(sol.support, grown)
+            previous = sol.support
             assert np.array_equal(sol.amplitudes, _polish_on(problem, sol.support))
             assert sol.fit_loss == problem.loss(sol.amplitudes)
         losses = [sol.fit_loss for sol in res.path.solutions]
         assert all(b <= a + 1e-9 * problem.s for a, b in zip(losses, losses[1:]))
-        if n_groups <= target:
+        if len(groups) <= target:
             # nothing is left to choose: every group is selected
             assert res.selected.support.all()
 
 
+@functools.lru_cache(maxsize=None)
+def a1_fit(seed):
+    """The fit of a run on the A1 signal (8 x 2016, noise 0.1) at rank
+    fixed:24: its normalized training span, at the default tau."""
+    signal = generate_synthetic(SyntheticSpec(noise=0.1, seed=seed))
+    b_train, _ = split_boundaries(signal.n_steps, PipelineConfig().split)
+    zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
+    train = SignalMatrix.from_values(zscore.transform(signal.values)[:, :b_train])
+    return fit_dmd(build_hankel(train, default_tau(train)), FixedRank(24))
+
+
+def forward_selection(dec, target):
+    """Reference: each step adds the group whose polished refit, with the
+    groups chosen so far, leaves the lowest loss."""
+    problem = _AmplitudeProblem(dec)
+    chosen, support = [], np.zeros(dec.rank, dtype=bool)
+    for _ in range(min(target, len(problem.groups))):
+        def loss_with(group):
+            trial = support.copy()
+            trial[group] = True
+            return problem.loss(_polish_on(problem, trial))
+        chosen.append(min((g for g in problem.groups if g not in chosen), key=loss_with))
+        support[chosen[-1]] = True
+    return chosen
+
+
+@pytest.mark.parametrize("seed", range(1, 6))
+def test_energy_order_agrees_with_forward_selection_on_a1(seed):
+    # the two orders part only past the default target of 4 groups
+    dec = a1_fit(seed)
+    path = gamma_sweep(dec, target_modes=4).path
+    assert [sol.group for sol in path.solutions] == dec.groups[:4] == forward_selection(dec, 4)
+
+
+def test_each_step_makes_one_polished_solve(monkeypatch):
+    # 13 groups, as on the many_modes workload: target 4 takes 4 solves,
+    # where a search over every remaining group took 13 + 12 + 11 + 10 = 46
+    dec = a1_fit(1)
+    assert len(dec.groups) == 13
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return solve_hermitian(*args)
+
+    monkeypatch.setattr(spdmd, "solve_hermitian", counted)
+    for target in (1, 4, 13):
+        calls.clear()
+        gamma_sweep(dec, target_modes=target)
+        assert len(calls) == target
+
+
 def test_many_mode_selection_meets_its_target(tmp_path):
-    """A1 signal at rank fixed:24: twelve conjugate groups, target 4."""
+    """A1 signal at rank fixed:24: 13 conjugate groups, target 4."""
     cfg = PipelineConfig(
         synthetic=SyntheticSpec(noise=0.1, seed=1),
         rank="fixed:24",
@@ -288,8 +344,8 @@ def test_many_mode_selection_meets_its_target(tmp_path):
     out = run_pipeline(cfg, until="fit")
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
     assert resolved["rank"] == 24
-    # Twelve pairs on a flat noise floor converge in 87 two-column Gram
-    # products; a faster fit must make each product cheaper, not fewer.
+    # 24 singular pairs on a flat noise floor converge in 87 two-column
+    # Gram products; a faster fit must make each product cheaper, not fewer.
     assert resolved["svd_products"] <= 87
     assert resolved["svd_basis"] <= 174
     assert resolved["target_met"] is True
