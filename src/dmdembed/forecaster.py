@@ -5,7 +5,7 @@ Q target) window is flattened into one feature vector, node windows are
 pooled into a single regularized least-squares fit with shared weights,
 and future covariate rows enter as extra features. Metrics follow the
 masked MAE/RMSE convention: missing values are excluded, and reporting
-is in original units at horizons 3, 6, and 12.
+is in original units, overall and at every horizon 1..Q.
 
 The series is held once, as one normalized (N, T) array, and the
 embedding once, as its (T, c) table. Each split is a ``[start, stop)``
@@ -43,12 +43,10 @@ from .embedding import TimeEmbedding, attach_covariates
 from .errors import ConfigError, DataError
 
 STD_FLOOR = 1e-8
-# Forecast horizons, in steps, that the metrics report on their own.
-HORIZONS = (3, 6, 12)
 # Split ratios may miss a sum of 1 by this much.
 SPLIT_SUM_TOL = 1e-9
-# Entries of an (A, N, Q) block of residuals or targets read at a time,
-# so that no second block is made.
+# Entries of a block of residuals that evaluate reads at a time, so that
+# no second block is made.
 CHUNK_ELEMENTS = 1 << 16
 
 
@@ -143,13 +141,6 @@ class ZScore:
     def transform(self, values: np.ndarray) -> np.ndarray:
         """(N, T) values to normalized units."""
         return (values - self.mean[:, np.newaxis]) / self.std[:, np.newaxis]
-
-    def inverse(self, blocks: np.ndarray, out: np.ndarray | None = None) -> np.ndarray:
-        """(A, N, Q) normalized blocks, one row per node, to original
-        units; ``out`` may be ``blocks`` itself."""
-        out = np.multiply(blocks, self.std[:, np.newaxis], out=out)
-        out += self.mean[:, np.newaxis]
-        return out
 
 
 def zscore_fit(train: np.ndarray, node_ids: list[str]) -> ZScore:
@@ -309,34 +300,40 @@ def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:
 
 @dataclass
 class MetricsReport:
-    """Masked MAE/RMSE overall and at selected horizons, original units."""
+    """Masked MAE/RMSE overall and at every horizon 1..Q, original units;
+    a horizon with no kept entry scores None."""
 
-    horizon_mae: dict[int, float]
-    horizon_rmse: dict[int, float]
+    horizon_mae: dict[int, float | None]
+    horizon_rmse: dict[int, float | None]
     overall_mae: float
     overall_rmse: float
     excluded_count: int
 
     def to_json(self) -> str:
+        """Strict JSON with the horizons in step order; a horizon's None
+        is ``null``."""
         payload = {
+            "excluded_count": self.excluded_count,
             "horizons": {
                 str(h): {"mae": self.horizon_mae[h], "rmse": self.horizon_rmse[h]}
                 for h in sorted(self.horizon_mae)
             },
             "overall": {"mae": self.overall_mae, "rmse": self.overall_rmse},
-            "excluded_count": self.excluded_count,
         }
-        return json.dumps(payload, sort_keys=True, indent=2)
+        return json.dumps(payload, indent=2, allow_nan=False)
 
 
 def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsReport:
     """Masked MAE/RMSE of (..., Q) residuals, predictions minus targets,
     such as (n_windows, Q) rows or (anchors, nodes, Q) blocks, overall
-    and at each of ``HORIZONS`` up to Q.
+    and at every horizon 1..Q.
 
     Horizon k uses only the k-th output column; masked-out entries are
-    excluded everywhere and counted. ``residuals`` is only read, at most
-    ``CHUNK_ELEMENTS`` entries of it (or one leading row) at a time.
+    excluded everywhere and counted. One pass reads ``residuals``, at
+    most ``CHUNK_ELEMENTS`` entries of it (or one leading row) at a
+    time, zeroes the masked entries of a copy of the chunk and adds up
+    each horizon's kept count, |r| and r². Every score comes from these
+    sums; ``residuals`` is only read.
     """
     residuals = np.asarray(residuals, dtype=float)
     if mask is None:
@@ -344,37 +341,25 @@ def evaluate(residuals: np.ndarray, mask: np.ndarray | None = None) -> MetricsRe
     mask = np.asarray(mask, dtype=bool)
     if mask.shape != residuals.shape:
         raise DataError(f"mask shape {mask.shape} does not match {residuals.shape}")
-    if not mask.any():
-        raise DataError("all entries masked; no metric can be computed")
     q = residuals.shape[-1]
-
-    def pair(values: np.ndarray, keep: np.ndarray) -> tuple[float, float]:
-        # a few leading rows at a time, so no copy of every kept entry is held
-        step = max(1, CHUNK_ELEMENTS // max(1, values[:1].size))
-        count, total_abs, total_sq = 0, 0.0, 0.0
-        for first in range(0, len(values), step):
-            kept = values[first : first + step][keep[first : first + step]]
-            count += kept.size
-            total_abs += float(np.abs(kept, out=kept).sum())
-            total_sq += float(np.square(kept, out=kept).sum())
-        return total_abs / count, float(np.sqrt(total_sq / count))
-
-    horizon_mae: dict[int, float] = {}
-    horizon_rmse: dict[int, float] = {}
-    for h in HORIZONS:
-        if not 1 <= h <= q:
-            continue
-        col_keep = mask[..., h - 1]
-        if not col_keep.any():
-            horizon_mae[h] = float("nan")
-            horizon_rmse[h] = float("nan")
-            continue
-        horizon_mae[h], horizon_rmse[h] = pair(residuals[..., h - 1], col_keep)
-    overall_mae, overall_rmse = pair(residuals, mask)
+    count = np.zeros(q, dtype=np.int64)
+    total_abs, total_sq = np.zeros(q), np.zeros(q)
+    step = max(1, CHUNK_ELEMENTS // max(1, residuals[:1].size))
+    for first in range(0, len(residuals), step):
+        keep = mask[first : first + step].reshape(-1, q)
+        kept = np.where(keep, residuals[first : first + step].reshape(-1, q), 0.0)
+        count += np.count_nonzero(keep, axis=0)
+        total_sq += np.einsum("ij,ij->j", kept, kept)
+        total_abs += np.einsum("ij->j", np.abs(kept, out=kept))
+    n_kept = int(count.sum())
+    if not n_kept:
+        raise DataError("all entries masked; no metric can be computed")
+    horizons = range(1, q + 1)
     return MetricsReport(
-        horizon_mae=horizon_mae,
-        horizon_rmse=horizon_rmse,
-        overall_mae=overall_mae,
-        overall_rmse=overall_rmse,
-        excluded_count=mask.size - int(np.count_nonzero(mask)),
+        horizon_mae={h: float(a / n) if n else None for h, a, n in zip(horizons, total_abs, count)},
+        horizon_rmse={h: float(np.sqrt(s / n)) if n else None
+                      for h, s, n in zip(horizons, total_sq, count)},
+        overall_mae=float(total_abs.sum() / n_kept),
+        overall_rmse=float(np.sqrt(total_sq.sum() / n_kept)),
+        excluded_count=mask.size - n_kept,
     )

@@ -32,10 +32,10 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding
 from .errors import ConfigError, DataError
 from .forecaster import (
-    CHUNK_ELEMENTS,
     ForecastWindows,
     MetricsReport,
     RidgeModel,
+    ZScore,
     check_split_ratios,
     evaluate,
     fit_ridge,
@@ -323,18 +323,22 @@ def _raise_first_fault(path, header: list[str]) -> None:
 
 def write_signal_csv(signal: SignalMatrix, path) -> None:
     """Inverse of load_csv; missing entries become blank cells. Creates
-    the parent directory if needed."""
+    the parent directory if needed. ``WRITE_CHUNK_ROWS`` steps are
+    formatted at a time."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    by_step = signal.values.T
-    # %.17g writes no whitespace, so one split recovers the cells
-    formatted = ("%.17g " * by_step.size % tuple(by_step.ravel().tolist())).split()
-    cells = np.empty((signal.n_steps, signal.n_nodes + 1), dtype=object)
-    cells[:, 0] = range(signal.n_steps)
-    cells[:, 1:] = np.where(signal.mask.T, np.array(formatted, dtype=object).reshape(by_step.shape), "")
     row = "%d" + ",%s" * signal.n_nodes + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
         csv.writer(fh, lineterminator="\n").writerow(["step", *signal.node_ids])
-        fh.write(row * signal.n_steps % tuple(cells.ravel().tolist()))
+        for first in range(0, signal.n_steps, dg.WRITE_CHUNK_ROWS):
+            steps = slice(first, first + dg.WRITE_CHUNK_ROWS)
+            by_step = signal.values[:, steps].T
+            # %.17g writes no whitespace, so one split recovers the cells
+            formatted = ("%.17g " * by_step.size % tuple(by_step.ravel().tolist())).split()
+            cells = np.empty((by_step.shape[0], signal.n_nodes + 1), dtype=object)
+            cells[:, 0] = range(first, first + by_step.shape[0])
+            cells[:, 1:] = np.where(signal.mask[:, steps].T,
+                                    np.array(formatted, dtype=object).reshape(by_step.shape), "")
+            fh.write(row * by_step.shape[0] % tuple(cells.ravel().tolist()))
 
 
 @dataclass
@@ -394,19 +398,19 @@ def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     return generate_synthetic(cfg.synthetic, cfg.step_seconds)
 
 
-def _test_forecast(model: RidgeModel, test: ForecastWindows, zscore) -> tuple[MetricsReport, np.ndarray]:
+def _test_forecast(
+    model: RidgeModel, test: ForecastWindows, zscore: ZScore,
+) -> tuple[MetricsReport, np.ndarray]:
     """The test metrics of ``model`` and its test residuals, predictions
     minus targets in original units, as one (A, N, Q) block.
 
-    The prediction block becomes the residuals in place; the targets are
-    taken to original units a few anchors at a time, so no second block
-    is held."""
+    The prediction block becomes the residuals in place: the normalized
+    targets are taken away and each node's difference is scaled by its
+    std. The node means cancel, so no target is taken to original units
+    and no second block is held."""
     resid = predict(model, test).reshape(test.anchors.size, test.n_nodes, test.q)
-    zscore.inverse(resid, out=resid)
-    targets = test.blocks(test.p, test.q)
-    step = max(1, CHUNK_ELEMENTS // targets[0].size)
-    for first in range(0, len(targets), step):
-        resid[first : first + step] -= zscore.inverse(targets[first : first + step])
+    resid -= test.blocks(test.p, test.q)
+    resid *= zscore.std[:, np.newaxis]
     return evaluate(resid, test.blocks(test.p, test.q, test.observed)), resid
 
 

@@ -270,17 +270,15 @@ def test_zscore_constant_channel_floored():
 
 
 def test_zscore_round_trip():
+    # a run takes residuals to original units as (transform(a) - transform(b))
+    # * std, where the node means cancel: that must equal a - b
     rng = np.random.default_rng(5)
     values = rng.normal(size=(3, 40)) * 7 + 2
-    b_train, b_val = split_boundaries(40, (0.7, 0.1, 0.2))
+    other = values + rng.normal(size=(3, 40))
+    b_train, _ = split_boundaries(40, (0.7, 0.1, 0.2))
     zs = zscore_fit(values[:, :b_train], ["a", "b", "c"])
-    spans = {"test": (b_val, 40)}
-    normalized = make_windows(zs.transform(values), spans, p=2, q=3)["test"]
-    raw = make_windows(values, spans, p=2, q=3)["test"]
-    # (anchors, nodes, Q) blocks, as a run inverts its test targets
-    blocks = (normalized.anchors.size, 3, 3)
-    back = zs.inverse(window_rows.target(normalized).reshape(blocks))
-    assert np.max(np.abs(back - window_rows.target(raw).reshape(blocks))) <= 1e-10
+    back = (zs.transform(values) - zs.transform(other)) * zs.std[:, np.newaxis]
+    assert np.max(np.abs(back - (values - other))) <= 1e-10
 
 
 def test_window_counts():
@@ -380,6 +378,19 @@ def test_evaluate_exact_examples():
     assert masked.excluded_count == 1
 
 
+def masked_horizon_means(resid, mask):
+    """Per horizon, the reference (MAE, RMSE) of the kept entries of that
+    column alone, or (None, None) when none is kept."""
+    out = []
+    for h in range(resid.shape[-1]):
+        kept = resid[..., h][mask[..., h]]
+        if kept.size:
+            out.append((np.mean(np.abs(kept)), np.sqrt(np.mean(kept**2))))
+        else:
+            out.append((None, None))
+    return out
+
+
 def test_evaluate_horizon_isolation():
     # targets differing only at horizon 3 must only move the h=3 metric
     q = 12
@@ -387,10 +398,19 @@ def test_evaluate_horizon_isolation():
     targets = np.zeros((5, q))
     targets[:, 2] = 2.0
     report = evaluate(preds - targets)
-    assert report.horizon_mae[3] == 2.0
-    assert report.horizon_mae[6] == 0.0
-    assert report.horizon_mae[12] == 0.0
-    assert report.horizon_rmse[3] >= report.horizon_mae[3]
+    assert sorted(report.horizon_mae) == list(range(1, q + 1))
+    for h in range(1, q + 1):
+        assert report.horizon_mae[h] == report.horizon_rmse[h] == (2.0 if h == 3 else 0.0)
+    # and a horizon scores its own kept entries alone, whatever the others hold
+    rng = np.random.default_rng(8)
+    resid = rng.normal(size=(7, 3, q))
+    mask = rng.random(resid.shape) > 0.3
+    mask[..., 4] = False
+    report = evaluate(resid, mask)
+    for h, (mae, rmse) in enumerate(masked_horizon_means(resid, mask), start=1):
+        assert report.horizon_mae[h] == pytest.approx(mae, rel=1e-12)
+        assert report.horizon_rmse[h] == pytest.approx(rmse, rel=1e-12)
+    assert report.horizon_mae[5] is None and report.horizon_rmse[5] is None
 
 
 def test_evaluate_rmse_dominates_mae():
@@ -404,8 +424,8 @@ def test_evaluate_rmse_dominates_mae():
 
 
 def test_evaluate_peak_memory_is_about_one_block():
-    # the residual block, and the kept entries of a bounded chunk of it,
-    # whose absolute value and square are taken in place: 1.08 blocks,
+    # the residual block, and a bounded chunk of it copied with its masked
+    # entries zeroed, whose absolute value is taken in place: 1.09 blocks,
     # where a copy of every kept entry took 1.95
     rng = np.random.default_rng(0)
     shape = (2000, 64, 12)
@@ -424,7 +444,8 @@ def test_evaluate_peak_memory_is_about_one_block():
 @settings(max_examples=50, deadline=None)
 def test_evaluate_in_chunks_matches_whole_block_means(data):
     # a chunk of a few leading rows at a time, against one mean over the
-    # kept entries of the whole block; the sums differ only in order
+    # kept entries of the whole block and of each horizon's column; the
+    # sums differ only in order
     rng = np.random.default_rng(data.draw(st.integers(0, 10_000), label="seed"))
     shape = (data.draw(st.integers(1, 30)), data.draw(st.integers(1, 4)), data.draw(st.integers(1, 12)))
     resid = rng.normal(size=shape)
@@ -432,12 +453,12 @@ def test_evaluate_in_chunks_matches_whole_block_means(data):
     mask.flat[0] = True
     with mock.patch.object(forecaster, "CHUNK_ELEMENTS", data.draw(st.integers(1, 50))):
         report = evaluate(resid, mask)
-    columns = [(report.overall_mae, report.overall_rmse, resid, mask)]
-    columns += [(report.horizon_mae[h], report.horizon_rmse[h], resid[..., h - 1], mask[..., h - 1])
-                for h in report.horizon_mae if mask[..., h - 1].any()]
-    for mae, rmse, values, keep in columns:
-        assert mae == pytest.approx(np.mean(np.abs(values[keep])), rel=1e-12)
-        assert rmse == pytest.approx(np.sqrt(np.mean(values[keep] ** 2)), rel=1e-12)
+    assert report.overall_mae == pytest.approx(np.mean(np.abs(resid[mask])), rel=1e-12)
+    assert report.overall_rmse == pytest.approx(np.sqrt(np.mean(resid[mask] ** 2)), rel=1e-12)
+    assert sorted(report.horizon_mae) == list(range(1, shape[2] + 1))
+    for h, (mae, rmse) in enumerate(masked_horizon_means(resid, mask), start=1):
+        assert report.horizon_mae[h] == (mae if mae is None else pytest.approx(mae, rel=1e-12))
+        assert report.horizon_rmse[h] == (rmse if rmse is None else pytest.approx(rmse, rel=1e-12))
     assert report.excluded_count == int((~mask).sum())
 
 
@@ -448,10 +469,11 @@ def test_evaluate_all_masked_raises():
 
 def test_metrics_json_keys():
     import json
-    report = evaluate(np.zeros((2, 12)) - np.ones((2, 12)))
-    payload = json.loads(report.to_json())
-    assert set(payload["horizons"]) == {"3", "6", "12"}
-    assert payload["excluded_count"] == 0
+    for q in (12, 3):
+        report = evaluate(np.zeros((2, q)) - np.ones((2, q)))
+        payload = json.loads(report.to_json())
+        assert set(payload["horizons"]) == {str(h) for h in range(1, q + 1)}
+        assert payload["excluded_count"] == 0
 
 
 def test_covariate_null_test():

@@ -21,7 +21,14 @@ from dmdembed import pipeline
 from dmdembed.cli import build_parser, main as cli_main
 from dmdembed.dmd import mode_frequency, vandermonde
 from dmdembed.errors import ConfigError, DataError
-from dmdembed.forecaster import fit_ridge, make_windows, split_boundaries, zscore_fit
+from dmdembed.forecaster import (
+    evaluate,
+    fit_ridge,
+    make_windows,
+    predict,
+    split_boundaries,
+    zscore_fit,
+)
 from dmdembed.hankel import SignalMatrix, impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
@@ -193,6 +200,25 @@ def test_load_csv_memory_is_bounded(tmp_path):
         tracemalloc.stop()
     assert np.array_equal(back.mask, signal.mask)
     assert peak <= 4 * (back.values.nbytes + back.mask.nbytes)
+
+
+def test_write_signal_csv_memory_is_bounded(tmp_path):
+    # WRITE_CHUNK_ROWS steps are formatted at a time: 8 x 20,000 values
+    # peak at 6.1 MB, where formatting the whole signal at once took 20.6
+    rng = np.random.default_rng(0)
+    shape = (8, 20_000)
+    signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
+                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+    tracemalloc.start()
+    try:
+        write_signal_csv(signal, tmp_path / "long.csv")
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak <= 10e6
+    back = load_csv(tmp_path / "long.csv")
+    assert np.array_equal(back.mask, signal.mask)
+    assert back.values[signal.mask].tobytes() == signal.values[signal.mask].tobytes()
 
 
 def load_csv_per_cell(path):
@@ -832,6 +858,55 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
     assert json.loads((out / "manifest.json").read_text())["resolved"]["l2_without"] == cfg.l2
+
+
+def test_test_residuals_match_differences_in_original_units(tmp_path):
+    # the run scales normalized differences by each node's std; that must
+    # match taking prediction and target to original units and subtracting
+    sig = generate_synthetic(small_spec(seed=3, noise=0.1))
+    sig = dataclasses.replace(sig, values=sig.values * [[3.0], [0.5], [20.0], [1.0]] + 40.0)
+    sig.mask[2, 320:330] = False
+    (b_train, b_val), zscore, values = normalized_series(sig, (0.7, 0.1, 0.2))
+    spans = {"train": (0, b_train), "test": (b_val, sig.n_steps)}
+    windows = make_windows(values, spans, 12, 12, exclusion_mask=sig.mask)
+    test = windows["test"]
+    model = fit_ridge(windows["train"], l2=1e-3)
+    report, resid = _test_forecast(model, test, zscore)
+
+    def inverse(blocks):
+        return blocks * zscore.std[:, np.newaxis] + zscore.mean[:, np.newaxis]
+
+    pred = predict(model, test).reshape(resid.shape)
+    reference = inverse(pred) - inverse(test.blocks(test.p, test.q))
+    assert np.max(np.abs(resid - reference)) <= 1e-12 * np.max(np.abs(reference))
+    expected = evaluate(reference, test.blocks(test.p, test.q, test.observed))
+    assert report.excluded_count == expected.excluded_count > 0
+    for h in range(1, test.q + 1):
+        assert report.horizon_rmse[h] == pytest.approx(expected.horizon_rmse[h], rel=1e-12)
+    assert report.overall_mae == pytest.approx(expected.overall_mae, rel=1e-12)
+
+
+def test_a_horizon_with_no_kept_target_is_written_as_null(tmp_path):
+    # one test anchor (24 test steps) whose third target step, 390, is
+    # blank at every node: horizon 3 has no entry to score, and the file
+    # must stay strict JSON
+    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=400, noise=0.1, seed=1))
+    sig.mask[:, 390] = False
+    write_signal_csv(sig, tmp_path / "blank.csv")
+    cfg = PipelineConfig(input_csv=str(tmp_path / "blank.csv"), output_dir=str(tmp_path / "run"),
+                         split=(0.84, 0.1, 0.06), lags=(0,))
+    out = run_pipeline(cfg)
+    assert json.loads((out / "manifest.json").read_text())["resolved"]["boundaries"] == [336, 376]
+
+    def refuse(constant):
+        raise ValueError(f"not strict JSON: {constant}")
+
+    for label in ("with", "without"):
+        metrics = json.loads((out / f"metrics_{label}.json").read_text(), parse_constant=refuse)
+        assert metrics["horizons"]["3"] == {"mae": None, "rmse": None}
+        assert set(metrics["horizons"]) == {str(h) for h in range(1, 13)}
+        assert metrics["excluded_count"] == 3
+        assert all(v["rmse"] > 0 for h, v in metrics["horizons"].items() if h != "3")
 
 
 def test_validation_split_shorter_than_a_window_runs(tmp_path):
