@@ -116,8 +116,8 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     # whole pool blocks per tile, so that each tile pools into its own band
     width = size * max(1, CORR_TILE_ELEMENTS // (max(n, d) * size))
     lead_rows, trail_rows = resid[lag:], resid[: n - lag]
-    lead_stats = _column_stats(lead_rows, width)
-    trail_stats = lead_stats if lag == 0 else _column_stats(trail_rows, width)
+    lead_stats = column_stats(lead_rows, width)
+    trail_stats = lead_stats if lag == 0 else column_stats(trail_rows, width)
     # a column constant in only the lead or the trail rows still has a
     # nonzero column or row, which the heatmap draws but the mean leaves out
     keep = lead_stats[2] & trail_stats[2]
@@ -166,7 +166,7 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     )
 
 
-def _column_stats(block: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+def column_stats(block: np.ndarray, width: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """Each column's mean and scale (root mean square about the mean),
     and whether it is kept, taken ``width`` columns at a time."""
     mean = block.mean(axis=0)

@@ -17,17 +17,21 @@ steps a .. a+P+Q-1 of node n, its first P steps the history and the
 rest the target. The embedding is a time covariate, the same for every
 node, so its rows a .. a+P+Q-1 are anchor a's covariate rows.
 
-The fit never forms a window. Each entry of the value part of its
-normal equations is a sum over nodes and anchors of x[n, s+i]·x[n, s+j],
-a range sum over one node-summed lagged product
-z_d[t] = Σ_n x[n, t]·x[n, t+d], d = |j - i| < P+Q. The covariate blocks
-are range sums too, of products of the table's rows with each other and
-with the node-summed series Σ_n x[n, t]: one matrix product per step
-offset, the other pairs of that offset reached by adding the rows that
-enter the range and taking away those that leave it. A prediction
-multiplies each anchor's (N, P) history view by the value weights,
-straight into one (A, N, Q) block, and adds its anchor's covariate
-term, the sum of P+Q shifted (A, c) @ (c, Q) products of the table.
+The fit never forms a window. Its normal equations are gathered from
+one step-major moment table over each window step's value and its c
+covariates: entry (i, k, j, l) sums, over nodes and anchors, step i's
+channel k times step j's channel l. One loop over the step offsets
+d = j - i < P+Q fills it. An offset's first pair is one product
+rows[:A]ᵀ rows[d:d+A] of the (S, 1+c) rows [Σ_n x[n, t], covariates],
+with its value entry the range sum of the node-summed lagged product
+z_d[t] = Σ_n x[n, t]·x[n, t+d]; each later pair adds the step that
+enters the range and takes away the one that leaves it. The covariate
+entries count once per node, and offsets below 0 are the mirror.
+
+A prediction multiplies each anchor's (N, P) history view by the value
+weights, straight into one (A, N, Q) block, and adds its anchor's
+covariate term, the sum of P+Q shifted (A, c) @ (c, Q) products of the
+table.
 """
 
 from __future__ import annotations
@@ -213,67 +217,47 @@ class RidgeModel:
 def fit_ridge(train: ForecastWindows, l2: float = 1e-3) -> RidgeModel:
     """Deterministic ridge fit of the pooled window regression.
 
-    With H the history, Y the targets and C the covariate rows repeated
-    over the nodes, the normal equations are assembled from blocks: HᵀH
-    and HᵀY from range sums of the lagged products z_d, and N·CᵀC,
-    (Σ_nodes H)ᵀC and Cᵀ(Σ_nodes Y) from range sums of products of the
-    table rows and the node-summed series.
+    ``gram`` and ``rhs`` are gathered by index from one step-major moment
+    table, filled one step offset d = j - i >= 0 at a time: entry
+    (i, k, j, l) sums, over windows, step i's channel k times step j's
+    channel l, channel 0 the value and 1..c the covariates.
     """
     if not len(train):
         raise DataError("no training windows")
     if l2 < 0:
         raise DataError(f"l2 must be nonnegative, got {l2}")
     x, p, q = train.values, train.p, train.q
-    n_anchors, steps = train.anchors.size, x.shape[1]
-    # moments[i, j]: the sum over windows of steps i and j, for i, j < P+Q
-    moments = np.empty((p + q, p + q))
-    for lag in range(p + q):
-        lagged = np.einsum("nt,nt->t", x[:, : steps - lag], x[:, lag:])
-        sums = sliding_window_view(lagged, n_anchors).sum(axis=1)
-        first = np.arange(p + q - lag)
-        moments[first, first + lag] = moments[first + lag, first] = sums
-    summed = x.sum(axis=0)[:, np.newaxis]
-    table = train.covariates
-    n_cov = (p + q) * table.shape[1]
-    # the covariate blocks, step-major: row P + i·c + k is window step i's channel k
-    cross = _range_products(summed, table, n_anchors, p, p + q).reshape(p, n_cov)
-    cov = _range_products(table, table, n_anchors, p + q, p + q, symmetric=True)
-    cov = cov.transpose(0, 2, 1, 3).reshape(n_cov, n_cov)
-    future = _range_products(table, summed[p:], n_anchors, p + q, q)
-    future = future.transpose(0, 2, 1, 3).reshape(n_cov, q)
-    gram = np.block([[moments[:p, :p], cross], [cross.T, train.n_nodes * cov]])
-    gram += l2 * np.eye(gram.shape[0])
-    rhs = np.vstack([moments[:p, p:], future])
-    return RidgeModel(weights=np.linalg.solve(gram, rhs), feature_layout=train.layout)
-
-
-def _range_products(
-    left: np.ndarray, right: np.ndarray, n: int, rows: int, cols: int, symmetric: bool = False,
-) -> np.ndarray:
-    """(rows, cols, a, b) array whose [i, j] is left[i : i+n]ᵀ right[j : j+n],
-    for (S, a) ``left`` and (S, b) ``right`` series of steps.
-
-    One matrix product per offset d = j - i gives its first pair; each
-    later pair of that offset adds the outer product of the two rows that
-    enter the range and takes away that of the two that leave it. With
-    ``symmetric`` (``left`` is ``right``) only d >= 0 is computed and
-    the rest is mirrored.
-    """
-    out = np.empty((rows, cols, left.shape[1], right.shape[1]))
-    if not out.size:
-        return out
-    for d in range(0 if symmetric else 1 - rows, cols):
-        i = np.arange(max(0, -d), min(rows, cols - d))
-        sums = np.empty((i.size,) + out.shape[2:])
-        sums[0] = left[i[0] : i[0] + n].T @ right[i[0] + d : i[0] + d + n]
-        enter = np.einsum("tk,tl->tkl", left[i[1:] + n - 1], right[i[1:] + d + n - 1])
-        enter -= np.einsum("tk,tl->tkl", left[i[:-1]], right[i[:-1] + d])
+    n_anchors, steps, width = train.anchors.size, x.shape[1], p + q
+    # each step's node-summed value, then its c covariates
+    rows = np.column_stack([x.sum(axis=0), train.covariates])
+    channels = rows.shape[1]
+    moments = np.empty((width, channels, width, channels))
+    for d in range(width):
+        pairs = width - d
+        lagged = np.einsum("nt,nt->t", x[:, : steps - d], x[:, d:])
+        sums = np.empty((pairs, channels, channels))
+        sums[0] = rows[:n_anchors].T @ rows[d : d + n_anchors]
+        sums[0, 0, 0] = lagged[:n_anchors].sum()
+        # each later pair adds the step that enters the range and takes
+        # away the one that leaves it
+        enter = np.einsum("tk,tl->tkl", rows[n_anchors : steps - d], rows[n_anchors + d :])
+        enter -= np.einsum("tk,tl->tkl", rows[: pairs - 1], rows[d : width - 1])
+        enter[:, 0, 0] = lagged[n_anchors:] - lagged[: pairs - 1]
         np.cumsum(enter, axis=0, out=sums[1:])
         sums[1:] += sums[0]
-        out[i, i + d] = sums
-        if symmetric and d:
-            out[i + d, i] = sums.transpose(0, 2, 1)
-    return out
+        # the covariates are the same for every node
+        sums[:, 1:, 1:] *= train.n_nodes
+        i = np.arange(pairs)
+        moments[i, :, i + d] = sums
+        moments[i + d, :, i] = sums.transpose(0, 2, 1)
+    moments = moments.reshape(width * channels, width * channels)
+    # the weight rows: P values, then every step's covariates, step-major
+    values = np.arange(width) * channels
+    features = np.concatenate([values[:p], (values[:, np.newaxis] + np.arange(1, channels)).ravel()])
+    gram = moments[np.ix_(features, features)]
+    gram += l2 * np.eye(features.size)
+    rhs = moments[np.ix_(features, values[p:])]
+    return RidgeModel(weights=np.linalg.solve(gram, rhs), feature_layout=train.layout)
 
 
 def predict(model: RidgeModel, fw: ForecastWindows) -> np.ndarray:

@@ -582,9 +582,10 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
         with _StageTimer(run, "diagnostics"):
             # the labels share their test rows, so they skip the same lags
-            resolved["skipped_lags"], resolved["acf_lag_reached"] = _write_residual_diagnostics(
+            resolved["skipped_lags"], resolved["acf_lag_reached"], excluded = _write_residual_diagnostics(
                 resid, list(node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,
             )
+            resolved.setdefault("acf_excluded", {})[label] = excluded
             del resid
 
     with _StageTimer(run, "diagnostics"):
@@ -633,7 +634,7 @@ def _write_residual_diagnostics(
     destination,
     label: str | None = None,
     horizon: int | None = None,
-) -> tuple[list[int], int]:
+) -> tuple[list[int], int, list[str]]:
     """Diagnostics of (rows, columns, horizons) residuals: lagged
     correlations between whole rows (one CSV, one heatmap per lag) and
     the ACF of each column at the last horizon (one CSV, one chart of
@@ -645,7 +646,8 @@ def _write_residual_diagnostics(
     like ``residual_corr_lag072.svg``. Returns the lags skipped because
     fewer than two pairs of rows align at them, and the largest ACF lag
     computed: ``acf_max_lag`` clamped to one less than the number of
-    rows (0 when no ACF is written).
+    rows (0 when no ACF is written), and the ids of the columns it leaves
+    out as constant to round-off, by the correlation's rule.
     """
     tag, split, caption = ("", "", "") if label is None else (f"_{label}", "_test", f" ({label}, test)")
     at_horizon = "" if horizon is None else f" at horizon {horizon}"
@@ -664,18 +666,24 @@ def _write_residual_diagnostics(
     dg.write_residual_corr_csv(summaries, destination(f"residual_corr{tag}{split}.csv"))
 
     max_lag = min(acf_max_lag, n_rows - 1)
+    block = residuals[:, :, -1]
+    # a missing or empty id is named by its column, in the CSV, the chart and the manifest
+    names = np.array([name or f"series_{i}" for i, name in enumerate(column_ids or [""] * block.shape[1])])
+    # the correlation's keep rule leaves out a column constant to round-off,
+    # which has no ACF; with too few rows for any ACF, none is left out
+    keep = dg.column_stats(block, block.shape[1])[2] | (max_lag < 1)
+    if not keep.any():
+        max_lag = 0
     if max_lag >= 1:
-        values = dg.acf(residuals[:, :, -1], max_lag)
-        # a missing or empty id is named by its column, in the CSV and the chart
-        names = [name or f"series_{i}" for i, name in enumerate(column_ids or [""] * len(values))]
-        dg.write_acf_csv(values, names, destination(f"acf{tag}{split}.csv"))
+        values = dg.acf(block[:, keep], max_lag)
+        dg.write_acf_csv(values, names[keep].tolist(), destination(f"acf{tag}{split}.csv"))
         svg = svgplot.line_chart(
             np.arange(max_lag + 1),
-            list(zip(names, values[: len(svgplot.PALETTE)])),
+            list(zip(names[keep].tolist(), values[: len(svgplot.PALETTE)])),
             f"residual ACF{at_horizon}{caption}",
         )
         svgplot.write_svg(svg, destination(f"acf{tag}{split}.svg"))
-    return skipped, max_lag
+    return skipped, max_lag, names[~keep].tolist()
 
 
 def diagnose_residuals(

@@ -170,8 +170,9 @@ def test_blockwise_ridge_matches_dense_features(data):
 @given(data=st.data())
 @settings(max_examples=100, deadline=None)
 def test_ridge_from_the_table_matches_per_window_reference(data):
-    # fit_ridge sums the covariate blocks from the (T, c) table, one product
-    # per step offset, and predict adds each anchor's covariate term as P+Q
+    # fit_ridge gathers its normal equations from one moment table over each
+    # step's value and the (T, c) table's covariates, filled one step offset
+    # at a time, and predict adds each anchor's covariate term as P+Q
     # shifted products. The reference flattens every window's rows into one
     # dense feature matrix. Any table serves, so c may be odd, and its
     # random columns with l2 >= 0.1 keep the normal matrix well conditioned.

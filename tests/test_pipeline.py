@@ -661,6 +661,66 @@ def test_diagnose_residuals_skips_lag_with_one_aligned_row(tmp_path):
     assert [line.split(",")[0] for line in lines[1:]] == ["0", "8"]
 
 
+def _acf_header(path):
+    return path.read_text().splitlines()[0].split(",")
+
+
+def test_constant_node_is_left_out_of_the_acf(tmp_path):
+    # a stuck sensor: the normalization floors the node, and without
+    # covariates its prediction and target are both exactly 0, so its
+    # residual column has no autocorrelation to report
+    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
+    sig.values[1] = 5.0
+    path = tmp_path / "stuck.csv"
+    write_signal_csv(sig, path)
+    out = tmp_path / "run"
+    with pytest.warns(UserWarning, match="zero-variance"):
+        assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 0
+    assert _acf_header(out / "acf_without_test.csv") == ["lag", sig.node_ids[0], sig.node_ids[2]]
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert resolved["acf_excluded"] == {"with": [], "without": [sig.node_ids[1]]}
+    # 120 test steps leave 97 anchors
+    assert resolved["acf_lag_reached"] == 96
+
+
+def test_node_blank_to_the_end_is_left_out_of_the_acf(tmp_path):
+    # blank from step 450 on, the node is imputed flat over the test split:
+    # its residuals without covariates are constant to round-off, which the
+    # residual correlation already excludes, and so does the ACF
+    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
+    sig.mask[1, 450:] = False
+    path = tmp_path / "dead_tail.csv"
+    write_signal_csv(sig, path)
+    out = tmp_path / "run"
+    assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 0
+    assert _acf_header(out / "acf_without_test.csv") == ["lag", sig.node_ids[0], sig.node_ids[2]]
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    assert resolved["acf_excluded"]["without"] == [sig.node_ids[1]]
+
+
+def test_diagnose_with_a_prediction_equal_to_its_actuals(tmp_path):
+    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=200, noise=0.1, seed=1))
+    noise = np.random.default_rng(0).normal(size=sig.values.shape)
+    actual = dataclasses.replace(sig, values=sig.values + noise)
+    actual.values[2] = sig.values[2]
+    write_signal_csv(sig, tmp_path / "predictions.csv")
+    write_signal_csv(actual, tmp_path / "actuals.csv")
+    out = tmp_path / "diag"
+    assert cli_main(["diagnose", "--predictions", str(tmp_path / "predictions.csv"),
+                     "--actuals", str(tmp_path / "actuals.csv"), "--out", str(out)]) == 0
+    assert _acf_header(out / "acf.csv") == ["lag", *sig.node_ids[:2]]
+    lines = (out / "residual_corr.csv").read_text().splitlines()
+    assert all(line.split(",")[2] == "1" for line in lines[1:])
+
+
+def test_no_acf_is_written_when_every_column_is_constant_at_the_last_horizon(tmp_path):
+    resid = np.random.default_rng(0).normal(size=(40, 2, 3))
+    resid[:, :, -1] = 3.0
+    written = pipeline._write_residual_diagnostics(resid, ["a", "b"], (0,), 5, lambda name: tmp_path / name)
+    assert written == ([], 0, ["a", "b"])
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["residual_corr.csv", "residual_corr_lag000.svg"]
+
+
 def test_run_pipeline_lock(tmp_path):
     # a second descriptor holding the flock refuses the run, which writes nothing
     cfg = small_config(tmp_path, seed=3)
