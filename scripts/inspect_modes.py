@@ -6,10 +6,11 @@ everything printed is read from that run's files: the manifest, the
 decomposition and the selection path. The rows marked kept are the
 modes whose eigenvalues the manifest records as selected.
 
-Shows, per mode: period in steps and hours, growth rate, and amplitude
-share; then the selection path: the period of the group each step added
-and the fit loss after it. Optionally renders the real covariate
-channels of the run's embedding as an SVG.
+Shows, per mode: period in steps and in hours at the config's
+``step_seconds``, growth rate, and amplitude share; then the selection
+path: the period of the group each step added and the fit loss after
+it. Optionally renders the real covariate channels of the run's
+embedding as an SVG.
 """
 
 import argparse
@@ -61,9 +62,9 @@ def main() -> int:
           f"rank {fit['rank']}, tau {fit['tau']}, kept {kept_groups} pair(s)")
     print(f"{'mode':>4} {'period[steps]':>14} {'period[h]':>10} {'growth':>9} {'amp share':>10} {'kept':>5}")
     for i, lam in enumerate(eigenvalues):
-        freq = mode_frequency(lam, fit["sampling_seconds"])
+        freq = mode_frequency(lam)
         period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
-        hours = f"{freq.period_seconds / 3600:.2f}" if freq.period_seconds else "-"
+        hours = f"{freq.period_steps * cfg.step_seconds / 3600:.2f}" if freq.period_steps else "-"
         share = np.abs(amplitudes[i]) / total
         print(f"{i:>4} {period:>14} {hours:>10} {freq.growth_rate:>9.2e} "
               f"{share:>10.3f} {str(kept[i]):>5}")

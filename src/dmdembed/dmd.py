@@ -14,7 +14,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
@@ -64,7 +64,6 @@ class DmdDecomposition:
     modes: np.ndarray
     amplitudes: np.ndarray
     rank: int
-    sampling_seconds: float
     fit_span: int
     tau: int
     singular_values: np.ndarray | None = field(default=None, repr=False)
@@ -79,7 +78,6 @@ class DmdDecomposition:
             "amplitudes": _complex_pairs(self.amplitudes),
             "rank": self.rank,
             "tau": self.tau,
-            "sampling_seconds": self.sampling_seconds,
             "fit_span": self.fit_span,
         }
         return json.dumps(payload, sort_keys=True, indent=2)
@@ -120,10 +118,10 @@ def _complex_pairs(z: np.ndarray) -> list[list[float]]:
 
 @dataclass(frozen=True)
 class ModeFrequency:
-    """Oscillation period (None for non-oscillatory) and growth rate ln|lambda|."""
+    """Oscillation period in steps (None for non-oscillatory) and growth
+    rate ln|lambda| per step."""
 
     period_steps: float | None
-    period_seconds: float | None
     growth_rate: float
 
 
@@ -201,13 +199,11 @@ def fit_columns(t: int, tau: int) -> int:
 
 
 def fit_geometry(view: hk.HankelView) -> hk.HankelView:
-    """The snapshots H of a fit: the lifting of the view's signal without
-    its last step, whose T - tau columns are every column of the view's
-    lifting but the last. Applies no product."""
-    source = view.source
-    fit_columns(source.n_steps, view.tau)
-    head = replace(source, values=source.values[:, :-1], mask=source.mask[:, :-1])
-    return hk.HankelView(head, view.tau)
+    """The snapshots H of a fit: the lifting of the view's array without
+    its last step (a slice, not a copy), whose T - tau columns are every
+    column of the view's lifting but the last. Applies no product."""
+    fit_columns(view.values.shape[1], view.tau)
+    return hk.HankelView(view.values[:, :-1], view.tau)
 
 
 def amplitude_quadratic(
@@ -268,7 +264,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     # Reduced operator (H'^T U)^T V diag(1/sigma). Column j of H' is
     # column j + 1 of H, so H'^T U is H^T U from its second row on, over
     # the last lifted column (the last tau steps, block-row-major) times U.
-    last_row = view.source.values[:, span:].T.reshape(-1) @ svd.left_vectors
+    last_row = view.values[:, span:].T.reshape(-1) @ svd.left_vectors
     reduced = (
         svd.ht_left[1:].T @ svd.right_vectors[:-1]
         + np.outer(last_row, svd.right_vectors[-1])
@@ -308,7 +304,6 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         modes=modes,
         amplitudes=amplitudes[order],
         rank=svd.rank,
-        sampling_seconds=view.source.step_seconds,
         fit_span=span,
         tau=view.tau,
         singular_values=svd.spectrum,
@@ -324,20 +319,11 @@ def reconstruct(dec: DmdDecomposition, length: int) -> np.ndarray:
     return full.real
 
 
-def mode_frequency(eigenvalue: complex, step_seconds: float) -> ModeFrequency:
-    """Oscillation period and growth rate encoded by one eigenvalue."""
+def mode_frequency(eigenvalue: complex) -> ModeFrequency:
+    """Oscillation period and growth rate, in steps, encoded by one eigenvalue."""
     lam = complex(eigenvalue)
     if lam == 0:
         raise ValueError("zero eigenvalue has no frequency interpretation")
     angle = math.atan2(lam.imag, lam.real)
-    if angle == 0.0:
-        period = None
-        seconds = None
-    else:
-        period = 2.0 * math.pi / abs(angle)
-        seconds = period * step_seconds
-    return ModeFrequency(
-        period_steps=period,
-        period_seconds=seconds,
-        growth_rate=math.log(abs(lam)),
-    )
+    period = None if angle == 0.0 else 2.0 * math.pi / abs(angle)
+    return ModeFrequency(period_steps=period, growth_rate=math.log(abs(lam)))

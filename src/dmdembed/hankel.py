@@ -41,7 +41,6 @@ class SignalMatrix:
     values: np.ndarray
     mask: np.ndarray
     node_ids: list[str]
-    step_seconds: float
 
     def __post_init__(self):
         self.values = np.asarray(self.values, dtype=float)
@@ -55,27 +54,15 @@ class SignalMatrix:
             raise DataError("mask shape must match values shape")
         if len(self.node_ids) != n:
             raise DataError(f"{len(self.node_ids)} node ids for {n} nodes")
-        if self.step_seconds <= 0:
-            raise DataError(f"step_seconds must be positive, got {self.step_seconds}")
         if not np.all(np.isfinite(self.values), where=self.mask):
             raise DataError("observed values must be finite")
 
     @classmethod
-    def from_values(
-        cls,
-        values: np.ndarray,
-        node_ids: list[str] | None = None,
-        step_seconds: float = 900.0,
-    ) -> "SignalMatrix":
+    def from_values(cls, values: np.ndarray, node_ids: list[str] | None = None) -> "SignalMatrix":
         values = np.asarray(values, dtype=float)
         if node_ids is None:
             node_ids = [f"n{i:03d}" for i in range(values.shape[0])]
-        return cls(
-            values=values,
-            mask=np.ones(values.shape, dtype=bool),
-            node_ids=list(node_ids),
-            step_seconds=step_seconds,
-        )
+        return cls(values=values, mask=np.ones(values.shape, dtype=bool), node_ids=list(node_ids))
 
     @property
     def n_nodes(self) -> int:
@@ -103,12 +90,7 @@ def impute_linear(signal: SignalMatrix) -> SignalMatrix:
         if seen.all():
             continue
         values[i] = np.interp(steps, steps[seen], values[i, seen])
-    return SignalMatrix(
-        values=values,
-        mask=np.ones_like(signal.mask),
-        node_ids=list(signal.node_ids),
-        step_seconds=signal.step_seconds,
-    )
+    return SignalMatrix(values=values, mask=np.ones_like(signal.mask), node_ids=list(signal.node_ids))
 
 
 def fast_length(t: int) -> int:
@@ -122,35 +104,36 @@ def fast_length(t: int) -> int:
 
 @dataclass
 class HankelView:
-    """Lazy Hankel lifting of a SignalMatrix.
+    """Lazy Hankel lifting of an all-observed N x T array ``values``.
 
     Element access contract: H[b*N + i, j] = values[i, j + b] for
     0 <= j <= T - tau. Immutable after construction; all operations are
-    read-only.
+    read-only. The view carries no node ids, mask or time units: every
+    period and rate read from it is in steps.
     """
 
-    source: SignalMatrix
+    values: np.ndarray
     tau: int
 
     @property
     def columns(self) -> int:
-        return self.source.n_steps - self.tau + 1
+        return self.values.shape[1] - self.tau + 1
 
     @property
     def shape(self) -> tuple[int, int]:
-        return (self.source.n_nodes * self.tau, self.columns)
+        return (self.values.shape[0] * self.tau, self.columns)
 
     @cached_property
     def fft_length(self) -> int:
         """Correlation length L >= T: every kept index j + b <= T - 1,
         so no product wraps around."""
-        return fast_length(self.source.n_steps)
+        return fast_length(self.values.shape[1])
 
     @cached_property
     def source_spectrum(self) -> np.ndarray:
         """Real FFT of the source along time at the correlation length,
         laid out (node, frequency)."""
-        return np.fft.rfft(self.source.values, n=self.fft_length, axis=1)
+        return np.fft.rfft(self.values, n=self.fft_length, axis=1)
 
 
 def default_tau(signal: SignalMatrix) -> int:
@@ -171,19 +154,19 @@ def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
     """Construct the Hankel view with ``tau`` stacked block rows.
 
     Requires an all-true mask (run impute_linear first). Only the N x T
-    source is kept.
+    source array is kept: the node ids and the mask stay with the signal.
     """
     t = signal.n_steps
     if not (1 <= tau <= t):
         raise ValueError(f"tau must be in [1, {t}], got {tau}")
     if not signal.mask.all():
         raise DataError("signal has unimputed missing values; impute before lifting")
-    return HankelView(source=signal, tau=tau)
+    return HankelView(signal.values, tau)
 
 
 def _chunk_rows(view: HankelView) -> int:
     """Rows per FFT pass so the (rows, N, F) temporary stays bounded."""
-    return max(1, FFT_CHUNK_ELEMENTS // (view.source.n_nodes * (view.fft_length // 2 + 1)))
+    return max(1, FFT_CHUNK_ELEMENTS // (view.values.shape[0] * (view.fft_length // 2 + 1)))
 
 
 # Both halves correlate the signal with a block: sum_j s[j + b] x[j] is
@@ -197,7 +180,7 @@ def _first_half(view: HankelView, rows: np.ndarray) -> np.ndarray:
     with entry [c, i, b] = sum_j values[i, j + b] x_c[j]."""
     length = view.fft_length
     spectra = view.source_spectrum * np.fft.rfft(rows[:, ::-1], n=length)[:, np.newaxis, :]
-    return np.fft.irfft(spectra, n=length)[..., view.columns - 1 : view.source.n_steps]
+    return np.fft.irfft(spectra, n=length)[..., view.columns - 1 : view.values.shape[1]]
 
 
 def _second_half(view: HankelView, blocks: np.ndarray) -> np.ndarray:
@@ -207,7 +190,7 @@ def _second_half(view: HankelView, blocks: np.ndarray) -> np.ndarray:
     length = view.fft_length
     spectra = np.fft.rfft(blocks[..., ::-1], n=length)
     spectra *= view.source_spectrum
-    return np.fft.irfft(spectra.sum(axis=1), n=length)[:, view.tau - 1 : view.source.n_steps]
+    return np.fft.irfft(spectra.sum(axis=1), n=length)[:, view.tau - 1 : view.values.shape[1]]
 
 
 def _gram_rows(view: HankelView, rows: np.ndarray) -> np.ndarray:
@@ -241,7 +224,7 @@ def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
     cost does not depend on tau. This is the first half of ``gram``.
     """
     x = _real_block(x, view.columns)
-    n = view.source.n_nodes
+    n = view.values.shape[0]
     blocks = _by_chunks(_first_half, view, x.T, (n, view.tau))
     return blocks.transpose(2, 1, 0).reshape(n * view.tau, x.shape[1])
 
@@ -255,7 +238,7 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
     """
     y = _real_block(y, view.shape[0])
     # Time-contiguous rows: FFT outputs follow their input's memory order.
-    blocks = y.reshape(view.tau, view.source.n_nodes, -1).transpose(2, 1, 0)
+    blocks = y.reshape(view.tau, view.values.shape[0], -1).transpose(2, 1, 0)
     blocks = np.ascontiguousarray(blocks)
     return _by_chunks(_second_half, view, blocks, (view.columns,)).T
 
@@ -273,7 +256,7 @@ def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
 
 def column_energies(view: HankelView) -> np.ndarray:
     """Squared 2-norm of every column of H (the diagonal of the Gram)."""
-    v = view.source.values
+    v = view.values
     # per-step sums of squares, without a squared copy of the signal
     csum = np.concatenate([[0.0], np.cumsum(np.einsum("nt,nt->t", v, v))])
     return csum[view.tau :] - csum[: view.columns]

@@ -203,7 +203,7 @@ def parse_config_file(path) -> dict:
     return mapping
 
 
-def load_csv(path, step_seconds: float = 900.0) -> SignalMatrix:
+def load_csv(path) -> SignalMatrix:
     """Read a time-major CSV into node-major storage.
 
     First row: header with node ids (first cell names the step column).
@@ -237,7 +237,6 @@ def load_csv(path, step_seconds: float = 900.0) -> SignalMatrix:
         values=values,
         mask=np.logical_not(blank, out=blank),
         node_ids=[h.strip() for h in header[1:]],
-        step_seconds=step_seconds,
     )
 
 
@@ -394,8 +393,8 @@ class _StageTimer:
 
 def _ingest(cfg: PipelineConfig) -> SignalMatrix:
     if cfg.input_csv is not None:
-        return load_csv(cfg.input_csv, step_seconds=cfg.step_seconds)
-    return generate_synthetic(cfg.synthetic, cfg.step_seconds)
+        return load_csv(cfg.input_csv)
+    return generate_synthetic(cfg.synthetic)
 
 
 def _test_forecast(
@@ -422,7 +421,8 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
     with/without comparison and diagnostics). Any stage error aborts
     with the stage name attached. Files are staged and moved in, the
     manifest last, only once every stage is done, so a failed run
-    leaves the directory as it found it. A run that succeeds then
+    leaves the directory as it found it: a directory that the run made
+    is removed again, one that was there stays. A run that succeeds then
     removes the files that the directory's previous manifest lists and
     that it did not write; other files stay.
     """
@@ -430,28 +430,39 @@ def run_pipeline(cfg: PipelineConfig, until: str = "forecast") -> Path:
         raise ConfigError(f"unknown pipeline target {until!r}")
     cfg.validate()
     out_dir = Path(cfg.output_dir)
-    out_dir.mkdir(parents=True, exist_ok=True)
-    lock = _lock(out_dir)
-    staging = out_dir / STAGING_DIR
+    # deepest first, the order a failed run removes them in
+    made = [d for d in (out_dir, *out_dir.parents) if not d.exists()]
     try:
-        # a killed run may have left one behind
-        shutil.rmtree(staging, ignore_errors=True)
-        staging.mkdir()
-        run = _Run(staging)
-        _write_manifest(cfg, run, _run_stages(cfg, run, until))
-        earlier = _listed_files(out_dir / "manifest.json")
-        # in the order written, so the manifest comes last
-        for name in run.files:
-            os.replace(staging / name, out_dir / name)
-        # then the earlier run's own files that this run did not replace
-        for name in earlier.difference(run.files):
-            if (out_dir / name).is_file():
-                (out_dir / name).unlink()
-    finally:
-        shutil.rmtree(staging, ignore_errors=True)
-        # removed while still locked: a run that opened it will see it gone
-        (out_dir / ".lock").unlink(missing_ok=True)
-        os.close(lock)
+        out_dir.mkdir(parents=True, exist_ok=True)
+        lock = _lock(out_dir)
+        staging = out_dir / STAGING_DIR
+        try:
+            # a killed run may have left one behind
+            shutil.rmtree(staging, ignore_errors=True)
+            staging.mkdir()
+            run = _Run(staging)
+            _write_manifest(cfg, run, _run_stages(cfg, run, until))
+            earlier = _listed_files(out_dir / "manifest.json")
+            # in the order written, so the manifest comes last
+            for name in run.files:
+                os.replace(staging / name, out_dir / name)
+            # then the earlier run's own files that this run did not replace
+            for name in earlier.difference(run.files):
+                if (out_dir / name).is_file():
+                    (out_dir / name).unlink()
+        finally:
+            shutil.rmtree(staging, ignore_errors=True)
+            # removed while still locked: a run that opened it will see it gone
+            (out_dir / ".lock").unlink(missing_ok=True)
+            os.close(lock)
+    except BaseException:
+        # rmdir, never rmtree: a directory that another process wrote into stays
+        for directory in made:
+            try:
+                directory.rmdir()
+            except OSError:
+                break
+        raise
     return out_dir
 
 
@@ -515,9 +526,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
 
     with _StageTimer(run, "hankel"):
         # imputed, so every step counts as observed
-        train_signal = SignalMatrix.from_values(
-            normalized[:, :b_train], node_ids, cfg.step_seconds
-        )
+        train_signal = SignalMatrix.from_values(normalized[:, :b_train], node_ids)
         tau = cfg.tau if cfg.tau is not None else default_tau(train_signal)
         try:
             view = build_hankel(train_signal, tau)

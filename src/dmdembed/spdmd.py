@@ -107,7 +107,7 @@ def export_path_csv(path: SpdmdPath, eigenvalues: np.ndarray, destination) -> No
     """Write the selection path as CSV, one row per added group: its
     period in steps (inf for a real mode) and growth rate, and the fit
     loss once it is added."""
-    freqs = [mode_frequency(eigenvalues[sol.group[0]], 1.0) for sol in path.solutions]
+    freqs = [mode_frequency(eigenvalues[sol.group[0]]) for sol in path.solutions]
     write_table(destination, ["step", "period_steps", "growth_rate", "fit_loss"], [
         [sol.pair_count for sol in path.solutions],
         [np.inf if f.period_steps is None else f.period_steps for f in freqs],

@@ -51,7 +51,7 @@ class SyntheticSpec:
         object.__setattr__(self, "amplitudes", tuple(map(float, amplitudes)))
 
 
-def generate_synthetic(spec: SyntheticSpec, step_seconds: float = 900.0) -> SignalMatrix:
+def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
     """Draw the seeded signal: per-component random spatial profile in
     [0.5, 1.5] and random phase, plus optional trend and noise."""
     rng = np.random.default_rng(spec.seed)
@@ -69,5 +69,5 @@ def generate_synthetic(spec: SyntheticSpec, step_seconds: float = 900.0) -> Sign
         rms = float(np.sqrt(np.mean(values**2)))
         scale = spec.noise * (rms if rms > 0 else 1.0)
         values += rng.normal(0.0, scale, size=values.shape)
-    return SignalMatrix.from_values(values, step_seconds=step_seconds)
+    return SignalMatrix.from_values(values)
 

@@ -74,7 +74,7 @@ def test_a2_frequency_recovery():
     dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start
     periods = sorted(
-        mode_frequency(lam, sig.step_seconds).period_steps
+        mode_frequency(lam).period_steps
         for lam in dec.eigenvalues if lam.imag > 0
     )
     worst_arg = max(abs(periods[0] / 72.0 - 1.0), abs(periods[1] / 504.0 - 1.0))

@@ -101,7 +101,6 @@ def decomposition_json_dumps(dec: DmdDecomposition) -> str:
         "amplitudes": [[float(v.real), float(v.imag)] for v in dec.amplitudes],
         "rank": dec.rank,
         "tau": dec.tau,
-        "sampling_seconds": dec.sampling_seconds,
         "fit_span": dec.fit_span,
     }
     return json.dumps(payload, sort_keys=True, indent=2)
@@ -214,7 +213,6 @@ def test_to_json_matches_json_dumps(data):
         modes=np.ones((data.draw(st.integers(0, 6)), r), dtype=complex),
         amplitudes=data.draw(arrays(complex, r, elements=st.complex_numbers())),
         rank=r,
-        sampling_seconds=data.draw(any_float),
         fit_span=data.draw(st.integers(0, 10**6)),
         tau=data.draw(st.integers(1, 10**4)),
     )

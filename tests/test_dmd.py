@@ -45,7 +45,7 @@ def test_fit_dmd_rotation_recovery():
     assert np.max(np.abs(np.abs(dec.eigenvalues) - 1.0)) <= 1e-6
     # amplitudes reconstruct the first snapshot exactly
     first = reconstruct(dec, 1)[:, 0]
-    assert_allclose(first, view.source.values[:, 0], atol=1e-8)
+    assert_allclose(first, view.values[:, 0], atol=1e-8)
 
 
 def test_fit_dmd_constant_signal():
@@ -233,7 +233,7 @@ def decomposition_of(eigenvalues):
     r = eigs.size
     return DmdDecomposition(eigenvalues=eigs, modes=np.eye(r, dtype=complex),
                             amplitudes=np.ones(r, dtype=complex), rank=r,
-                            sampling_seconds=1.0, fit_span=r, tau=1)
+                            fit_span=r, tau=1)
 
 
 def test_representatives():
@@ -399,16 +399,15 @@ def test_rank_monotonicity_on_training_error():
 
 
 def test_mode_frequency():
-    daily = mode_frequency(np.exp(1j * 2 * np.pi / 72), step_seconds=900.0)
+    daily = mode_frequency(np.exp(1j * 2 * np.pi / 72))
     assert daily.period_steps == pytest.approx(72.0)
-    assert daily.period_seconds == pytest.approx(72.0 * 900.0)
-    flat = mode_frequency(1.0, step_seconds=900.0)
+    flat = mode_frequency(1.0)
     assert flat.period_steps is None and flat.growth_rate == 0.0
-    decay = mode_frequency(0.5, step_seconds=1.0)
+    decay = mode_frequency(0.5)
     assert decay.growth_rate == pytest.approx(math.log(0.5))
     assert decay.period_steps is None
     with pytest.raises(ValueError):
-        mode_frequency(0.0, step_seconds=1.0)
+        mode_frequency(0.0)
 
 
 @given(st.integers(0, 10_000), st.integers(1, 2), st.booleans())
@@ -500,7 +499,8 @@ def test_serialization_round_trip():
     assert data["rank"] == dec.rank
     assert data["tau"] == dec.tau
     assert data["fit_span"] == dec.fit_span
-    assert data["sampling_seconds"] == dec.sampling_seconds
+    # periods and rates are in steps: the file records no time unit
+    assert set(data) == {"eigenvalues", "amplitudes", "rank", "tau", "fit_span"}
     modes = saved_modes(dec.modes)
     assert modes.dtype == np.complex128
     assert np.array_equal(bits(modes), bits(dec.modes))

@@ -30,20 +30,20 @@ def signal(values, **kw):
 def test_build_hankel_scalar_example():
     view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
     assert view.shape == (2, 3)
-    assert_allclose(materialize_hankel(view.source.values, view.tau),
+    assert_allclose(materialize_hankel(view.values, view.tau),
                     [[1, 2, 3], [2, 3, 4]])
 
 
 def test_build_hankel_tau_one_is_identity():
     sig = signal([[1, 2, 3], [4, 5, 6]])
     view = build_hankel(sig, tau=1)
-    assert_allclose(materialize_hankel(view.source.values, 1), sig.values)
+    assert_allclose(materialize_hankel(view.values, 1), sig.values)
 
 
 def test_build_hankel_full_depth_first_column():
     z = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
     view = build_hankel(signal(z), tau=3)
-    h = materialize_hankel(view.source.values, 3)
+    h = materialize_hankel(view.values, 3)
     assert h.shape == view.shape == (6, 1)
     assert_allclose(h[:, 0], [1, 10, 2, 20, 3, 30])
 
@@ -70,7 +70,6 @@ def test_build_hankel_errors():
         values=np.ones((1, 3)),
         mask=np.array([[True, False, True]]),
         node_ids=["a"],
-        step_seconds=1.0,
     )
     with pytest.raises(DataError):
         build_hankel(masked, tau=1)
@@ -86,7 +85,7 @@ def test_gram_identity_and_hand_sum():
     assert_allclose(dense_gram(np.eye(2), 1), np.eye(2))
     assert_allclose(gram_matrix(eye), np.eye(2), atol=1e-15)
     view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
-    assert dense_gram(view.source.values, 2)[0, 0] == pytest.approx(5.0)  # 1^2 + 2^2
+    assert dense_gram(view.values, 2)[0, 0] == pytest.approx(5.0)  # 1^2 + 2^2
     assert gram(view, np.eye(3)[:, :1])[0, 0] == pytest.approx(5.0)
 
 
@@ -315,7 +314,6 @@ def test_impute_linear():
         values=np.array([[1.0, 0.0, 3.0, 0.0], [5.0, 6.0, 7.0, 8.0]]),
         mask=np.array([[True, False, True, False], [True, True, True, True]]),
         node_ids=["a", "b"],
-        step_seconds=1.0,
     )
     out = impute_linear(sig)
     assert out.mask.all()
@@ -328,7 +326,6 @@ def test_impute_linear_all_missing_node():
         values=np.zeros((1, 3)),
         mask=np.zeros((1, 3), dtype=bool),
         node_ids=["a"],
-        step_seconds=1.0,
     )
     with pytest.raises(DataError):
         impute_linear(sig)
@@ -337,13 +334,13 @@ def test_impute_linear_all_missing_node():
 def test_signal_matrix_validation():
     with pytest.raises(DataError):
         SignalMatrix(values=np.ones((1, 1)), mask=np.ones((1, 1), bool),
-                     node_ids=["a"], step_seconds=1.0)
+                     node_ids=["a"])
     with pytest.raises(DataError):
         SignalMatrix(values=np.ones((1, 3)), mask=np.ones((1, 3), bool),
-                     node_ids=["a", "b"], step_seconds=1.0)
+                     node_ids=["a", "b"])
     with pytest.raises(DataError):
         SignalMatrix(values=np.full((1, 3), np.nan), mask=np.ones((1, 3), bool),
-                     node_ids=["a"], step_seconds=1.0)
+                     node_ids=["a"])
 
 
 def test_signal_matrix_checks_only_observed_cells_without_copying_them():
@@ -357,11 +354,11 @@ def test_signal_matrix_checks_only_observed_cells_without_copying_them():
     ids = [f"n{i}" for i in range(shape[0])]
     tracemalloc.start()
     try:
-        SignalMatrix(values=values, mask=mask, node_ids=ids, step_seconds=900.0)
+        SignalMatrix(values=values, mask=mask, node_ids=ids)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 2 * mask.nbytes
     values[3, np.argmax(mask[3])] = np.inf
     with pytest.raises(DataError, match="finite"):
-        SignalMatrix(values=values, mask=mask, node_ids=ids, step_seconds=900.0)
+        SignalMatrix(values=values, mask=mask, node_ids=ids)

@@ -189,7 +189,7 @@ def test_load_csv_memory_is_bounded(tmp_path):
     rng = np.random.default_rng(0)
     shape = (16, 20_000)
     signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
-                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+                          node_ids=[f"n{i}" for i in range(shape[0])])
     path = tmp_path / "long.csv"
     write_signal_csv(signal, path)
     tracemalloc.start()
@@ -208,7 +208,7 @@ def test_write_signal_csv_memory_is_bounded(tmp_path):
     rng = np.random.default_rng(0)
     shape = (8, 20_000)
     signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
-                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+                          node_ids=[f"n{i}" for i in range(shape[0])])
     tracemalloc.start()
     try:
         write_signal_csv(signal, tmp_path / "long.csv")
@@ -329,7 +329,7 @@ def test_write_signal_csv_matches_per_cell_reference(tmp_path_factory, data):
     # masked cells may hold anything; observed ones must be finite
     mask = data.draw(arrays(bool, shape)) & np.isfinite(values)
     signal = SignalMatrix(values=values, mask=mask,
-                          node_ids=[f"n{i}" for i in range(shape[0])], step_seconds=900.0)
+                          node_ids=[f"n{i}" for i in range(shape[0])])
     folder = tmp_path_factory.mktemp("signal")
     write_signal_csv(signal, folder / "fast.csv")
     write_signal_csv_per_cell(signal, folder / "reference.csv")
@@ -576,19 +576,23 @@ def test_manifest_records_the_blas_thread_setting_outside_config(tmp_path, monke
 
 
 def test_synthetic_run_fits_and_replays_at_the_config_step_length(tmp_path):
-    # the step length is the config's alone: a spec given in code fits at
-    # the step_seconds its manifest records, so the replay matches it
-    cfg = PipelineConfig(synthetic=SyntheticSpec(3, 480, noise=0.1, seed=1), step_seconds=60.0,
-                         output_dir=str(tmp_path / "run"))
-    out1 = run_pipeline(cfg)
-    assert json.loads((out1 / "decomposition.json").read_text())["sampling_seconds"] == 60.0
-    cfg2 = config_from_manifest(out1 / "manifest.json")
+    # the step length is the config's alone: the manifest records it, so a
+    # replay takes it back, and no other file depends on it, since every
+    # period and rate of the fit is in steps
+    def files(out):
+        return {p.name: p.read_bytes() for p in out.iterdir() if p.name != "manifest.json"}
+
+    spec = SyntheticSpec(3, 480, noise=0.1, seed=1)
+    runs = {}
+    for seconds in (60.0, 900.0):
+        cfg = PipelineConfig(synthetic=spec, step_seconds=seconds,
+                             output_dir=str(tmp_path / f"run{seconds:g}"))
+        runs[seconds] = run_pipeline(cfg)
+    assert files(runs[60.0]) == files(runs[900.0])
+    cfg2 = config_from_manifest(runs[60.0] / "manifest.json")
+    assert cfg2.step_seconds == 60.0
     cfg2.output_dir = str(tmp_path / "rerun")
-    out2 = run_pipeline(cfg2)
-    names = sorted(p.name for p in out1.iterdir() if p.name != "manifest.json")
-    assert names == sorted(p.name for p in out2.iterdir() if p.name != "manifest.json")
-    for name in names:
-        assert (out1 / name).read_bytes() == (out2 / name).read_bytes(), name
+    assert files(run_pipeline(cfg2)) == files(runs[60.0])
 
 
 def test_synthetic_defaults_are_the_spec_defaults(tmp_path):
@@ -871,8 +875,8 @@ def test_run_pipeline_stage_error_cleans_partial_outputs(tmp_path):
                          output_dir=str(tmp_path / "bad"))
     with pytest.raises(DataError, match=r"\[stage ingest\]"):
         run_pipeline(cfg)
-    leftovers = [p for p in (tmp_path / "bad").iterdir()]
-    assert leftovers == []
+    # the run made the directory, so the failed run removes it again
+    assert not (tmp_path / "bad").exists()
 
 
 def test_run_pipeline_requires_one_source(tmp_path):
@@ -1027,10 +1031,20 @@ def test_inspect_modes_marks_the_modes_a_fit_run_keeps(tmp_path):
     kept = [row.split()[1:4:2] for row in rows if row.split()[-1] == "True"]
     expected = []
     for re, im in resolved["eigenvalues"]:
-        freq = mode_frequency(complex(re, im), 900.0)
+        freq = mode_frequency(complex(re, im))
         period = f"{freq.period_steps:.2f}" if freq.period_steps else "-"
         expected.append([period, f"{freq.growth_rate:.2e}"])
     assert kept == expected
+    # the hours column is the period in steps at the config's step length;
+    # the fit, and so its eigenvalues, do not depend on it
+    done = subprocess.run([*script, *flags, "--step-seconds", "60"],
+                          capture_output=True, text=True, env=env, check=True)
+    hours = [row.split()[2] for row in done.stdout.split("selection path")[0].splitlines()[2:]]
+    expected = []
+    for re, im in json.loads((run_dir / "decomposition.json").read_text())["eigenvalues"]:
+        steps = mode_frequency(complex(re, im)).period_steps
+        expected.append(f"{steps * 60 / 3600:.2f}" if steps else "-")
+    assert hours == expected
 
 
 def test_cli_synth_then_forecast(tmp_path, capsys):
@@ -1221,6 +1235,24 @@ def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("flags, code", [
+    (["--tau", "100000"], 2),  # no snapshot pairs left to fit: a config error
+    (["--q", "400"], 3),  # no test window: a data error
+    (["--p", "300"], 3),
+])
+def test_failed_run_removes_the_directories_it_made(tmp_path, flags, code):
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "3", "--steps", "480", "--out", str(data)]) == 0
+    out = tmp_path / "new" / "run"
+    assert cli_main(["forecast", "--input", str(data), *flags, "--out", str(out)]) == code
+    assert not (tmp_path / "new").exists()
+    # a directory that was there stays, as it was
+    (tmp_path / "kept").mkdir()
+    assert cli_main(["forecast", "--input", str(data), *flags,
+                     "--out", str(tmp_path / "kept")]) == code
+    assert list((tmp_path / "kept").iterdir()) == []
+
+
 @pytest.mark.parametrize("flags", [["--tau", "85"], ["--tau", "83"], ["--tau", "84"]])
 def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
     # 120 steps split 70/10/20 train on 84: two snapshot pairs need
@@ -1232,7 +1264,7 @@ def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
     assert cli_main(["fit", "--input", str(data), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: [stage hankel]" in err and "84 training steps" in err
-    assert list(out.iterdir()) == []
+    assert not out.exists()
     assert cli_main(["fit", "--input", str(data), "--tau", "82", "--rank", "fixed:2",
                      "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
 

@@ -42,7 +42,7 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
     out = run_pipeline(cfg)
     peak_mb, dec = fits
     assert peak_mb <= 200.0, f"fit_dmd peaked at {peak_mb:.0f} MB"
-    periods = [mode_frequency(lam, dec.sampling_seconds).period_steps
+    periods = [mode_frequency(lam).period_steps
                for lam in dec.eigenvalues if lam.imag > 0]
     for planted in (72.0, 504.0):
         assert min(abs(p / planted - 1.0) for p in periods) <= 0.005, periods

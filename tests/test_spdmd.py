@@ -163,7 +163,7 @@ def test_groups_are_taken_in_energy_order_whatever_their_losses():
         eigenvalues = np.array([0.9, 0.5], dtype=complex)
         return DmdDecomposition(
             eigenvalues=eigenvalues, modes=np.eye(2, dtype=complex), amplitudes=q,
-            rank=2, sampling_seconds=1.0, fit_span=8, tau=1,
+            rank=2, fit_span=8, tau=1,
             amplitude_form=(np.eye(2, dtype=complex), q, 10.0),
         )
 
@@ -213,7 +213,7 @@ def test_decomposition_without_amplitude_form_needs_a_refit():
     dec = rank4_fixture()
     hand_built = DmdDecomposition(
         eigenvalues=dec.eigenvalues, modes=dec.modes, amplitudes=dec.amplitudes, rank=dec.rank,
-        sampling_seconds=dec.sampling_seconds, fit_span=dec.fit_span, tau=dec.tau,
+        fit_span=dec.fit_span, tau=dec.tau,
     )
     with pytest.raises(ValueError, match="no amplitude form; refit"):
         _AmplitudeProblem(hand_built)

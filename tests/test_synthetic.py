@@ -27,7 +27,7 @@ def test_two_period_recovery_within_tenth_step():
     view = build_hankel(sig, tau=default_tau(sig))
     dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
-        mode_frequency(lam, sig.step_seconds).period_steps
+        mode_frequency(lam).period_steps
         for lam in dec.eigenvalues
         if lam.imag > 0
     )
