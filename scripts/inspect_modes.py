@@ -2,19 +2,17 @@
 """Fit a decomposition on a CSV and print the dominant-mode table.
 
 The fit is a ``dmdembed embed`` run into a temporary directory, and
-everything printed is read from that run's files: the manifest, the
-decomposition and the selection path. The rows marked kept are the
-modes whose eigenvalues the manifest records as selected.
+everything printed is read from that run's files: the manifest and the
+decomposition. The rows marked kept are the modes whose eigenvalues the
+manifest records as selected.
 
 Shows, per mode: period in steps and in hours at the config's
-``step_seconds``, growth rate, and amplitude share; then the selection
-path: the period of the group each step added and the fit loss after
-it. Optionally renders the real covariate channels of the run's
-embedding as an SVG.
+``step_seconds``, growth rate, amplitude share, and whether the
+selection kept it. Optionally renders the real covariate channels of
+the run's embedding as an SVG.
 """
 
 import argparse
-import csv
 import json
 import tempfile
 
@@ -46,8 +44,6 @@ def main() -> int:
         run_dir = run_pipeline(cfg, until="embed")
         resolved = json.loads((run_dir / "manifest.json").read_text(encoding="utf-8"))["resolved"]
         fit = json.loads((run_dir / "decomposition.json").read_text(encoding="utf-8"))
-        with open(run_dir / "spdmd_path.csv", encoding="utf-8", newline="") as fh:
-            path = list(csv.DictReader(fh))
         span = min(args.span, resolved["n_steps"])
         kept_groups = resolved["selected_pairs"]
         # columns re_1 .. re_r follow the step column
@@ -68,12 +64,6 @@ def main() -> int:
         share = np.abs(amplitudes[i]) / total
         print(f"{i:>4} {period:>14} {hours:>10} {freq.growth_rate:>9.2e} "
               f"{share:>10.3f} {str(kept[i]):>5}")
-    print("selection path: the group each step added and the fit loss after it")
-    print(f"{'step':>4} {'period[steps]':>14} {'fit loss':>12}")
-    for row in path:
-        period_steps = float(row["period_steps"])
-        period = f"{period_steps:.2f}" if np.isfinite(period_steps) else "-"
-        print(f"{int(row['step']):>4} {period:>14} {float(row['fit_loss']):>12.6g}")
 
     if args.svg:
         series = [(f"re_{j + 1}", channels[:, j]) for j in range(kept_groups)]

@@ -54,10 +54,11 @@ class DmdDecomposition:
     indices of each pair and each real mode; the positive-imaginary
     member of a pair comes first.
 
-    ``amplitude_form`` is the (P, q, s) of the fit's quadratic form (see
-    ``amplitude_quadratic``) that it solved for the amplitudes, in the
-    order of the modes; the mode selection takes it from here. Like the
-    singular values and the spectrum solve it is not serialized.
+    The singular values and the spectrum solve are not serialized. The
+    amplitude problem the fit solved (see ``amplitude_quadratic``) is not
+    kept: the mode selection keeps a prefix of ``groups`` and refits
+    nothing, so a decomposition read back from a run's
+    ``decomposition.json`` and ``modes.npy`` selects as the fit did.
     """
 
     eigenvalues: np.ndarray
@@ -68,7 +69,6 @@ class DmdDecomposition:
     tau: int
     singular_values: np.ndarray | None = field(default=None, repr=False)
     spectrum_solve: SpectrumSolve | None = field(default=None, repr=False)
-    amplitude_form: tuple[np.ndarray, np.ndarray, float] | None = field(default=None, repr=False)
 
     def to_json(self) -> str:
         """Every field except the modes, which are stored as an array
@@ -217,8 +217,8 @@ def amplitude_quadratic(
 
     Returns (P, q) with the residual equal to a* P a - 2 Re(q* a) + s,
     where P = (modes* modes) o conj(C C*), q = conj(diag(C H^T modes))
-    and s = ||H||_F^2. The fit solves it for the amplitudes and keeps it
-    for the sparse mode selection.
+    and s = ||H||_F^2. The fit solves P a = q for the amplitudes once,
+    on every mode; the mode selection refits nothing.
     """
     vand = vandermonde(eigenvalues, ht_modes.shape[0])
     p = mode_gram * np.conj(vand @ vand.conj().T)
@@ -280,18 +280,14 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     mode_gram = mode_gram / np.outer(norms, norms)
     ht_modes = svd.ht_left @ coords
 
-    p, q = amplitude_quadratic(eigenvalues, mode_gram, ht_modes)
-    amplitudes = solve_hermitian(p, q)
+    amplitudes = solve_hermitian(*amplitude_quadratic(eigenvalues, mode_gram, ht_modes))
     # The eigensolver fixes each eigenvector's phase by its largest entry,
     # which round-off picks among near-equal ones. Each mode takes its
-    # amplitude's phase instead, so that every amplitude is real and >= 0;
-    # the quadratic form turns with the modes.
+    # amplitude's phase instead, so that every amplitude is real and >= 0.
     phase = np.ones_like(amplitudes)
     moving = amplitudes != 0
     phase[moving] = amplitudes[moving] / np.abs(amplitudes[moving])
     coords = coords * phase
-    p = phase.conj()[:, np.newaxis] * p * phase
-    q = phase.conj() * q
     amplitudes = np.abs(amplitudes).astype(complex)
 
     order = _energy_order(eigenvalues, amplitudes, span)
@@ -308,7 +304,6 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         tau=view.tau,
         singular_values=svd.spectrum,
         spectrum_solve=svd.solve,
-        amplitude_form=(p[np.ix_(order, order)], q[order], svd.solve.total_energy),
     )
 
 

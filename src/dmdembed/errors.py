@@ -4,6 +4,9 @@ The CLI maps these onto process exit codes: ConfigError -> 2,
 DataError -> 3, NumericalError -> 4.
 """
 
+import math
+from dataclasses import fields
+
 
 class DmdEmbedError(Exception):
     """Base class for all package errors."""
@@ -23,3 +26,13 @@ class NumericalError(DmdEmbedError):
 
 class EmptySpectrumError(NumericalError):
     """Every singular value fell below the round-off floor."""
+
+
+def check_finite(options) -> None:
+    """Refuse a dataclass of options any field of which holds a NaN or
+    an infinity, alone or in a tuple or list, naming the first such field."""
+    for f in fields(options):
+        value = getattr(options, f.name)
+        items = list(value) if isinstance(value, (tuple, list)) else [value]
+        if any(isinstance(v, float) and not math.isfinite(v) for v in items):
+            raise ConfigError(f"{f.name} must be finite, got {value}")

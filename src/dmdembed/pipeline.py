@@ -30,7 +30,7 @@ from . import __version__
 from . import diagnostics as dg
 from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding
-from .errors import ConfigError, DataError
+from .errors import ConfigError, DataError, check_finite
 from .forecaster import (
     ForecastWindows,
     MetricsReport,
@@ -73,6 +73,7 @@ class PipelineConfig:
 
     def validate(self) -> None:
         """Check every value that does not depend on the data."""
+        check_finite(self)
         parse_rank_policy(self.rank)
         check_split_ratios(self.split)
         if self.split[0] <= 0 or self.split[2] <= 0:
@@ -547,7 +548,6 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
 
     with _StageTimer(run, "spdmd"):
         sweep = spdmd.gamma_sweep(dec, target_modes=cfg.target_modes)
-        spdmd.export_path_csv(sweep.path, dec.eigenvalues, run.path("spdmd_path.csv"))
         selected_eigs = dec.eigenvalues[sweep.selected.support]
         resolved["selected_pairs"] = len(sweep.path.solutions)
         resolved["target_met"] = sweep.target_met

@@ -12,7 +12,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import ConfigError
+from .errors import ConfigError, check_finite
 from .hankel import SignalMatrix
 
 
@@ -36,6 +36,7 @@ class SyntheticSpec:
     seed: int = 0
 
     def __post_init__(self):
+        check_finite(self)
         if self.nodes < 1 or self.steps < 2:
             raise ConfigError(f"need nodes >= 1 and steps >= 2, got {self.nodes} x {self.steps}")
         amplitudes = self.amplitudes or (1.0,) * len(self.periods)

@@ -19,10 +19,11 @@ from dmdembed.forecaster import evaluate, make_windows
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
 from dmdembed.linalg import snapshot_svd
 from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
-from dmdembed.spdmd import _AmplitudeProblem, _polish_on, gamma_sweep
+from dmdembed.spdmd import gamma_sweep
 from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 import window_rows
+from amplitude_oracle import AmplitudeForm
 from hankel_oracle import gram_product
 
 SEEDS = (1, 2, 3, 4, 5)
@@ -123,7 +124,7 @@ def _rank4_instance(seed):
 
 
 def _oracle_support(dec, view, target_pairs):
-    problem = _AmplitudeProblem(dec)
+    problem = AmplitudeForm(dec, view)
     best = None
     for keep in itertools.product([False, True], repeat=len(problem.groups)):
         if sum(keep) != target_pairs:
@@ -132,7 +133,7 @@ def _oracle_support(dec, view, target_pairs):
         for g, k in zip(problem.groups, keep):
             support[g] = k
         if support.any():
-            loss = problem.loss(_polish_on(problem, support))
+            loss = problem.loss(problem.refit_on(support))
         else:
             loss = problem.loss(np.zeros(dec.rank, complex))
         if best is None or loss < best[1]:

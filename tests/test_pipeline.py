@@ -433,7 +433,6 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
         "manifest.json",
         "decomposition.json",
         "modes.npy",
-        "spdmd_path.csv",
         "embedding.csv",
         "metrics_with.json",
         "metrics_without.json",
@@ -442,6 +441,8 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     }
     names = {p.name for p in out.iterdir()}
     assert expected <= names
+    # the selection refits nothing, so it writes no path of fit losses
+    assert "spdmd_path.csv" not in names
     manifest = json.loads((out / "manifest.json").read_text())
     # every config field is recorded explicitly (synthetic as synth_* keys)
     for field in dataclasses.fields(PipelineConfig):
@@ -833,7 +834,7 @@ def test_leftover_staging_directory_is_removed_unread(tmp_path):
     (out_dir / STAGING_DIR / "nested" / "cep.csv").write_text("rank,cep\n")
     out = run_pipeline(cfg, until="fit")
     names = sorted(p.name for p in out.iterdir())
-    assert names == ["decomposition.json", "manifest.json", "modes.npy", "spdmd_path.csv"]
+    assert names == ["decomposition.json", "manifest.json", "modes.npy"]
 
 
 def test_manifest_lists_the_files_of_its_own_run(tmp_path):
@@ -843,7 +844,7 @@ def test_manifest_lists_the_files_of_its_own_run(tmp_path):
     assert files == sorted(p.name for p in out.iterdir() if p.name != "manifest.json")
     run_pipeline(cfg, until="fit")
     manifest = json.loads((out / "manifest.json").read_text())
-    assert manifest["files"] == ["decomposition.json", "modes.npy", "spdmd_path.csv"]
+    assert manifest["files"] == ["decomposition.json", "modes.npy"]
     # the earlier run's files that the fit does not write are gone
     assert not (out / "metrics_with.json").exists()
     assert sorted(p.name for p in out.iterdir()) == sorted(["manifest.json", *manifest["files"]])
@@ -1025,6 +1026,8 @@ def test_inspect_modes_marks_the_modes_a_fit_run_keeps(tmp_path):
     assert len(polylines) == resolved["selected_pairs"]
     assert all(len(line.get("points").split()) == 360 for line in polylines)
     assert rows.pop() == f"wrote {svg}"
+    # one row per mode of the fit; the kept column is the whole selection
+    assert len(rows) == resolved["rank"]
     refused = subprocess.run([*script, "--span", "0"], capture_output=True, text=True, env=env)
     assert refused.returncode == 2 and "--span must be at least 1, got 0" in refused.stderr
     assert f"rank {resolved['rank']}, tau {resolved['tau']}," in header
@@ -1039,7 +1042,7 @@ def test_inspect_modes_marks_the_modes_a_fit_run_keeps(tmp_path):
     # the fit, and so its eigenvalues, do not depend on it
     done = subprocess.run([*script, *flags, "--step-seconds", "60"],
                           capture_output=True, text=True, env=env, check=True)
-    hours = [row.split()[2] for row in done.stdout.split("selection path")[0].splitlines()[2:]]
+    hours = [row.split()[2] for row in done.stdout.splitlines()[2:]]
     expected = []
     for re, im in json.loads((run_dir / "decomposition.json").read_text())["eigenvalues"]:
         steps = mode_frequency(complex(re, im)).period_steps
@@ -1233,6 +1236,47 @@ def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys,
     assert cli_main(["forecast", "--input", str(data), *flags, "--out", str(out)]) == 2
     assert "config error" in capsys.readouterr().err
     assert not out.exists()
+
+
+@pytest.mark.parametrize("flags, key", [
+    (["--l2", "nan"], "l2"), (["--l2", "inf"], "l2"), (["--split", "nan,0.5,0.5"], "split"),
+    (["--step-seconds", "nan"], "step_seconds"), (["--step-seconds", "inf"], "step_seconds"),
+    (["--synth-noise", "nan"], "noise"), (["--synth-periods", "nan"], "periods"),
+    (["--synth-trend", "inf"], "trend"), (["--synth-amplitudes", "1,-inf"], "amplitudes"),
+])
+def test_cli_non_finite_value_is_config_error_before_run_dir(tmp_path, capsys, flags, key):
+    # a NaN or an infinity failed in a stage, or reached the manifest,
+    # which then was not strict JSON
+    out = tmp_path / "new" / "run"
+    source = ["--synth-nodes", "3", "--synth-steps", "480", "--synth-periods", "72,24"]
+    assert cli_main(["forecast", *source, *flags, "--out", str(out)]) == 2
+    assert f"config error: {key} must be finite" in capsys.readouterr().err
+    assert not (tmp_path / "new").exists()
+
+
+def test_non_finite_value_is_refused_from_every_source(tmp_path, capsys):
+    # a config file, a manifest, an object built in code and the synth subcommand
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "3", "--steps", "480", "--out", str(data)]) == 0
+    config = tmp_path / "run.cfg"
+    config.write_text(f"input_csv = {data}\nl2 = nan\n")
+    assert cli_main(["forecast", "--config", str(config), "--out", str(tmp_path / "a")]) == 2
+    assert cli_main(["fit", "--input", str(data), "--out", str(tmp_path / "run")]) == 0
+    manifest = json.loads((tmp_path / "run" / "manifest.json").read_text())
+    manifest["config"]["step_seconds"] = float("inf")
+    (tmp_path / "old.json").write_text(json.dumps(manifest))
+    assert cli_main(["forecast", "--manifest", str(tmp_path / "old.json"),
+                     "--out", str(tmp_path / "b")]) == 2
+    assert cli_main(["synth", "--noise", "nan", "--out", str(tmp_path / "c" / "s.csv")]) == 2
+    err = capsys.readouterr().err
+    for key in ("l2", "step_seconds", "noise"):
+        assert f"config error: {key} must be finite" in err
+    with pytest.raises(ConfigError, match="l2 must be finite"):
+        run_pipeline(PipelineConfig(input_csv=str(data), l2=float("-inf"),
+                                    output_dir=str(tmp_path / "d")))
+    with pytest.raises(ConfigError, match="periods must be finite"):
+        SyntheticSpec(periods=[72.0, float("nan")])
+    assert not any((tmp_path / name).exists() for name in "abcd")
 
 
 @pytest.mark.parametrize("flags, code", [
