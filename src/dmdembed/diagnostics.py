@@ -21,8 +21,14 @@ from .errors import DataError
 POOL_DIM = 64
 # Upper bound on the entries of one tile of residual_correlation: its
 # (tile columns, d) slice of the |correlation| matrix and its standardized
-# (rows, tile columns) lead columns. A tile holds at least one pool block.
-CORR_TILE_ELEMENTS = 1 << 20
+# (rows, tile columns) lead columns. A tile holds whole pool blocks and is
+# at least CORR_TILE_COLUMNS wide, or the whole matrix when it is narrower,
+# so that wide panels keep efficient products.
+CORR_TILE_ELEMENTS = 1 << 16
+CORR_TILE_COLUMNS = 128
+# A trail column whose mean exceeds this many scales is centred before its
+# product: a raw product would lose the digits of its deviations.
+CORR_RAW_MEAN_SCALES = 16.0
 # Rows of a CSV table that write_table formats at a time.
 WRITE_CHUNK_ROWS = 1 << 12
 
@@ -95,13 +101,20 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     is nonnegative.
 
     Each lag's lead rows ``[lag, n)`` and trail rows ``[0, n - lag)``
-    are standardized apart; at lag 0 they are one block. The matrix is
-    held one tile at a time: its rows come in tiles of whole pool blocks,
-    each the product of a standardized tile of lead columns with the
-    standardized trail block, divided, made absolute and capped, then pooled into its
-    band of ``pooled``, its excluded rows and columns zeroed, and summed.
-    At lag 0 the matrix is symmetric, so each tile covers only the
-    diagonal and what lies right of it, and the rest is its mirror.
+    have their own column means and scales; at lag 0 they are one block.
+    The matrix is held one tile at a time: its rows come in tiles of
+    whole pool blocks, each the product of a standardized tile of lead
+    columns with the raw trail rows, read in place. The lead tile is
+    centred once more first, which takes its column sums times the trail
+    means off the product, and each trail column of the product is then
+    divided by (n - lag) times its scale. A raw product loses the digits
+    of a column whose mean dwarfs its scale, so such trail columns enter
+    it centred, from a copy of those columns alone. The tile is made
+    absolute and capped, then pooled into its band of ``pooled``, its
+    excluded rows and columns zeroed, and summed. At lag 0 the matrix is
+    symmetric, so each tile covers only the diagonal square, one
+    symmetric product of the standardized tile with itself, and what
+    lies right of it; the rest is its mirror.
     """
     if lag < 0:
         raise ValueError(f"lag must be nonnegative, got {lag}")
@@ -114,34 +127,44 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
     # the blocks of each side start every ceil(d / POOL_DIM) entries
     size = -(-d // POOL_DIM)
     # whole pool blocks per tile, so that each tile pools into its own band
-    width = size * max(1, CORR_TILE_ELEMENTS // (max(n, d) * size))
+    blocks = max(CORR_TILE_ELEMENTS // (max(n, d) * size), -(-min(d, CORR_TILE_COLUMNS) // size))
+    width = size * blocks
     lead_rows, trail_rows = resid[lag:], resid[: n - lag]
     lead_stats = column_stats(lead_rows, width)
-    trail_stats = lead_stats if lag == 0 else column_stats(trail_rows, width)
+    trail_mean, trail_scale, trail_keep = lead_stats if lag == 0 else column_stats(trail_rows, width)
     # a column constant in only the lead or the trail rows still has a
     # nonzero column or row, which the heatmap draws but the mean leaves out
-    keep = lead_stats[2] & trail_stats[2]
+    keep = lead_stats[2] & trail_keep
     kept = int(keep.sum())
     if not kept:
         raise DataError("every residual column has zero variance")
-    trail = _standardize(trail_rows, *trail_stats)
+    inv = np.zeros(d)
+    np.divide(1.0, (n - lag) * trail_scale, out=inv, where=trail_keep)
+    guarded = np.flatnonzero(trail_keep & (np.abs(trail_mean) > CORR_RAW_MEAN_SCALES * trail_scale))
+    centred = trail_rows[:, guarded] - trail_mean[guarded]
     pooled = np.empty((-(-d // size),) * 2)
     total = 0.0
     for start in range(0, d, width):
         stop = min(start + width, d)
+        lead = _standardize(lead_rows[:, start:stop], *(s[start:stop] for s in lead_stats))
+        # the tile covers columns from ``first`` on, of which those from
+        # ``rest`` on are the raw trail rows' product
+        first, rest = (start, stop) if lag == 0 else (0, 0)
+        corr = np.empty((stop - start, d - first))
         if lag == 0:
-            lead = trail[:, start:stop]
             # the diagonal square is a symmetric product: half the flops
-            corr = np.empty((stop - start, d - start))
             np.matmul(lead.T, lead, out=corr[:, : stop - start])
-            np.matmul(lead.T, trail[:, stop:], out=corr[:, stop - start :])
-            first = start
-        else:
-            lead = _standardize(lead_rows[:, start:stop], *(s[start:stop] for s in lead_stats))
-            corr = lead.T @ trail
-            first = 0
+            corr[:, : stop - start] /= n
+        # its column sums are round-off, but times a trail mean they are not
+        lead -= lead.mean(axis=0)
+        raw = corr[:, rest - first :]
+        np.matmul(lead.T, trail_rows[:, rest:], out=raw)
+        near = np.searchsorted(guarded, rest)
+        raw[:, guarded[near:] - rest] = lead.T @ centred[:, near:]
         del lead
-        corr /= n - lag
+        raw *= inv[rest:]
+        # a column the trail rows exclude may hold a non-finite product
+        raw[:, ~trail_keep[rest:]] = 0.0
         np.abs(corr, out=corr)
         np.minimum(corr, 1.0, out=corr)
         band = np.maximum.reduceat(
@@ -157,7 +180,7 @@ def residual_correlation(residuals: np.ndarray, lag: int) -> ResidualCorrSummary
             total += corr[:, : stop - start].sum() + 2.0 * corr[:, stop - start :].sum()
         else:
             total += corr.sum()
-        del corr  # before the next tile's product is made
+        del corr, raw  # before the next tile's product is made
     return ResidualCorrSummary(
         lag=lag,
         mean_abs_corr=float(total / kept**2),

@@ -32,6 +32,7 @@ from . import dmd, spdmd, svgplot
 from .embedding import build_embedding, export_embedding
 from .errors import ConfigError, DataError, check_finite
 from .forecaster import (
+    STD_FLOOR,
     ForecastWindows,
     MetricsReport,
     RidgeModel,
@@ -109,9 +110,14 @@ class PipelineConfig:
         plain = {k: v for k, v in mapping.items() if k not in synth}
         cfg = cls(**convert_options(cls, plain))
         if synth:
-            cfg.synthetic = SyntheticSpec(
-                **{"seed": cfg.seed, **convert_options(SyntheticSpec, synth, "synth_")}
-            )
+            spec = {"seed": cfg.seed, **convert_options(SyntheticSpec, synth, "synth_")}
+            try:
+                cfg.synthetic = SyntheticSpec(**spec)
+            except ConfigError as exc:
+                # the spec's checks name its fields, which the config calls synth_*;
+                # a count's unit, as in "2 steps", is left as it is
+                names = "|".join(f.name for f in fields(SyntheticSpec))
+                raise ConfigError(re.sub(rf"(?<!\d )\b({names})\b", r"synth_\1", str(exc))) from exc
         return cfg
 
 
@@ -583,6 +589,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         tests = {label: split["test"] for label, split in labelled.items()}
         del windows, labelled  # the training windows
 
+    floored = zscore.std == STD_FLOOR
     # one label's residual block at a time: formed, scored, diagnosed, dropped
     for label, model in models.items():
         with _StageTimer(run, "forecast"):
@@ -590,6 +597,9 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
             resolved[f"l2_{label}"] = cfg.l2
             run.path(f"metrics_{label}.json").write_text(report.to_json(), encoding="utf-8")
         with _StageTimer(run, "diagnostics"):
+            # a node floored in training has the floor times its prediction for a
+            # residual, which says nothing of the node: both labels diagnose it as constant
+            resid[:, floored] = 0.0
             # the labels share their test rows, so they skip the same lags
             resolved["skipped_lags"], resolved["acf_lag_reached"], excluded = _write_residual_diagnostics(
                 resid, list(node_ids), cfg.lags, cfg.acf_max_lag, run.path, label, cfg.q,

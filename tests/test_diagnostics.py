@@ -289,9 +289,10 @@ def test_residual_correlation_excludes_constant_columns():
 
 
 def test_residual_correlation_with_a_constant_column_copies_no_matrix():
-    # the 2000 x 2000 |corr| matrix, 5 residual blocks, is never held: the
-    # peak is the standardized trail rows and one tile of lead columns and
-    # of the matrix, about 2.3 times the residual block; the excluded
+    # the 2000 x 2000 |corr| matrix, 5 residual blocks, is never held, and
+    # the trail rows enter each product raw, in place: the peak is one tile
+    # of lead columns and of the matrix, 0.42 times the residual block. A
+    # standardized copy of the trail rows took it to 2.33; the excluded
     # column's row and column are zeroed in place in each tile
     rng = np.random.default_rng(6)
     resid = rng.normal(size=(400, 2000))
@@ -304,15 +305,33 @@ def test_residual_correlation_with_a_constant_column_copies_no_matrix():
         finally:
             tracemalloc.stop()
         assert summary.excluded_columns == 1
-        assert peak <= 2.5 * resid.nbytes, f"lag {lag}: peak {peak / resid.nbytes:.2f} blocks"
+        assert peak <= 1.0 * resid.nbytes, f"lag {lag}: peak {peak / resid.nbytes:.2f} blocks"
+
+
+def tiles_of(patch, columns, elements=1):
+    """Set residual_correlation's tile floor to ``columns`` and its tile
+    bound to ``elements``, and return the list its tiles append their
+    widths to: each tile standardizes its lead columns once."""
+    tiles = []
+
+    def counted(block, *stats):
+        tiles.append(block.shape[1])
+        return standardize(block, *stats)
+
+    standardize = diagnostics._standardize
+    patch.setattr(diagnostics, "_standardize", counted)
+    patch.setattr(diagnostics, "CORR_TILE_ELEMENTS", elements)
+    patch.setattr(diagnostics, "CORR_TILE_COLUMNS", columns)
+    return tiles
 
 
 # 130 to 191 columns pool in blocks of 3, the last one short, and each tile
-# holds 1 to 14 of the 44 to 64 blocks: at least 4 tiles
+# holds 1 to 14 of the 44 to 64 blocks: at least 4 tiles. The tile width is
+# set by the number of entries or by the width floor.
 @given(st.integers(0, 2**32 - 1), st.integers(4, 60),
-       st.integers(130, 191).filter(lambda d: d % 3), st.integers(1, 14), st.data())
+       st.integers(130, 191).filter(lambda d: d % 3), st.integers(1, 14), st.booleans(), st.data())
 @settings(max_examples=80, deadline=None)
-def test_residual_correlation_tiles_match_the_whole_matrix(seed, n_rows, n_columns, blocks, data):
+def test_residual_correlation_tiles_match_the_whole_matrix(seed, n_rows, n_columns, blocks, by_floor, data):
     rng = np.random.default_rng(seed)
     resid = rng.normal(size=(n_rows, n_columns)) @ rng.normal(size=(n_columns, n_columns))
     resid += rng.uniform(-100, 100, size=n_columns)
@@ -322,15 +341,50 @@ def test_residual_correlation_tiles_match_the_whole_matrix(seed, n_rows, n_colum
     # constant in the lead rows [lag, n) alone, and in the trail rows [0, n - lag) alone
     resid[lag:, lead_only] = 2.5
     resid[: n_rows - lag, trail_only] = -7.0
-    n_blocks = -(-n_columns // 3)
-    assert -(-n_blocks // blocks) >= 3
     corr, mean_abs, excluded = residual_correlation_reference(resid, lag)
     with pytest.MonkeyPatch.context() as patch:
-        patch.setattr(diagnostics, "CORR_TILE_ELEMENTS", 3 * blocks * max(n_rows, n_columns))
+        if by_floor:
+            tiles = tiles_of(patch, columns=3 * blocks - 2)
+        else:
+            tiles = tiles_of(patch, columns=1, elements=3 * blocks * max(n_rows, n_columns))
         summary = residual_correlation(resid, lag)
+    assert len(tiles) >= 4 and tiles[0] == 3 * blocks
     assert summary.excluded_columns == excluded
     assert np.max(np.abs(summary.pooled - pooled_reference(corr))) <= 1e-12
     assert abs(summary.mean_abs_corr - mean_abs) <= 1e-12 * mean_abs
+    if lag == 0:
+        assert np.array_equal(summary.pooled, summary.pooled.T)
+
+
+# Columns whose mean is up to 1e8 times their scale in the lead rows
+# [lag, n) alone, in the trail rows [0, n - lag) alone, or in both: the
+# raw trail product must centre the ones it cannot take raw.
+MEAN_PLACES = ("lead", "trail", "both")
+
+
+@given(st.integers(0, 2**32 - 1), st.integers(4, 80), st.integers(8, 64), st.data())
+@settings(max_examples=100, deadline=None)
+def test_residual_correlation_keeps_its_digits_under_large_means(seed, n_rows, n_columns, data):
+    rng = np.random.default_rng(seed)
+    resid = rng.normal(size=(n_rows, n_columns)) @ rng.normal(size=(n_columns, n_columns))
+    lag = data.draw(st.one_of(st.just(0), st.integers(1, n_rows - 2)), label="lag")
+    columns = data.draw(st.lists(st.integers(0, n_columns - 1), min_size=1, max_size=6, unique=True),
+                        label="columns")
+    for j in columns:
+        place = data.draw(st.sampled_from(MEAN_PLACES), label="place")
+        level = data.draw(st.sampled_from((-1.0, 1.0))) * 10 ** data.draw(st.floats(0, 8), label="log level")
+        # the other rows stay noise about zero, so that at a lag the other
+        # side mixes both and has a scale near the level
+        rows = {"lead": slice(lag, None), "trail": slice(0, n_rows - lag), "both": slice(None)}[place]
+        resid[rows, j] += level * resid[:, j].std()
+    corr, mean_abs, excluded = residual_correlation_reference(resid, lag)
+    with pytest.MonkeyPatch.context() as patch:
+        tiles = tiles_of(patch, n_columns // 4)
+        summary = residual_correlation(resid, lag)
+    assert len(tiles) >= 4
+    assert summary.excluded_columns == excluded
+    assert np.max(np.abs(summary.pooled - pooled_reference(corr))) <= 1e-12
+    assert abs(summary.mean_abs_corr - mean_abs) <= 1e-12
     if lag == 0:
         assert np.array_equal(summary.pooled, summary.pooled.T)
 

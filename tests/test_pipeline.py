@@ -381,6 +381,21 @@ def test_from_mapping_rejects_unknown_key():
         PipelineConfig.from_mapping({"synth_colour": "red"})
 
 
+@pytest.mark.parametrize("key, raw, message", [
+    ("synth_noise", "nan", "synth_noise must be finite, got nan"),
+    ("synth_noise", "-1", "synth_noise must be nonnegative, got -1.0"),
+    ("synth_periods", "1,72", "component synth_periods must be >= 2 steps, got [1.0, 72.0]"),
+    ("synth_nodes", "0", "need synth_nodes >= 1 and synth_steps >= 2, got 0 x 2016"),
+    ("synth_amplitudes", "1", "synth_periods and synth_amplitudes must have the same length"),
+])
+def test_from_mapping_names_the_synth_key_of_a_spec_error(key, raw, message):
+    # the spec's checks name its fields, as the synth subcommand's options
+    # do; through a config they name its keys, but not a count's unit
+    with pytest.raises(ConfigError) as caught:
+        PipelineConfig.from_mapping({key: raw})
+    assert str(caught.value) == message
+
+
 def test_from_mapping_value_rules():
     cfg = PipelineConfig.from_mapping(
         {"lags": "0; 72,504.0,", "tau": "12", "seed": 7, "split": [0.6, 0.2, 0.2], "l2": "0.5"}
@@ -670,22 +685,46 @@ def _acf_header(path):
     return path.read_text().splitlines()[0].split(",")
 
 
-def test_constant_node_is_left_out_of_the_acf(tmp_path):
-    # a stuck sensor: the normalization floors the node, and without
-    # covariates its prediction and target are both exactly 0, so its
-    # residual column has no autocorrelation to report
+def _stuck_run(tmp_path, name="run"):
+    """A forecast run on 3 nodes x 600 steps whose node 1 is stuck at 5.0."""
     sig = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
     sig.values[1] = 5.0
     path = tmp_path / "stuck.csv"
     write_signal_csv(sig, path)
-    out = tmp_path / "run"
+    out = tmp_path / name
     with pytest.warns(UserWarning, match="zero-variance"):
         assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 0
-    assert _acf_header(out / "acf_without_test.csv") == ["lag", sig.node_ids[0], sig.node_ids[2]]
+    return sig.node_ids, out
+
+
+def test_constant_node_is_left_out_of_the_acf(tmp_path):
+    # a stuck sensor: the normalization floors the node. Without covariates
+    # its prediction and target are both exactly 0; with them its residual
+    # is the floor times the covariate term. Either way it has no
+    # autocorrelation of its own to report
+    node_ids, out = _stuck_run(tmp_path)
+    for label in ("with", "without"):
+        assert _acf_header(out / f"acf_{label}_test.csv") == ["lag", node_ids[0], node_ids[2]]
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
-    assert resolved["acf_excluded"] == {"with": [], "without": [sig.node_ids[1]]}
+    assert resolved["acf_excluded"] == {"with": [node_ids[1]], "without": [node_ids[1]]}
     # 120 test steps leave 97 anchors
     assert resolved["acf_lag_reached"] == 96
+
+
+def test_floored_node_leaves_both_labels_diagnostics_but_not_their_metrics(tmp_path, monkeypatch):
+    # the node's 12 horizons leave the residual correlation of both labels,
+    # after the metrics are scored: a run that zeroes no floored node
+    # writes the same metrics and keeps the node's columns with covariates
+    node_ids, out = _stuck_run(tmp_path)
+    monkeypatch.setattr(pipeline, "STD_FLOOR", -1.0)
+    _, kept = _stuck_run(tmp_path, "kept")
+    for label in ("with", "without"):
+        rows = list(csv.DictReader((out / f"residual_corr_{label}_test.csv").read_text().splitlines()))
+        # lags 0 and 72; 97 test anchors leave no pair at 504
+        assert [row["excluded_columns"] for row in rows] == ["12", "12"]
+        assert (out / f"metrics_{label}.json").read_bytes() == (kept / f"metrics_{label}.json").read_bytes()
+    rows = list(csv.DictReader((kept / "residual_corr_with_test.csv").read_text().splitlines()))
+    assert [row["excluded_columns"] for row in rows] == ["0", "0"]
 
 
 def test_node_blank_to_the_end_is_left_out_of_the_acf(tmp_path):
@@ -1241,8 +1280,8 @@ def test_cli_out_of_range_value_is_config_error_before_run_dir(tmp_path, capsys,
 @pytest.mark.parametrize("flags, key", [
     (["--l2", "nan"], "l2"), (["--l2", "inf"], "l2"), (["--split", "nan,0.5,0.5"], "split"),
     (["--step-seconds", "nan"], "step_seconds"), (["--step-seconds", "inf"], "step_seconds"),
-    (["--synth-noise", "nan"], "noise"), (["--synth-periods", "nan"], "periods"),
-    (["--synth-trend", "inf"], "trend"), (["--synth-amplitudes", "1,-inf"], "amplitudes"),
+    (["--synth-noise", "nan"], "synth_noise"), (["--synth-periods", "nan"], "synth_periods"),
+    (["--synth-trend", "inf"], "synth_trend"), (["--synth-amplitudes", "1,-inf"], "synth_amplitudes"),
 ])
 def test_cli_non_finite_value_is_config_error_before_run_dir(tmp_path, capsys, flags, key):
     # a NaN or an infinity failed in a stage, or reached the manifest,
