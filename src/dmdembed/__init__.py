@@ -41,13 +41,12 @@ from .forecaster import (
 from .hankel import (
     HankelView,
     SignalMatrix,
-    apply_tall,
     build_hankel,
     default_tau,
     gram,
     impute_linear,
 )
-from .linalg import SnapshotSvd, dense_eig, snapshot_svd
+from .linalg import dense_eig
 from .pipeline import PipelineConfig, load_csv, run_pipeline
 from .spdmd import SpdmdPath, SpdmdSolution, gamma_sweep
 from .synthetic import SyntheticSpec, generate_synthetic
@@ -67,13 +66,11 @@ __all__ = [
     "PipelineConfig",
     "RidgeModel",
     "SignalMatrix",
-    "SnapshotSvd",
     "SpdmdPath",
     "SpdmdSolution",
     "SyntheticSpec",
     "TimeEmbedding",
     "ZScore",
-    "apply_tall",
     "attach_covariates",
     "build_embedding",
     "build_hankel",
@@ -94,7 +91,6 @@ __all__ = [
     "reconstruct",
     "resolve_rank",
     "run_pipeline",
-    "snapshot_svd",
     "split_boundaries",
     "vandermonde",
     "zscore_fit",

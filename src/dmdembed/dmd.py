@@ -2,12 +2,14 @@
 
 Fits the small transition operator A = U^T H' V diag(1/sigma) from the
 lifted snapshot pair (H, H'), the Hankel lifting without its last and
-without its first column, using only products with H and its Gram (no
-T x T array is formed; H' enters only as H'^T U, which is H^T U moved
-up one row over the last lifted column), extracts its eigenpairs,
-lifts eigenvectors to spatial modes, fits complex amplitudes, and
-evaluates the temporal dynamics through a Vandermonde matrix of
-eigenvalue powers.
+without its first column. Only Gram products of the whole lifting are
+applied: no T x T array, no tall product and no left vectors U = H V
+diag(1/sigma) are formed. U enters through U^T U, H^T U and the last
+lifted column's c^T U, each read off the Gram products the solver
+already runs (H' enters as H'^T U, which is H^T U moved up one row over
+c^T U). The fit extracts the operator's eigenpairs, forms the N data
+rows of the lifted modes, fits complex amplitudes, and evaluates the
+temporal dynamics through a Vandermonde matrix of eigenvalue powers.
 """
 
 from __future__ import annotations
@@ -29,8 +31,8 @@ from .linalg import (  # noqa: F401
     RankPolicy,
     SpectrumSolve,
     dense_eig,
+    leading_spectrum,
     resolve_rank,
-    snapshot_svd,
 )
 
 # Two eigenvalues are a conjugate pair, and one is real, within this
@@ -42,13 +44,14 @@ VANDERMONDE_BLOCK = 256
 
 @dataclass
 class DmdDecomposition:
-    """Eigenvalues, unit-norm lifted modes, and amplitudes of one fit.
+    """Eigenvalues, data-space modes, and amplitudes of one fit.
 
-    Modes live in the lifted (N*tau)-dimensional space; the data-space
-    modes are their first N rows. Amplitudes carry all scale and are real
-    and nonnegative: each mode carries its phase. Modes are ordered by
-    descending energy contribution |a_i| * sum_j |lambda_i|^j over the
-    fit span.
+    ``modes`` is (N, r): the first N rows of the unit-norm lifted modes,
+    which live in the (N*tau)-dimensional lifted space and are never
+    formed. So a mode's norm is at most 1, and equals 1 at tau = 1.
+    Amplitudes carry all scale and are real and nonnegative: each mode
+    carries its phase. Modes are ordered by descending energy
+    contribution |a_i| * sum_j |lambda_i|^j over the fit span.
 
     ``groups`` holds the conjugate groups in energy order, as the mode
     indices of each pair and each real mode; the positive-imaginary
@@ -257,28 +260,35 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     truncated by ``rank_policy``."""
     snapshots = fit_geometry(view)
     span = snapshots.columns
-    gram = GramProduct(
-        lambda x: hk.gram(snapshots, x), span, float(np.sum(hk.column_energies(snapshots)))
-    )
-    svd = snapshot_svd(gram, lambda x: hk.apply_tall(snapshots, x), rank_policy)
-    # Reduced operator (H'^T U)^T V diag(1/sigma). Column j of H' is
-    # column j + 1 of H, so H'^T U is H^T U from its second row on, over
-    # the last lifted column (the last tau steps, block-row-major) times U.
-    last_row = view.values[:, span:].T.reshape(-1) @ svd.left_vectors
-    reduced = (
-        svd.ht_left[1:].T @ svd.right_vectors[:-1]
-        + np.outer(last_row, svd.right_vectors[-1])
-    ) / svd.singular_values
-    eigenvalues, eigenvectors = dense_eig(reduced)
-    # The modes U @ coords are formed once, last: until then they are
-    # their coordinates on U, and their Gram is coords* (U^T U) coords.
-    mode_gram = eigenvectors.conj().T @ (svd.left_vectors.T @ svd.left_vectors) @ eigenvectors
+    # Each Gram product runs on the view's whole lifting [H, c], with the
+    # block padded by a zero last row: the image's first span rows are
+    # G x, and its last is c^T H x. The solver applies it once to each
+    # row of an orthonormal basis that spans V, so the inputs summed with
+    # those entries are H^T c projected on that basis.
+    ht_last = np.zeros(span)
+
+    def lifted_gram(x: np.ndarray) -> np.ndarray:
+        image = hk.gram(view, np.vstack([x, np.zeros((1, x.shape[1]))]))
+        ht_last[:] += x @ image[-1]
+        return image[:-1]
+
+    gram = GramProduct(lifted_gram, span, float(np.sum(hk.column_energies(snapshots))))
+    spectrum, right, images, solve = leading_spectrum(gram, rank_policy)
+    sigma = spectrum[: right.shape[1]]
+    # With U = H V diag(1/sigma), never formed: [H, c]^T U is H^T U =
+    # G V diag(1/sigma) over c^T U. Column j of H' is column j + 1 of
+    # [H, c], so H'^T U is that from its second row on.
+    ht_u = np.vstack([images, ht_last @ right]) / sigma
+    eigenvalues, eigenvectors = dense_eig(ht_u[1:].T @ right / sigma)
+    # The modes are known by their coordinates on U, whose Gram U^T U is
+    # diag(1/sigma) V^T G V diag(1/sigma).
+    mode_gram = eigenvectors.conj().T @ (right.T @ images / np.outer(sigma, sigma)) @ eigenvectors
     norms = np.sqrt(np.diag(mode_gram).real)
     if np.any(norms == 0.0):
         raise NumericalError("degenerate zero mode produced by eigendecomposition")
     coords = eigenvectors / norms
     mode_gram = mode_gram / np.outer(norms, norms)
-    ht_modes = svd.ht_left @ coords
+    ht_modes = ht_u[:-1] @ coords
 
     amplitudes = solve_hermitian(*amplitude_quadratic(eigenvalues, mode_gram, ht_modes))
     # The eigensolver fixes each eigenvector's phase by its largest entry,
@@ -291,24 +301,27 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     amplitudes = np.abs(amplitudes).astype(complex)
 
     order = _energy_order(eigenvalues, amplitudes, span)
-    # U is real: its product with the coordinates' real and imaginary
-    # parts, interleaved, is laid out as the complex modes.
+    # The data rows of U are H's first N rows, the series over the fit
+    # span, times V diag(1/sigma). They are real: their product with the
+    # coordinates' real and imaginary parts, interleaved, is laid out as
+    # the complex modes.
     coords = np.ascontiguousarray(coords[:, order])
-    modes = (svd.left_vectors @ coords.view(float)).view(complex)
+    data_rows = view.values[:, :span] @ (right / sigma)
     return DmdDecomposition(
         eigenvalues=eigenvalues[order],
-        modes=modes,
+        modes=(data_rows @ coords.view(float)).view(complex),
         amplitudes=amplitudes[order],
-        rank=svd.rank,
+        rank=sigma.size,
         fit_span=span,
         tau=view.tau,
-        singular_values=svd.spectrum,
-        spectrum_solve=svd.solve,
+        singular_values=spectrum,
+        spectrum_solve=solve,
     )
 
 
 def reconstruct(dec: DmdDecomposition, length: int) -> np.ndarray:
-    """Real part of modes @ diag(amplitudes) @ Vandermonde over ``length`` steps."""
+    """The data-space series over ``length`` steps from the fit's start:
+    the real part of modes @ diag(amplitudes) @ Vandermonde, (N, length)."""
     vand = vandermonde(dec.eigenvalues, length)
     full = dec.modes @ (dec.amplitudes[:, np.newaxis] * vand)
     return full.real

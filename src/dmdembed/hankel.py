@@ -143,8 +143,8 @@ def default_tau(signal: SignalMatrix) -> int:
     the delay window at a quarter of the series when many nodes would
     otherwise shrink it below the slow periods (it wins only for N > 8).
     The cap keeps at least half the lifting's columns as snapshots, which
-    few nodes (N < 4) would otherwise use up. H is never formed, so tau
-    sets no memory cost beyond the N*tau-row tall products.
+    few nodes (N < 4) would otherwise use up. H is never formed, and a
+    fit forms no N*tau-row array, so tau sets no memory cost.
     """
     n, t = signal.values.shape
     return max(1, min(max(-(-2 * t // n), -(-t // 4)), t // 2))

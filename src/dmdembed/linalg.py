@@ -1,15 +1,16 @@
 """Linear-algebra kernels shared by the spectral modules.
 
-The central routine is a truncated SVD computed by the method of
-snapshots: the factorization of a tall matrix H is recovered from the
-leading eigenpairs of its Gram matrix H^T H. Those come from a block
-Krylov solver with Rayleigh-Ritz that needs only Gram *products*
-G @ X, so neither H nor the T x T Gram has to exist; H is touched
-through an implicit tall-product callback. The solver holds its basis
-as rows, while the products keep the column contract of GramProduct.
-The rank policies that decide where the SVD is truncated live here
-too, resolved against the converged leading values and the exact
-trace.
+The central routine is a truncated SVD by the method of snapshots: the
+singular values and right vectors V of a tall matrix H are the leading
+eigenpairs of its Gram matrix H^T H. Those come from a block Krylov
+solver with Rayleigh-Ritz that needs only Gram *products* G @ X, so
+neither H nor the T x T Gram has to exist. The left vectors
+U = H V diag(1/sigma) are never formed: what a caller needs of them
+it reads off the Gram images G V the solver returns. The solver holds
+its basis as rows, while the products keep the column contract of
+GramProduct. The rank policies that decide where the SVD is truncated
+live here too, resolved against the converged leading values and the
+exact trace.
 """
 
 from __future__ import annotations
@@ -143,33 +144,6 @@ class SpectrumSolve:
     residual: float
 
 
-@dataclass(frozen=True)
-class SnapshotSvd:
-    """Truncated SVD factors H ~= left_vectors @ diag(singular_values) @ right_vectors.T.
-
-    left_vectors:    (n_rows, r) orthonormal columns
-    singular_values: (r,) strictly positive, descending
-    right_vectors:   (n_cols, r) orthonormal columns
-    ht_left:         (n_cols, r) H^T @ left_vectors, which is
-                     G @ right_vectors @ diag(1/singular_values)
-    spectrum:        the converged leading singular values, descending:
-                     at least the r kept, and all n_cols when the
-                     Krylov basis grew to span every column
-    solve:           the solver's health record
-    """
-
-    left_vectors: np.ndarray
-    singular_values: np.ndarray
-    right_vectors: np.ndarray
-    ht_left: np.ndarray
-    spectrum: np.ndarray
-    solve: SpectrumSolve
-
-    @property
-    def rank(self) -> int:
-        return self.singular_values.size
-
-
 def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """Eigendecompose a small symmetric PSD matrix into (sigma, V).
 
@@ -255,11 +229,20 @@ def leading_spectrum(
     and the projections read contiguous memory, and the projected matrix
     grows by the new rows and columns of each block only.
 
+    The Gram is applied once to each row of the final basis and to
+    nothing else, and the basis rows are orthonormal and span the
+    columns of V: a caller can read any linear functional of its inputs
+    off the products, projected on the basis.
+
     Returns (spectrum, vectors, images, solve): the converged leading
     singular values sqrt(theta) in descending order, the (order, r) Ritz
     vectors V of the r kept pairs, their Gram images G V, and the solve's
     health record. The images are combined from the rows of w, so they
     are G V to round-off whether or not the pairs converged.
+
+    Raises:
+        ValueError: an asymmetric or indefinite projected Gram.
+        EmptySpectrumError: every singular value is at or below the round-off floor.
     """
     n = gram.order
     rng = np.random.default_rng(KRYLOV_SEED)
@@ -307,46 +290,6 @@ def leading_spectrum(
         residual=float(np.max(resid[:r]) / theta[0]),
     )
     return sigma[:converged], q[:m].T @ vecs[:, :r], w[:m].T @ vecs[:, :r], solve
-
-
-TallProduct = Callable[[np.ndarray], np.ndarray]
-
-
-def snapshot_svd(gram: GramProduct, tall: TallProduct, policy: RankPolicy) -> SnapshotSvd:
-    """Truncated SVD of a tall matrix H given its Gram matrix H^T H.
-
-    Right singular vectors and singular values are the leading Gram
-    eigenpairs (``leading_spectrum``); left singular vectors are
-    recovered as U = H V diag(1/sigma) through ``tall``, which must
-    compute H @ X for a (n_cols, k) block X without materializing H.
-    H^T U = G V diag(1/sigma) is read off the solver's Gram images, so
-    no product with H^T is applied.
-
-    Args:
-        gram: the products of the Gram matrix H^T H.
-        tall: callback computing H @ X.
-        policy: rank policy; the result never exceeds the numerical rank.
-
-    Raises:
-        ValueError: an asymmetric or indefinite projected Gram.
-        EmptySpectrumError: every singular value is at or below the round-off floor.
-    """
-    spectrum, right, images, solve = leading_spectrum(gram, policy)
-    sigma = spectrum[: right.shape[1]]
-    left = np.asarray(tall(right * (1.0 / sigma)), dtype=float)
-    # Deterministic sign: largest-magnitude entry of each left vector is
-    # nonnegative; the paired right vector and H^T U flip with it so the
-    # product U Sigma V^T is unchanged.
-    pivots = np.argmax(np.abs(left), axis=0)
-    signs = np.where(left[pivots, np.arange(sigma.size)] < 0.0, -1.0, 1.0)
-    return SnapshotSvd(
-        left_vectors=left * signs,
-        singular_values=sigma,
-        right_vectors=right * signs,
-        ht_left=images * (signs / sigma),
-        spectrum=spectrum,
-        solve=solve,
-    )
 
 
 def dense_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import evaluate, make_windows
 from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
-from dmdembed.linalg import snapshot_svd
+from dmdembed.linalg import leading_spectrum
 from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
 from dmdembed.spdmd import gamma_sweep
 from dmdembed.synthetic import SyntheticSpec, generate_synthetic
@@ -94,10 +94,14 @@ def test_a3_snapshot_svd_equivalence():
         rows = int(rng.integers(4, 65))
         cols = int(rng.integers(3, 49))
         h = rng.normal(size=(rows, cols))
-        out = snapshot_svd(gram_product(h.T @ h), lambda x: h @ x, FixedRank(min(rows, cols)))
-        s_ref = np.linalg.svd(h, compute_uv=False)[: out.rank]
-        worst_sigma = max(worst_sigma, float(np.max(np.abs(out.singular_values / s_ref - 1.0))))
-        rebuilt = out.left_vectors @ (out.singular_values[:, None] * out.right_vectors.T)
+        spectrum, v, _, _ = leading_spectrum(gram_product(h.T @ h), FixedRank(min(rows, cols)))
+        sigma = spectrum[: v.shape[1]]
+        s_ref = np.linalg.svd(h, compute_uv=False)[: sigma.size]
+        worst_sigma = max(worst_sigma, float(np.max(np.abs(sigma / s_ref - 1.0))))
+        # no fit forms the left vectors U = H V diag(1/sigma): formed here,
+        # U diag(sigma) V^T = H V V^T rebuilds H when V spans its row space
+        u = h @ (v / sigma)
+        rebuilt = u @ (sigma[:, None] * v.T)
         worst_recon = max(worst_recon, float(np.linalg.norm(rebuilt - h) / np.linalg.norm(h)))
     assert worst_sigma <= 1e-8, f"singular value mismatch {worst_sigma:.2e}"
     assert worst_recon <= 1e-8, f"reconstruction error {worst_recon:.2e}"

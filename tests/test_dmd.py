@@ -24,7 +24,7 @@ from dmdembed.dmd import (
 )
 from dmdembed.errors import EmptySpectrumError
 from dmdembed.hankel import SignalMatrix, build_hankel
-from amplitude_oracle import AmplitudeForm
+from amplitude_oracle import AmplitudeForm, DenseFit
 from hankel_oracle import materialize_hankel
 
 
@@ -145,24 +145,25 @@ def test_energy_order_puts_positive_member_of_each_pair_first(seed, n_pairs, n_r
             assert pairs_in(dmd._energy_order(eigs, nudged, span)) == expected
 
 
-def test_fits_take_their_svd_from_snapshot_svd(monkeypatch):
+def test_fits_take_their_spectrum_from_leading_spectrum(monkeypatch):
     calls = []
 
-    def recording(gram, tall, policy):
-        out = linalg.snapshot_svd(gram, tall, policy)
+    def recording(gram, policy):
+        out = linalg.leading_spectrum(gram, policy)
         calls.append(out)
         return out
 
-    monkeypatch.setattr(dmd, "snapshot_svd", recording)
+    monkeypatch.setattr(dmd, "leading_spectrum", recording)
     dec = fit_dmd(view_of(rotation_signal(), tau=2), FixedRank(2))
     assert len(calls) == 1
-    assert dec.rank == calls[0].rank == 2
-    assert dec.singular_values is calls[0].spectrum
+    spectrum, vectors, _, solve = calls[0]
+    assert dec.rank == vectors.shape[1] == 2
+    assert dec.singular_values is spectrum and dec.spectrum_solve is solve
 
 
 def test_a_fit_applies_its_snapshots_once(monkeypatch):
-    # One geometry, one tall product, no transposed one, and every Gram
-    # block on the T - tau columns of the snapshots H alone.
+    # One geometry, no tall product and no transposed one: every Gram
+    # block runs on the T - tau + 1 columns of the whole lifting.
     rows = {"apply_tall": [], "apply_tall_transpose": [], "gram": []}
     for name in rows:
         def recording(view, x, name=name, original=getattr(hankel, name)):
@@ -181,18 +182,8 @@ def test_a_fit_applies_its_snapshots_once(monkeypatch):
     values = np.random.default_rng(3).normal(size=(3, t))
     dec = fit_dmd(view_of(values, tau=tau), FixedRank(4))
     assert dec.rank == 4 and len(geometries) == 1
-    assert rows["apply_tall"] == [t - tau] and rows["apply_tall_transpose"] == []
-    assert rows["gram"] and set(rows["gram"]) == {t - tau}
-
-
-def dense_reduced_eigenvalues(values, tau, rank):
-    """Eigenvalues of U^T H' V diag(1/sigma) at ``rank``, from the dense
-    SVD of the snapshots H and the shifted snapshots H', and the
-    condition number sigma_1 / sigma_rank."""
-    lifted = materialize_hankel(values, tau)
-    u, sigma, vt = np.linalg.svd(lifted[:, :-1], full_matrices=False)
-    reduced = (u[:, :rank].T @ lifted[:, 1:] @ vt[:rank].T) / sigma[:rank]
-    return np.linalg.eigvals(reduced), sigma[0] / sigma[rank - 1]
+    assert rows["apply_tall"] == [] and rows["apply_tall_transpose"] == []
+    assert rows["gram"] and set(rows["gram"]) == {t - tau + 1}
 
 
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(3, 40), st.data())
@@ -202,14 +193,21 @@ def test_reduced_operator_matches_the_dense_reference(seed, n, t, data):
     # its eigenvalues are those of the dense reduced operator at the same
     # rank, for every tau down to two snapshot pairs. Distances are
     # relative to (1 + max |lambda|) sigma_1 / sigma_rank; over 20,000
-    # draws the largest was 9.8e-13.
+    # draws the largest was 9.8e-13. The data-space modes times their
+    # amplitudes are the dense lifted modes' first N rows times theirs,
+    # matched by eigenvalue, to 1e-9 of the largest: over 3,000 draws the
+    # largest distance was 5.4e-12 of it.
     tau = data.draw(st.integers(1, t - 2))
     values = np.random.default_rng(seed).normal(size=(n, t))
     dec = fit_dmd(view_of(values, tau=tau), FixedRank(data.draw(st.integers(1, 6))))
-    want, condition = dense_reduced_eigenvalues(values, tau, dec.rank)
+    ref = DenseFit(values, tau, dec.rank)
+    want = ref.eigenvalues
     apart = np.abs(dec.eigenvalues[:, np.newaxis] - want[np.newaxis, :])
     distance = max(apart.min(axis=0).max(), apart.min(axis=1).max())
-    assert distance <= 1e-10 * condition * (1.0 + np.max(np.abs(want)))
+    assert distance <= 1e-10 * ref.condition * (1.0 + np.max(np.abs(want)))
+    order = ref.matched_to(dec.eigenvalues)
+    scaled = ref.modes[:n, order] * ref.amplitudes[order]
+    assert np.max(np.abs(dec.modes * dec.amplitudes - scaled)) <= 1e-9 * np.max(np.abs(scaled))
 
 
 def representatives_reference(eigenvalues):
@@ -451,11 +449,10 @@ def test_deep_tau_truncated_window_drops_wrapped_columns():
 @given(st.integers(0, 10_000), st.integers(1, 4), st.integers(8, 40), st.data())
 @settings(max_examples=40, deadline=None)
 def test_fit_amplitudes_solve_the_rebuilt_normal_equations(seed, n, t, data):
-    # The fit keeps no quadratic form. Rebuilt from the ordered eigenvalues
-    # and modes, with H^T modes taken by apply_tall_transpose over the fit
-    # columns where the fit reads it off the Krylov images, its normal
-    # equations P a = q hold at the fit's amplitudes to rounding (at most
-    # 6e-13 of |q| over 3,000 random draws).
+    # The fit keeps no quadratic form. Rebuilt from the dense reference's
+    # lifted modes, matched to the fit's by eigenvalue, where the fit reads
+    # H^T modes off the Krylov images, its normal equations P a = q hold
+    # at the fit's amplitudes to rounding.
     tau = data.draw(st.integers(1, t - 2))
     policy = data.draw(st.one_of(st.builds(FixedRank, st.integers(1, 6)),
                                  st.builds(CepThreshold, st.floats(0.3, 0.99))))
@@ -522,10 +519,12 @@ def test_fit_dmd_zero_signal_raises():
 
 
 def test_fit_dmd_modes_match_lifted_space():
+    # The modes are the data rows of the lifted ones: the series they
+    # reconstruct, lifted, is the lifting H.
     values = rotation_signal()
     view = build_hankel(SignalMatrix.from_values(values), tau=3)
     dec = fit_dmd(view, FixedRank(2))
-    assert dec.modes.shape == (6, 2)
+    assert dec.modes.shape == (2, 2)
     h = materialize_hankel(values, 3)
-    rec = reconstruct(dec, h.shape[1])
+    rec = materialize_hankel(reconstruct(dec, values.shape[1]), 3)
     assert np.linalg.norm(rec - h) <= 1e-6 * np.linalg.norm(h)

@@ -504,7 +504,7 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     assert not {"modes_real", "modes_imag"} & json.loads(text).keys()
     modes = np.load(out / "modes.npy")
     assert modes.dtype == np.complex128
-    assert modes.shape == (resolved["n_nodes"] * resolved["tau"], resolved["rank"])
+    assert modes.shape == (resolved["n_nodes"], resolved["rank"])
     # the saved fit reproduces the normalized training signal it was fit
     # to, up to the planted noise (sigma 0.05 against unit-variance
     # sinusoids)
@@ -514,7 +514,7 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     _, _, values = normalized_series(generate_synthetic(cfg.synthetic), cfg.split)
     train = values[:, : fit["fit_span"]]
     dynamics = amplitudes[:, np.newaxis] * vandermonde(eigenvalues, fit["fit_span"])
-    rec = (modes[: resolved["n_nodes"]] @ dynamics).real
+    rec = (modes @ dynamics).real
     assert np.linalg.norm(rec - train) <= 0.1 * np.linalg.norm(train)
     # each kept group has one representative, so selected_pairs counts the channels
     assert "embedding_modes" not in resolved

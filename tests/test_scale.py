@@ -1,5 +1,5 @@
 """Scale: a long two-period run whose fit scales past the dense T x T
-Gram, a wide forecast whose memory stays near its prediction block, a
+Gram, a wide fit that forms no lifted modes, a wide forecast whose memory stays near its prediction block, a
 long forecast that copies no covariate rows, and a wide run whose
 diagnostics hold one residual block at a time."""
 
@@ -10,11 +10,12 @@ from dataclasses import replace
 import numpy as np
 
 from dmdembed import dmd, pipeline
-from dmdembed.dmd import mode_frequency
+from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import fit_ridge, make_windows, predict
+from dmdembed.hankel import build_hankel
 from dmdembed.pipeline import PipelineConfig, run_pipeline
-from dmdembed.synthetic import SyntheticSpec
+from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 
 def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
@@ -49,6 +50,25 @@ def test_twenty_thousand_step_pipeline(tmp_path, monkeypatch):
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
     assert resolved["tau"] == 3_500
     assert (out / "metrics_with.json").exists()
+
+
+def test_wide_fit_forms_no_lifted_modes():
+    # 64 nodes x 1,400 steps at tau 700 and rank 24: 44,800 lifted rows,
+    # whose complex (N*tau, r) modes take 16.4 MB. The fit keeps only
+    # their 64 data rows and forms no (N*tau)-row array: its peak measured
+    # 0.47 times those bytes, where forming the left vectors and the
+    # lifted modes took it to 2.46 times them.
+    sig = generate_synthetic(SyntheticSpec(nodes=64, steps=1_400, noise=0.1, seed=1))
+    view = build_hankel(sig, 700)
+    tracemalloc.start()
+    try:
+        dec = fit_dmd(view, FixedRank(24))
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    lifted = 64 * 700 * dec.rank * np.dtype(complex).itemsize
+    assert peak < lifted, f"peak {peak / lifted:.2f} times the lifted modes"
+    assert dec.rank == 24 and dec.modes.shape == (64, 24)
 
 
 def test_wide_forecast_holds_no_per_window_covariates():

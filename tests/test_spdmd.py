@@ -91,7 +91,8 @@ def test_polish_single_mode_rank_one_signal():
 
 def test_polish_matches_restricted_normal_equations():
     # the oracle's refit on a support is the dense least-squares fit of the
-    # formed snapshots by those modes alone, and its loss is that residual
+    # formed snapshots by those lifted modes alone, and its loss is that
+    # residual
     view = rank4_view()
     dec = fit_dmd(view, FixedRank(4))
     problem = AmplitudeForm(dec, view)
@@ -99,12 +100,12 @@ def test_polish_matches_restricted_normal_equations():
     vand = vandermonde(dec.eigenvalues, dec.fit_span)
     for support in (np.array([True, True, False, False]), np.array([False, False, True, True])):
         idx = np.nonzero(support)[0]
-        design = np.stack([np.outer(dec.modes[:, i], vand[i]).ravel() for i in idx], axis=1)
+        design = np.stack([np.outer(problem.modes[:, i], vand[i]).ravel() for i in idx], axis=1)
         expected = np.linalg.lstsq(design, h.ravel().astype(complex), rcond=None)[0]
         amp = problem.refit_on(support)
         assert np.all(amp[~support] == 0)
         assert_allclose(amp[idx], expected, rtol=1e-8)
-        residual = h - (dec.modes[:, idx] * amp[idx]) @ vand[idx]
+        residual = h - (problem.modes[:, idx] * amp[idx]) @ vand[idx]
         assert problem.loss(amp) == pytest.approx(np.linalg.norm(residual) ** 2, rel=1e-8)
 
 
