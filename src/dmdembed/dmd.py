@@ -263,8 +263,8 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     # Each Gram product runs on the view's whole lifting [H, c], with the
     # block padded by a zero last row: the image's first span rows are
     # G x, and its last is c^T H x. The solver applies it once to each
-    # row of an orthonormal basis that spans V, so the inputs summed with
-    # those entries are H^T c projected on that basis.
+    # row of an orthonormal basis that spans V, so the sum of each input
+    # times its last image entry is H^T c projected on that basis.
     ht_last = np.zeros(span)
 
     def lifted_gram(x: np.ndarray) -> np.ndarray:
