@@ -50,7 +50,7 @@ def _add_pipeline_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--tau", help="Hankel block rows (default: auto)")
     parser.add_argument("--rank", help="rank policy, 'fixed:R' or 'cep:F'")
     parser.add_argument("--target-modes", dest="target_modes",
-                        help="conjugate-pair representatives to keep")
+                        help="conjugate groups to keep; a pair and a real mode count once")
     parser.add_argument("--p", help="history window length")
     parser.add_argument("--q", help="forecast horizon")
     parser.add_argument("--split", help="train,val,test ratios, e.g. 0.7,0.1,0.2")

@@ -35,9 +35,6 @@ from .linalg import (  # noqa: F401
     resolve_rank,
 )
 
-# Two eigenvalues are a conjugate pair, and one is real, within this
-# share of 1 + |lambda|.
-CONJUGATE_TOL = 1e-8
 # Columns per block of vandermonde's blocked power recurrence.
 VANDERMONDE_BLOCK = 256
 
@@ -89,31 +86,6 @@ class DmdDecomposition:
     def groups(self) -> list[list[int]]:
         return conjugate_groups(self.eigenvalues)
 
-    def representatives(self, support: np.ndarray) -> np.ndarray:
-        """One eigenvalue per conjugate group of the boolean mode mask
-        ``support``, in group order: the member of larger imaginary part,
-        with the imaginary part of a real group set to exactly 0.
-
-        The discarded conjugate carries no new real information: its real
-        and imaginary channels duplicate the representative's up to sign.
-        A support that holds part of a group is refused.
-        """
-        support = np.asarray(support, dtype=bool)
-        if support.shape != self.eigenvalues.shape:
-            raise ValueError(f"support of shape {support.shape} for {self.eigenvalues.size} modes")
-        reps = []
-        for group in self.groups:
-            if not support[group].any():
-                continue
-            if not support[group].all():
-                raise ValueError(f"support holds part of the conjugate group {group}")
-            members = self.eigenvalues[group]
-            pick = members[np.argmax(members.imag)]
-            if abs(pick.imag) <= CONJUGATE_TOL * (1.0 + abs(pick)):
-                pick = complex(pick.real, 0.0)
-            reps.append(pick)
-        return np.asarray(reps, dtype=complex)
-
 
 def _complex_pairs(z: np.ndarray) -> list[list[float]]:
     return [[float(v.real), float(v.imag)] for v in z]
@@ -161,32 +133,25 @@ def vandermonde(eigenvalues: np.ndarray, length: int) -> np.ndarray:
 
 
 def conjugate_groups(eigenvalues: np.ndarray) -> list[list[int]]:
-    """Group eigenvalue indices into conjugate pairs and real singletons."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
+    """Group eigenvalue indices into conjugate pairs and real singletons,
+    in the order of each group's first member.
+
+    A value pairs with its exact conjugate, in either order, and repeated
+    values pair one to one. The eigenvalues of a real matrix come from
+    LAPACK as exact conjugates, and ``decomposition.json`` keeps every
+    bit, so no tolerance is applied: a value with imaginary part 0, or
+    with no exact conjugate, is a group of its own.
+    """
     groups: list[list[int]] = []
-    used = np.zeros(eigs.size, dtype=bool)
-    for i in range(eigs.size):
-        if used[i]:
+    waiting: dict[complex, list[list[int]]] = {}
+    for i, z in enumerate(np.asarray(eigenvalues, dtype=complex).tolist()):
+        partners = waiting.get(z.conjugate()) if z.imag else None
+        if partners:
+            partners.pop(0).append(i)
             continue
-        used[i] = True
-        scale = 1.0 + abs(eigs[i])
-        if abs(eigs[i].imag) <= CONJUGATE_TOL * scale:
-            groups.append([i])
-            continue
-        partner = -1
-        best = CONJUGATE_TOL * scale
-        for j in range(i + 1, eigs.size):
-            if used[j]:
-                continue
-            dist = abs(eigs[j] - np.conj(eigs[i]))
-            if dist <= best:
-                partner = j
-                best = dist
-        if partner >= 0:
-            used[partner] = True
-            groups.append([i, partner])
-        else:
-            groups.append([i])
+        groups.append([i])
+        if z.imag:
+            waiting.setdefault(z, []).append(groups[-1])
     return groups
 
 

@@ -1,8 +1,8 @@
 """Per-timestep covariates from selected eigenvalues.
 
-Each retained conjugate-pair representative contributes two real
-channels per step: the real and imaginary parts of its eigenvalue,
-projected to the unit circle, raised to the step index. The resulting
+Each retained conjugate group contributes two real channels per step:
+the real and imaginary parts of its member with Im >= 0, projected to
+the unit circle, raised to the step index. The resulting
 L x 2r table extends past the fitted horizon simply by continuing the
 power recurrence, so validation and test spans receive covariates
 without refitting.
@@ -54,17 +54,22 @@ class TimeEmbedding:
 def build_embedding(selected: np.ndarray, length: int) -> TimeEmbedding:
     """Generate covariate rows for steps 0 .. length-1.
 
-    Eigenvalues must be pair representatives (imaginary part >= 0), as
-    ``DmdDecomposition.representatives`` gives them. Each is replaced by
-    lambda/|lambda| before powering, so extrapolated covariates neither
-    explode nor vanish; growth information stays in the decomposition.
+    ``selected`` holds the kept modes' eigenvalues as a fit lists them:
+    whole conjugate groups, or one member of each. The discarded
+    conjugate carries no new real information, its channels duplicating
+    its partner's up to sign, so each member with Im >= 0 is kept, in
+    order. A member with Im < 0 is refused unless its exact conjugate is
+    among them. Each kept value is replaced by lambda/|lambda| before
+    powering, so extrapolated covariates neither explode nor vanish;
+    growth information stays in the decomposition.
     """
     eigs = np.asarray(selected, dtype=complex).ravel()
     if np.any(eigs == 0):
         raise ValueError("zero eigenvalue cannot be embedded")
-    if np.any(eigs.imag < -1e-12 * (1.0 + np.abs(eigs))):
-        raise ValueError("eigenvalues must be pair representatives with Im >= 0")
-    eigs = eigs / np.abs(eigs)
+    lower = eigs.imag < 0
+    if not np.isin(np.conj(eigs[lower]), eigs[~lower]).all():
+        raise ValueError("an eigenvalue with Im < 0 needs its exact conjugate among the selected")
+    eigs = eigs[~lower] / np.abs(eigs[~lower])
     powers = vandermonde(eigs, length)
     table = np.empty((length, 2 * eigs.size))
     table[:, : eigs.size] = powers.real.T

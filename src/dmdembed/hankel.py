@@ -10,8 +10,10 @@ a block of vectors, never built.
 Every transform runs along the last, contiguous axis: the source
 spectrum is laid out (node, frequency), and a block of k columns is
 transformed as k rows. The Gram product is one kernel made of the two
-tall products: H x stays in a (k, N, tau) array, time last, which the
-H^T half reads as it is, so the (N*tau, k) tall block is never built.
+tall products: H x stays in a (k, nodes, tau) array, time last, which
+the H^T half reads as it is, so the (N*tau, k) tall block is never
+built. Each product runs over ranges of nodes that bound its FFT
+temporaries.
 """
 
 from __future__ import annotations
@@ -24,8 +26,8 @@ import numpy as np
 from .errors import DataError
 
 # Upper bound on the elements of one FFT temporary (columns x nodes x
-# frequencies) in the tall and Gram products; wider blocks are split
-# into passes.
+# frequencies) in the tall and Gram products: each product runs in
+# passes over ranges of nodes, one node at the least.
 FFT_CHUNK_ELEMENTS = 1 << 20
 
 
@@ -164,9 +166,12 @@ def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
     return HankelView(signal.values, tau)
 
 
-def _chunk_rows(view: HankelView) -> int:
-    """Rows per FFT pass so the (rows, N, F) temporary stays bounded."""
-    return max(1, FFT_CHUNK_ELEMENTS // (view.values.shape[0] * (view.fft_length // 2 + 1)))
+def _node_ranges(view: HankelView, k: int) -> list[slice]:
+    """Node ranges of a product of a k-column block, each small enough
+    that its (k, nodes, F) temporaries stay within FFT_CHUNK_ELEMENTS."""
+    n = view.values.shape[0]
+    step = max(1, FFT_CHUNK_ELEMENTS // (max(k, 1) * (view.fft_length // 2 + 1)))
+    return [slice(a, min(a + step, n)) for a in range(0, n, step)]
 
 
 # Both halves correlate the signal with a block: sum_j s[j + b] x[j] is
@@ -175,35 +180,35 @@ def _chunk_rows(view: HankelView) -> int:
 # wrap around at L land below len(x) - 1, where nothing is kept.
 
 
-def _first_half(view: HankelView, rows: np.ndarray) -> np.ndarray:
-    """H x for each row x of ``rows`` (k, T - tau + 1), laid out (k, N, tau)
-    with entry [c, i, b] = sum_j values[i, j + b] x_c[j]."""
-    length = view.fft_length
-    spectra = view.source_spectrum * np.fft.rfft(rows[:, ::-1], n=length)[:, np.newaxis, :]
-    return np.fft.irfft(spectra, n=length)[..., view.columns - 1 : view.values.shape[1]]
+def _reversed_spectrum(view: HankelView, x: np.ndarray) -> np.ndarray:
+    """Spectra of the columns of x (T - tau + 1, k), reversed in time, as rows (k, F)."""
+    return np.fft.rfft(x.T[:, ::-1], n=view.fft_length)
 
 
-def _second_half(view: HankelView, blocks: np.ndarray) -> np.ndarray:
-    """H^T y for each y of ``blocks`` (k, N, tau), laid out like
-    ``_first_half``'s product, as rows (k, T - tau + 1). The sum over
-    nodes is taken in frequency space."""
-    length = view.fft_length
-    spectra = np.fft.rfft(blocks[..., ::-1], n=length)
-    spectra *= view.source_spectrum
-    return np.fft.irfft(spectra.sum(axis=1), n=length)[:, view.tau - 1 : view.values.shape[1]]
+def _first_half(view: HankelView, spectrum: np.ndarray, nodes: slice) -> np.ndarray:
+    """H x on the rows of ``nodes``, given x's ``_reversed_spectrum``,
+    laid out (k, nodes, tau) with entry [c, i, b] = sum_j values[i, j + b] x_c[j]."""
+    spectra = view.source_spectrum[nodes] * spectrum[:, np.newaxis, :]
+    return np.fft.irfft(spectra, n=view.fft_length)[..., view.columns - 1 : view.values.shape[1]]
 
 
-def _gram_rows(view: HankelView, rows: np.ndarray) -> np.ndarray:
-    return _second_half(view, _first_half(view, rows))
+def _second_half(view: HankelView, blocks: np.ndarray, nodes: slice) -> np.ndarray:
+    """The spectrum (k, F) of H^T y over the rows of ``nodes``, for each y
+    of ``blocks`` (k, nodes, tau), laid out like ``_first_half``'s
+    product: the sum over those nodes, taken in frequency space."""
+    spectra = np.fft.rfft(blocks[..., ::-1], n=view.fft_length)
+    spectra *= view.source_spectrum[nodes]
+    return spectra.sum(axis=1)
 
 
-def _by_chunks(kernel, view: HankelView, rows: np.ndarray, tail: tuple[int, ...]) -> np.ndarray:
-    """Apply a row kernel to ``rows``, at most ``_chunk_rows`` rows per pass."""
-    out = np.empty((rows.shape[0],) + tail)
-    step = _chunk_rows(view)
-    for c in range(0, rows.shape[0], step):
-        out[c : c + step] = kernel(view, rows[c : c + step])
-    return out
+def _summed(view: HankelView, spectra) -> np.ndarray:
+    """H^T y as rows (k, T - tau + 1) from the ``_second_half`` spectra of
+    its node ranges. The sum starts from the first, so one range is
+    transformed as it is."""
+    total = next(spectra)
+    for spectrum in spectra:
+        total += spectrum
+    return np.fft.irfft(total, n=view.fft_length)[:, view.tau - 1 : view.values.shape[1]]
 
 
 def _real_block(x, rows: int) -> np.ndarray:
@@ -224,9 +229,10 @@ def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
     cost does not depend on tau. This is the first half of ``gram``.
     """
     x = _real_block(x, view.columns)
-    n = view.values.shape[0]
-    blocks = _by_chunks(_first_half, view, x.T, (n, view.tau))
-    return blocks.transpose(2, 1, 0).reshape(n * view.tau, x.shape[1])
+    spectrum = _reversed_spectrum(view, x)
+    ranges = _node_ranges(view, x.shape[1])
+    blocks = np.concatenate([_first_half(view, spectrum, nodes) for nodes in ranges], axis=1)
+    return blocks.transpose(2, 1, 0).reshape(view.shape[0], x.shape[1])
 
 
 def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
@@ -240,18 +246,23 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
     # Time-contiguous rows: FFT outputs follow their input's memory order.
     blocks = y.reshape(view.tau, view.values.shape[0], -1).transpose(2, 1, 0)
     blocks = np.ascontiguousarray(blocks)
-    return _by_chunks(_second_half, view, blocks, (view.columns,)).T
+    ranges = _node_ranges(view, y.shape[1])
+    return _summed(view, (_second_half(view, blocks[:, nodes], nodes) for nodes in ranges)).T
 
 
 def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
     """The Gram product H^T (H x) for a real x of shape (T - tau + 1, k),
     without forming the Gram.
 
-    Both halves run in one pass per chunk of columns, with no tall
-    (N*tau, k) block between them.
+    Both halves run in one pass per range of nodes, with no tall
+    (N*tau, k) block between them; the spectra of x are formed once,
+    and the ranges' spectra are summed before one inverse transform.
     """
     x = _real_block(x, view.columns)
-    return _by_chunks(_gram_rows, view, x.T, (view.columns,)).T
+    spectrum = _reversed_spectrum(view, x)
+    ranges = _node_ranges(view, x.shape[1])
+    return _summed(view, (_second_half(view, _first_half(view, spectrum, nodes), nodes)
+                          for nodes in ranges)).T
 
 
 def column_energies(view: HankelView) -> np.ndarray:

@@ -227,7 +227,9 @@ def leading_spectrum(
 
     The basis and its Gram images are held as rows, so that Gram-Schmidt
     and the projections read contiguous memory, and the projected matrix
-    grows by the new rows and columns of each block only.
+    grows by the new rows and columns of each block only. Their arrays
+    are sized to the next Ritz check, so each interval between checks
+    regrows them once and the final arrays hold the final basis.
 
     The Gram is applied once to each row of the final basis and to
     nothing else, and the basis rows are orthonormal and span the
@@ -246,16 +248,19 @@ def leading_spectrum(
     """
     n = gram.order
     rng = np.random.default_rng(KRYLOV_SEED)
-    q = np.empty((min(n, 8 * KRYLOV_BLOCK), n))
+    q = np.empty((0, n))
     w = np.empty_like(q)
-    projected = np.empty((q.shape[0], q.shape[0]))  # q[:m] @ w[:m].T
+    projected = np.empty((0, 0))  # q[:m] @ w[:m].T
     m, products = 0, 0
     block = rng.standard_normal((n, KRYLOV_BLOCK)).T  # drawn as an (order, k) block
     check_at = (policy.rank if isinstance(policy, FixedRank) else 1) + KRYLOV_BLOCK
     while True:
         if m + KRYLOV_BLOCK > q.shape[0]:
-            size = min(n, 2 * q.shape[0])
-            q, w = _grown(q[:m], (size, n)), _grown(w[:m], (size, n))
+            # Room up to the next Ritz check, in whole blocks. The old q
+            # is freed before w is copied.
+            size = min(n, KRYLOV_BLOCK * math.ceil(max(check_at, m + KRYLOV_BLOCK) / KRYLOV_BLOCK))
+            q = _grown(q[:m], (size, n))
+            w = _grown(w[:m], (size, n))
             projected = _grown(projected[:m, :m], (size, size))
         newest, m = m, _extend_basis(q, m, block, rng)
         w[newest:m] = gram(q[newest:m].T).T
@@ -271,7 +276,8 @@ def leading_spectrum(
             if m == n or np.all(resid <= RITZ_TOL * theta[0]):
                 break
             check_at = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
-        block = w[newest:m]
+        # a copy: a view would keep an outgrown w alive through the next product
+        block = w[newest:m].copy()
     # The reported spectrum extends past the kept pairs while the next
     # pairs are converged too, checked a block at a time.
     converged = m if m == n else r

@@ -563,7 +563,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         return resolved
 
     with _StageTimer(run, "embedding"):
-        emb = build_embedding(dec.representatives(sweep.selected.support), n_steps)
+        emb = build_embedding(selected_eigs, n_steps)
         export_embedding(emb, run.path("embedding.csv"))
 
     if until == "embed":

@@ -51,8 +51,9 @@ class SweepResult:
 def gamma_sweep(dec: DmdDecomposition, target_modes: int) -> SweepResult:
     """Keep the first ``min(target_modes, groups)`` conjugate groups in energy order.
 
-    ``target_modes`` counts conjugate-pair representatives: a retained
-    pair and a retained real mode each count once. The selected solution
+    ``target_modes`` counts conjugate groups: a retained pair and a
+    retained real mode each count once, as each gives the embedding one
+    eigenvalue. The selected solution
     is the last step. The name is the one perfbench traces.
     """
     if target_modes < 1:

@@ -13,7 +13,6 @@ from dmdembed import dmd, hankel, linalg
 from dmdembed.dmd import (
     VANDERMONDE_BLOCK,
     CepThreshold,
-    DmdDecomposition,
     FixedRank,
     conjugate_groups,
     fit_dmd,
@@ -208,70 +207,49 @@ def test_reduced_operator_matches_the_dense_reference(seed, n, t, data):
     order = ref.matched_to(dec.eigenvalues)
     scaled = ref.modes[:n, order] * ref.amplitudes[order]
     assert np.max(np.abs(dec.modes * dec.amplitudes - scaled)) <= 1e-9 * np.max(np.abs(scaled))
-
-
-def representatives_reference(eigenvalues):
-    """The rule the embedding applied to the selected eigenvalues before
-    the decomposition carried its groups: group the selected ones, keep
-    the member of larger imaginary part, zero a real group's imaginary part."""
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    reps = []
-    for group in conjugate_groups(eigs):
-        members = eigs[group]
-        pick = members[np.argmax(members.imag)]
-        if abs(pick.imag) <= dmd.CONJUGATE_TOL * (1.0 + abs(pick)):
-            pick = complex(pick.real, 0.0)
-        reps.append(pick)
-    return np.asarray(reps, dtype=complex)
-
-
-def decomposition_of(eigenvalues):
-    eigs = np.asarray(eigenvalues, dtype=complex)
-    r = eigs.size
-    return DmdDecomposition(eigenvalues=eigs, modes=np.eye(r, dtype=complex),
-                            amplitudes=np.ones(r, dtype=complex), rank=r,
-                            fit_span=r, tau=1)
-
-
-def test_representatives():
-    lam = 0.95 * np.exp(1j * 0.8)
-    dec = decomposition_of([lam, np.conj(lam), 0.7, np.conj(0.7 + 0j)])
-    assert dec.groups == [[0, 1], [2], [3]]
-    reps = dec.representatives(np.ones(4, bool))
-    assert reps.size == 3
-    assert np.all(reps.imag >= 0)
-    assert np.sum(np.isreal(reps)) == 2
-    assert np.array_equal(dec.representatives([False, False, False, True]), [0.7])
-    assert dec.representatives(np.zeros(4, bool)).size == 0
-    with pytest.raises(ValueError, match="part of the conjugate group"):
-        dec.representatives([False, True, False, False])
-    with pytest.raises(ValueError):
-        dec.representatives(np.ones(3, bool))
+    # LAPACK gives the real operator's eigenvalues as exact conjugates:
+    # every group is a pair, its Im > 0 member first, or a real value.
+    for group in dec.groups:
+        z = dec.eigenvalues[group]
+        if len(group) == 2:
+            assert z[0].imag > 0 and z[1] == np.conj(z[0])
+        else:
+            assert len(group) == 1 and z[0].imag == 0
 
 
 @given(st.integers(0, 2**32 - 1), st.integers(0, 4), st.integers(0, 3), st.data())
 @settings(max_examples=100, deadline=None)
-def test_representatives_match_the_reference_rule(seed, n_pairs, n_real, data):
-    # Pairs in either member order, real modes that repeat, and real
-    # modes whose imaginary part is round-off: for any support made of
-    # whole groups, the decomposition's representatives are the ones the
-    # reference rule picks among the selected eigenvalues, bit for bit.
+def test_conjugate_groups_pair_exact_conjugates(seed, n_pairs, n_real, data):
+    # Pairs in either member order, pairs and real values that repeat,
+    # all permuted: each value pairs one to one with an exact conjugate,
+    # each real value is a group of its own, and the groups come in the
+    # order of their first members. A partner one ulp off stays a
+    # singleton, and so does the member it leaves behind.
     rng = np.random.default_rng(seed)
     lam = rng.uniform(0.5, 1.1, n_pairs) * np.exp(1j * rng.uniform(0.05, 3.0, n_pairs))
-    pairs = [[z, np.conj(z)][:: rng.choice([1, -1])] for z in lam]
+    lam = np.repeat(lam, rng.integers(1, 3, n_pairs))
     reals = np.repeat(rng.uniform(-1.1, 1.1, n_real), rng.integers(1, 3, n_real))
-    fuzz = rng.choice([0.0, 1e-12, -1e-12], reals.size)
-    groups = pairs + [[complex(x, y)] for x, y in zip(reals, fuzz)]
-    groups = [groups[k] for k in rng.permutation(len(groups))]
-    eigs = np.array([z for g in groups for z in g], dtype=complex)
-    dec = decomposition_of(eigs)
-    assert [len(g) for g in dec.groups] == [len(g) for g in groups]
-    chosen = data.draw(st.lists(st.booleans(), min_size=len(groups), max_size=len(groups)))
-    support = np.repeat(chosen, [len(g) for g in groups]).astype(bool)
-    got = dec.representatives(support)
-    want = representatives_reference(eigs[support])
-    assert np.array_equal(got, want)
-    assert np.all(got.imag >= 0) and np.all((got.imag == 0) | (np.abs(got.imag) > 1e-6))
+    eigs = np.concatenate([lam, np.conj(lam), reals])[rng.permutation(2 * lam.size + reals.size)]
+
+    def check(eigs, n_pairs):
+        groups = conjugate_groups(eigs)
+        assert sorted(i for g in groups for i in g) == list(range(eigs.size))
+        assert [g[0] for g in groups] == sorted(g[0] for g in groups)
+        pairs = [g for g in groups if len(g) == 2]
+        assert len(pairs) == n_pairs and all(len(g) <= 2 for g in groups)
+        for i, j in pairs:
+            assert eigs[i].imag != 0 and eigs[j] == np.conj(eigs[i])
+        return groups
+
+    check(eigs, lam.size)
+    if lam.size:
+        i = data.draw(st.sampled_from(np.flatnonzero(eigs.imag).tolist()))
+        z, toward = eigs[i], data.draw(st.sampled_from([-2.0, 2.0]))
+        nudged = eigs.copy()
+        nudged[i] = data.draw(st.sampled_from([complex(np.nextafter(z.real, toward), z.imag),
+                                               complex(z.real, np.nextafter(z.imag, toward))]))
+        groups = check(nudged, lam.size - 1)
+        assert [i] in groups
 
 
 def test_resolve_rank_examples():

@@ -1,13 +1,20 @@
+import json
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed.dmd import FixedRank, fit_dmd
 from dmdembed.embedding import TimeEmbedding, build_embedding, export_embedding
 from dmdembed.errors import DataError
 from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
+from dmdembed.hankel import SignalMatrix, build_hankel
+from dmdembed.pipeline import PipelineConfig, run_pipeline
+from dmdembed.spdmd import gamma_sweep
+from dmdembed.synthetic import SyntheticSpec
 
 import window_rows
 
@@ -80,6 +87,76 @@ def test_build_embedding_errors():
         build_embedding(np.array([0.0 + 0j]), 2)
     with pytest.raises(ValueError):
         build_embedding(np.array([1.0 - 0.5j]), 2)
+
+
+def test_build_embedding_keeps_one_member_per_pair():
+    # whole groups in either order, or one member each: the Im >= 0
+    # members are kept in their order
+    lam = 0.9 * np.exp(0.4j)
+    unit = lam / abs(lam)
+    for selected, want in (([lam, np.conj(lam), 0.5], [unit, 1.0]),
+                           ([np.conj(lam), 0.5, lam], [1.0, unit]),
+                           ([lam, 0.5], [unit, 1.0])):
+        assert np.array_equal(build_embedding(np.array(selected), 3).eigenvalues, want)
+    with pytest.raises(ValueError, match="exact conjugate"):
+        build_embedding(np.array([lam, np.conj(lam) + 1e-15]), 3)
+
+
+# The tolerance that grouped conjugates before they were paired exactly.
+CONJUGATE_TOL = 1e-8
+
+
+def representatives_reference(eigenvalues):
+    """One eigenvalue per conjugate group, by the rule that chose the
+    embedded members before the embedding kept the Im >= 0 ones itself:
+    pair each value with its nearest conjugate within CONJUGATE_TOL of
+    1 + |lambda|, keep the member of larger imaginary part, and set a
+    near-real value's imaginary part to exactly 0."""
+    eigs = [complex(z) for z in np.asarray(eigenvalues, dtype=complex)]
+    reps = []
+    while eigs:
+        z = eigs.pop(0)
+        tol = CONJUGATE_TOL * (1.0 + abs(z))
+        if abs(z.imag) <= tol:
+            reps.append(complex(z.real, 0.0))
+            continue
+        apart = [abs(w - z.conjugate()) for w in eigs]
+        if apart and min(apart) <= tol:
+            z = max(z, eigs.pop(int(np.argmin(apart))), key=lambda v: v.imag)
+        reps.append(z)
+    return np.asarray(reps, dtype=complex)
+
+
+@given(st.integers(0, 10_000), st.integers(1, 4), st.integers(4, 60), st.integers(1, 8),
+       st.data())
+@settings(max_examples=60, deadline=None)
+def test_embedding_of_kept_modes_matches_the_representatives_rule(seed, n, t, rank, data):
+    # Kept modes as a fit lists them, whole groups in energy order: the
+    # embedding of the Im >= 0 members is, bit for bit, that of the
+    # members the reference rule picks. Noise fits hold many real modes.
+    values = np.random.default_rng(seed).normal(size=(n, t))
+    view = build_hankel(SignalMatrix.from_values(values), data.draw(st.integers(1, t - 2)))
+    dec = fit_dmd(view, FixedRank(rank))
+    sweep = gamma_sweep(dec, data.draw(st.integers(1, len(dec.groups))))
+    kept = dec.eigenvalues[sweep.selected.support]
+    got, want = build_embedding(kept, 40), build_embedding(representatives_reference(kept), 40)
+    assert got.eigenvalues.tobytes() == want.eigenvalues.tobytes()
+    assert got.table.tobytes() == want.table.tobytes()
+
+
+def test_run_embedding_matches_the_representatives_rule(tmp_path):
+    # A1 at rank fixed:24 with 8 groups kept, a real mode among them: the
+    # run's embedding.csv holds, bit for bit, the embedding of the members
+    # the reference rule picks from the kept eigenvalues it records.
+    cfg = PipelineConfig(synthetic=SyntheticSpec(noise=0.1, seed=1), rank="fixed:24",
+                         target_modes=8, output_dir=str(tmp_path / "run"), seed=1)
+    out = run_pipeline(cfg, until="embed")
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    kept = np.array([complex(re, im) for re, im in resolved["eigenvalues"]])
+    assert np.sum(kept.imag == 0) >= 1 and np.sum(kept.imag < 0) >= 1
+    table = np.loadtxt(out / "embedding.csv", delimiter=",", skiprows=1, ndmin=2)[:, 1:]
+    want = build_embedding(representatives_reference(kept), resolved["n_steps"])
+    assert table.tobytes() == want.table.tobytes()
 
 
 def test_empty_embedding_allowed():

@@ -255,25 +255,43 @@ def test_fft_products_match_oracle_at_slow_lengths(seed, t, n, depth, few_column
     check_products(rng.normal(size=(n, t)), tau, 2, rng)
 
 
-@pytest.mark.parametrize("wide", [False, True])
-def test_chunked_passes_match_the_dense_lifting(monkeypatch, wide):
-    # A block wider than FFT_CHUNK_ELEMENTS allows is taken in passes of
-    # three rows: 7 or 14 columns make at least three passes, and the
-    # last one is partial.
+@pytest.mark.parametrize("k", [1, 2, 9])
+def test_chunked_passes_match_the_dense_lifting(monkeypatch, k):
+    # A product whose (k, N, F) temporaries FFT_CHUNK_ELEMENTS does not
+    # allow is taken over ranges of three nodes: seven nodes make three
+    # ranges, and the last one is partial.
     rng = np.random.default_rng(5)
-    n, t, tau = 3, 40, 6
-    k = 14 if wide else 7
+    n, t, tau = 7, 40, 6
     z = rng.normal(size=(n, t))
     view = build_hankel(signal(z), tau=tau)
-    monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", 3 * n * (view.fft_length // 2 + 1) + 1)
-    step = hankel._chunk_rows(view)
-    assert step == 3 and k > 2 * step and k % step
+    monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", 3 * k * (view.fft_length // 2 + 1) + 1)
+    assert hankel._node_ranges(view, k) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     h = materialize_hankel(z, tau)
     x = rng.normal(size=(view.columns, k))
     y = rng.normal(size=(n * tau, k))
     assert close(apply_tall(view, x), h @ x)
     assert close(apply_tall_transpose(view, y), h.T @ y)
     assert close(gram(view, x), h.T @ (h @ x))
+
+
+def test_gram_temporaries_stay_within_the_chunk_bound(monkeypatch):
+    # 64 nodes and F = 1,001 frequencies: one column's (1, N, F) spectra
+    # hold 64,064 elements, eight times the patched bound. Taken over
+    # ranges of four nodes, a two-column product peaks at about 3.8
+    # bounds of 16-byte elements; one column at a time over all nodes,
+    # at 16.5.
+    view = build_hankel(signal(np.random.default_rng(2).normal(size=(64, 2000))), tau=30)
+    bound = 2 * 4 * (view.fft_length // 2 + 1)
+    monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", bound)
+    x = np.random.default_rng(3).normal(size=(view.columns, 2))
+    view.source_spectrum  # cached before the trace
+    tracemalloc.start()
+    try:
+        gram(view, x)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak <= 6 * 16 * bound, peak
 
 
 def test_fast_length_is_the_next_smooth_length():

@@ -1,3 +1,4 @@
+import json
 import math
 
 import numpy as np
@@ -6,6 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
+from dmdembed import linalg
 from dmdembed.errors import EmptySpectrumError
 from dmdembed.linalg import (
     KRYLOV_BLOCK,
@@ -18,6 +20,9 @@ from dmdembed.linalg import (
     leading_spectrum,
     resolve_rank,
 )
+
+from dmdembed.pipeline import PipelineConfig, run_pipeline
+from dmdembed.synthetic import SyntheticSpec
 
 from hankel_oracle import gram_product, snapshot_svd
 
@@ -246,3 +251,32 @@ def test_repeated_leading_eigenvalue_is_found_in_full(mult):
     assert mult > KRYLOV_BLOCK and solve.basis < n
     want = np.linalg.eigvalsh(g)[::-1][: mult + 2]
     assert_allclose(sigma[: mult + 2] ** 2, want, rtol=1e-12)
+
+
+def test_krylov_arrays_are_sized_by_the_ritz_checks(monkeypatch, tmp_path):
+    # A1 at 8 x 2016, rank fixed:24: before each Ritz check the basis q,
+    # its images w and the projected matrix regrow once, to exactly the
+    # basis that the check reads, so the final arrays hold the final
+    # basis (174 rows; doubling from 16 rows reached 256).
+    events = []
+
+    def grown(a, shape):
+        events.append(("grow", shape[0]))
+        return original_grown(a, shape)
+
+    def spectrum(projected):
+        events.append(("check", projected.shape[0]))
+        return original_spectrum(projected)
+
+    original_grown, original_spectrum = linalg._grown, linalg.gram_spectrum
+    monkeypatch.setattr(linalg, "_grown", grown)
+    monkeypatch.setattr(linalg, "gram_spectrum", spectrum)
+    cfg = PipelineConfig(synthetic=SyntheticSpec(noise=0.1, seed=1), rank="fixed:24",
+                         output_dir=str(tmp_path / "run"), seed=1)
+    out = run_pipeline(cfg, until="fit")
+    basis = json.loads((out / "manifest.json").read_text())["resolved"]["svd_basis"]
+    grows = [size for kind, size in events if kind == "grow"]
+    checks = [size for kind, size in events if kind == "check"]
+    assert grows[-1] == checks[-1] == basis == 174
+    # each interval between checks regrows once
+    assert events == [e for size in checks for e in [("grow", size)] * 3 + [("check", size)]]

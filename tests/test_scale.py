@@ -56,7 +56,7 @@ def test_wide_fit_forms_no_lifted_modes():
     # 64 nodes x 1,400 steps at tau 700 and rank 24: 44,800 lifted rows,
     # whose complex (N*tau, r) modes take 16.4 MB. The fit keeps only
     # their 64 data rows and forms no (N*tau)-row array: its peak measured
-    # 0.47 times those bytes, where forming the left vectors and the
+    # 0.40 times those bytes, where forming the left vectors and the
     # lifted modes took it to 2.46 times them.
     sig = generate_synthetic(SyntheticSpec(nodes=64, steps=1_400, noise=0.1, seed=1))
     view = build_hankel(sig, 700)
