@@ -156,6 +156,10 @@ def main(argv: list[str] | None = None) -> int:
     except ConfigError as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
+    except (FileExistsError, NotADirectoryError, IsADirectoryError) as exc:
+        # inputs are read through Data- or ConfigErrors: only an --out gets here
+        print(f"config error: unusable --out: {exc}", file=sys.stderr)
+        return EXIT_CONFIG
     except DataError as exc:
         print(f"data error: {exc}", file=sys.stderr)
         return EXIT_DATA

@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from . import hankel as hk
-from .errors import NumericalError
+from .errors import DataError, NumericalError
 # The rank policies live in linalg and are re-exported here.
 from .linalg import (  # noqa: F401
     CepThreshold,
@@ -155,22 +155,10 @@ def conjugate_groups(eigenvalues: np.ndarray) -> list[list[int]]:
     return groups
 
 
-def fit_columns(t: int, tau: int) -> int:
-    """Snapshot pairs (j -> j+1) in the T - tau + 1 columns of a lifting:
-    H is every column but the last and H' every column but the first. At
-    tau = 1 this is the classic drop of the last column of H and first
-    of H'."""
-    span = t - tau
-    if span < 2:
-        raise ValueError(f"a fit needs tau <= T-2, got tau={tau} with T={t}")
-    return span
-
-
 def fit_geometry(view: hk.HankelView) -> hk.HankelView:
     """The snapshots H of a fit: the lifting of the view's array without
     its last step (a slice, not a copy), whose T - tau columns are every
     column of the view's lifting but the last. Applies no product."""
-    fit_columns(view.values.shape[1], view.tau)
     return hk.HankelView(view.values[:, :-1], view.tau)
 
 
@@ -222,7 +210,8 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
 
 def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> DmdDecomposition:
     """Fit the reduced transition operator and its mode decomposition,
-    truncated by ``rank_policy``."""
+    truncated by ``rank_policy``. A series whose energy, the trace of
+    the Gram, is not finite is a DataError."""
     snapshots = fit_geometry(view)
     span = snapshots.columns
     # Each Gram product runs on the view's whole lifting [H, c], with the
@@ -237,7 +226,10 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         ht_last[:] += x @ image[-1]
         return image[:-1]
 
-    gram = GramProduct(lifted_gram, span, float(np.sum(hk.column_energies(snapshots))))
+    energy = float(np.sum(hk.column_energies(snapshots)))
+    if not math.isfinite(energy):
+        raise DataError(f"the series' energy is {energy}: every value and its square must be finite")
+    gram = GramProduct(lifted_gram, span, energy)
     spectrum, right, images, solve = leading_spectrum(gram, rank_policy)
     sigma = spectrum[: right.shape[1]]
     # With U = H V diag(1/sigma), never formed: [H, c]^T U is H^T U =

@@ -36,8 +36,8 @@ class SignalMatrix:
     """An N x T observation matrix with node metadata and a missing mask.
 
     Rows are spatial nodes, columns are time steps. ``mask`` is True
-    where a value was observed; spectral analysis requires an all-true
-    mask (impute first), while metrics keep using the original mask.
+    where a value was observed; the fit lifts the array that
+    ``impute_linear`` fills, while metrics keep using the mask.
     """
 
     values: np.ndarray
@@ -75,14 +75,16 @@ class SignalMatrix:
         return self.values.shape[1]
 
 
-def impute_linear(signal: SignalMatrix) -> SignalMatrix:
-    """Fill missing entries per node by linear interpolation in time.
+def impute_linear(signal: SignalMatrix) -> np.ndarray:
+    """The signal's values with each node's missing entries filled by
+    linear interpolation in time: the signal's own array when nothing
+    is missing, else a filled copy.
 
     Ends are held constant at the nearest observed value. A node with no
     observed value at all cannot be imputed.
     """
     if signal.mask.all():
-        return signal
+        return signal.values
     values = signal.values.copy()
     steps = np.arange(signal.n_steps)
     for i in range(signal.n_nodes):
@@ -92,7 +94,7 @@ def impute_linear(signal: SignalMatrix) -> SignalMatrix:
         if seen.all():
             continue
         values[i] = np.interp(steps, steps[seen], values[i, seen])
-    return SignalMatrix(values=values, mask=np.ones_like(signal.mask), node_ids=list(signal.node_ids))
+    return values
 
 
 def fast_length(t: int) -> int:
@@ -138,7 +140,7 @@ class HankelView:
         return np.fft.rfft(self.values, n=self.fft_length, axis=1)
 
 
-def default_tau(signal: SignalMatrix) -> int:
+def default_tau(values: np.ndarray) -> int:
     """Stacking depth: tau = max(ceil(2T / N), ceil(T / 4)), capped at T // 2.
 
     The first term gives the lifting at least 2T rows; the second keeps
@@ -148,22 +150,19 @@ def default_tau(signal: SignalMatrix) -> int:
     few nodes (N < 4) would otherwise use up. H is never formed, and a
     fit forms no N*tau-row array, so tau sets no memory cost.
     """
-    n, t = signal.values.shape
+    n, t = values.shape
     return max(1, min(max(-(-2 * t // n), -(-t // 4)), t // 2))
 
 
-def build_hankel(signal: SignalMatrix, tau: int) -> HankelView:
-    """Construct the Hankel view with ``tau`` stacked block rows.
-
-    Requires an all-true mask (run impute_linear first). Only the N x T
-    source array is kept: the node ids and the mask stay with the signal.
-    """
-    t = signal.n_steps
-    if not (1 <= tau <= t):
-        raise ValueError(f"tau must be in [1, {t}], got {tau}")
-    if not signal.mask.all():
-        raise DataError("signal has unimputed missing values; impute before lifting")
-    return HankelView(signal.values, tau)
+def build_hankel(values: np.ndarray, tau: int) -> HankelView:
+    """The Hankel view of an all-observed N x T array with ``tau`` block
+    rows, for a fit. A fit needs two snapshot pairs, T - tau >= 2, so tau
+    must lie in [1, T - 2]; a deeper view, for products alone, is a
+    ``HankelView`` built directly."""
+    top = values.shape[1] - 2
+    if not (1 <= tau <= top):
+        raise ValueError(f"tau must be in [1, {top}], got {tau}")
+    return HankelView(values, tau)
 
 
 def _node_ranges(view: HankelView, k: int) -> list[slice]:

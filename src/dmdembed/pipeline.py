@@ -513,33 +513,31 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
     with _StageTimer(run, "ingest"):
         signal = _ingest(cfg)
         # nothing writes a signal's mask, and imputing never changes its input
-        original_mask = signal.mask
+        original_mask, node_ids, n_steps = signal.mask, signal.node_ids, signal.n_steps
         resolved["n_nodes"] = signal.n_nodes
-        resolved["n_steps"] = signal.n_steps
+        resolved["n_steps"] = n_steps
 
     with _StageTimer(run, "impute"):
-        signal = impute_linear(signal)
+        values = impute_linear(signal)
+        del signal
 
     with _StageTimer(run, "split"):
-        b_train, b_val = split_boundaries(signal.n_steps, cfg.split)
+        b_train, b_val = split_boundaries(n_steps, cfg.split)
         resolved["boundaries"] = [b_train, b_val]
 
     with _StageTimer(run, "normalize"):
-        zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
-        normalized = zscore.transform(signal.values)
+        zscore = zscore_fit(values[:, :b_train], node_ids)
         # from here on the series is read in normalized units only
-        node_ids, n_steps = signal.node_ids, signal.n_steps
-        del signal
+        normalized = zscore.transform(values)
+        del values
 
     with _StageTimer(run, "hankel"):
-        # imputed, so every step counts as observed
-        train_signal = SignalMatrix.from_values(normalized[:, :b_train], node_ids)
-        tau = cfg.tau if cfg.tau is not None else default_tau(train_signal)
+        train = normalized[:, :b_train]
+        tau = cfg.tau if cfg.tau is not None else default_tau(train)
         try:
-            view = build_hankel(train_signal, tau)
-            dmd.fit_columns(train_signal.n_steps, tau)
+            view = build_hankel(train, tau)
         except ValueError as exc:
-            raise ConfigError(f"{exc}, for {train_signal.n_steps} training steps") from exc
+            raise ConfigError(f"{exc}, for {b_train} training steps") from exc
         resolved["tau"] = tau
 
     with _StageTimer(run, "dmd"):
@@ -550,7 +548,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
         np.save(run.path("modes.npy"), dec.modes)
-        del view, train_signal
+        del view, train
 
     with _StageTimer(run, "spdmd"):
         sweep = spdmd.gamma_sweep(dec, target_modes=cfg.target_modes)

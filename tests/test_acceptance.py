@@ -16,7 +16,7 @@ import pytest
 from dmdembed.dmd import FixedRank, fit_dmd, mode_frequency
 from dmdembed.embedding import build_embedding
 from dmdembed.forecaster import evaluate, make_windows
-from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
+from dmdembed.hankel import build_hankel, default_tau
 from dmdembed.linalg import leading_spectrum
 from dmdembed.pipeline import PipelineConfig, config_from_manifest, run_pipeline
 from dmdembed.spdmd import gamma_sweep
@@ -71,7 +71,7 @@ def test_a1_covariate_benefit(benchmark_runs):
 def test_a2_frequency_recovery():
     start = time.perf_counter()
     sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=0))
-    view = build_hankel(sig, default_tau(sig))
+    view = build_hankel(sig.values, default_tau(sig.values))
     dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start
     periods = sorted(
@@ -121,8 +121,7 @@ def _rank4_instance(seed):
         + 1.0 * rng.uniform(0.5, 1.5, n_nodes)[:, None]
         * np.cos(2 * np.pi * t / weak_period + rng.uniform(0, 2 * np.pi))
     )
-    sig = SignalMatrix.from_values(values)
-    view = build_hankel(sig, default_tau(sig))
+    view = build_hankel(values, default_tau(values))
     dec = fit_dmd(view, FixedRank(4))
     return dec, view
 

@@ -21,8 +21,8 @@ from dmdembed.dmd import (
     resolve_rank,
     vandermonde,
 )
-from dmdembed.errors import EmptySpectrumError
-from dmdembed.hankel import SignalMatrix, build_hankel
+from dmdembed.errors import DataError, EmptySpectrumError
+from dmdembed.hankel import build_hankel
 from amplitude_oracle import AmplitudeForm, DenseFit
 from hankel_oracle import materialize_hankel
 
@@ -33,7 +33,7 @@ def rotation_signal(period=24.0, t_steps=48):
 
 
 def view_of(values, tau=1):
-    return build_hankel(SignalMatrix.from_values(np.asarray(values, float)), tau=tau)
+    return build_hankel(values, tau=tau)
 
 
 def test_fit_dmd_rotation_recovery():
@@ -55,6 +55,16 @@ def test_fit_dmd_constant_signal():
     mode = dec.modes[:, 0]
     direction = np.array([1.0, 3.0]) / np.linalg.norm([1.0, 3.0])
     assert_allclose(np.abs(mode), direction, atol=1e-8)
+
+
+@pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
+def test_fit_dmd_refuses_a_series_of_unbounded_energy(bad):
+    # a view carries no mask: the fit checks the trace it sums, which a
+    # NaN, an infinity or a value whose square overflows leaves non-finite
+    values = rotation_signal()
+    values[1, 5] = bad
+    with pytest.raises(DataError, match="energy"):
+        fit_dmd(view_of(values, tau=2), FixedRank(2))
 
 
 def test_fit_dmd_decay_truncated_window():
@@ -500,7 +510,7 @@ def test_fit_dmd_modes_match_lifted_space():
     # The modes are the data rows of the lifted ones: the series they
     # reconstruct, lifted, is the lifting H.
     values = rotation_signal()
-    view = build_hankel(SignalMatrix.from_values(values), tau=3)
+    view = build_hankel(values, tau=3)
     dec = fit_dmd(view, FixedRank(2))
     assert dec.modes.shape == (2, 2)
     h = materialize_hankel(values, 3)

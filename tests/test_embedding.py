@@ -11,7 +11,7 @@ from dmdembed.embedding import TimeEmbedding, build_embedding, export_embedding
 from dmdembed.errors import DataError
 from dmdembed.forecaster import ForecastWindows
 from dmdembed.embedding import attach_covariates
-from dmdembed.hankel import SignalMatrix, build_hankel
+from dmdembed.hankel import build_hankel
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import gamma_sweep
 from dmdembed.synthetic import SyntheticSpec
@@ -135,7 +135,7 @@ def test_embedding_of_kept_modes_matches_the_representatives_rule(seed, n, t, ra
     # embedding of the Im >= 0 members is, bit for bit, that of the
     # members the reference rule picks. Noise fits hold many real modes.
     values = np.random.default_rng(seed).normal(size=(n, t))
-    view = build_hankel(SignalMatrix.from_values(values), data.draw(st.integers(1, t - 2)))
+    view = build_hankel(values, data.draw(st.integers(1, t - 2)))
     dec = fit_dmd(view, FixedRank(rank))
     sweep = gamma_sweep(dec, data.draw(st.integers(1, len(dec.groups))))
     kept = dec.eigenvalues[sweep.selected.support]

@@ -1,3 +1,4 @@
+import re
 import tracemalloc
 
 import numpy as np
@@ -10,6 +11,7 @@ from dmdembed import hankel
 from dmdembed.dmd import fit_geometry
 from dmdembed.errors import DataError
 from dmdembed.hankel import (
+    HankelView,
     SignalMatrix,
     apply_tall,
     apply_tall_transpose,
@@ -23,26 +25,23 @@ from dmdembed.hankel import (
 from hankel_oracle import dense_gram, materialize_hankel
 
 
-def signal(values, **kw):
-    return SignalMatrix.from_values(np.asarray(values, dtype=float), **kw)
-
-
 def test_build_hankel_scalar_example():
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
+    view = build_hankel(np.array([[1.0, 2.0, 3.0, 4.0]]), tau=2)
     assert view.shape == (2, 3)
     assert_allclose(materialize_hankel(view.values, view.tau),
                     [[1, 2, 3], [2, 3, 4]])
 
 
 def test_build_hankel_tau_one_is_identity():
-    sig = signal([[1, 2, 3], [4, 5, 6]])
-    view = build_hankel(sig, tau=1)
-    assert_allclose(materialize_hankel(view.values, 1), sig.values)
+    z = np.array([[1.0, 2.0, 3.0], [4.0, 5.0, 6.0]])
+    view = build_hankel(z, tau=1)
+    assert_allclose(materialize_hankel(view.values, 1), z)
 
 
-def test_build_hankel_full_depth_first_column():
+def test_full_depth_view_first_column():
+    # deeper than a fit allows: a view for its products alone
     z = np.array([[1.0, 2.0, 3.0], [10.0, 20.0, 30.0]])
-    view = build_hankel(signal(z), tau=3)
+    view = HankelView(z, tau=3)
     h = materialize_hankel(view.values, 3)
     assert h.shape == view.shape == (6, 1)
     assert_allclose(h[:, 0], [1, 10, 2, 20, 3, 30])
@@ -51,7 +50,7 @@ def test_build_hankel_full_depth_first_column():
 def test_build_hankel_element_contract():
     rng = np.random.default_rng(0)
     z = rng.normal(size=(2, 5))
-    view = build_hankel(signal(z), tau=3)
+    view = build_hankel(z, tau=3)
     h = materialize_hankel(z, 3)
     assert h.shape == view.shape == (6, 3)
     for b in range(3):
@@ -60,19 +59,16 @@ def test_build_hankel_element_contract():
                 assert h[b * 2 + i, j] == z[i, j + b]
 
 
-def test_build_hankel_errors():
-    sig = signal([[1, 2, 3]])
-    with pytest.raises(ValueError):
-        build_hankel(sig, tau=0)
-    with pytest.raises(ValueError):
-        build_hankel(sig, tau=4)
-    masked = SignalMatrix(
-        values=np.ones((1, 3)),
-        mask=np.array([[True, False, True]]),
-        node_ids=["a"],
-    )
-    with pytest.raises(DataError):
-        build_hankel(masked, tau=1)
+@given(st.integers(2, 60), st.integers(-3, 64))
+@settings(max_examples=80, deadline=None)
+def test_build_hankel_accepts_exactly_the_fit_range(t, tau):
+    # a fit needs two snapshot pairs, T - tau >= 2
+    z = np.arange(float(t))[np.newaxis]
+    if 1 <= tau <= t - 2:
+        assert build_hankel(z, tau).tau == tau
+    else:
+        with pytest.raises(ValueError, match=re.escape(f"tau must be in [1, {t - 2}], got {tau}")):
+            build_hankel(z, tau)
 
 
 def gram_matrix(view):
@@ -81,10 +77,10 @@ def gram_matrix(view):
 
 
 def test_gram_identity_and_hand_sum():
-    eye = build_hankel(signal(np.eye(2)), tau=1)
+    eye = HankelView(np.eye(2), tau=1)
     assert_allclose(dense_gram(np.eye(2), 1), np.eye(2))
     assert_allclose(gram_matrix(eye), np.eye(2), atol=1e-15)
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
+    view = build_hankel(np.array([[1.0, 2.0, 3.0, 4.0]]), tau=2)
     assert dense_gram(view.values, 2)[0, 0] == pytest.approx(5.0)  # 1^2 + 2^2
     assert gram(view, np.eye(3)[:, :1])[0, 0] == pytest.approx(5.0)
 
@@ -92,7 +88,7 @@ def test_gram_identity_and_hand_sum():
 def test_gram_matches_materialized():
     rng = np.random.default_rng(9)
     z = rng.normal(size=(3, 8))
-    view = build_hankel(signal(z), tau=4)
+    view = build_hankel(z, tau=4)
     h = materialize_hankel(z, 4)
     g = dense_gram(z, 4)
     assert np.max(np.abs(g - h.T @ h)) <= 1e-10
@@ -111,13 +107,13 @@ def test_gram_psd_and_oracle(seed, n, t, tau):
     h = materialize_hankel(z, tau)
     scale = max(1.0, np.max(np.abs(g)))
     assert np.max(np.abs(g - h.T @ h)) <= 1e-10 * scale
-    assert np.max(np.abs(gram_matrix(build_hankel(signal(z), tau=tau)) - g)) <= 1e-10 * scale
+    assert np.max(np.abs(gram_matrix(HankelView(z, tau=tau)) - g)) <= 1e-10 * scale
     evals = np.linalg.eigvalsh(g)
     assert evals.min() >= -1e-10 * np.trace(g)
 
 
 def test_apply_tall_examples():
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
+    view = build_hankel(np.array([[1.0, 2.0, 3.0, 4.0]]), tau=2)
     e0 = np.zeros((3, 1))
     e0[0] = 1.0
     assert_allclose(apply_tall(view, e0), [[1.0], [2.0]])
@@ -127,7 +123,7 @@ def test_apply_tall_examples():
 def test_apply_tall_matches_dense():
     rng = np.random.default_rng(21)
     z = rng.normal(size=(3, 7))
-    view = build_hankel(signal(z), tau=5)
+    view = build_hankel(z, tau=5)
     h = materialize_hankel(z, 5)
     x = rng.normal(size=(3, 4))
     assert np.max(np.abs(apply_tall(view, x) - h @ x)) <= 1e-10
@@ -136,7 +132,7 @@ def test_apply_tall_matches_dense():
 
 
 def test_apply_tall_dimension_mismatch():
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
+    view = build_hankel(np.array([[1.0, 2.0, 3.0, 4.0]]), tau=2)
     with pytest.raises(ValueError):
         apply_tall(view, np.ones((4, 1)))  # T rows, not T - tau + 1
     with pytest.raises(ValueError):
@@ -147,7 +143,7 @@ def test_apply_tall_dimension_mismatch():
 def test_products_refuse_complex_and_one_dimensional_blocks(product):
     # The products are real and take real 2-D blocks only: a complex
     # block is refused, not cut to its real part.
-    view = build_hankel(signal([[1, 2, 3, 4]]), tau=2)
+    view = build_hankel(np.array([[1.0, 2.0, 3.0, 4.0]]), tau=2)
     rows = view.shape[0] if product is apply_tall_transpose else view.columns
     block = np.arange(2.0 * rows).reshape(rows, 2)
     assert product(view, block).shape[1] == 2
@@ -166,7 +162,7 @@ def test_cross_gram_matches_dense(seed, n, t, tau):
     z = rng.normal(size=(n, t))
     span = t - tau
     h = materialize_hankel(z, tau)[:, :span]
-    snapshots = fit_geometry(build_hankel(signal(z), tau=tau))
+    snapshots = fit_geometry(build_hankel(z, tau=tau))
     assert snapshots.shape == h.shape
     x = rng.normal(size=(span, 3))
     scale = max(1.0, float(np.max(np.abs(h.T @ h))))
@@ -178,7 +174,7 @@ def test_cross_gram_matches_dense(seed, n, t, tau):
 def test_column_energies_match_gram_diagonal():
     rng = np.random.default_rng(4)
     z = rng.normal(size=(2, 9))
-    view = build_hankel(signal(z), tau=4)
+    view = build_hankel(z, tau=4)
     assert_allclose(column_energies(view), np.diag(dense_gram(z, 4)), atol=1e-10)
     assert_allclose(column_energies(view), np.diag(gram_matrix(view)), atol=1e-10)
 
@@ -187,7 +183,7 @@ def test_column_energies_hold_no_squared_copy_of_the_signal():
     # 8 x 200,000 steps: a squared copy of the signal is 12.8 MB, where
     # the per-step sums and their running total are 1.6 MB each
     steps = 200_000
-    view = build_hankel(signal(np.random.default_rng(0).normal(size=(8, steps))), tau=24)
+    view = build_hankel(np.random.default_rng(0).normal(size=(8, steps)), tau=24)
     tracemalloc.start()
     try:
         column_energies(view)
@@ -200,7 +196,7 @@ def test_column_energies_hold_no_squared_copy_of_the_signal():
 def test_tau_one_reduces_to_plain_matrix_ops():
     rng = np.random.default_rng(13)
     z = rng.normal(size=(4, 6))
-    view = build_hankel(signal(z), tau=1)
+    view = build_hankel(z, tau=1)
     x = rng.normal(size=(6, 2))
     assert_allclose(gram(view, x), z.T @ (z @ x), atol=1e-12)
     assert_allclose(apply_tall(view, x), z @ x, atol=1e-12)
@@ -215,7 +211,7 @@ def check_products(z, tau, k, rng):
     on all columns of the lifting and on the fit's snapshots, its first
     T - tau columns."""
     n, t = z.shape
-    view = build_hankel(signal(z), tau=tau)
+    view = HankelView(z, tau=tau)
     h = materialize_hankel(z, tau)
     x = rng.normal(size=(view.columns, k))
     y = rng.normal(size=(n * tau, k))
@@ -263,7 +259,7 @@ def test_chunked_passes_match_the_dense_lifting(monkeypatch, k):
     rng = np.random.default_rng(5)
     n, t, tau = 7, 40, 6
     z = rng.normal(size=(n, t))
-    view = build_hankel(signal(z), tau=tau)
+    view = build_hankel(z, tau=tau)
     monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", 3 * k * (view.fft_length // 2 + 1) + 1)
     assert hankel._node_ranges(view, k) == [slice(0, 3), slice(3, 6), slice(6, 7)]
     h = materialize_hankel(z, tau)
@@ -280,7 +276,7 @@ def test_gram_temporaries_stay_within_the_chunk_bound(monkeypatch):
     # ranges of four nodes, a two-column product peaks at about 3.8
     # bounds of 16-byte elements; one column at a time over all nodes,
     # at 16.5.
-    view = build_hankel(signal(np.random.default_rng(2).normal(size=(64, 2000))), tau=30)
+    view = build_hankel(np.random.default_rng(2).normal(size=(64, 2000)), tau=30)
     bound = 2 * 4 * (view.fft_length // 2 + 1)
     monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", bound)
     x = np.random.default_rng(3).normal(size=(view.columns, 2))
@@ -313,30 +309,37 @@ def prime_factors(m):
 
 
 def test_default_tau_policy():
-    sig = signal(np.ones((2, 10)))
     # max(ceil(2T/N), ceil(T/4)) = 10, capped at T // 2 to keep half
     # the columns as snapshots
-    assert default_tau(sig) == 5
-    assert default_tau(signal(np.ones((2, 600)))) == 300
-    assert default_tau(signal(np.ones((1, 3)))) == 1
-    wide = signal(np.ones((8, 4)))
-    assert default_tau(wide) == 1
+    assert default_tau(np.ones((2, 10))) == 5
+    assert default_tau(np.ones((2, 600))) == 300
+    assert default_tau(np.ones((1, 3))) == 1
+    assert default_tau(np.ones((8, 4))) == 1
     # no memory cap: a long series keeps its full depth
-    assert default_tau(signal(np.ones((8, 20_000)))) == 5_000
+    assert default_tau(np.ones((8, 20_000))) == 5_000
     # many nodes: a quarter of the series, not ceil(2T/N) = 59
-    assert default_tau(signal(np.ones((48, 1411)))) == 353
+    assert default_tau(np.ones((48, 1411))) == 353
 
 
 def test_impute_linear():
+    values = np.array([[1.0, 0.0, 3.0, 0.0], [5.0, 6.0, 7.0, 8.0]])
     sig = SignalMatrix(
-        values=np.array([[1.0, 0.0, 3.0, 0.0], [5.0, 6.0, 7.0, 8.0]]),
+        values=values.copy(),
         mask=np.array([[True, False, True, False], [True, True, True, True]]),
         node_ids=["a", "b"],
     )
     out = impute_linear(sig)
-    assert out.mask.all()
-    assert_allclose(out.values[0], [1.0, 2.0, 3.0, 3.0])  # ends held constant
-    assert_allclose(out.values[1], sig.values[1])
+    assert out is not sig.values
+    assert_allclose(out[0], [1.0, 2.0, 3.0, 3.0])  # ends held constant
+    assert_allclose(out[1], values[1])
+    # the input is left as it was
+    assert np.array_equal(sig.values, values)
+    assert not sig.mask[0, 1]
+
+
+def test_impute_linear_returns_a_complete_signal_as_it_is():
+    sig = SignalMatrix.from_values(np.arange(6.0).reshape(2, 3))
+    assert impute_linear(sig) is sig.values
 
 
 def test_impute_linear_all_missing_node():

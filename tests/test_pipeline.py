@@ -53,12 +53,13 @@ def small_spec(seed=0, noise=0.05):
     return SyntheticSpec(nodes=4, steps=360, periods=(8.0, 24.0), noise=noise, seed=seed)
 
 
-def normalized_series(signal, ratios):
-    """A run's split and normalization: the split boundaries, the z-score
-    fit on the training columns, and the whole series normalized by it."""
-    b_train, b_val = split_boundaries(signal.n_steps, ratios)
-    zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
-    return (b_train, b_val), zscore, zscore.transform(signal.values)
+def normalized_series(values, node_ids, ratios):
+    """A run's split and normalization of the (N, T) ``values``: the split
+    boundaries, the z-score fit on the training columns, and the whole
+    series normalized by it."""
+    b_train, b_val = split_boundaries(values.shape[1], ratios)
+    zscore = zscore_fit(values[:, :b_train], node_ids)
+    return (b_train, b_val), zscore, zscore.transform(values)
 
 
 def small_config(tmp_path, seed=0, **overrides):
@@ -511,7 +512,8 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     fit = json.loads(text)
     eigenvalues, amplitudes = (np.array([complex(re, im) for re, im in fit[name]])
                                for name in ("eigenvalues", "amplitudes"))
-    _, _, values = normalized_series(generate_synthetic(cfg.synthetic), cfg.split)
+    sig = generate_synthetic(cfg.synthetic)
+    _, _, values = normalized_series(sig.values, sig.node_ids, cfg.split)
     train = values[:, : fit["fit_span"]]
     dynamics = amplitudes[:, np.newaxis] * vandermonde(eigenvalues, fit["fit_span"])
     rec = (modes @ dynamics).real
@@ -955,7 +957,7 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
     out = run_pipeline(cfg)
 
     loaded = load_csv(csv_path)
-    (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), cfg.split)
+    (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), loaded.node_ids, cfg.split)
     spans = {"train": (0, b_train), "test": (b_val, loaded.n_steps)}
     plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
     report, _ = _test_forecast(fit_ridge(plain["train"], l2=cfg.l2), plain["test"], zscore)
@@ -970,7 +972,7 @@ def test_test_residuals_match_differences_in_original_units(tmp_path):
     sig = generate_synthetic(small_spec(seed=3, noise=0.1))
     sig = dataclasses.replace(sig, values=sig.values * [[3.0], [0.5], [20.0], [1.0]] + 40.0)
     sig.mask[2, 320:330] = False
-    (b_train, b_val), zscore, values = normalized_series(sig, (0.7, 0.1, 0.2))
+    (b_train, b_val), zscore, values = normalized_series(sig.values, sig.node_ids, (0.7, 0.1, 0.2))
     spans = {"train": (0, b_train), "test": (b_val, sig.n_steps)}
     windows = make_windows(values, spans, 12, 12, exclusion_mask=sig.mask)
     test = windows["test"]
@@ -1347,9 +1349,38 @@ def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
     assert cli_main(["fit", "--input", str(data), *flags, "--out", str(out)]) == 2
     err = capsys.readouterr().err
     assert "config error: [stage hankel]" in err and "84 training steps" in err
+    assert f"tau must be in [1, 82], got {flags[1]}" in err
     assert not out.exists()
     assert cli_main(["fit", "--input", str(data), "--tau", "82", "--rank", "fixed:2",
                      "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("command", ["forecast", "fit", "embed", "diagnose", "synth"])
+@pytest.mark.parametrize("under_file", [False, True])
+def test_cli_unusable_out_is_config_error(tmp_path, capsys, command, under_file):
+    # an --out that names a file (a directory for synth), or a path under a
+    # file, is refused with the path named; the file keeps its bytes
+    data = tmp_path / "d.csv"
+    assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--periods", "12",
+                     "--out", str(data)]) == 0
+    existing = tmp_path / "existing.csv"
+    existing.write_bytes(data.read_bytes())
+    if command == "synth" and not under_file:
+        blocker = out = tmp_path / "folder"
+        blocker.mkdir()
+    else:
+        blocker = existing
+        out = existing / "x.csv" if under_file else existing
+    args = {"synth": ["--nodes", "2", "--steps", "120"],
+            "diagnose": ["--predictions", str(data), "--actuals", str(data)]}.get(
+        command, ["--input", str(data), "--rank", "fixed:2", "--target-modes", "1"])
+    before = sorted(tmp_path.rglob("*"))
+    capsys.readouterr()
+    assert cli_main([command, *args, "--out", str(out)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("config error:") and str(blocker) in err, err
+    assert existing.read_bytes() == data.read_bytes()
+    assert sorted(tmp_path.rglob("*")) == before
 
 
 @pytest.mark.parametrize("rank", ["fixed:0", "fixed:-2", "cep:0", "cep:1.5"])

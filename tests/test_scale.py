@@ -59,7 +59,7 @@ def test_wide_fit_forms_no_lifted_modes():
     # 0.40 times those bytes, where forming the left vectors and the
     # lifted modes took it to 2.46 times them.
     sig = generate_synthetic(SyntheticSpec(nodes=64, steps=1_400, noise=0.1, seed=1))
-    view = build_hankel(sig, 700)
+    view = build_hankel(sig.values, 700)
     tracemalloc.start()
     try:
         dec = fit_dmd(view, FixedRank(24))

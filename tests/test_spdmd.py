@@ -19,7 +19,7 @@ from dmdembed.dmd import (
     vandermonde,
 )
 from dmdembed.forecaster import split_boundaries, zscore_fit
-from dmdembed.hankel import SignalMatrix, build_hankel, default_tau
+from dmdembed.hankel import build_hankel, default_tau
 from dmdembed.pipeline import PipelineConfig, run_pipeline
 from dmdembed.spdmd import gamma_sweep
 from dmdembed.synthetic import SyntheticSpec, generate_synthetic
@@ -41,8 +41,7 @@ def rank4_view(seed=7, strong=10.0, weak=1.0, t_steps=96, n_nodes=6,
         strong * u1[:, None] * np.cos(2 * np.pi * t / strong_period + phases[0])
         + weak * u2[:, None] * np.cos(2 * np.pi * t / weak_period + phases[1])
     )
-    sig = SignalMatrix.from_values(values)
-    return build_hankel(sig, tau=default_tau(sig))
+    return build_hankel(values, tau=default_tau(values))
 
 
 def rank4_fixture(seed=7):
@@ -81,7 +80,7 @@ def test_polish_full_support_is_least_squares():
 
 def test_polish_single_mode_rank_one_signal():
     values = np.outer([2.0, 1.0], np.ones(16))
-    view = build_hankel(SignalMatrix.from_values(values), tau=1)
+    view = build_hankel(values, tau=1)
     dec = fit_dmd(view, FixedRank(1))
     amp = AmplitudeForm(dec, view).refit_on(np.array([True]))
     # generator amplitude: ||first column|| since the fitted mode is unit norm
@@ -148,7 +147,7 @@ def test_gamma_sweep_targets():
 
 def test_gamma_sweep_target_one_on_rank_one_signal():
     values = np.outer([2.0, 1.0], np.ones(16))
-    view = build_hankel(SignalMatrix.from_values(values), tau=1)
+    view = build_hankel(values, tau=1)
     dec = fit_dmd(view, FixedRank(1))
     res = gamma_sweep(dec, target_modes=1)
     assert res.selected.pair_count == 1
@@ -270,7 +269,7 @@ def random_decomposition(seed, rank):
         phases = rng.uniform(0, 2 * np.pi, size=(n_nodes, 1))
         values += rng.uniform(0.2, 2.0) * np.cos(2 * np.pi * steps / rng.uniform(3, 30) + phases)
     tau = int(rng.integers(1, t_steps // 3))
-    view = build_hankel(SignalMatrix.from_values(values), tau=tau)
+    view = build_hankel(values, tau=tau)
     return fit_dmd(view, FixedRank(min(rank, n_nodes * tau, t_steps - tau - 1))), view
 
 
@@ -310,7 +309,7 @@ def a1_fit(seed):
     signal = generate_synthetic(SyntheticSpec(noise=0.1, seed=seed))
     b_train, _ = split_boundaries(signal.n_steps, PipelineConfig().split)
     zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
-    train = SignalMatrix.from_values(zscore.transform(signal.values)[:, :b_train])
+    train = zscore.transform(signal.values)[:, :b_train]
     view = build_hankel(train, default_tau(train))
     return fit_dmd(view, FixedRank(24)), view
 

@@ -24,7 +24,7 @@ def test_same_seed_same_matrix():
 
 def test_two_period_recovery_within_tenth_step():
     sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=2))
-    view = build_hankel(sig, tau=default_tau(sig))
+    view = build_hankel(sig.values, tau=default_tau(sig.values))
     dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
         mode_frequency(lam).period_steps
