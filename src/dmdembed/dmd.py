@@ -210,8 +210,9 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
 
 def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> DmdDecomposition:
     """Fit the reduced transition operator and its mode decomposition,
-    truncated by ``rank_policy``. A series whose energy, the trace of
-    the Gram, is not finite is a DataError."""
+    truncated by ``rank_policy``. A view past ``build_hankel``'s tau range
+    is refused by it, and a series of non-finite energy is a DataError."""
+    hk.build_hankel(view.values, view.tau)
     snapshots = fit_geometry(view)
     span = snapshots.columns
     # Each Gram product runs on the view's whole lifting [H, c], with the
@@ -226,7 +227,8 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         ht_last[:] += x @ image[-1]
         return image[:-1]
 
-    energy = float(np.sum(hk.column_energies(snapshots)))
+    with np.errstate(over="ignore", invalid="ignore"):  # refused below, not warned about
+        energy = float(np.sum(hk.column_energies(snapshots)))
     if not math.isfinite(energy):
         raise DataError(f"the series' energy is {energy}: every value and its square must be finite")
     gram = GramProduct(lifted_gram, span, energy)

@@ -2,7 +2,7 @@
 
 The central routine is a truncated SVD by the method of snapshots: the
 singular values and right vectors V of a tall matrix H are the leading
-eigenpairs of its Gram matrix H^T H. Those come from a block Krylov
+eigenpairs of its Gram matrix H^T H. Those come from a block Lanczos
 solver with Rayleigh-Ritz that needs only Gram *products* G @ X, so
 neither H nor the T x T Gram has to exist. The left vectors
 U = H V diag(1/sigma) are never formed: what a caller needs of them
@@ -38,20 +38,6 @@ RITZ_GROWTH = 1.25
 # A new Krylov direction whose norm after projection is below this share
 # of its block's norm is round-off and is replaced by a random direction.
 DEFLATION_TOL = 1e-12
-
-
-def numerical_rank(sigma: np.ndarray, order: int) -> int:
-    """Count singular values above the round-off cutoff.
-
-    Through a Gram matrix, eigenvalue round-off floors recoverable
-    singular values at about sqrt(T * eps) * sigma_max, where T is the
-    Gram's ``order``; values at or below that are numerical zeros.
-    """
-    sigma = np.asarray(sigma, dtype=float)
-    if sigma.size == 0 or sigma[0] <= 0.0:
-        return 0
-    floor = np.sqrt(order * np.finfo(float).eps)
-    return int(np.count_nonzero(sigma > floor * sigma[0]))
 
 
 @dataclass(frozen=True)
@@ -97,12 +83,14 @@ def resolve_rank(singular_values: np.ndarray, policy: RankPolicy, total: float, 
     The spectrum may be the leading part of a longer one: ``total`` is
     the exact sum of all squared singular values, which the cep fraction
     is measured against, and ``order`` the full length, which sets the
-    numerical-rank floor.
+    numerical-rank floor: through a Gram matrix, eigenvalue round-off
+    floors recoverable singular values at about sqrt(order * eps) *
+    sigma_1, and values at or below that are numerical zeros.
     """
     sigma = np.asarray(singular_values, dtype=float)
     if sigma.size == 0 or sigma[0] <= 0.0:
         raise EmptySpectrumError("empty singular spectrum")
-    n_rank = numerical_rank(sigma, order)
+    n_rank = int(np.count_nonzero(sigma > np.sqrt(order * np.finfo(float).eps) * sigma[0]))
     if n_rank == 0:
         raise EmptySpectrumError("all singular values below the round-off floor")
     return min(_policy_rank(sigma, policy, total), n_rank)
@@ -121,9 +109,6 @@ class GramProduct:
     apply: Callable[[np.ndarray], np.ndarray]
     order: int
     trace: float
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.apply(x)
 
 
 @dataclass(frozen=True)
@@ -169,19 +154,16 @@ def gram_spectrum(gram: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return sigma, evecs[:, order]
 
 
-def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, rng) -> int:
-    """Append the directions of the rows of ``block`` outside the rows
-    q[:m] to q, in place.
-
-    Two passes of block Gram-Schmidt, each followed by an orthonormal
-    basis of what remains. Directions that were only round-off are
-    replaced with fresh random ones, so every call adds
-    min(block rows, order - m) rows. Returns the new basis size.
-    """
+def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, cutoff: float, rng) -> int:
+    """Append to q, in place, the directions of the rows of ``block``
+    outside the rows q[:m]: two passes of block Gram-Schmidt, each
+    followed by an orthonormal basis of what remains, the first keeping
+    singular values above ``cutoff``. Directions that were only round-off
+    are replaced with fresh random ones, so every call adds
+    min(block rows, order - m) rows. Returns the new basis size."""
     want = min(block.shape[0], q.shape[1] - m)
     while want > 0:
         basis = q[:m]
-        cutoff = DEFLATION_TOL * np.linalg.norm(block)
         for _ in range(2):
             block = block - (block @ basis.T) @ basis
             # LAPACK factors the tall (order, k) form faster than the wide one.
@@ -192,18 +174,12 @@ def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, rng) -> int:
         m += block.shape[0]
         want -= block.shape[0]
         block = rng.standard_normal((q.shape[1], want)).T  # drawn as an (order, k) block
+        cutoff = DEFLATION_TOL * np.linalg.norm(block)
     return m
 
 
-def _ritz_residuals(q, w, vecs, theta) -> np.ndarray:
-    """||G v - theta v|| for Ritz vectors v = q.T @ vecs, where the rows
-    of w are the Gram images of the rows of q."""
-    return np.linalg.norm(vecs.T @ w - theta[:, np.newaxis] * (vecs.T @ q), axis=1)
-
-
 def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """An array of ``shape`` with ``a`` in its leading corner; the rest is
-    left unwritten until the basis reaches it."""
+    """An array of ``shape`` with ``a`` in its leading corner, the rest unwritten."""
     out = np.empty(shape)
     out[: a.shape[0], : a.shape[1]] = a
     return out
@@ -212,35 +188,35 @@ def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
 def leading_spectrum(
     gram: GramProduct, policy: RankPolicy
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, SpectrumSolve]:
-    """Leading eigenpairs of a Gram matrix by block Krylov with Rayleigh-Ritz.
+    """Leading eigenpairs of a Gram matrix by block Lanczos with Rayleigh-Ritz.
 
-    The Krylov basis grows one block at a time from a fixed-seed random
-    start, each new block being the Gram applied to the last.
-    Rayleigh-Ritz runs on the projected matrix once the basis reaches
-    the requested rank plus a block, and again each time it has grown
-    by RITZ_GROWTH. The rank
-    policy is resolved against the Ritz values and the exact trace; the
-    solve stops when every kept pair has a residual of at most
-    RITZ_TOL * theta_1, or when the basis spans all columns (then the
-    result is exact). A rank clamped by the numerical-rank floor also
-    needs the next pair converged, so no value can still rise above it.
+    The Krylov basis Q, held as rows, grows one block at a time from a
+    fixed-seed random start. Two Gram-Schmidt passes split each block's
+    Gram image over the basis: the coefficients are the projected matrix
+    T's new rows and, transposed, its new columns, and the remainder's
+    orthonormal rows are the next block: G Q^T = Q^T T + R^T E^T, with R
+    the last remainder and E selecting the last block (Golub & Underwood
+    1977). No image of a basis row is kept. Above its diagonal T holds
+    the factors that made each block, which ``gram_spectrum`` holds to
+    their mirror. A remainder that deflates goes to ``_extend_basis``;
+    its part outside the next block stays in the relation beside R.
 
-    The basis and its Gram images are held as rows, so that Gram-Schmidt
-    and the projections read contiguous memory, and the projected matrix
-    grows by the new rows and columns of each block only. Their arrays
-    are sized to the next Ritz check, so each interval between checks
-    regrows them once and the final arrays hold the final basis.
-
-    The Gram is applied once to each row of the final basis and to
-    nothing else, and the basis rows are orthonormal and span the
-    columns of V: a caller can read any linear functional of its inputs
-    off the products, projected on the basis.
+    Rayleigh-Ritz runs once the basis reaches the requested rank plus a
+    block, and again each time it has grown by RITZ_GROWTH; Q and T are
+    sized to the next check. A pair's residual ||G v - theta v|| is
+    ||R^T y_last||, from the small Gram R R^T. The rank policy is
+    resolved against the Ritz values and the exact trace; the solve
+    stops when every kept pair has a residual of at most RITZ_TOL *
+    theta_1, or when the basis spans all columns (then the result is
+    exact). A rank clamped by the numerical-rank floor also needs the
+    next pair converged. The Gram is applied once to each row of the
+    final basis, which is orthonormal and spans V, and to nothing else.
 
     Returns (spectrum, vectors, images, solve): the converged leading
     singular values sqrt(theta) in descending order, the (order, r) Ritz
-    vectors V of the r kept pairs, their Gram images G V, and the solve's
-    health record. The images are combined from the rows of w, so they
-    are G V to round-off whether or not the pairs converged.
+    vectors V = Q^T Y of the r kept pairs, their Gram images
+    G V = Q^T T^T Y + R^T Y_last, to round-off whether or not the pairs
+    converged, and the solve's health record.
 
     Raises:
         ValueError: an asymmetric or indefinite projected Gram.
@@ -249,53 +225,74 @@ def leading_spectrum(
     n = gram.order
     rng = np.random.default_rng(KRYLOV_SEED)
     q = np.empty((0, n))
-    w = np.empty_like(q)
-    projected = np.empty((0, 0))  # q[:m] @ w[:m].T
+    projected = np.empty((0, 0))  # T = q[:m] G q[:m]^T
     m, products = 0, 0
-    block = rng.standard_normal((n, KRYLOV_BLOCK)).T  # drawn as an (order, k) block
+    loose = []  # (a block's rows, its deflated remainder's part outside the next block)
     check_at = (policy.rank if isinstance(policy, FixedRank) else 1) + KRYLOV_BLOCK
     while True:
         if m + KRYLOV_BLOCK > q.shape[0]:
-            # Room up to the next Ritz check, in whole blocks. The old q
-            # is freed before w is copied.
+            # Room up to the next Ritz check, in whole blocks.
             size = min(n, KRYLOV_BLOCK * math.ceil(max(check_at, m + KRYLOV_BLOCK) / KRYLOV_BLOCK))
             q = _grown(q[:m], (size, n))
-            w = _grown(w[:m], (size, n))
             projected = _grown(projected[:m, :m], (size, size))
-        newest, m = m, _extend_basis(q, m, block, rng)
-        w[newest:m] = gram(q[newest:m].T).T
-        projected[:m, newest:m] = q[:m] @ w[newest:m].T
-        projected[newest:m, :newest] = q[newest:m] @ w[:newest].T
+        newest = m
+        if m == 0:
+            start = rng.standard_normal((n, KRYLOV_BLOCK)).T  # drawn as an (order, k) block
+            m = _extend_basis(q, 0, start, DEFLATION_TOL * np.linalg.norm(start), rng)
+        elif ahead is not None:
+            q[m : m + KRYLOV_BLOCK], made = ahead
+            m += KRYLOV_BLOCK
+        else:
+            m = _extend_basis(q, m, remainder, cutoff, rng)
+            made = remainder @ q[newest:m].T
+            loose.append((last, remainder - made @ q[newest:m]))
+        image = gram.apply(q[newest:m].T).T
         products += 1
+        cutoff = DEFLATION_TOL * np.linalg.norm(image)
+        # Two passes of block classical Gram-Schmidt split the image over the
+        # basis, the second on the first remainder's orthonormal rows, so that
+        # ill-conditioned rows still end orthogonal to it (block CGS2).
+        coef = image @ q[:m].T
+        remainder = image - coef @ q[:m]
+        block, first = np.linalg.qr(remainder.T)
+        ahead = None  # the next block's rows, and the factor with remainder = factor @ rows
+        if m + KRYLOV_BLOCK <= n and np.linalg.svd(first, compute_uv=False)[-1] > cutoff:
+            block = np.ascontiguousarray(block.T)
+            again = block @ q[:m].T
+            block -= again @ q[:m]
+            coef += first.T @ again
+            ahead = (block, first.T)
+            # the pass leaves the rows' Gram I - again again^T: I to round-off unless it moved them
+            if np.linalg.norm(again) ** 2 > np.finfo(float).eps:
+                block, second = np.linalg.qr(block.T)
+                ahead = (block.T, first.T @ second.T)
+            remainder = ahead[1] @ ahead[0]
+        projected[newest:m, :m] = coef
+        projected[:newest, newest:m] = coef[:, :newest].T
+        if newest:  # gram_spectrum checks it against its mirror in coef
+            projected[last, newest:m] = made
+        last = slice(newest, m)
         if m >= min(check_at, n):
             sigma, vecs = gram_spectrum(projected[:m, :m])
             theta = sigma**2
             r = resolve_rank(sigma, policy, gram.trace, n)
             pairs = min(m, r + 1 if r < _policy_rank(sigma, policy, gram.trace) else r)
-            resid = _ritz_residuals(q[:m], w[:m], vecs[:, :pairs], theta[:pairs])
-            if m == n or np.all(resid <= RITZ_TOL * theta[0]):
+            # G V - V diag(theta) = outside^T ys, one row of outside per row of ys
+            parts = [(last, remainder)] + [(rows, d - (d @ q[:m].T) @ q[:m]) for rows, d in loose]
+            outside, ys = np.vstack([d for _, d in parts]), np.vstack([vecs[rows] for rows, _ in parts])
+            resid = np.sqrt(np.clip(np.sum(ys * ((outside @ outside.T) @ ys), axis=0), 0.0, None))
+            if m == n or np.all(resid[:pairs] <= RITZ_TOL * theta[0]):
                 break
             check_at = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
-        # a copy: a view would keep an outgrown w alive through the next product
-        block = w[newest:m].copy()
     # The reported spectrum extends past the kept pairs while the next
-    # pairs are converged too, checked a block at a time.
-    converged = m if m == n else r
-    while converged < m:
-        ahead = slice(converged, min(m, converged + KRYLOV_BLOCK))
-        ok = _ritz_residuals(q[:m], w[:m], vecs[:, ahead], theta[ahead])
-        ok = ok <= RITZ_TOL * theta[0]
-        converged += int(np.argmin(np.append(ok, False)))
-        if not ok.all():
-            break
-    solve = SpectrumSolve(
-        total_energy=gram.trace,
-        order=n,
-        products=products,
-        basis=m,
-        residual=float(np.max(resid[:r]) / theta[0]),
-    )
-    return sigma[:converged], q[:m].T @ vecs[:, :r], w[:m].T @ vecs[:, :r], solve
+    # pairs are converged too.
+    ok = resid[r:m] <= RITZ_TOL * theta[0]
+    converged = m if m == n else r + int(np.argmin(np.append(ok, False)))
+    solve = SpectrumSolve(total_energy=gram.trace, order=n, products=products, basis=m,
+                          residual=float(np.max(resid[:r]) / theta[0]))
+    kept = vecs[:, :r]
+    images = q[:m].T @ (projected[:m, :m].T @ kept) + outside.T @ ys[:, :r]
+    return sigma[:converged], q[:m].T @ kept, images, solve
 
 
 def dense_eig(matrix: np.ndarray) -> tuple[np.ndarray, np.ndarray]:

@@ -57,14 +57,27 @@ def test_fit_dmd_constant_signal():
     assert_allclose(np.abs(mode), direction, atol=1e-8)
 
 
+@pytest.mark.filterwarnings("error")
 @pytest.mark.parametrize("bad", [np.nan, np.inf, 1e200])
 def test_fit_dmd_refuses_a_series_of_unbounded_energy(bad):
     # a view carries no mask: the fit checks the trace it sums, which a
-    # NaN, an infinity or a value whose square overflows leaves non-finite
+    # NaN, an infinity or a value whose square overflows leaves
+    # non-finite; the refusal is the error alone, with no warning before it
     values = rotation_signal()
     values[1, 5] = bad
     with pytest.raises(DataError, match="energy"):
         fit_dmd(view_of(values, tau=2), FixedRank(2))
+
+
+@pytest.mark.parametrize("tau", [9, 10])
+def test_fit_dmd_refuses_a_view_past_the_fit_range(tau):
+    # A view built directly may be deeper than build_hankel allows: at
+    # 2 x 10, tau 9 leaves one snapshot pair and tau 10 none. The fit
+    # refuses both by build_hankel's own rule and message.
+    values = rotation_signal(t_steps=10)
+    with pytest.raises(ValueError, match=rf"^tau must be in \[1, 8\], got {tau}$"):
+        fit_dmd(hankel.HankelView(values, tau), FixedRank(1))
+    assert fit_dmd(hankel.HankelView(values, 8), FixedRank(1)).fit_span == 2
 
 
 def test_fit_dmd_decay_truncated_window():

@@ -3,7 +3,7 @@ import math
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from numpy.testing import assert_allclose
 
@@ -235,6 +235,62 @@ def test_product_snapshot_svd_reports_its_solve():
     assert np.max(np.linalg.norm(g @ v - v * theta, axis=0)) <= 2 * RITZ_TOL * theta[0]
 
 
+def exactly_low_rank(rng):
+    """A wide matrix of a few exact singular values: its Gram's range is
+    spanned after a few blocks, and a remainder after that deflates."""
+    rank, cols = int(rng.integers(1, 7)), int(rng.integers(10, 80))
+    u = np.linalg.qr(rng.normal(size=(rank + int(rng.integers(0, 20)), rank)))[0]
+    v = np.linalg.qr(rng.normal(size=(cols, rank)))[0]
+    return (u * np.sort(rng.uniform(1.0, 10.0, rank))[::-1]) @ v.T, rank
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["noisy", "deficient", "whole"]), st.booleans())
+@example(186, "noisy", False)  # 41 x 79 at fixed:7: two remainders deflate
+@settings(max_examples=60, deadline=None)
+def test_leading_spectrum_against_a_dense_gram(seed, kind, use_cep):
+    # The residuals and images come off the last remainder and the
+    # projected matrix, not off images of the basis rows: checked here
+    # against the formed Gram, through products of h, on
+    # low-rank-plus-noise matrices, on exactly low-rank ones whose
+    # remainders deflate, and on small ones whose basis reaches the order.
+    rng = np.random.default_rng(seed)
+    if kind == "whole":
+        # at a fixed rank of the order, the first Ritz check needs all of it
+        h = rng.normal(size=(int(rng.integers(3, 30)), int(rng.integers(1, 13))))
+        policy = FixedRank(h.shape[1])
+    else:
+        h, k = low_rank_plus_noise(rng) if kind == "noisy" else exactly_low_rank(rng)
+        if use_cep:
+            policy = CepThreshold(float(rng.uniform(0.5, 0.999)))
+        else:
+            policy = FixedRank(int(rng.integers(1, k + 10)))
+    g = h.T @ h
+    columns = []
+
+    def product(x):
+        columns.append(x.shape[1])
+        return h.T @ (h @ x)
+
+    spectrum, v, images, solve = leading_spectrum(GramProduct(product, h.shape[1], float(np.sum(h * h))), policy)
+    theta = spectrum[: v.shape[1]] ** 2
+    assert sum(columns) == solve.basis and len(columns) == solve.products
+    if kind == "whole":
+        assert solve.basis == solve.order
+    assert np.all(np.linalg.norm(g @ v - v * theta, axis=0) <= RITZ_TOL * theta[0])
+    assert np.max(np.abs(images - g @ v)) <= 1e-13 * theta[0]
+
+
+def test_an_asymmetric_operator_is_refused():
+    # No image of a basis row is kept: the projected matrix takes each
+    # block's coefficients below the diagonal and the factor that made
+    # the block above it, and gram_spectrum holds them to its tolerance.
+    rng = np.random.default_rng(4)
+    a = rng.normal(size=(40, 40))
+    g = a @ a.T + 1e-6 * np.triu(a, 1)
+    with pytest.raises(ValueError, match="asymmetric"):
+        leading_spectrum(GramProduct(lambda x: g @ x, 40, float(np.trace(g))), FixedRank(4))
+
+
 @pytest.mark.parametrize("mult", [3, 4, 6])
 def test_repeated_leading_eigenvalue_is_found_in_full(mult):
     # The leading eigenvalue is repeated more times than a Krylov block
@@ -254,10 +310,11 @@ def test_repeated_leading_eigenvalue_is_found_in_full(mult):
 
 
 def test_krylov_arrays_are_sized_by_the_ritz_checks(monkeypatch, tmp_path):
-    # A1 at 8 x 2016, rank fixed:24: before each Ritz check the basis q,
-    # its images w and the projected matrix regrow once, to exactly the
-    # basis that the check reads, so the final arrays hold the final
-    # basis (174 rows; doubling from 16 rows reached 256).
+    # A1 at 8 x 2016, rank fixed:24: before each Ritz check the basis q
+    # and the projected matrix regrow once, to exactly the basis that the
+    # check reads, so the final arrays hold the final basis (174 rows;
+    # doubling from 16 rows reached 256). No image of a basis row is
+    # kept, so no third array regrows.
     events = []
 
     def grown(a, shape):
@@ -279,4 +336,4 @@ def test_krylov_arrays_are_sized_by_the_ritz_checks(monkeypatch, tmp_path):
     checks = [size for kind, size in events if kind == "check"]
     assert grows[-1] == checks[-1] == basis == 174
     # each interval between checks regrows once
-    assert events == [e for size in checks for e in [("grow", size)] * 3 + [("check", size)]]
+    assert events == [e for size in checks for e in [("grow", size)] * 2 + [("check", size)]]
