@@ -211,8 +211,10 @@ def _energy_order(eigenvalues: np.ndarray, amplitudes: np.ndarray, span: int) ->
 def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> DmdDecomposition:
     """Fit the reduced transition operator and its mode decomposition,
     truncated by ``rank_policy``. A view past ``build_hankel``'s tau range
-    is refused by it, and a series of non-finite energy is a DataError."""
-    hk.build_hankel(view.values, view.tau)
+    is refused by it, and a series of non-finite energy is a DataError.
+    The Gram products run on the fit's own view of the same array, whose
+    FFT buffers go with it when the fit returns."""
+    lifting = hk.build_hankel(view.values, view.tau)
     snapshots = fit_geometry(view)
     span = snapshots.columns
     # Each Gram product runs on the view's whole lifting [H, c], with the
@@ -223,7 +225,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     ht_last = np.zeros(span)
 
     def lifted_gram(x: np.ndarray) -> np.ndarray:
-        image = hk.gram(view, np.vstack([x, np.zeros((1, x.shape[1]))]))
+        image = hk.gram(lifting, np.vstack([x, np.zeros((1, x.shape[1]))]))
         ht_last[:] += x @ image[-1]
         return image[:-1]
 

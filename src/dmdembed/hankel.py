@@ -13,21 +13,25 @@ transformed as k rows. The Gram product is one kernel made of the two
 tall products: H x stays in a (k, nodes, tau) array, time last, which
 the H^T half reads as it is, so the (N*tau, k) tall block is never
 built. Each product runs over ranges of nodes that bound its FFT
-temporaries.
+buffers. The view keeps one set of buffers for each block width, and
+every transform and product of a range writes into it, so repeated
+products allocate only their (k, F) sums and their result.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import cached_property
 
 import numpy as np
 
 from .errors import DataError
 
-# Upper bound on the elements of one FFT temporary (columns x nodes x
-# frequencies) in the tall and Gram products: each product runs in
-# passes over ranges of nodes, one node at the least.
+# Upper bound on the elements of the spectra buffer (columns x nodes x
+# frequencies) of the tall and Gram products, whose real rows buffer
+# (columns x nodes x 2L - T steps) takes about as many bytes: each
+# product runs in passes over ranges of nodes, one node at the least,
+# and its buffers are sized for the widest range.
 FFT_CHUNK_ELEMENTS = 1 << 20
 
 
@@ -111,13 +115,17 @@ class HankelView:
     """Lazy Hankel lifting of an all-observed N x T array ``values``.
 
     Element access contract: H[b*N + i, j] = values[i, j + b] for
-    0 <= j <= T - tau. Immutable after construction; all operations are
-    read-only. The view carries no node ids, mask or time units: every
-    period and rate read from it is in steps.
+    0 <= j <= T - tau. The lifting never changes. The view caches its
+    source spectrum and, for each block width, the buffers its products
+    write into, which live as long as the view: one view serves one
+    caller at a time, and a fit runs its products on a view of its own.
+    The view carries no node ids, mask or time units: every period and
+    rate read from it is in steps.
     """
 
     values: np.ndarray
     tau: int
+    _buffers: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     @property
     def columns(self) -> int:
@@ -167,10 +175,36 @@ def build_hankel(values: np.ndarray, tau: int) -> HankelView:
 
 def _node_ranges(view: HankelView, k: int) -> list[slice]:
     """Node ranges of a product of a k-column block, each small enough
-    that its (k, nodes, F) temporaries stay within FFT_CHUNK_ELEMENTS."""
+    that its (k, nodes, F) spectra stay within FFT_CHUNK_ELEMENTS; the
+    first range is the widest."""
     n = view.values.shape[0]
     step = max(1, FFT_CHUNK_ELEMENTS // (max(k, 1) * (view.fft_length // 2 + 1)))
     return [slice(a, min(a + step, n)) for a in range(0, n, step)]
+
+
+@dataclass
+class _Buffers:
+    """What every k-column product on one view writes into, sized for its
+    widest node range: the (k, F) spectrum of the block, the range's
+    (k, nodes, F) spectra, and its rows of 2L - T steps. From step L - T
+    on, a row holds a node's window of tau steps, H x or y reversed in
+    time, and then zeros to L steps: the input of the second half. No
+    half reads the steps before L - T."""
+
+    spectrum: np.ndarray
+    spectra: np.ndarray
+    rows: np.ndarray
+
+
+def _buffers(view: HankelView, k: int, ranges: list[slice]) -> _Buffers:
+    """The view's buffers for k-column products over ``ranges``, made by
+    the first such product."""
+    if k not in view._buffers:
+        length, frequencies, widest = view.fft_length, view.fft_length // 2 + 1, ranges[0].stop
+        view._buffers[k] = _Buffers(np.empty((k, frequencies), dtype=complex),
+                                    np.empty((k, widest, frequencies), dtype=complex),
+                                    np.zeros((k, widest, 2 * length - view.values.shape[1])))
+    return view._buffers[k]
 
 
 # Both halves correlate the signal with a block: sum_j s[j + b] x[j] is
@@ -179,23 +213,43 @@ def _node_ranges(view: HankelView, k: int) -> list[slice]:
 # wrap around at L land below len(x) - 1, where nothing is kept.
 
 
-def _reversed_spectrum(view: HankelView, x: np.ndarray) -> np.ndarray:
-    """Spectra of the columns of x (T - tau + 1, k), reversed in time, as rows (k, F)."""
-    return np.fft.rfft(x.T[:, ::-1], n=view.fft_length)
+def _window(view: HankelView, buffers: _Buffers, nodes: slice) -> np.ndarray:
+    """The buffers' (k, nodes, tau) window on the rows of ``nodes``."""
+    lead = view.fft_length - view.values.shape[1]
+    return buffers.rows[:, : nodes.stop - nodes.start, lead : lead + view.tau]
 
 
-def _first_half(view: HankelView, spectrum: np.ndarray, nodes: slice) -> np.ndarray:
+def _reversed_spectrum(view: HankelView, x: np.ndarray, ranges: list[slice]) -> _Buffers:
+    """The buffers of a product of x (T - tau + 1, k) over ``ranges``,
+    holding the spectra of the columns of x, reversed in time, as rows."""
+    buffers = _buffers(view, x.shape[1], ranges)
+    np.fft.rfft(x.T[:, ::-1], n=view.fft_length, out=buffers.spectrum)
+    return buffers
+
+
+def _first_half(view: HankelView, buffers: _Buffers, nodes: slice) -> np.ndarray:
     """H x on the rows of ``nodes``, given x's ``_reversed_spectrum``,
-    laid out (k, nodes, tau) with entry [c, i, b] = sum_j values[i, j + b] x_c[j]."""
-    spectra = view.source_spectrum[nodes] * spectrum[:, np.newaxis, :]
-    return np.fft.irfft(spectra, n=view.fft_length)[..., view.columns - 1 : view.values.shape[1]]
+    reversed in time: the buffers' window, with entry [c, i, tau - 1 - b]
+    = sum_j values[i, j + b] x_c[j]. The next product overwrites it."""
+    length, steps = view.fft_length, view.values.shape[1]
+    spectra = buffers.spectra[:, : nodes.stop - nodes.start]
+    np.multiply(view.source_spectrum[nodes], buffers.spectrum[:, np.newaxis, :], out=spectra)
+    # Written backwards from step L - 1, the kept steps T - tau .. T - 1
+    # land reversed in the window; the wrapped ones behind it are zeroed.
+    rows = buffers.rows[:, : nodes.stop - nodes.start]
+    np.fft.irfft(spectra, n=length, out=rows[..., length - 1 :: -1])
+    rows[..., length - steps + view.tau : length] = 0.0
+    return _window(view, buffers, nodes)
 
 
-def _second_half(view: HankelView, blocks: np.ndarray, nodes: slice) -> np.ndarray:
-    """The spectrum (k, F) of H^T y over the rows of ``nodes``, for each y
-    of ``blocks`` (k, nodes, tau), laid out like ``_first_half``'s
-    product: the sum over those nodes, taken in frequency space."""
-    spectra = np.fft.rfft(blocks[..., ::-1], n=view.fft_length)
+def _second_half(view: HankelView, buffers: _Buffers, nodes: slice) -> np.ndarray:
+    """The spectrum (k, F) of H^T y over the rows of ``nodes``, for the y
+    that the buffers' window holds reversed in time, laid out like
+    ``_first_half``'s product: the sum over those nodes, taken in
+    frequency space."""
+    lead = view.fft_length - view.values.shape[1]
+    spectra = buffers.spectra[:, : nodes.stop - nodes.start]
+    np.fft.rfft(buffers.rows[:, : nodes.stop - nodes.start, lead:], out=spectra)
     spectra *= view.source_spectrum[nodes]
     return spectra.sum(axis=1)
 
@@ -228,9 +282,11 @@ def apply_tall(view: HankelView, x: np.ndarray) -> np.ndarray:
     cost does not depend on tau. This is the first half of ``gram``.
     """
     x = _real_block(x, view.columns)
-    spectrum = _reversed_spectrum(view, x)
     ranges = _node_ranges(view, x.shape[1])
-    blocks = np.concatenate([_first_half(view, spectrum, nodes) for nodes in ranges], axis=1)
+    buffers = _reversed_spectrum(view, x, ranges)
+    blocks = np.empty((x.shape[1], view.values.shape[0], view.tau))
+    for nodes in ranges:
+        blocks[:, nodes] = _first_half(view, buffers, nodes)[..., ::-1]
     return blocks.transpose(2, 1, 0).reshape(view.shape[0], x.shape[1])
 
 
@@ -242,11 +298,16 @@ def apply_tall_transpose(view: HankelView, y: np.ndarray) -> np.ndarray:
     This is the second half of ``gram``.
     """
     y = _real_block(y, view.shape[0])
-    # Time-contiguous rows: FFT outputs follow their input's memory order.
     blocks = y.reshape(view.tau, view.values.shape[0], -1).transpose(2, 1, 0)
-    blocks = np.ascontiguousarray(blocks)
     ranges = _node_ranges(view, y.shape[1])
-    return _summed(view, (_second_half(view, blocks[:, nodes], nodes) for nodes in ranges)).T
+    buffers = _buffers(view, y.shape[1], ranges)
+
+    def spectra():
+        for nodes in ranges:
+            _window(view, buffers, nodes)[...] = blocks[:, nodes, ::-1]
+            yield _second_half(view, buffers, nodes)
+
+    return _summed(view, spectra()).T
 
 
 def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
@@ -258,10 +319,15 @@ def gram(view: HankelView, x: np.ndarray) -> np.ndarray:
     and the ranges' spectra are summed before one inverse transform.
     """
     x = _real_block(x, view.columns)
-    spectrum = _reversed_spectrum(view, x)
     ranges = _node_ranges(view, x.shape[1])
-    return _summed(view, (_second_half(view, _first_half(view, spectrum, nodes), nodes)
-                          for nodes in ranges)).T
+    buffers = _reversed_spectrum(view, x, ranges)
+
+    def spectra():
+        for nodes in ranges:
+            _first_half(view, buffers, nodes)
+            yield _second_half(view, buffers, nodes)
+
+    return _summed(view, spectra()).T
 
 
 def column_energies(view: HankelView) -> np.ndarray:

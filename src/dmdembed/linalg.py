@@ -8,9 +8,10 @@ neither H nor the T x T Gram has to exist. The left vectors
 U = H V diag(1/sigma) are never formed: what a caller needs of them
 it reads off the Gram images G V the solver returns. The solver holds
 its basis as rows, while the products keep the column contract of
-GramProduct. The rank policies that decide where the SVD is truncated
-live here too, resolved against the converged leading values and the
-exact trace.
+GramProduct. It places each Rayleigh-Ritz check at the basis size
+where the residuals of the last two checks predict convergence. The
+rank policies that decide where the SVD is truncated live here too,
+resolved against the converged leading values and the exact trace.
 """
 
 from __future__ import annotations
@@ -33,7 +34,7 @@ KRYLOV_BLOCK = 2
 KRYLOV_SEED = 0
 # A Ritz pair is converged when ||G v - theta v|| <= RITZ_TOL * theta_1.
 RITZ_TOL = 1e-12
-# Rayleigh-Ritz runs again once the basis has grown by this factor.
+# Rayleigh-Ritz runs again by the time the basis has grown by this factor.
 RITZ_GROWTH = 1.25
 # A new Krylov direction whose norm after projection is below this share
 # of its block's norm is round-off and is replaced by a random direction.
@@ -119,6 +120,7 @@ class SpectrumSolve:
     order:        its order (the number of fit columns)
     products:     block Gram products applied
     basis:        final size of the Krylov basis
+    checks:       Rayleigh-Ritz checks run, the last one included
     residual:     largest ||G v - theta v|| / theta_1 among the kept pairs
     """
 
@@ -126,6 +128,7 @@ class SpectrumSolve:
     order: int
     products: int
     basis: int
+    checks: int
     residual: float
 
 
@@ -178,11 +181,35 @@ def _extend_basis(q: np.ndarray, m: int, block: np.ndarray, cutoff: float, rng) 
     return m
 
 
-def _grown(a: np.ndarray, shape: tuple[int, int]) -> np.ndarray:
-    """An array of ``shape`` with ``a`` in its leading corner, the rest unwritten."""
-    out = np.empty(shape)
-    out[: a.shape[0], : a.shape[1]] = a
+def _grown(q: np.ndarray, projected: np.ndarray, m: int, size: int) -> np.ndarray:
+    """Regrow the basis q in place to ``size`` rows, and return the
+    projected matrix regrown to size x size with ``projected[:m, :m]`` in
+    its leading corner. q is reallocated, not copied, so its old and new
+    rows are never held at once: no view of q may outlive a loop step."""
+    q.resize((size, q.shape[1]), refcheck=False)
+    out = np.empty((size, size))
+    out[:m, :m] = projected[:m, :m]
     return out
+
+
+def _next_check(m: int, rho: float, previous: tuple[int, float] | None, rank: int) -> int:
+    """Basis size of the Ritz check after one at ``m`` that did not stop,
+    whose worst kept pair has residual ``rho`` * theta_1; ``previous`` is
+    (basis size, rho) of the check before, if any.
+
+    While the residual falls, it is taken to fall geometrically in the
+    basis size, at the rate of the last interval: the next check goes
+    where that rate brings it to RITZ_TOL, held inside
+    [m + KRYLOV_BLOCK, ceil(RITZ_GROWTH * m)]. Otherwise it goes to the
+    cap. Either way the basis must hold the rank plus a block.
+    """
+    at = math.ceil(RITZ_GROWTH * m)
+    if previous is not None and rho < previous[1]:
+        start, rho_start = previous
+        # rho > RITZ_TOL, or the check would have stopped
+        ahead = math.ceil(math.log(rho / RITZ_TOL) * (m - start) / math.log(rho_start / rho))
+        at = min(max(m + ahead, m + KRYLOV_BLOCK), at)
+    return max(at, rank + KRYLOV_BLOCK)
 
 
 def leading_spectrum(
@@ -202,8 +229,11 @@ def leading_spectrum(
     its part outside the next block stays in the relation beside R.
 
     Rayleigh-Ritz runs once the basis reaches the requested rank plus a
-    block, and again each time it has grown by RITZ_GROWTH; Q and T are
-    sized to the next check. A pair's residual ||G v - theta v|| is
+    block. Each later check goes where the worst kept residual of the
+    last two checks, falling geometrically in the basis size, reaches
+    RITZ_TOL; it comes at least a block and at most a factor RITZ_GROWTH
+    after the last (see ``_next_check``). Q and T are sized to the next
+    check, Q regrown in place. A pair's residual ||G v - theta v|| is
     ||R^T y_last||, from the small Gram R R^T. The rank policy is
     resolved against the Ritz values and the exact trace; the solve
     stops when every kept pair has a residual of at most RITZ_TOL *
@@ -226,15 +256,15 @@ def leading_spectrum(
     rng = np.random.default_rng(KRYLOV_SEED)
     q = np.empty((0, n))
     projected = np.empty((0, 0))  # T = q[:m] G q[:m]^T
-    m, products = 0, 0
+    m, products, checks = 0, 0, 0
+    previous = None  # (basis size, worst kept residual / theta_1) of the last check
     loose = []  # (a block's rows, its deflated remainder's part outside the next block)
     check_at = (policy.rank if isinstance(policy, FixedRank) else 1) + KRYLOV_BLOCK
     while True:
         if m + KRYLOV_BLOCK > q.shape[0]:
             # Room up to the next Ritz check, in whole blocks.
             size = min(n, KRYLOV_BLOCK * math.ceil(max(check_at, m + KRYLOV_BLOCK) / KRYLOV_BLOCK))
-            q = _grown(q[:m], (size, n))
-            projected = _grown(projected[:m, :m], (size, size))
+            projected = _grown(q, projected, m, size)
         newest = m
         if m == 0:
             start = rng.standard_normal((n, KRYLOV_BLOCK)).T  # drawn as an (order, k) block
@@ -246,7 +276,7 @@ def leading_spectrum(
             m = _extend_basis(q, m, remainder, cutoff, rng)
             made = remainder @ q[newest:m].T
             loose.append((last, remainder - made @ q[newest:m]))
-        image = gram.apply(q[newest:m].T).T
+        image = gram.apply(np.array(q[newest:m].T)).T  # a copy: q is regrown in place
         products += 1
         cutoff = DEFLATION_TOL * np.linalg.norm(image)
         # Two passes of block classical Gram-Schmidt split the image over the
@@ -273,6 +303,7 @@ def leading_spectrum(
             projected[last, newest:m] = made
         last = slice(newest, m)
         if m >= min(check_at, n):
+            checks += 1
             sigma, vecs = gram_spectrum(projected[:m, :m])
             theta = sigma**2
             r = resolve_rank(sigma, policy, gram.trace, n)
@@ -283,13 +314,15 @@ def leading_spectrum(
             resid = np.sqrt(np.clip(np.sum(ys * ((outside @ outside.T) @ ys), axis=0), 0.0, None))
             if m == n or np.all(resid[:pairs] <= RITZ_TOL * theta[0]):
                 break
-            check_at = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
+            rho = float(np.max(resid[:pairs])) / theta[0]
+            check_at = _next_check(m, rho, previous, r)
+            previous = (m, rho)
     # The reported spectrum extends past the kept pairs while the next
     # pairs are converged too.
     ok = resid[r:m] <= RITZ_TOL * theta[0]
     converged = m if m == n else r + int(np.argmin(np.append(ok, False)))
     solve = SpectrumSolve(total_energy=gram.trace, order=n, products=products, basis=m,
-                          residual=float(np.max(resid[:r]) / theta[0]))
+                          checks=checks, residual=float(np.max(resid[:r]) / theta[0]))
     kept = vecs[:, :r]
     images = q[:m].T @ (projected[:m, :m].T @ kept) + outside.T @ ys[:, :r]
     return sigma[:converged], q[:m].T @ kept, images, solve

@@ -545,6 +545,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         resolved["rank"] = dec.rank
         resolved["svd_products"] = dec.spectrum_solve.products
         resolved["svd_basis"] = dec.spectrum_solve.basis
+        resolved["svd_checks"] = dec.spectrum_solve.checks
         resolved["svd_residual"] = dec.spectrum_solve.residual
         run.path("decomposition.json").write_text(dec.to_json(), encoding="utf-8")
         np.save(run.path("modes.npy"), dec.modes)

@@ -270,6 +270,32 @@ def test_chunked_passes_match_the_dense_lifting(monkeypatch, k):
     assert close(gram(view, x), h.T @ (h @ x))
 
 
+def test_repeated_products_on_one_view_reuse_its_buffers(monkeypatch):
+    # Seven nodes under a bound of six one-column ranges: ranges of 6, 3
+    # and 2 nodes for 1, 2 and 3 columns, each with a ragged last range.
+    # Products of every kind and width, taken in turn on one view, whose
+    # buffers they share, match a fresh view's bit for bit and the dense
+    # lifting, and a product on another view of the same shape leaves
+    # them as they were.
+    rng = np.random.default_rng(8)
+    n, t, tau = 7, 40, 6
+    z, other = rng.normal(size=(2, n, t))
+    view = build_hankel(z, tau)
+    monkeypatch.setattr(hankel, "FFT_CHUNK_ELEMENTS", 6 * (view.fft_length // 2 + 1) + 1)
+    assert [len(hankel._node_ranges(view, k)) for k in (1, 2, 3)] == [2, 3, 4]
+    lifted = {id(z): materialize_hankel(z, tau), id(other): materialize_hankel(other, tau)}
+    dense = {gram: lambda h, x: h.T @ (h @ x), apply_tall: lambda h, x: h @ x,
+             apply_tall_transpose: lambda h, y: h.T @ y}
+    views = (view, build_hankel(other, tau))
+    for k in (1, 2, 3, 2, 1, 3):
+        for product in (gram, apply_tall, apply_tall_transpose, gram):
+            x = rng.normal(size=(n * tau if product is apply_tall_transpose else view.columns, k))
+            for v in views:
+                got = product(v, x)
+                assert np.array_equal(got, product(build_hankel(v.values, tau), x))
+                assert close(got, dense[product](lifted[id(v.values)], x))
+
+
 def test_gram_temporaries_stay_within_the_chunk_bound(monkeypatch):
     # 64 nodes and F = 1,001 frequencies: one column's (1, N, F) spectra
     # hold 64,064 elements, eight times the patched bound. Taken over

@@ -11,6 +11,7 @@ from dmdembed import linalg
 from dmdembed.errors import EmptySpectrumError
 from dmdembed.linalg import (
     KRYLOV_BLOCK,
+    RITZ_GROWTH,
     RITZ_TOL,
     CepThreshold,
     FixedRank,
@@ -312,14 +313,16 @@ def test_repeated_leading_eigenvalue_is_found_in_full(mult):
 def test_krylov_arrays_are_sized_by_the_ritz_checks(monkeypatch, tmp_path):
     # A1 at 8 x 2016, rank fixed:24: before each Ritz check the basis q
     # and the projected matrix regrow once, to exactly the basis that the
-    # check reads, so the final arrays hold the final basis (174 rows;
-    # doubling from 16 rows reached 256). No image of a basis row is
-    # kept, so no third array regrows.
+    # check reads, so the final arrays hold the final basis. The checks
+    # fall on the RITZ_GROWTH schedule until the residuals of the last
+    # two predict convergence sooner: after 138 the last check comes at
+    # 164, where the schedule put it at 174.
     events = []
 
-    def grown(a, shape):
-        events.append(("grow", shape[0]))
-        return original_grown(a, shape)
+    def grown(q, projected, m, size):
+        projected = original_grown(q, projected, m, size)
+        events.append(("grow", q.shape[0], projected.shape[0]))
+        return projected
 
     def spectrum(projected):
         events.append(("check", projected.shape[0]))
@@ -331,9 +334,61 @@ def test_krylov_arrays_are_sized_by_the_ritz_checks(monkeypatch, tmp_path):
     cfg = PipelineConfig(synthetic=SyntheticSpec(noise=0.1, seed=1), rank="fixed:24",
                          output_dir=str(tmp_path / "run"), seed=1)
     out = run_pipeline(cfg, until="fit")
-    basis = json.loads((out / "manifest.json").read_text())["resolved"]["svd_basis"]
-    grows = [size for kind, size in events if kind == "grow"]
-    checks = [size for kind, size in events if kind == "check"]
-    assert grows[-1] == checks[-1] == basis == 174
-    # each interval between checks regrows once
-    assert events == [e for size in checks for e in [("grow", size)] * 2 + [("check", size)]]
+    resolved = json.loads((out / "manifest.json").read_text())["resolved"]
+    checks = [e[1] for e in events if e[0] == "check"]
+    assert checks == [26, 34, 44, 56, 70, 88, 110, 138, 164]
+    assert resolved["svd_basis"] == checks[-1] and resolved["svd_checks"] == len(checks)
+    # each interval between checks regrows both arrays once
+    assert events == [e for size in checks for e in [("grow", size, size), ("check", size)]]
+
+
+def dense_test_spectrum(rng, kind):
+    """Eigenvalues of a dense test Gram: clustered (a few tight groups
+    over a small tail), deflating (a few positive values and exact
+    zeros, so the Krylov space runs out) or geometrically decaying."""
+    n = int(rng.integers(6, 120))
+    if kind == "clustered":
+        sizes = rng.integers(1, 5, size=int(rng.integers(1, 5)))
+        centers = np.repeat(0.6 ** np.arange(sizes.size), sizes)
+        head = centers * (1.0 + 10 ** rng.uniform(-10, -6) * rng.normal(size=centers.size))
+        return np.concatenate([head, 1e-3 * rng.uniform(size=max(n - head.size, 0))])[:n]
+    if kind == "deflating":
+        head = rng.uniform(0.1, 1.0, size=min(int(rng.integers(1, 9)), n))
+        return np.concatenate([head, np.zeros(n - head.size)])
+    return 0.8 ** np.arange(n) * rng.uniform(0.5, 1.0, size=n)
+
+
+@given(st.integers(0, 10_000), st.sampled_from(["clustered", "deflating", "decaying"]), st.booleans())
+@settings(max_examples=60, deadline=None)
+def test_each_ritz_check_follows_the_last_by_a_block_to_the_growth_cap(seed, kind, use_cep):
+    # Each check goes where the last two checks' residuals predict
+    # convergence, but never sooner than a block after the last and never
+    # later than the RITZ_GROWTH schedule, in whole blocks, would put it
+    # (or the rank plus a block, or the order, when that decides).
+    rng = np.random.default_rng(seed)
+    evals = dense_test_spectrum(rng, kind)
+    n = evals.size
+    q = np.linalg.qr(rng.normal(size=(n, n)))[0]
+    g = (q * evals) @ q.T
+    g = 0.5 * (g + g.T)
+    policy = CepThreshold(float(rng.uniform(0.5, 0.999))) if use_cep else FixedRank(int(rng.integers(1, 10)))
+    events = []
+
+    def spectrum(projected):
+        events.append(projected.shape[0])
+        return original_spectrum(projected)
+
+    def rank(*args):
+        events.append(original_rank(*args))
+        return events[-1]
+
+    original_spectrum, original_rank = linalg.gram_spectrum, linalg.resolve_rank
+    with pytest.MonkeyPatch.context() as patch:
+        patch.setattr(linalg, "gram_spectrum", spectrum)
+        patch.setattr(linalg, "resolve_rank", rank)
+        _, _, _, solve = leading_spectrum(GramProduct(lambda x: g @ x, n, float(np.sum(evals))), policy)
+    checks, ranks = events[0::2], events[1::2]
+    assert solve.checks == len(checks) and solve.basis == checks[-1]
+    for m, r, later in zip(checks, ranks, checks[1:]):
+        cap = max(math.ceil(RITZ_GROWTH * m), r + KRYLOV_BLOCK)
+        assert min(m + KRYLOV_BLOCK, n) <= later <= min(KRYLOV_BLOCK * math.ceil(cap / KRYLOV_BLOCK), n)

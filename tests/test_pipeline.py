@@ -468,7 +468,7 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
             assert field.name in manifest["config"]
     for field in ("tau", "rank", "selected_pairs", "target_met", "eigenvalues",
                   "l2_with", "l2_without", "boundaries", "svd_products", "svd_basis",
-                  "svd_residual", "acf_lag_reached"):
+                  "svd_checks", "svd_residual", "acf_lag_reached"):
         assert field in manifest["resolved"]
     resolved = manifest["resolved"]
     # the penalty sweep's fields went with it
@@ -482,6 +482,8 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     span = resolved["boundaries"][0] - resolved["tau"]
     assert resolved["rank"] <= resolved["svd_basis"] <= span
     assert resolved["svd_basis"] <= resolved["svd_products"] * KRYLOV_BLOCK
+    # one Ritz check at the least, and at most one after each product
+    assert 1 <= resolved["svd_checks"] <= resolved["svd_products"]
     assert resolved["svd_residual"] <= RITZ_TOL or resolved["svd_basis"] == span
     cep = np.loadtxt(out / "cep.csv", delimiter=",", skiprows=1, ndmin=2)
     assert cep[-1].tolist() == [span, 1.0]

@@ -349,10 +349,11 @@ def test_many_mode_selection_meets_its_target(tmp_path):
     out = run_pipeline(cfg, until="fit")
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
     assert resolved["rank"] == 24
-    # 24 singular pairs on a flat noise floor converge in 87 two-column
-    # Gram products; a faster fit must make each product cheaper, not fewer.
-    assert resolved["svd_products"] <= 87
-    assert resolved["svd_basis"] <= 174
+    # Every one of the 24 singular pairs on a flat noise floor converges,
+    # and the solve stops at the check that the residuals of the two
+    # before it predicted: 82 two-column Gram products.
+    assert resolved["svd_products"] <= 82
+    assert resolved["svd_basis"] <= 164
     assert resolved["target_met"] is True
     assert resolved["selected_pairs"] == 4
     eigenvalues = np.array([complex(re, im) for re, im in resolved["eigenvalues"]])
