@@ -40,7 +40,6 @@ from .forecaster import (
 )
 from .hankel import (
     HankelView,
-    SignalMatrix,
     build_hankel,
     default_tau,
     gram,
@@ -65,7 +64,6 @@ __all__ = [
     "NumericalError",
     "PipelineConfig",
     "RidgeModel",
-    "SignalMatrix",
     "SpdmdPath",
     "SpdmdSolution",
     "SyntheticSpec",

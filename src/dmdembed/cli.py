@@ -116,27 +116,23 @@ def _cmd_synth(args: argparse.Namespace) -> int:
 
 def _load_complete_csv(path):
     """load_csv, refusing blank cells: a residual needs both values."""
-    signal = load_csv(path)
-    blank = np.argwhere(~signal.mask.T)
+    values, node_ids = load_csv(path)
+    blank = np.argwhere(np.isnan(values.T))
     if blank.size:
         t, i = blank[0]
-        raise DataError(f"{path}: row {t + 2}, column {signal.node_ids[i]!r}: blank cell; "
+        raise DataError(f"{path}: row {t + 2}, column {node_ids[i]!r}: blank cell; "
                         "diagnose needs complete files")
-    return signal
+    return values, node_ids
 
 
 def _cmd_diagnose(args: argparse.Namespace) -> int:
     options = convert_options(PipelineConfig, {"lags": args.lags, "acf_max_lag": args.acf_max_lag})
-    preds = _load_complete_csv(args.predictions)
-    actual = _load_complete_csv(args.actuals)
-    if preds.values.shape != actual.values.shape:
-        raise DataError(
-            f"shape mismatch: predictions {preds.values.shape} vs actuals {actual.values.shape}"
-        )
-    residuals = (actual.values - preds.values).T
+    preds, _ = _load_complete_csv(args.predictions)
+    actual, node_ids = _load_complete_csv(args.actuals)
+    if preds.shape != actual.shape:
+        raise DataError(f"shape mismatch: predictions {preds.shape} vs actuals {actual.shape}")
     out = diagnose_residuals(
-        residuals, options["lags"], options["acf_max_lag"], args.out,
-        column_ids=list(actual.node_ids),
+        (actual - preds).T, options["lags"], options["acf_max_lag"], args.out, column_ids=node_ids,
     )
     print(f"diagnostics written to {out}")
     return EXIT_OK

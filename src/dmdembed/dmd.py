@@ -213,7 +213,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
     truncated by ``rank_policy``. A view past ``build_hankel``'s tau range
     is refused by it, and a series of non-finite energy is a DataError.
     The Gram products run on the fit's own view of the same array, whose
-    FFT buffers go with it when the fit returns."""
+    source spectrum and FFT buffers go with it once the solve returns."""
     lifting = hk.build_hankel(view.values, view.tau)
     snapshots = fit_geometry(view)
     span = snapshots.columns
@@ -235,6 +235,7 @@ def fit_dmd(view: hk.HankelView, rank_policy: RankPolicy = CepThreshold()) -> Dm
         raise DataError(f"the series' energy is {energy}: every value and its square must be finite")
     gram = GramProduct(lifted_gram, span, energy)
     spectrum, right, images, solve = leading_spectrum(gram, rank_policy)
+    del gram, lifted_gram, lifting
     sigma = spectrum[: right.shape[1]]
     # With U = H V diag(1/sigma), never formed: [H, c]^T U is H^T U =
     # G V diag(1/sigma) over c^T U. Column j of H' is column j + 1 of

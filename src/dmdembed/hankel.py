@@ -35,70 +35,25 @@ from .errors import DataError
 FFT_CHUNK_ELEMENTS = 1 << 20
 
 
-@dataclass
-class SignalMatrix:
-    """An N x T observation matrix with node metadata and a missing mask.
-
-    Rows are spatial nodes, columns are time steps. ``mask`` is True
-    where a value was observed; the fit lifts the array that
-    ``impute_linear`` fills, while metrics keep using the mask.
-    """
-
-    values: np.ndarray
-    mask: np.ndarray
-    node_ids: list[str]
-
-    def __post_init__(self):
-        self.values = np.asarray(self.values, dtype=float)
-        self.mask = np.asarray(self.mask, dtype=bool)
-        if self.values.ndim != 2:
-            raise DataError(f"values must be 2-D (nodes x steps), got {self.values.shape}")
-        n, t = self.values.shape
-        if n < 1 or t < 2:
-            raise DataError(f"need at least 1 node and 2 steps, got {n} x {t}")
-        if self.mask.shape != self.values.shape:
-            raise DataError("mask shape must match values shape")
-        if len(self.node_ids) != n:
-            raise DataError(f"{len(self.node_ids)} node ids for {n} nodes")
-        if not np.all(np.isfinite(self.values), where=self.mask):
-            raise DataError("observed values must be finite")
-
-    @classmethod
-    def from_values(cls, values: np.ndarray, node_ids: list[str] | None = None) -> "SignalMatrix":
-        values = np.asarray(values, dtype=float)
-        if node_ids is None:
-            node_ids = [f"n{i:03d}" for i in range(values.shape[0])]
-        return cls(values=values, mask=np.ones(values.shape, dtype=bool), node_ids=list(node_ids))
-
-    @property
-    def n_nodes(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def n_steps(self) -> int:
-        return self.values.shape[1]
-
-
-def impute_linear(signal: SignalMatrix) -> np.ndarray:
-    """The signal's values with each node's missing entries filled by
-    linear interpolation in time: the signal's own array when nothing
-    is missing, else a filled copy.
+def impute_linear(values: np.ndarray, node_ids: list[str]) -> np.ndarray:
+    """The (N, T) ``values`` with each node's blank (NaN) entries filled
+    by linear interpolation in time: the input itself when nothing is
+    blank, else a filled copy.
 
     Ends are held constant at the nearest observed value. A node with no
-    observed value at all cannot be imputed.
+    observed value at all cannot be imputed; ``node_ids`` name it.
     """
-    if signal.mask.all():
-        return signal.values
-    values = signal.values.copy()
-    steps = np.arange(signal.n_steps)
-    for i in range(signal.n_nodes):
-        seen = signal.mask[i]
+    blank = np.isnan(values)
+    if not blank.any():
+        return values
+    filled = values.copy()
+    steps = np.arange(values.shape[1])
+    for i in np.flatnonzero(blank.any(axis=1)):
+        seen = ~blank[i]
         if not seen.any():
-            raise DataError(f"node {signal.node_ids[i]!r} has no observed values")
-        if seen.all():
-            continue
-        values[i] = np.interp(steps, steps[seen], values[i, seen])
-    return values
+            raise DataError(f"node {node_ids[i]!r} has no observed values")
+        filled[i] = np.interp(steps, steps[seen], values[i, seen])
+    return filled
 
 
 def fast_length(t: int) -> int:
@@ -119,8 +74,8 @@ class HankelView:
     source spectrum and, for each block width, the buffers its products
     write into, which live as long as the view: one view serves one
     caller at a time, and a fit runs its products on a view of its own.
-    The view carries no node ids, mask or time units: every period and
-    rate read from it is in steps.
+    The view carries no node ids or time units: every period and rate
+    read from it is in steps.
     """
 
     values: np.ndarray
@@ -164,10 +119,13 @@ def default_tau(values: np.ndarray) -> int:
 
 def build_hankel(values: np.ndarray, tau: int) -> HankelView:
     """The Hankel view of an all-observed N x T array with ``tau`` block
-    rows, for a fit. A fit needs two snapshot pairs, T - tau >= 2, so tau
-    must lie in [1, T - 2]; a deeper view, for products alone, is a
-    ``HankelView`` built directly."""
+    rows, for a fit. A fit needs two snapshot pairs, T - tau >= 2, so a
+    series of fewer than 3 steps is a DataError, and tau must lie in
+    [1, T - 2]; a deeper view, for products alone, is a ``HankelView``
+    built directly."""
     top = values.shape[1] - 2
+    if top < 1:
+        raise DataError(f"a fit needs at least 3 steps, for two snapshot pairs; got {top + 2}")
     if not (1 <= tau <= top):
         raise ValueError(f"tau must be in [1, {top}], got {tau}")
     return HankelView(values, tau)

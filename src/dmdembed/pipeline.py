@@ -45,7 +45,7 @@ from .forecaster import (
     split_boundaries,
     zscore_fit,
 )
-from .hankel import SignalMatrix, build_hankel, default_tau, impute_linear
+from .hankel import build_hankel, default_tau, impute_linear
 from .synthetic import SyntheticSpec, generate_synthetic
 
 # A run writes its files here, inside the run directory, until every stage is done.
@@ -210,14 +210,16 @@ def parse_config_file(path) -> dict:
     return mapping
 
 
-def load_csv(path) -> SignalMatrix:
-    """Read a time-major CSV into node-major storage.
+def load_csv(path) -> tuple[np.ndarray, list[str]]:
+    """Read a time-major CSV into node-major storage: the (N, T) values,
+    NaN in each blank cell, and the N node ids.
 
     First row: header with node ids (first cell names the step column).
     Following rows: step label then one value per node. A cell may be
     quoted, and a blank (empty or whitespace-only) cell is a missing
     observation; the step label is never parsed. Every value is the one
-    Python's ``float`` reads from the stripped cell.
+    Python's ``float`` reads from the stripped cell; one that reads as NaN
+    or an infinity is refused, so a NaN marks a blank cell alone.
 
     The data rows stream through numpy's C reader, which writes each
     value straight into the array, so no cell becomes a Python object.
@@ -236,15 +238,7 @@ def load_csv(path) -> SignalMatrix:
                 raise
     except OSError as exc:
         raise DataError(f"cannot read {path}: {exc}") from exc
-    values = np.ascontiguousarray(by_step.T)
-    del by_step
-    blank = np.isnan(values)
-    values[blank] = 0.0
-    return SignalMatrix(
-        values=values,
-        mask=np.logical_not(blank, out=blank),
-        node_ids=[h.strip() for h in header[1:]],
-    )
+    return np.ascontiguousarray(by_step.T), [h.strip() for h in header[1:]]
 
 
 # A data line the C reader takes as written: a label with no comma or
@@ -327,24 +321,27 @@ def _raise_first_fault(path, header: list[str]) -> None:
         raise non_finite
 
 
-def write_signal_csv(signal: SignalMatrix, path) -> None:
-    """Inverse of load_csv; missing entries become blank cells. Creates
-    the parent directory if needed. ``WRITE_CHUNK_ROWS`` steps are
-    formatted at a time."""
+def default_node_ids(n_nodes: int) -> list[str]:
+    """The ids of a series that names no nodes: n000, n001, ..."""
+    return [f"n{i:03d}" for i in range(n_nodes)]
+
+
+def write_signal_csv(values: np.ndarray, path, node_ids: list[str] | None = None) -> None:
+    """Inverse of load_csv: the (N, T) ``values`` with a blank cell for
+    each NaN, under ``node_ids`` or else the default ids. Creates the
+    parent directory if needed. ``WRITE_CHUNK_ROWS`` steps are formatted
+    at a time."""
     Path(path).parent.mkdir(parents=True, exist_ok=True)
-    row = "%d" + ",%s" * signal.n_nodes + "\n"
+    n_nodes, n_steps = values.shape
+    row = "%d" + ",%.17g" * n_nodes + "\n"
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        csv.writer(fh, lineterminator="\n").writerow(["step", *signal.node_ids])
-        for first in range(0, signal.n_steps, dg.WRITE_CHUNK_ROWS):
-            steps = slice(first, first + dg.WRITE_CHUNK_ROWS)
-            by_step = signal.values[:, steps].T
-            # %.17g writes no whitespace, so one split recovers the cells
-            formatted = ("%.17g " * by_step.size % tuple(by_step.ravel().tolist())).split()
-            cells = np.empty((by_step.shape[0], signal.n_nodes + 1), dtype=object)
-            cells[:, 0] = range(first, first + by_step.shape[0])
-            cells[:, 1:] = np.where(signal.mask[:, steps].T,
-                                    np.array(formatted, dtype=object).reshape(by_step.shape), "")
-            fh.write(row * by_step.shape[0] % tuple(cells.ravel().tolist()))
+        ids = default_node_ids(n_nodes) if node_ids is None else node_ids
+        csv.writer(fh, lineterminator="\n").writerow(["step", *ids])
+        for first in range(0, n_steps, dg.WRITE_CHUNK_ROWS):
+            by_step = values[:, first : first + dg.WRITE_CHUNK_ROWS].T
+            cells = np.column_stack([np.arange(first, first + len(by_step)), by_step])
+            # %.17g writes "nan" for a NaN and nowhere else
+            fh.write((row * len(cells) % tuple(cells.ravel().tolist())).replace("nan", ""))
 
 
 @dataclass
@@ -398,10 +395,11 @@ class _StageTimer:
         return False
 
 
-def _ingest(cfg: PipelineConfig) -> SignalMatrix:
+def _ingest(cfg: PipelineConfig) -> tuple[np.ndarray, list[str]]:
     if cfg.input_csv is not None:
         return load_csv(cfg.input_csv)
-    return generate_synthetic(cfg.synthetic)
+    values = generate_synthetic(cfg.synthetic)
+    return values, default_node_ids(values.shape[0])
 
 
 def _test_forecast(
@@ -511,15 +509,15 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
     resolved: dict = {}
 
     with _StageTimer(run, "ingest"):
-        signal = _ingest(cfg)
-        # nothing writes a signal's mask, and imputing never changes its input
-        original_mask, node_ids, n_steps = signal.mask, signal.node_ids, signal.n_steps
-        resolved["n_nodes"] = signal.n_nodes
-        resolved["n_steps"] = n_steps
+        raw, node_ids = _ingest(cfg)
+        # the metrics leave out the blank cells, which imputing fills
+        observed = ~np.isnan(raw)
+        n_steps = raw.shape[1]
+        resolved["n_nodes"], resolved["n_steps"] = raw.shape
 
     with _StageTimer(run, "impute"):
-        values = impute_linear(signal)
-        del signal
+        values = impute_linear(raw, node_ids)
+        del raw
 
     with _StageTimer(run, "split"):
         b_train, b_val = split_boundaries(n_steps, cfg.split)
@@ -576,7 +574,7 @@ def _run_stages(cfg: PipelineConfig, run: _Run, until: str) -> dict:
         # no fit reads validation windows, so none are built
         windows = make_windows(
             normalized, {"train": (0, b_train), "test": (b_val, n_steps)}, cfg.p, cfg.q,
-            embedding=emb, exclusion_mask=original_mask,
+            embedding=emb, exclusion_mask=observed,
         )
         # "without" reads the value channel alone: the same windows without the embedding
         labelled = {

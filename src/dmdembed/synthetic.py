@@ -13,7 +13,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import ConfigError, check_finite
-from .hankel import SignalMatrix
 
 
 @dataclass(frozen=True)
@@ -52,8 +51,8 @@ class SyntheticSpec:
         object.__setattr__(self, "amplitudes", tuple(map(float, amplitudes)))
 
 
-def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
-    """Draw the seeded signal: per-component random spatial profile in
+def generate_synthetic(spec: SyntheticSpec) -> np.ndarray:
+    """Draw the seeded (nodes, steps) signal: per-component random spatial profile in
     [0.5, 1.5] and random phase, plus optional trend and noise."""
     rng = np.random.default_rng(spec.seed)
     t = np.arange(spec.steps)
@@ -70,5 +69,5 @@ def generate_synthetic(spec: SyntheticSpec) -> SignalMatrix:
         rms = float(np.sqrt(np.mean(values**2)))
         scale = spec.noise * (rms if rms > 0 else 1.0)
         values += rng.normal(0.0, scale, size=values.shape)
-    return SignalMatrix.from_values(values)
+    return values
 

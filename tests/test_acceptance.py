@@ -70,8 +70,8 @@ def test_a1_covariate_benefit(benchmark_runs):
 
 def test_a2_frequency_recovery():
     start = time.perf_counter()
-    sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=0))
-    view = build_hankel(sig.values, default_tau(sig.values))
+    values = generate_synthetic(SyntheticSpec(noise=0.0, seed=0))
+    view = build_hankel(values, default_tau(values))
     dec = fit_dmd(view, FixedRank(4))
     elapsed = time.perf_counter() - start
     periods = sorted(

@@ -1,6 +1,8 @@
+import gc
 import io
 import json
 import math
+import weakref
 
 import numpy as np
 import pytest
@@ -67,6 +69,35 @@ def test_fit_dmd_refuses_a_series_of_unbounded_energy(bad):
     values[1, 5] = bad
     with pytest.raises(DataError, match="energy"):
         fit_dmd(view_of(values, tau=2), FixedRank(2))
+
+
+def test_fit_dmd_drops_its_lifting_once_the_solve_returns(monkeypatch):
+    # The fit's own view holds the source spectrum and the FFT buffers of
+    # its Gram products, which at paper scale outweigh the amplitude and
+    # mode work. Nothing reaches it once the solve returns: by the first
+    # eigendecomposition after it, the view is freed with no collection.
+    lifted = []
+
+    def build(values, tau):
+        view = build_hankel(values, tau)
+        lifted.append(weakref.ref(view))
+        return view
+
+    freed = []
+
+    def eig(matrix):
+        freed.extend(ref() is None for ref in lifted)
+        return linalg.dense_eig(matrix)
+
+    view = view_of(rotation_signal(), tau=4)
+    monkeypatch.setattr(hankel, "build_hankel", build)
+    monkeypatch.setattr(dmd, "dense_eig", eig)
+    gc.disable()
+    try:
+        fit_dmd(view, FixedRank(2))
+    finally:
+        gc.enable()
+    assert len(lifted) == 1 and freed == [True]
 
 
 @pytest.mark.parametrize("tau", [9, 10])

@@ -12,7 +12,6 @@ from dmdembed.dmd import fit_geometry
 from dmdembed.errors import DataError
 from dmdembed.hankel import (
     HankelView,
-    SignalMatrix,
     apply_tall,
     apply_tall_transpose,
     build_hankel,
@@ -62,9 +61,13 @@ def test_build_hankel_element_contract():
 @given(st.integers(2, 60), st.integers(-3, 64))
 @settings(max_examples=80, deadline=None)
 def test_build_hankel_accepts_exactly_the_fit_range(t, tau):
-    # a fit needs two snapshot pairs, T - tau >= 2
+    # a fit needs two snapshot pairs, T - tau >= 2, so T >= 3
     z = np.arange(float(t))[np.newaxis]
-    if 1 <= tau <= t - 2:
+    if t < 3:
+        # no range to state: the series is too short for any tau
+        with pytest.raises(DataError, match="at least 3 steps"):
+            build_hankel(z, tau)
+    elif 1 <= tau <= t - 2:
         assert build_hankel(z, tau).tau == tau
     else:
         with pytest.raises(ValueError, match=re.escape(f"tau must be in [1, {t - 2}], got {tau}")):
@@ -348,64 +351,22 @@ def test_default_tau_policy():
 
 
 def test_impute_linear():
-    values = np.array([[1.0, 0.0, 3.0, 0.0], [5.0, 6.0, 7.0, 8.0]])
-    sig = SignalMatrix(
-        values=values.copy(),
-        mask=np.array([[True, False, True, False], [True, True, True, True]]),
-        node_ids=["a", "b"],
-    )
-    out = impute_linear(sig)
-    assert out is not sig.values
+    values = np.array([[1.0, np.nan, 3.0, np.nan], [5.0, 6.0, 7.0, 8.0]])
+    before = values.copy()
+    out = impute_linear(values, ["a", "b"])
+    assert out is not values
     assert_allclose(out[0], [1.0, 2.0, 3.0, 3.0])  # ends held constant
     assert_allclose(out[1], values[1])
-    # the input is left as it was
-    assert np.array_equal(sig.values, values)
-    assert not sig.mask[0, 1]
+    # the input is left as it was, NaN included
+    assert np.array_equal(values, before, equal_nan=True)
 
 
 def test_impute_linear_returns_a_complete_signal_as_it_is():
-    sig = SignalMatrix.from_values(np.arange(6.0).reshape(2, 3))
-    assert impute_linear(sig) is sig.values
+    values = np.arange(6.0).reshape(2, 3)
+    assert impute_linear(values, ["a", "b"]) is values
 
 
 def test_impute_linear_all_missing_node():
-    sig = SignalMatrix(
-        values=np.zeros((1, 3)),
-        mask=np.zeros((1, 3), dtype=bool),
-        node_ids=["a"],
-    )
-    with pytest.raises(DataError):
-        impute_linear(sig)
-
-
-def test_signal_matrix_validation():
-    with pytest.raises(DataError):
-        SignalMatrix(values=np.ones((1, 1)), mask=np.ones((1, 1), bool),
-                     node_ids=["a"])
-    with pytest.raises(DataError):
-        SignalMatrix(values=np.ones((1, 3)), mask=np.ones((1, 3), bool),
-                     node_ids=["a", "b"])
-    with pytest.raises(DataError):
-        SignalMatrix(values=np.full((1, 3), np.nan), mask=np.ones((1, 3), bool),
-                     node_ids=["a"])
-
-
-def test_signal_matrix_checks_only_observed_cells_without_copying_them():
-    # 64 x 20,000 with 5% unobserved NaN cells: the finiteness check peaks
-    # at one boolean array, where a copy of the observed values took 8.6
-    # times the mask
-    rng = np.random.default_rng(0)
-    shape = (64, 20_000)
-    mask = rng.random(shape) >= 0.05
-    values = np.where(mask, rng.normal(size=shape), np.nan)
-    ids = [f"n{i}" for i in range(shape[0])]
-    tracemalloc.start()
-    try:
-        SignalMatrix(values=values, mask=mask, node_ids=ids)
-        peak = tracemalloc.get_traced_memory()[1]
-    finally:
-        tracemalloc.stop()
-    assert peak <= 2 * mask.nbytes
-    values[3, np.argmax(mask[3])] = np.inf
-    with pytest.raises(DataError, match="finite"):
-        SignalMatrix(values=values, mask=mask, node_ids=ids)
+    values = np.array([[1.0, 2.0, 3.0], [np.nan, np.nan, np.nan]])
+    with pytest.raises(DataError, match="node 'b' has no observed values"):
+        impute_linear(values, ["a", "b"])

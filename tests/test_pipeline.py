@@ -29,7 +29,7 @@ from dmdembed.forecaster import (
     split_boundaries,
     zscore_fit,
 )
-from dmdembed.hankel import SignalMatrix, impute_linear
+from dmdembed.hankel import impute_linear
 from dmdembed.linalg import KRYLOV_BLOCK, RITZ_TOL
 from dmdembed.pipeline import (
     STAGING_DIR,
@@ -37,6 +37,7 @@ from dmdembed.pipeline import (
     _test_forecast,
     config_from_manifest,
     convert_options,
+    default_node_ids,
     diagnose_residuals,
     load_csv,
     parse_config_file,
@@ -82,11 +83,10 @@ def small_config(tmp_path, seed=0, **overrides):
 def test_load_csv_blank_cell_masks(tmp_path):
     path = tmp_path / "d.csv"
     path.write_text("step,a,b\n0,1.0,2.0\n1,,3.0\n2,4.0,5.0\n")
-    sig = load_csv(path)
-    assert sig.values.shape == (2, 3)
-    assert sig.mask.sum() == 5
-    assert not sig.mask[0, 1]
-    assert sig.node_ids == ["a", "b"]
+    values, node_ids = load_csv(path)
+    assert values.shape == (2, 3)
+    assert np.argwhere(np.isnan(values)).tolist() == [[0, 1]]
+    assert node_ids == ["a", "b"]
 
 
 def test_load_csv_wide_station_file(tmp_path):
@@ -95,9 +95,8 @@ def test_load_csv_wide_station_file(tmp_path):
     rows = [f"{t}," + ",".join("1.5" for _ in range(n)) for t in range(4)]
     path = tmp_path / "metro.csv"
     path.write_text(header + "\n" + "\n".join(rows) + "\n")
-    sig = load_csv(path)
-    assert sig.n_nodes == n
-    assert sig.n_steps == 4
+    values, node_ids = load_csv(path)
+    assert values.shape == (n, 4) and len(node_ids) == n
 
 
 def test_load_csv_errors(tmp_path):
@@ -126,23 +125,22 @@ def test_load_csv_errors(tmp_path):
 
 
 def test_signal_csv_round_trip(tmp_path):
-    sig = generate_synthetic(small_spec())
-    sig.mask[1, 5] = False
+    values = generate_synthetic(small_spec())
+    values[1, 5] = np.nan
     path = tmp_path / "sig.csv"
-    write_signal_csv(sig, path)
-    back = load_csv(path)
-    assert np.array_equal(back.mask, sig.mask)
-    assert np.array_equal(back.values[back.mask], sig.values[sig.mask])
+    write_signal_csv(values, path)
+    back, node_ids = load_csv(path)
+    assert node_ids == default_node_ids(4)
+    assert np.array_equal(back, values, equal_nan=True)
 
 
 def test_a_node_id_with_a_comma_keeps_every_table_rectangular(tmp_path):
     # a header cell that needs quotes is quoted, so each CSV of a run
     # reads back with as many header cells as row cells
-    sig = generate_synthetic(small_spec())
-    sig.node_ids[0] = "station 7, north"
+    node_ids = ["station 7, north", *default_node_ids(4)[1:]]
     path = tmp_path / "sig.csv"
-    write_signal_csv(sig, path)
-    assert load_csv(path).node_ids == sig.node_ids
+    write_signal_csv(generate_synthetic(small_spec()), path, node_ids)
+    assert load_csv(path)[1] == node_ids
     out = run_pipeline(small_config(tmp_path, synthetic=None, input_csv=str(path)))
     tables = sorted(out.glob("*.csv"))
     assert out / "acf_with_test.csv" in tables
@@ -155,16 +153,14 @@ def test_a_node_id_with_a_comma_keeps_every_table_rectangular(tmp_path):
 def test_node_ids_in_svg_text_are_escaped(tmp_path):
     # each chart stays well-formed XML, and an empty id is labelled by
     # its column, in the ACF chart as in the ACF table
-    sig = generate_synthetic(small_spec())
-    sig.node_ids[:3] = ["north & south", "", "<b>"]
     path = tmp_path / "sig.csv"
-    write_signal_csv(sig, path)
+    write_signal_csv(generate_synthetic(small_spec()), path, ["north & south", "", "<b>", "n003"])
     out = run_pipeline(small_config(tmp_path, synthetic=None, input_csv=str(path)))
     charts = sorted(out.glob("*.svg"))
     assert out / "acf_with_test.svg" in charts
     for chart in charts:
         ET.parse(chart)
-    labels = ["north & south", "series_1", "<b>", sig.node_ids[3]]
+    labels = ["north & south", "series_1", "<b>", "n003"]
     for label in ("with", "without"):
         root = ET.parse(out / f"acf_{label}_test.svg").getroot()
         texts = [t.text for t in root.iter("{http://www.w3.org/2000/svg}text")]
@@ -185,22 +181,24 @@ def test_load_csv_names_the_non_finite_cell(tmp_path):
 
 def test_load_csv_memory_is_bounded(tmp_path):
     # no cell becomes a Python object: 16 x 20,000 values with 5% blank
-    # cells peak at about twice the arrays returned, where a str per cell
-    # took 14 times
+    # cells peak at twice the array returned (the reader's time-major
+    # array and its node-major copy, 16 bytes a cell), where a str per
+    # cell took 14 times. The bound is 4 x (8 + 1) bytes a cell, the one
+    # it had when a bool mask was returned beside the values
     rng = np.random.default_rng(0)
     shape = (16, 20_000)
-    signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
-                          node_ids=[f"n{i}" for i in range(shape[0])])
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.05] = np.nan
     path = tmp_path / "long.csv"
-    write_signal_csv(signal, path)
+    write_signal_csv(values, path)
     tracemalloc.start()
     try:
-        back = load_csv(path)
+        back, _ = load_csv(path)
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
-    assert np.array_equal(back.mask, signal.mask)
-    assert peak <= 4 * (back.values.nbytes + back.mask.nbytes)
+    assert np.array_equal(back, values, equal_nan=True)
+    assert peak <= 4 * (8 + 1) * back.size
 
 
 def test_write_signal_csv_memory_is_bounded(tmp_path):
@@ -208,29 +206,34 @@ def test_write_signal_csv_memory_is_bounded(tmp_path):
     # peak at 6.1 MB, where formatting the whole signal at once took 20.6
     rng = np.random.default_rng(0)
     shape = (8, 20_000)
-    signal = SignalMatrix(values=rng.normal(size=shape), mask=rng.random(shape) >= 0.05,
-                          node_ids=[f"n{i}" for i in range(shape[0])])
+    values = rng.normal(size=shape)
+    values[rng.random(shape) < 0.05] = np.nan
     tracemalloc.start()
     try:
-        write_signal_csv(signal, tmp_path / "long.csv")
+        write_signal_csv(values, tmp_path / "long.csv")
         peak = tracemalloc.get_traced_memory()[1]
     finally:
         tracemalloc.stop()
     assert peak <= 10e6
-    back = load_csv(tmp_path / "long.csv")
-    assert np.array_equal(back.mask, signal.mask)
-    assert back.values[signal.mask].tobytes() == signal.values[signal.mask].tobytes()
+    back, _ = load_csv(tmp_path / "long.csv")
+    assert_same_signal(back, values)
+
+
+def assert_same_signal(got, expected):
+    """The same blank (NaN) cells, and every observed value bit for bit."""
+    blank = np.isnan(expected)
+    assert got.shape == expected.shape and np.array_equal(np.isnan(got), blank)
+    assert got[~blank].tobytes() == expected[~blank].tobytes()
 
 
 def load_csv_per_cell(path):
-    """The per-cell parse behind load_csv: (values, mask, node_ids), or
-    the DataError that load_csv raises."""
+    """The per-cell parse behind load_csv: (values, node_ids), NaN where
+    blank, or the DataError that load_csv raises."""
     with open(path, "r", encoding="utf-8", newline="") as fh:
         rows = list(csv.reader(fh))
     header = rows[0]
     node_ids = [h.strip() for h in header[1:]]
-    values = np.zeros((len(node_ids), len(rows) - 1))
-    mask = np.zeros(values.shape, dtype=bool)
+    values = np.full((len(node_ids), len(rows) - 1), np.nan)
     non_finite = None
     for t, row in enumerate(rows[1:]):
         if len(row) != len(header):
@@ -246,10 +249,9 @@ def load_csv_per_cell(path):
                 raise DataError(f"{where}: non-numeric cell {cell!r}") from exc
             if non_finite is None and not np.isfinite(values[i, t]):
                 non_finite = f"{where}: non-finite cell {cell!r}"
-            mask[i, t] = True
     if non_finite is not None:
         raise DataError(non_finite)
-    return values, mask, node_ids
+    return values, node_ids
 
 
 number_text = st.floats(allow_nan=False, allow_infinity=False).flatmap(
@@ -300,44 +302,54 @@ def test_load_csv_matches_per_cell_reference(tmp_path_factory, data):
     # the last row may end the file without a line break
     path.write_bytes((text + end * data.draw(st.booleans())).encode("utf-8"))
     try:
-        values, mask, node_ids = load_csv_per_cell(path)
+        values, node_ids = load_csv_per_cell(path)
     except DataError as exc:
         with pytest.raises(DataError) as got:
             load_csv(path)
         assert str(got.value) == str(exc)
         return
-    sig = load_csv(path)
-    assert sig.values.shape == values.shape and sig.values.tobytes() == values.tobytes()
-    assert np.array_equal(sig.mask, mask)
-    assert sig.node_ids == node_ids
+    got, got_ids = load_csv(path)
+    assert_same_signal(got, values)
+    assert got_ids == node_ids
 
 
-def write_signal_csv_per_cell(signal, path) -> None:
+def write_signal_csv_per_cell(values, path, node_ids) -> None:
+    """The signal CSV cell by cell: the header as ``csv`` quotes it, then
+    a %d step and a %.17g value per node, "" for a NaN."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
-        fh.write("step," + ",".join(signal.node_ids) + "\n")
-        for t in range(signal.n_steps):
-            cells = [str(t)]
-            for i in range(signal.n_nodes):
-                cells.append(f"{signal.values[i, t]:.17g}" if signal.mask[i, t] else "")
+        csv.writer(fh, lineterminator="\n").writerow(["step", *node_ids])
+        for t in range(values.shape[1]):
+            cells = ["%d" % t]
+            for i in range(values.shape[0]):
+                cells.append("" if np.isnan(values[i, t]) else "%.17g" % values[i, t])
             fh.write(",".join(cells) + "\n")
+
+
+# finite values of every kind, and NaN for a blank cell
+signal_value = st.one_of(
+    st.floats(allow_nan=False, allow_infinity=False),
+    st.floats(-1e-307, 1e-307, allow_subnormal=True),  # subnormals among them
+    st.sampled_from([0.0, -0.0, 5e-324, -5e-324, 1.7976931348623157e308, -1e300]),
+    st.just(np.nan),
+)
 
 
 @settings(max_examples=100, deadline=None)
 @given(data=st.data())
 def test_write_signal_csv_matches_per_cell_reference(tmp_path_factory, data):
     shape = (data.draw(st.integers(1, 5)), data.draw(st.integers(2, 10)))
-    values = data.draw(arrays(float, shape, elements=st.floats()))
-    # masked cells may hold anything; observed ones must be finite
-    mask = data.draw(arrays(bool, shape)) & np.isfinite(values)
-    signal = SignalMatrix(values=values, mask=mask,
-                          node_ids=[f"n{i}" for i in range(shape[0])])
+    values = data.draw(arrays(float, shape, elements=signal_value))
+    # ids that need quotes, an empty one, or None for the default ids
+    names = st.sampled_from(["a", "station 7, north", 'say "hi"', "", "n000"])
+    node_ids = data.draw(st.one_of(st.none(), st.lists(names, min_size=shape[0], max_size=shape[0])))
     folder = tmp_path_factory.mktemp("signal")
-    write_signal_csv(signal, folder / "fast.csv")
-    write_signal_csv_per_cell(signal, folder / "reference.csv")
+    write_signal_csv(values, folder / "fast.csv", node_ids)
+    expected_ids = default_node_ids(shape[0]) if node_ids is None else node_ids
+    write_signal_csv_per_cell(values, folder / "reference.csv", expected_ids)
     assert (folder / "fast.csv").read_bytes() == (folder / "reference.csv").read_bytes()
-    back = load_csv(folder / "fast.csv")
-    assert np.array_equal(back.mask, mask)
-    assert back.values[mask].tobytes() == values[mask].tobytes()
+    back, back_ids = load_csv(folder / "fast.csv")
+    assert_same_signal(back, values)
+    assert back_ids == expected_ids
 
 
 # ------------------------------------------------------------ config layer
@@ -514,8 +526,8 @@ def test_run_pipeline_outputs_and_manifest(tmp_path):
     fit = json.loads(text)
     eigenvalues, amplitudes = (np.array([complex(re, im) for re, im in fit[name]])
                                for name in ("eigenvalues", "amplitudes"))
-    sig = generate_synthetic(cfg.synthetic)
-    _, _, values = normalized_series(sig.values, sig.node_ids, cfg.split)
+    raw = generate_synthetic(cfg.synthetic)
+    _, _, values = normalized_series(raw, default_node_ids(raw.shape[0]), cfg.split)
     train = values[:, : fit["fit_span"]]
     dynamics = amplitudes[:, np.newaxis] * vandermonde(eigenvalues, fit["fit_span"])
     rec = (modes @ dynamics).real
@@ -691,14 +703,14 @@ def _acf_header(path):
 
 def _stuck_run(tmp_path, name="run"):
     """A forecast run on 3 nodes x 600 steps whose node 1 is stuck at 5.0."""
-    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
-    sig.values[1] = 5.0
+    values = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
+    values[1] = 5.0
     path = tmp_path / "stuck.csv"
-    write_signal_csv(sig, path)
+    write_signal_csv(values, path)
     out = tmp_path / name
     with pytest.warns(UserWarning, match="zero-variance"):
         assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 0
-    return sig.node_ids, out
+    return default_node_ids(3), out
 
 
 def test_constant_node_is_left_out_of_the_acf(tmp_path):
@@ -735,28 +747,27 @@ def test_node_blank_to_the_end_is_left_out_of_the_acf(tmp_path):
     # blank from step 450 on, the node is imputed flat over the test split:
     # its residuals without covariates are constant to round-off, which the
     # residual correlation already excludes, and so does the ACF
-    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
-    sig.mask[1, 450:] = False
+    values = generate_synthetic(SyntheticSpec(nodes=3, steps=600, noise=0.1, seed=1))
+    values[1, 450:] = np.nan
     path = tmp_path / "dead_tail.csv"
-    write_signal_csv(sig, path)
+    write_signal_csv(values, path)
     out = tmp_path / "run"
     assert cli_main(["forecast", "--input", str(path), "--out", str(out)]) == 0
-    assert _acf_header(out / "acf_without_test.csv") == ["lag", sig.node_ids[0], sig.node_ids[2]]
+    assert _acf_header(out / "acf_without_test.csv") == ["lag", "n000", "n002"]
     resolved = json.loads((out / "manifest.json").read_text())["resolved"]
-    assert resolved["acf_excluded"]["without"] == [sig.node_ids[1]]
+    assert resolved["acf_excluded"]["without"] == ["n001"]
 
 
 def test_diagnose_with_a_prediction_equal_to_its_actuals(tmp_path):
-    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=200, noise=0.1, seed=1))
-    noise = np.random.default_rng(0).normal(size=sig.values.shape)
-    actual = dataclasses.replace(sig, values=sig.values + noise)
-    actual.values[2] = sig.values[2]
-    write_signal_csv(sig, tmp_path / "predictions.csv")
+    values = generate_synthetic(SyntheticSpec(nodes=3, steps=200, noise=0.1, seed=1))
+    actual = values + np.random.default_rng(0).normal(size=values.shape)
+    actual[2] = values[2]
+    write_signal_csv(values, tmp_path / "predictions.csv")
     write_signal_csv(actual, tmp_path / "actuals.csv")
     out = tmp_path / "diag"
     assert cli_main(["diagnose", "--predictions", str(tmp_path / "predictions.csv"),
                      "--actuals", str(tmp_path / "actuals.csv"), "--out", str(out)]) == 0
-    assert _acf_header(out / "acf.csv") == ["lag", *sig.node_ids[:2]]
+    assert _acf_header(out / "acf.csv") == ["lag", "n000", "n001"]
     lines = (out / "residual_corr.csv").read_text().splitlines()
     assert all(line.split(",")[2] == "1" for line in lines[1:])
 
@@ -934,10 +945,10 @@ def test_run_pipeline_requires_one_source(tmp_path):
 
 
 def test_run_pipeline_masked_input_metrics_exclusion(tmp_path):
-    sig = generate_synthetic(small_spec(seed=4))
-    sig.mask[:, 350:] = False  # missing stretch inside the test split
+    values = generate_synthetic(small_spec(seed=4))
+    values[:, 350:] = np.nan  # missing stretch inside the test split
     csv_path = tmp_path / "masked.csv"
-    write_signal_csv(sig, csv_path)
+    write_signal_csv(values, csv_path)
     cfg = small_config(tmp_path, seed=4, output_dir=str(tmp_path / "masked_run"))
     cfg.synthetic = None
     cfg.input_csv = str(csv_path)
@@ -949,19 +960,19 @@ def test_run_pipeline_masked_input_metrics_exclusion(tmp_path):
 def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_path):
     # the run builds its windows once and drops the embedding channels for
     # the comparison fit; that must equal windows built with no embedding
-    sig = generate_synthetic(small_spec(seed=7))
-    sig.mask[1, 300:310] = False
+    values = generate_synthetic(small_spec(seed=7))
+    values[1, 300:310] = np.nan
     csv_path = tmp_path / "masked.csv"
-    write_signal_csv(sig, csv_path)
+    write_signal_csv(values, csv_path)
     cfg = small_config(tmp_path, seed=7)
     cfg.synthetic = None
     cfg.input_csv = str(csv_path)
     out = run_pipeline(cfg)
 
-    loaded = load_csv(csv_path)
-    (b_train, b_val), zscore, values = normalized_series(impute_linear(loaded), loaded.node_ids, cfg.split)
-    spans = {"train": (0, b_train), "test": (b_val, loaded.n_steps)}
-    plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=loaded.mask)
+    raw, node_ids = load_csv(csv_path)
+    (b_train, b_val), zscore, values = normalized_series(impute_linear(raw, node_ids), node_ids, cfg.split)
+    spans = {"train": (0, b_train), "test": (b_val, raw.shape[1])}
+    plain = make_windows(values, spans, cfg.p, cfg.q, embedding=None, exclusion_mask=~np.isnan(raw))
     report, _ = _test_forecast(fit_ridge(plain["train"], l2=cfg.l2), plain["test"], zscore)
     assert report.excluded_count > 0
     assert (out / "metrics_without.json").read_text() == report.to_json()
@@ -971,12 +982,12 @@ def test_without_covariate_metrics_match_windows_built_without_embedding(tmp_pat
 def test_test_residuals_match_differences_in_original_units(tmp_path):
     # the run scales normalized differences by each node's std; that must
     # match taking prediction and target to original units and subtracting
-    sig = generate_synthetic(small_spec(seed=3, noise=0.1))
-    sig = dataclasses.replace(sig, values=sig.values * [[3.0], [0.5], [20.0], [1.0]] + 40.0)
-    sig.mask[2, 320:330] = False
-    (b_train, b_val), zscore, values = normalized_series(sig.values, sig.node_ids, (0.7, 0.1, 0.2))
-    spans = {"train": (0, b_train), "test": (b_val, sig.n_steps)}
-    windows = make_windows(values, spans, 12, 12, exclusion_mask=sig.mask)
+    raw = generate_synthetic(small_spec(seed=3, noise=0.1)) * [[3.0], [0.5], [20.0], [1.0]] + 40.0
+    observed = np.ones(raw.shape, dtype=bool)
+    observed[2, 320:330] = False
+    (b_train, b_val), zscore, values = normalized_series(raw, default_node_ids(4), (0.7, 0.1, 0.2))
+    spans = {"train": (0, b_train), "test": (b_val, raw.shape[1])}
+    windows = make_windows(values, spans, 12, 12, exclusion_mask=observed)
     test = windows["test"]
     model = fit_ridge(windows["train"], l2=1e-3)
     report, resid = _test_forecast(model, test, zscore)
@@ -998,9 +1009,9 @@ def test_a_horizon_with_no_kept_target_is_written_as_null(tmp_path):
     # one test anchor (24 test steps) whose third target step, 390, is
     # blank at every node: horizon 3 has no entry to score, and the file
     # must stay strict JSON
-    sig = generate_synthetic(SyntheticSpec(nodes=3, steps=400, noise=0.1, seed=1))
-    sig.mask[:, 390] = False
-    write_signal_csv(sig, tmp_path / "blank.csv")
+    values = generate_synthetic(SyntheticSpec(nodes=3, steps=400, noise=0.1, seed=1))
+    values[:, 390] = np.nan
+    write_signal_csv(values, tmp_path / "blank.csv")
     cfg = PipelineConfig(input_csv=str(tmp_path / "blank.csv"), output_dir=str(tmp_path / "run"),
                          split=(0.84, 0.1, 0.06), lags=(0,))
     out = run_pipeline(cfg)
@@ -1031,12 +1042,12 @@ def test_validation_split_shorter_than_a_window_runs(tmp_path):
 def test_no_leakage_from_test_split(tmp_path):
     # the run normalizes the whole series at once, with statistics of the
     # training columns alone: later steps cannot move the fit
-    sig_a = generate_synthetic(small_spec(seed=5, noise=0.1))
-    values = sig_a.values.copy()
-    values[:, 300:] += 77.0  # clobber val/test region only
+    values_a = generate_synthetic(small_spec(seed=5, noise=0.1))
+    values_b = values_a.copy()
+    values_b[:, 300:] += 77.0  # clobber val/test region only
     fits = []
-    for name, sig in (("a", sig_a), ("b", dataclasses.replace(sig_a, values=values))):
-        write_signal_csv(sig, tmp_path / f"{name}.csv")
+    for name, values in (("a", values_a), ("b", values_b)):
+        write_signal_csv(values, tmp_path / f"{name}.csv")
         cfg = PipelineConfig(input_csv=str(tmp_path / f"{name}.csv"), output_dir=str(tmp_path / name),
                              tau=20, rank="fixed:4", target_modes=2)
         fits.append((run_pipeline(cfg, until="fit") / "decomposition.json").read_text())
@@ -1119,7 +1130,7 @@ def test_cli_synth_then_forecast(tmp_path, capsys):
 def test_cli_synth_creates_the_output_directory(tmp_path):
     out = tmp_path / "new" / "dir" / "data.csv"
     assert cli_main(["synth", "--nodes", "2", "--steps", "120", "--out", str(out)]) == 0
-    assert load_csv(out).n_steps == 120
+    assert load_csv(out)[0].shape == (2, 120)
 
 
 def test_cli_fit_and_embed(tmp_path):
@@ -1166,8 +1177,8 @@ def test_cli_diagnose_defaults_are_the_pipeline_defaults():
 
 @pytest.mark.parametrize("blank_in", ["predictions", "actuals"])
 def test_cli_diagnose_refuses_blank_cells(tmp_path, capsys, blank_in):
-    # load_csv reads a blank cell as a masked zero; a residual against that
-    # zero would pass for a real one
+    # load_csv reads a blank cell as NaN, which diagnose refuses by its
+    # position: a residual needs both values
     rng = np.random.default_rng(0)
     files = {}
     for name in ("predictions", "actuals"):
@@ -1355,6 +1366,20 @@ def test_cli_tau_beyond_training_span_is_config_error(tmp_path, capsys, flags):
     assert not out.exists()
     assert cli_main(["fit", "--input", str(data), "--tau", "82", "--rank", "fixed:2",
                      "--target-modes", "1", "--out", str(tmp_path / "ok")]) == 0
+
+
+@pytest.mark.parametrize("flags", [[], ["--tau", "1"]])
+def test_cli_training_span_under_three_steps_is_data_error(tmp_path, capsys, flags):
+    # 4 steps split 50/0/50 train on 2: no tau leaves two snapshot pairs,
+    # so the run names the 3-step minimum, not an empty tau range, and a
+    # tau the user set is not outside any range
+    out = tmp_path / "run"
+    assert cli_main(["forecast", "--synth-nodes", "2", "--synth-steps", "4",
+                     "--split", "0.5,0,0.5", *flags, "--out", str(out)]) == 3
+    err = capsys.readouterr().err
+    assert err.startswith("data error: [stage hankel] a fit needs at least 3 steps")
+    assert err.rstrip().endswith("got 2") and "tau" not in err
+    assert not out.exists()
 
 
 @pytest.mark.parametrize("command", ["forecast", "fit", "embed", "diagnose", "synth"])

@@ -306,10 +306,10 @@ def a1_fit(seed):
     """The fit of a run on the A1 signal (8 x 2016, noise 0.1) at rank
     fixed:24: its normalized training span, at the default tau. Returns
     the fit and its view."""
-    signal = generate_synthetic(SyntheticSpec(noise=0.1, seed=seed))
-    b_train, _ = split_boundaries(signal.n_steps, PipelineConfig().split)
-    zscore = zscore_fit(signal.values[:, :b_train], signal.node_ids)
-    train = zscore.transform(signal.values)[:, :b_train]
+    values = generate_synthetic(SyntheticSpec(noise=0.1, seed=seed))
+    b_train, _ = split_boundaries(values.shape[1], PipelineConfig().split)
+    zscore = zscore_fit(values[:, :b_train], [f"n{i}" for i in range(values.shape[0])])
+    train = zscore.transform(values)[:, :b_train]
     view = build_hankel(train, default_tau(train))
     return fit_dmd(view, FixedRank(24)), view
 

@@ -10,21 +10,21 @@ from dmdembed.synthetic import SyntheticSpec, generate_synthetic
 
 def test_single_component_exact_periodicity():
     spec = SyntheticSpec(nodes=3, steps=60, periods=(12.0,), amplitudes=(2.0,))
-    sig = generate_synthetic(spec)
-    assert_allclose(sig.values[:, 12:], sig.values[:, :-12], atol=1e-12)
+    values = generate_synthetic(spec)
+    assert_allclose(values[:, 12:], values[:, :-12], atol=1e-12)
 
 
 def test_same_seed_same_matrix():
     a = generate_synthetic(SyntheticSpec(noise=0.3, seed=5))
     b = generate_synthetic(SyntheticSpec(noise=0.3, seed=5))
-    assert np.array_equal(a.values, b.values)
+    assert np.array_equal(a, b)
     c = generate_synthetic(SyntheticSpec(noise=0.3, seed=6))
-    assert not np.array_equal(a.values, c.values)
+    assert not np.array_equal(a, c)
 
 
 def test_two_period_recovery_within_tenth_step():
-    sig = generate_synthetic(SyntheticSpec(noise=0.0, seed=2))
-    view = build_hankel(sig.values, tau=default_tau(sig.values))
+    values = generate_synthetic(SyntheticSpec(noise=0.0, seed=2))
+    view = build_hankel(values, tau=default_tau(values))
     dec = fit_dmd(view, FixedRank(4))
     periods = sorted(
         mode_frequency(lam).period_steps
@@ -38,16 +38,15 @@ def test_two_period_recovery_within_tenth_step():
 def test_noise_scales_with_signal_rms():
     quiet = generate_synthetic(SyntheticSpec(noise=0.0, seed=9, steps=504))
     loud = generate_synthetic(SyntheticSpec(noise=0.5, seed=9, steps=504))
-    resid = loud.values - quiet.values
-    rms = np.sqrt(np.mean(quiet.values**2))
+    resid = loud - quiet
+    rms = np.sqrt(np.mean(quiet**2))
     ratio = np.sqrt(np.mean(resid**2)) / rms
     assert ratio == pytest.approx(0.5, rel=0.1)
 
 
 def test_trend_component():
     spec = SyntheticSpec(nodes=2, steps=50, periods=(), trend=0.5)
-    sig = generate_synthetic(spec)
-    assert_allclose(sig.values[0], 0.5 * np.arange(50))
+    assert_allclose(generate_synthetic(spec)[0], 0.5 * np.arange(50))
 
 
 def test_spec_validation():
